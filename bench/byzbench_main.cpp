@@ -15,7 +15,7 @@ int main(int argc, char** argv) {
   using namespace byz;
 
   util::ArgParser args("byzbench",
-                       "unified byzcount experiment orchestrator (E01-E16)");
+                       "unified byzcount experiment orchestrator (E01-E32)");
   args.add_flag("list", "enumerate registered scenarios and exit");
   args.add_option("filter", "comma-separated id/title substrings (empty = all)",
                   "");

@@ -1,8 +1,7 @@
-// Declarative scenario registry: each experiment (E01–E16 and anything a
-// later PR adds) registers its id, the parameter grid it sweeps, its base
-// trial count, and the names of the metrics it emits, plus the run
-// function itself. The byzbench binary is then nothing but
-// "registry.match(filter) → orchestrator".
+// Declarative scenario registry: each experiment (E01–E32) registers its
+// id, the parameter grid it sweeps, its base trial count, and the names
+// of the metrics it emits, plus the run function itself. The byzbench
+// binary is then nothing but "registry.match(filter) → orchestrator".
 #pragma once
 
 #include <functional>

@@ -60,11 +60,16 @@ double average_clustering(const Graph& simple, std::uint32_t sample,
       targets.push_back(static_cast<NodeId>(rng.below(n)));
     }
   }
-  double sum = 0.0;
-#pragma omp parallel for reduction(+ : sum) schedule(dynamic, 64)
+  // Compute in parallel, sum in index order: the floating-point result must
+  // not depend on the thread count or on which thread ran which target.
+  std::vector<double> local(targets.size());
+#pragma omp parallel for schedule(dynamic, 64)
   for (std::int64_t i = 0; i < static_cast<std::int64_t>(targets.size()); ++i) {
-    sum += local_clustering(simple, targets[static_cast<std::size_t>(i)]);
+    const auto t = static_cast<std::size_t>(i);
+    local[t] = local_clustering(simple, targets[t]);
   }
+  double sum = 0.0;
+  for (const double c : local) sum += c;
   return sum / static_cast<double>(targets.size());
 }
 

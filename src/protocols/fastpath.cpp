@@ -87,23 +87,31 @@ RunResult run_counting_with(const graph::Overlay& overlay,
   // Setup: adjacency exchange, lies, crash rule (Algorithm 2 lines 1-2).
   // Mid-run joiners skip setup: they were not present for the adjacency
   // exchange, so the crash rule never applies to them.
-  proto::ClaimSet claims(overlay);
-  strategy.setup_lies(world, claims);
   std::vector<bool> crashed(nb, false);
-  if (cfg.crash_rule) {
-    if (midrun == nullptr) {
-      crashed = compute_crash_set(claims, byz_mask, &result.instr);
-    } else {
-      // The crash rule runs on the snapshot's members only; joiner ids are
-      // truncated off the mask (they exchanged no adjacency claims).
-      const std::vector<bool> snapshot_byz(byz_mask.begin(),
-                                           byz_mask.begin() + n);
-      crashed = compute_crash_set(claims, snapshot_byz, &result.instr);
+  {
+    obs::Span setup_span("count.setup");
+    proto::ClaimSet claims(overlay);
+    strategy.setup_lies(world, claims);
+    if (cfg.crash_rule) {
+      if (midrun == nullptr) {
+        crashed = compute_crash_set(claims, byz_mask, &result.instr);
+      } else {
+        // The crash rule runs on the snapshot's members only; joiner ids
+        // are truncated off the mask (they exchanged no adjacency claims).
+        const std::vector<bool> snapshot_byz(byz_mask.begin(),
+                                             byz_mask.begin() + n);
+        crashed = compute_crash_set(claims, snapshot_byz, &result.instr);
+      }
+      crashed.resize(nb, false);
+      for (NodeId v = 0; v < n; ++v) {
+        if (crashed[v] && !byz_mask[v]) {
+          result.status[v] = NodeStatus::kCrashed;
+        }
+      }
     }
-    crashed.resize(nb, false);
-    for (NodeId v = 0; v < n; ++v) {
-      if (crashed[v] && !byz_mask[v]) result.status[v] = NodeStatus::kCrashed;
-    }
+    NodeId liars = 0;
+    for (NodeId v = 0; v < n; ++v) liars += claims.truthful(v) ? 0 : 1;
+    setup_span.arg("liars", liars).arg("crashes", result.instr.crashes);
   }
 
   const Verifier* verifier = controls.verifier;

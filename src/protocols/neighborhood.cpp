@@ -58,36 +58,68 @@ std::vector<bool> compute_crash_set(const ClaimSet& claims,
   if (instr != nullptr) {
     // Every node ships its claimed list to each G-neighbor once.
     for (NodeId u = 0; u < n; ++u) {
-      const auto len = claims.claimed(u).size();
-      for (std::uint64_t e = 0; e < g.degree(u); ++e) {
-        instr->count_setup_list(len);
-      }
+      instr->count_setup_list(claims.claimed(u).size(), g.degree(u));
     }
   }
 
-  // Honest claims are truthful, hence pairwise consistent: only pairs with
-  // at least one Byzantine (or otherwise lying) member can conflict.
-  for (NodeId v = 0; v < n; ++v) {
-    if (byz_mask[v]) continue;
-    const auto nbrs = g.neighbors(v);
-    bool conflict = false;
-    for (std::size_t a = 0; a < nbrs.size() && !conflict; ++a) {
-      const NodeId u = nbrs[a];
-      if (!byz_mask[u] && claims.truthful(u)) continue;
-      if (!claims_edge(claims, u, v)) {  // denies the direct channel
-        conflict = true;
-        break;
+  // Only a liar's diff set Δ(u) = claimed(u) △ N_G(u) can differ from
+  // G-adjacency, and G is symmetric, so a pair (u, w) disagrees only if one
+  // side lies about the other: walking each liar's Δ finds every conflict.
+  const auto crash = [&](NodeId v) {
+    if (!byz_mask[v]) crashed[v] = true;
+  };
+  std::vector<NodeId> diff;
+  for (NodeId u = 0; u < n; ++u) {
+    if (claims.truthful(u)) continue;
+    const auto real = g.neighbors(u);
+    const auto said = claims.claimed(u);
+    // Merge-walk the sorted lists; diff keeps the real ids of Δ(u)
+    // (fabricated ids past n are seen by no G-neighbor; a self-claim
+    // w = u always agrees with itself in the pair test below).
+    diff.clear();
+    std::size_t i = 0;
+    std::size_t j = 0;
+    while (i < real.size() || j < said.size()) {
+      if (j == said.size() || (i < real.size() && real[i] < said[j])) {
+        crash(real[i]);  // u denies the channel its holder knows exists
+        diff.push_back(real[i++]);
+      } else if (i == real.size() || said[j] < real[i]) {
+        const NodeId w = said[j++];
+        if (w < n) diff.push_back(w);
+      } else {
+        ++i;
+        ++j;
       }
-      for (std::size_t b = 0; b < nbrs.size() && !conflict; ++b) {
-        const NodeId w = nbrs[b];
-        if (w == u) continue;
-        if (claims_edge(claims, u, w) != claims_edge(claims, w, u)) {
-          conflict = true;
+    }
+    // A disagreeing pair crashes the common G-neighbors of u and w, all of
+    // them in N_G(u): once u's denials alone crashed every honest member of
+    // N_G(u) (E10's empty lie), the pairs can add nothing.
+    if (std::all_of(real.begin(), real.end(),
+                    [&](NodeId v) { return byz_mask[v] || crashed[v]; })) {
+      continue;
+    }
+    for (const NodeId w : diff) {
+      // w's side comes from its own claim: two liars can lie consistently.
+      if (claims_edge(claims, u, w) == claims_edge(claims, w, u)) continue;
+      const auto other = g.neighbors(w);
+      auto a = real.begin();
+      auto b = other.begin();
+      while (a != real.end() && b != other.end()) {
+        if (*a < *b) {
+          ++a;
+        } else if (*b < *a) {
+          ++b;
+        } else {
+          crash(*a);
+          ++a;
+          ++b;
         }
       }
     }
-    crashed[v] = conflict;
-    if (conflict && instr != nullptr) ++instr->crashes;
+  }
+  if (instr != nullptr) {
+    instr->crashes += static_cast<std::uint64_t>(
+        std::count(crashed.begin(), crashed.end(), true));
   }
   return crashed;
 }

@@ -6,11 +6,15 @@
 //   3. absent conflicts, v reconstructs the H-vs-L classification of its
 //      edges via the subset criterion in Lemma 3's proof.
 //
-// Honest nodes always tell the truth, so honest-honest claim pairs can
-// never conflict; every conflict involves a Byzantine claim. The crash-set
-// computation exploits this (it only examines pairs touching a Byzantine
-// node), which makes it exact AND cheap — the message-level engine and the
-// fast path share it.
+// A truthful claim is G-adjacency and G is symmetric, so a pair of claims
+// can conflict only where one side lies about the other: every conflict
+// lies in some liar u's diff set Δ(u) = claimed(u) △ N_G(u). The crash-set
+// computation therefore visits liars only. An honest v crashes iff a liar
+// u ∈ N_G(v) denies v, or some real w ∈ Δ(u) ∩ N_G(v), w ≠ u, claims the
+// edge {u, w} the other way round (w's side is read from its own claim:
+// two liars can lie consistently). A run without liars costs O(n), one
+// with liars O(n + Σ_liars |Δ(u)|·deg_G). The message-level engine keeps
+// the full per-node pairwise check as the independent oracle.
 #pragma once
 
 #include <cstdint>
@@ -55,9 +59,9 @@ class ClaimSet {
 /// O(deg^2); used by tests and small-n runs.
 [[nodiscard]] bool detects_conflict(const ClaimSet& claims, graph::NodeId v);
 
-/// Crash set over all honest nodes, computed with the byz-pair shortcut
-/// (provably equal to running detects_conflict everywhere — see the
-/// equivalence test). Counts setup traffic into `instr` if given.
+/// Crash set over all honest nodes, computed from the liars' diff sets
+/// (equal to running detects_conflict everywhere — see the equivalence
+/// test). Counts setup traffic and crashes into `instr` if given.
 [[nodiscard]] std::vector<bool> compute_crash_set(
     const ClaimSet& claims, const std::vector<bool>& byz_mask,
     sim::Instrumentation* instr = nullptr);

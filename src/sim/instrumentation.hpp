@@ -47,9 +47,10 @@ struct Instrumentation {
     token_messages += count;
     token_bytes += count * kTokenBytes;
   }
-  void count_setup_list(std::uint64_t list_len) noexcept {
-    setup_messages += 1;
-    setup_bytes += 8 + list_len * kIdBytes;
+  void count_setup_list(std::uint64_t list_len,
+                        std::uint64_t count = 1) noexcept {
+    setup_messages += count;
+    setup_bytes += count * (8 + list_len * kIdBytes);
   }
   void count_verification(std::uint64_t round_trips) noexcept {
     verify_messages += 2 * round_trips;

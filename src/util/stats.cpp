@@ -52,13 +52,19 @@ double OnlineStats::stderr_mean() const noexcept {
 double percentile(std::span<const double> sample, double q) {
   if (sample.empty()) throw std::invalid_argument("percentile: empty sample");
   q = std::clamp(q, 0.0, 1.0);
-  std::vector<double> sorted(sample.begin(), sample.end());
-  std::sort(sorted.begin(), sorted.end());
-  const double pos = q * static_cast<double>(sorted.size() - 1);
+  // Selection, not a full sort: the order statistic at lo, and its
+  // successor as the minimum of what selection left above it.
+  std::vector<double> values(sample.begin(), sample.end());
+  const double pos = q * static_cast<double>(values.size() - 1);
   const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+  const auto at_lo = values.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(values.begin(), at_lo, values.end());
+  const double below = *at_lo;
+  const double above = lo + 1 < values.size()
+                           ? *std::min_element(at_lo + 1, values.end())
+                           : below;
   const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+  return below * (1.0 - frac) + above * frac;
 }
 
 double median(std::span<const double> sample) { return percentile(sample, 0.5); }

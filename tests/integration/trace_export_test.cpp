@@ -1,5 +1,5 @@
 // End-to-end observability contract: tracing a real protocol run yields a
-// parseable Chrome trace containing phase, subphase, round, and trial
+// parseable Chrome trace containing setup, phase, subphase, round, and trial
 // spans — and the run's outputs are bitwise identical with tracing on or
 // off (the pure read-side invariant of src/obs/obs.hpp, the same contract
 // CI pins at the BENCH-manifest level).
@@ -54,6 +54,7 @@ TEST(TraceExportIntegration, ProtocolRunEmitsPhaseSubphaseAndRoundSpans) {
     names.insert(e.find("name")->as_string());
   }
   EXPECT_TRUE(names.contains("count.run"));
+  EXPECT_TRUE(names.contains("count.setup"));
   EXPECT_TRUE(names.contains("count.phase"));
   EXPECT_TRUE(names.contains("count.subphase"));
   EXPECT_TRUE(names.contains("flood.subphase"));

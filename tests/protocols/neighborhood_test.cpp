@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <utility>
 
 #include "graph/categories.hpp"
 #include "graph/tree_like.hpp"
@@ -118,26 +120,122 @@ TEST(Conflict, FabricatedIdOutsideBallNotDetectable) {
   }
 }
 
+/// A random lie for u: truthful, empty (E10's crash-maximizing lie), or the
+/// truth with real neighbors dropped and 2-hop, random and fabricated
+/// (>= n) ids added, each edit present or not at random.
+std::optional<std::vector<NodeId>> random_lie(const Overlay& o, NodeId u,
+                                              util::Xoshiro256& rng) {
+  const auto& g = o.g();
+  const NodeId n = o.num_nodes();
+  const auto real = g.neighbors(u);
+  switch (rng.below(4)) {
+    case 0:
+      return std::nullopt;
+    case 1:
+      return std::vector<NodeId>{};
+    default:
+      break;
+  }
+  std::vector<NodeId> lie;
+  const bool drop = rng.below(2) == 0;
+  for (const NodeId w : real) {
+    if (!drop || rng.below(4) != 0) lie.push_back(w);
+  }
+  if (rng.below(2) == 0) {  // 2-hop ids: visible to the common neighbors
+    for (int i = 0; i < 3; ++i) {
+      const auto mid = g.neighbors(real[rng.below(real.size())]);
+      lie.push_back(mid[rng.below(mid.size())]);
+    }
+  }
+  if (rng.below(2) == 0) {  // random ids, possibly u itself
+    for (int i = 0; i < 3; ++i) {
+      lie.push_back(static_cast<NodeId>(rng.below(n)));
+    }
+  }
+  if (rng.below(2) == 0) {  // fabricated ids nobody can see
+    for (int i = 0; i < 3; ++i) {
+      lie.push_back(n + static_cast<NodeId>(rng.below(1000)));
+    }
+  }
+  return lie;
+}
+
 TEST(CrashSet, MatchesReferenceConflictDetection) {
-  // The byz-pair shortcut must agree exactly with running the full pairwise
-  // rule at every node.
-  const Overlay o = sample(256, 6, 67);
+  // The liar-diff-set rule must agree exactly with running the full
+  // pairwise rule at every honest node, and count crashes and setup traffic
+  // exactly as one count_setup_list call per G-edge does.
   util::Xoshiro256 rng(5);
-  const auto byz = graph::random_byzantine_mask(o.num_nodes(), 12, rng);
-  ClaimSet claims(o);
-  for (NodeId v = 0; v < o.num_nodes(); ++v) {
-    if (!byz[v]) continue;
-    // Arbitrary lie: drop the last claimed neighbor.
-    const auto nbrs = o.g().neighbors(v);
-    std::vector<NodeId> lie(nbrs.begin(), nbrs.end());
-    if (!lie.empty()) lie.pop_back();
-    claims.set_claim(v, lie);
+  constexpr std::uint32_t kDegrees[] = {4, 6, 8};
+  std::uint64_t crashed_total = 0;
+  std::uint64_t spared_total = 0;
+  for (std::uint64_t trial = 0; trial < 51; ++trial) {
+    const auto n = static_cast<NodeId>(128 + rng.below(385));
+    const Overlay o = sample(n, kDegrees[trial % 3], 1000 + trial);
+    const auto& g = o.g();
+    auto byz = graph::random_byzantine_mask(
+        n, static_cast<NodeId>(4 + rng.below(9)), rng);
+    std::vector<std::optional<std::vector<NodeId>>> lies(n);
+    for (NodeId u = 0; u < n; ++u) {
+      if (byz[u]) lies[u] = random_lie(o, u, rng);
+    }
+    // Liar pairs that lie consistently about their mutual edge: a G-edge
+    // both deny, or a 2-hop non-edge both claim. Their common neighbors
+    // see agreeing claims and must not crash on that pair.
+    for (int p = 0; p < 3; ++p) {
+      const auto u = static_cast<NodeId>(rng.below(n));
+      const auto nbrs = g.neighbors(u);
+      NodeId w = nbrs[rng.below(nbrs.size())];
+      const bool deny = rng.below(2) == 0;
+      if (!deny) {
+        const auto far = g.neighbors(w);
+        w = far[rng.below(far.size())];
+        if (w == u || g.has_edge(u, w)) continue;
+      }
+      for (const auto& [a, b] : {std::pair{u, w}, std::pair{w, u}}) {
+        byz[a] = true;
+        if (!lies[a]) {
+          const auto truth = g.neighbors(a);
+          lies[a].emplace(truth.begin(), truth.end());
+        }
+        auto& lie = *lies[a];
+        if (deny) {
+          std::erase(lie, b);
+        } else {
+          lie.push_back(b);
+        }
+      }
+    }
+    ClaimSet claims(o);
+    for (NodeId u = 0; u < n; ++u) {
+      if (lies[u]) claims.set_claim(u, *lies[u]);
+    }
+
+    sim::Instrumentation instr;
+    const auto crash = compute_crash_set(claims, byz, &instr);
+    sim::Instrumentation ref;
+    for (NodeId u = 0; u < n; ++u) {
+      for (std::uint64_t e = 0; e < g.degree(u); ++e) {
+        ref.count_setup_list(claims.claimed(u).size());
+      }
+    }
+    for (NodeId v = 0; v < n; ++v) {
+      if (byz[v]) {
+        EXPECT_FALSE(crash[v]) << "trial=" << trial << " v=" << v;
+        continue;
+      }
+      const bool conflict = detects_conflict(claims, v);
+      ASSERT_EQ(crash[v], conflict) << "trial=" << trial << " v=" << v;
+      ref.crashes += conflict ? 1 : 0;
+      spared_total += conflict ? 0 : 1;
+    }
+    EXPECT_EQ(instr.crashes, ref.crashes) << "trial=" << trial;
+    EXPECT_EQ(instr.setup_messages, ref.setup_messages) << "trial=" << trial;
+    EXPECT_EQ(instr.setup_bytes, ref.setup_bytes) << "trial=" << trial;
+    crashed_total += ref.crashes;
   }
-  const auto crash = compute_crash_set(claims, byz, nullptr);
-  for (NodeId v = 0; v < o.num_nodes(); ++v) {
-    if (byz[v]) continue;
-    EXPECT_EQ(crash[v], detects_conflict(claims, v)) << "v=" << v;
-  }
+  // Both outcomes occur, so the comparison is not vacuous either way.
+  EXPECT_GT(crashed_total, 0u);
+  EXPECT_GT(spared_total, 0u);
 }
 
 TEST(CrashSet, EmptyLieCrashesAllHonestNeighbors) {

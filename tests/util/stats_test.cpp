@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
+
+#include "util/rng.hpp"
 
 namespace byz::util {
 namespace {
@@ -78,6 +83,36 @@ TEST(Percentile, InterpolatesEvenSample) {
 
 TEST(Percentile, EmptyThrows) {
   EXPECT_THROW(percentile({}, 0.5), std::invalid_argument);
+}
+
+/// The full-sort definition percentile() must reproduce bit for bit.
+double sorted_percentile(std::vector<double> v, double q) {
+  std::sort(v.begin(), v.end());
+  const double pos = q * static_cast<double>(v.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, v.size() - 1);
+  const double frac = pos - static_cast<double>(lo);
+  return v[lo] * (1.0 - frac) + v[hi] * frac;
+}
+
+TEST(Percentile, SelectionMatchesSortBitForBit) {
+  Xoshiro256 rng(17);
+  for (std::size_t size = 1; size <= 300; ++size) {
+    // Alternate continuous samples with heavily tied ones.
+    const bool ties = size % 2 == 0;
+    std::vector<double> v(size);
+    for (auto& x : v) {
+      x = ties ? static_cast<double>(rng.below(4)) : rng.uniform() * 100.0;
+    }
+    for (int step = 0; step <= 20; ++step) {
+      const double q = step / 20.0;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(percentile(v, q)),
+                std::bit_cast<std::uint64_t>(sorted_percentile(v, q)))
+          << "size=" << size << " q=" << q;
+    }
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(median(v)),
+              std::bit_cast<std::uint64_t>(sorted_percentile(v, 0.5)));
+  }
 }
 
 TEST(Histogram, BucketsAndClamping) {
