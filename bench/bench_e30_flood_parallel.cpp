@@ -1,11 +1,15 @@
-// E30 — parallel flood kernel vs the serial reference oracle: single-trial
-// rounds/sec at large n. Every timed pair is also compared bitwise (known /
-// best_before / last_step, every instrumentation counter, and the
-// hierarchical digest trail), so the speedup column is a claim about an
-// EQUAL result — the determinism-by-construction contract documented in
+// E30 — the flood kernel vs the scalar reference oracle: single-trial
+// subphase time at large n, for the reference, the kernel on one thread
+// (the data-layout gain) and the kernel on every hardware thread (the
+// thread gain on top). Every timed kernel run is also compared bitwise
+// with the reference (known / best_before / last_step, every
+// instrumentation counter, and the hierarchical digest trail), so the
+// speedup columns are claims about an EQUAL result — the
+// determinism-by-construction contract documented in
 // src/protocols/flooding.cpp. Wall-clock numbers go to stdout via
-// ctx.line/table only; the guard metric carries the speedup for the CI
-// perf step, which strips it before the cross---jobs manifest comparison.
+// ctx.line/table only; the guard metric carries the all-threads speedup
+// for the CI perf step, which strips it before the cross---jobs manifest
+// comparison.
 #include <algorithm>
 #include <thread>
 
@@ -16,6 +20,8 @@ namespace {
 using namespace byz;
 using namespace byz::bench;
 
+using SubphaseFn = decltype(&proto::run_flood_subphase);
+
 struct KernelRun {
   double ms = 0.0;
   proto::FloodWorkspace ws;
@@ -23,27 +29,32 @@ struct KernelRun {
   obs::RunDigester digester;
 };
 
-/// One subphase of `steps` flood rounds under the given kernel. The
-/// workspace is fresh per run so the two kernels start from identical
-/// state; the digester trail is the order-insensitivity witness.
-void run_kernel(const graph::Overlay& overlay, const std::vector<bool>& byz,
-                const std::vector<bool>& crashed,
+/// One subphase of `steps` flood rounds through `fn` (the kernel or the
+/// reference) on `threads` workers. The workspace is fresh per run so
+/// every run starts from identical state; the digester trail is the
+/// order-insensitivity witness.
+void run_kernel(SubphaseFn fn, const graph::Overlay& overlay,
+                const std::vector<bool>& byz, const std::vector<bool>& crashed,
                 const proto::Verifier& verifier,
                 std::span<const proto::Color> gen, std::uint32_t steps,
-                proto::FloodExec exec, KernelRun& out) {
+                std::uint32_t threads, KernelRun& out) {
   proto::FloodParams params;
   params.steps = steps;
-  params.exec = exec;
+  params.threads = threads;
   params.digest = &out.digester;
   out.digester.begin_phase(1);
   out.digester.begin_subphase(1);
   util::Timer timer;
-  proto::run_flood_subphase(overlay, byz, crashed, verifier, params, gen, {},
-                            out.ws, out.instr);
+  fn(overlay, byz, crashed, verifier, params, gen, {}, out.ws, out.instr);
   out.ms = timer.milliseconds();
   out.digester.close_subphase();
   out.digester.close_phase();
   out.digester.close_run();
+}
+
+bool same_outputs(const KernelRun& a, const KernelRun& b) {
+  return a.ws.known == b.ws.known && a.ws.best_before == b.ws.best_before &&
+         a.ws.last_step == b.ws.last_step && a.instr == b.instr;
 }
 
 void run_e30(RunContext& ctx) {
@@ -55,13 +66,14 @@ void run_e30(RunContext& ctx) {
   const auto reps = ctx.trials(3);
   constexpr std::uint32_t kSteps = 8;
   const auto hw = std::max(1u, std::thread::hardware_concurrency());
+  const std::string hw_col = "kernel " + std::to_string(hw) + "t ms";
 
-  util::Table table("E30: parallel flood kernel vs serial reference, d=6 (" +
+  util::Table table("E30: flood kernel vs scalar reference, d=6 (" +
                     std::to_string(reps) + " reps of " +
                     std::to_string(kSteps) + " rounds, " +
                     std::to_string(hw) + " hw threads)");
-  table.columns({"n", "serial ms", "parallel ms", "rounds/s serial",
-                 "rounds/s par", "speedup", "identical"});
+  table.columns({"n", "reference ms", "kernel 1t ms", hw_col, "layout gain",
+                 "thread gain", "speedup", "identical"});
 
   std::uint64_t digest_xor = 0;
   std::uint64_t runs_digested = 0;
@@ -82,46 +94,55 @@ void run_e30(RunContext& ctx) {
       gen[v] = byz[v] ? 0 : util::geometric_color(rng);
     }
 
-    double serial_ms = 0.0;
-    double parallel_ms = 0.0;
+    double ref_ms = 0.0;
+    double one_ms = 0.0;
+    double all_ms = 0.0;
     bool identical = true;
     for (std::uint32_t rep = 0; rep < reps; ++rep) {
-      KernelRun serial;
-      KernelRun parallel;
-      run_kernel(*overlay, byz, crashed, verifier, gen, kSteps,
-                 {proto::FloodMode::kSerial, 0}, serial);
-      run_kernel(*overlay, byz, crashed, verifier, gen, kSteps,
-                 {proto::FloodMode::kParallel, 0}, parallel);
-      serial_ms += serial.ms;
-      parallel_ms += parallel.ms;
-      identical = identical && serial.ws.known == parallel.ws.known &&
-                  serial.ws.best_before == parallel.ws.best_before &&
-                  serial.ws.last_step == parallel.ws.last_step &&
-                  serial.instr == parallel.instr;
-      const auto div = obs::first_divergence(serial.digester.trail(),
-                                             parallel.digester.trail());
-      if (div.diverged()) ++trail_divergences;
-      digest_xor ^= serial.digester.trail().run_digest ^
-                    parallel.digester.trail().run_digest;
-      runs_digested += 2;
-      ++guard_compared;
+      KernelRun ref;
+      KernelRun one;
+      KernelRun all;
+      run_kernel(&proto::run_flood_subphase_reference, *overlay, byz, crashed,
+                 verifier, gen, kSteps, 1, ref);
+      run_kernel(&proto::run_flood_subphase, *overlay, byz, crashed, verifier,
+                 gen, kSteps, 1, one);
+      run_kernel(&proto::run_flood_subphase, *overlay, byz, crashed, verifier,
+                 gen, kSteps, 0, all);
+      ref_ms += ref.ms;
+      one_ms += one.ms;
+      all_ms += all.ms;
+      digest_xor ^= ref.digester.trail().run_digest;
+      ++runs_digested;
+      for (const KernelRun* run : {&one, &all}) {
+        identical = identical && same_outputs(ref, *run);
+        if (obs::first_divergence(ref.digester.trail(), run->digester.trail())
+                .diverged()) {
+          ++trail_divergences;
+        }
+        digest_xor ^= run->digester.trail().run_digest;
+        ++runs_digested;
+        ++guard_compared;
+      }
     }
-    const double rounds = static_cast<double>(reps) * kSteps;
-    const double rs_serial = serial_ms > 0.0 ? 1000.0 * rounds / serial_ms : 0;
-    const double rs_par = parallel_ms > 0.0 ? 1000.0 * rounds / parallel_ms : 0;
-    const double speedup = parallel_ms > 0.0 ? serial_ms / parallel_ms : 0.0;
+    const auto ratio = [](double num, double den) {
+      return den > 0.0 ? num / den : 0.0;
+    };
+    const double speedup = ratio(ref_ms, all_ms);
     table.row()
         .cell(std::uint64_t{n})
-        .cell(serial_ms / reps, 2)
-        .cell(parallel_ms / reps, 2)
-        .cell(rs_serial, 1)
-        .cell(rs_par, 1)
+        .cell(ref_ms / reps, 2)
+        .cell(one_ms / reps, 2)
+        .cell(all_ms / reps, 2)
+        .cell(util::format_double(ratio(ref_ms, one_ms), 2) + "x")
+        .cell(util::format_double(ratio(one_ms, all_ms), 2) + "x")
         .cell(util::format_double(speedup, 2) + "x")
         .cell(identical ? "yes" : "NO");
-    ctx.line("e30: n=" + std::to_string(n) + " serial " +
-             util::format_double(serial_ms / reps, 2) + " ms/subphase, " +
-             "parallel " + util::format_double(parallel_ms / reps, 2) +
-             " ms/subphase (" + util::format_double(speedup, 2) + "x)");
+    ctx.line("e30: n=" + std::to_string(n) + " reference " +
+             util::format_double(ref_ms / reps, 2) + " ms/subphase, kernel " +
+             util::format_double(one_ms / reps, 2) + " ms at 1 thread, " +
+             util::format_double(all_ms / reps, 2) + " ms at " +
+             std::to_string(hw) + " threads (" +
+             util::format_double(speedup, 2) + "x)");
     guard_identical = guard_identical && identical;
     // Guard cell: the largest size in this run.
     if (n == sizes.back()) {
@@ -140,13 +161,17 @@ void run_e30(RunContext& ctx) {
       ctx.metric("guard", std::move(g));
     }
   }
-  table.note("Same overlay, colors, and Byzantine set for both kernels, "
-             "fresh workspaces per rep; 'identical' asserts bitwise-equal "
-             "per-node state and instrumentation, and the digest trails are "
-             "compared entry for entry (" +
+  table.note("Same overlay, colors, and Byzantine set for every run, fresh "
+             "workspaces per rep. 'layout gain' is reference / kernel at 1 "
+             "thread, 'thread gain' kernel at 1 thread / kernel at " +
+             std::to_string(hw) +
+             ", 'speedup' their product. 'identical' asserts both kernel "
+             "runs bitwise-equal the reference in per-node state and "
+             "instrumentation, and the digest trails are compared entry "
+             "for entry (" +
              std::to_string(trail_divergences) +
-             " divergences). The parallel kernel merges per-worker state in "
-             "node-id order, so equality holds at every thread count.");
+             " divergences). The kernel merges per-worker state in node-id "
+             "order, so equality holds at every thread count.");
   ctx.emit(table);
   write_digest_sidecar(ctx, "e30", digest_xor, runs_digested,
                        trail_divergences);
@@ -157,10 +182,11 @@ void run_e30(RunContext& ctx) {
 BYZBENCH_REGISTER(e30) {
   ScenarioSpec spec;
   spec.id = "e30";
-  spec.title = "Parallel flood kernel vs serial reference oracle";
-  spec.claim = "Word-packed parallel flooding: >=3x single-trial speedup at "
-               "n=2^20 with >=4 threads, bitwise identical estimates, "
-               "instrumentation, and digest trails";
+  spec.title = "Scalar reference oracle vs the flood kernel";
+  spec.claim = "Word-packed flood kernel: >=3x single-trial speedup over "
+               "the scalar reference at n=2^20 with >=4 threads, split into "
+               "data-layout (1 thread) and thread gains; bitwise identical "
+               "estimates, instrumentation, and digest trails";
   spec.grid = {{"steps", {"8"}}, {"byz_delta", {"0.01"}}, pow2_axis(16, 20)};
   spec.base_trials = 3;
   spec.metrics = {"guard.speedup", "guard.identical", "guard.divergences"};

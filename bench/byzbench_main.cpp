@@ -39,11 +39,6 @@ int main(int argc, char** argv) {
                   "directory for DIGEST_<exp>.json run-digest sidecars and "
                   "forensics reports (empty = off; implies --audit)",
                   "");
-  args.add_option("flood-threads",
-                  "flood-kernel default for every scenario run: 0 = serial "
-                  "reference kernel, N > 0 = word-packed parallel kernel "
-                  "with N threads (bitwise-identical results either way)",
-                  "0");
   args.add_option("backend",
                   "protocol backend for backend-aware scenarios (registered "
                   "proto::Estimator name, e.g. algo2, algo1, brc; empty = "
@@ -65,12 +60,6 @@ int main(int argc, char** argv) {
     opts.metrics_out = args.str("metrics-out");
     opts.digest_out = args.str("digest-out");
     opts.audit = args.flag("audit") || !opts.digest_out.empty();
-    const auto flood_threads =
-        static_cast<std::uint32_t>(args.integer("flood-threads"));
-    if (flood_threads > 0) {
-      proto::set_default_flood_exec(
-          {proto::FloodMode::kParallel, flood_threads});
-    }
     opts.backend = args.str("backend");
   } catch (const std::exception& e) {
     std::cerr << "byzbench: " << e.what() << "\n\n" << args.help();

@@ -53,6 +53,7 @@
 #include <algorithm>
 #include <cmath>
 #include <iostream>
+#include <thread>
 
 #include "byzcount.hpp"
 
@@ -90,6 +91,20 @@ byz::proto::MembershipPolicy parse_policy(const std::string& name) {
                               " (try silent, readmit)");
 }
 
+/// --flood-threads: the flood kernel's worker count, 0 = every hardware
+/// thread. Values outside [0, hardware threads] are rejected instead of
+/// being wrapped into a 32-bit count.
+std::uint32_t parse_flood_threads(const byz::util::ArgParser& args) {
+  const std::int64_t hw = std::max(1u, std::thread::hardware_concurrency());
+  const std::int64_t threads = args.integer("flood-threads");
+  if (threads < 0 || threads > hw) {
+    throw std::invalid_argument(
+        "--flood-threads must be in [0, " + std::to_string(hw) +
+        "] (0 = all hardware threads), got " + std::to_string(threads));
+  }
+  return static_cast<std::uint32_t>(threads);
+}
+
 /// --trace-out plumbing: dump the Chrome trace collected so far (no-op
 /// when the flag was not given).
 void write_trace_if_requested(const std::string& path) {
@@ -124,7 +139,8 @@ bool backend_name_ok(const std::string& flag, const std::string& name) {
 
 /// The --churn mode: --trials independent churn runs through the shared
 /// scheduler, aggregated per epoch.
-int run_churn_mode(const byz::util::ArgParser& args) {
+int run_churn_mode(const byz::util::ArgParser& args,
+                   std::uint32_t flood_threads) {
   using namespace byz;
 
   // The continuous loop (incremental/warm/mid-run tiers, engine oracle) is
@@ -176,11 +192,7 @@ int run_churn_mode(const byz::util::ArgParser& args) {
   // Pure read-side — the table below is identical with or without it.
   cfg.audit = args.flag("audit") || !args.str("audit-dir").empty();
   cfg.audit_dir = args.str("audit-dir");
-  const auto flood_threads =
-      static_cast<std::uint32_t>(args.integer("flood-threads"));
-  if (flood_threads > 0) {
-    cfg.flood = {proto::FloodMode::kParallel, flood_threads};
-  }
+  cfg.flood_threads = flood_threads;
   if (eps_warm && !incremental) {
     BYZ_ERROR << "size_service: --eps-warm needs the warm tier "
                  "(pass --incremental)";
@@ -455,10 +467,9 @@ int main(int argc, char** argv) {
                   "(\"\" = off)",
                   "");
   args.add_option("flood-threads",
-                  "flood kernel: 0 = serial reference, N > 0 = word-packed "
-                  "parallel kernel with N threads (results are bitwise "
-                  "identical either way)",
-                  "0");
+                  "flood kernel worker threads, 0 = all hardware threads "
+                  "(results are bitwise identical at every count)",
+                  "1");
   args.add_option("trace-out",
                   "Chrome trace-event JSON file (Perfetto/chrome://tracing; "
                   "empty = tracing off)",
@@ -470,18 +481,12 @@ int main(int argc, char** argv) {
   std::uint64_t seed;
   std::uint32_t trials;
   unsigned jobs;
+  std::uint32_t flood_threads;
   std::string trace_out;
   try {
     if (!args.parse(argc, argv)) return 0;
     trace_out = args.str("trace-out");
-    {
-      const auto flood_threads =
-          static_cast<std::uint32_t>(args.integer("flood-threads"));
-      if (flood_threads > 0) {
-        proto::set_default_flood_exec(
-            {proto::FloodMode::kParallel, flood_threads});
-      }
-    }
+    flood_threads = parse_flood_threads(args);
     // Observability is opt-in and pure read-side (src/obs/obs.hpp):
     // estimates and tables are identical with or without tracing.
     if (!trace_out.empty()) obs::set_enabled(true);
@@ -496,7 +501,7 @@ int main(int argc, char** argv) {
       return 2;
     }
     if (args.flag("churn")) {
-      const int rc = run_churn_mode(args);
+      const int rc = run_churn_mode(args, flood_threads);
       write_trace_if_requested(trace_out);
       return rc;
     }
@@ -542,14 +547,17 @@ int main(int argc, char** argv) {
     // Stage 1: Byzantine counting under the fake-color attack.
     const auto strategy = adv::make_strategy(adv::StrategyKind::kFakeColor);
     proto::ProtocolConfig cfg;
+    proto::RunControls controls;
+    controls.flood_threads = flood_threads;
     TrialOut out;
     proto::RunResult run;
     if (estimator != nullptr) {
-      run = estimator->run(overlay, byz, *strategy, trial_seed);
+      run = estimator->run(overlay, byz, *strategy, trial_seed, controls);
       const auto bound = estimator->bound(overlay);
       out.raw = proto::summarize_accuracy(run, n, bound.lo, bound.hi);
     } else {
-      run = proto::run_counting(overlay, byz, *strategy, cfg, trial_seed);
+      run = proto::run_counting_with(overlay, byz, *strategy, cfg, trial_seed,
+                                     controls);
       out.raw = proto::summarize_accuracy(run, n);
     }
     if (!algo2_stack) return out;

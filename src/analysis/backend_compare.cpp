@@ -32,9 +32,9 @@ BackendComparison compare_backends(const graph::Overlay& overlay,
                                    std::uint64_t color_seed,
                                    const proto::Estimator& ea,
                                    const proto::Estimator& eb,
-                                   proto::FloodExec flood) {
+                                   std::uint32_t flood_threads) {
   proto::RunControls controls;
-  controls.flood = flood;
+  controls.flood_threads = flood_threads;
 
   // Fresh strategy per backend: strategies carry per-run plan state, and
   // sharing one would leak backend A's observations into backend B's run.

@@ -61,7 +61,7 @@ struct BackendComparison {
     const graph::Overlay& overlay, const std::vector<bool>& byz_mask,
     adv::StrategyKind strategy, std::uint64_t color_seed,
     const proto::Estimator& ea, const proto::Estimator& eb,
-    proto::FloodExec flood = {});
+    std::uint32_t flood_threads = 1);
 
 /// The own-bound + median-ratio judgment for a single backend run
 /// (compare_backends applies it to both sides; the run_churn shadow uses

@@ -120,7 +120,7 @@ ChurnRunResult run_churn(const ChurnRunConfig& cfg) {
     const auto cmp = analysis::compare_backends(
         snapshot, dense_byz, cfg.strategy,
         util::mix_seed(cfg.seed, kShadowStream + e), *primary_est,
-        *shadow_est, cfg.flood);
+        *shadow_est, cfg.flood_threads);
     stats.shadow_ran = true;
     stats.shadow_median_ratio = cmp.b.median_ratio;
     stats.shadow_ratio = cmp.ratio;
@@ -280,7 +280,7 @@ ChurnRunResult run_churn(const ChurnRunConfig& cfg) {
       MidRunConfig mid_cfg;
       mid_cfg.policy = cfg.mid_run.policy;
       mid_cfg.schedule_strategy = cfg.mid_run.schedule;
-      mid_cfg.flood = cfg.flood;
+      mid_cfg.flood_threads = cfg.flood_threads;
 
       // Divergence audit: every tier executed this epoch records a digest
       // trail and a flight tail; the oracle checks below compare them and
@@ -578,7 +578,7 @@ ChurnRunResult run_churn(const ChurnRunConfig& cfg) {
       warm_cfg.eps_phase_skip = inc_cfg.eps_warm;
       warm_cfg.eps_budget = inc_cfg.eps_budget;
       warm_cfg.eps_margin = inc_cfg.eps_margin;
-      warm_cfg.flood = cfg.flood;
+      warm_cfg.flood_threads = cfg.flood_threads;
       auto warm = proto::run_counting_warm(
           snap.overlay, dense_byz, *strategy, cfg.protocol, color_seed,
           snap.dense_to_stable, inc->last_dirty(), acc_drift, warm_cfg,
@@ -595,7 +595,7 @@ ChurnRunResult run_churn(const ChurnRunConfig& cfg) {
         auto cold_strategy = adv::make_strategy(cfg.strategy);
         proto::RunControls cold_rc;
         cold_rc.digester = cfg.audit ? &cold_dig : nullptr;
-        cold_rc.flood = cfg.flood;
+        cold_rc.flood_threads = cfg.flood_threads;
         cold = proto::run_counting_with(snap.overlay, dense_byz,
                                         *cold_strategy, cfg.protocol,
                                         color_seed, cold_rc);
@@ -649,7 +649,7 @@ ChurnRunResult run_churn(const ChurnRunConfig& cfg) {
     } else {
       proto::RunControls run_rc;
       run_rc.digester = cfg.audit ? &run_dig : nullptr;
-      run_rc.flood = cfg.flood;
+      run_rc.flood_threads = cfg.flood_threads;
       run = proto::run_counting_with(snap.overlay, dense_byz, *strategy,
                                      cfg.protocol, color_seed, run_rc);
     }

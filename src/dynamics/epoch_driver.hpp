@@ -151,12 +151,12 @@ struct ChurnRunConfig {
   /// Directory forensic reports are written to ("" = render-only; the
   /// report text still reaches thrown exception messages via its path).
   std::string audit_dir;
-  /// Flood-kernel selection forwarded to every fastpath-tier run this
-  /// driver launches (cold, warm, ε-warm, and mid-run). The parallel
-  /// kernel is bitwise-equivalent to the serial oracle, so every
-  /// EpochStats field — including the engine-oracle and verify_warm
-  /// comparisons — is independent of it.
-  proto::FloodExec flood;
+  /// Flood-kernel thread count (0 = hardware threads) forwarded to every
+  /// fastpath-tier run this driver launches (cold, warm, ε-warm, mid-run,
+  /// and the backend shadow). The kernel is bitwise identical at every
+  /// count, so every EpochStats field — including the engine-oracle and
+  /// verify_warm comparisons — is independent of it.
+  std::uint32_t flood_threads = 1;
   /// Cross-ALGORITHM shadow oracle (analysis/backend_compare.hpp): after
   /// each estimating epoch, run this registered backend AND the cold
   /// algo2 reference on the epoch's post-churn snapshot (identical

@@ -492,7 +492,7 @@ MidRunOutcome run_midrun_tier(MutableOverlay& overlay,
     controls.midrun = &feed;
     controls.start_phase = start_phase;
     controls.digester = digester;
-    controls.flood = config.flood;
+    controls.flood_threads = config.flood_threads;
     if (config.backend != nullptr) {
       out.run = config.backend->run(feed.snapshot_overlay(), feed.run_byz(),
                                     strategy, color_seed, controls);

@@ -109,11 +109,12 @@ struct MidRunConfig {
   /// rounds it is given.
   adv::MidRunScheduleStrategy schedule_strategy =
       adv::MidRunScheduleStrategy::kUniform;
-  /// Flood-kernel selection for the fastpath tier of this run (the
-  /// message-level engine tier is per-message and unaffected). The
-  /// parallel kernel is bitwise-equivalent, so MidRunOutcome — including
-  /// the engine-oracle comparison — is independent of it.
-  proto::FloodExec flood;
+  /// Flood-kernel thread count for the fastpath tier of this run (0 =
+  /// hardware threads; the message-level engine tier is per-message and
+  /// unaffected). The kernel is bitwise identical at every count, so
+  /// MidRunOutcome — including the engine-oracle comparison — is
+  /// independent of it.
+  std::uint32_t flood_threads = 1;
   /// Protocol backend executing the run (null = the Algorithm-2 fastpath,
   /// run_counting_with). A non-null backend must support
   /// EstimatorTier::kMidRunChurn; it rides the same LiveOverlayFeed,

@@ -110,13 +110,10 @@ RunResult run_brc_counting(const graph::Overlay& overlay,
   // caller must hand the feed a disabled-verification config).
   const Verifier* verifier = controls.verifier;
   std::optional<Verifier> owned_verifier;
-  const FloodExec flood_exec = resolve_flood_exec(controls.flood);
   if (verifier == nullptr && midrun == nullptr) {
     VerificationConfig vcfg;
     vcfg.enabled = false;
-    owned_verifier.emplace(
-        overlay, byz_mask, vcfg,
-        flood_exec.mode == FloodMode::kParallel ? flood_exec.threads : 1);
+    owned_verifier.emplace(overlay, byz_mask, vcfg, controls.flood_threads);
     verifier = &*owned_verifier;
   }
 
@@ -226,7 +223,7 @@ RunResult run_brc_counting(const graph::Overlay& overlay,
       FloodParams params;
       params.steps = depth;
       params.byz_forward = strategy.forwards_floods();
-      params.exec = flood_exec;
+      params.threads = controls.flood_threads;
       if (midrun != nullptr) {
         params.live = midrun;
         params.clock = {batch, rep, 1, global_round};

@@ -116,14 +116,12 @@ RunResult run_counting_with(const graph::Overlay& overlay,
 
   const Verifier* verifier = controls.verifier;
   std::optional<Verifier> owned_verifier;
-  const FloodExec flood_exec = resolve_flood_exec(controls.flood);
   if (verifier == nullptr && midrun == nullptr) {
-    // A parallel run batches the verifier's row precompute with the same
-    // worker count (0 = hardware; the table is identical either way — each
-    // row is a pure function of the overlay).
-    owned_verifier.emplace(
-        overlay, byz_mask, cfg.verification,
-        flood_exec.mode == FloodMode::kParallel ? flood_exec.threads : 1);
+    // The verifier's row precompute runs on the flood's worker count (the
+    // table is identical either way — each row is a pure function of the
+    // overlay).
+    owned_verifier.emplace(overlay, byz_mask, cfg.verification,
+                           controls.flood_threads);
     verifier = &*owned_verifier;
   }
   const std::uint32_t max_phase = resolve_max_phase(overlay, cfg);
@@ -257,7 +255,7 @@ RunResult run_counting_with(const graph::Overlay& overlay,
       FloodParams params;
       params.steps = phase;
       params.byz_forward = strategy.forwards_floods();
-      params.exec = flood_exec;
+      params.threads = controls.flood_threads;
       if (focused) params.region = region;
       if (midrun != nullptr) {
         params.live = midrun;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <cstdlib>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -16,92 +15,18 @@ namespace byz::proto {
 
 using graph::NodeId;
 
-// ---------------------------------------------------------------------------
-// Process-wide kernel default
-// ---------------------------------------------------------------------------
-
-namespace {
-
-// The override is packed into one atomic word: bit 63 marks "set", byte 4
-// holds the mode, the low 32 bits the thread count. 0 means "no override":
-// fall back to the environment-derived default.
-constexpr std::uint64_t kExecSetBit = std::uint64_t{1} << 63;
-
-std::uint64_t pack_exec(FloodExec exec) {
-  return kExecSetBit |
-         (static_cast<std::uint64_t>(static_cast<std::uint8_t>(exec.mode))
-          << 32) |
-         exec.threads;
-}
-
-FloodExec unpack_exec(std::uint64_t packed) {
-  FloodExec exec;
-  exec.mode = static_cast<FloodMode>((packed >> 32) & 0xff);
-  exec.threads = static_cast<std::uint32_t>(packed & 0xffffffffu);
-  return exec;
-}
-
-std::atomic<std::uint64_t>& exec_override() {
-  static std::atomic<std::uint64_t> value{0};
-  return value;
-}
-
-FloodExec env_default_exec() {
-  // BYZ_FLOOD_THREADS=N (N > 0) forces the parallel kernel process-wide —
-  // the handle the TSan CI job uses to drive unmodified test binaries
-  // through the parallel path.
-  static const FloodExec exec = [] {
-    FloodExec e;
-    e.mode = FloodMode::kSerial;
-    if (const char* s = std::getenv("BYZ_FLOOD_THREADS")) {
-      char* end = nullptr;
-      const long v = std::strtol(s, &end, 10);
-      if (end != s && v > 0) {
-        e.mode = FloodMode::kParallel;
-        e.threads = static_cast<std::uint32_t>(v);
-      }
-    }
-    return e;
-  }();
-  return exec;
-}
-
-}  // namespace
-
-void set_default_flood_exec(FloodExec exec) {
-  if (exec.mode == FloodMode::kDefault) {
-    exec_override().store(0, std::memory_order_relaxed);
-    return;
-  }
-  exec_override().store(pack_exec(exec), std::memory_order_relaxed);
-}
-
-FloodExec default_flood_exec() {
-  const std::uint64_t packed = exec_override().load(std::memory_order_relaxed);
-  if (packed != 0) return unpack_exec(packed);
-  return env_default_exec();
-}
-
-FloodExec resolve_flood_exec(FloodExec exec) {
-  if (exec.mode == FloodMode::kDefault) return default_flood_exec();
-  return exec;
-}
-
 void FloodWorkspace::ensure(NodeId n) {
   known.assign(n, 0);
   fresh.assign(n, 0);
   best_before.assign(n, 0);
   last_step.assign(n, 0);
   recv.assign(n, 0);
-  frontier.clear();
-  next_frontier.clear();
-  touched.clear();
   live_frontier.clear();
 }
 
 namespace {
 
-/// Per-round frontier-size histogram shared by both kernels.
+/// Per-round frontier-size histogram shared by the kernel and the reference.
 const obs::Histogram& frontier_histogram() {
   static const obs::Histogram hist("flood.frontier");
   return hist;
@@ -142,18 +67,20 @@ void parallel_word_chunks(int nt, std::int64_t num_words, const Body& body) {
 }
 
 // ---------------------------------------------------------------------------
-// Serial reference kernel — the oracle. This body is the original scalar
-// implementation, kept verbatim; the parallel kernel below must stay
-// bitwise-equivalent to it (tests/protocols/flood_parallel_test.cpp, E30).
+// Scalar reference — the oracle. This body is the original scalar
+// implementation, kept verbatim apart from owning its frontier vectors; the
+// kernel below must stay bitwise-equivalent to it
+// (tests/protocols/flood_parallel_test.cpp, E30).
 // ---------------------------------------------------------------------------
 
-void run_subphase_serial(const graph::Overlay& overlay,
-                         const std::vector<bool>& byz_mask,
-                         const std::vector<bool>& crashed,
-                         const Verifier& verifier, const FloodParams& params,
-                         std::span<const Color> gen_color,
-                         std::span<const Injection> injections,
-                         FloodWorkspace& ws, sim::Instrumentation& instr) {
+void run_subphase_reference(const graph::Overlay& overlay,
+                            const std::vector<bool>& byz_mask,
+                            const std::vector<bool>& crashed,
+                            const Verifier& verifier,
+                            const FloodParams& params,
+                            std::span<const Color> gen_color,
+                            std::span<const Injection> injections,
+                            FloodWorkspace& ws, sim::Instrumentation& instr) {
   const MidRunHooks* live = params.live;
   const NodeId n = live ? live->node_bound() : overlay.num_nodes();
   const auto& h = overlay.h_simple();
@@ -163,6 +90,9 @@ void run_subphase_serial(const graph::Overlay& overlay,
   const auto present = [&](NodeId v) {
     return live == nullptr || live->alive(v);
   };
+  std::vector<NodeId> frontier;
+  std::vector<NodeId> next_frontier;
+  std::vector<NodeId> touched;
 
   // Step 1 senders: every generating node broadcasts its own color.
   // (Mid-run joiners have gen_color 0 until a phase boundary admits them,
@@ -170,14 +100,14 @@ void run_subphase_serial(const graph::Overlay& overlay,
   for (NodeId v = 0; v < n; ++v) {
     if (!in_region(v)) continue;
     ws.known[v] = gen_color[v];
-    if (gen_color[v] > 0 && !crashed[v]) ws.frontier.push_back(v);
+    if (gen_color[v] > 0 && !crashed[v]) frontier.push_back(v);
   }
 
   // Injections grouped by step (inputs are few; linear scan per step).
   for (std::uint32_t t = 1; t <= params.steps; ++t) {
     obs::Span round_span("flood.round");
-    round_span.arg("step", t).arg("frontier", ws.frontier.size());
-    frontier_histogram().observe(ws.frontier.size());
+    round_span.arg("step", t).arg("frontier", frontier.size());
+    frontier_histogram().observe(frontier.size());
     const std::uint64_t round_tokens_before = instr.token_messages;
     // Mid-run churn: apply the events scheduled for this round BEFORE its
     // sends, so a node departing at round r never sends at r and a joiner
@@ -189,7 +119,7 @@ void run_subphase_serial(const graph::Overlay& overlay,
     if (live != nullptr) {
       ws.live_frontier.clear();
       if (live->wants_frontier()) {
-        for (const NodeId u : ws.frontier) {
+        for (const NodeId u : frontier) {
           if (crashed[u]) continue;
           if (byz_mask[u] && !params.byz_forward) continue;
           if (!live->alive(u)) continue;
@@ -202,7 +132,7 @@ void run_subphase_serial(const graph::Overlay& overlay,
       clock.round = params.clock.round + (t - 1);
       params.live->begin_round(clock, ws.live_frontier);
     }
-    ws.touched.clear();
+    touched.clear();
     auto deliver = [&](NodeId receiver, NodeId sender, Color c, bool verify) {
       if (!in_region(receiver)) return;
       if (crashed[receiver] || !present(receiver)) return;
@@ -210,7 +140,7 @@ void run_subphase_serial(const graph::Overlay& overlay,
         // Byzantine receivers absorb knowledge without verification; their
         // counterfactual-honest state is tracked for legit-fresh checks.
         if (ws.recv[receiver] < c) {
-          if (ws.recv[receiver] == 0) ws.touched.push_back(receiver);
+          if (ws.recv[receiver] == 0) touched.push_back(receiver);
           ws.recv[receiver] = c;
         }
         return;
@@ -226,7 +156,7 @@ void run_subphase_serial(const graph::Overlay& overlay,
         }
       }
       if (ws.recv[receiver] < c) {
-        if (ws.recv[receiver] == 0) ws.touched.push_back(receiver);
+        if (ws.recv[receiver] == 0) touched.push_back(receiver);
         ws.recv[receiver] = c;
       } else if (ws.recv[receiver] == 0) {
         // c could be 0 only from a degenerate injection; ignore.
@@ -236,7 +166,7 @@ void run_subphase_serial(const graph::Overlay& overlay,
     // Protocol-conformant sends from the frontier. A frontier member that
     // departed since it was enqueued is silently dropped — its messages
     // die with it.
-    for (const NodeId u : ws.frontier) {
+    for (const NodeId u : frontier) {
       if (byz_mask[u] && !params.byz_forward) continue;
       if (!present(u)) continue;
       const auto nbrs = live ? live->neighbors(u) : h.neighbors(u);
@@ -263,8 +193,8 @@ void run_subphase_serial(const graph::Overlay& overlay,
 
     // Close the step: fold receive maxima into k_t bookkeeping and build
     // the next frontier from improvements.
-    ws.next_frontier.clear();
-    for (const NodeId v : ws.touched) {
+    next_frontier.clear();
+    for (const NodeId v : touched) {
       const Color r = ws.recv[v];
       ws.recv[v] = 0;
       // The commutative XOR fold makes the digest independent of touched-
@@ -281,10 +211,10 @@ void run_subphase_serial(const graph::Overlay& overlay,
       if (r > ws.known[v]) {
         ws.known[v] = r;
         ws.fresh[v] = t;
-        if (!crashed[v]) ws.next_frontier.push_back(v);
+        if (!crashed[v]) next_frontier.push_back(v);
       }
     }
-    ws.frontier.swap(ws.next_frontier);
+    frontier.swap(next_frontier);
     if (params.digest != nullptr) {
       params.digest->close_round(instr.token_messages - round_tokens_before);
     }
@@ -293,8 +223,9 @@ void run_subphase_serial(const graph::Overlay& overlay,
 }
 
 // ---------------------------------------------------------------------------
-// Word-packed parallel kernel. Bitwise-equivalent to the serial oracle by
-// construction:
+// The kernel: word-packed sets, rounds swept over word-range chunks on
+// params.threads workers. Bitwise-equivalent to the scalar reference at
+// every thread count by construction:
 //   * receive folding is a commutative max — relaxed CAS loops commute, so
 //     the per-step receive maxima are interleaving-independent;
 //   * touched membership is "recv went 0 -> c", marked exactly once by the
@@ -315,17 +246,16 @@ void run_subphase_serial(const graph::Overlay& overlay,
 //     observable downstream of frontier ITERATION ORDER is
 //     order-insensitive (the live wavefront is explicitly canonical, and
 //     counters/digests commute), so ascending-bitset order matches the
-//     serial vectors bit for bit.
+//     reference's vectors bit for bit.
 // ---------------------------------------------------------------------------
 
-void run_subphase_parallel(const graph::Overlay& overlay,
-                           const std::vector<bool>& byz_mask,
-                           const std::vector<bool>& crashed,
-                           const Verifier& verifier, const FloodParams& params,
-                           std::span<const Color> gen_color,
-                           std::span<const Injection> injections,
-                           FloodWorkspace& ws, sim::Instrumentation& instr,
-                           std::uint32_t threads) {
+void run_subphase_kernel(const graph::Overlay& overlay,
+                         const std::vector<bool>& byz_mask,
+                         const std::vector<bool>& crashed,
+                         const Verifier& verifier, const FloodParams& params,
+                         std::span<const Color> gen_color,
+                         std::span<const Injection> injections,
+                         FloodWorkspace& ws, sim::Instrumentation& instr) {
   const MidRunHooks* live = params.live;
   const NodeId n = live ? live->node_bound() : overlay.num_nodes();
   const auto& h = overlay.h_simple();
@@ -336,7 +266,8 @@ void run_subphase_parallel(const graph::Overlay& overlay,
     return live == nullptr || live->alive(v);
   };
   const int nt = static_cast<int>(
-      threads > 0 ? threads : std::max(1u, std::thread::hardware_concurrency()));
+      params.threads > 0 ? params.threads
+                         : std::max(1u, std::thread::hardware_concurrency()));
 
   using Word = util::Bitset::Word;
   constexpr std::size_t kWordBits = util::Bitset::kWordBits;
@@ -537,15 +468,16 @@ void run_subphase_parallel(const graph::Overlay& overlay,
   }
 }
 
-}  // namespace
+using SubphaseBody = decltype(&run_flood_subphase);
 
-void run_flood_subphase(const graph::Overlay& overlay,
-                        const std::vector<bool>& byz_mask,
-                        const std::vector<bool>& crashed,
-                        const Verifier& verifier, const FloodParams& params,
-                        std::span<const Color> gen_color,
-                        std::span<const Injection> injections,
-                        FloodWorkspace& ws, sim::Instrumentation& instr) {
+/// The contract both implementations share: argument checks, workspace
+/// reset, observability, and the subphase's round count.
+void run_checked(SubphaseBody body, const graph::Overlay& overlay,
+                 const std::vector<bool>& byz_mask,
+                 const std::vector<bool>& crashed, const Verifier& verifier,
+                 const FloodParams& params, std::span<const Color> gen_color,
+                 std::span<const Injection> injections, FloodWorkspace& ws,
+                 sim::Instrumentation& instr) {
   const MidRunHooks* live = params.live;
   const NodeId n = live ? live->node_bound() : overlay.num_nodes();
   if (gen_color.size() != n || byz_mask.size() != n || crashed.size() != n) {
@@ -571,19 +503,36 @@ void run_flood_subphase(const graph::Overlay& overlay,
       .arg("focused", params.region.empty() ? 0 : 1);
   const std::uint64_t subphase_tokens_before = instr.token_messages;
 
-  const FloodExec exec = resolve_flood_exec(params.exec);
-  if (exec.mode == FloodMode::kParallel) {
-    run_subphase_parallel(overlay, byz_mask, crashed, verifier, params,
-                          gen_color, injections, ws, instr, exec.threads);
-  } else {
-    run_subphase_serial(overlay, byz_mask, crashed, verifier, params,
-                        gen_color, injections, ws, instr);
-  }
+  body(overlay, byz_mask, crashed, verifier, params, gen_color, injections, ws,
+       instr);
 
   instr.flood_rounds += params.steps;
   obs_rounds.add(params.steps);
   obs_tokens.add(instr.token_messages - subphase_tokens_before);
   subphase_span.arg("tokens", instr.token_messages - subphase_tokens_before);
+}
+
+}  // namespace
+
+void run_flood_subphase(const graph::Overlay& overlay,
+                        const std::vector<bool>& byz_mask,
+                        const std::vector<bool>& crashed,
+                        const Verifier& verifier, const FloodParams& params,
+                        std::span<const Color> gen_color,
+                        std::span<const Injection> injections,
+                        FloodWorkspace& ws, sim::Instrumentation& instr) {
+  run_checked(&run_subphase_kernel, overlay, byz_mask, crashed, verifier,
+              params, gen_color, injections, ws, instr);
+}
+
+void run_flood_subphase_reference(
+    const graph::Overlay& overlay, const std::vector<bool>& byz_mask,
+    const std::vector<bool>& crashed, const Verifier& verifier,
+    const FloodParams& params, std::span<const Color> gen_color,
+    std::span<const Injection> injections, FloodWorkspace& ws,
+    sim::Instrumentation& instr) {
+  run_checked(&run_subphase_reference, overlay, byz_mask, crashed, verifier,
+              params, gen_color, injections, ws, instr);
 }
 
 }  // namespace byz::proto

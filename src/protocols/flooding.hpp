@@ -1,9 +1,11 @@
-// The per-subphase flood kernel (Algorithm 1/2 lines 10-17 inner loop),
-// array-based. One subphase of phase i floods colors along H for exactly i
-// steps under the forward-once rule: a node re-broadcasts only when its
-// running maximum improves, so each send carries the sender's fresh max.
-// Byzantine senders are driven by injections; honest receivers filter every
-// received color through the Verifier.
+// The per-subphase flood kernel (Algorithm 1/2 lines 10-17 inner loop):
+// one word-packed implementation whose only knob is a thread count, plus
+// the scalar reference it is checked against bit for bit. One subphase of
+// phase i floods colors along H for exactly i steps under the forward-once
+// rule: a node re-broadcasts only when its running maximum improves, so
+// each send carries the sender's fresh max. Byzantine senders are driven
+// by injections; honest receivers filter every received color through the
+// Verifier.
 //
 // Round/phase lifecycle: a RUN is a sequence of phases i = 1, 2, ...; phase
 // i runs subphases_in_phase(i) independent subphases; one subphase is one
@@ -45,38 +47,6 @@ class RunDigester;
 
 namespace byz::proto {
 
-/// Which flood kernel a run uses. kSerial is the scalar reference oracle —
-/// always available, never removed; kParallel is the word-packed OpenMP
-/// kernel, bitwise identical to kSerial at every thread count (the
-/// determinism-by-construction contract documented in flooding.cpp and
-/// guarded by tests/protocols/flood_parallel_test.cpp and E30). kDefault
-/// defers to the process-wide default (set_default_flood_exec, or the
-/// BYZ_FLOOD_THREADS environment variable).
-enum class FloodMode : std::uint8_t { kDefault, kSerial, kParallel };
-
-/// The kernel knob threaded through RunControls, WarmConfig, MidRunConfig,
-/// and ChurnRunConfig. threads == 0 means "use the hardware concurrency";
-/// it is ignored under kSerial.
-struct FloodExec {
-  FloodMode mode = FloodMode::kDefault;
-  std::uint32_t threads = 0;
-  bool operator==(const FloodExec&) const = default;
-};
-
-/// Process-wide default used by FloodMode::kDefault. Initialized from the
-/// BYZ_FLOOD_THREADS environment variable (N > 0 selects the parallel
-/// kernel with N threads — this is how the TSan CI job forces the parallel
-/// path through unmodified test binaries); overridable at runtime
-/// (byzbench --flood-threads, size_service --flood-threads). Passing a
-/// FloodExec whose mode is kDefault resets to the environment-derived
-/// default.
-void set_default_flood_exec(FloodExec exec);
-[[nodiscard]] FloodExec default_flood_exec();
-
-/// Resolves kDefault against the process default; the result's mode is
-/// always kSerial or kParallel.
-[[nodiscard]] FloodExec resolve_flood_exec(FloodExec exec);
-
 /// One Byzantine token emission: node `from` sends `value` to its
 /// H-neighbors at subphase step `step` (1-based). Acceptance is decided by
 /// the Verifier at each honest receiver.
@@ -97,15 +67,11 @@ class FloodWorkspace {
   std::vector<Color> best_before;    ///< max over k_t, t < current
   std::vector<Color> last_step;      ///< k_i of the final step
   std::vector<Color> recv;           ///< per-step accepted receive max
-  std::vector<graph::NodeId> frontier;
-  std::vector<graph::NodeId> next_frontier;
-  std::vector<graph::NodeId> touched;
   /// Canonical (sorted) wavefront handed to MidRunHooks::begin_round; only
   /// populated when live hooks are attached.
   std::vector<graph::NodeId> live_frontier;
-  /// Word-packed set representation used by the parallel kernel (the serial
-  /// oracle keeps the vectors above). Membership is identical to the vector
-  /// form; iteration is ascending node id by construction.
+  /// Word-packed frontier / next-frontier / touched sets; iteration is
+  /// ascending node id by construction.
   util::Bitset frontier_bits;
   util::Bitset next_frontier_bits;
   util::Bitset touched_bits;
@@ -134,10 +100,10 @@ struct FloodParams {
   /// and closes one round digest per flood step. Null = no digesting
   /// (the default; pure read-side either way).
   obs::RunDigester* digest = nullptr;
-  /// Kernel selection (serial reference vs word-packed parallel). The two
-  /// kernels produce bitwise-identical outputs, instrumentation, and digest
-  /// trails at every thread count.
-  FloodExec exec;
+  /// Worker threads for the kernel's word sweeps (0 = hardware threads).
+  /// Outputs, instrumentation, and digest trails are bitwise identical at
+  /// every count.
+  std::uint32_t threads = 1;
 };
 
 /// Runs one subphase. `gen_color[v]` is v's generated color (0 = does not
@@ -152,5 +118,16 @@ void run_flood_subphase(const graph::Overlay& overlay,
                         std::span<const Color> gen_color,
                         std::span<const Injection> injections,
                         FloodWorkspace& ws, sim::Instrumentation& instr);
+
+/// The scalar reference oracle: the original per-node implementation of
+/// the same subphase, kept verbatim (and ignoring `params.threads`) so the
+/// bitwise-equivalence suite and E30 have an independent specification to
+/// compare run_flood_subphase against. No run configuration reaches it.
+void run_flood_subphase_reference(
+    const graph::Overlay& overlay, const std::vector<bool>& byz_mask,
+    const std::vector<bool>& crashed, const Verifier& verifier,
+    const FloodParams& params, std::span<const Color> gen_color,
+    std::span<const Injection> injections, FloodWorkspace& ws,
+    sim::Instrumentation& instr);
 
 }  // namespace byz::proto

@@ -74,13 +74,11 @@ struct RunControls {
   /// trails localize the first divergent round. Pure read-side; null = no
   /// digesting (the default).
   obs::RunDigester* digester = nullptr;
-  /// Flood-kernel selection (flooding.hpp): kSerial is the scalar
-  /// reference, kParallel the word-packed OpenMP kernel, kDefault the
-  /// process default (BYZ_FLOOD_THREADS / set_default_flood_exec). The
-  /// kernels are bitwise-equivalent at every thread count, so this knob is
-  /// DECISION-EXACT like the warm-tier pair. A parallel run also batches
-  /// the internally constructed Verifier's row precompute.
-  FloodExec flood;
+  /// Worker threads for the flood kernel (flooding.hpp; 0 = hardware
+  /// threads). The kernel is bitwise identical at every thread count, so
+  /// this knob is DECISION-EXACT like the warm-tier pair. The same count
+  /// sizes the internally constructed Verifier's row precompute.
+  std::uint32_t flood_threads = 1;
 };
 
 /// Folds the phase-begin protocol state into the digester's open phase

@@ -202,17 +202,14 @@ WarmRun run_counting_warm(const graph::Overlay& overlay,
   std::vector<std::uint8_t> chains(n);
   {
     obs::Span rows_span("warm.rows");
-    // A parallel kernel selection also batches the row refresh: every v
-    // writes a disjoint row slice and the reuse decision is per-node, so
-    // the table — and via the reduction, the accounting — is identical at
-    // every thread count.
-    const FloodExec warm_exec = resolve_flood_exec(warm_cfg.flood);
+    // The row refresh runs on the flood's worker count: every v writes a
+    // disjoint row slice and the reuse decision is per-node, so the table
+    // — and via the reduction, the accounting — is identical at every
+    // thread count.
     const int rows_nt = static_cast<int>(
-        warm_exec.mode != FloodMode::kParallel
-            ? 1
-            : (warm_exec.threads > 0
-                   ? warm_exec.threads
-                   : std::max(1u, std::thread::hardware_concurrency())));
+        warm_cfg.flood_threads > 0
+            ? warm_cfg.flood_threads
+            : std::max(1u, std::thread::hardware_concurrency()));
     (void)rows_nt;
     std::uint64_t reused = 0;
     std::uint64_t recomputed = 0;
@@ -252,7 +249,7 @@ WarmRun run_counting_warm(const graph::Overlay& overlay,
   controls.lazy_subphases = !cold;
   controls.verifier = &verifier;
   controls.digester = digester;
-  controls.flood = warm_cfg.flood;
+  controls.flood_threads = warm_cfg.flood_threads;
   if (digester != nullptr) {
     digester->note(obs::FlightEventKind::kWarmRowReuse, out.rows_reused,
                    out.rows_recomputed);

@@ -91,10 +91,10 @@ struct WarmConfig {
   /// decided-phase distribution is broad — see E05/E25 — so every extra
   /// margin phase sharply shrinks the skippable prefix).
   std::uint32_t eps_margin = 1;
-  /// Flood-kernel selection forwarded to the underlying runs (warm AND
-  /// cold fallback); a parallel selection also batches the dirty-row
+  /// Flood-kernel thread count (0 = hardware threads) forwarded to the
+  /// underlying runs (warm AND cold fallback); it also sizes the dirty-row
   /// recomputation. Bitwise-neutral at every thread count.
-  FloodExec flood;
+  std::uint32_t flood_threads = 1;
 };
 
 /// Per-node protocol state carried across epochs, indexed by STABLE id so

@@ -1,7 +1,7 @@
 // Word-packed node sets for the flood kernel. The frontier / next-frontier /
 // touched sets are dense over [0, n) and iterated in ascending node order,
 // which a 64-bit word scan does in n/64 loads with branch-free bit
-// extraction — and, crucially for the parallel kernel, lets worker threads
+// extraction — and, crucially for the threaded sweeps, lets worker threads
 // publish membership with a single relaxed fetch_or while the merged set
 // still reads back in deterministic node-id order.
 #pragma once

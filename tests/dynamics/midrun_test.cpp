@@ -432,12 +432,12 @@ TEST(EpsWarmTest, BudgetAccountingHoldsAcrossEpochs) {
 }
 
 TEST(FloodKernelIndependenceTest, MidRunOutcomeIdenticalAcrossFloodThreads) {
-  // The parallel kernel is bitwise-equivalent to the serial oracle, so a
+  // The flood kernel is bitwise identical at every thread count, so a
   // mid-run churn run — splices striking the live wavefront, joiner
   // admission, verifier refreshes — must produce the identical
   // MidRunOutcome at every thread count. Each execution rebuilds its
   // inputs from the same seeds (run_counting_midrun mutates them).
-  auto run_once = [](proto::FloodExec exec) {
+  auto run_once = [](std::uint32_t flood_threads) {
     constexpr NodeId kN0 = 192;
     dynamics::MutableOverlay overlay(kN0, 6, 0, 5);
     util::Xoshiro256 place_rng(17);
@@ -452,7 +452,7 @@ TEST(FloodKernelIndependenceTest, MidRunOutcomeIdenticalAcrossFloodThreads) {
         epoch, dynamics::expected_horizon_rounds(kN0, 6, cfg.schedule), 9);
     dynamics::MidRunConfig mid_cfg;
     mid_cfg.policy = proto::MembershipPolicy::kReadmitNextPhase;
-    mid_cfg.flood = exec;
+    mid_cfg.flood_threads = flood_threads;
     util::Xoshiro256 churn_rng(23);
     auto strategy = adv::make_strategy(adv::StrategyKind::kFakeColor);
     return dynamics::run_counting_midrun(overlay, byz, *strategy, cfg, 77,
@@ -460,10 +460,10 @@ TEST(FloodKernelIndependenceTest, MidRunOutcomeIdenticalAcrossFloodThreads) {
                                          adv::ChurnAdversary::kNone,
                                          churn_rng);
   };
-  const auto serial = run_once({proto::FloodMode::kSerial, 0});
-  for (const std::uint32_t t : {1u, 2u, 4u, 8u}) {
-    const auto parallel = run_once({proto::FloodMode::kParallel, t});
-    EXPECT_TRUE(serial == parallel) << "flood-threads=" << t;
+  const auto one_thread = run_once(1);
+  for (const std::uint32_t t : {2u, 4u, 8u}) {
+    const auto run = run_once(t);
+    EXPECT_TRUE(one_thread == run) << "flood-threads=" << t;
   }
 }
 
@@ -473,7 +473,7 @@ TEST(FloodKernelIndependenceTest, ComposedChurnIdenticalAcrossFloodThreads) {
   // kernel knob threaded through every tier: all EpochStats (including
   // the ε divergence accounting judged against the cold shadow) must be
   // independent of flood-threads.
-  auto run_once = [](proto::FloodExec exec) {
+  auto run_once = [](std::uint32_t flood_threads) {
     dynamics::ChurnRunConfig cfg;
     cfg.trace.n0 = 1024;
     cfg.trace.epochs = 5;
@@ -491,23 +491,23 @@ TEST(FloodKernelIndependenceTest, ComposedChurnIdenticalAcrossFloodThreads) {
     cfg.incremental.eps_budget = 0.10;
     cfg.incremental.eps_margin = 0;
     cfg.incremental.warm.max_drift = 0.5;
-    cfg.flood = exec;
+    cfg.flood_threads = flood_threads;
     return dynamics::run_churn(cfg);
   };
-  const auto serial = run_once({proto::FloodMode::kSerial, 0});
+  const auto one_thread = run_once(1);
   bool any_warm = false;
   bool any_eps = false;
-  for (const auto& ep : serial.epochs) {
+  for (const auto& ep : one_thread.epochs) {
     any_warm = any_warm || ep.warm_used;
     any_eps = any_eps || ep.eps_used;
   }
   EXPECT_TRUE(any_warm) << "warm tier never engaged: comparison is vacuous";
   EXPECT_TRUE(any_eps) << "eps tier never engaged: comparison is vacuous";
-  for (const std::uint32_t t : {1u, 4u}) {
-    const auto parallel = run_once({proto::FloodMode::kParallel, t});
-    ASSERT_EQ(serial.epochs.size(), parallel.epochs.size());
-    for (std::size_t e = 0; e < serial.epochs.size(); ++e) {
-      EXPECT_TRUE(serial.epochs[e] == parallel.epochs[e])
+  for (const std::uint32_t t : {2u, 4u}) {
+    const auto run = run_once(t);
+    ASSERT_EQ(one_thread.epochs.size(), run.epochs.size());
+    for (std::size_t e = 0; e < one_thread.epochs.size(); ++e) {
+      EXPECT_TRUE(one_thread.epochs[e] == run.epochs[e])
           << "flood-threads=" << t << " epoch " << e;
     }
   }

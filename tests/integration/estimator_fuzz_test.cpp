@@ -7,7 +7,7 @@
 // them (or in the shared flood/obs machinery, which E30's bitwise oracle
 // then pins down). A second suite pins determinism: the whole fuzz corpus
 // is bitwise reproducible across scheduler --jobs values and across
-// serial/parallel flood kernels — the same guarantees CI's cross---jobs
+// flood thread counts — the same guarantees CI's cross---jobs
 // manifest cmp enforces for the registered scenarios.
 #include <gtest/gtest.h>
 
@@ -56,7 +56,7 @@ FuzzInstance derive_instance(std::uint64_t corpus_seed, std::uint64_t i) {
 analysis::BackendComparison run_instance(const FuzzInstance& inst,
                                          const proto::Estimator& algo2,
                                          const proto::Estimator& brc,
-                                         proto::FloodExec flood = {}) {
+                                         std::uint32_t flood_threads = 1) {
   graph::OverlayParams params;
   params.n = inst.n;
   params.d = inst.d;
@@ -66,7 +66,7 @@ analysis::BackendComparison run_instance(const FuzzInstance& inst,
   const auto byz = graph::random_byzantine_mask(
       inst.n, sim::derive_byz_count(inst.n, inst.delta), place_rng);
   return analysis::compare_backends(overlay, byz, inst.strategy, inst.seed,
-                                    algo2, brc, flood);
+                                    algo2, brc, flood_threads);
 }
 
 std::string describe(const FuzzInstance& inst) {
@@ -143,28 +143,26 @@ TEST(EstimatorFuzz, CorpusBitwiseDeterministicAcrossJobs) {
 }
 
 TEST(EstimatorFuzz, CorpusBitwiseDeterministicAcrossFloodThreads) {
-  // Serial reference kernel vs word-packed parallel kernel at 2 and 4
-  // threads: the flood kernel's determinism-by-construction contract must
-  // carry through BOTH backends end to end.
+  // The flood kernel at 1 thread vs 2 and 4 threads: its
+  // determinism-by-construction contract must carry through BOTH backends
+  // end to end.
   const auto algo2 = proto::make_estimator("algo2");
   const auto brc = proto::make_estimator("brc");
   constexpr std::uint64_t kSubset = 24;
   for (std::uint64_t i = 0; i < kSubset; ++i) {
     const auto inst = derive_instance(kCorpusSeed, i);
-    const auto serial = run_instance(inst, *algo2, *brc);
+    const auto one_thread = run_instance(inst, *algo2, *brc, 1);
     for (const std::uint32_t threads : {2u, 4u}) {
-      const auto parallel =
-          run_instance(inst, *algo2, *brc,
-                       {proto::FloodMode::kParallel, threads});
-      EXPECT_EQ(serial.a.median_estimate, parallel.a.median_estimate)
+      const auto run = run_instance(inst, *algo2, *brc, threads);
+      EXPECT_EQ(one_thread.a.median_estimate, run.a.median_estimate)
           << describe(inst) << " threads=" << threads;
-      EXPECT_EQ(serial.b.median_estimate, parallel.b.median_estimate)
+      EXPECT_EQ(one_thread.b.median_estimate, run.b.median_estimate)
           << describe(inst) << " threads=" << threads;
-      EXPECT_EQ(serial.a.rounds, parallel.a.rounds) << describe(inst);
-      EXPECT_EQ(serial.b.rounds, parallel.b.rounds) << describe(inst);
-      EXPECT_EQ(serial.a.messages, parallel.a.messages) << describe(inst);
-      EXPECT_EQ(serial.b.messages, parallel.b.messages) << describe(inst);
-      EXPECT_EQ(serial.ratio, parallel.ratio) << describe(inst);
+      EXPECT_EQ(one_thread.a.rounds, run.a.rounds) << describe(inst);
+      EXPECT_EQ(one_thread.b.rounds, run.b.rounds) << describe(inst);
+      EXPECT_EQ(one_thread.a.messages, run.a.messages) << describe(inst);
+      EXPECT_EQ(one_thread.b.messages, run.b.messages) << describe(inst);
+      EXPECT_EQ(one_thread.ratio, run.ratio) << describe(inst);
     }
   }
 }

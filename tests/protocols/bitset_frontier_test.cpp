@@ -1,7 +1,7 @@
 // The word-packed frontier representation (util::Bitset) must agree with
 // the plain vector representation bit for bit: same membership, same
-// popcount, same ascending iteration order. The parallel flood kernel
-// leans on all three (membership for the touched set, popcount for the
+// popcount, same ascending iteration order. The flood kernel leans on
+// all three (membership for the touched set, popcount for the
 // frontier histogram, ascending iteration for the canonical wavefront),
 // so the boundary cases — sizes straddling a 64-bit word — get explicit
 // coverage here.
@@ -83,8 +83,8 @@ TEST(BitsetFrontier, FullFrontier) {
 TEST(BitsetFrontier, PopcountAndIterationMatchVectorRepresentation) {
   // Random membership at an awkward size: the bitset must agree with a
   // std::vector<bool> reference on membership, popcount, and the sorted
-  // member list — the exact properties the parallel kernel substitutes
-  // for the serial kernel's frontier/touched vectors.
+  // member list — the exact properties the kernel substitutes for the
+  // scalar reference's frontier/touched vectors.
   Xoshiro256 rng(0xB17);
   for (const std::size_t n : {std::size_t{65}, std::size_t{257},
                               std::size_t{1000}}) {
@@ -110,7 +110,7 @@ TEST(BitsetFrontier, PopcountAndIterationMatchVectorRepresentation) {
 }
 
 TEST(BitsetFrontier, AtomicSetMatchesPlainSet) {
-  // set_atomic is the parallel kernel's touched-set insert; single-threaded
+  // set_atomic is the flood kernel's touched-set insert; single-threaded
   // it must be indistinguishable from set().
   Bitset plain;
   Bitset atomic;

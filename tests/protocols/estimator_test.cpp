@@ -188,20 +188,22 @@ TEST(BrcEstimator, CommitmentFilterNeutralizesFakeColors) {
             attacked.instr.injections_attempted);
 }
 
-TEST(BrcEstimator, ParallelFloodBitwiseEqualsSerial) {
+TEST(BrcEstimator, FloodThreadsBitwiseEqualOneThread) {
   const auto overlay = make_overlay(768, 6, 0xB4C3);
   const auto byz = make_byz(768, 0.7, 0xB4C3);
   const auto est = make_estimator("brc");
 
   auto s1 = adv::make_strategy(adv::StrategyKind::kFakeColor);
-  const auto serial = est->run(*overlay, byz, *s1, 0xB4C3);
+  RunControls one_thread_controls;
+  one_thread_controls.flood_threads = 1;
+  const auto one_thread =
+      est->run(*overlay, byz, *s1, 0xB4C3, one_thread_controls);
 
-  RunControls parallel_controls;
-  parallel_controls.flood = {FloodMode::kParallel, 4};
+  RunControls four_controls;
+  four_controls.flood_threads = 4;
   auto s2 = adv::make_strategy(adv::StrategyKind::kFakeColor);
-  const auto parallel =
-      est->run(*overlay, byz, *s2, 0xB4C3, parallel_controls);
-  EXPECT_EQ(serial, parallel);
+  const auto four = est->run(*overlay, byz, *s2, 0xB4C3, four_controls);
+  EXPECT_EQ(one_thread, four);
 }
 
 TEST(BrcEstimator, ThrowsOnUnsupportedControls) {

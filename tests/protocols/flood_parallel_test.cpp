@@ -1,15 +1,19 @@
-// The parallel flood kernel's contract: bitwise-identical to the serial
-// reference oracle at EVERY thread count — same per-node state, same
-// instrumentation counters, same hierarchical digest trail. The serial
-// kernel is the specification; these tests are the property suite that
-// keeps the parallel kernel honest across randomized overlays, Byzantine
-// sets, injections, crashes, and word-boundary sizes. Full-run parity
-// (run_counting_with under RunControls::flood) rides on RunResult's
-// defaulted operator==, which compares every instrumentation counter.
+// The flood kernel's contract: bitwise-identical to the scalar reference
+// oracle (run_flood_subphase_reference) at EVERY thread count — same
+// per-node state, same instrumentation counters, same hierarchical digest
+// trail, same wavefronts handed to live hooks. The reference is the
+// specification; these tests are the property suite that keeps the kernel
+// honest across randomized overlays, Byzantine sets, injections, crashes,
+// mid-subphase churn, and word-boundary sizes. Full-run parity
+// (run_counting_with under RunControls::flood_threads) rides on
+// RunResult's defaulted operator==, which compares every instrumentation
+// counter.
 #include "protocols/flooding.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <vector>
 
 #include "adversary/strategies.hpp"
@@ -27,6 +31,10 @@ using graph::OverlayParams;
 
 constexpr std::uint32_t kThreadCounts[] = {1, 2, 4, 8};
 
+using SubphaseFn = decltype(&run_flood_subphase);
+constexpr SubphaseFn kReference = &run_flood_subphase_reference;
+constexpr SubphaseFn kKernel = &run_flood_subphase;
+
 Overlay sample(NodeId n, std::uint32_t d, std::uint64_t seed) {
   OverlayParams p;
   p.n = n;
@@ -35,51 +43,48 @@ Overlay sample(NodeId n, std::uint32_t d, std::uint64_t seed) {
   return Overlay::build(p);
 }
 
-/// One subphase execution under a given kernel, with a digester attached
-/// so the trail comparison exercises the parallel round-digest fold.
+/// One subphase execution through `fn`, with a digester attached so the
+/// trail comparison exercises the kernel's round-digest fold.
 struct SubphaseRun {
   FloodWorkspace ws;
   sim::Instrumentation instr;
   obs::RunDigester digester;
 
-  SubphaseRun(const Overlay& overlay, const std::vector<bool>& byz,
-              const std::vector<bool>& crashed, const Verifier& verifier,
-              std::span<const Color> gen, std::span<const Injection> inj,
-              FloodParams params) {
+  SubphaseRun(SubphaseFn fn, const Overlay& overlay,
+              const std::vector<bool>& byz, const std::vector<bool>& crashed,
+              const Verifier& verifier, std::span<const Color> gen,
+              std::span<const Injection> inj, FloodParams params) {
     params.digest = &digester;
     digester.begin_phase(1);
     digester.begin_subphase(1);
-    run_flood_subphase(overlay, byz, crashed, verifier, params, gen, inj, ws,
-                       instr);
+    fn(overlay, byz, crashed, verifier, params, gen, inj, ws, instr);
     digester.close_subphase();
     digester.close_phase();
     digester.close_run();
   }
 };
 
-void expect_bitwise_equal(const SubphaseRun& serial, const SubphaseRun& par,
+void expect_bitwise_equal(const SubphaseRun& ref, const SubphaseRun& run,
                           std::uint32_t threads) {
-  EXPECT_EQ(serial.ws.known, par.ws.known) << "threads=" << threads;
-  EXPECT_EQ(serial.ws.fresh, par.ws.fresh) << "threads=" << threads;
-  EXPECT_EQ(serial.ws.best_before, par.ws.best_before)
-      << "threads=" << threads;
-  EXPECT_EQ(serial.ws.last_step, par.ws.last_step) << "threads=" << threads;
-  EXPECT_EQ(serial.instr, par.instr) << "threads=" << threads;
+  EXPECT_EQ(ref.ws.known, run.ws.known) << "threads=" << threads;
+  EXPECT_EQ(ref.ws.fresh, run.ws.fresh) << "threads=" << threads;
+  EXPECT_EQ(ref.ws.best_before, run.ws.best_before) << "threads=" << threads;
+  EXPECT_EQ(ref.ws.last_step, run.ws.last_step) << "threads=" << threads;
+  EXPECT_EQ(ref.instr, run.instr) << "threads=" << threads;
   const auto div =
-      obs::first_divergence(serial.digester.trail(), par.digester.trail());
+      obs::first_divergence(ref.digester.trail(), run.digester.trail());
   EXPECT_FALSE(div.diverged())
       << "threads=" << threads << " level=" << obs::to_string(div.level)
       << " phase=" << div.phase << " subphase=" << div.subphase
       << " round=" << div.round;
-  EXPECT_EQ(serial.digester.trail().run_digest,
-            par.digester.trail().run_digest)
+  EXPECT_EQ(ref.digester.trail().run_digest, run.digester.trail().run_digest)
       << "threads=" << threads;
 }
 
 TEST(FloodParallel, RandomizedSubphasesBitwiseEqualAcrossThreadCounts) {
-  // Randomized overlays / Byzantine sets / colors / injections: the serial
-  // oracle and the parallel kernel must agree bit for bit at 1/2/4/8
-  // threads, including the commutatively folded round digests.
+  // Randomized overlays / Byzantine sets / colors / injections: the
+  // reference and the kernel must agree bit for bit at 1/2/4/8 threads,
+  // including the commutatively folded round digests.
   struct Shape {
     NodeId n;
     std::uint32_t d;
@@ -102,8 +107,8 @@ TEST(FloodParallel, RandomizedSubphasesBitwiseEqualAcrossThreadCounts) {
     }
     // Injections from Byzantine nodes across the step range: step-1
     // free floods, mid-subphase chain checks, and late fabrications that
-    // must be caught — the accept() paths whose counters the parallel
-    // kernel folds serially.
+    // must be caught — the accept() paths whose counters the kernel folds
+    // serially.
     std::vector<Injection> inj;
     for (NodeId v = 0; v < shape.n && inj.size() < 8; ++v) {
       if (!byz[v]) continue;
@@ -114,19 +119,18 @@ TEST(FloodParallel, RandomizedSubphasesBitwiseEqualAcrossThreadCounts) {
 
     FloodParams params;
     params.steps = shape.steps;
-    params.exec = {FloodMode::kSerial, 0};
-    const SubphaseRun serial(overlay, byz, crashed, verifier, gen, inj,
-                             params);
+    const SubphaseRun ref(kReference, overlay, byz, crashed, verifier, gen,
+                          inj, params);
     for (const std::uint32_t t : kThreadCounts) {
-      params.exec = {FloodMode::kParallel, t};
-      const SubphaseRun par(overlay, byz, crashed, verifier, gen, inj,
-                            params);
-      expect_bitwise_equal(serial, par, t);
+      params.threads = t;
+      const SubphaseRun run(kKernel, overlay, byz, crashed, verifier, gen,
+                            inj, params);
+      expect_bitwise_equal(ref, run, t);
     }
   }
 }
 
-TEST(FloodParallel, WordBoundarySizesMatchSerial) {
+TEST(FloodParallel, WordBoundarySizesMatchReference) {
   // n = 63/64/65: the frontier straddles (or exactly fills) one 64-bit
   // word, exercising the packed representation's tail handling.
   for (const NodeId n : {NodeId{63}, NodeId{64}, NodeId{65}}) {
@@ -141,18 +145,18 @@ TEST(FloodParallel, WordBoundarySizesMatchSerial) {
 
     FloodParams params;
     params.steps = 3;
-    params.exec = {FloodMode::kSerial, 0};
-    const SubphaseRun serial(overlay, byz, crashed, verifier, gen, {},
-                             params);
+    const SubphaseRun ref(kReference, overlay, byz, crashed, verifier, gen,
+                          {}, params);
     for (const std::uint32_t t : kThreadCounts) {
-      params.exec = {FloodMode::kParallel, t};
-      const SubphaseRun par(overlay, byz, crashed, verifier, gen, {}, params);
-      expect_bitwise_equal(serial, par, t);
+      params.threads = t;
+      const SubphaseRun run(kKernel, overlay, byz, crashed, verifier, gen, {},
+                            params);
+      expect_bitwise_equal(ref, run, t);
     }
   }
 }
 
-TEST(FloodParallel, CrashesAndSuppressedByzantinesMatchSerial) {
+TEST(FloodParallel, CrashesAndSuppressedByzantinesMatchReference) {
   // The non-default kernel branches: crashed nodes silent, Byzantine
   // forwarding disabled, and a focused region restricting the flood.
   const NodeId n = 256;
@@ -173,12 +177,121 @@ TEST(FloodParallel, CrashesAndSuppressedByzantinesMatchSerial) {
   params.steps = 4;
   params.byz_forward = false;
   params.region = region;
-  params.exec = {FloodMode::kSerial, 0};
-  const SubphaseRun serial(overlay, byz, crashed, verifier, gen, {}, params);
+  const SubphaseRun ref(kReference, overlay, byz, crashed, verifier, gen, {},
+                        params);
   for (const std::uint32_t t : kThreadCounts) {
-    params.exec = {FloodMode::kParallel, t};
-    const SubphaseRun par(overlay, byz, crashed, verifier, gen, {}, params);
-    expect_bitwise_equal(serial, par, t);
+    params.threads = t;
+    const SubphaseRun run(kKernel, overlay, byz, crashed, verifier, gen, {},
+                          params);
+    expect_bitwise_equal(ref, run, t);
+  }
+}
+
+/// Test-local live topology over a static overlay whose last id is a
+/// scheduled joiner: absent until step 2 of the subphase, when it enters
+/// and the first honest node of the wavefront departs (the frontier-
+/// targeting adversary in miniature). Neighbor lists are the overlay's;
+/// presence alone gates delivery. Records every wavefront it is handed.
+class OneJoinOneLeaveHooks final : public MidRunHooks {
+ public:
+  OneJoinOneLeaveHooks(const Overlay& overlay, const std::vector<bool>& byz,
+                       const Verifier& verifier)
+      : overlay_(overlay), byz_(byz), verifier_(verifier) {}
+
+  [[nodiscard]] NodeId node_bound() const override {
+    return overlay_.num_nodes();
+  }
+  [[nodiscard]] bool alive(NodeId v) const override {
+    if (v == joiner()) return entered_;
+    return !departed(v);
+  }
+  [[nodiscard]] bool departed(NodeId v) const override {
+    return leaver_.has_value() && v == *leaver_;
+  }
+  [[nodiscard]] std::span<const NodeId> neighbors(NodeId v) const override {
+    return overlay_.h_simple().neighbors(v);
+  }
+  void begin_round(const RoundClock& clock,
+                   std::span<const NodeId> frontier) override {
+    frontiers.emplace_back(frontier.begin(), frontier.end());
+    if (clock.step != 2) return;
+    entered_ = true;
+    for (const NodeId u : frontier) {
+      if (!byz_[u]) {
+        leaver_ = u;
+        break;
+      }
+    }
+  }
+  [[nodiscard]] bool wants_frontier() const override { return true; }
+  [[nodiscard]] const Verifier* begin_phase(
+      std::uint32_t /*phase*/, std::vector<NodeId>& /*admitted*/) override {
+    return &verifier_;
+  }
+
+  [[nodiscard]] NodeId joiner() const { return overlay_.num_nodes() - 1; }
+  [[nodiscard]] std::optional<NodeId> leaver() const { return leaver_; }
+
+  std::vector<std::vector<NodeId>> frontiers;
+
+ private:
+  const Overlay& overlay_;
+  const std::vector<bool>& byz_;
+  const Verifier& verifier_;
+  bool entered_ = false;
+  std::optional<NodeId> leaver_;
+};
+
+TEST(FloodParallel, LiveHooksMidSubphaseChurnMatchesReference) {
+  // Live hooks at the subphase level: one departure and one joiner at step
+  // 2 with wants_frontier() on. The kernel must hand begin_round the same
+  // canonical wavefront as the reference every round and land on the same
+  // state, counters and digest trail.
+  const NodeId n = 257;
+  const Overlay overlay = sample(n, 6, 66);
+  util::Xoshiro256 rng(66);
+  const auto byz = graph::random_byzantine_mask(n, n / 32, rng);
+  const std::vector<bool> crashed(n, false);
+  const Verifier verifier(overlay, byz, {});
+  std::vector<Color> gen(n);
+  for (NodeId v = 0; v + 1 < n; ++v) {
+    gen[v] = byz[v] ? 0 : util::geometric_color(rng);
+  }
+  gen[n - 1] = 0;  // the joiner never generates mid-subphase
+  std::vector<Injection> inj;
+  for (NodeId v = 0; v < n && inj.size() < 4; ++v) {
+    if (byz[v]) inj.push_back({v, 2 + (v % 3), static_cast<Color>(60 + v)});
+  }
+
+  FloodParams params;
+  params.steps = 4;
+  params.clock = {4, 1, 1, 100};
+  OneJoinOneLeaveHooks ref_hooks(overlay, byz, verifier);
+  params.live = &ref_hooks;
+  const SubphaseRun ref(kReference, overlay, byz, crashed, verifier, gen, inj,
+                        params);
+  ASSERT_EQ(ref_hooks.frontiers.size(), params.steps);
+  ASSERT_TRUE(ref_hooks.leaver().has_value());
+  const NodeId leaver = *ref_hooks.leaver();
+  EXPECT_TRUE(std::ranges::find(ref_hooks.frontiers[1], leaver) !=
+              ref_hooks.frontiers[1].end());
+  for (std::size_t r = 2; r < ref_hooks.frontiers.size(); ++r) {
+    EXPECT_TRUE(std::ranges::find(ref_hooks.frontiers[r], leaver) ==
+                ref_hooks.frontiers[r].end())
+        << "departed node on the round-" << r + 1 << " wavefront";
+  }
+  EXPECT_GT(ref.ws.known[ref_hooks.joiner()], 0u)
+      << "the joiner never received: the entry path is untested";
+
+  for (const std::uint32_t t : kThreadCounts) {
+    OneJoinOneLeaveHooks hooks(overlay, byz, verifier);
+    params.live = &hooks;
+    params.threads = t;
+    const SubphaseRun run(kKernel, overlay, byz, crashed, verifier, gen, inj,
+                          params);
+    expect_bitwise_equal(ref, run, t);
+    EXPECT_EQ(ref_hooks.frontiers, hooks.frontiers) << "threads=" << t;
+    EXPECT_EQ(ref_hooks.leaver(), hooks.leaver()) << "threads=" << t;
   }
 }
 
@@ -205,10 +318,11 @@ TEST(FloodParallel, VerifierTableIdenticalAtEveryThreadCount) {
 }
 
 TEST(FloodParallel, FullRunsBitwiseEqualAcrossThreadCounts) {
-  // Whole-protocol parity through RunControls::flood: statuses, estimates,
-  // phase/subphase/round counts, every instrumentation counter, and the
-  // full digest trail. This is the relation E30's `identical` guard and
-  // the TSan CI job re-assert at scale.
+  // Whole-protocol parity through RunControls::flood_threads: statuses,
+  // estimates, phase/subphase/round counts, every instrumentation counter,
+  // and the full digest trail, against the one-thread run (which the
+  // subphase cases above pin to the reference). This is the relation the
+  // TSan CI job re-asserts with real threads.
   const NodeId n = 512;
   const Overlay overlay = sample(n, 6, 77);
   util::Xoshiro256 rng(77);
@@ -216,72 +330,28 @@ TEST(FloodParallel, FullRunsBitwiseEqualAcrossThreadCounts) {
   const ProtocolConfig cfg;
   const std::uint64_t color_seed = 404;
 
-  auto serial_strategy = adv::make_strategy(adv::StrategyKind::kFakeColor);
-  obs::RunDigester serial_digest;
-  RunControls serial_controls;
-  serial_controls.flood = {FloodMode::kSerial, 0};
-  serial_controls.digester = &serial_digest;
-  const RunResult serial = run_counting_with(overlay, byz, *serial_strategy,
-                                             cfg, color_seed,
-                                             serial_controls);
+  auto base_strategy = adv::make_strategy(adv::StrategyKind::kFakeColor);
+  obs::RunDigester base_digest;
+  RunControls base_controls;
+  base_controls.digester = &base_digest;
+  const RunResult base = run_counting_with(overlay, byz, *base_strategy, cfg,
+                                           color_seed, base_controls);
 
   for (const std::uint32_t t : kThreadCounts) {
     auto strategy = adv::make_strategy(adv::StrategyKind::kFakeColor);
     obs::RunDigester digest;
     RunControls controls;
-    controls.flood = {FloodMode::kParallel, t};
+    controls.flood_threads = t;
     controls.digester = &digest;
-    const RunResult par =
+    const RunResult run =
         run_counting_with(overlay, byz, *strategy, cfg, color_seed, controls);
-    EXPECT_EQ(serial, par) << "threads=" << t;
-    const auto div =
-        obs::first_divergence(serial_digest.trail(), digest.trail());
+    EXPECT_EQ(base, run) << "threads=" << t;
+    const auto div = obs::first_divergence(base_digest.trail(), digest.trail());
     EXPECT_FALSE(div.diverged())
         << "threads=" << t << " level=" << obs::to_string(div.level)
         << " phase=" << div.phase << " subphase=" << div.subphase
         << " round=" << div.round;
   }
-}
-
-TEST(FloodParallel, ProcessDefaultRoundTrips) {
-  // kDefault resolves against the process default; setting and resetting
-  // the default must round-trip without disturbing explicit modes.
-  const FloodExec ambient = resolve_flood_exec({});
-  set_default_flood_exec({FloodMode::kParallel, 3});
-  EXPECT_EQ(resolve_flood_exec({}),
-            (FloodExec{FloodMode::kParallel, 3}));
-  // Explicit modes are never rewritten by the default.
-  EXPECT_EQ(resolve_flood_exec({FloodMode::kSerial, 5}),
-            (FloodExec{FloodMode::kSerial, 5}));
-  set_default_flood_exec({FloodMode::kSerial, 0});
-  EXPECT_EQ(resolve_flood_exec({}).mode, FloodMode::kSerial);
-  // A kDefault store clears the override back to the environment default.
-  set_default_flood_exec({});
-  EXPECT_EQ(resolve_flood_exec({}), ambient);
-}
-
-TEST(FloodParallel, ProcessDefaultSelectsTheKernel) {
-  // A run whose controls leave FloodExec at kDefault must follow the
-  // process default — this is the seam byzbench --flood-threads and the
-  // TSan job's BYZ_FLOOD_THREADS use.
-  const NodeId n = 256;
-  const Overlay overlay = sample(n, 6, 88);
-  util::Xoshiro256 rng(88);
-  const auto byz = graph::random_byzantine_mask(n, n / 64, rng);
-  const ProtocolConfig cfg;
-
-  auto s1 = adv::make_strategy(adv::StrategyKind::kFakeColor);
-  RunControls serial_controls;
-  serial_controls.flood = {FloodMode::kSerial, 0};
-  const RunResult serial =
-      run_counting_with(overlay, byz, *s1, cfg, 9, serial_controls);
-
-  set_default_flood_exec({FloodMode::kParallel, 4});
-  auto s2 = adv::make_strategy(adv::StrategyKind::kFakeColor);
-  const RunResult defaulted = run_counting(overlay, byz, *s2, cfg, 9);
-  set_default_flood_exec({});
-
-  EXPECT_EQ(serial, defaulted);
 }
 
 }  // namespace
