@@ -53,6 +53,7 @@
 #include <algorithm>
 #include <cmath>
 #include <iostream>
+#include <limits>
 #include <thread>
 
 #include "byzcount.hpp"
@@ -103,6 +104,33 @@ std::uint32_t parse_flood_threads(const byz::util::ArgParser& args) {
         "] (0 = all hardware threads), got " + std::to_string(threads));
   }
   return static_cast<std::uint32_t>(threads);
+}
+
+/// --n for one-shot runs: H(n,d) needs n >= 3, and every id must fit below
+/// graph::kInvalidNode. Checked as a 64-bit value, so a negative --n is
+/// rejected here instead of wrapping, and a bad size exits 2 instead of
+/// throwing inside a trial worker.
+byz::graph::NodeId parse_network_size(const byz::util::ArgParser& args) {
+  const std::int64_t top = byz::graph::kInvalidNode - 1;
+  const std::int64_t n = args.integer("n");
+  if (n < 3 || n > top) {
+    throw std::invalid_argument("--n must be in [3, " + std::to_string(top) +
+                                "], got " + std::to_string(n));
+  }
+  return static_cast<byz::graph::NodeId>(n);
+}
+
+/// --d for one-shot runs: H is a union of d/2 Hamiltonian cycles, so d
+/// must be even and >= 4.
+std::uint32_t parse_degree(const byz::util::ArgParser& args) {
+  const std::int64_t top = std::numeric_limits<std::uint32_t>::max() - 1;
+  const std::int64_t d = args.integer("d");
+  if (d < 4 || d > top || d % 2 != 0) {
+    throw std::invalid_argument("--d must be an even number in [4, " +
+                                std::to_string(top) + "], got " +
+                                std::to_string(d));
+  }
+  return static_cast<std::uint32_t>(d);
 }
 
 /// --trace-out plumbing: dump the Chrome trace collected so far (no-op
@@ -505,8 +533,8 @@ int main(int argc, char** argv) {
       write_trace_if_requested(trace_out);
       return rc;
     }
-    n = static_cast<graph::NodeId>(args.integer("n"));
-    d = static_cast<std::uint32_t>(args.integer("d"));
+    n = parse_network_size(args);
+    d = parse_degree(args);
     delta = args.real("delta");
     seed = static_cast<std::uint64_t>(args.integer("seed"));
     trials = static_cast<std::uint32_t>(args.integer("trials"));

@@ -1,6 +1,9 @@
 #include "graph/bfs.hpp"
 
+#include <algorithm>
+#include <array>
 #include <stdexcept>
+#include <utility>
 
 namespace byz::graph {
 
@@ -56,6 +59,51 @@ void bfs_ball(const Graph& g, NodeId src, std::uint32_t radius,
       }
     }
     level_begin = level_end;
+  }
+}
+
+namespace {
+
+/// sort_ball_by_node for a fixed number of byte passes, so the per-entry
+/// byte loops unroll.
+template <std::uint32_t kPasses>
+void radix_sort_ball(std::span<BallEntry> ball, std::vector<BallEntry>& tmp) {
+  // All byte histograms in one read, then one scatter per byte (LSD): each
+  // pass is stable, so the last one leaves the ids in order.
+  std::array<std::array<std::uint32_t, 256>, kPasses> count{};
+  for (const BallEntry& e : ball) {
+    for (std::uint32_t p = 0; p < kPasses; ++p) {
+      ++count[p][(e.node >> (8 * p)) & 0xFF];
+    }
+  }
+  tmp.resize(ball.size());
+  BallEntry* src = ball.data();
+  BallEntry* dst = tmp.data();
+  for (std::uint32_t p = 0; p < kPasses; ++p) {
+    std::uint32_t start = 0;
+    for (auto& c : count[p]) start += std::exchange(c, start);
+    for (std::size_t i = 0; i < ball.size(); ++i) {
+      dst[count[p][(src[i].node >> (8 * p)) & 0xFF]++] = src[i];
+    }
+    std::swap(src, dst);
+  }
+  if (src != ball.data()) std::copy(src, src + ball.size(), ball.data());
+}
+
+}  // namespace
+
+void sort_ball_by_node(std::span<BallEntry> ball, NodeId id_bound,
+                       std::vector<BallEntry>& tmp) {
+  if (ball.size() < 2) return;
+  const NodeId top = id_bound > 0 ? id_bound - 1 : 0;  // largest legal id
+  if (top >= (NodeId{1} << 24)) {
+    radix_sort_ball<4>(ball, tmp);
+  } else if (top >= (NodeId{1} << 16)) {
+    radix_sort_ball<3>(ball, tmp);
+  } else if (top >= (NodeId{1} << 8)) {
+    radix_sort_ball<2>(ball, tmp);
+  } else if (top > 0) {
+    radix_sort_ball<1>(ball, tmp);
   }
 }
 

@@ -52,6 +52,13 @@ struct BallEntry {
 void bfs_ball(const Graph& g, NodeId src, std::uint32_t radius,
               BfsScratch& scratch, std::vector<BallEntry>& out);
 
+/// Sorts ball entries by node id, every id < `id_bound`. One stable
+/// counting pass per byte of `id_bound - 1` (2 passes for id_bound <= 2^16,
+/// 3 for <= 2^24), no comparisons; ids in a ball are distinct, so the
+/// result equals std::sort by node. `tmp` is caller-owned scratch.
+void sort_ball_by_node(std::span<BallEntry> ball, NodeId id_bound,
+                       std::vector<BallEntry>& tmp);
+
 /// Multi-source BFS: distance from each node to the nearest source.
 [[nodiscard]] std::vector<std::uint32_t> multi_source_distances(
     const Graph& g, std::span<const NodeId> sources,

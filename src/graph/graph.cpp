@@ -55,21 +55,6 @@ Graph Graph::from_edges(NodeId num_nodes,
   return g;
 }
 
-Graph Graph::from_adjacency(std::vector<std::vector<NodeId>> adj) {
-  Graph g;
-  g.offsets_.assign(adj.size() + 1, 0);
-  for (std::size_t v = 0; v < adj.size(); ++v) {
-    g.offsets_[v + 1] = g.offsets_[v] + adj[v].size();
-  }
-  g.neighbors_.resize(g.offsets_.back());
-  for (std::size_t v = 0; v < adj.size(); ++v) {
-    std::sort(adj[v].begin(), adj[v].end());
-    std::copy(adj[v].begin(), adj[v].end(),
-              g.neighbors_.begin() + static_cast<std::ptrdiff_t>(g.offsets_[v]));
-  }
-  return g;
-}
-
 Graph Graph::from_csr(OffsetVec offsets, NeighborVec neighbors) {
   if (offsets.empty() || offsets.front() != 0 ||
       offsets.back() != neighbors.size()) {

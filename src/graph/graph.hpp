@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <span>
 #include <utility>
-#include <vector>
 
 #include "util/aligned.hpp"
 
@@ -36,12 +35,10 @@ class Graph {
       NodeId num_nodes, std::span<const std::pair<NodeId, NodeId>> edges,
       bool dedup);
 
-  /// Builds directly from per-node adjacency lists (they get sorted).
-  [[nodiscard]] static Graph from_adjacency(std::vector<std::vector<NodeId>> adj);
-
   /// Adopts ready-made CSR arrays without per-edge work — the fast path for
-  /// callers that already hold sorted per-node ranges (the incremental
-  /// snapshot engine). `offsets` must be monotone with offsets[0] == 0 and
+  /// callers that already hold sorted per-node ranges (Overlay::build_from_h
+  /// and the incremental snapshot engine, both for G; the engine for H
+  /// too). `offsets` must be monotone with offsets[0] == 0 and
   /// offsets.back() == neighbors.size(); each node's range must be sorted
   /// ascending (checked in debug builds only).
   [[nodiscard]] static Graph from_csr(OffsetVec offsets,

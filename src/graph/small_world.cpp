@@ -7,6 +7,7 @@
 
 #include "graph/bfs.hpp"
 #include "graph/hamiltonian.hpp"
+#include "obs/trace.hpp"
 #include "util/rng.hpp"
 
 namespace byz::graph {
@@ -17,6 +18,7 @@ Overlay Overlay::build(const OverlayParams& params) {
 }
 
 Overlay Overlay::build_from_h(const OverlayParams& params, Graph h) {
+  obs::Span g_pass_span("graph.g_pass");
   Overlay o;
   o.params_ = params;
   o.k_ = params.k == 0 ? paper_k(params.d) : params.k;
@@ -35,7 +37,7 @@ Overlay Overlay::build_from_h(const OverlayParams& params, Graph h) {
   const std::uint32_t k = o.k_;
 
   // Pass 1: ball sizes (excluding the center) -> CSR offsets.
-  std::vector<std::uint64_t> counts(static_cast<std::size_t>(n) + 1, 0);
+  Graph::OffsetVec offsets(static_cast<std::size_t>(n) + 1, 0);
 #pragma omp parallel
   {
     BfsScratch scratch;
@@ -43,42 +45,39 @@ Overlay Overlay::build_from_h(const OverlayParams& params, Graph h) {
 #pragma omp for schedule(dynamic, 256)
     for (std::int64_t v = 0; v < static_cast<std::int64_t>(n); ++v) {
       bfs_ball(o.h_simple_, static_cast<NodeId>(v), k, scratch, ball);
-      counts[static_cast<std::size_t>(v) + 1] = ball.size() - 1;  // minus self
+      offsets[static_cast<std::size_t>(v) + 1] = ball.size() - 1;  // no self
     }
   }
-  for (std::size_t i = 1; i < counts.size(); ++i) counts[i] += counts[i - 1];
+  for (std::size_t i = 1; i < offsets.size(); ++i) {
+    offsets[i] += offsets[i - 1];
+  }
 
-  // Pass 2: fill node/dist arrays, sorted by neighbor id per node so the
-  // Graph invariants (sorted adjacency) hold and h_dist can binary-search.
-  std::vector<NodeId> nodes(counts.back());
-  std::vector<std::uint8_t> dists(counts.back());
+  // Pass 2: fill the final node/dist arrays, each ball sorted by neighbor
+  // id so the Graph invariants (sorted adjacency) hold and h_dist can
+  // binary-search.
+  Graph::NeighborVec nodes(offsets.back());
+  std::vector<std::uint8_t> dists(offsets.back());
 #pragma omp parallel
   {
     BfsScratch scratch;
     std::vector<BallEntry> ball;
+    std::vector<BallEntry> tmp;
 #pragma omp for schedule(dynamic, 256)
     for (std::int64_t sv = 0; sv < static_cast<std::int64_t>(n); ++sv) {
       const auto v = static_cast<NodeId>(sv);
       bfs_ball(o.h_simple_, v, k, scratch, ball);
-      std::sort(ball.begin() + 1, ball.end(),
-                [](const BallEntry& a, const BallEntry& b) {
-                  return a.node < b.node;
-                });
-      std::uint64_t w = counts[v];
-      for (std::size_t i = 1; i < ball.size(); ++i, ++w) {
-        nodes[w] = ball[i].node;
-        dists[w] = ball[i].dist;
+      const auto others = std::span<BallEntry>(ball).subspan(1);
+      sort_ball_by_node(others, n, tmp);
+      std::uint64_t w = offsets[v];
+      for (const BallEntry& e : others) {
+        nodes[w] = e.node;
+        dists[w] = e.dist;
+        ++w;
       }
     }
   }
 
-  // Assemble the G CSR directly from the per-node sorted ranges.
-  std::vector<std::vector<NodeId>> adj(n);
-  for (NodeId v = 0; v < n; ++v) {
-    adj[v].assign(nodes.begin() + static_cast<std::ptrdiff_t>(counts[v]),
-                  nodes.begin() + static_cast<std::ptrdiff_t>(counts[v + 1]));
-  }
-  o.g_ = Graph::from_adjacency(std::move(adj));
+  o.g_ = Graph::from_csr(std::move(offsets), std::move(nodes));
   o.g_dist_ = std::move(dists);
   return o;
 }

@@ -32,8 +32,11 @@ inline constexpr std::uint8_t kNotInBall = 0xFF;
 /// G = k-ball adjacency annotated with exact H-distances per slot.
 class Overlay {
  public:
-  /// Samples H(n,d) and materializes G. Cost: one bounded BFS per node
-  /// (OpenMP-parallel); memory O(n * (d-1)^k).
+  /// Samples H(n,d) and materializes G. Cost: two bounded BFS passes per
+  /// node (ball sizes, then ball contents; OpenMP-parallel) and a radix
+  /// sort per ball (graph::sort_ball_by_node). Peak memory is the final G
+  /// arrays plus per-thread scratch: the balls are written straight into
+  /// G's CSR rows.
   [[nodiscard]] static Overlay build(const OverlayParams& params);
 
   /// Materializes G over a caller-supplied H multigraph (must be an exactly

@@ -76,10 +76,7 @@ void IncrementalEngine::recompute_ball(NodeId v, graph::BfsScratch& scratch,
   }
   auto& ball = balls_[v];
   ball.assign(tmp.begin() + 1, tmp.end());  // self excluded, like G rows
-  std::sort(ball.begin(), ball.end(),
-            [](const graph::BallEntry& a, const graph::BallEntry& b) {
-              return a.node < b.node;
-            });
+  graph::sort_ball_by_node(ball, ov.id_bound(), tmp);
 }
 
 MutableOverlay::Snapshot IncrementalEngine::snapshot() {

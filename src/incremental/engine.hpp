@@ -9,8 +9,7 @@
 //     of any splice endpoint — a superset of every changed ball),
 //   * translates all balls stable→dense and assembles the G/H CSR arrays
 //     directly (Graph::from_csr + Overlay::build_with_balls), skipping the
-//     per-node BFS, the per-ball sort, and the vector-of-vectors staging of
-//     the full rebuild.
+//     full rebuild's two BFS passes and per-ball sort for every clean node.
 // The result is bitwise identical to MutableOverlay::snapshot() — the
 // config's verify_against_full debug mode asserts exactly that on every
 // call, and the property suite replays hundreds of seeded op interleavings

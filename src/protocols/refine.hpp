@@ -51,7 +51,12 @@ enum class EstimateLie : std::uint8_t {
 /// undecided honest nodes query but contribute nothing (they have no
 /// estimate); Byzantine responses follow `lie`. Returns the smoothed
 /// estimates (log2-scale), 0 where the node had no estimate and gathered
-/// no quorum.
+/// no quorum; each equals util::median of the node's window, bit for bit.
+/// Cost: one O(n log n) ranking of the reports, then O(|ball| + t log t)
+/// per node, t = the number of distinct reports in its ball. t is small on
+/// refine_run output: it holds one value l(d, r) per decided phase, and
+/// the nodes of a ball decide within a few phases of each other (the lie
+/// adds one more value).
 [[nodiscard]] std::vector<double> smooth_estimates(
     const graph::Overlay& overlay, const std::vector<bool>& byz_mask,
     const std::vector<double>& estimates, EstimateLie lie);

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <string>
+
 #include "graph/hamiltonian.hpp"
 #include "util/rng.hpp"
 
@@ -149,6 +153,72 @@ TEST(Bfs, AgreesWithBallOnRandomRegular) {
   }
   EXPECT_EQ(ball.size(), within3);
   for (const auto& e : ball) EXPECT_EQ(dist[e.node], e.dist);
+}
+
+/// Shuffles a ball with the test's own RNG (Fisher-Yates).
+void shuffle(std::vector<BallEntry>& ball, util::Xoshiro256& rng) {
+  for (std::size_t i = ball.size(); i > 1; --i) {
+    std::swap(ball[i - 1], ball[rng.below(i)]);
+  }
+}
+
+void expect_same_entries(const std::vector<BallEntry>& got,
+                         const std::vector<BallEntry>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].node, want[i].node) << "slot " << i;
+    EXPECT_EQ(got[i].dist, want[i].dist) << "slot " << i;
+  }
+}
+
+TEST(SortBallByNode, MatchesStdSortAcrossPassCounts) {
+  // Bounds needing 0, 1, 1, 2, 2, 3 and 4 byte passes (odd counts end in
+  // the scratch buffer and copy back); every ball holds ids 0 and
+  // bound - 1, the extremes of the top byte.
+  util::Xoshiro256 rng(41);
+  std::vector<BallEntry> tmp;
+  for (const NodeId bound :
+       {1u, 2u, 256u, 257u, 65536u, 65537u, (1u << 24) + 1}) {
+    for (int trial = 0; trial < 25; ++trial) {
+      std::set<NodeId> ids{0, bound - 1};
+      const std::uint64_t size =
+          std::min<std::uint64_t>(bound, 1 + rng.below(600));
+      while (ids.size() < size) {
+        ids.insert(static_cast<NodeId>(rng.below(bound)));
+      }
+      std::vector<BallEntry> ball;
+      for (const NodeId id : ids) {
+        ball.push_back({id, static_cast<std::uint8_t>(rng.below(256))});
+      }
+      shuffle(ball, rng);
+      auto want = ball;
+      std::sort(want.begin(), want.end(),
+                [](const BallEntry& a, const BallEntry& b) {
+                  return a.node < b.node;
+                });
+      sort_ball_by_node(ball, bound, tmp);
+      SCOPED_TRACE("bound=" + std::to_string(bound) +
+                   " size=" + std::to_string(ball.size()));
+      expect_same_entries(ball, want);
+    }
+  }
+}
+
+TEST(SortBallByNode, EmptySingletonAndSubspan) {
+  std::vector<BallEntry> tmp;
+  std::vector<BallEntry> none;
+  sort_ball_by_node(none, 65537, tmp);
+  EXPECT_TRUE(none.empty());
+
+  std::vector<BallEntry> one{{65536, 2}};
+  sort_ball_by_node(one, 65537, tmp);
+  expect_same_entries(one, {{65536, 2}});
+
+  // The overlay sorts each ball past its center: entry 0 must stay put.
+  std::vector<BallEntry> ball{{500, 0}, {9, 1}, {70000, 2}, {0, 3}, {256, 1}};
+  sort_ball_by_node(std::span<BallEntry>(ball).subspan(1), 70001, tmp);
+  expect_same_entries(ball,
+                      {{500, 0}, {0, 3}, {9, 1}, {256, 1}, {70000, 2}});
 }
 
 }  // namespace

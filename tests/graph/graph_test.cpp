@@ -67,15 +67,6 @@ TEST(Graph, OutOfRangeEdgeThrows) {
   EXPECT_THROW((void)Graph::from_edges(3, edges, true), std::out_of_range);
 }
 
-TEST(Graph, FromAdjacencySortsLists) {
-  std::vector<std::vector<NodeId>> adj{{2, 1}, {0}, {0}};
-  const Graph g = Graph::from_adjacency(std::move(adj));
-  const auto nbrs = g.neighbors(0);
-  ASSERT_EQ(nbrs.size(), 2u);
-  EXPECT_EQ(nbrs[0], 1u);
-  EXPECT_EQ(nbrs[1], 2u);
-}
-
 TEST(Graph, DegreeBounds) {
   const std::vector<Edge> edges{{0, 1}, {0, 2}, {0, 3}};
   const Graph g = Graph::from_edges(5, edges, true);

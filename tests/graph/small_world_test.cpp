@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
+#include <vector>
 
 #include "graph/bfs.hpp"
 
@@ -40,32 +43,64 @@ TEST(SmallWorld, ExplicitKRespected) {
   EXPECT_EQ(o.k(), 2u);
 }
 
-TEST(SmallWorld, GMatchesBallDefinition) {
-  // (u,v) ∈ E(G) iff dist_H(u,v) <= k — checked against ground-truth BFS.
-  const Overlay o = sample(128, 6, 5);
+/// The first and last `count` node ids: the extremes of every radix byte
+/// the G build sorts on.
+std::vector<NodeId> prefix_and_suffix(const Overlay& o, NodeId count) {
+  std::vector<NodeId> ids;
+  const NodeId n = o.num_nodes();
+  for (NodeId v = 0; v < n; ++v) {
+    if (v < count || v >= n - std::min(count, n)) ids.push_back(v);
+  }
+  return ids;
+}
+
+/// (u,v) ∈ E(G) iff dist_H(u,v) <= k, each G row strictly ascending —
+/// checked against ground-truth BFS.
+void expect_g_matches_ball_definition(const Overlay& o, NodeId count) {
   const std::uint32_t k = o.k();
-  for (NodeId v = 0; v < 32; ++v) {  // spot-check a prefix of nodes
+  for (const NodeId v : prefix_and_suffix(o, count)) {
+    const auto nbrs = o.g().neighbors(v);
+    EXPECT_EQ(std::adjacent_find(nbrs.begin(), nbrs.end(),
+                                 std::greater_equal<NodeId>()),
+              nbrs.end())
+        << "row of v=" << v << " not strictly ascending";
     const auto dist = bfs_distances(o.h_simple(), v);
+    std::uint64_t mismatches = 0;
     for (NodeId w = 0; w < o.num_nodes(); ++w) {
       if (w == v) continue;
       const bool in_g = o.g().has_edge(v, w);
       const bool within = dist[w] <= k;
-      EXPECT_EQ(in_g, within) << "v=" << v << " w=" << w;
+      if (in_g != within) ++mismatches;
     }
+    EXPECT_EQ(mismatches, 0u) << "v=" << v;
   }
 }
 
-TEST(SmallWorld, DistanceAnnotationsExact) {
-  const Overlay o = sample(128, 6, 7);
-  for (NodeId v = 0; v < 16; ++v) {
+/// g_dists(v) holds the exact H-distance of each G neighbor, slot for slot.
+void expect_distance_annotations_exact(const Overlay& o, NodeId count) {
+  for (const NodeId v : prefix_and_suffix(o, count)) {
     const auto dist = bfs_distances(o.h_simple(), v);
     const auto nbrs = o.g().neighbors(v);
     const auto dists = o.g_dists(v);
     ASSERT_EQ(nbrs.size(), dists.size());
     for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      EXPECT_EQ(dists[i], dist[nbrs[i]]);
+      EXPECT_EQ(dists[i], dist[nbrs[i]]) << "v=" << v << " w=" << nbrs[i];
     }
   }
+}
+
+TEST(SmallWorld, GMatchesBallDefinition) {
+  // n=128 and n=300 sort on one and two id bytes; n=65539 (d=4, k=2) on
+  // three.
+  expect_g_matches_ball_definition(sample(128, 6, 5), 32);
+  expect_g_matches_ball_definition(sample(300, 6, 5), 32);
+  expect_g_matches_ball_definition(sample(65539, 4, 5), 16);
+}
+
+TEST(SmallWorld, DistanceAnnotationsExact) {
+  expect_distance_annotations_exact(sample(128, 6, 7), 16);
+  expect_distance_annotations_exact(sample(300, 8, 7), 16);
+  expect_distance_annotations_exact(sample(65539, 4, 7), 16);
 }
 
 TEST(SmallWorld, HDistLookup) {

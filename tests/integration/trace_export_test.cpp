@@ -1,13 +1,14 @@
 // End-to-end observability contract: tracing a real protocol run yields a
-// parseable Chrome trace containing setup, phase, subphase, round, and trial
-// spans — and the run's outputs are bitwise identical with tracing on or
-// off (the pure read-side invariant of src/obs/obs.hpp, the same contract
-// CI pins at the BENCH-manifest level).
+// parseable Chrome trace containing overlay-build, setup, phase, subphase,
+// round, smoothing and trial spans — and the run's outputs are bitwise
+// identical with tracing on or off (the pure read-side invariant of
+// src/obs/obs.hpp, the same contract CI pins at the BENCH-manifest level).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "adversary/strategies.hpp"
 #include "bench_core/json.hpp"
@@ -17,6 +18,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "protocols/fastpath.hpp"
+#include "protocols/refine.hpp"
 #include "sim/runner.hpp"
 #include "util/rng.hpp"
 
@@ -24,7 +26,14 @@ namespace byz {
 namespace {
 
 #if BYZ_OBS_ENABLED
-proto::RunResult traced_run(bool trace) {
+struct TracedRun {
+  proto::RunResult run;
+  std::vector<double> smoothed;
+};
+
+/// Overlay build, one Algorithm-2 run, then refine + smooth — the
+/// size_service pipeline — with tracing on or off.
+TracedRun traced_run(bool trace) {
   obs::set_enabled(trace);
   graph::OverlayParams params;
   params.n = 256;
@@ -36,9 +45,13 @@ proto::RunResult traced_run(bool trace) {
       params.n, sim::derive_byz_count(params.n, 0.5), placement);
   const auto strategy = adv::make_strategy(adv::StrategyKind::kFakeColor);
   proto::ProtocolConfig cfg;
-  auto result = proto::run_counting(overlay, byz, *strategy, cfg, 99);
+  TracedRun out;
+  out.run = proto::run_counting(overlay, byz, *strategy, cfg, 99);
+  out.smoothed = proto::smooth_estimates(
+      overlay, byz, proto::refine_run(out.run, params.d),
+      proto::EstimateLie::kInflate);
   obs::set_enabled(false);
-  return result;
+  return out;
 }
 
 TEST(TraceExportIntegration, ProtocolRunEmitsPhaseSubphaseAndRoundSpans) {
@@ -53,12 +66,14 @@ TEST(TraceExportIntegration, ProtocolRunEmitsPhaseSubphaseAndRoundSpans) {
   for (const auto& e : doc->find("traceEvents")->elements()) {
     names.insert(e.find("name")->as_string());
   }
+  EXPECT_TRUE(names.contains("graph.g_pass"));
   EXPECT_TRUE(names.contains("count.run"));
   EXPECT_TRUE(names.contains("count.setup"));
   EXPECT_TRUE(names.contains("count.phase"));
   EXPECT_TRUE(names.contains("count.subphase"));
   EXPECT_TRUE(names.contains("flood.subphase"));
   EXPECT_TRUE(names.contains("flood.round"));
+  EXPECT_TRUE(names.contains("protocols.smooth"));
 
   // The metrics registry saw the same run.
   const auto snap = obs::metrics_snapshot();
@@ -94,11 +109,12 @@ TEST(TraceExportIntegration, TracingDoesNotPerturbTheRun) {
   obs::reset_metrics();
   const auto plain = traced_run(false);
   const auto traced = traced_run(true);
-  EXPECT_EQ(plain.status, traced.status);
-  EXPECT_EQ(plain.estimate, traced.estimate);
-  EXPECT_EQ(plain.phases_executed, traced.phases_executed);
-  EXPECT_EQ(plain.flood_rounds, traced.flood_rounds);
-  EXPECT_EQ(plain.instr, traced.instr);
+  EXPECT_EQ(plain.run.status, traced.run.status);
+  EXPECT_EQ(plain.run.estimate, traced.run.estimate);
+  EXPECT_EQ(plain.run.phases_executed, traced.run.phases_executed);
+  EXPECT_EQ(plain.run.flood_rounds, traced.run.flood_rounds);
+  EXPECT_EQ(plain.run.instr, traced.run.instr);
+  EXPECT_EQ(plain.smoothed, traced.smoothed);
   obs::reset_trace();
   obs::reset_metrics();
 }

@@ -3,10 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
+#include "adversary/strategies.hpp"
 #include "graph/categories.hpp"
 #include "protocols/color.hpp"
 #include "protocols/fastpath.hpp"
+#include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace byz::proto {
 namespace {
@@ -104,6 +109,118 @@ TEST(Smoothing, DeflationEquallyHarmless) {
       smooth_estimates(o, byz, refined, EstimateLie::kDeflate);
   const auto acc = summarize_refined(smoothed, byz, n);
   EXPECT_GT(acc.min_ratio, 0.3);
+}
+
+/// The window-copy smoothing kept as the bitwise reference: gather each
+/// honest node's closed-neighborhood window and take util::median of it.
+std::vector<double> reference_smooth(const Overlay& overlay,
+                                     const std::vector<bool>& byz_mask,
+                                     const std::vector<double>& estimates,
+                                     EstimateLie lie) {
+  const NodeId n = overlay.num_nodes();
+  std::vector<double> smoothed(n, 0.0);
+  std::vector<double> window;
+  for (NodeId v = 0; v < n; ++v) {
+    if (byz_mask[v]) continue;
+    window.clear();
+    if (estimates[v] > 0.0) window.push_back(estimates[v]);  // self
+    for (const NodeId w : overlay.g().neighbors(v)) {
+      if (byz_mask[w]) {
+        switch (lie) {
+          case EstimateLie::kHonest:
+            if (estimates[w] > 0.0) window.push_back(estimates[w]);
+            break;
+          case EstimateLie::kInflate:
+            window.push_back(1e6);
+            break;
+          case EstimateLie::kDeflate:
+            window.push_back(0.0);
+            break;
+        }
+      } else if (estimates[w] > 0.0) {
+        window.push_back(estimates[w]);
+      }
+    }
+    if (window.empty()) continue;
+    smoothed[v] = util::median(window);
+  }
+  return smoothed;
+}
+
+void expect_bitwise_reference(const Overlay& o, const std::vector<bool>& byz,
+                              const std::vector<double>& estimates) {
+  for (const auto lie :
+       {EstimateLie::kHonest, EstimateLie::kInflate, EstimateLie::kDeflate}) {
+    const auto want = reference_smooth(o, byz, estimates, lie);
+    const auto got = smooth_estimates(o, byz, estimates, lie);
+    ASSERT_EQ(got.size(), want.size());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                          want.size() * sizeof(double)),
+              0)
+        << "lie=" << static_cast<int>(lie);
+  }
+}
+
+TEST(Smoothing, BitwiseEqualsWindowMedianOnRefinedRuns) {
+  const NodeId n = 2048;
+  const Overlay o = sample(n, 8, 37);
+  util::Xoshiro256 rng(39);
+  const auto byz = graph::random_byzantine_mask(n, 45, rng);
+  const auto strategy = adv::make_strategy(adv::StrategyKind::kFakeColor);
+  const auto run = run_counting(o, byz, *strategy, ProtocolConfig{}, 41);
+  expect_bitwise_reference(o, byz, refine_run(run, 8));
+}
+
+TEST(Smoothing, BitwiseEqualsWindowMedianOnHandBuiltReports) {
+  // Ties (a 3-value pool), silence (0 and negative), and many distinct
+  // values; node 0's closed neighborhood is all silent and honest, so its
+  // window is empty. Window sizes of both parities must occur.
+  const NodeId n = 512;
+  const Overlay o = sample(n, 6, 43);
+  util::Xoshiro256 rng(45);
+  std::vector<double> estimates(n);
+  for (NodeId v = 0; v < n; ++v) {
+    const auto pick = rng.below(4);
+    if (pick == 0) {
+      estimates[v] = 0.0;
+    } else if (pick == 1) {
+      estimates[v] = -1.0;
+    } else if (pick == 2) {
+      estimates[v] = 10.0 + 1.5 * static_cast<double>(rng.below(3));
+    } else {
+      estimates[v] = 5.0 + rng.uniform();
+    }
+  }
+  std::vector<bool> byz(n, false);
+  for (NodeId v = 0; v < n; v += 9) byz[v] = true;
+  byz[0] = false;
+  estimates[0] = 0.0;
+  for (const NodeId w : o.g().neighbors(0)) {
+    estimates[w] = 0.0;
+    byz[w] = false;
+  }
+
+  bool odd = false;
+  bool even = false;
+  bool empty = false;
+  for (NodeId v = 0; v < n; ++v) {
+    if (byz[v]) continue;
+    std::size_t size = estimates[v] > 0.0 ? 1 : 0;
+    for (const NodeId w : o.g().neighbors(v)) {
+      size += byz[w] || estimates[w] > 0.0 ? 1 : 0;  // kInflate/kDeflate
+    }
+    if (size == 0) {
+      empty = true;
+    } else if (size % 2 == 1) {
+      odd = true;
+    } else {
+      even = true;
+    }
+  }
+  EXPECT_TRUE(odd);
+  EXPECT_TRUE(even);
+  EXPECT_TRUE(empty);
+  expect_bitwise_reference(o, byz, estimates);
 }
 
 TEST(Smoothing, SizeMismatchThrows) {
