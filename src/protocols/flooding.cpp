@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <cassert>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -32,20 +33,21 @@ const obs::Histogram& frontier_histogram() {
   return hist;
 }
 
-/// Fork/join over `num_words` bitset words in `nt` contiguous chunks; each
-/// worker runs body(first_word, last_word) exactly once, so per-worker
-/// accumulators live inside the body and merge at its end. The OpenMP form
-/// (one static chunk per thread) composes with the surrounding code's omp
-/// usage; under TSan the tool cannot see libgomp's futex barriers, so that
-/// build — and the no-OpenMP fallback — uses std::thread, whose join gives
-/// the identical fork/join happens-before in a form TSan understands.
+/// Fork/join over `num_words` bitset words in `chunks` contiguous chunks
+/// (1 = inline on the caller); each worker runs body(first_word,
+/// last_word) exactly once, so per-worker accumulators live inside the
+/// body and merge at its end. The OpenMP form (one static chunk per thread)
+/// composes with the surrounding code's omp usage; under TSan the tool
+/// cannot see libgomp's futex barriers, so that build — and the no-OpenMP
+/// fallback — uses std::thread, whose join gives the identical fork/join
+/// happens-before in a form TSan understands.
 template <typename Body>
-void parallel_word_chunks(int nt, std::int64_t num_words, const Body& body) {
-  if (nt <= 1 || num_words <= 1) {
+void parallel_word_chunks(std::int64_t chunks, std::int64_t num_words,
+                          const Body& body) {
+  if (chunks <= 1) {
     body(std::int64_t{0}, num_words);
     return;
   }
-  const std::int64_t chunks = std::min<std::int64_t>(nt, num_words);
   const std::int64_t chunk = (num_words + chunks - 1) / chunks;
 #if defined(_OPENMP) && !defined(__SANITIZE_THREAD__)
 #pragma omp parallel for schedule(static, 1) num_threads(static_cast<int>(chunks))
@@ -226,21 +228,34 @@ void run_subphase_reference(const graph::Overlay& overlay,
 // The kernel: word-packed sets, rounds swept over word-range chunks on
 // params.threads workers. Bitwise-equivalent to the scalar reference at
 // every thread count by construction:
-//   * receive folding is a commutative max — relaxed CAS loops commute, so
-//     the per-step receive maxima are interleaving-independent;
-//   * touched membership is "recv went 0 -> c", marked exactly once by the
-//     thread whose CAS succeeds from 0 (values only grow, so per node and
-//     step only one CAS with expected value 0 can ever succeed);
+//   * conformant frontier sends always satisfy c == legit_fresh (step 1:
+//     c = known = gen_color; later steps: frontier membership implies
+//     fresh == t-1, so legit = known = c) and c > 0 (step 1 sends only
+//     positive generated colors; later a node joins the frontier only when
+//     its max strictly grew). On that path accept() always returns true
+//     and only adds |B_H(u, min(t, k-1))| round trips per honest receiver,
+//     so the sweep calls no accept(): it counts each sender's honest
+//     receivers and books them in one Verifier::book_conformant call (a
+//     debug assert re-checks c == legit_fresh). The few Byzantine
+//     injections — whose accept() outcome feeds the injection counters —
+//     are delivered serially after the sweep, one accept() per honest
+//     receiver as in the reference, and fold nothing when their value is 0;
+//   * receive folding is a commutative max, and the touched set is "v
+//     received a nonzero accepted color this step", which is exactly the
+//     reference's set of 0 -> c transitions. When the sweep runs as one
+//     chunk (one worker, or n <= 64) it owns recv and the touched set, so
+//     it folds with a plain max and an unconditional touched-bit OR. With
+//     several chunks it folds with a relaxed CAS max — CAS loops commute,
+//     so the maxima are interleaving-independent — and the worker whose
+//     CAS replaces 0 sets the touched bit (values only grow, so exactly
+//     one such CAS succeeds per node and step);
+//   * receivers are tested against two word-packed sets built by the
+//     step-1 sweep from the run's inputs — can-receive (in region, not
+//     crashed) and Byzantine — plus presence when live hooks are attached;
 //   * the round digest is a commutative XOR fold, accumulated per worker
 //     and folded once on the main thread;
 //   * Instrumentation is sums plus one max, merged per worker under a
-//     mutex via Instrumentation::merge. Conformant frontier sends always
-//     satisfy c == legit_fresh (step 1: c = known = gen_color; later
-//     steps: frontier membership implies fresh == t-1, so legit = known =
-//     c), hence Verifier::accept only touches the commutative
-//     verification-traffic sums on this path. The few Byzantine
-//     injections — whose accept() outcome feeds the injection counters —
-//     are delivered serially between the sweeps;
+//     mutex via Instrumentation::merge;
 //   * the close sweep owns all state it writes (best_before/last_step/
 //     known/fresh and the next-frontier word) word-by-word, and every
 //     observable downstream of frontier ITERATION ORDER is
@@ -274,13 +289,22 @@ void run_subphase_kernel(const graph::Overlay& overlay,
   ws.frontier_bits.assign(n);
   ws.next_frontier_bits.assign(n);
   ws.touched_bits.assign(n);
+  ws.can_receive_bits.assign(n);
+  ws.byz_bits.assign(n);
+  const util::Bitset& can_receive = ws.can_receive_bits;
+  const util::Bitset& byz = ws.byz_bits;
   const std::int64_t num_words =
       static_cast<std::int64_t>(ws.frontier_bits.num_words());
+  const std::int64_t chunks =
+      std::max<std::int64_t>(1, std::min<std::int64_t>(nt, num_words));
   std::mutex merge_mu;
 
-  // Atomic running max over recv[v]; the value it replaces decides the
-  // 0 -> c transition (touched membership) exactly once.
-  auto deliver_max = [&](NodeId v, Color c) {
+  // Receive folds (see the proof above for when each is exact).
+  const auto fold_plain = [&](NodeId v, Color c) {
+    ws.recv[v] = std::max(ws.recv[v], c);
+    ws.touched_bits.set(v);
+  };
+  const auto fold_atomic = [&](NodeId v, Color c) {
     std::atomic_ref<Color> slot(ws.recv[v]);
     Color cur = slot.load(std::memory_order_relaxed);
     while (cur < c) {
@@ -291,24 +315,34 @@ void run_subphase_kernel(const graph::Overlay& overlay,
     }
   };
 
-  // Step 1 senders, word-parallel: each frontier word is built locally and
-  // stored exactly once.
+  // Step 1 senders, word-parallel: each word of the frontier and of the
+  // can-receive and Byzantine sets is built locally and stored exactly once.
   {
     Word* fw = ws.frontier_bits.words();
-    parallel_word_chunks(nt, num_words, [&](std::int64_t first,
-                                            std::int64_t last) {
+    Word* rw = ws.can_receive_bits.words();
+    Word* bw = ws.byz_bits.words();
+    parallel_word_chunks(chunks, num_words, [&](std::int64_t first,
+                                                std::int64_t last) {
       for (std::int64_t wi = first; wi < last; ++wi) {
-        Word w = 0;
+        Word f = 0;
+        Word r = 0;
+        Word b = 0;
         const NodeId base = static_cast<NodeId>(
             static_cast<std::size_t>(wi) * kWordBits);
         const NodeId end =
             std::min<NodeId>(n, base + static_cast<NodeId>(kWordBits));
         for (NodeId v = base; v < end; ++v) {
+          const Word bit = Word{1} << (v - base);
+          if (byz_mask[v]) b |= bit;
           if (!in_region(v)) continue;
           ws.known[v] = gen_color[v];
-          if (gen_color[v] > 0 && !crashed[v]) w |= Word{1} << (v - base);
+          if (crashed[v]) continue;
+          r |= bit;
+          if (gen_color[v] > 0) f |= bit;
         }
-        fw[wi] = w;
+        fw[wi] = f;
+        rw[wi] = r;
+        bw[wi] = b;
       }
     });
   }
@@ -338,11 +372,11 @@ void run_subphase_kernel(const graph::Overlay& overlay,
 
     std::uint64_t round_digest_acc = 0;
 
-    // Sender sweep over frontier words.
-    {
+    // Sender sweep over frontier words; one body, instantiated per fold.
+    const auto sender_sweep = [&](const auto& fold) {
       const Word* fw = ws.frontier_bits.words();
-      parallel_word_chunks(nt, num_words, [&](std::int64_t first,
-                                              std::int64_t last) {
+      parallel_word_chunks(chunks, num_words, [&](std::int64_t first,
+                                                  std::int64_t last) {
         sim::Instrumentation local;
         std::uint64_t dig = 0;
         for (std::int64_t wi = first; wi < last; ++wi) {
@@ -352,43 +386,43 @@ void run_subphase_kernel(const graph::Overlay& overlay,
                 static_cast<std::size_t>(wi) * kWordBits +
                 static_cast<std::size_t>(std::countr_zero(w)));
             w &= w - 1;
-            if (byz_mask[u] && !params.byz_forward) continue;
+            if (!params.byz_forward && byz.test(u)) continue;
             if (!present(u)) continue;
             const auto nbrs = live ? live->neighbors(u) : h.neighbors(u);
             local.count_token(nbrs.size());
             local.max_node_round_sends = std::max<std::uint64_t>(
                 local.max_node_round_sends, nbrs.size());
             const Color c = ws.known[u];
+            // c == legit_fresh, spelled out for c = known[u].
+            assert(c > 0 &&
+                   (t == 1 ? c == gen_color[u] : ws.fresh[u] == t - 1));
             if (params.digest != nullptr) {
               dig ^= obs::digest_sender_term(u, c);
             }
-            const Color legit =
-                (t == 1) ? gen_color[u]
-                         : ((ws.fresh[u] == t - 1) ? ws.known[u] : 0);
+            std::uint64_t audited = 0;
             for (const NodeId v : nbrs) {
-              if (!in_region(v)) continue;
-              if (crashed[v] || !present(v)) continue;
-              if (byz_mask[v]) {
-                deliver_max(v, c);
-                continue;
-              }
-              if (!verifier.accept(u, c, t, legit, byz_mask[u], local)) {
-                continue;
-              }
-              deliver_max(v, c);
+              if (!can_receive.test(v) || !present(v)) continue;
+              audited += byz.test(v) ? 0 : 1;
+              fold(v, c);
             }
+            verifier.book_conformant(u, t, audited, local);
           }
         }
         std::lock_guard<std::mutex> lock(merge_mu);
         instr.merge(local);
         round_digest_acc ^= dig;
       });
+    };
+    if (chunks == 1) {
+      sender_sweep(fold_plain);
+    } else {
+      sender_sweep(fold_atomic);
     }
 
     // Byzantine injections: few, and their accept() outcome feeds the
     // injection counters, so they run serially on the real instrumentation
-    // (recv folding still commutes with the sweep above — it already
-    // finished — and with other injections via the same max fold).
+    // after the sweep has joined (the max fold commutes with it and with
+    // other injections).
     for (const auto& inj : injections) {
       if (inj.step != t || crashed[inj.from]) continue;
       if (!in_region(inj.from) || !present(inj.from)) continue;
@@ -397,22 +431,17 @@ void run_subphase_kernel(const graph::Overlay& overlay,
       instr.count_token(nbrs.size());
       instr.max_node_round_sends =
           std::max<std::uint64_t>(instr.max_node_round_sends, nbrs.size());
+      const Color legit =
+          (t == 1) ? gen_color[inj.from]
+                   : ((ws.fresh[inj.from] == t - 1) ? ws.known[inj.from] : 0);
+      const bool from_byz = byz_mask[inj.from];
       for (const NodeId v : nbrs) {
-        if (!in_region(v)) continue;
-        if (crashed[v] || !present(v)) continue;
-        if (byz_mask[v]) {
-          deliver_max(v, inj.value);
-          continue;
-        }
-        const Color legit =
-            (t == 1)
-                ? gen_color[inj.from]
-                : ((ws.fresh[inj.from] == t - 1) ? ws.known[inj.from] : 0);
-        if (!verifier.accept(inj.from, inj.value, t, legit,
-                             byz_mask[inj.from], instr)) {
-          continue;
-        }
-        deliver_max(v, inj.value);
+        if (!can_receive.test(v) || !present(v)) continue;
+        // Byzantine receivers absorb the token unaudited.
+        const bool accepted =
+            byz.test(v) ||
+            verifier.accept(inj.from, inj.value, t, legit, from_byz, instr);
+        if (accepted && inj.value > 0) fold_plain(v, inj.value);
       }
     }
 
@@ -423,8 +452,8 @@ void run_subphase_kernel(const graph::Overlay& overlay,
     {
       Word* tw_words = ws.touched_bits.words();
       Word* nf_words = ws.next_frontier_bits.words();
-      parallel_word_chunks(nt, num_words, [&](std::int64_t first,
-                                              std::int64_t last) {
+      parallel_word_chunks(chunks, num_words, [&](std::int64_t first,
+                                                  std::int64_t last) {
         std::uint64_t dig = 0;
         for (std::int64_t wi = first; wi < last; ++wi) {
           Word tw = tw_words[wi];

@@ -75,6 +75,12 @@ class FloodWorkspace {
   util::Bitset frontier_bits;
   util::Bitset next_frontier_bits;
   util::Bitset touched_bits;
+  /// The kernel's per-delivery receiver tests, packed by its step-1 sweep
+  /// from the subphase inputs: nodes that can receive (in the region and
+  /// not crashed) and Byzantine nodes (unaudited receivers). Under live
+  /// hooks presence changes per round, so it is still asked per delivery.
+  util::Bitset can_receive_bits;
+  util::Bitset byz_bits;
 };
 
 struct FloodParams {

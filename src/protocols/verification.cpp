@@ -182,4 +182,11 @@ bool Verifier::accept(NodeId sender, Color c, std::uint32_t step,
   return ok;
 }
 
+void Verifier::book_conformant(NodeId sender, std::uint32_t step,
+                               std::uint64_t receivers,
+                               sim::Instrumentation& instr) const {
+  if (!config_.enabled || receivers == 0) return;
+  instr.count_verification(receivers * check_ball_size(sender, step));
+}
+
 }  // namespace byz::proto

@@ -118,6 +118,18 @@ class Verifier {
                             Color legit_fresh, bool sender_is_byz,
                             sim::Instrumentation& instr) const;
 
+  /// Books `receivers` protocol-conformant deliveries (c == legit_fresh)
+  /// from `sender` at `step` in one call. Leaves `instr` exactly as that
+  /// many accept(sender, c, step, c, ...) calls would: receivers ×
+  /// check_ball_size(sender, step) round trips when enabled, nothing when
+  /// disabled, and never an injection count, whoever the sender is. The
+  /// flood kernel books each frontier sender's honest receivers this way;
+  /// the scalar reference and sim::Engine still call accept() once per
+  /// message, so both oracles check it against the per-message rule.
+  void book_conformant(graph::NodeId sender, std::uint32_t step,
+                       std::uint64_t receivers,
+                       sim::Instrumentation& instr) const;
+
   /// |B_H(sender, min(step, k-1))| — the number of witnesses interrogated
   /// (traffic accounting).
   [[nodiscard]] std::uint64_t check_ball_size(graph::NodeId sender,

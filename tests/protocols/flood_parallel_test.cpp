@@ -81,6 +81,25 @@ void expect_bitwise_equal(const SubphaseRun& ref, const SubphaseRun& run,
       << "threads=" << threads;
 }
 
+/// Runs the reference once and the kernel at every thread count, checks
+/// them bitwise equal, and returns the reference's instrumentation so the
+/// caller can pin what the case was built to exercise.
+sim::Instrumentation expect_kernel_matches_reference(
+    const Overlay& overlay, const std::vector<bool>& byz,
+    const std::vector<bool>& crashed, const Verifier& verifier,
+    std::span<const Color> gen, std::span<const Injection> inj,
+    FloodParams params) {
+  const SubphaseRun ref(kReference, overlay, byz, crashed, verifier, gen, inj,
+                        params);
+  for (const std::uint32_t t : kThreadCounts) {
+    params.threads = t;
+    const SubphaseRun run(kKernel, overlay, byz, crashed, verifier, gen, inj,
+                          params);
+    expect_bitwise_equal(ref, run, t);
+  }
+  return ref.instr;
+}
+
 TEST(FloodParallel, RandomizedSubphasesBitwiseEqualAcrossThreadCounts) {
   // Randomized overlays / Byzantine sets / colors / injections: the
   // reference and the kernel must agree bit for bit at 1/2/4/8 threads,
@@ -119,14 +138,8 @@ TEST(FloodParallel, RandomizedSubphasesBitwiseEqualAcrossThreadCounts) {
 
     FloodParams params;
     params.steps = shape.steps;
-    const SubphaseRun ref(kReference, overlay, byz, crashed, verifier, gen,
-                          inj, params);
-    for (const std::uint32_t t : kThreadCounts) {
-      params.threads = t;
-      const SubphaseRun run(kKernel, overlay, byz, crashed, verifier, gen,
-                            inj, params);
-      expect_bitwise_equal(ref, run, t);
-    }
+    expect_kernel_matches_reference(overlay, byz, crashed, verifier, gen, inj,
+                                    params);
   }
 }
 
@@ -145,14 +158,8 @@ TEST(FloodParallel, WordBoundarySizesMatchReference) {
 
     FloodParams params;
     params.steps = 3;
-    const SubphaseRun ref(kReference, overlay, byz, crashed, verifier, gen,
-                          {}, params);
-    for (const std::uint32_t t : kThreadCounts) {
-      params.threads = t;
-      const SubphaseRun run(kKernel, overlay, byz, crashed, verifier, gen, {},
-                            params);
-      expect_bitwise_equal(ref, run, t);
-    }
+    expect_kernel_matches_reference(overlay, byz, crashed, verifier, gen, {},
+                                    params);
   }
 }
 
@@ -177,14 +184,145 @@ TEST(FloodParallel, CrashesAndSuppressedByzantinesMatchReference) {
   params.steps = 4;
   params.byz_forward = false;
   params.region = region;
-  const SubphaseRun ref(kReference, overlay, byz, crashed, verifier, gen, {},
-                        params);
-  for (const std::uint32_t t : kThreadCounts) {
-    params.threads = t;
-    const SubphaseRun run(kKernel, overlay, byz, crashed, verifier, gen, {},
-                          params);
-    expect_bitwise_equal(ref, run, t);
+  expect_kernel_matches_reference(overlay, byz, crashed, verifier, gen, {},
+                                  params);
+}
+
+TEST(FloodParallel, VerificationDisabledBooksNoTrafficAndCountsInjections) {
+  // BRC's Verifier config: conformant sends book no verification traffic,
+  // while injections are still counted attempted and accepted.
+  const NodeId n = 600;
+  const Overlay overlay = sample(n, 6, 88);
+  util::Xoshiro256 rng(88);
+  const auto byz = graph::random_byzantine_mask(n, n / 16, rng);
+  const std::vector<bool> crashed(n, false);
+  VerificationConfig cfg;
+  cfg.enabled = false;
+  const Verifier verifier(overlay, byz, cfg);
+  std::vector<Color> gen(n);
+  for (NodeId v = 0; v < n; ++v) {
+    gen[v] = byz[v] ? 0 : util::geometric_color(rng);
   }
+  std::vector<Injection> inj;
+  for (NodeId v = 0; v < n && inj.size() < 12; ++v) {
+    if (byz[v]) inj.push_back({v, 1 + (v % 4), static_cast<Color>(70 + v)});
+  }
+
+  FloodParams params;
+  params.steps = 4;
+  const sim::Instrumentation instr = expect_kernel_matches_reference(
+      overlay, byz, crashed, verifier, gen, inj, params);
+  EXPECT_GT(instr.token_messages, 0u);
+  EXPECT_EQ(instr.verify_messages, 0u);
+  EXPECT_EQ(instr.verify_bytes, 0u);
+  EXPECT_GT(instr.injections_attempted, 0u);
+  EXPECT_EQ(instr.injections_accepted, instr.injections_attempted);
+  EXPECT_EQ(instr.injections_caught, 0u);
+}
+
+TEST(FloodParallel, ZeroValueInjectionsMatchReference) {
+  // A zero-value injection is audited like any other token but folds
+  // nothing: its receivers must not join the step's touched set. Sparse
+  // generators leave most of its receivers untouched otherwise, so a
+  // spurious touch shows in the receiver digest terms.
+  const NodeId n = 600;
+  const Overlay overlay = sample(n, 6, 99);
+  util::Xoshiro256 rng(99);
+  const auto byz = graph::random_byzantine_mask(n, n / 16, rng);
+  const std::vector<bool> crashed(n, false);
+  const Verifier verifier(overlay, byz, {});
+  std::vector<Color> gen(n, 0);
+  for (NodeId v = 0; v < n; v += 97) {
+    if (!byz[v]) gen[v] = util::geometric_color(rng);
+  }
+  std::vector<Injection> inj;
+  std::uint32_t zeros = 0;
+  for (NodeId v = 0; v < n && inj.size() < 16; ++v) {
+    if (!byz[v]) continue;
+    const Color value = (inj.size() % 2 == 0) ? 0 : static_cast<Color>(40 + v);
+    zeros += value == 0 ? 1 : 0;
+    inj.push_back({v, 1 + static_cast<std::uint32_t>(inj.size() % 3), value});
+  }
+  ASSERT_GT(zeros, 0u);
+
+  FloodParams params;
+  params.steps = 3;
+  const sim::Instrumentation instr = expect_kernel_matches_reference(
+      overlay, byz, crashed, verifier, gen, inj, params);
+  EXPECT_GT(instr.verify_messages, 0u);
+}
+
+TEST(FloodParallel, InjectionsIntoByzantineReceiversMatchReference) {
+  // Byzantine receivers absorb injected colors unaudited: an injector
+  // whose whole H-neighborhood is Byzantine books no audit at all.
+  const NodeId n = 512;
+  const Overlay overlay = sample(n, 6, 111);
+  util::Xoshiro256 rng(111);
+  auto byz = graph::random_byzantine_mask(n, n / 32, rng);
+  const NodeId hub = 200;
+  byz[hub] = true;
+  for (const NodeId w : overlay.h_simple().neighbors(hub)) byz[w] = true;
+  const std::vector<bool> crashed(n, false);
+  const Verifier verifier(overlay, byz, {});
+  std::vector<Color> gen(n);
+  for (NodeId v = 0; v < n; ++v) {
+    gen[v] = byz[v] ? 0 : util::geometric_color(rng);
+  }
+  std::vector<Injection> inj = {{hub, 1, 500}, {hub, 2, 900}, {hub, 3, 0}};
+  for (const NodeId w : overlay.h_simple().neighbors(hub)) {
+    inj.push_back({w, 2, static_cast<Color>(300 + w)});
+  }
+
+  FloodParams params;
+  params.steps = 3;
+  const sim::Instrumentation instr = expect_kernel_matches_reference(
+      overlay, byz, crashed, verifier, gen, inj, params);
+  EXPECT_GT(instr.injections_attempted, 0u);
+
+  // The hub's own injection reaches only Byzantine receivers, so it is
+  // never audited; those receivers then relay it conformantly at step 3.
+  const std::vector<Injection> hub_only = {{hub, 2, 900}};
+  const std::vector<Color> silent(n, 0);
+  const sim::Instrumentation hub_instr = expect_kernel_matches_reference(
+      overlay, byz, crashed, verifier, silent, hub_only, params);
+  EXPECT_GT(hub_instr.token_messages, 0u);
+  EXPECT_EQ(hub_instr.injections_attempted, 0u);
+}
+
+TEST(FloodParallel, ByzantineForwardersBesideCrashSetMatchReference) {
+  // Byzantine relays (byz_forward) send conformant tokens booked like any
+  // sender's, next to a crash set that must neither receive nor be audited:
+  // every H-neighbor of a few Byzantine nodes is crashed.
+  const NodeId n = 600;
+  const Overlay overlay = sample(n, 6, 122);
+  util::Xoshiro256 rng(122);
+  const auto byz = graph::random_byzantine_mask(n, n / 8, rng);
+  std::vector<bool> crashed(n, false);
+  std::uint32_t walled = 0;
+  for (NodeId v = 0; v < n && walled < 4; ++v) {
+    if (!byz[v]) continue;
+    for (const NodeId w : overlay.h_simple().neighbors(v)) {
+      if (!byz[w]) crashed[w] = true;
+    }
+    ++walled;
+  }
+  for (NodeId v = 3; v < n; v += 11) crashed[v] = true;
+  const Verifier verifier(overlay, byz, {});
+  std::vector<Color> gen(n);
+  for (NodeId v = 0; v < n; ++v) {
+    gen[v] = byz[v] ? 0 : util::geometric_color(rng);
+  }
+  std::vector<Injection> inj;
+  for (NodeId v = n - 1; v > 0 && inj.size() < 6; --v) {
+    if (byz[v]) inj.push_back({v, 2 + (v % 3), static_cast<Color>(80 + v)});
+  }
+
+  FloodParams params;
+  params.steps = 4;
+  params.byz_forward = true;
+  const sim::Instrumentation instr = expect_kernel_matches_reference(
+      overlay, byz, crashed, verifier, gen, inj, params);
+  EXPECT_GT(instr.verify_messages, 0u);
 }
 
 /// Test-local live topology over a static overlay whose last id is a

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "graph/categories.hpp"
 #include "util/rng.hpp"
 
@@ -173,6 +175,47 @@ TEST(Verifier, VerificationTrafficScalesWithBall) {
   (void)ver.accept(0, 3, 1, 3, false, i1);
   (void)ver.accept(0, 3, 2, 3, false, i2);
   EXPECT_GT(i2.verify_messages, i1.verify_messages);  // bigger checked ball
+}
+
+TEST(Verifier, BookConformantEqualsPerMessageAccepts) {
+  // The flood kernel books a sender's conformant deliveries in one call;
+  // that must leave the counters exactly as m accept() calls with
+  // c == legit_fresh do — on and off, for honest and Byzantine senders,
+  // at steps below, at and past the ball cap k-1 and the chain cap k.
+  const Overlay o = sample(512, 12, 97);
+  const std::uint32_t k = o.k();
+  ASSERT_GE(k, 4u);  // keeps steps 1, 2, k-1, k, k+3 distinct
+  util::Xoshiro256 rng(17);
+  const auto byz = graph::random_byzantine_mask(o.num_nodes(), 48, rng);
+  const auto honest = static_cast<NodeId>(
+      std::find(byz.begin(), byz.end(), false) - byz.begin());
+  const auto liar = static_cast<NodeId>(
+      std::find(byz.begin(), byz.end(), true) - byz.begin());
+  ASSERT_LT(liar, o.num_nodes());
+  for (const bool enabled : {true, false}) {
+    VerificationConfig cfg;
+    cfg.enabled = enabled;
+    const Verifier ver(o, byz, cfg);
+    for (const std::uint32_t step : {1u, 2u, k - 1, k, k + 3}) {
+      for (const NodeId sender : {honest, liar}) {
+        for (const std::uint64_t m : {0u, 1u, 7u}) {
+          sim::Instrumentation bulk;
+          bulk.verify_messages = 4;  // booking adds to what is there
+          sim::Instrumentation per = bulk;
+          ver.book_conformant(sender, step, m, bulk);
+          for (std::uint64_t i = 0; i < m; ++i) {
+            EXPECT_TRUE(ver.accept(sender, 9, step, 9, byz[sender], per));
+          }
+          EXPECT_EQ(bulk, per) << "enabled=" << enabled << " step=" << step
+                               << " sender=" << sender << " m=" << m;
+          EXPECT_EQ(bulk.verify_messages,
+                    4 + (enabled ? 2 * m * ver.check_ball_size(sender, step)
+                                 : 0))
+              << "enabled=" << enabled << " step=" << step;
+        }
+      }
+    }
+  }
 }
 
 TEST(Verifier, MaskSizeMismatchThrows) {
