@@ -194,7 +194,9 @@ struct EpochStats {
   /// run-start rows reused from WarmState (MidRunStats::warm_rows_reused).
   std::uint64_t verify_rows_reused = 0;
   /// Verifier rows computed fresh (dirty balls). Mid-run mode: fresh
-  /// run-start rows plus the live kReadmitNextPhase refresh rows.
+  /// run-start rows plus the rows the live kReadmitNextPhase refreshes
+  /// recomputed, i.e. those within k-1 H-hops of a splice since the
+  /// previous boundary (MidRunStats::rows_recomputed).
   std::uint64_t verify_rows_recomputed = 0;
   std::uint64_t messages_cold = 0;        ///< cold shadow run (verify_warm)
   // --- ε-warm tier ---

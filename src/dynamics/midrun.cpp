@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "protocols/schedule.hpp"
 #include "protocols/verification.hpp"
 #include "sim/engine.hpp"
@@ -135,6 +137,9 @@ LiveOverlayFeed::LiveOverlayFeed(MutableOverlay& overlay,
   alive_.assign(nb_, 0);
   std::fill(alive_.begin(), alive_.begin() + n0_, 1);
   departed_.assign(nb_, 0);
+  row_marked_.assign(nb_, 0);
+  bfs_mark_.assign(nb_, 0);
+  on_path_.assign(nb_, 0);
 
   adj_.resize(nb_);
   const auto& hs = snap.overlay.h_simple();
@@ -269,10 +274,12 @@ void LiveOverlayFeed::apply_join(bool byzantine) {
   alive_[run_id] = 1;
   pending_admit_.push_back(run_id);
   rebuild_adjacency(run_id);
-  for (const NodeId s : touched) {
-    const NodeId r = stable_to_run_[s];
-    if (r != graph::kInvalidNode) rebuild_adjacency(r);
+  for (NodeId& t : touched) {
+    t = stable_to_run_[t];  // run id from here on: a marking source
+    if (t != graph::kInvalidNode) rebuild_adjacency(t);
   }
+  touched.push_back(run_id);
+  mark_dirty_rows(touched);
   rows_dirty_ = true;
 }
 
@@ -322,10 +329,13 @@ bool LiveOverlayFeed::apply_leave() {
     return true;
   }
   adj_[run_id].clear();
-  for (const NodeId s : touched) {
-    const NodeId r = stable_to_run_[s];
-    if (r != graph::kInvalidNode) rebuild_adjacency(r);
+  for (NodeId& t : touched) {
+    t = stable_to_run_[t];  // run id from here on: a marking source
+    if (t != graph::kInvalidNode) rebuild_adjacency(t);
   }
+  // The victim is dead and reachable only over its removed edges; its ring
+  // neighbours, all touched, stand in for it.
+  mark_dirty_rows(touched);
   rows_dirty_ = true;
   return true;
 }
@@ -346,11 +356,42 @@ void LiveOverlayFeed::rebuild_adjacency(NodeId run_id) {
   row.erase(std::unique(row.begin(), row.end()), row.end());
 }
 
+void LiveOverlayFeed::mark_dirty_rows(std::span<const NodeId> sources) {
+  // Depth k-1 suffices for every part of a row; the class comment gives
+  // the argument.
+  bfs_queue_.clear();
+  for (const NodeId s : sources) {
+    if (s == graph::kInvalidNode || alive_[s] == 0 || bfs_mark_[s] != 0) {
+      continue;
+    }
+    bfs_mark_[s] = 1;
+    bfs_queue_.push_back(s);
+  }
+  std::size_t head = 0;
+  for (std::uint32_t depth = 1; depth < k_; ++depth) {
+    const std::size_t level_end = bfs_queue_.size();
+    while (head < level_end) {
+      const NodeId u = bfs_queue_[head++];
+      for (const NodeId w : adj_[u]) {
+        if (bfs_mark_[w] != 0 || alive_[w] == 0) continue;
+        bfs_mark_[w] = 1;
+        bfs_queue_.push_back(w);
+      }
+    }
+  }
+  for (const NodeId u : bfs_queue_) {
+    bfs_mark_[u] = 0;
+    if (row_marked_[u] == 0) {
+      row_marked_[u] = 1;
+      marked_rows_.push_back(u);
+    }
+  }
+}
+
 void LiveOverlayFeed::recompute_row(NodeId run_id) {
   // Bounded BFS on the live run-id adjacency: cumulative |B_H(v, r)| for
   // r = 1..k, and the usable Byzantine chain under the configured model —
   // the live-topology equivalents of verifier_ball_row/verifier_chain_len.
-  if (bfs_mark_.size() < nb_) bfs_mark_.assign(nb_, 0);
   bfs_queue_.clear();
   bfs_queue_.push_back(run_id);
   bfs_mark_[run_id] = 1;
@@ -380,29 +421,28 @@ void LiveOverlayFeed::recompute_row(NodeId run_id) {
           std::min<std::uint32_t>(1 + byz_within_k1, 255));
     } else {
       // Longest simple Byzantine-only path ending here, capped at k+1 —
-      // iterative DFS over the live adjacency.
-      struct Frame {
-        NodeId v;
-        std::size_t next = 0;
-      };
-      std::vector<Frame> stack{{run_id}};
-      std::vector<std::uint8_t> on_path(nb_, 0);
-      on_path[run_id] = 1;
+      // iterative DFS over the live adjacency. The on-path mask is member
+      // scratch: popped frames clear their entry, and a DFS stopped at the
+      // cap clears what is left on the stack.
+      chain_stack_.clear();
+      chain_stack_.push_back({run_id});
+      on_path_[run_id] = 1;
       std::uint32_t best = 1;
       const std::uint32_t cap = k_ + 1;
-      while (!stack.empty() && best < cap) {
-        Frame& f = stack.back();
+      while (!chain_stack_.empty() && best < cap) {
+        ChainFrame& f = chain_stack_.back();
         if (f.next >= adj_[f.v].size()) {
-          on_path[f.v] = 0;
-          stack.pop_back();
+          on_path_[f.v] = 0;
+          chain_stack_.pop_back();
           continue;
         }
         const NodeId w = adj_[f.v][f.next++];
-        if (alive_[w] == 0 || !run_byz_[w] || on_path[w] != 0) continue;
-        on_path[w] = 1;
-        stack.push_back({w});
-        best = std::max(best, static_cast<std::uint32_t>(stack.size()));
+        if (alive_[w] == 0 || !run_byz_[w] || on_path_[w] != 0) continue;
+        on_path_[w] = 1;
+        chain_stack_.push_back({w});
+        best = std::max(best, static_cast<std::uint32_t>(chain_stack_.size()));
       }
+      for (const ChainFrame& f : chain_stack_) on_path_[f.v] = 0;
       chain = static_cast<std::uint8_t>(std::min<std::uint32_t>(best, 255));
     }
   }
@@ -410,11 +450,21 @@ void LiveOverlayFeed::recompute_row(NodeId run_id) {
 }
 
 void LiveOverlayFeed::rebuild_verifier() {
-  for (NodeId v = 0; v < nb_; ++v) {
+  static const obs::Counter obs_rows("dynamics.rows_recomputed");
+  obs::Span span("dynamics.verifier_refresh");
+  // Only the rows the splices since the last refresh marked can differ
+  // from rows_; the rest are carried over as they are.
+  std::uint64_t rows = 0;
+  for (const NodeId v : marked_rows_) {
+    row_marked_[v] = 0;
     if (alive_[v] == 0) continue;
     recompute_row(v);
-    ++stats_.rows_recomputed;
+    ++rows;
   }
+  marked_rows_.clear();
+  stats_.rows_recomputed += rows;
+  span.arg("rows", rows);
+  obs_rows.add(rows);
   verifier_.emplace(snap_->overlay, run_byz_, verification_, rows_,
                     chains_);
   ++stats_.verifier_refreshes;

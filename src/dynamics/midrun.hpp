@@ -20,8 +20,10 @@
 //                       rings (departure splices create pred-succ edges
 //                       mid-run, joiners relay from entry), and at each
 //                       phase boundary pending joiners are admitted as
-//                       generating participants under a Verifier rebuilt
-//                       against the live topology.
+//                       generating participants under a Verifier refreshed
+//                       against the live topology. The refresh recomputes
+//                       only the rows within k-1 H-hops of a splice applied
+//                       since the last boundary (see LiveOverlayFeed).
 //
 // Model notes (documented deviations from a fully general treatment):
 //   * Joiners skip the Algorithm-2 setup stage (adjacency exchange + crash
@@ -65,6 +67,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "adversary/churn.hpp"
@@ -135,7 +138,9 @@ struct MidRunStats {
   std::uint64_t leaves = 0;
   std::uint64_t admitted = 0;           ///< joiners admitted at boundaries
   std::uint64_t verifier_refreshes = 0; ///< live Verifier rebuilds
-  std::uint64_t rows_recomputed = 0;    ///< ball/chain rows recomputed live
+  /// Ball/chain rows recomputed by those rebuilds: the alive rows within
+  /// k-1 H-hops of a splice applied since the previous boundary.
+  std::uint64_t rows_recomputed = 0;
   std::uint64_t frontier_leaves = 0;    ///< departures that hit the wavefront
   // Composed tier (MidRunComposed::warm attached): run-start verifier rows
   // carried from the stable-id cache vs computed fresh. Clean-ball reuse is
@@ -177,6 +182,19 @@ struct MidRunComposed {
 /// scheduled joiners are pre-assigned [n0, node_bound()) in schedule
 /// order. Grows `stable_byz` as joiners splice in, exactly like the
 /// between-runs replay loop does.
+///
+/// Live Verifier refresh (kReadmitNextPhase): a row holds |B_H(v, r)| for
+/// r = 1..k, the strict chain (a simple Byzantine path of at most k hops)
+/// or the rewired count (Byzantine nodes within k-1 hops), all over the
+/// live alive-only adjacency. Every one of them is read off paths of at
+/// most k hops from v, so by the witness-path argument of
+/// incremental/dirty_ball.hpp a splice can change only the rows within
+/// k-1 hops of its endpoints. Each splice therefore marks those rows (one
+/// multi-source BFS of depth k-1 in the post-splice adjacency, from the
+/// alive touched endpoints plus the joiner), and the next boundary
+/// recomputes the marked rows that are still alive: O(marked rows × ball)
+/// per refresh instead of O(n × ball). The Verifier still adopts a copy
+/// of the whole n × k table.
 class LiveOverlayFeed final : public proto::MidRunHooks {
  public:
   /// `composed` (optional, must outlive the feed) threads the incremental
@@ -242,6 +260,9 @@ class LiveOverlayFeed final : public proto::MidRunHooks {
   void apply_join(bool byzantine);
   bool apply_leave();  ///< false = deferred (membership floor)
   void rebuild_adjacency(graph::NodeId run_id);
+  /// Marks every alive row within k-1 live hops of `sources` (run ids;
+  /// dead or unmapped ones are skipped) for the next refresh.
+  void mark_dirty_rows(std::span<const graph::NodeId> sources);
   void recompute_row(graph::NodeId run_id);
   void rebuild_verifier();
 
@@ -277,14 +298,26 @@ class LiveOverlayFeed final : public proto::MidRunHooks {
   std::vector<graph::NodeId> frontier_stable_;
 
   std::uint32_t k_ = 0;
-  bool rows_dirty_ = false;
+  bool rows_dirty_ = false;  ///< a splice since the last refresh
   std::vector<graph::NodeId> pending_admit_;
   std::vector<std::uint32_t> rows_;      ///< nb_ * k_ cumulative ball counts
   std::vector<std::uint8_t> chains_;     ///< nb_ usable-chain lengths
   std::optional<proto::Verifier> verifier_;
-  // BFS scratch for live ball rows.
+  /// Rows marked since the last refresh: a byte mask over run ids plus the
+  /// marked ids in marking order (the refresh walks the list).
+  std::vector<std::uint8_t> row_marked_;
+  std::vector<graph::NodeId> marked_rows_;
+  // BFS scratch for live ball rows and for marking; all zero between uses.
   std::vector<std::uint8_t> bfs_mark_;
   std::vector<graph::NodeId> bfs_queue_;
+  // Strict-chain DFS scratch: the path stack and its on-path mask, which
+  // the DFS clears as it pops, so it is all zero between rows.
+  struct ChainFrame {
+    graph::NodeId v = graph::kInvalidNode;
+    std::size_t next = 0;
+  };
+  std::vector<ChainFrame> chain_stack_;
+  std::vector<std::uint8_t> on_path_;
 };
 
 struct MidRunOutcome {

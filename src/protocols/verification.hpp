@@ -47,10 +47,13 @@
 //   kReadmitNextPhase  a joiner is re-admitted at the first phase boundary
 //                      after its entry round: from that phase on it
 //                      generates colors, relays, and can decide. At each
-//                      boundary with pending admissions the Verifier is
-//                      rebuilt against the live topology (fresh ball rows
-//                      and chain lengths for every node), so admitted
-//                      joiners are verifiable senders. Within a phase the
+//                      boundary that follows a splice the Verifier is
+//                      refreshed against the live topology, so admitted
+//                      joiners are verifiable senders. The refresh
+//                      recomputes the ball rows and chain lengths of only
+//                      the nodes within k-1 H-hops of a splice applied
+//                      since the last boundary; no other row can have
+//                      changed (dynamics/midrun.hpp). Within a phase the
 //                      state stays frozen — mid-PHASE membership change is
 //                      exactly the staleness the policy tolerates, bounded
 //                      by one phase.

@@ -128,6 +128,8 @@ TEST(MidRunChurnModeTest, ReplaysTraceAndReportsMidRunStats) {
       events += ep.midrun_events_applied + ep.midrun_events_flushed;
       if (policy == proto::MembershipPolicy::kTreatAsSilent) {
         EXPECT_EQ(ep.midrun_admitted, 0u);
+        EXPECT_EQ(ep.midrun_verifier_refreshes, 0u);
+        EXPECT_EQ(ep.verify_rows_recomputed, 0u);
       }
     }
     EXPECT_GT(events, 0u);

@@ -1,8 +1,9 @@
 // End-to-end observability contract: tracing a real protocol run yields a
 // parseable Chrome trace containing overlay-build, setup, phase, subphase,
-// round, smoothing and trial spans — and the run's outputs are bitwise
-// identical with tracing on or off (the pure read-side invariant of
-// src/obs/obs.hpp, the same contract CI pins at the BENCH-manifest level).
+// round, smoothing, trial and live Verifier refresh spans — and the run's
+// outputs are bitwise identical with tracing on or off (the pure read-side
+// invariant of src/obs/obs.hpp, the same contract CI pins at the
+// BENCH-manifest level).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,6 +14,7 @@
 #include "adversary/strategies.hpp"
 #include "bench_core/json.hpp"
 #include "bench_core/scheduler.hpp"
+#include "dynamics/midrun.hpp"
 #include "graph/categories.hpp"
 #include "graph/small_world.hpp"
 #include "obs/metrics.hpp"
@@ -115,6 +117,65 @@ TEST(TraceExportIntegration, TracingDoesNotPerturbTheRun) {
   EXPECT_EQ(plain.run.flood_rounds, traced.run.flood_rounds);
   EXPECT_EQ(plain.run.instr, traced.run.instr);
   EXPECT_EQ(plain.smoothed, traced.smoothed);
+  obs::reset_trace();
+  obs::reset_metrics();
+}
+
+/// One readmit-next-phase run with mid-run joins, sybil joins and leaves,
+/// traced or not.
+dynamics::MidRunOutcome midrun_run(bool trace) {
+  obs::set_enabled(trace);
+  constexpr graph::NodeId kN0 = 256;
+  dynamics::MutableOverlay overlay(kN0, 6, 0, 13);
+  util::Xoshiro256 placement(14);
+  std::vector<bool> byz = graph::random_byzantine_mask(
+      kN0, sim::derive_byz_count(kN0, 0.5), placement);
+  dynamics::ChurnEpoch epoch;
+  epoch.joins = 6;
+  epoch.sybil_joins = 2;
+  epoch.leaves = 6;
+  proto::ProtocolConfig cfg;
+  const auto schedule = dynamics::derive_schedule(
+      epoch, dynamics::expected_horizon_rounds(kN0, 6, cfg.schedule), 15);
+  dynamics::MidRunConfig mid_cfg;
+  mid_cfg.policy = proto::MembershipPolicy::kReadmitNextPhase;
+  util::Xoshiro256 churn_rng(16);
+  const auto strategy = adv::make_strategy(adv::StrategyKind::kFakeColor);
+  auto out = dynamics::run_counting_midrun(
+      overlay, byz, *strategy, cfg, 17, schedule, mid_cfg,
+      adv::ChurnAdversary::kNone, churn_rng);
+  obs::set_enabled(false);
+  return out;
+}
+
+TEST(TraceExportIntegration, LiveVerifierRefreshSpansMatchMidRunStats) {
+  obs::reset_trace();
+  obs::reset_metrics();
+  const auto plain = midrun_run(false);
+  const auto traced = midrun_run(true);
+  EXPECT_EQ(plain, traced) << "tracing perturbed the mid-run outcome";
+  ASSERT_GT(traced.stats.verifier_refreshes, 0u);
+  ASSERT_GT(traced.stats.rows_recomputed, 0u);
+
+  const auto doc =
+      bench_core::Json::parse(obs::chrome_trace_json(obs::trace_snapshot()));
+  ASSERT_TRUE(doc.has_value());
+  std::uint64_t spans = 0;
+  std::uint64_t span_rows = 0;
+  for (const auto& e : doc->find("traceEvents")->elements()) {
+    if (e.find("name")->as_string() != "dynamics.verifier_refresh") continue;
+    ++spans;
+    span_rows +=
+        static_cast<std::uint64_t>(e.find("args")->find("rows")->as_number());
+  }
+  EXPECT_EQ(spans, traced.stats.verifier_refreshes);
+  EXPECT_EQ(span_rows, traced.stats.rows_recomputed);
+
+  std::uint64_t counted = 0;
+  for (const auto& [name, value] : obs::metrics_snapshot().counters) {
+    if (name == "dynamics.rows_recomputed") counted = value;
+  }
+  EXPECT_EQ(counted, traced.stats.rows_recomputed);
   obs::reset_trace();
   obs::reset_metrics();
 }
