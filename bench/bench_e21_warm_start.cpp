@@ -1,12 +1,10 @@
 // E21 — warm-vs-cold parity: on every epoch snapshot the warm-started
-// protocol (cached verifier rows refreshed only for dirty-ball nodes, lazy
-// subphase evaluation) must produce EXACTLY the cold run's decisions —
-// run_churn's verify_warm mode shadow-runs the cold tier and throws on the
-// first divergence, so every row of this table is an asserted identity.
-// What the warm tier buys is accounting: the message column pair shows the
-// flood traffic the lazy tier avoids, and the verifier-row column the
-// fraction of per-node verification state carried across epochs instead of
-// recomputed.
+// protocol (lazy subphase evaluation seeded by the previous epoch's
+// estimates) must produce EXACTLY the cold run's decisions — run_churn's
+// verify_warm mode shadow-runs the cold tier and throws on the first
+// divergence, so every row of this table is an asserted identity. What the
+// warm tier buys is accounting: the message column pair shows the flood
+// traffic the lazy tier avoids.
 #include "bench_common.hpp"
 
 namespace {
@@ -23,7 +21,7 @@ void run_e21(RunContext& ctx) {
                     std::to_string(t) + " trials, " + std::to_string(kEpochs) +
                     " epochs, decisions asserted identical)");
   table.columns({"n0", "warm epochs", "msgs warm", "msgs cold", "msg saved",
-                 "subph saved", "rows reused", "fresh in-band"});
+                 "subph saved", "fresh in-band"});
   std::vector<double> fresh_band;
   std::vector<double> savings;
   for (const auto n0 : sizes) {
@@ -52,7 +50,6 @@ void run_e21(RunContext& ctx) {
     std::uint64_t warm_epochs = 0, total_epochs = 0;
     std::uint64_t msgs = 0, msgs_cold = 0;
     std::uint64_t sp_run = 0, sp_sched = 0;
-    std::uint64_t rows_reused = 0, rows_total = 0;
     util::OnlineStats fresh;
     for (const auto& run : runs) {
       for (const auto& ep : run.epochs) {
@@ -62,8 +59,6 @@ void run_e21(RunContext& ctx) {
         msgs_cold += ep.messages_cold;
         sp_run += ep.subphases_executed;
         sp_sched += ep.subphases_scheduled;
-        rows_reused += ep.verify_rows_reused;
-        rows_total += ep.verify_rows_reused + ep.verify_rows_recomputed;
         fresh.add(ep.fresh.frac_in_band);
         fresh_band.push_back(ep.fresh.frac_in_band);
       }
@@ -76,10 +71,6 @@ void run_e21(RunContext& ctx) {
         sp_sched ? 1.0 - static_cast<double>(sp_run) /
                              static_cast<double>(sp_sched)
                  : 0.0;
-    const double rows_frac =
-        rows_total ? static_cast<double>(rows_reused) /
-                         static_cast<double>(rows_total)
-                   : 0.0;
     savings.push_back(msg_saved);
     table.row()
         .cell(std::uint64_t{n0})
@@ -88,7 +79,6 @@ void run_e21(RunContext& ctx) {
         .cell(static_cast<double>(msgs_cold), 0)
         .cell(util::format_double(100.0 * msg_saved, 1) + "%")
         .cell(util::format_double(100.0 * sp_saved, 1) + "%")
-        .cell(util::format_double(100.0 * rows_frac, 1) + "%")
         .cell(fresh.mean(), 4);
 
     Json j = Json::object();
@@ -96,7 +86,6 @@ void run_e21(RunContext& ctx) {
     j["total_epochs"] = total_epochs;
     j["msg_savings"] = msg_saved;
     j["subphase_savings"] = sp_saved;
-    j["rows_reused_frac"] = rows_frac;
     ctx.metric("warm_n" + std::to_string(n0), std::move(j));
   }
   table.note("verify_warm shadow-runs the cold protocol on every snapshot "
@@ -104,8 +93,7 @@ void run_e21(RunContext& ctx) {
              "table existing means warm == cold decision-for-decision. The "
              "termination predicate needs global flood evidence every "
              "epoch, so exact message savings are structurally modest; the "
-             "durable reuse is the verifier state (rows reused column) and "
-             "the snapshot tier (E20).");
+             "durable reuse is the snapshot tier (E20).");
   ctx.emit(table);
   ctx.record_accuracy("fresh_in_band", fresh_band);
   ctx.record_accuracy("msg_savings", savings);
@@ -117,13 +105,12 @@ BYZBENCH_REGISTER(e21) {
   ScenarioSpec spec;
   spec.id = "e21";
   spec.title = "Warm-started protocol: decision parity with the cold tier";
-  spec.claim = "Warm starts (cached verifier rows + lazy subphases) are "
-               "decision-identical to cold runs on every churn snapshot; "
-               "savings show up in flood traffic and reused state";
+  spec.claim = "Warm starts (lazy subphases) are decision-identical to "
+               "cold runs on every churn snapshot; savings show up in flood "
+               "traffic";
   spec.grid = {{"model", {"steady"}}, {"epochs", {"8"}}, pow2_axis(10, 11)};
   spec.base_trials = 3;
-  spec.metrics = {"warm_n<k>.msg_savings", "warm_n<k>.rows_reused_frac",
-                  "accuracy.fresh_in_band"};
+  spec.metrics = {"warm_n<k>.msg_savings", "accuracy.fresh_in_band"};
   spec.run = run_e21;
   return spec;
 }

@@ -1,13 +1,13 @@
 // E28 — the composed tier under CONTINUOUS live churn: mid-run splices
 // (events strike WHILE Algorithm 2 floods) consumed by the incremental
-// dirty-ball observer, with the warm verifier-row cache and the per-epoch
-// message-level engine oracle all on at once. This is the steady-state hot
-// path a long-running deployment would operate: each epoch's run executes
-// on IncrementalEngine::snapshot() (only the balls dirtied by the previous
+// dirty-ball observer, with the warm start and the per-epoch message-level
+// engine oracle all on at once. This is the steady-state hot path a
+// long-running deployment would operate: each epoch's run executes on
+// IncrementalEngine::snapshot() (only the balls dirtied by the previous
 // epoch's mid-run + flushed splices are recomputed — verify mode asserts
-// bitwise equality with a cold rebuild on every call), reuses still-valid
-// warm rows for its run-start Verifier, and is shadowed by a cold replay
-// (verify_warm) plus the engine oracle (run_engine). CI asserts
+// bitwise equality with a cold rebuild on every call), its run-start
+// Verifier reads that snapshot's ball counts, and it is shadowed by a cold
+// replay (verify_warm) plus the engine oracle (run_engine). CI asserts
 // metrics.guard: engine divergences == 0 and the dirty-ball fraction < 1
 // at the lowest churn rate; E24/E26 remain the standalone bitwise anchors.
 // All reported metrics are counters — no wall-clock — so the manifest is
@@ -31,7 +31,7 @@ void run_e28(RunContext& ctx) {
   util::Table table("E28: composed tier under live mid-run churn, d=6 (" +
                     std::to_string(t) + " trials, " + std::to_string(kEpochs) +
                     " epochs, incremental+warm+oracle all on)");
-  table.columns({"n0", "policy", "churn/epoch", "balls redone", "rows reused",
+  table.columns({"n0", "policy", "churn/epoch", "balls redone",
                  "warm epochs", "msg vs cold", "engine ok", "fresh in-band"});
 
   std::vector<double> band_all;
@@ -77,7 +77,7 @@ void run_e28(RunContext& ctx) {
 
         util::OnlineStats fresh;
         std::uint64_t recomputed = 0, reused = 0;
-        std::uint64_t rows_reused = 0, rows_recomputed = 0;
+        std::uint64_t rows_recomputed = 0;
         std::uint64_t warm_epochs = 0, steady_epochs = 0;
         std::uint64_t messages = 0, messages_cold = 0;
         std::uint64_t divergences = 0;
@@ -94,7 +94,6 @@ void run_e28(RunContext& ctx) {
             if (!ep.forensics_path.empty()) ++forensics_reports;
             messages += ep.messages;
             messages_cold += ep.messages_cold;
-            rows_reused += ep.verify_rows_reused;
             rows_recomputed += ep.verify_rows_recomputed;
             if (ep.warm_used) ++warm_epochs;
             if (e == 0) continue;  // bootstrap epoch is a full rebuild
@@ -108,11 +107,6 @@ void run_e28(RunContext& ctx) {
                 ? static_cast<double>(recomputed) /
                       static_cast<double>(recomputed + reused)
                 : 1.0;
-        const double rows_frac =
-            rows_reused + rows_recomputed > 0
-                ? static_cast<double>(rows_reused) /
-                      static_cast<double>(rows_reused + rows_recomputed)
-                : 0.0;
         const double msg_ratio =
             messages_cold > 0 ? static_cast<double>(messages) /
                                     static_cast<double>(messages_cold)
@@ -124,7 +118,6 @@ void run_e28(RunContext& ctx) {
             .cell(proto::to_string(policy))
             .cell(util::format_double(200.0 * rate, 1) + "%")
             .cell(util::format_double(100.0 * dirty_frac, 1) + "%")
-            .cell(util::format_double(100.0 * rows_frac, 1) + "%")
             .cell(std::to_string(warm_epochs) + "/" +
                   std::to_string(static_cast<std::uint64_t>(t) * kEpochs))
             .cell(util::format_double(msg_ratio, 3) + "x")
@@ -136,7 +129,6 @@ void run_e28(RunContext& ctx) {
         j["dirty_frac"] = dirty_frac;
         j["balls_recomputed"] = recomputed;
         j["balls_reused"] = reused;
-        j["rows_reused"] = rows_reused;
         j["rows_recomputed"] = rows_recomputed;
         j["warm_epochs"] = warm_epochs;
         j["messages"] = messages;
@@ -159,7 +151,6 @@ void run_e28(RunContext& ctx) {
           g["engine_divergences"] = divergences;
           g["dirty_frac"] = dirty_frac;
           g["sublinear"] = dirty_frac < 1.0;
-          g["rows_reused"] = rows_reused;
           g["warm_epochs"] = warm_epochs;
           ctx.metric("guard", std::move(g));
         }
@@ -194,8 +185,9 @@ BYZBENCH_REGISTER(e28) {
   spec.title = "Composed tier: incremental + warm + oracle under live churn";
   spec.claim = "Mid-run churn composes with the incremental/warm tiers: "
                "run-start snapshots recompute only splice-dirtied balls "
-               "(bitwise-verified), warm rows survive across live epochs, "
-               "and the engine oracle stays divergence-free";
+               "(bitwise-verified), warm starts stay decision-identical "
+               "across live epochs, and the engine oracle stays "
+               "divergence-free";
   spec.grid = {{"policy", {"treat-as-silent", "readmit-next-phase"}},
                {"churn_rate", {"0.001", "0.01"}},
                pow2_axis(9, 10)};

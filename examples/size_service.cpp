@@ -24,15 +24,16 @@
 //
 // --incremental switches the continuous loop onto the incremental tier:
 // dirty-ball snapshot maintenance (only churn-affected BFS balls are
-// recomputed per epoch) plus the warm-started protocol (cached verifier
-// rows, lazy subphases) — decision-identical to the cold loop, cheaper per
-// epoch. --adaptive replaces the fixed per-epoch cadence with the
-// drift-adaptive scheduler: re-estimate when accumulated membership drift
-// crosses --drift-bound, coast on stale estimates below it. --eps-warm
-// (with --incremental) additionally skips warm runs' early phases,
-// spending the paper's ε·n outlier budget (--eps-budget, --eps-margin) on
-// flood savings; divergence stays within the budget by the warm tier's
-// accounting invariant (E25 asserts it against a cold shadow).
+// recomputed per epoch) plus the warm-started protocol (lazy subphases
+// seeded by the previous epoch's estimates) — decision-identical to the
+// cold loop, cheaper per epoch. --adaptive replaces the fixed per-epoch
+// cadence with the drift-adaptive scheduler: re-estimate when accumulated
+// membership drift crosses --drift-bound, coast on stale estimates below
+// it. --eps-warm (with --incremental) additionally skips warm runs' early
+// phases, spending the paper's ε·n outlier budget (--eps-budget,
+// --eps-margin) on flood savings; divergence stays within the budget by
+// the warm tier's accounting invariant (E25 asserts it against a cold
+// shadow).
 //
 // --mid-run-churn applies each epoch's joins/leaves DURING its estimation
 // run — placed on individual flood rounds — instead of between runs, under
@@ -46,8 +47,9 @@
 // sim::Engine and reports whether the two tiers agreed bitwise (the E26
 // contract). Mid-run churn COMPOSES with the incremental tier (E28):
 // with --incremental the run starts from the dirty-ball snapshot (only
-// balls the previous run's splices touched are recomputed) with warm
-// verifier-row reuse, --adaptive coasts through drift-quiet epochs, and
+// balls the previous run's splices touched are recomputed, and the
+// run-start Verifier reads its ball counts), --adaptive coasts through
+// drift-quiet epochs, and
 // --eps-warm enters the phase loop late with the schedule clock
 // pre-advanced.
 #include <algorithm>

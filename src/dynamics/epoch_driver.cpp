@@ -134,9 +134,11 @@ ChurnRunResult run_churn(const ChurnRunConfig& cfg) {
   MutableOverlay overlay(cfg.trace.n0, cfg.d, cfg.k,
                          util::mix_seed(cfg.seed, kOverlayStream));
   // The incremental engine owns dirty-ball tracking; it is also attached
-  // (with reuse off) when only the warm tier is on, because warm restarts
-  // need the per-epoch dirty masks. Under mid-run churn the feed's splices
-  // go through the same observer, so the masks stay exact there too.
+  // (with reuse off: a full rebuild through the same assembly path) when
+  // only the warm tier is on, because the composed mid-run path reads the
+  // ε entry's dense→stable map off the engine's run-start snapshot. Under
+  // mid-run churn the feed's splices go through the same observer, so the
+  // dirty masks stay exact there too.
   std::optional<incremental::IncrementalEngine> inc;
   if (inc_cfg.incremental || inc_cfg.warm_start || inc_cfg.verify_snapshots) {
     incremental::IncrementalEngine::Config engine_cfg;
@@ -296,14 +298,15 @@ ChurnRunResult run_churn(const ChurnRunConfig& cfg) {
 
       // Composed tier: the run starts from the incremental snapshot
       // (bitwise identical to a cold rebuild by IncrementalEngine's
-      // contract — verify_snapshots asserts it), reuses warm verifier
-      // rows for clean-ball members, and may enter at the ε-warm phase.
+      // contract — verify_snapshots asserts it) and may enter at the
+      // ε-warm phase.
       std::optional<MutableOverlay::Snapshot> snap;
       if (inc) snap.emplace(inc->snapshot());
       MidRunComposed composed;
       composed.snapshot = snap ? &*snap : nullptr;
       proto::WarmConfig warm_cfg = inc_cfg.warm;
       proto::EpsEntryPlan eps_plan;
+      bool warm_used = false;
       if (inc_cfg.warm_start) {
         // Same fallback ladder as the snapshot path: under adaptive
         // scheduling every estimation runs at drift >= drift_threshold by
@@ -315,15 +318,9 @@ ChurnRunResult run_churn(const ChurnRunConfig& cfg) {
         warm_cfg.eps_phase_skip = inc_cfg.eps_warm;
         warm_cfg.eps_budget = inc_cfg.eps_budget;
         warm_cfg.eps_margin = inc_cfg.eps_margin;
-        const bool cold = !warm_state.has_run ||
-                          warm_state.k != snap->overlay.k() ||
-                          acc_drift > warm_cfg.max_drift;
-        // Rows dirtied by the previous epochs' splices (mid-run, flushed,
-        // or between-runs) are dropped up front; the feed trusts
-        // row_valid alone.
-        proto::invalidate_dirty_rows(warm_state, inc->last_dirty());
-        composed.warm = &warm_state;
-        composed.warm_rows = !cold;
+        const bool cold =
+            !warm_state.has_run || acc_drift > warm_cfg.max_drift;
+        warm_used = !cold;
         if (inc_cfg.eps_warm) {
           std::vector<bool> dense_byz(n_before, false);
           for (NodeId i = 0; i < n_before; ++i) {
@@ -339,33 +336,24 @@ ChurnRunResult run_churn(const ChurnRunConfig& cfg) {
 
       // Engine oracle: replay the identical schedule from a copy of the
       // pre-run state through the message-level engine and demand a
-      // bitwise-identical outcome (the E26 contract, per epoch). The
-      // engine tier folds into its OWN WarmState copy so both tiers see
-      // identical caches and leave identical stats.
+      // bitwise-identical outcome (the E26 contract, per epoch).
       std::optional<MidRunOutcome> engine_outcome;
-      std::optional<proto::WarmState> engine_warm;
       if (cfg.run_engine) {
         MutableOverlay engine_overlay = overlay;
         engine_overlay.set_observer(nullptr);
         std::vector<bool> engine_byz = byz;
         util::Xoshiro256 engine_rng = churn_rng;
         auto engine_strategy = adv::make_strategy(cfg.strategy);
-        MidRunComposed engine_composed = composed;
-        if (composed.warm != nullptr) {
-          engine_warm = warm_state;
-          engine_composed.warm = &*engine_warm;
-        }
         engine_outcome = run_counting_midrun_engine(
             engine_overlay, engine_byz, *engine_strategy, cfg.protocol,
             color_seed, schedule, mid_cfg, cfg.churn_adversary, engine_rng,
-            &engine_composed, cfg.audit ? &engine_dig : nullptr);
+            &composed, cfg.audit ? &engine_dig : nullptr);
       }
 
       // verify_warm: shadow the composed run with a COLD mid-run replay on
-      // copies — same snapshot, no row reuse, entry at phase 1. Exact-warm
-      // epochs must match it decision-for-decision (row reuse is
-      // value-identical and moves nothing); ε-warm epochs may diverge
-      // within the ε·n budget.
+      // copies — same snapshot, entry at phase 1. Exact-warm epochs must
+      // match it decision-for-decision; ε-warm epochs may diverge within
+      // the ε·n budget.
       std::optional<MidRunOutcome> cold_outcome;
       if (inc_cfg.warm_start && inc_cfg.verify_warm) {
         MutableOverlay cold_overlay = overlay;
@@ -416,7 +404,7 @@ ChurnRunResult run_churn(const ChurnRunConfig& cfg) {
       } else {
         stats.balls_recomputed = n_before;  // full snapshot at run start
       }
-      stats.warm_used = composed.warm_rows;
+      stats.warm_used = warm_used;
       stats.eps_used = eps_plan.eps_used;
       stats.eps_entry_phase = eps_plan.entry_phase;
       stats.eps_budget_nodes = eps_plan.budget_nodes;
@@ -426,9 +414,7 @@ ChurnRunResult run_churn(const ChurnRunConfig& cfg) {
       stats.midrun_admitted = outcome.stats.admitted;
       stats.midrun_verifier_refreshes = outcome.stats.verifier_refreshes;
       stats.midrun_frontier_leaves = outcome.stats.frontier_leaves;
-      stats.verify_rows_reused = outcome.stats.warm_rows_reused;
-      stats.verify_rows_recomputed =
-          outcome.stats.rows_recomputed + outcome.stats.warm_rows_recomputed;
+      stats.verify_rows_recomputed = outcome.stats.rows_recomputed;
       if (engine_outcome) {
         stats.engine_match = *engine_outcome == outcome;
         if (cfg.audit) {
@@ -454,9 +440,8 @@ ChurnRunResult run_churn(const ChurnRunConfig& cfg) {
           // Exact tier: the equivalence contract is bitwise.
           if (cold_outcome->run.status != outcome.run.status ||
               cold_outcome->run.estimate != outcome.run.estimate) {
-            // Warm and cold trails legitimately differ in shape (lazy
-            // subphases, warm-row notes), so the trails are EVIDENCE here
-            // — the headline stays the decision mismatch.
+            // The trails are EVIDENCE here — the headline stays the
+            // decision mismatch.
             const std::string report = cfg.audit
                 ? emit_forensics(cfg, e, "verify_warm",
                                  "warm mid-run decisions diverged from the "
@@ -581,12 +566,10 @@ ChurnRunResult run_churn(const ChurnRunConfig& cfg) {
       warm_cfg.flood_threads = cfg.flood_threads;
       auto warm = proto::run_counting_warm(
           snap.overlay, dense_byz, *strategy, cfg.protocol, color_seed,
-          snap.dense_to_stable, inc->last_dirty(), acc_drift, warm_cfg,
-          warm_state, cfg.audit ? &run_dig : nullptr);
+          snap.dense_to_stable, acc_drift, warm_cfg, warm_state,
+          cfg.audit ? &run_dig : nullptr);
       run = std::move(warm.run);
       stats.warm_used = warm.warm_used;
-      stats.verify_rows_reused = warm.rows_reused;
-      stats.verify_rows_recomputed = warm.rows_recomputed;
       stats.eps_used = warm.eps_used;
       stats.eps_entry_phase = warm.eps_entry_phase;
       stats.eps_budget_nodes = warm.eps_budget_nodes;

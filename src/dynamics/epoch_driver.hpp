@@ -24,15 +24,14 @@
 //     with it (the steady-state hot path): each epoch's run executes on
 //     IncrementalEngine::snapshot() — the mid-run and flushed splices flow
 //     through the overlay's SpliceObserver, so the next snapshot
-//     recomputes only the balls they dirtied — warm-starts its run-start
-//     Verifier from the stable-id row cache, may enter at the ε-warm
+//     recomputes only the balls they dirtied — may enter at the ε-warm
 //     phase, and skips drift-quiet epochs adaptively (those epochs apply
 //     their events between-runs style). run_engine doubles as the
 //     per-epoch E26 oracle: the message-level engine replays the identical
-//     schedule (composed inputs included, on its own WarmState copy) and
-//     must agree bitwise. verify_warm shadows each composed run with a
-//     cold mid-run replay on copies — exact-warm epochs must match
-//     decision-for-decision; ε-warm epochs must stay within the budget.
+//     schedule (composed inputs included) and must agree bitwise.
+//     verify_warm shadows each composed run with a cold mid-run replay on
+//     copies — exact-warm epochs must match decision-for-decision; ε-warm
+//     epochs must stay within the budget.
 //     The one genuinely unsupported combination: eps_warm + verify_warm +
 //     kFrontierLeaves (frontier victims depend on the observed wavefront,
 //     which an ε-entry run shifts, so the cold shadow floods a DIFFERENT
@@ -66,8 +65,8 @@ struct IncrementalConfig {
   /// Debug mode: every incremental snapshot is cross-checked bitwise
   /// against a full rebuild (throws std::logic_error on divergence).
   bool verify_snapshots = false;
-  /// Warm-start the protocol from the previous epoch's estimates and
-  /// verification state (proto::run_counting_warm).
+  /// Warm-start the protocol from the previous epoch's estimates
+  /// (proto::run_counting_warm).
   bool warm_start = false;
   /// Shadow-run the cold protocol on every snapshot and assert the warm
   /// decisions (status + estimates) match exactly; also fills
@@ -120,9 +119,9 @@ struct ChurnRunConfig {
   /// joins/leaves DURING its estimation run — spread over the run's
   /// expected flood rounds — instead of between runs. The incremental
   /// tier COMPOSES with it (see the file comment): dirty-ball snapshots
-  /// feed the run start, warm rows seed its Verifier, ε-warm picks its
-  /// entry phase, and adaptive cadence skips drift-quiet epochs (their
-  /// events then apply between-runs style). run_engine IS supported:
+  /// feed the run start, ε-warm picks its entry phase, and adaptive
+  /// cadence skips drift-quiet epochs (their events then apply
+  /// between-runs style). run_engine IS supported:
   /// each epoch the message-level sim::Engine replays the identical
   /// schedule from a copy of the pre-run state (composed inputs included)
   /// and EpochStats.engine_match records whether the two tiers agreed
@@ -190,13 +189,10 @@ struct EpochStats {
   bool warm_used = false;         ///< warm path taken (vs cold fallback)
   std::uint64_t subphases_scheduled = 0;  ///< paper schedule for the run
   std::uint64_t subphases_executed = 0;   ///< after lazy short-circuiting
-  /// Verifier rows carried over from the stable-id cache. Mid-run mode:
-  /// run-start rows reused from WarmState (MidRunStats::warm_rows_reused).
-  std::uint64_t verify_rows_reused = 0;
-  /// Verifier rows computed fresh (dirty balls). Mid-run mode: fresh
-  /// run-start rows plus the rows the live kReadmitNextPhase refreshes
+  /// Mid-run mode: Verifier rows the live kReadmitNextPhase refreshes
   /// recomputed, i.e. those within k-1 H-hops of a splice since the
-  /// previous boundary (MidRunStats::rows_recomputed).
+  /// previous boundary (MidRunStats::rows_recomputed). 0 in snapshot mode:
+  /// a snapshot run's Verifier views the overlay's ball counts.
   std::uint64_t verify_rows_recomputed = 0;
   std::uint64_t messages_cold = 0;        ///< cold shadow run (verify_warm)
   // --- ε-warm tier ---

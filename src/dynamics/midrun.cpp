@@ -149,51 +149,18 @@ LiveOverlayFeed::LiveOverlayFeed(MutableOverlay& overlay,
   }
 
   // Run-start verifier state: exactly what the primary Verifier
-  // constructor would compute on the snapshot (E24's parity rests on it).
-  // With a warm cache attached, rows still valid for clean-ball stable ids
-  // are carried over instead of recomputed — value-identical by the same
-  // k-ball-locality argument the warm tier rests on (warm_start.hpp), so
-  // the run itself is unchanged bit for bit.
+  // constructor reads off the snapshot (E24's parity rests on it) — its
+  // ball counts for [0, n0) and the chains of its Byzantine members.
+  // Joiner rows stay 0 until a refresh recomputes them.
   rows_.assign(static_cast<std::size_t>(nb_) * k_, 0);
-  chains_.assign(nb_, 0);
-  const std::vector<bool> dense_byz(run_byz_.begin(),
-                                    run_byz_.begin() + n0_);
-  proto::WarmState* const warm =
-      composed_ != nullptr ? composed_->warm : nullptr;
-  const bool reuse_rows = warm != nullptr && composed_->warm_rows &&
-                          warm->has_run && warm->k == k_;
-  for (NodeId v = 0; v < n0_; ++v) {
-    const NodeId s = run_to_stable_[v];
-    if (reuse_rows && s < warm->row_valid.size() && warm->row_valid[s] != 0) {
-      std::copy_n(warm->ball_counts.data() + static_cast<std::size_t>(s) * k_,
-                  k_, rows_.data() + static_cast<std::size_t>(v) * k_);
-      chains_[v] = warm->chain_len[s];
-      ++stats_.warm_rows_reused;
-      continue;
-    }
-    proto::verifier_ball_row(snap.overlay, v,
-                             rows_.data() + static_cast<std::size_t>(v) * k_);
-    chains_[v] = proto::verifier_chain_len(snap.overlay, dense_byz, v,
-                                           verification_.chain_model);
-    if (warm != nullptr) ++stats_.warm_rows_recomputed;
-  }
-  // Fold the run-start rows back into the cache NOW, before any mid-run
-  // splice mutates the topology: live rebuilds under kReadmitNextPhase
-  // recompute rows_ against the run-id view, which must never leak into
-  // the stable-id cache. (The run's estimates fold after the flush, by the
-  // caller — fold_run_estimates needs the completed run.)
-  if (warm != nullptr) {
-    proto::fold_verifier_rows(
-        *warm, k_, std::span<const NodeId>(run_to_stable_.data(), n0_),
-        std::span<const std::uint32_t>(rows_.data(),
-                                       static_cast<std::size_t>(n0_) * k_),
-        std::span<const std::uint8_t>(chains_.data(), n0_));
-  }
-  verifier_.emplace(snap.overlay, run_byz_, verification_, rows_, chains_);
-  if (digester_ != nullptr && warm != nullptr) {
-    digester_->note(obs::FlightEventKind::kWarmRowReuse,
-                    stats_.warm_rows_reused, stats_.warm_rows_recomputed);
-  }
+  const auto counts = snap.overlay.ball_counts();
+  std::copy(counts.begin(), counts.end(), rows_.begin());
+  chains_ = proto::verifier_chains(
+      snap.overlay,
+      std::vector<bool>(run_byz_.begin(), run_byz_.begin() + n0_),
+      verification_.chain_model);
+  chains_.resize(nb_, 0);
+  verifier_.emplace(k_, rows_, chains_, verification_);
 }
 
 void LiveOverlayFeed::begin_round(const proto::RoundClock& clock,
@@ -391,7 +358,8 @@ void LiveOverlayFeed::mark_dirty_rows(std::span<const NodeId> sources) {
 void LiveOverlayFeed::recompute_row(NodeId run_id) {
   // Bounded BFS on the live run-id adjacency: cumulative |B_H(v, r)| for
   // r = 1..k, and the usable Byzantine chain under the configured model —
-  // the live-topology equivalents of verifier_ball_row/verifier_chain_len.
+  // the live-topology equivalents of Overlay::ball_row and
+  // proto::verifier_chain_len.
   bfs_queue_.clear();
   bfs_queue_.push_back(run_id);
   bfs_mark_[run_id] = 1;
@@ -465,8 +433,7 @@ void LiveOverlayFeed::rebuild_verifier() {
   stats_.rows_recomputed += rows;
   span.arg("rows", rows);
   obs_rows.add(rows);
-  verifier_.emplace(snap_->overlay, run_byz_, verification_, rows_,
-                    chains_);
+  verifier_.emplace(k_, rows_, chains_, verification_);
   ++stats_.verifier_refreshes;
 }
 

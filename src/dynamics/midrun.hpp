@@ -51,8 +51,9 @@
 //        incremental/warm machinery. MidRunComposed lets the epoch driver
 //        hand the feed an IncrementalEngine snapshot (bitwise identical to
 //        the cold rebuild by that engine's contract, so E24/E26 transfer
-//        unchanged), reuse cached verifier rows for clean-ball members,
-//        and enter the run at the ε-warm phase. The feed's own splices go
+//        unchanged) and enter the run at the ε-warm phase. The feed's
+//        run-start Verifier rows are the snapshot's own ball counts
+//        (graph::Overlay::ball_row). The feed's own splices go
 //        through MutableOverlay::join_at/leave, which notify whatever
 //        SpliceObserver is attached — so the DirtyBallTracker sees every
 //        mid-run and flushed event and the NEXT epoch's snapshot
@@ -80,7 +81,6 @@
 #include "protocols/estimator.hpp"
 #include "protocols/fastpath.hpp"
 #include "protocols/midrun.hpp"
-#include "protocols/warm_start.hpp"
 
 namespace byz::dynamics {
 
@@ -142,12 +142,6 @@ struct MidRunStats {
   /// k-1 H-hops of a splice applied since the previous boundary.
   std::uint64_t rows_recomputed = 0;
   std::uint64_t frontier_leaves = 0;    ///< departures that hit the wavefront
-  // Composed tier (MidRunComposed::warm attached): run-start verifier rows
-  // carried from the stable-id cache vs computed fresh. Clean-ball reuse is
-  // value-identical, so these move no decision — they are pure accounting,
-  // but they participate in the E26/E28 bitwise oracle like every field.
-  std::uint64_t warm_rows_reused = 0;
-  std::uint64_t warm_rows_recomputed = 0;
 
   bool operator==(const MidRunStats&) const = default;
 };
@@ -161,19 +155,11 @@ struct MidRunStats {
 ///     the full rebuild by contract, so every mid-run anchor (E24/E26)
 ///     transfers unchanged. Must describe the overlay's current alive
 ///     membership and outlive the feed.
-///   * `warm` — the stable-id verifier-row cache (proto::WarmState). The
-///     feed folds this run's fresh run-start rows back into it; with
-///     `warm_rows` also set (the driver's drift check passed), rows still
-///     valid in the cache are REUSED for the run-start Verifier instead of
-///     recomputed. The driver must invalidate_dirty_rows() first — the
-///     feed trusts row_valid alone.
 ///   * `start_phase` — ε-warm entry phase (1 = no skip): the run starts
 ///     there with the schedule clock pre-advanced, so events scheduled in
 ///     the skipped prefix burst-apply at entry (RunControls::start_phase).
 struct MidRunComposed {
   const MutableOverlay::Snapshot* snapshot = nullptr;
-  proto::WarmState* warm = nullptr;
-  bool warm_rows = false;
   std::uint32_t start_phase = 1;
 };
 
@@ -193,15 +179,16 @@ struct MidRunComposed {
 /// multi-source BFS of depth k-1 in the post-splice adjacency, from the
 /// alive touched endpoints plus the joiner), and the next boundary
 /// recomputes the marked rows that are still alive: O(marked rows × ball)
-/// per refresh instead of O(n × ball). The Verifier still adopts a copy
-/// of the whole n × k table.
+/// per refresh instead of O(n × ball). The run starts from a copy of the
+/// snapshot's ball counts for [0, n0) plus chains for its Byzantine
+/// members; each Verifier views the feed's table rather than copying it.
 class LiveOverlayFeed final : public proto::MidRunHooks {
  public:
   /// `composed` (optional, must outlive the feed) threads the incremental
-  /// snapshot and the warm verifier-row cache in — see MidRunComposed.
+  /// snapshot and the ε-warm entry in — see MidRunComposed.
   /// `digester` (optional; same instance the run itself is handed) lets
   /// the feed fold membership changes into the current round digest and
-  /// record join/leave/warm-row flight events. Pure read-side.
+  /// record join/leave flight events. Pure read-side.
   LiveOverlayFeed(MutableOverlay& overlay, std::vector<bool>& stable_byz,
                   ChurnSchedule schedule, const MidRunConfig& config,
                   proto::VerificationConfig verification,
@@ -300,7 +287,9 @@ class LiveOverlayFeed final : public proto::MidRunHooks {
   std::uint32_t k_ = 0;
   bool rows_dirty_ = false;  ///< a splice since the last refresh
   std::vector<graph::NodeId> pending_admit_;
-  std::vector<std::uint32_t> rows_;      ///< nb_ * k_ cumulative ball counts
+  /// nb_ * k_ cumulative ball counts; sized once, so the Verifier's view
+  /// stays valid for the feed's lifetime.
+  std::vector<std::uint32_t> rows_;
   std::vector<std::uint8_t> chains_;     ///< nb_ usable-chain lengths
   std::optional<proto::Verifier> verifier_;
   /// Rows marked since the last refresh: a byte mask over run ids plus the
@@ -351,8 +340,7 @@ struct MidRunOutcome {
 /// array fast path — identical feed, identical rng/byz evolution, and (the
 /// E26 oracle) an identical MidRunOutcome bit for bit: the two tiers must
 /// agree under NONZERO mid-run churn, not just at the E24 empty-schedule
-/// anchor. Composed inputs thread through identically (the driver hands
-/// the engine tier its own WarmState copy so the fold side effects match).
+/// anchor. Composed inputs thread through identically.
 [[nodiscard]] MidRunOutcome run_counting_midrun_engine(
     MutableOverlay& overlay, std::vector<bool>& stable_byz,
     adv::Strategy& strategy, const proto::ProtocolConfig& cfg,

@@ -39,14 +39,16 @@ std::vector<std::uint32_t> bfs_distances(const Graph& g, NodeId src,
 }
 
 void bfs_ball(const Graph& g, NodeId src, std::uint32_t radius,
-              BfsScratch& scratch, std::vector<BallEntry>& out) {
+              BfsScratch& scratch, std::vector<BallEntry>& out,
+              std::span<std::uint32_t> ball_sizes) {
   out.clear();
   scratch.ensure(g.num_nodes());
   scratch.new_epoch();
   scratch.mark(src);
   out.push_back({src, 0});
   std::size_t level_begin = 0;
-  for (std::uint32_t depth = 1; depth <= radius; ++depth) {
+  std::uint32_t depth = 1;
+  for (; depth <= radius; ++depth) {
     const std::size_t level_end = out.size();
     if (level_begin == level_end) break;  // ball stopped growing
     for (std::size_t i = level_begin; i < level_end; ++i) {
@@ -59,6 +61,12 @@ void bfs_ball(const Graph& g, NodeId src, std::uint32_t radius,
       }
     }
     level_begin = level_end;
+    if (!ball_sizes.empty()) {
+      ball_sizes[depth - 1] = static_cast<std::uint32_t>(out.size());
+    }
+  }
+  for (; depth <= ball_sizes.size(); ++depth) {
+    ball_sizes[depth - 1] = static_cast<std::uint32_t>(out.size());
   }
 }
 

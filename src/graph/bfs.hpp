@@ -49,8 +49,12 @@ struct BallEntry {
 
 /// Enumerates B(src, radius): all nodes within `radius` hops, including
 /// `src` itself at distance 0, in BFS order. Uses caller-provided scratch.
+/// `ball_sizes`, when not empty, must hold `radius` entries and receives
+/// |B(src, r)| for r = 1..radius: the BFS level ends, carried forward once
+/// the ball stops growing.
 void bfs_ball(const Graph& g, NodeId src, std::uint32_t radius,
-              BfsScratch& scratch, std::vector<BallEntry>& out);
+              BfsScratch& scratch, std::vector<BallEntry>& out,
+              std::span<std::uint32_t> ball_sizes = {});
 
 /// Sorts ball entries by node id, every id < `id_bound`. One stable
 /// counting pass per byte of `id_bound - 1` (2 passes for id_bound <= 2^16,

@@ -36,15 +36,19 @@ Overlay Overlay::build_from_h(const OverlayParams& params, Graph h) {
   const NodeId n = params.n;
   const std::uint32_t k = o.k_;
 
-  // Pass 1: ball sizes (excluding the center) -> CSR offsets.
+  // Pass 1: ball sizes (excluding the center) -> CSR offsets, and the
+  // cumulative counts |B_H(v, r)| off the BFS level ends.
   Graph::OffsetVec offsets(static_cast<std::size_t>(n) + 1, 0);
+  std::vector<std::uint32_t> counts(static_cast<std::size_t>(n) * k);
 #pragma omp parallel
   {
     BfsScratch scratch;
     std::vector<BallEntry> ball;
 #pragma omp for schedule(dynamic, 256)
     for (std::int64_t v = 0; v < static_cast<std::int64_t>(n); ++v) {
-      bfs_ball(o.h_simple_, static_cast<NodeId>(v), k, scratch, ball);
+      const auto row = static_cast<std::size_t>(v) * k;
+      bfs_ball(o.h_simple_, static_cast<NodeId>(v), k, scratch, ball,
+               std::span<std::uint32_t>(counts).subspan(row, k));
       offsets[static_cast<std::size_t>(v) + 1] = ball.size() - 1;  // no self
     }
   }
@@ -79,11 +83,13 @@ Overlay Overlay::build_from_h(const OverlayParams& params, Graph h) {
 
   o.g_ = Graph::from_csr(std::move(offsets), std::move(nodes));
   o.g_dist_ = std::move(dists);
+  o.ball_counts_ = std::move(counts);
   return o;
 }
 
 Overlay Overlay::build_with_balls(const OverlayParams& params, Graph h,
-                                  Graph g, std::vector<std::uint8_t> g_dist) {
+                                  Graph g, std::vector<std::uint8_t> g_dist,
+                                  std::vector<std::uint32_t> ball_counts) {
   Overlay o;
   o.params_ = params;
   o.k_ = params.k == 0 ? paper_k(params.d) : params.k;
@@ -97,10 +103,14 @@ Overlay Overlay::build_with_balls(const OverlayParams& params, Graph h,
   if (g_dist.size() != g.num_slots()) {
     throw std::invalid_argument("Overlay: g_dist size != G slots");
   }
+  if (ball_counts.size() != static_cast<std::size_t>(params.n) * o.k_) {
+    throw std::invalid_argument("Overlay: ball_counts size != n*k");
+  }
   o.h_ = std::move(h);
   o.h_simple_ = simplify(o.h_);
   o.g_ = std::move(g);
   o.g_dist_ = std::move(g_dist);
+  o.ball_counts_ = std::move(ball_counts);
   return o;
 }
 

@@ -28,15 +28,16 @@ struct OverlayParams {
 /// Distance value meaning "w is not within v's k-ball".
 inline constexpr std::uint8_t kNotInBall = 0xFF;
 
-/// A sampled overlay: the H multigraph, its simple view, and the dedup'd
-/// G = k-ball adjacency annotated with exact H-distances per slot.
+/// A sampled overlay: the H multigraph, its simple view, the dedup'd
+/// G = k-ball adjacency annotated with exact H-distances per slot, and the
+/// cumulative ball counts |B_H(v, r)|, r = 1..k.
 class Overlay {
  public:
-  /// Samples H(n,d) and materializes G. Cost: two bounded BFS passes per
-  /// node (ball sizes, then ball contents; OpenMP-parallel) and a radix
-  /// sort per ball (graph::sort_ball_by_node). Peak memory is the final G
-  /// arrays plus per-thread scratch: the balls are written straight into
-  /// G's CSR rows.
+  /// Samples H(n,d) and materializes G and the ball counts. Cost: two
+  /// bounded BFS passes per node (ball sizes and counts, then ball
+  /// contents; OpenMP-parallel) and a radix sort per ball
+  /// (graph::sort_ball_by_node). Peak memory is the final G arrays plus
+  /// per-thread scratch: the balls are written straight into G's CSR rows.
   [[nodiscard]] static Overlay build(const OverlayParams& params);
 
   /// Materializes G over a caller-supplied H multigraph (must be an exactly
@@ -49,15 +50,17 @@ class Overlay {
 
   /// Assembles an overlay from a caller-supplied H **and** ready-made k-ball
   /// adjacency: `g` must be the dedup'd union of all balls B_H(v, k) \ {v}
-  /// with `g_dist[slot]` the exact H-distance of each neighbor slot — the
-  /// arrays build_from_h would have derived by running one bounded BFS per
-  /// node. Skipping that BFS is the incremental snapshot engine's hot path;
-  /// it is the CALLER's contract that the balls match H (the engine's debug
-  /// mode cross-checks against a full rebuild). Only cheap shape invariants
-  /// are validated here.
+  /// with `g_dist[slot]` the exact H-distance of each neighbor slot, and
+  /// `ball_counts` the n*k table ball_row() views — the arrays build_from_h
+  /// would have derived by running one bounded BFS per node. Skipping that
+  /// BFS is the incremental snapshot engine's hot path; it is the CALLER's
+  /// contract that the balls match H (the engine's debug mode cross-checks
+  /// against a full rebuild). Only cheap shape invariants are validated
+  /// here.
   [[nodiscard]] static Overlay build_with_balls(
       const OverlayParams& params, Graph h, Graph g,
-      std::vector<std::uint8_t> g_dist);
+      std::vector<std::uint8_t> g_dist,
+      std::vector<std::uint32_t> ball_counts);
 
   [[nodiscard]] const OverlayParams& params() const noexcept { return params_; }
   [[nodiscard]] std::uint32_t k() const noexcept { return k_; }
@@ -73,6 +76,17 @@ class Overlay {
             g_dist_.data() + g_.first_slot(v) + g_.degree(v)};
   }
 
+  /// |B_H(v, r)| for r = 1..k, v itself included: the witness counts
+  /// Algorithm 2's colour audit bills (Lemmas 15/16).
+  [[nodiscard]] std::span<const std::uint32_t> ball_row(NodeId v) const {
+    return {ball_counts_.data() + static_cast<std::size_t>(v) * k_, k_};
+  }
+
+  /// Every ball_row, row-major: entry v*k + (r-1) is |B_H(v, r)|.
+  [[nodiscard]] std::span<const std::uint32_t> ball_counts() const noexcept {
+    return ball_counts_;
+  }
+
   /// Exact H-distance from v to w if w lies within v's k-ball, else
   /// kNotInBall. O(log deg_G(v)).
   [[nodiscard]] std::uint8_t h_dist(NodeId v, NodeId w) const;
@@ -85,7 +99,7 @@ class Overlay {
 
   [[nodiscard]] std::uint64_t memory_bytes() const noexcept {
     return h_.memory_bytes() + h_simple_.memory_bytes() + g_.memory_bytes() +
-           g_dist_.size();
+           g_dist_.size() + ball_counts_.size() * sizeof(std::uint32_t);
   }
 
  private:
@@ -95,6 +109,7 @@ class Overlay {
   Graph h_simple_;
   Graph g_;
   std::vector<std::uint8_t> g_dist_;
+  std::vector<std::uint32_t> ball_counts_;  ///< n*k, see ball_row
 };
 
 /// The paper's k = ceil(d/3).

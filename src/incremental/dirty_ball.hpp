@@ -46,11 +46,6 @@ class DirtyBallTracker final : public MutableOverlay::SpliceObserver {
   [[nodiscard]] bool is_dirty(NodeId stable) const noexcept {
     return stable < dirty_.size() && dirty_[stable] != 0;
   }
-  /// Stable-id bitmap (may be shorter than the overlay's id_bound(); ids
-  /// past the end are clean).
-  [[nodiscard]] const std::vector<std::uint8_t>& dirty_mask() const noexcept {
-    return dirty_;
-  }
   [[nodiscard]] std::uint64_t dirty_count() const noexcept {
     return dirty_count_;
   }

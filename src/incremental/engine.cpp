@@ -41,7 +41,9 @@ bool overlays_identical(const graph::Overlay& a, const graph::Overlay& b) {
     const auto db = b.g_dists(v);
     if (!std::equal(da.begin(), da.end(), db.begin(), db.end())) return false;
   }
-  return true;
+  const auto ca = a.ball_counts();
+  const auto cb = b.ball_counts();
+  return std::equal(ca.begin(), ca.end(), cb.begin(), cb.end());
 }
 
 IncrementalEngine::IncrementalEngine(MutableOverlay& overlay, Config config)
@@ -57,10 +59,12 @@ void IncrementalEngine::recompute_ball(NodeId v, graph::BfsScratch& scratch,
   tmp.push_back({v, 0});
   const std::uint32_t cycles = ov.num_cycles();
   const std::uint32_t k = ov.k();
+  std::uint32_t* const counts =
+      counts_.data() + static_cast<std::size_t>(v) * k;
   std::size_t level_begin = 0;
   for (std::uint32_t depth = 1; depth <= k; ++depth) {
+    // A ball that stopped growing carries its final size out to r = k.
     const std::size_t level_end = tmp.size();
-    if (level_begin == level_end) break;  // ball stopped growing
     for (std::size_t i = level_begin; i < level_end; ++i) {
       const NodeId u = tmp[i].node;
       for (std::uint32_t c = 0; c < cycles; ++c) {
@@ -73,6 +77,7 @@ void IncrementalEngine::recompute_ball(NodeId v, graph::BfsScratch& scratch,
       }
     }
     level_begin = level_end;
+    counts[depth - 1] = static_cast<std::uint32_t>(tmp.size());
   }
   auto& ball = balls_[v];
   ball.assign(tmp.begin() + 1, tmp.end());  // self excluded, like G rows
@@ -91,16 +96,10 @@ MutableOverlay::Snapshot IncrementalEngine::snapshot() {
 
   std::vector<NodeId> dense(bound, graph::kInvalidNode);
   for (NodeId i = 0; i < n; ++i) dense[snap.dense_to_stable[i]] = i;
-  if (balls_.size() < bound) balls_.resize(bound);
-
-  // What really changed since the last snapshot (warm-start consumers read
-  // this even when incremental reuse is off).
-  if (!has_snapshot_) {
-    last_dirty_.assign(bound, 0);
-    for (const NodeId v : snap.dense_to_stable) last_dirty_[v] = 1;
-  } else {
-    last_dirty_ = tracker_.dirty_mask();
-    last_dirty_.resize(bound, 0);
+  const std::uint32_t k = ov.k();
+  if (balls_.size() < bound) {
+    balls_.resize(bound);
+    counts_.resize(static_cast<std::size_t>(bound) * k);
   }
 
   const bool full = !has_snapshot_ || !config_.incremental;
@@ -177,27 +176,31 @@ MutableOverlay::Snapshot IncrementalEngine::snapshot() {
     }
     graph::Graph::NeighborVec g_nbrs(g_off[n]);
     std::vector<std::uint8_t> g_dist(g_off[n]);
+    std::vector<std::uint32_t> counts(static_cast<std::size_t>(n) * k);
 #pragma omp parallel for schedule(static)
     for (std::int64_t si = 0; si < static_cast<std::int64_t>(n); ++si) {
       const auto i = static_cast<NodeId>(si);
-      const auto& ball = balls_[snap.dense_to_stable[i]];
+      const NodeId v = snap.dense_to_stable[i];
+      const auto& ball = balls_[v];
       const std::uint64_t base = g_off[i];
       for (std::size_t j = 0; j < ball.size(); ++j) {
         g_nbrs[base + j] = dense[ball[j].node];
         g_dist[base + j] = ball[j].dist;
       }
+      std::copy_n(counts_.data() + static_cast<std::size_t>(v) * k, k,
+                  counts.data() + static_cast<std::size_t>(i) * k);
     }
 
     graph::OverlayParams params;
     params.n = n;
     params.d = d;
-    params.k = ov.k();
+    params.k = k;
     params.seed = ov.bootstrap_seed();
     params.generation = ov.build_tag();
     snap.overlay = graph::Overlay::build_with_balls(
         params, graph::Graph::from_csr(std::move(h_off), std::move(h_nbrs)),
         graph::Graph::from_csr(std::move(g_off), std::move(g_nbrs)),
-        std::move(g_dist));
+        std::move(g_dist), std::move(counts));
   }
 
   if (config_.verify_against_full) {

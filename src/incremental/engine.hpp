@@ -6,10 +6,12 @@
 // stable-id space, listens to splices through a DirtyBallTracker, and per
 // snapshot
 //   * re-runs the bounded BFS only for dirty nodes (those within distance k
-//     of any splice endpoint — a superset of every changed ball),
+//     of any splice endpoint — a superset of every changed ball), keeping
+//     each ball's k cumulative counts |B_H(v, r)| beside it,
 //   * translates all balls stable→dense and assembles the G/H CSR arrays
-//     directly (Graph::from_csr + Overlay::build_with_balls), skipping the
-//     full rebuild's two BFS passes and per-ball sort for every clean node.
+//     and the ball-count table directly (Graph::from_csr +
+//     Overlay::build_with_balls), skipping the full rebuild's two BFS
+//     passes and per-ball sort for every clean node.
 // The result is bitwise identical to MutableOverlay::snapshot() — the
 // config's verify_against_full debug mode asserts exactly that on every
 // call, and the property suite replays hundreds of seeded op interleavings
@@ -40,9 +42,7 @@ class IncrementalEngine {
  public:
   struct Config {
     /// Reuse clean balls (false = full rebuild through the same assembly
-    /// path, with the tracker still reporting what actually changed — the
-    /// warm-start tier wants dirty masks even without incremental
-    /// snapshots).
+    /// path; the tracker still reports what actually changed).
     bool incremental = true;
     /// Debug mode: every snapshot() also runs the full rebuild and throws
     /// std::logic_error unless the two overlays are bitwise identical.
@@ -63,11 +63,6 @@ class IncrementalEngine {
   [[nodiscard]] const DirtyBallTracker& tracker() const noexcept {
     return tracker_;
   }
-  /// Stable-id mask of the balls the LAST snapshot() recomputed (everything
-  /// alive on the first snapshot). Ids at/past the mask's end are clean.
-  [[nodiscard]] const std::vector<std::uint8_t>& last_dirty() const noexcept {
-    return last_dirty_;
-  }
 
  private:
   void recompute_ball(NodeId stable, graph::BfsScratch& scratch,
@@ -77,14 +72,16 @@ class IncrementalEngine {
   Config config_;
   DirtyBallTracker tracker_;
   std::vector<std::vector<graph::BallEntry>> balls_;  ///< by stable id
-  std::vector<std::uint8_t> last_dirty_;
+  /// k cumulative counts |B_H(v, r)| per stable id, row-major.
+  std::vector<std::uint32_t> counts_;
   bool has_snapshot_ = false;
   IncrementalStats stats_;
 };
 
 /// Deep structural equality of two overlays: params, H, its simple view,
-/// G, and the per-slot distance annotations. The equivalence oracle for the
-/// incremental-vs-full contract (debug mode, property tests, E20).
+/// G, the per-slot distance annotations and the ball counts. The
+/// equivalence oracle for the incremental-vs-full contract (debug mode,
+/// property tests, E20).
 [[nodiscard]] bool overlays_identical(const graph::Overlay& a,
                                       const graph::Overlay& b);
 

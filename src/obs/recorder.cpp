@@ -9,7 +9,6 @@ const char* to_string(FlightEventKind kind) {
     case FlightEventKind::kJoin: return "join";
     case FlightEventKind::kLeave: return "leave";
     case FlightEventKind::kStragglerFlood: return "straggler_flood";
-    case FlightEventKind::kWarmRowReuse: return "warm_row_reuse";
     case FlightEventKind::kEpsEntry: return "eps_entry";
     case FlightEventKind::kNote: return "note";
   }

@@ -71,11 +71,6 @@ RunResult run_brc_counting(const graph::Overlay& overlay,
         "BRC batches carry cross-batch median state and cannot be skipped");
   }
   MidRunHooks* const midrun = controls.midrun;
-  if (midrun != nullptr && controls.verifier != nullptr) {
-    throw std::invalid_argument(
-        "run_brc_counting: midrun hooks are incompatible with an external "
-        "verifier (begin_phase owns the verifier)");
-  }
   const NodeId nb = midrun ? midrun->node_bound() : n;
   if (nb < n || byz_mask.size() != nb) {
     throw std::invalid_argument("run_brc_counting: mask size mismatch");
@@ -106,14 +101,16 @@ RunResult run_brc_counting(const graph::Overlay& overlay,
 
   // The kernel still wants a Verifier; BRC's is permissive (enabled=false —
   // zero interrogation traffic) because the commitment filter below runs
-  // BEFORE injection delivery. Under mid-run churn begin_phase owns it (the
-  // caller must hand the feed a disabled-verification config).
-  const Verifier* verifier = controls.verifier;
+  // BEFORE injection delivery. It views the overlay's ball counts, which
+  // the phase digest reads exactly as Algorithm 2's. Under mid-run churn
+  // begin_phase owns it (the caller must hand the feed a
+  // disabled-verification config).
+  const Verifier* verifier = nullptr;
   std::optional<Verifier> owned_verifier;
-  if (verifier == nullptr && midrun == nullptr) {
+  if (midrun == nullptr) {
     VerificationConfig vcfg;
     vcfg.enabled = false;
-    owned_verifier.emplace(overlay, byz_mask, vcfg, controls.flood_threads);
+    owned_verifier.emplace(overlay, byz_mask, vcfg);
     verifier = &*owned_verifier;
   }
 

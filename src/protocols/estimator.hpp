@@ -63,7 +63,7 @@ struct AgreementBound {
 enum class EstimatorTier : std::uint8_t {
   kColdRun,        ///< plain static run (every backend)
   kLazySubphases,  ///< RunControls::lazy_subphases (decision-exact skip)
-  kWarmStart,      ///< proto::run_counting_warm row/estimate reuse
+  kWarmStart,      ///< proto::run_counting_warm estimate reuse
   kEpsWarm,        ///< RunControls::start_phase > 1 (ε·n budget tier)
   kMidRunChurn,    ///< RunControls::midrun (LiveOverlayFeed hooks)
   kEngineOracle,   ///< message-level sim::Engine parity replay

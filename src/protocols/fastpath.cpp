@@ -46,12 +46,10 @@ RunResult run_counting_with(const graph::Overlay& overlay,
         "run_counting: start_phase is 1-based (1 = no skip)");
   }
   MidRunHooks* const midrun = controls.midrun;
-  if (midrun != nullptr &&
-      (controls.lazy_subphases || controls.verifier != nullptr)) {
+  if (midrun != nullptr && controls.lazy_subphases) {
     throw std::invalid_argument(
         "run_counting: midrun hooks are incompatible with lazy_subphases "
-        "(skipped subphases would shift the churn-schedule clock) and an "
-        "external verifier (begin_phase owns the verifier)");
+        "(skipped subphases would shift the churn-schedule clock)");
   }
   // The run's id space: the snapshot's nodes plus, under mid-run churn,
   // every joiner the round schedule will ever admit (inert until then).
@@ -114,14 +112,12 @@ RunResult run_counting_with(const graph::Overlay& overlay,
     setup_span.arg("liars", liars).arg("crashes", result.instr.crashes);
   }
 
-  const Verifier* verifier = controls.verifier;
+  // Static runs view the overlay's ball counts; under mid-run churn
+  // begin_phase hands out the feed's Verifier instead.
+  const Verifier* verifier = nullptr;
   std::optional<Verifier> owned_verifier;
-  if (verifier == nullptr && midrun == nullptr) {
-    // The verifier's row precompute runs on the flood's worker count (the
-    // table is identical either way — each row is a pure function of the
-    // overlay).
-    owned_verifier.emplace(overlay, byz_mask, cfg.verification,
-                           controls.flood_threads);
+  if (midrun == nullptr) {
+    owned_verifier.emplace(overlay, byz_mask, cfg.verification);
     verifier = &*owned_verifier;
   }
   const std::uint32_t max_phase = resolve_max_phase(overlay, cfg);

@@ -25,9 +25,9 @@ class RunDigester;
 
 namespace byz::proto {
 
-/// Extension points for a counting run. The warm-tier pair (lazy_subphases,
-/// verifier) is DECISION-EXACT: the per-node status/estimate vectors are
-/// bitwise identical to the plain run for every input (only message/round
+/// Extension points for a counting run. The warm tier's lazy_subphases is
+/// DECISION-EXACT: the per-node status/estimate vectors are bitwise
+/// identical to the plain run for every input (only message/round
 /// accounting changes). start_phase and midrun deliberately are NOT — they
 /// are the ε-warm and mid-run-churn tiers, whose divergence is bounded and
 /// accounted elsewhere (warm_start.hpp, dynamics/midrun.hpp). Not every
@@ -44,10 +44,6 @@ struct RunControls {
   /// so "nobody decides before the previous epoch's minimum" is a
   /// positive-probability bet, not an invariant.)
   bool lazy_subphases = false;
-  /// Replaces the internally constructed Verifier; must be equivalent to
-  /// Verifier(overlay, byz_mask, cfg.verification). The warm tier
-  /// assembles it from cached rows, recomputing only dirty-ball nodes.
-  const Verifier* verifier = nullptr;
   /// ε-warm phase skip: start the phase loop at this phase instead of 1,
   /// executing zero subphases for the skipped prefix. Any node that would
   /// have decided below start_phase decides at start_phase or later — a
@@ -60,9 +56,8 @@ struct RunControls {
   /// and phase boundaries apply the MembershipPolicy (joiner admission +
   /// verifier refresh). byz_mask must then cover node_bound() ids.
   /// Incompatible with lazy_subphases (skipped subphases would shift the
-  /// churn-schedule clock, changing which round each event lands on) and
-  /// with an external verifier (begin_phase owns the verifier);
-  /// run_counting_with throws on those combinations. start_phase > 1 DOES
+  /// churn-schedule clock, changing which round each event lands on);
+  /// run_counting_with throws on that combination. start_phase > 1 DOES
   /// compose: the global round clock is pre-advanced past the skipped
   /// prefix, so events scheduled there burst-apply at the entry phase's
   /// first round — the ε-warm × mid-run composition the epoch driver
@@ -76,8 +71,7 @@ struct RunControls {
   obs::RunDigester* digester = nullptr;
   /// Worker threads for the flood kernel (flooding.hpp; 0 = hardware
   /// threads). The kernel is bitwise identical at every thread count, so
-  /// this knob is DECISION-EXACT like the warm-tier pair. The same count
-  /// sizes the internally constructed Verifier's row precompute.
+  /// this knob is DECISION-EXACT like lazy_subphases.
   std::uint32_t flood_threads = 1;
 };
 

@@ -60,6 +60,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -87,30 +88,26 @@ struct VerificationConfig {
 
 class Verifier {
  public:
-  /// `threads` batches the per-node ball-row + chain-length precompute:
-  /// 1 = serial (the default and the reference behavior), 0 = hardware
-  /// concurrency, N = N workers. Every row is a pure function of the
-  /// overlay, so the table is identical for every thread count.
+  /// The Verifier of a static run: a view of the overlay's ball counts
+  /// (Overlay::ball_row) plus usable-chain lengths computed here for the
+  /// Byzantine nodes of `byz_mask` only (honest nodes are 0). The overlay
+  /// must outlive the Verifier.
   Verifier(const graph::Overlay& overlay, const std::vector<bool>& byz_mask,
-           VerificationConfig config, std::uint32_t threads = 1);
+           VerificationConfig config);
 
-  /// Trusted-state constructor for the warm-start and mid-run tiers:
-  /// adopts a ready-made cumulative ball-count table (>= n*k values, laid
-  /// out exactly as the primary constructor computes them) and per-node
-  /// chain lengths. The warm tier reuses cached rows for clean nodes and
-  /// recomputes dirty rows with verifier_ball_row / verifier_chain_len;
-  /// the mid-run tier passes tables over the run's id space (a superset
-  /// of the overlay's nodes — joiner rows live past n) recomputed against
-  /// the live topology at phase boundaries.
-  Verifier(const graph::Overlay& overlay, const std::vector<bool>& byz_mask,
-           VerificationConfig config,
-           std::vector<std::uint32_t> ball_counts,
-           std::vector<std::uint8_t> chain_len);
+  /// A view of a ready-made cumulative ball-count table (`ball_counts[v*k +
+  /// (r-1)]` = |B_H(v, r)|, laid out like Overlay::ball_counts) plus the
+  /// per-node chain lengths, one per row. The mid-run tier passes its live
+  /// table over the run's id space (snapshot members plus scheduled
+  /// joiners), refreshed against the live topology at phase boundaries.
+  /// The table must outlive the Verifier.
+  Verifier(std::uint32_t k, std::span<const std::uint32_t> ball_counts,
+           std::vector<std::uint8_t> chain_len, VerificationConfig config);
 
-  /// This node's k cumulative ball counts (the state the warm tier caches).
+  /// This node's k cumulative ball counts.
   [[nodiscard]] std::span<const std::uint32_t> ball_row(
       graph::NodeId v) const {
-    return {ball_counts_.data() + static_cast<std::size_t>(v) * k_, k_};
+    return ball_counts_.subspan(static_cast<std::size_t>(v) * k_, k_);
   }
 
   /// The acceptance decision for a token (see file comment). `legit_fresh`
@@ -145,12 +142,10 @@ class Verifier {
   [[nodiscard]] const VerificationConfig& config() const { return config_; }
 
  private:
-  const graph::Overlay* overlay_;
-  const std::vector<bool>* byz_;
   VerificationConfig config_;
   std::uint32_t k_;
   // ball_counts_[v * k_ + (r-1)] = |B_H(v, r)| for r in 1..k (cumulative).
-  std::vector<std::uint32_t> ball_counts_;
+  std::span<const std::uint32_t> ball_counts_;
   // usable chain length per node (0 for honest nodes).
   std::vector<std::uint8_t> chain_len_;
 };
@@ -162,16 +157,17 @@ class Verifier {
                                                graph::NodeId endpoint,
                                                std::uint32_t cap);
 
-/// One node's cumulative ball-count row — the primary constructor's
-/// per-node computation, exposed so the warm tier can refresh exactly the
-/// dirty rows. Writes overlay.k() values into `out`.
-void verifier_ball_row(const graph::Overlay& overlay, graph::NodeId v,
-                       std::uint32_t* out);
-
 /// One node's usable-chain length under `model` (0 for honest nodes).
 [[nodiscard]] std::uint8_t verifier_chain_len(const graph::Overlay& overlay,
                                               const std::vector<bool>& byz_mask,
                                               graph::NodeId v,
                                               ChainModel model);
+
+/// verifier_chain_len for every node of `overlay`: the Byzantine rows are
+/// computed, honest rows stay 0. The strict model's path DFS reuses one
+/// on-path mask across rows.
+[[nodiscard]] std::vector<std::uint8_t> verifier_chains(
+    const graph::Overlay& overlay, const std::vector<bool>& byz_mask,
+    ChainModel model);
 
 }  // namespace byz::proto

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <thread>
 
 #include "obs/digest.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "protocols/refine.hpp"
 
@@ -22,41 +20,6 @@ NodeId stable_bound(std::span<const NodeId> dense_to_stable) {
 }
 
 }  // namespace
-
-void invalidate_dirty_rows(WarmState& state,
-                           std::span<const std::uint8_t> dirty_stable) {
-  const std::size_t end =
-      std::min(dirty_stable.size(), state.row_valid.size());
-  for (std::size_t s = 0; s < end; ++s) {
-    if (dirty_stable[s] != 0) state.row_valid[s] = 0;
-  }
-}
-
-void fold_verifier_rows(WarmState& state, std::uint32_t k,
-                        std::span<const NodeId> dense_to_stable,
-                        std::span<const std::uint32_t> rows,
-                        std::span<const std::uint8_t> chains) {
-  const std::size_t n = dense_to_stable.size();
-  if (rows.size() < n * k || chains.size() < n) {
-    throw std::invalid_argument("fold_verifier_rows: table size mismatch");
-  }
-  const NodeId bound = stable_bound(dense_to_stable);
-  if (state.chain_len.size() < bound) {
-    state.chain_len.resize(bound, 0);
-    state.row_valid.resize(bound, 0);
-  }
-  if (state.ball_counts.size() < static_cast<std::size_t>(bound) * k) {
-    state.ball_counts.resize(static_cast<std::size_t>(bound) * k, 0);
-  }
-  state.k = k;
-  for (std::size_t v = 0; v < n; ++v) {
-    const NodeId s = dense_to_stable[v];
-    std::copy_n(rows.data() + v * k, k,
-                state.ball_counts.data() + static_cast<std::size_t>(s) * k);
-    state.chain_len[s] = chains[v];
-    state.row_valid[s] = 1;
-  }
-}
 
 RefineFold fold_run_estimates(WarmState& state, const RunResult& run,
                               std::span<const NodeId> dense_to_stable,
@@ -158,11 +121,9 @@ WarmRun run_counting_warm(const graph::Overlay& overlay,
                           adv::Strategy& strategy, const ProtocolConfig& cfg,
                           std::uint64_t color_seed,
                           std::span<const NodeId> dense_to_stable,
-                          std::span<const std::uint8_t> dirty_stable,
                           double drift, const WarmConfig& warm_cfg,
                           WarmState& state, obs::RunDigester* digester) {
   const NodeId n = overlay.num_nodes();
-  const std::uint32_t k = overlay.k();
   if (dense_to_stable.size() != n) {
     throw std::invalid_argument("run_counting_warm: stable map size mismatch");
   }
@@ -172,10 +133,9 @@ WarmRun run_counting_warm(const graph::Overlay& overlay,
 
   WarmRun out;
 
-  // Cold-fallback decision: no state to seed from, a k-regime change, or
-  // too much drift for the cached state to be worth carrying.
-  const bool cold =
-      !state.has_run || state.k != k || drift > warm_cfg.max_drift;
+  // Cold-fallback decision: no state to seed from, or too much drift for
+  // the cached state to be worth carrying.
+  const bool cold = !state.has_run || drift > warm_cfg.max_drift;
   if (!cold) {
     // Report the seeded decision window (observability; E21 tables it).
     for (NodeId v = 0; v < n; ++v) {
@@ -190,70 +150,11 @@ WarmRun run_counting_warm(const graph::Overlay& overlay,
     }
   }
 
-  // The Verifier is built HERE on both paths so its per-node rows can be
-  // cached into `state` afterwards. Cold: every row fresh. Warm: cached
-  // rows for clean nodes (ball counts and usable chains are k-ball-local,
-  // so a clean ball pins both), recomputed rows for dirty ones. Dirty rows
-  // are dropped from the cache up front, so validity alone decides reuse.
-  invalidate_dirty_rows(state, dirty_stable);
-  static const obs::Counter obs_rows_reused("warm.rows_reused");
-  static const obs::Counter obs_rows_recomputed("warm.rows_recomputed");
-  std::vector<std::uint32_t> rows(static_cast<std::size_t>(n) * k);
-  std::vector<std::uint8_t> chains(n);
-  {
-    obs::Span rows_span("warm.rows");
-    // The row refresh runs on the flood's worker count: every v writes a
-    // disjoint row slice and the reuse decision is per-node, so the table
-    // — and via the reduction, the accounting — is identical at every
-    // thread count.
-    const int rows_nt = static_cast<int>(
-        warm_cfg.flood_threads > 0
-            ? warm_cfg.flood_threads
-            : std::max(1u, std::thread::hardware_concurrency()));
-    (void)rows_nt;
-    std::uint64_t reused = 0;
-    std::uint64_t recomputed = 0;
-#pragma omp parallel for schedule(dynamic, 64) num_threads(rows_nt) \
-    if (rows_nt > 1) reduction(+ : reused, recomputed)
-    for (std::int64_t sv = 0; sv < static_cast<std::int64_t>(n); ++sv) {
-      const auto v = static_cast<NodeId>(sv);
-      const NodeId s = dense_to_stable[v];
-      const bool reuse = !cold && s < state.row_valid.size() &&
-                         state.row_valid[s] != 0;
-      if (reuse) {
-        std::copy_n(state.ball_counts.data() + static_cast<std::size_t>(s) * k,
-                    k, rows.data() + static_cast<std::size_t>(v) * k);
-        chains[v] = state.chain_len[s];
-        ++reused;
-      } else {
-        verifier_ball_row(overlay, v,
-                          rows.data() + static_cast<std::size_t>(v) * k);
-        chains[v] = verifier_chain_len(overlay, byz_mask, v,
-                                       cfg.verification.chain_model);
-        ++recomputed;
-      }
-    }
-    out.rows_reused = reused;
-    out.rows_recomputed = recomputed;
-    rows_span.arg("reused", out.rows_reused)
-        .arg("recomputed", out.rows_recomputed);
-    obs_rows_reused.add(out.rows_reused);
-    obs_rows_recomputed.add(out.rows_recomputed);
-  }
-  fold_verifier_rows(state, k, dense_to_stable, rows, chains);
-  const Verifier verifier(overlay, byz_mask, cfg.verification, std::move(rows),
-                          std::move(chains));
-
   out.warm_used = !cold;
   RunControls controls;
   controls.lazy_subphases = !cold;
-  controls.verifier = &verifier;
   controls.digester = digester;
   controls.flood_threads = warm_cfg.flood_threads;
-  if (digester != nullptr) {
-    digester->note(obs::FlightEventKind::kWarmRowReuse, out.rows_reused,
-                   out.rows_recomputed);
-  }
   // ε-warm phase skip (choose_eps_entry has the entry rule; cold fallbacks
   // and first-ever runs never skip but still report the budget).
   if (warm_cfg.eps_phase_skip) {
@@ -275,8 +176,7 @@ WarmRun run_counting_warm(const graph::Overlay& overlay,
   out.run = run_counting_with(overlay, byz_mask, strategy, cfg, color_seed,
                               controls);
 
-  // Fold this run back into the stable-indexed state for the next epoch
-  // (the verifier rows were folded above, before the tables moved).
+  // Fold this run back into the stable-indexed state for the next epoch.
   const auto fold =
       fold_run_estimates(state, out.run, dense_to_stable, overlay.params().d);
   out.refine_reused = fold.reused;

@@ -5,12 +5,11 @@
 // protocol state is reusable. The warm tier exploits exactly the reuse
 // that is DECISION-EXACT — the warm run's status/estimate vectors are
 // bitwise identical to a cold run on the same snapshot (the epoch driver's
-// verify_warm mode asserts it on every epoch):
+// verify_warm mode asserts it on every epoch). Verifier state needs no
+// cache: the run's Verifier views the snapshot's own ball counts
+// (graph::Overlay::ball_row), which the incremental engine already keeps
+// for clean balls.
 //
-//   * Verifier state is k-ball-local (cumulative ball counts, usable
-//     Byzantine chains), so rows are cached by STABLE id across epochs and
-//     re-derived only for dirty-ball nodes — the splice-affected superset
-//     the DirtyBallTracker maintains.
 //   * Subphases are evaluated lazily: each phase stops at the first
 //     subphase after which every active node has fired. Fired flags are
 //     monotone within a phase and the only cross-subphase state, so the
@@ -92,8 +91,8 @@ struct WarmConfig {
   /// margin phase sharply shrinks the skippable prefix).
   std::uint32_t eps_margin = 1;
   /// Flood-kernel thread count (0 = hardware threads) forwarded to the
-  /// underlying runs (warm AND cold fallback); it also sizes the dirty-row
-  /// recomputation. Bitwise-neutral at every thread count.
+  /// underlying runs (warm AND cold fallback). Bitwise-neutral at every
+  /// thread count.
   std::uint32_t flood_threads = 1;
 };
 
@@ -102,12 +101,8 @@ struct WarmConfig {
 /// caller (the epoch driver keeps one per deployment).
 struct WarmState {
   bool has_run = false;
-  std::uint32_t k = 0;  ///< verifier row width the cache was built with
-  std::vector<std::uint32_t> estimate;     ///< decided phase (0 = none)
-  std::vector<double> refined;             ///< refined_log_estimate cache
-  std::vector<std::uint32_t> ball_counts;  ///< k cumulative counts per id
-  std::vector<std::uint8_t> chain_len;     ///< usable-chain cache
-  std::vector<std::uint8_t> row_valid;     ///< verifier rows present
+  std::vector<std::uint32_t> estimate;  ///< decided phase (0 = none)
+  std::vector<double> refined;          ///< refined_log_estimate cache
 };
 
 struct WarmRun {
@@ -116,8 +111,6 @@ struct WarmRun {
   std::uint64_t estimates_seeded = 0;
   std::uint32_t seed_min = 0;     ///< seeded-estimate window (0 = none)
   std::uint32_t seed_max = 0;
-  std::uint64_t rows_reused = 0;
-  std::uint64_t rows_recomputed = 0;
   std::uint64_t refine_reused = 0;
   std::uint64_t refine_recomputed = 0;
   // --- ε-warm tier (meaningful when WarmConfig::eps_phase_skip) ---
@@ -129,45 +122,25 @@ struct WarmRun {
 
 /// Runs the counting protocol on `overlay`, warm-started from `state` when
 /// safe (see file comment). `dense_to_stable` maps the snapshot's dense ids
-/// to stable ids; `dirty_stable` marks the stable ids whose k-balls may
-/// have changed since the run that produced `state` (ids past its end are
-/// clean; an empty span = nothing changed). `drift` is the accumulated
-/// membership drift since that run. Updates `state` to this run's outcome
-/// on both the warm and the cold path. `digester` attaches divergence
-/// forensics (obs/digest.hpp): the run's digest trail plus flight-recorder
-/// notes for warm-row reuse and the ε-entry decision; pure read-side, the
-/// run outcome is bitwise unaffected.
+/// to stable ids; `drift` is the accumulated membership drift since the
+/// run that produced `state`. Updates `state` to this run's outcome on both
+/// the warm and the cold path. `digester` attaches divergence forensics
+/// (obs/digest.hpp): the run's digest trail plus a flight-recorder note for
+/// the ε-entry decision; pure read-side, the run outcome is bitwise
+/// unaffected.
 [[nodiscard]] WarmRun run_counting_warm(
     const graph::Overlay& overlay, const std::vector<bool>& byz_mask,
     adv::Strategy& strategy, const ProtocolConfig& cfg,
     std::uint64_t color_seed, std::span<const graph::NodeId> dense_to_stable,
-    std::span<const std::uint8_t> dirty_stable, double drift,
-    const WarmConfig& warm_cfg, WarmState& state,
+    double drift, const WarmConfig& warm_cfg, WarmState& state,
     obs::RunDigester* digester = nullptr);
 
 // --- Shared warm-state plumbing ---------------------------------------
 //
 // The helpers below are the reusable pieces of run_counting_warm, split
 // out so the mid-run churn tier (dynamics/midrun.*) can warm-start its
-// runs from the same stable-indexed cache: the epoch driver invalidates
-// the rows the previous epoch's splices dirtied, LiveOverlayFeed reuses
-// the surviving rows for its run-start Verifier and folds the refreshed
-// rows back, and the driver folds the run's estimates after the flush.
-
-/// Drops the cached verifier rows of every dirty stable id (ids past the
-/// mask's end are clean). After this, `row_valid[s]` alone decides reuse —
-/// callers need not re-check the dirty mask.
-void invalidate_dirty_rows(WarmState& state,
-                           std::span<const std::uint8_t> dirty_stable);
-
-/// Folds freshly computed verifier rows into the cache: `rows` is the
-/// n*k row-major cumulative ball-count table and `chains` the usable-chain
-/// lengths, both indexed by the dense ids `dense_to_stable` maps. Grows the
-/// stable-indexed tables as needed and stamps `state.k`.
-void fold_verifier_rows(WarmState& state, std::uint32_t k,
-                        std::span<const graph::NodeId> dense_to_stable,
-                        std::span<const std::uint32_t> rows,
-                        std::span<const std::uint8_t> chains);
+// runs from the same stable-indexed state: the epoch driver picks the ε
+// entry from it and folds the run's estimates back after the flush.
 
 /// Folds a finished run's decisions into the estimate/refined caches
 /// (kDecided nodes keep their phase, everyone else seeds 0) and marks the

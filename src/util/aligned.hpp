@@ -1,5 +1,5 @@
-// Cache-line-aligned vector storage. The CSR hot loops (flood kernel,
-// verifier row recomputation) stream the adjacency arrays; aligning the
+// Cache-line-aligned vector storage. The CSR hot loops (flood kernel, the
+// G pass's ball BFS) stream the adjacency arrays; aligning the
 // allocations to 64-byte lines keeps the rows from straddling an extra
 // line per access and gives the vectorizer an honest alignment story.
 // The allocator is stateless, so aligned_vector moves/swaps exactly like

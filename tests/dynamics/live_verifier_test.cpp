@@ -4,9 +4,9 @@
 // E26 engine<->fastpath oracle cannot see a wrong row: both tiers read the
 // same feed. This suite can. It drives run_counting_with through a hooks
 // wrapper that, at EVERY readmit boundary, compares the ball row and
-// usable chain of each alive run id with the G pass of a fresh
-// MutableOverlay::snapshot() (verifier_ball_row / verifier_chain_len),
-// which shares no code with the feed's BFS. The schedules are randomized
+// usable chain of each alive run id with a fresh MutableOverlay::snapshot()
+// (its G pass's Overlay::ball_row, and verifier_chain_len), which shares
+// no code with the feed's live BFS. The schedules are randomized
 // over sybil joins, frontier-directed leaves, boundary join storms, leaves
 // deferred at the membership floor, joiners that leave before admission,
 // and both chain models; the suite asserts that each case occurred.
@@ -107,7 +107,6 @@ class OracleHooks final : public proto::MidRunHooks {
     for (std::size_t i = 0; i < dense_byz.size(); ++i) {
       dense_byz[i] = stable_byz_[snap.dense_to_stable[i]];
     }
-    std::vector<std::uint32_t> row(snap.overlay.k());
     NodeId alive_rows = 0;
     for (NodeId r = 0; r < feed_.node_bound(); ++r) {
       if (!feed_.alive(r)) continue;
@@ -117,7 +116,7 @@ class OracleHooks final : public proto::MidRunHooks {
         note_mismatch(phase, r, "alive run id missing from the snapshot");
         continue;
       }
-      proto::verifier_ball_row(snap.overlay, d, row.data());
+      const auto row = snap.overlay.ball_row(d);
       const auto live = verifier.ball_row(r);
       if (!std::equal(live.begin(), live.end(), row.begin(), row.end())) {
         note_mismatch(phase, r, "ball row");

@@ -103,6 +103,56 @@ TEST(SmallWorld, DistanceAnnotationsExact) {
   expect_distance_annotations_exact(sample(65539, 4, 7), 16);
 }
 
+/// ball_row(v)[r-1] == |B_H(v, r)| for every v and r, against two oracles:
+/// the G row's distance annotations (1 + the slots within r) and a BFS on
+/// the simple H truncated at k. Returns how many rows had saturated (the
+/// whole graph inside radius k).
+NodeId expect_ball_counts_exact(const Overlay& o) {
+  const std::uint32_t k = o.k();
+  const NodeId n = o.num_nodes();
+  EXPECT_EQ(o.ball_counts().size(), static_cast<std::size_t>(n) * k);
+  NodeId saturated = 0;
+  for (NodeId v = 0; v < n; ++v) {
+    const auto row = o.ball_row(v);
+    EXPECT_EQ(row.size(), k);
+    const auto dists = o.g_dists(v);
+    const auto bfs = bfs_distances(o.h_simple(), v, k);
+    for (std::uint32_t r = 1; r <= k; ++r) {
+      const auto from_g = 1 + std::count_if(dists.begin(), dists.end(),
+                                            [r](std::uint8_t d) {
+                                              return d <= r;
+                                            });
+      const auto from_bfs = std::count_if(
+          bfs.begin(), bfs.end(), [r](std::uint32_t d) { return d <= r; });
+      EXPECT_EQ(row[r - 1], static_cast<std::uint32_t>(from_g))
+          << "v=" << v << " r=" << r;
+      EXPECT_EQ(row[r - 1], static_cast<std::uint32_t>(from_bfs))
+          << "v=" << v << " r=" << r;
+    }
+    if (row[k - 1] == n) ++saturated;
+  }
+  return saturated;
+}
+
+TEST(SmallWorld, BallCountsMatchBothOracles) {
+  const auto build = [](NodeId n, std::uint32_t d, std::uint32_t k,
+                        std::uint64_t seed) {
+    OverlayParams p;
+    p.n = n;
+    p.d = d;
+    p.k = k;
+    p.seed = seed;
+    return Overlay::build(p);
+  };
+  EXPECT_EQ(expect_ball_counts_exact(build(128, 6, 0, 41)), 0u);  // paper k
+  EXPECT_EQ(expect_ball_counts_exact(build(300, 8, 0, 43)), 0u);
+  EXPECT_EQ(expect_ball_counts_exact(build(96, 4, 1, 45)), 0u);   // k = 1
+  (void)expect_ball_counts_exact(build(200, 6, 4, 47));  // k above paper k
+  // A tiny overlay saturates before radius k: the rows carry n outwards.
+  const Overlay tiny = build(10, 4, 6, 49);
+  EXPECT_EQ(expect_ball_counts_exact(tiny), tiny.num_nodes());
+}
+
 TEST(SmallWorld, HDistLookup) {
   const Overlay o = sample(128, 6, 9);
   EXPECT_EQ(o.h_dist(5, 5), 0u);

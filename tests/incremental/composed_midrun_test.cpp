@@ -26,7 +26,6 @@ using graph::NodeId;
 struct TraceTotals {
   std::uint64_t balls_reused = 0;
   std::uint64_t events_applied = 0;
-  std::uint64_t warm_rows_reused = 0;
 };
 
 /// Drives `epochs` random mid-run epochs: each run executes on the
@@ -85,7 +84,6 @@ TraceTotals drive_random_trace(proto::MembershipPolicy policy,
         overlay, byz, *strategy_impl, cfg, util::mix_seed(seed, 200 + e),
         schedule, mid_cfg, adv::ChurnAdversary::kNone, churn_rng, &composed);
     totals.events_applied += out.stats.events_applied;
-    totals.warm_rows_reused += out.stats.warm_rows_reused;
 
     // Stable-id mapping stays coherent across the flush: every run id
     // resolves, and the Byzantine mask tracks the id space.
@@ -187,7 +185,7 @@ TEST(ComposedMidRunProperty, InjectedSnapshotLeavesOutcomeUnchanged) {
 TEST(ComposedMidRunProperty, ComposedOutcomeIndependentOfFloodThreads) {
   // The composed tier across flood thread counts: a mid-run trial executed
   // on the injected incremental snapshot must produce the identical
-  // MidRunOutcome at every flood thread count — warm-start row reuse,
+  // MidRunOutcome at every flood thread count — the injected snapshot,
   // mid-run splices, and the word-packed kernel compose without moving a
   // bit. Each execution rebuilds its world from the same seeds.
   constexpr NodeId kN0 = 256;

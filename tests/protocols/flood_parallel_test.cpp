@@ -433,28 +433,6 @@ TEST(FloodParallel, LiveHooksMidSubphaseChurnMatchesReference) {
   }
 }
 
-TEST(FloodParallel, VerifierTableIdenticalAtEveryThreadCount) {
-  // The batched row precompute is a pure per-row function; the table must
-  // not depend on how it was partitioned.
-  const NodeId n = 256;
-  const Overlay overlay = sample(n, 6, 55);
-  util::Xoshiro256 rng(55);
-  const auto byz = graph::random_byzantine_mask(n, n / 16, rng);
-  const Verifier reference(overlay, byz, {}, 1);
-  for (const std::uint32_t t : kThreadCounts) {
-    const Verifier batched(overlay, byz, {}, t);
-    for (NodeId v = 0; v < n; ++v) {
-      ASSERT_EQ(reference.ball_row(v).size(), batched.ball_row(v).size());
-      for (std::size_t r = 0; r < reference.ball_row(v).size(); ++r) {
-        ASSERT_EQ(reference.ball_row(v)[r], batched.ball_row(v)[r])
-            << "threads=" << t << " v=" << v << " r=" << r;
-      }
-      ASSERT_EQ(reference.usable_chain(v), batched.usable_chain(v))
-          << "threads=" << t << " v=" << v;
-    }
-  }
-}
-
 TEST(FloodParallel, FullRunsBitwiseEqualAcrossThreadCounts) {
   // Whole-protocol parity through RunControls::flood_threads: statuses,
   // estimates, phase/subphase/round counts, every instrumentation counter,

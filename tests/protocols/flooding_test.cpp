@@ -21,6 +21,12 @@ Overlay sample(NodeId n = 256, std::uint32_t d = 6, std::uint64_t seed = 111) {
 }
 
 struct Fixture {
+  Fixture() = default;
+  // The Verifier views this fixture's overlay, so a copy would read the
+  // original's ball counts.
+  Fixture(const Fixture&) = delete;
+  Fixture& operator=(const Fixture&) = delete;
+
   Overlay overlay = sample();
   std::vector<bool> byz = std::vector<bool>(overlay.num_nodes(), false);
   std::vector<bool> crashed = std::vector<bool>(overlay.num_nodes(), false);

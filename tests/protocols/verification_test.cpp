@@ -224,5 +224,76 @@ TEST(Verifier, MaskSizeMismatchThrows) {
                std::invalid_argument);
 }
 
+TEST(Verifier, TableSizeMismatchThrows) {
+  // One k-wide row per chain entry, and k >= 1.
+  const std::vector<std::uint32_t> table(10, 1);
+  EXPECT_THROW(Verifier(3, table, std::vector<std::uint8_t>(4, 0), {}),
+               std::invalid_argument);
+  EXPECT_THROW(Verifier(0, {}, {}, {}), std::invalid_argument);
+  EXPECT_NO_THROW(Verifier(2, table, std::vector<std::uint8_t>(5, 0), {}));
+}
+
+TEST(Verifier, DenseMaskChainsEqualThePerCallResult) {
+  // With n/4 Byzantine nodes long strict chains are common, so the build's
+  // one DFS mask is reused across many rows, several of them cut off at
+  // the k+1 cap; every row must still equal a fresh per-call computation.
+  const Overlay o = sample(512, 8, 93);
+  util::Xoshiro256 rng(29);
+  const auto byz =
+      graph::random_byzantine_mask(o.num_nodes(), o.num_nodes() / 4, rng);
+  for (const ChainModel model : {ChainModel::kStrict, ChainModel::kRewired}) {
+    VerificationConfig cfg;
+    cfg.chain_model = model;
+    const Verifier ver(o, byz, cfg);
+    std::uint64_t capped = 0;
+    for (NodeId v = 0; v < o.num_nodes(); ++v) {
+      const std::uint32_t expected = verifier_chain_len(o, byz, v, model);
+      EXPECT_EQ(ver.usable_chain(v), expected)
+          << "model=" << static_cast<int>(model) << " v=" << v;
+      if (model == ChainModel::kStrict) {
+        EXPECT_EQ(expected, byz_path_ending_at(o.h_simple(), byz, v, o.k() + 1))
+            << "v=" << v;
+      }
+      if (expected >= o.k() + 1) ++capped;
+    }
+    EXPECT_GT(capped, 0u) << "model=" << static_cast<int>(model);
+  }
+}
+
+TEST(Verifier, EveryVariantReadsTheOverlayRows) {
+  // The phase digest folds ball_row and usable_chain whatever the
+  // Verifier's config (BRC runs a disabled one), and the mid-run feed
+  // builds its Verifier over its own copy of the table: an enabled, a
+  // disabled and a span-built Verifier must all read the overlay's rows
+  // and the same chains.
+  const Overlay o = sample(256, 8, 95);
+  util::Xoshiro256 rng(31);
+  const auto byz = graph::random_byzantine_mask(o.num_nodes(), 32, rng);
+  const auto counts = o.ball_counts();
+  const std::vector<std::uint32_t> table(counts.begin(), counts.end());
+  for (const ChainModel model : {ChainModel::kStrict, ChainModel::kRewired}) {
+    VerificationConfig on;
+    on.chain_model = model;
+    VerificationConfig off = on;
+    off.enabled = false;
+    const Verifier enabled(o, byz, on);
+    const Verifier disabled(o, byz, off);
+    const Verifier copied(o.k(), table, verifier_chains(o, byz, model), on);
+    std::uint64_t chains = 0;
+    for (NodeId v = 0; v < o.num_nodes(); ++v) {
+      const auto row = o.ball_row(v);
+      for (const Verifier* ver : {&enabled, &disabled, &copied}) {
+        const auto got = ver->ball_row(v);
+        EXPECT_TRUE(std::equal(got.begin(), got.end(), row.begin(), row.end()))
+            << "model=" << static_cast<int>(model) << " v=" << v;
+        EXPECT_EQ(ver->usable_chain(v), enabled.usable_chain(v))
+            << "model=" << static_cast<int>(model) << " v=" << v;
+      }
+      if (enabled.usable_chain(v) > 0) ++chains;
+    }
+    EXPECT_EQ(chains, 32u);  // exactly the Byzantine rows carry a chain
+  }
+}
+
 }  // namespace
 }  // namespace byz::proto

@@ -1,7 +1,7 @@
 // The warm tier's contract: run_counting_warm is DECISION-identical to the
-// cold run on every input — lazy subphase evaluation and cached verifier
-// rows change only message accounting — and the drift bound downgrades it
-// to a cold run rather than ever trusting stale state.
+// cold run on every input — lazy subphase evaluation changes only message
+// accounting — and the drift bound downgrades it to a cold run rather than
+// ever trusting stale state.
 #include "protocols/warm_start.hpp"
 
 #include <gtest/gtest.h>
@@ -41,20 +41,17 @@ TEST(WarmStart, ColdBootstrapThenWarmRerunMatchesDecisionsExactly) {
 
   auto s1 = adv::make_strategy(adv::StrategyKind::kFakeColor);
   const auto boot = run_counting_warm(f.overlay, f.byz, *s1, cfg, color_seed,
-                                      f.identity, {}, 0.0, {}, state);
+                                      f.identity, 0.0, {}, state);
   EXPECT_FALSE(boot.warm_used);  // nothing to seed from
   EXPECT_TRUE(state.has_run);
-  EXPECT_EQ(boot.rows_recomputed, 512u);
 
-  // Second run on the same snapshot with a different color seed: warm path
-  // (all rows clean), decisions must equal the cold reference exactly.
+  // Second run on the same snapshot with a different color seed: warm
+  // path, decisions must equal the cold reference exactly.
   const std::uint64_t color_seed2 = 78;
   auto s2 = adv::make_strategy(adv::StrategyKind::kFakeColor);
   const auto warm = run_counting_warm(f.overlay, f.byz, *s2, cfg, color_seed2,
-                                      f.identity, {}, 0.001, {}, state);
+                                      f.identity, 0.001, {}, state);
   EXPECT_TRUE(warm.warm_used);
-  EXPECT_EQ(warm.rows_reused, 512u);
-  EXPECT_EQ(warm.rows_recomputed, 0u);
   EXPECT_GT(warm.estimates_seeded, 0u);
   EXPECT_GE(warm.seed_min, 1u);
   EXPECT_LE(warm.seed_min, warm.seed_max);
@@ -69,37 +66,19 @@ TEST(WarmStart, ColdBootstrapThenWarmRerunMatchesDecisionsExactly) {
   EXPECT_LE(warm.run.instr.total_messages(), cold.instr.total_messages());
 }
 
-TEST(WarmStart, DirtyNodesGetFreshVerifierRows) {
-  Fixture f(256, 5);
-  ProtocolConfig cfg;
-  WarmState state;
-  auto s1 = adv::make_strategy(adv::StrategyKind::kHonest);
-  (void)run_counting_warm(f.overlay, f.byz, *s1, cfg, 1, f.identity, {}, 0.0,
-                          {}, state);
-  std::vector<std::uint8_t> dirty(256, 0);
-  dirty[3] = dirty[40] = dirty[41] = 1;
-  auto s2 = adv::make_strategy(adv::StrategyKind::kHonest);
-  const auto warm = run_counting_warm(f.overlay, f.byz, *s2, cfg, 2,
-                                      f.identity, dirty, 0.01, {}, state);
-  EXPECT_TRUE(warm.warm_used);
-  EXPECT_EQ(warm.rows_recomputed, 3u);
-  EXPECT_EQ(warm.rows_reused, 253u);
-}
-
 TEST(WarmStart, DriftBeyondTheBoundFallsBackCold) {
   Fixture f(256, 9);
   ProtocolConfig cfg;
   WarmState state;
   auto s1 = adv::make_strategy(adv::StrategyKind::kHonest);
-  (void)run_counting_warm(f.overlay, f.byz, *s1, cfg, 1, f.identity, {}, 0.0,
-                          {}, state);
+  (void)run_counting_warm(f.overlay, f.byz, *s1, cfg, 1, f.identity, 0.0, {},
+                          state);
   WarmConfig warm_cfg;
   warm_cfg.max_drift = 0.05;
   auto s2 = adv::make_strategy(adv::StrategyKind::kHonest);
   const auto run = run_counting_warm(f.overlay, f.byz, *s2, cfg, 2,
-                                     f.identity, {}, 0.2, warm_cfg, state);
+                                     f.identity, 0.2, warm_cfg, state);
   EXPECT_FALSE(run.warm_used);
-  EXPECT_EQ(run.rows_recomputed, 256u);
   EXPECT_EQ(run.run.subphases_executed, run.run.subphases_scheduled);
 }
 
@@ -109,14 +88,14 @@ TEST(WarmStart, RefinementRerunsOnlyWhereTheEstimateMoved) {
   WarmState state;
   auto s1 = adv::make_strategy(adv::StrategyKind::kHonest);
   const auto boot = run_counting_warm(f.overlay, f.byz, *s1, cfg, 11,
-                                      f.identity, {}, 0.0, {}, state);
+                                      f.identity, 0.0, {}, state);
   EXPECT_GT(boot.refine_recomputed, 0u);
   EXPECT_EQ(boot.refine_reused, 0u);
   // Identical snapshot AND color seed: every decided phase repeats, so the
   // calibration is pure cache hits.
   auto s2 = adv::make_strategy(adv::StrategyKind::kHonest);
   const auto rerun = run_counting_warm(f.overlay, f.byz, *s2, cfg, 11,
-                                       f.identity, {}, 0.0, {}, state);
+                                       f.identity, 0.0, {}, state);
   EXPECT_EQ(rerun.refine_recomputed, 0u);
   EXPECT_EQ(rerun.refine_reused, boot.refine_recomputed);
 }
@@ -130,7 +109,7 @@ TEST(EpsWarm, NeverEngagesOnColdOrBootstrapRuns) {
   warm.eps_margin = 0;
   auto s = adv::make_strategy(adv::StrategyKind::kFakeColor);
   const auto boot = run_counting_warm(f.overlay, f.byz, *s, cfg, 5,
-                                      f.identity, {}, 0.0, warm, state);
+                                      f.identity, 0.0, warm, state);
   EXPECT_FALSE(boot.warm_used);
   EXPECT_FALSE(boot.eps_used);  // first-ever run: nothing seeded to skip to
   EXPECT_EQ(boot.eps_entry_phase, 1u);
@@ -138,7 +117,7 @@ TEST(EpsWarm, NeverEngagesOnColdOrBootstrapRuns) {
   // Excess drift forces the cold fallback; the skip must not survive it.
   auto s2 = adv::make_strategy(adv::StrategyKind::kFakeColor);
   const auto cold = run_counting_warm(f.overlay, f.byz, *s2, cfg, 6,
-                                      f.identity, {}, 0.9, warm, state);
+                                      f.identity, 0.9, warm, state);
   EXPECT_FALSE(cold.warm_used);
   EXPECT_FALSE(cold.eps_used);
 }
@@ -151,15 +130,15 @@ TEST(EpsWarm, QuantileEntrySkipsPhasesWithinTheBudget) {
 
   auto s1 = adv::make_strategy(adv::StrategyKind::kFakeColor);
   WarmConfig warm;
-  (void)run_counting_warm(f.overlay, f.byz, *s1, cfg, seed1, f.identity, {},
-                          0.0, warm, state);
+  (void)run_counting_warm(f.overlay, f.byz, *s1, cfg, seed1, f.identity, 0.0,
+                          warm, state);
 
   warm.eps_phase_skip = true;
   warm.eps_budget = 0.10;
   warm.eps_margin = 0;
   auto s2 = adv::make_strategy(adv::StrategyKind::kFakeColor);
   const auto eps = run_counting_warm(f.overlay, f.byz, *s2, cfg, seed2,
-                                     f.identity, {}, 0.0, warm, state);
+                                     f.identity, 0.0, warm, state);
   ASSERT_TRUE(eps.warm_used);
   ASSERT_TRUE(eps.eps_used) << "seeded estimates deep enough, skip expected";
   EXPECT_GT(eps.eps_entry_phase, 1u);
@@ -196,7 +175,7 @@ TEST(WarmStart, RejectsMismatchedInputs) {
   auto s = adv::make_strategy(adv::StrategyKind::kHonest);
   std::vector<NodeId> short_map(63);
   EXPECT_THROW((void)run_counting_warm(f.overlay, f.byz, *s, cfg, 1,
-                                       short_map, {}, 0.0, {}, state),
+                                       short_map, 0.0, {}, state),
                std::invalid_argument);
 }
 
