@@ -1,13 +1,13 @@
 // E28 — the composed tier under CONTINUOUS live churn: mid-run splices
 // (events strike WHILE Algorithm 2 floods) consumed by the incremental
-// dirty-ball observer, with the warm start and the per-epoch message-level
-// engine oracle all on at once. This is the steady-state hot path a
-// long-running deployment would operate: each epoch's run executes on
-// IncrementalEngine::snapshot() (only the balls dirtied by the previous
-// epoch's mid-run + flushed splices are recomputed — verify mode asserts
-// bitwise equality with a cold rebuild on every call), its run-start
-// Verifier reads that snapshot's ball counts, and it is shadowed by a cold
-// replay (verify_warm) plus the engine oracle (run_engine). CI asserts
+// dirty-ball observer, with the per-epoch message-level engine oracle on.
+// This is the steady-state hot path a long-running deployment would
+// operate: each epoch's run executes on IncrementalEngine::snapshot()
+// (only the balls dirtied by the previous epoch's mid-run + flushed
+// splices are recomputed — verify mode asserts bitwise equality with a
+// cold rebuild on every call), its run-start Verifier reads that
+// snapshot's ball counts, and the engine oracle (run_engine) replays it
+// message by message. CI asserts
 // metrics.guard: engine divergences == 0 and the dirty-ball fraction < 1
 // at the lowest churn rate; E24/E26 remain the standalone bitwise anchors.
 // All reported metrics are counters — no wall-clock — so the manifest is
@@ -30,9 +30,9 @@ void run_e28(RunContext& ctx) {
 
   util::Table table("E28: composed tier under live mid-run churn, d=6 (" +
                     std::to_string(t) + " trials, " + std::to_string(kEpochs) +
-                    " epochs, incremental+warm+oracle all on)");
-  table.columns({"n0", "policy", "churn/epoch", "balls redone",
-                 "warm epochs", "msg vs cold", "engine ok", "fresh in-band"});
+                    " epochs, incremental+oracle on)");
+  table.columns({"n0", "policy", "churn/epoch", "balls redone", "engine ok",
+                 "fresh in-band"});
 
   std::vector<double> band_all;
   std::uint64_t guard_divergences = 0;
@@ -56,11 +56,8 @@ void run_e28(RunContext& ctx) {
         cfg.mid_run.policy = policy;
         cfg.incremental.incremental = true;
         cfg.incremental.verify_snapshots = true;  // bitwise exactness oracle
-        cfg.incremental.warm_start = true;
-        cfg.incremental.verify_warm = true;  // cold shadow, decision parity
-        cfg.incremental.warm.max_drift = 0.5;
-        // --audit: every tier the driver executes (composed run, engine
-        // oracle, cold shadow) records a digest trail; oracle seams emit
+        // --audit: both tiers the driver executes (composed run, engine
+        // oracle) record a digest trail; the oracle seam emits
         // byzobs/forensics/v1 reports under --digest-out on divergence.
         cfg.audit = ctx.audit();
         cfg.audit_dir = ctx.digest_out();
@@ -78,8 +75,7 @@ void run_e28(RunContext& ctx) {
         util::OnlineStats fresh;
         std::uint64_t recomputed = 0, reused = 0;
         std::uint64_t rows_recomputed = 0;
-        std::uint64_t warm_epochs = 0, steady_epochs = 0;
-        std::uint64_t messages = 0, messages_cold = 0;
+        std::uint64_t messages = 0;
         std::uint64_t divergences = 0;
         for (const auto& run : runs) {
           for (std::uint32_t e = 0; e < run.epochs.size(); ++e) {
@@ -93,11 +89,8 @@ void run_e28(RunContext& ctx) {
             }
             if (!ep.forensics_path.empty()) ++forensics_reports;
             messages += ep.messages;
-            messages_cold += ep.messages_cold;
             rows_recomputed += ep.verify_rows_recomputed;
-            if (ep.warm_used) ++warm_epochs;
             if (e == 0) continue;  // bootstrap epoch is a full rebuild
-            ++steady_epochs;
             recomputed += ep.balls_recomputed;
             reused += ep.balls_reused;
           }
@@ -107,10 +100,6 @@ void run_e28(RunContext& ctx) {
                 ? static_cast<double>(recomputed) /
                       static_cast<double>(recomputed + reused)
                 : 1.0;
-        const double msg_ratio =
-            messages_cold > 0 ? static_cast<double>(messages) /
-                                    static_cast<double>(messages_cold)
-                              : 1.0;
         const bool silent =
             policy == proto::MembershipPolicy::kTreatAsSilent;
         table.row()
@@ -118,9 +107,6 @@ void run_e28(RunContext& ctx) {
             .cell(proto::to_string(policy))
             .cell(util::format_double(200.0 * rate, 1) + "%")
             .cell(util::format_double(100.0 * dirty_frac, 1) + "%")
-            .cell(std::to_string(warm_epochs) + "/" +
-                  std::to_string(static_cast<std::uint64_t>(t) * kEpochs))
-            .cell(util::format_double(msg_ratio, 3) + "x")
             .cell(divergences == 0 ? "yes" : "NO")
             .cell(fresh.mean(), 4);
 
@@ -130,9 +116,7 @@ void run_e28(RunContext& ctx) {
         j["balls_recomputed"] = recomputed;
         j["balls_reused"] = reused;
         j["rows_recomputed"] = rows_recomputed;
-        j["warm_epochs"] = warm_epochs;
         j["messages"] = messages;
-        j["messages_cold"] = messages_cold;
         j["engine_divergences"] = divergences;
         ctx.metric("composed_n" + std::to_string(n0) + "_" +
                        std::string(silent ? "silent" : "readmit") + "_c" +
@@ -151,7 +135,6 @@ void run_e28(RunContext& ctx) {
           g["engine_divergences"] = divergences;
           g["dirty_frac"] = dirty_frac;
           g["sublinear"] = dirty_frac < 1.0;
-          g["warm_epochs"] = warm_epochs;
           ctx.metric("guard", std::move(g));
         }
       }
@@ -163,9 +146,8 @@ void run_e28(RunContext& ctx) {
              "rebuild, so 'balls redone' is the fraction of run-start BFS "
              "balls actually recomputed after the previous epoch's mid-run "
              "splices (steady-state epochs only; the bootstrap is a full "
-             "rebuild by definition). verify_warm shadows every composed "
-             "run with a cold replay and throws on any decision drift, and "
-             "'engine ok' is the per-epoch message-level oracle. Guard: " +
+             "rebuild by definition). 'engine ok' is the per-epoch "
+             "message-level oracle. Guard: " +
              std::to_string(guard_divergences) + " engine divergences, " +
              util::format_double(100.0 * guard_dirty_frac, 1) +
              "% balls redone at the lowest rate.");
@@ -182,11 +164,10 @@ void run_e28(RunContext& ctx) {
 BYZBENCH_REGISTER(e28) {
   ScenarioSpec spec;
   spec.id = "e28";
-  spec.title = "Composed tier: incremental + warm + oracle under live churn";
-  spec.claim = "Mid-run churn composes with the incremental/warm tiers: "
+  spec.title = "Composed tier: incremental + oracle under live churn";
+  spec.claim = "Mid-run churn composes with the incremental tier: "
                "run-start snapshots recompute only splice-dirtied balls "
-               "(bitwise-verified), warm starts stay decision-identical "
-               "across live epochs, and the engine oracle stays "
+               "(bitwise-verified) and the engine oracle stays "
                "divergence-free";
   spec.grid = {{"policy", {"treat-as-silent", "readmit-next-phase"}},
                {"churn_rate", {"0.001", "0.01"}},

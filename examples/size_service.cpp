@@ -22,18 +22,12 @@
 //                    [--burst-epoch=4] [--burst-fraction=0.25]
 //                    [--adversary=none|sybil-burst|targeted-departure|eclipse]
 //
-// --incremental switches the continuous loop onto the incremental tier:
-// dirty-ball snapshot maintenance (only churn-affected BFS balls are
-// recomputed per epoch) plus the warm-started protocol (lazy subphases
-// seeded by the previous epoch's estimates) — decision-identical to the
-// cold loop, cheaper per epoch. --adaptive replaces the fixed per-epoch
-// cadence with the drift-adaptive scheduler: re-estimate when accumulated
-// membership drift crosses --drift-bound, coast on stale estimates below
-// it. --eps-warm (with --incremental) additionally skips warm runs' early
-// phases, spending the paper's ε·n outlier budget (--eps-budget,
-// --eps-margin) on flood savings; divergence stays within the budget by
-// the warm tier's accounting invariant (E25 asserts it against a cold
-// shadow).
+// --incremental switches the continuous loop onto dirty-ball snapshot
+// maintenance: only churn-affected BFS balls are recomputed per epoch, and
+// every result is identical to the full-rebuild loop. --adaptive replaces
+// the fixed per-epoch cadence with the drift-adaptive scheduler:
+// re-estimate when accumulated membership drift crosses --drift-bound,
+// coast on stale estimates below it.
 //
 // --mid-run-churn applies each epoch's joins/leaves DURING its estimation
 // run — placed on individual flood rounds — instead of between runs, under
@@ -45,13 +39,12 @@
 // onto phase-final rounds to stress readmission). --engine-oracle
 // additionally replays every epoch's schedule through the message-level
 // sim::Engine and reports whether the two tiers agreed bitwise (the E26
-// contract). Mid-run churn COMPOSES with the incremental tier (E28):
-// with --incremental the run starts from the dirty-ball snapshot (only
-// balls the previous run's splices touched are recomputed, and the
-// run-start Verifier reads its ball counts), --adaptive coasts through
-// drift-quiet epochs, and
-// --eps-warm enters the phase loop late with the schedule clock
-// pre-advanced.
+// contract); it works in every churn mode, --incremental included.
+// Mid-run churn COMPOSES with the incremental tier (E28): with
+// --incremental the run starts from the dirty-ball snapshot (only balls
+// the previous run's splices touched are recomputed, and the run-start
+// Verifier reads its ball counts), and --adaptive coasts through
+// drift-quiet epochs.
 #include <algorithm>
 #include <cmath>
 #include <iostream>
@@ -173,7 +166,7 @@ int run_churn_mode(const byz::util::ArgParser& args,
                    std::uint32_t flood_threads) {
   using namespace byz;
 
-  // The continuous loop (incremental/warm/mid-run tiers, engine oracle) is
+  // The continuous loop (incremental/mid-run tiers, engine oracle) is
   // Algorithm-2 machinery; other backends ride along as the per-epoch
   // cross-algorithm shadow instead of replacing the primary.
   const auto backend = args.str("backend");
@@ -202,16 +195,10 @@ int run_churn_mode(const byz::util::ArgParser& args,
   cfg.churn_adversary = parse_churn_adversary(args.str("adversary"));
   const bool incremental = args.flag("incremental");
   const bool adaptive = args.flag("adaptive");
-  const bool eps_warm = args.flag("eps-warm");
   const bool mid_run = args.flag("mid-run-churn");
   cfg.incremental.incremental = incremental;
-  cfg.incremental.warm_start = incremental;
   cfg.incremental.adaptive = adaptive;
   cfg.incremental.drift_threshold = args.real("drift-bound");
-  cfg.incremental.eps_warm = eps_warm;
-  cfg.incremental.eps_budget = args.real("eps-budget");
-  cfg.incremental.eps_margin =
-      static_cast<std::uint32_t>(args.integer("eps-margin"));
   const bool engine_oracle = args.flag("engine-oracle");
   cfg.mid_run.enabled = mid_run;
   cfg.mid_run.policy = parse_policy(args.str("policy"));
@@ -223,19 +210,6 @@ int run_churn_mode(const byz::util::ArgParser& args,
   cfg.audit = args.flag("audit") || !args.str("audit-dir").empty();
   cfg.audit_dir = args.str("audit-dir");
   cfg.flood_threads = flood_threads;
-  if (eps_warm && !incremental) {
-    BYZ_ERROR << "size_service: --eps-warm needs the warm tier "
-                 "(pass --incremental)";
-    return 2;
-  }
-  if (engine_oracle && incremental && !mid_run) {
-    BYZ_ERROR << "size_service: in snapshot-churn mode --engine-oracle "
-                 "compares against the cold message-level engine and cannot "
-                 "be combined with --incremental (with --mid-run-churn the "
-                 "oracle runs with its own copy of the warm state, so the "
-                 "composed combination is fine)";
-    return 2;
-  }
 
   const auto seed = static_cast<std::uint64_t>(args.integer("seed"));
   const auto trials = static_cast<std::uint32_t>(args.integer("trials"));
@@ -255,7 +229,6 @@ int run_churn_mode(const byz::util::ArgParser& args,
       " deployments, " + std::to_string(scheduler.jobs()) + " workers";
   if (incremental) title += ", incremental tier";
   if (adaptive) title += ", adaptive cadence";
-  if (eps_warm) title += ", eps-warm";
   if (mid_run) {
     title += std::string(", mid-run churn [") +
              proto::to_string(cfg.mid_run.policy) + ", " +
@@ -270,7 +243,6 @@ int run_churn_mode(const byz::util::ArgParser& args,
       "fresh in-band", "stale in-band",  "mean est/log2n", "msgs"};
   if (adaptive) columns.push_back("estimated");
   if (incremental) columns.push_back("balls redone");
-  if (eps_warm) columns.push_back("entry phase");
   if (mid_run) columns.push_back("events mid-run");
   if (engine_oracle) columns.push_back("engine ok");
   if (!shadow.empty()) {
@@ -280,7 +252,7 @@ int run_churn_mode(const byz::util::ArgParser& args,
   table.columns(columns);
   for (std::uint32_t e = 0; e < cfg.trace.epochs; ++e) {
     util::OnlineStats n_t, byz_n, joins, leaves, fresh, stale, ratio, msgs;
-    util::OnlineStats estimated, redone, entry, applied_frac, engine_ok;
+    util::OnlineStats estimated, redone, applied_frac, engine_ok;
     util::OnlineStats shadow_agree, shadow_band;
     for (const auto& run : runs) {
       const auto& ep = run.epochs[e];
@@ -296,7 +268,6 @@ int run_churn_mode(const byz::util::ArgParser& args,
         redone.add(static_cast<double>(ep.balls_recomputed) /
                    static_cast<double>(ep.n_true));
       }
-      if (ep.eps_used) entry.add(static_cast<double>(ep.eps_entry_phase));
       const std::uint64_t events =
           ep.midrun_events_applied + ep.midrun_events_flushed;
       if (events > 0) {
@@ -333,10 +304,6 @@ int run_churn_mode(const byz::util::ArgParser& args,
                    ? std::string("-")
                    : util::format_double(100.0 * redone.mean(), 1) + "%");
     }
-    if (eps_warm) {
-      row.cell(entry.count() == 0 ? std::string("-")
-                                  : util::format_double(entry.mean(), 2));
-    }
     if (mid_run) {
       row.cell(applied_frac.count() == 0
                    ? std::string("-")
@@ -367,18 +334,12 @@ int run_churn_mode(const byz::util::ArgParser& args,
       "current n(t); epoch 0 has none.";
   if (incremental) {
     note += " Incremental tier: only churn-affected BFS balls are "
-            "recomputed per snapshot ('balls redone') and the protocol is "
-            "warm-started — decisions are identical to the cold loop.";
+            "recomputed per snapshot ('balls redone') — every result is "
+            "identical to the full-rebuild loop.";
   }
   if (adaptive) {
     note += " Adaptive cadence: epochs below the drift bound skip "
             "re-estimation and coast on stale estimates.";
-  }
-  if (eps_warm) {
-    note += " eps-warm: warm runs enter the phase loop at the "
-            "budget-bounded quantile of the seeded estimates ('entry "
-            "phase'), trading up to eps*n divergent decisions for the "
-            "skipped early-phase floods.";
   }
   if (mid_run) {
     note += " Mid-run churn: the epoch's events strike DURING the run at "
@@ -406,8 +367,7 @@ int run_churn_mode(const byz::util::ArgParser& args,
   table.note(note);
   std::cout << table;
   if (cfg.audit) {
-    // Surface any forensics the engine-oracle seam wrote (verify_warm
-    // seams throw instead, with the report path in the exception message).
+    // Surface any forensics the engine-oracle seam wrote.
     for (const auto& run : runs) {
       for (const auto& ep : run.epochs) {
         if (!ep.forensics_path.empty()) {
@@ -445,28 +405,18 @@ int main(int argc, char** argv) {
   args.add_option("adversary", "churn adversary: none, sybil-burst, "
                                "targeted-departure, eclipse",
                   "none");
-  args.add_flag("incremental", "churn mode: dirty-ball snapshots + "
-                               "warm-started protocol (decision-identical, "
-                               "cheaper per epoch)");
+  args.add_flag("incremental", "churn mode: dirty-ball snapshots (results "
+                               "identical to a full rebuild, cheaper per "
+                               "epoch)");
   args.add_flag("adaptive", "churn mode: re-estimate when accumulated "
                             "drift crosses --drift-bound instead of every "
                             "epoch");
   args.add_option("drift-bound", "adaptive cadence: drift fraction that "
                                  "triggers re-estimation",
                   "0.05");
-  args.add_flag("eps-warm", "churn mode (with --incremental): skip warm "
-                            "runs' early phases, spending the paper's "
-                            "eps*n outlier budget on flood savings");
-  args.add_option("eps-budget", "eps-warm: divergence budget as a fraction "
-                                "of honest nodes",
-                  "0.1");
-  args.add_option("eps-margin", "eps-warm: safety phases below the "
-                                "quantile entry",
-                  "1");
   args.add_flag("mid-run-churn", "churn mode: apply each epoch's "
                                  "joins/leaves DURING its estimation run "
-                                 "(composes with --incremental/--adaptive/"
-                                 "--eps-warm)");
+                                 "(composes with --incremental/--adaptive)");
   args.add_option("policy", "mid-run membership policy: silent, readmit",
                   "readmit");
   args.add_option("schedule", "mid-run event timing: uniform, "
@@ -474,9 +424,8 @@ int main(int argc, char** argv) {
                   "uniform");
   args.add_flag("engine-oracle", "churn mode: replay every epoch's run "
                                  "through the message-level engine and "
-                                 "report bitwise agreement (works with "
-                                 "--mid-run-churn, composed or not; not "
-                                 "with snapshot-mode --incremental)");
+                                 "report bitwise agreement (works in every "
+                                 "churn mode)");
   args.add_flag("audit", "churn mode: record hierarchical digest trails in "
                          "every tier and explain oracle failures with "
                          "byzobs/forensics/v1 reports (pure read-side)");

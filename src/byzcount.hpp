@@ -61,7 +61,6 @@
 #include "protocols/run_common.hpp"      // IWYU pragma: export
 #include "protocols/schedule.hpp"        // IWYU pragma: export
 #include "protocols/verification.hpp"    // IWYU pragma: export
-#include "protocols/warm_start.hpp"      // IWYU pragma: export
 #include "sim/engine.hpp"                // IWYU pragma: export
 #include "sim/runner.hpp"                // IWYU pragma: export
 #include "sim/world.hpp"                 // IWYU pragma: export

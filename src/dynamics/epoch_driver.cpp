@@ -1,6 +1,5 @@
 #include "dynamics/epoch_driver.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <optional>
@@ -46,32 +45,28 @@ bool same_outcome(const proto::RunResult& a, const proto::RunResult& b) {
 }
 
 /// Renders (and, with an audit_dir, writes) a byzobs/forensics/v1 report
-/// for one oracle seam of one epoch. Returns the written path ("" when
-/// render-only or the write failed).
+/// for one epoch's engine-oracle divergence: `a` is the fast path, `b` the
+/// engine. Returns the written path ("" when render-only or the write
+/// failed).
 std::string emit_forensics(const ChurnRunConfig& cfg, std::uint32_t epoch,
-                           const std::string& seam, const std::string& detail,
-                           const char* tier_a, const char* tier_b,
-                           const obs::RunDigester& a, const obs::RunDigester& b,
+                           const std::string& detail, const obs::RunDigester& a,
+                           const obs::RunDigester& b,
                            const obs::FlightRecorder* rec_a,
                            const obs::FlightRecorder* rec_b) {
   obs::ForensicsInfo info;
-  info.scenario = "run_churn/" + seam;
+  info.scenario = "run_churn/engine_oracle";
   info.seed = cfg.seed;
   info.flags = "d=" + std::to_string(cfg.d) +
                " strategy=" + std::string(adv::to_string(cfg.strategy)) +
                (cfg.mid_run.enabled ? " mid-run" : "") +
-               (cfg.incremental.warm_start ? " warm" : "") +
-               (cfg.incremental.eps_warm ? " eps-warm" : "") +
                " epoch=" + std::to_string(epoch);
   info.detail = detail;
-  info.tier_a = tier_a;
-  info.tier_b = tier_b;
   const std::string doc =
       obs::forensics_json(info, a.trail(), b.trail(), rec_a, rec_b);
   if (cfg.audit_dir.empty()) return {};
-  const std::string path = cfg.audit_dir + "/forensics_churn_" + seam +
-                           "_epoch" + std::to_string(epoch) + "_" +
-                           std::to_string(cfg.seed) + ".json";
+  const std::string path =
+      cfg.audit_dir + "/forensics_churn_engine_oracle_epoch" +
+      std::to_string(epoch) + "_" + std::to_string(cfg.seed) + ".json";
   return obs::write_forensics_file(path, doc) ? path : std::string{};
 }
 
@@ -79,27 +74,6 @@ std::string emit_forensics(const ChurnRunConfig& cfg, std::uint32_t epoch,
 
 ChurnRunResult run_churn(const ChurnRunConfig& cfg) {
   const IncrementalConfig& inc_cfg = cfg.incremental;
-  if (!cfg.mid_run.enabled && cfg.run_engine && inc_cfg.warm_start &&
-      !inc_cfg.verify_warm) {
-    throw std::invalid_argument(
-        "run_churn: run_engine with warm_start requires verify_warm (the "
-        "message-level Engine is compared against the cold tier; under "
-        "mid_run the Engine replays the warm run itself, so the "
-        "requirement lifts)");
-  }
-  if (inc_cfg.eps_warm && !inc_cfg.warm_start) {
-    throw std::invalid_argument(
-        "run_churn: eps_warm is a mode of the warm tier (enable warm_start)");
-  }
-  if (cfg.mid_run.enabled && inc_cfg.eps_warm && inc_cfg.verify_warm &&
-      cfg.mid_run.schedule == adv::MidRunScheduleStrategy::kFrontierLeaves) {
-    throw std::invalid_argument(
-        "run_churn: eps_warm + verify_warm under kFrontierLeaves is "
-        "unsupported — frontier-directed victims depend on the observed "
-        "wavefront, which an ε-entry run shifts, so the cold shadow floods "
-        "a different overlay evolution and its divergence count would be "
-        "meaningless");
-  }
 
   // Cross-backend shadow oracle: resolve both estimators up front so an
   // unknown name fails before any epoch runs (make_estimator's message
@@ -110,9 +84,9 @@ ChurnRunResult run_churn(const ChurnRunConfig& cfg) {
     shadow_est = proto::make_estimator(cfg.shadow_backend, cfg.protocol);
     primary_est = proto::make_estimator("algo2", cfg.protocol);
   }
-  // The shadow comparison runs both backends cold on the epoch's
-  // post-churn snapshot — dedicated seed stream, fresh strategies, no rng
-  // or warm-state side effects — and records the oracle verdicts.
+  // The shadow comparison runs both backends on the epoch's post-churn
+  // snapshot — dedicated seed stream, fresh strategies, no rng side
+  // effects — and records the oracle verdicts.
   const auto run_shadow = [&](EpochStats& stats, std::uint32_t e,
                               const graph::Overlay& snapshot,
                               const std::vector<bool>& dense_byz) {
@@ -133,14 +107,11 @@ ChurnRunResult run_churn(const ChurnRunConfig& cfg) {
 
   MutableOverlay overlay(cfg.trace.n0, cfg.d, cfg.k,
                          util::mix_seed(cfg.seed, kOverlayStream));
-  // The incremental engine owns dirty-ball tracking; it is also attached
-  // (with reuse off: a full rebuild through the same assembly path) when
-  // only the warm tier is on, because the composed mid-run path reads the
-  // ε entry's dense→stable map off the engine's run-start snapshot. Under
-  // mid-run churn the feed's splices go through the same observer, so the
-  // dirty masks stay exact there too.
+  // The incremental engine owns dirty-ball tracking. Under mid-run churn
+  // the feed's splices go through the same observer, so the dirty masks
+  // stay exact there too.
   std::optional<incremental::IncrementalEngine> inc;
-  if (inc_cfg.incremental || inc_cfg.warm_start || inc_cfg.verify_snapshots) {
+  if (inc_cfg.incremental || inc_cfg.verify_snapshots) {
     incremental::IncrementalEngine::Config engine_cfg;
     engine_cfg.incremental = inc_cfg.incremental;
     engine_cfg.verify_against_full = inc_cfg.verify_snapshots;
@@ -156,7 +127,6 @@ ChurnRunResult run_churn(const ChurnRunConfig& cfg) {
   util::Xoshiro256 churn_rng(util::mix_seed(cfg.seed, kChurnStream));
   // Last decided estimate per stable id (0 = none yet); feeds staleness.
   std::vector<std::uint32_t> last_estimate(overlay.id_bound(), 0);
-  proto::WarmState warm_state;
   double acc_drift = 0.0;
   double n_last_estimated = cfg.trace.n0;
 
@@ -207,8 +177,6 @@ ChurnRunResult run_churn(const ChurnRunConfig& cfg) {
           .arg("estimated", stats.estimated ? 1 : 0)
           .arg("drift", stats.drift)
           .arg("estimate_mean_ratio", stats.fresh.mean_ratio)
-          .arg("warm", stats.warm_used ? 1 : 0)
-          .arg("eps_entry", stats.eps_entry_phase)
           .arg("balls_recomputed", stats.balls_recomputed);
     };
 
@@ -288,51 +256,20 @@ ChurnRunResult run_churn(const ChurnRunConfig& cfg) {
       // trail and a flight tail; the oracle checks below compare them and
       // emit forensics on divergence. Null digesters otherwise (one branch
       // per hook, trails untouched).
-      obs::FlightRecorder fast_rec, engine_rec, cold_rec;
-      obs::RunDigester fast_dig, engine_dig, cold_dig;
+      obs::FlightRecorder fast_rec, engine_rec;
+      obs::RunDigester fast_dig, engine_dig;
       if (cfg.audit) {
         fast_dig.attach_recorder(&fast_rec);
         engine_dig.attach_recorder(&engine_rec);
-        cold_dig.attach_recorder(&cold_rec);
       }
 
       // Composed tier: the run starts from the incremental snapshot
       // (bitwise identical to a cold rebuild by IncrementalEngine's
-      // contract — verify_snapshots asserts it) and may enter at the
-      // ε-warm phase.
+      // contract — verify_snapshots asserts it).
       std::optional<MutableOverlay::Snapshot> snap;
       if (inc) snap.emplace(inc->snapshot());
       MidRunComposed composed;
       composed.snapshot = snap ? &*snap : nullptr;
-      proto::WarmConfig warm_cfg = inc_cfg.warm;
-      proto::EpsEntryPlan eps_plan;
-      bool warm_used = false;
-      if (inc_cfg.warm_start) {
-        // Same fallback ladder as the snapshot path: under adaptive
-        // scheduling every estimation runs at drift >= drift_threshold by
-        // construction, so the warm bound must sit above it.
-        if (inc_cfg.adaptive) {
-          warm_cfg.max_drift =
-              std::max(warm_cfg.max_drift, 2.0 * inc_cfg.drift_threshold);
-        }
-        warm_cfg.eps_phase_skip = inc_cfg.eps_warm;
-        warm_cfg.eps_budget = inc_cfg.eps_budget;
-        warm_cfg.eps_margin = inc_cfg.eps_margin;
-        const bool cold =
-            !warm_state.has_run || acc_drift > warm_cfg.max_drift;
-        warm_used = !cold;
-        if (inc_cfg.eps_warm) {
-          std::vector<bool> dense_byz(n_before, false);
-          for (NodeId i = 0; i < n_before; ++i) {
-            if (byz[snap->dense_to_stable[i]]) dense_byz[i] = true;
-          }
-          eps_plan = proto::choose_eps_entry(
-              warm_state, snap->dense_to_stable, dense_byz,
-              proto::resolve_max_phase(snap->overlay, cfg.protocol), cfg.d,
-              cfg.protocol.schedule, warm_cfg, /*allow_skip=*/!cold);
-          composed.start_phase = eps_plan.entry_phase;
-        }
-      }
 
       // Engine oracle: replay the identical schedule from a copy of the
       // pre-run state through the message-level engine and demand a
@@ -348,25 +285,6 @@ ChurnRunResult run_churn(const ChurnRunConfig& cfg) {
             engine_overlay, engine_byz, *engine_strategy, cfg.protocol,
             color_seed, schedule, mid_cfg, cfg.churn_adversary, engine_rng,
             &composed, cfg.audit ? &engine_dig : nullptr);
-      }
-
-      // verify_warm: shadow the composed run with a COLD mid-run replay on
-      // copies — same snapshot, entry at phase 1. Exact-warm epochs must
-      // match it decision-for-decision; ε-warm epochs may diverge within
-      // the ε·n budget.
-      std::optional<MidRunOutcome> cold_outcome;
-      if (inc_cfg.warm_start && inc_cfg.verify_warm) {
-        MutableOverlay cold_overlay = overlay;
-        cold_overlay.set_observer(nullptr);
-        std::vector<bool> cold_byz = byz;
-        util::Xoshiro256 cold_rng = churn_rng;
-        auto cold_strategy = adv::make_strategy(cfg.strategy);
-        MidRunComposed cold_composed;
-        cold_composed.snapshot = composed.snapshot;
-        cold_outcome = run_counting_midrun(
-            cold_overlay, cold_byz, *cold_strategy, cfg.protocol, color_seed,
-            schedule, mid_cfg, cfg.churn_adversary, cold_rng, &cold_composed,
-            cfg.audit ? &cold_dig : nullptr);
       }
 
       auto outcome = run_counting_midrun(
@@ -396,19 +314,12 @@ ChurnRunResult run_churn(const ChurnRunConfig& cfg) {
         run_shadow(stats, e, shadow_snap.overlay, shadow_byz);
       }
       stats.messages = outcome.run.instr.total_messages();
-      stats.subphases_scheduled = outcome.run.subphases_scheduled;
-      stats.subphases_executed = outcome.run.subphases_executed;
       if (snap) {
         stats.balls_recomputed = inc->stats().last_recomputed;
         stats.balls_reused = inc->stats().last_reused;
       } else {
         stats.balls_recomputed = n_before;  // full snapshot at run start
       }
-      stats.warm_used = warm_used;
-      stats.eps_used = eps_plan.eps_used;
-      stats.eps_entry_phase = eps_plan.entry_phase;
-      stats.eps_budget_nodes = eps_plan.budget_nodes;
-      stats.eps_skipped_subphases = eps_plan.skipped_subphases;
       stats.midrun_events_applied = outcome.stats.events_applied;
       stats.midrun_events_flushed = outcome.stats.events_flushed;
       stats.midrun_admitted = outcome.stats.admitted;
@@ -425,74 +336,18 @@ ChurnRunResult run_churn(const ChurnRunConfig& cfg) {
               obs::first_divergence(fast_dig.trail(), engine_dig.trail());
           if (!stats.engine_match || div.diverged()) {
             stats.forensics_path = emit_forensics(
-                cfg, e, "engine_oracle",
+                cfg, e,
                 stats.engine_match
                     ? "digest trails diverged (outcomes identical)"
                     : "mid-run engine outcome diverged from fastpath",
-                "fastpath", "engine", fast_dig, engine_dig, &fast_rec,
-                &engine_rec);
+                fast_dig, engine_dig, &fast_rec, &engine_rec);
           }
         }
       }
-      if (cold_outcome) {
-        stats.messages_cold = cold_outcome->run.instr.total_messages();
-        if (!eps_plan.eps_used) {
-          // Exact tier: the equivalence contract is bitwise.
-          if (cold_outcome->run.status != outcome.run.status ||
-              cold_outcome->run.estimate != outcome.run.estimate) {
-            // The trails are EVIDENCE here — the headline stays the
-            // decision mismatch.
-            const std::string report = cfg.audit
-                ? emit_forensics(cfg, e, "verify_warm",
-                                 "warm mid-run decisions diverged from the "
-                                 "cold replay",
-                                 "warm", "cold-shadow", fast_dig, cold_dig,
-                                 &fast_rec, &cold_rec)
-                : std::string{};
-            throw std::logic_error(
-                "run_churn: warm mid-run decisions diverged from the cold "
-                "replay at epoch " + std::to_string(e) +
-                (report.empty() ? "" : " (forensics: " + report + ")"));
-          }
-        } else {
-          // ε-warm tier: divergence is allowed but must stay within the
-          // paper's outlier budget — the accounting invariant.
-          std::uint64_t divergent = 0;
-          for (std::size_t i = 0; i < outcome.run.status.size(); ++i) {
-            if (cold_outcome->run.status[i] != outcome.run.status[i] ||
-                cold_outcome->run.estimate[i] != outcome.run.estimate[i]) {
-              ++divergent;
-            }
-          }
-          stats.eps_divergent = divergent;
-          if (divergent > eps_plan.budget_nodes) {
-            const std::string report = cfg.audit
-                ? emit_forensics(cfg, e, "verify_warm",
-                                 "eps-warm mid-run divergence exceeded the "
-                                 "ε·n budget",
-                                 "eps-warm", "cold-shadow", fast_dig,
-                                 cold_dig, &fast_rec, &cold_rec)
-                : std::string{};
-            throw std::logic_error(
-                "run_churn: eps-warm mid-run divergence " +
-                std::to_string(divergent) + " exceeds the ε·n budget " +
-                std::to_string(eps_plan.budget_nodes) + " at epoch " +
-                std::to_string(e) +
-                (report.empty() ? "" : " (forensics: " + report + ")"));
-          }
-        }
-      }
-
       for (std::size_t i = 0; i < outcome.run.status.size(); ++i) {
         if (outcome.run.status[i] == proto::NodeStatus::kDecided) {
           last_estimate[outcome.run_to_stable[i]] = outcome.run.estimate[i];
         }
-      }
-      // Seed the next epoch's warm entry from this run's decisions (every
-      // run id maps to a stable id once the flush resolved the joiners).
-      if (inc_cfg.warm_start) {
-        proto::fold_run_estimates(warm_state, outcome.run,
-                                  outcome.run_to_stable, cfg.d);
       }
       acc_drift = 0.0;
       n_last_estimated = static_cast<double>(n);
@@ -536,139 +391,44 @@ ChurnRunResult run_churn(const ChurnRunConfig& cfg) {
         util::mix_seed(cfg.seed, kColorStream + e);
     auto strategy = adv::make_strategy(cfg.strategy);
 
-    // Divergence audit (snapshot path): the epoch's run, the verify_warm
-    // cold shadow, and the engine oracle each record a trail.
-    obs::FlightRecorder run_rec, cold_rec, engine_rec;
-    obs::RunDigester run_dig, cold_dig, engine_dig;
+    // Divergence audit (snapshot path): the epoch's run and the engine
+    // oracle each record a trail.
+    obs::FlightRecorder run_rec, engine_rec;
+    obs::RunDigester run_dig, engine_dig;
     if (cfg.audit) {
       run_dig.attach_recorder(&run_rec);
-      cold_dig.attach_recorder(&cold_rec);
       engine_dig.attach_recorder(&engine_rec);
     }
 
-    proto::RunResult run;
-    proto::RunResult cold;
-    bool have_cold = false;
-    if (inc_cfg.warm_start) {
-      // Under adaptive scheduling every estimation runs at drift >=
-      // drift_threshold by construction — that is the scheduler's cadence,
-      // not an anomaly, so the warm fallback bound must sit above it or
-      // the warm tier would be structurally dead. Twice the threshold
-      // leaves room for the one-epoch overshoot past the trigger.
-      proto::WarmConfig warm_cfg = inc_cfg.warm;
-      if (inc_cfg.adaptive) {
-        warm_cfg.max_drift =
-            std::max(warm_cfg.max_drift, 2.0 * inc_cfg.drift_threshold);
-      }
-      warm_cfg.eps_phase_skip = inc_cfg.eps_warm;
-      warm_cfg.eps_budget = inc_cfg.eps_budget;
-      warm_cfg.eps_margin = inc_cfg.eps_margin;
-      warm_cfg.flood_threads = cfg.flood_threads;
-      auto warm = proto::run_counting_warm(
-          snap.overlay, dense_byz, *strategy, cfg.protocol, color_seed,
-          snap.dense_to_stable, acc_drift, warm_cfg, warm_state,
-          cfg.audit ? &run_dig : nullptr);
-      run = std::move(warm.run);
-      stats.warm_used = warm.warm_used;
-      stats.eps_used = warm.eps_used;
-      stats.eps_entry_phase = warm.eps_entry_phase;
-      stats.eps_budget_nodes = warm.eps_budget_nodes;
-      stats.eps_skipped_subphases = warm.eps_skipped_subphases;
-      if (inc_cfg.verify_warm) {
-        auto cold_strategy = adv::make_strategy(cfg.strategy);
-        proto::RunControls cold_rc;
-        cold_rc.digester = cfg.audit ? &cold_dig : nullptr;
-        cold_rc.flood_threads = cfg.flood_threads;
-        cold = proto::run_counting_with(snap.overlay, dense_byz,
-                                        *cold_strategy, cfg.protocol,
-                                        color_seed, cold_rc);
-        have_cold = true;
-        stats.messages_cold = cold.instr.total_messages();
-        if (!warm.eps_used) {
-          // Exact tier: the equivalence contract is bitwise. Warm and cold
-          // trails legitimately differ in shape (lazy subphases), so the
-          // forensics here are evidence attached to the decision mismatch.
-          if (cold.status != run.status || cold.estimate != run.estimate) {
-            const std::string report = cfg.audit
-                ? emit_forensics(cfg, e, "verify_warm",
-                                 "warm-started decisions diverged from the "
-                                 "cold run",
-                                 "warm", "cold-shadow", run_dig, cold_dig,
-                                 &run_rec, &cold_rec)
-                : std::string{};
-            throw std::logic_error(
-                "run_churn: warm-started decisions diverged from the cold "
-                "run at epoch " + std::to_string(e) +
-                (report.empty() ? "" : " (forensics: " + report + ")"));
-          }
-        } else {
-          // ε-warm tier: divergence is allowed but must stay within the
-          // paper's outlier budget — the accounting invariant.
-          std::uint64_t divergent = 0;
-          for (NodeId i = 0; i < n; ++i) {
-            if (cold.status[i] != run.status[i] ||
-                cold.estimate[i] != run.estimate[i]) {
-              ++divergent;
-            }
-          }
-          stats.eps_divergent = divergent;
-          if (divergent > warm.eps_budget_nodes) {
-            const std::string report = cfg.audit
-                ? emit_forensics(cfg, e, "verify_warm",
-                                 "eps-warm divergence exceeded the ε·n "
-                                 "budget",
-                                 "eps-warm", "cold-shadow", run_dig, cold_dig,
-                                 &run_rec, &cold_rec)
-                : std::string{};
-            throw std::logic_error(
-                "run_churn: eps-warm divergence " + std::to_string(divergent) +
-                " exceeds the ε·n budget " +
-                std::to_string(warm.eps_budget_nodes) + " at epoch " +
-                std::to_string(e) +
-                (report.empty() ? "" : " (forensics: " + report + ")"));
-          }
-        }
-      }
-    } else {
-      proto::RunControls run_rc;
-      run_rc.digester = cfg.audit ? &run_dig : nullptr;
-      run_rc.flood_threads = cfg.flood_threads;
-      run = proto::run_counting_with(snap.overlay, dense_byz, *strategy,
-                                     cfg.protocol, color_seed, run_rc);
-    }
+    proto::RunControls run_rc;
+    run_rc.digester = cfg.audit ? &run_dig : nullptr;
+    run_rc.flood_threads = cfg.flood_threads;
+    const proto::RunResult run = proto::run_counting_with(
+        snap.overlay, dense_byz, *strategy, cfg.protocol, color_seed, run_rc);
 
     if (cfg.audit) stats.run_digest = run_dig.trail().run_digest;
     stats.fresh = proto::summarize_accuracy(run, n, cfg.band_lo, cfg.band_hi);
     run_shadow(stats, e, snap.overlay, dense_byz);
     stats.messages = run.instr.total_messages();
-    stats.subphases_scheduled = run.subphases_scheduled;
-    stats.subphases_executed = run.subphases_executed;
 
     if (cfg.run_engine) {
       auto strategy2 = adv::make_strategy(cfg.strategy);
       sim::Engine engine(snap.overlay, dense_byz, *strategy2, cfg.protocol,
-                         color_seed, nullptr, 1,
+                         color_seed, nullptr,
                          cfg.audit ? &engine_dig : nullptr);
-      // Warm runs skip flood traffic by design; the Engine's full-fidelity
-      // accounting is compared against the cold tier (verify_warm is
-      // enforced above whenever warm_start is on).
-      stats.engine_match = same_outcome(have_cold ? cold : run, engine.run());
+      stats.engine_match = same_outcome(run, engine.run());
       if (cfg.audit) {
-        // The engine and its comparison partner (the cold run, or the
-        // epoch's plain run when no warm tier is on) execute identical
-        // schedules, so their trails must match entry for entry.
-        const obs::RunDigester& ref = have_cold ? cold_dig : run_dig;
-        const obs::FlightRecorder& ref_rec = have_cold ? cold_rec : run_rec;
+        // The engine and the epoch's run execute identical schedules, so
+        // their trails must match entry for entry.
         const auto div =
-            obs::first_divergence(ref.trail(), engine_dig.trail());
+            obs::first_divergence(run_dig.trail(), engine_dig.trail());
         if (!stats.engine_match || div.diverged()) {
           stats.forensics_path = emit_forensics(
-              cfg, e, "engine_oracle",
+              cfg, e,
               stats.engine_match
                   ? "digest trails diverged (outcomes identical)"
                   : "engine outcome diverged from the fastpath",
-              have_cold ? "cold-shadow" : "fastpath", "engine", ref,
-              engine_dig, &ref_rec, &engine_rec);
+              run_dig, engine_dig, &run_rec, &engine_rec);
         }
       }
     }

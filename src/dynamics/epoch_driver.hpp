@@ -12,10 +12,8 @@
 //
 //   * snapshot churn (default): events apply BETWEEN runs; each run
 //     executes on a frozen snapshot. IncrementalConfig layers the
-//     incremental tiers on top — dirty-ball snapshots, the decision-exact
-//     warm start, the ε-warm phase skip (divergence accounted against the
-//     paper's ε·n outlier budget and asserted when verify_warm is on),
-//     and drift-adaptive cadence.
+//     incremental tiers on top — dirty-ball snapshots and drift-adaptive
+//     cadence. Every estimating epoch runs the plain Algorithm 2 run.
 //   * mid-run churn (ChurnRunConfig::mid_run): the epoch's events are
 //     placed on individual flood rounds — uniformly, or adversarially
 //     timed/targeted (adversary/midrun_schedule.hpp) — and strike DURING
@@ -24,18 +22,11 @@
 //     with it (the steady-state hot path): each epoch's run executes on
 //     IncrementalEngine::snapshot() — the mid-run and flushed splices flow
 //     through the overlay's SpliceObserver, so the next snapshot
-//     recomputes only the balls they dirtied — may enter at the ε-warm
-//     phase, and skips drift-quiet epochs adaptively (those epochs apply
-//     their events between-runs style). run_engine doubles as the
-//     per-epoch E26 oracle: the message-level engine replays the identical
-//     schedule (composed inputs included) and must agree bitwise.
-//     verify_warm shadows each composed run with a cold mid-run replay on
-//     copies — exact-warm epochs must match decision-for-decision; ε-warm
-//     epochs must stay within the budget.
-//     The one genuinely unsupported combination: eps_warm + verify_warm +
-//     kFrontierLeaves (frontier victims depend on the observed wavefront,
-//     which an ε-entry run shifts, so the cold shadow floods a DIFFERENT
-//     overlay evolution and its divergence count is meaningless).
+//     recomputes only the balls they dirtied — and skips drift-quiet
+//     epochs adaptively (those epochs apply their events between-runs
+//     style). run_engine doubles as the per-epoch E26 oracle: the
+//     message-level engine replays the identical schedule (composed
+//     inputs included) and must agree bitwise.
 //
 // Everything is derived from cfg.seed with SplitMix64 streams and replayed
 // sequentially, so a churn run is bitwise reproducible regardless of how
@@ -52,12 +43,11 @@
 #include "dynamics/mutable_overlay.hpp"
 #include "protocols/estimate.hpp"
 #include "protocols/fastpath.hpp"
-#include "protocols/warm_start.hpp"
 
 namespace byz::dynamics {
 
-/// The incremental-estimation knobs (all off = the PR-2 behavior: full
-/// snapshot rebuild plus a cold protocol run every epoch).
+/// The incremental-estimation knobs (all off = a full snapshot rebuild
+/// plus a protocol run every epoch).
 struct IncrementalConfig {
   /// Dirty-ball snapshot maintenance: snapshot() recomputes only the BFS
   /// balls within distance k of a splice endpoint and reuses the rest.
@@ -65,28 +55,6 @@ struct IncrementalConfig {
   /// Debug mode: every incremental snapshot is cross-checked bitwise
   /// against a full rebuild (throws std::logic_error on divergence).
   bool verify_snapshots = false;
-  /// Warm-start the protocol from the previous epoch's estimates
-  /// (proto::run_counting_warm).
-  bool warm_start = false;
-  /// Shadow-run the cold protocol on every snapshot and assert the warm
-  /// decisions (status + estimates) match exactly; also fills
-  /// EpochStats::messages_cold for parity reporting. With eps_warm the
-  /// assertion weakens to the ε accounting invariant: divergent decisions
-  /// <= floor(eps_budget * honest members) per epoch (throws past it).
-  bool verify_warm = false;
-  /// ε-warm tier (requires warm_start): skip the early phases of warm runs
-  /// entirely, spending the paper's ε·n outlier budget on phase-skip
-  /// savings (proto::WarmConfig::eps_*; E25 measures the trade).
-  bool eps_warm = false;
-  /// Divergence budget as a fraction of honest members per epoch.
-  double eps_budget = 0.10;
-  /// Safety margin below the quantile-chosen entry phase (see
-  /// proto::WarmConfig::eps_margin).
-  std::uint32_t eps_margin = 1;
-  /// Warm safety bound (see proto::WarmConfig). With `adaptive` on, the
-  /// effective bound is raised to at least 2*drift_threshold: estimating
-  /// AT the threshold is the scheduler's cadence, not excess drift.
-  proto::WarmConfig warm;
   /// Drift-adaptive epoch scheduling: re-estimate only when the membership
   /// drift accumulated since the last estimation crosses drift_threshold,
   /// instead of on every epoch.
@@ -111,23 +79,18 @@ struct ChurnRunConfig {
   /// Accuracy band for est/log2(n(t)) (summarize_accuracy defaults).
   double band_lo = 0.05;
   double band_hi = 3.0;
-  /// Incremental-tier switches (snapshot reuse, warm start, adaptive
-  /// scheduling). run_engine with warm_start requires verify_warm: the
-  /// message-level Engine is compared against the cold tier.
+  /// Incremental-tier switches (snapshot reuse, adaptive scheduling).
   IncrementalConfig incremental;
   /// Mid-protocol churn (dynamics/midrun.*): apply each epoch's
   /// joins/leaves DURING its estimation run — spread over the run's
   /// expected flood rounds — instead of between runs. The incremental
   /// tier COMPOSES with it (see the file comment): dirty-ball snapshots
-  /// feed the run start, ε-warm picks its entry phase, and adaptive
-  /// cadence skips drift-quiet epochs (their events then apply
-  /// between-runs style). run_engine IS supported:
-  /// each epoch the message-level sim::Engine replays the identical
-  /// schedule from a copy of the pre-run state (composed inputs included)
-  /// and EpochStats.engine_match records whether the two tiers agreed
-  /// bitwise (the E26 oracle). The only rejected combination is eps_warm
-  /// + verify_warm + kFrontierLeaves — the ε cold shadow would flood a
-  /// different overlay evolution, voiding the divergence accounting.
+  /// feed the run start and adaptive cadence skips drift-quiet epochs
+  /// (their events then apply between-runs style). run_engine IS
+  /// supported: each epoch the message-level sim::Engine replays the
+  /// identical schedule from a copy of the pre-run state (composed inputs
+  /// included) and EpochStats.engine_match records whether the two tiers
+  /// agreed bitwise (the E26 oracle).
   struct MidRunMode {
     bool enabled = false;
     proto::MembershipPolicy policy =
@@ -141,20 +104,20 @@ struct ChurnRunConfig {
   };
   MidRunMode mid_run;
   /// Divergence-forensics audit (obs/digest.hpp): digest every execution
-  /// at this driver's oracle seams — the per-epoch engine oracle and the
-  /// verify_warm cold shadow — and render a byzobs/forensics/v1 report on
-  /// any divergence, BEFORE the failure is recorded or thrown. Pure
-  /// read-side: outcomes and every EpochStats counter are bitwise
-  /// unaffected (only forensics_path, an audit-only field, is set).
+  /// at this driver's oracle seam — the per-epoch engine oracle — and
+  /// render a byzobs/forensics/v1 report on any divergence, BEFORE the
+  /// failure is recorded. Pure read-side: outcomes and every EpochStats
+  /// counter are bitwise unaffected (only forensics_path, an audit-only
+  /// field, is set).
   bool audit = false;
-  /// Directory forensic reports are written to ("" = render-only; the
-  /// report text still reaches thrown exception messages via its path).
+  /// Directory forensic reports are written to ("" = render-only: the
+  /// report is built but not written, and forensics_path stays empty).
   std::string audit_dir;
   /// Flood-kernel thread count (0 = hardware threads) forwarded to every
-  /// fastpath-tier run this driver launches (cold, warm, ε-warm, mid-run,
-  /// and the backend shadow). The kernel is bitwise identical at every
-  /// count, so every EpochStats field — including the engine-oracle and
-  /// verify_warm comparisons — is independent of it.
+  /// fastpath-tier run this driver launches (snapshot, mid-run, and the
+  /// backend shadow). The kernel is bitwise identical at every count, so
+  /// every EpochStats field — including the engine-oracle comparison — is
+  /// independent of it.
   std::uint32_t flood_threads = 1;
   /// Cross-ALGORITHM shadow oracle (analysis/backend_compare.hpp): after
   /// each estimating epoch, run this registered backend AND the cold
@@ -164,7 +127,7 @@ struct ChurnRunConfig {
   /// combined band (EpochStats::shadow_*). Unlike the engine oracle —
   /// same algorithm, different execution tier — this catches bugs that
   /// shift BOTH tiers identically. Pure read-side: it perturbs no rng
-  /// stream, no warm state, and no existing counter. "" = off; an unknown
+  /// stream and no existing counter. "" = off; an unknown
   /// name throws up front with the registered-name list.
   std::string shadow_backend;
 };
@@ -186,23 +149,11 @@ struct EpochStats {
   double drift = 0.0;             ///< accumulated drift entering the epoch
   std::uint64_t balls_recomputed = 0;  ///< snapshot balls BFS'd this epoch
   std::uint64_t balls_reused = 0;      ///< balls carried from last snapshot
-  bool warm_used = false;         ///< warm path taken (vs cold fallback)
-  std::uint64_t subphases_scheduled = 0;  ///< paper schedule for the run
-  std::uint64_t subphases_executed = 0;   ///< after lazy short-circuiting
   /// Mid-run mode: Verifier rows the live kReadmitNextPhase refreshes
   /// recomputed, i.e. those within k-1 H-hops of a splice since the
   /// previous boundary (MidRunStats::rows_recomputed). 0 in snapshot mode:
   /// a snapshot run's Verifier views the overlay's ball counts.
   std::uint64_t verify_rows_recomputed = 0;
-  std::uint64_t messages_cold = 0;        ///< cold shadow run (verify_warm)
-  // --- ε-warm tier ---
-  bool eps_used = false;             ///< the epoch's run skipped phases
-  std::uint32_t eps_entry_phase = 1;
-  std::uint64_t eps_budget_nodes = 0;       ///< floor(eps_budget * honest)
-  std::uint64_t eps_divergent = 0;   ///< decisions differing from the cold
-                                     ///< shadow (verify_warm only); the
-                                     ///< driver throws past the budget
-  std::uint64_t eps_skipped_subphases = 0;
   // --- mid-run churn ---
   std::uint64_t midrun_events_applied = 0;  ///< at their scheduled round
   std::uint64_t midrun_events_flushed = 0;  ///< after early termination
@@ -212,9 +163,7 @@ struct EpochStats {
                                             ///< observed flood wavefront
   // --- divergence audit (ChurnRunConfig::audit only) ---
   /// Path of the forensics report written for this epoch's engine-oracle
-  /// divergence ("" = no divergence, no audit, or no audit_dir). The
-  /// verify_warm seam throws instead and embeds its report path in the
-  /// exception message.
+  /// divergence ("" = no divergence, no audit, or no audit_dir).
   std::string forensics_path;
   /// Closed run-level digest of this epoch's estimation run (0 when audit
   /// is off, the epoch was skipped, or the obs layer is compiled out).

@@ -489,11 +489,6 @@ MidRunOutcome run_midrun_tier(MutableOverlay& overlay,
                               obs::RunDigester* digester) {
   LiveOverlayFeed feed(overlay, stable_byz, schedule, config,
                        cfg.verification, adversary, rng, composed, digester);
-  const std::uint32_t start_phase =
-      composed != nullptr ? composed->start_phase : 1;
-  if (digester != nullptr && start_phase > 1) {
-    digester->note(obs::FlightEventKind::kEpsEntry, start_phase, 0);
-  }
   MidRunOutcome out;
   if (use_engine) {
     if (config.backend != nullptr) {
@@ -502,12 +497,11 @@ MidRunOutcome run_midrun_tier(MutableOverlay& overlay,
           "Algorithm-2 stack only; MidRunConfig::backend must be null");
     }
     sim::Engine engine(feed.snapshot_overlay(), feed.run_byz(), strategy, cfg,
-                       color_seed, &feed, start_phase, digester);
+                       color_seed, &feed, digester);
     out.run = engine.run();
   } else {
     proto::RunControls controls;
     controls.midrun = &feed;
-    controls.start_phase = start_phase;
     controls.digester = digester;
     controls.flood_threads = config.flood_threads;
     if (config.backend != nullptr) {

@@ -48,16 +48,16 @@
 //        tiers cross-check each other's mid-run membership machinery, so
 //        fastpath-only behavior is no longer unverifiable.
 //   E28  the COMPOSED tier: mid-run churn is no longer exclusive with the
-//        incremental/warm machinery. MidRunComposed lets the epoch driver
-//        hand the feed an IncrementalEngine snapshot (bitwise identical to
-//        the cold rebuild by that engine's contract, so E24/E26 transfer
-//        unchanged) and enter the run at the ε-warm phase. The feed's
-//        run-start Verifier rows are the snapshot's own ball counts
-//        (graph::Overlay::ball_row). The feed's own splices go
-//        through MutableOverlay::join_at/leave, which notify whatever
-//        SpliceObserver is attached — so the DirtyBallTracker sees every
-//        mid-run and flushed event and the NEXT epoch's snapshot
-//        recomputes only the balls this epoch dirtied.
+//        incremental machinery. MidRunComposed lets the epoch driver hand
+//        the feed an IncrementalEngine snapshot (bitwise identical to the
+//        cold rebuild by that engine's contract, so E24/E26 transfer
+//        unchanged). The feed's run-start Verifier rows are the
+//        snapshot's own ball counts (graph::Overlay::ball_row). The feed's
+//        own splices go through MutableOverlay::join_at/leave, which
+//        notify whatever SpliceObserver is attached — so the
+//        DirtyBallTracker sees every mid-run and flushed event and the
+//        NEXT epoch's snapshot recomputes only the balls this epoch
+//        dirtied.
 //
 // Adversarial schedules (adversary/midrun_schedule.hpp) reuse this replay
 // machinery unchanged: derive_adversarial_schedule shapes WHEN the same
@@ -119,14 +119,13 @@ struct MidRunConfig {
   /// independent of it.
   std::uint32_t flood_threads = 1;
   /// Protocol backend executing the run (null = the Algorithm-2 fastpath,
-  /// run_counting_with). A non-null backend must support
-  /// EstimatorTier::kMidRunChurn; it rides the same LiveOverlayFeed,
+  /// run_counting_with). Every backend rides the same LiveOverlayFeed,
   /// flush, and departed-reconcile plumbing. The message-level engine
   /// tier (run_counting_midrun_engine / engine oracle) is Algorithm-2
-  /// machinery and ignores this — callers must not combine a non-null
-  /// backend with the engine oracle. NOTE for non-algo2 backends without
-  /// verification traffic (BRC): hand the feed a disabled-verification
-  /// ProtocolConfig, or the feed will bill live verifier rebuilds.
+  /// machinery and throws std::invalid_argument on a non-null backend.
+  /// NOTE for non-algo2 backends without verification traffic (BRC): hand
+  /// the feed a disabled-verification ProtocolConfig, or the feed will
+  /// bill live verifier rebuilds.
   const proto::Estimator* backend = nullptr;
 };
 
@@ -146,21 +145,16 @@ struct MidRunStats {
   bool operator==(const MidRunStats&) const = default;
 };
 
-/// Composed-tier inputs the epoch driver threads into a mid-run run (all
-/// optional; the default value is the standalone PR-5 behavior). The
-/// members compose independently:
-///   * `snapshot` — a run-start snapshot to execute on INSTEAD of the
-///     feed's own MutableOverlay::snapshot() full rebuild. The driver
-///     passes IncrementalEngine::snapshot(), which is bitwise identical to
-///     the full rebuild by contract, so every mid-run anchor (E24/E26)
-///     transfers unchanged. Must describe the overlay's current alive
-///     membership and outlive the feed.
-///   * `start_phase` — ε-warm entry phase (1 = no skip): the run starts
-///     there with the schedule clock pre-advanced, so events scheduled in
-///     the skipped prefix burst-apply at entry (RunControls::start_phase).
+/// Composed-tier input the epoch driver threads into a mid-run run
+/// (optional; the default value is the standalone behavior):
+/// `snapshot` is a run-start snapshot to execute on INSTEAD of the feed's
+/// own MutableOverlay::snapshot() full rebuild. The driver passes
+/// IncrementalEngine::snapshot(), which is bitwise identical to the full
+/// rebuild by contract, so every mid-run anchor (E24/E26) transfers
+/// unchanged. Must describe the overlay's current alive membership and
+/// outlive the feed.
 struct MidRunComposed {
   const MutableOverlay::Snapshot* snapshot = nullptr;
-  std::uint32_t start_phase = 1;
 };
 
 /// MutableOverlay-backed implementation of proto::MidRunHooks (see file
@@ -185,7 +179,7 @@ struct MidRunComposed {
 class LiveOverlayFeed final : public proto::MidRunHooks {
  public:
   /// `composed` (optional, must outlive the feed) threads the incremental
-  /// snapshot and the ε-warm entry in — see MidRunComposed.
+  /// snapshot in — see MidRunComposed.
   /// `digester` (optional; same instance the run itself is handed) lets
   /// the feed fold membership changes into the current round digest and
   /// record join/leave flight events. Pure read-side.
@@ -327,7 +321,7 @@ struct MidRunOutcome {
 /// joiners marked Byzantine), `rng` advances exactly one draw per
 /// adversary decision — both identical to the between-runs replay, so a
 /// driver can alternate modes per epoch. `composed` (nullable) layers the
-/// incremental/warm/ε-warm tiers onto the run — see MidRunComposed.
+/// incremental tier onto the run — see MidRunComposed.
 [[nodiscard]] MidRunOutcome run_counting_midrun(
     MutableOverlay& overlay, std::vector<bool>& stable_byz,
     adv::Strategy& strategy, const proto::ProtocolConfig& cfg,

@@ -8,8 +8,6 @@ const char* to_string(FlightEventKind kind) {
     case FlightEventKind::kPhaseBegin: return "phase_begin";
     case FlightEventKind::kJoin: return "join";
     case FlightEventKind::kLeave: return "leave";
-    case FlightEventKind::kStragglerFlood: return "straggler_flood";
-    case FlightEventKind::kEpsEntry: return "eps_entry";
     case FlightEventKind::kNote: return "note";
   }
   return "unknown";

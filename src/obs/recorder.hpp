@@ -1,10 +1,9 @@
 // Flight recorder: a bounded ring buffer of recent structured run events
-// (round begin/close, phase begin, membership changes, straggler floods,
-// eps-entry) that is inert until a failure — nothing is rendered or
-// written unless a divergence report asks for the tail. One recorder
-// serves one run and is confined to the worker thread executing that run,
-// so recording is a plain store into a preallocated ring: no locks, no
-// atomics, no allocation past construction.
+// (round close, phase begin, membership changes) that is inert until a
+// failure — nothing is rendered or written unless a divergence report asks
+// for the tail. One recorder serves one run and is confined to the worker
+// thread executing that run, so recording is a plain store into a
+// preallocated ring: no locks, no atomics, no allocation past construction.
 //
 // Like every obs/ facility this is pure read-side (see obs.hpp): events
 // describe protocol state, they never feed back into it. Under
@@ -22,13 +21,11 @@
 namespace byz::obs {
 
 enum class FlightEventKind : std::uint8_t {
-  kRoundClose,      ///< a = token count this round, b = round digest
-  kPhaseBegin,      ///< a = active count, b = admitted count
-  kJoin,            ///< a = stable id, b = run id
-  kLeave,           ///< a = run id, b = 1 if deferred (floor), else 0
-  kStragglerFlood,  ///< a = unfired straggler count, b = flood steps
-  kEpsEntry,        ///< a = entry phase, b = skipped subphases
-  kNote,            ///< free-form marker (a, b caller-defined)
+  kRoundClose,  ///< a = token count this round, b = round digest
+  kPhaseBegin,  ///< a = active count, b = admitted count
+  kJoin,        ///< a = stable id, b = run id
+  kLeave,       ///< a = run id, b = 1 if deferred (floor), else 0
+  kNote,        ///< free-form marker (a, b caller-defined)
 };
 
 [[nodiscard]] const char* to_string(FlightEventKind kind);

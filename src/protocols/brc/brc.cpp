@@ -60,16 +60,6 @@ RunResult run_brc_counting(const graph::Overlay& overlay,
                            std::uint64_t color_seed,
                            const RunControls& controls) {
   const NodeId n = overlay.num_nodes();
-  if (controls.lazy_subphases) {
-    throw std::invalid_argument(
-        "run_brc_counting: lazy_subphases is an Algorithm-2 tier (BRC has "
-        "no fired-flag short-circuit; every repetition feeds the medians)");
-  }
-  if (controls.start_phase != 1) {
-    throw std::invalid_argument(
-        "run_brc_counting: start_phase skip is the Algorithm-2 ε-warm tier; "
-        "BRC batches carry cross-batch median state and cannot be skipped");
-  }
   MidRunHooks* const midrun = controls.midrun;
   const NodeId nb = midrun ? midrun->node_bound() : n;
   if (nb < n || byz_mask.size() != nb) {
@@ -323,20 +313,6 @@ class BrcEstimator final : public Estimator {
     b.hi = std::min(2.20, 1.0 + 4.5 / log_n);
     b.eps = 0.08;
     return b;
-  }
-
-  [[nodiscard]] bool supports(EstimatorTier tier) const override {
-    switch (tier) {
-      case EstimatorTier::kColdRun:
-      case EstimatorTier::kMidRunChurn:
-        return true;
-      case EstimatorTier::kLazySubphases:
-      case EstimatorTier::kWarmStart:
-      case EstimatorTier::kEpsWarm:
-      case EstimatorTier::kEngineOracle:
-        return false;
-    }
-    return false;
   }
 
   [[nodiscard]] RunResult run(const graph::Overlay& overlay,

@@ -38,10 +38,9 @@
 //
 // Tier support: cold runs and mid-run churn (the kernel's MidRunHooks ride
 // unchanged; batches are the backend's "phases", so joiner admission and
-// verifier refresh happen at batch boundaries). The warm/ε-warm tiers and
-// the message-level engine oracle are Algorithm-2 machinery and are NOT
-// supported — Estimator::supports says so, and run_brc_counting throws on
-// the corresponding RunControls knobs.
+// verifier refresh happen at batch boundaries). The message-level engine
+// oracle is Algorithm-2 machinery: run_midrun_tier throws when asked to
+// replay a BRC run.
 #pragma once
 
 #include <cstdint>
@@ -72,11 +71,9 @@ struct BrcConfig {
 [[nodiscard]] std::uint32_t resolve_brc_max_batches(
     const graph::Overlay& overlay, const BrcConfig& cfg);
 
-/// One BRC counting run. `controls` supports the flood-kernel knob, the
-/// digester, an external (disabled-verification) verifier, and mid-run
-/// hooks; throws std::invalid_argument on lazy_subphases or start_phase
-/// != 1 (no such tiers — see file comment). RunResult::estimate holds the
-/// decided median color ≈ log2 n, directly comparable (as an est/log2 n
+/// One BRC counting run. `controls` supports every knob: the flood-kernel
+/// thread count, the digester and mid-run hooks. RunResult::estimate holds
+/// the decided median color ≈ log2 n, directly comparable (as an est/log2 n
 /// ratio) with Algorithm 2's decided phase.
 [[nodiscard]] RunResult run_brc_counting(const graph::Overlay& overlay,
                                          const std::vector<bool>& byz_mask,

@@ -24,10 +24,10 @@ struct RunResult {
   std::vector<std::uint32_t> estimate;  ///< decided phase i (0 if none)
   std::uint32_t phases_executed = 0;
   std::uint64_t flood_rounds = 0;       ///< protocol rounds (paper's count)
-  /// Subphase accounting: scheduled = what the paper's schedule prescribes
-  /// for the executed phases; executed < scheduled only for lazily
-  /// evaluated (warm-tier) runs, which stop a phase at the first subphase
-  /// after which every active node has fired.
+  /// Subphase accounting: scheduled = what the schedule prescribes for the
+  /// executed phases; executed = the subphases actually flooded. Every run
+  /// floods its whole schedule, so the two agree; the parity anchors
+  /// compare both.
   std::uint64_t subphases_scheduled = 0;
   std::uint64_t subphases_executed = 0;
   sim::Instrumentation instr;

@@ -15,9 +15,9 @@ namespace {
 /// The Algorithm 1/2 stack behind the Estimator interface. "algo2" is the
 /// full paper protocol (verification + crash rule as configured); "algo1"
 /// forces the ablation config (no Byzantine countermeasures) while keeping
-/// the caller's schedule. Both ride every tier: run_counting_with already
-/// threads lazy/warm/ε-warm/mid-run, and sim::Engine replays the same
-/// semantics message by message.
+/// the caller's schedule. Both ride every tier: run_counting_with threads
+/// mid-run churn, and sim::Engine replays the same semantics message by
+/// message.
 class FastpathEstimator final : public Estimator {
  public:
   FastpathEstimator(std::string name, ProtocolConfig cfg, double eps)
@@ -33,10 +33,6 @@ class FastpathEstimator final : public Estimator {
     // est/log2(n) ratio spans [0.05, 3.0] with the paper's slack. The ε
     // outlier budget covers crash-rule casualties and phase-cap stragglers.
     return {0.05, 3.0, eps_};
-  }
-
-  [[nodiscard]] bool supports(EstimatorTier /*tier*/) const override {
-    return true;  // the reference stack implements every tier
   }
 
   [[nodiscard]] RunResult run(const graph::Overlay& overlay,

@@ -1,7 +1,7 @@
 // The pluggable protocol-backend interface: every counting algorithm in
 // the tree (Algorithm 1/2 from the source paper, Byzantine-Resilient
 // Counting from arXiv 2204.11951) is an Estimator — one entry point across
-// the cold/warm/mid-run tiers plus a DECLARED accuracy contract. The
+// the cold and mid-run tiers plus a DECLARED accuracy contract. The
 // declared bound is what makes cross-backend comparison an oracle: two
 // independent algorithms must each land within their own published band,
 // and their pair ratio must land within the combined band
@@ -56,19 +56,6 @@ struct AgreementBound {
 [[nodiscard]] AgreementBound combined_agreement_bound(const EstimatorBound& a,
                                                       const EstimatorBound& b);
 
-/// Execution tiers a backend may support (the compatibility matrix in
-/// docs/ARCHITECTURE.md). Callers must check supports() before threading
-/// the corresponding RunControls knob / driver mode; backends throw
-/// std::invalid_argument on knobs they cannot honor.
-enum class EstimatorTier : std::uint8_t {
-  kColdRun,        ///< plain static run (every backend)
-  kLazySubphases,  ///< RunControls::lazy_subphases (decision-exact skip)
-  kWarmStart,      ///< proto::run_counting_warm estimate reuse
-  kEpsWarm,        ///< RunControls::start_phase > 1 (ε·n budget tier)
-  kMidRunChurn,    ///< RunControls::midrun (LiveOverlayFeed hooks)
-  kEngineOracle,   ///< message-level sim::Engine parity replay
-};
-
 class Estimator {
  public:
   virtual ~Estimator() = default;
@@ -80,13 +67,8 @@ class Estimator {
   [[nodiscard]] virtual EstimatorBound bound(
       const graph::Overlay& overlay) const = 0;
 
-  /// Tier-compatibility matrix row.
-  [[nodiscard]] virtual bool supports(EstimatorTier tier) const = 0;
-
   /// One counting run. `byz_mask` spans the run's id space (node_bound
-  /// under mid-run churn); `controls` selects the tier — a backend throws
-  /// std::invalid_argument on a knob it does not support rather than
-  /// silently ignoring it.
+  /// under mid-run churn); `controls` selects the tier.
   [[nodiscard]] virtual RunResult run(const graph::Overlay& overlay,
                                       const std::vector<bool>& byz_mask,
                                       adv::Strategy& strategy,

@@ -41,16 +41,7 @@ RunResult run_counting_with(const graph::Overlay& overlay,
                             std::uint64_t color_seed,
                             const RunControls& controls) {
   const NodeId n = overlay.num_nodes();
-  if (controls.start_phase == 0) {
-    throw std::invalid_argument(
-        "run_counting: start_phase is 1-based (1 = no skip)");
-  }
   MidRunHooks* const midrun = controls.midrun;
-  if (midrun != nullptr && controls.lazy_subphases) {
-    throw std::invalid_argument(
-        "run_counting: midrun hooks are incompatible with lazy_subphases "
-        "(skipped subphases would shift the churn-schedule clock)");
-  }
   // The run's id space: the snapshot's nodes plus, under mid-run churn,
   // every joiner the round schedule will ever admit (inert until then).
   const NodeId nb = midrun ? midrun->node_bound() : n;
@@ -63,9 +54,8 @@ RunResult run_counting_with(const graph::Overlay& overlay,
   // span encloses setup and every phase; phase/subphase spans nest inside
   // it, and the flood kernel adds flood.subphase/flood.round below them.
   static const obs::Counter obs_subphases("count.subphases");
-  static const obs::Counter obs_straggler_floods("count.straggler_floods");
   obs::Span run_span("count.run");
-  run_span.arg("n", n).arg("start_phase", controls.start_phase);
+  run_span.arg("n", n);
 
   RunResult result;
   result.status.assign(nb, NodeStatus::kUndecided);
@@ -146,23 +136,11 @@ RunResult run_counting_with(const graph::Overlay& overlay,
   std::vector<Color> gen(nb, 0);
   std::vector<Injection> injections;
   std::vector<bool> fired(nb, false);
-  // Lazy-tier scratch: the not-yet-fired stragglers of the current phase
-  // and the region mask of their radius-`phase` balls.
-  std::vector<NodeId> unfired_list;
-  std::vector<std::uint8_t> region;
-  std::vector<NodeId> region_frontier;
-  std::vector<NodeId> region_next;
-  // Global flood-round counter driving the mid-run churn schedule. An
-  // ε-warm entry above phase 1 pre-advances it past the skipped prefix so
-  // the schedule's event→round mapping is preserved: events the run was
-  // not looking at burst-apply at the entry phase's first begin_round.
-  std::uint64_t global_round =
-      controls.start_phase > 1
-          ? rounds_through_phase(controls.start_phase - 1, d, cfg.schedule)
-          : 0;
+  // Global flood-round counter driving the mid-run churn schedule.
+  std::uint64_t global_round = 0;
 
   obs::RunDigester* const dg = controls.digester;
-  std::uint32_t phase = controls.start_phase - 1;
+  std::uint32_t phase = 0;
   while (phase < max_phase && active_count > 0) {
     ++phase;
     obs::Span phase_span("count.phase");
@@ -190,7 +168,6 @@ RunResult run_counting_with(const graph::Overlay& overlay,
       obs::Span sub_span("count.subphase");
       sub_span.arg("phase", phase).arg("j", j);
       obs_subphases.add(1);
-      bool focused = false;
       const std::uint32_t s =
           global_subphase_index(phase, j, d, cfg.schedule);
       // Colors: active honest nodes generate; decided/crashed do not;
@@ -207,52 +184,10 @@ RunResult run_counting_with(const graph::Overlay& overlay,
       injections.clear();
       strategy.plan_subphase(world, {phase, j, s}, injections);
 
-      // Lazy evaluation, stage 2: only the stragglers that have not fired
-      // yet can still influence this phase's decisions, and a node's flood
-      // values are a function of its radius-`phase` ball alone — so once
-      // the stragglers are a minority, flood only the induced subgraph on
-      // the union of their balls. Values are exact exactly at the
-      // stragglers, which are the only nodes the fired-update below still
-      // reads.
-      if (controls.lazy_subphases && j > 1 &&
-          unfired_list.size() < active_count) {
-        region.assign(n, 0);
-        region_frontier.clear();
-        NodeId region_count = 0;
-        for (const NodeId v : unfired_list) {
-          region[v] = 1;
-          region_frontier.push_back(v);
-          ++region_count;
-        }
-        const auto& hs = overlay.h_simple();
-        focused = true;
-        for (std::uint32_t depth = 0;
-             depth < phase && !region_frontier.empty(); ++depth) {
-          region_next.clear();
-          for (const NodeId u : region_frontier) {
-            for (const NodeId w : hs.neighbors(u)) {
-              if (region[w] == 0) {
-                region[w] = 1;
-                region_next.push_back(w);
-                ++region_count;
-              }
-            }
-          }
-          // The balls merged into most of the network: the focused flood
-          // would cost the same as the full one, so skip the masking.
-          if (region_count * 4 > static_cast<NodeId>(n) * 3) {
-            focused = false;
-            break;
-          }
-          region_frontier.swap(region_next);
-        }
-      }
-
       FloodParams params;
       params.steps = phase;
       params.byz_forward = strategy.forwards_floods();
       params.threads = controls.flood_threads;
-      if (focused) params.region = region;
       if (midrun != nullptr) {
         params.live = midrun;
         params.clock = {phase, j, 1, global_round};
@@ -265,20 +200,10 @@ RunResult run_counting_with(const graph::Overlay& overlay,
                          injections, ws, result.instr);
       global_round += phase;
       ++result.subphases_executed;
-      sub_span.arg("focused", focused ? 1 : 0);
-      if (focused) {
-        obs_straggler_floods.add(1);
-        if (dg != nullptr) {
-          dg->note(obs::FlightEventKind::kStragglerFlood, unfired_list.size(),
-                   phase);
-        }
-      }
 
       // Line 18: the phase "continues" for v if the final-step max strictly
       // beats every earlier step AND clears the threshold, in ANY subphase.
-      // (Already-fired nodes are skipped, so focused subphases only read
-      // the straggler values the region guarantees exact.)
-      unfired_list.clear();
+      std::uint64_t unfired = 0;
       for (NodeId v = 0; v < nb; ++v) {
         if (!active[v] || fired[v]) continue;
         const Color ki = ws.last_step[v];
@@ -286,21 +211,16 @@ RunResult run_counting_with(const graph::Overlay& overlay,
             static_cast<double>(ki) > threshold) {
           fired[v] = true;
         } else {
-          unfired_list.push_back(v);
+          ++unfired;
         }
       }
-      sub_span.arg("unfired", unfired_list.size());
+      sub_span.arg("unfired", unfired);
       if (dg != nullptr) {
         for (NodeId v = 0; v < nb; ++v) {
           if (fired[v]) dg->fold_subphase(obs::digest_state_term(v, 1));
         }
         dg->close_subphase();
       }
-      // Lazy evaluation, stage 1: once every active node has fired, the
-      // remaining subphases cannot change any decision (fired is monotone
-      // and the only cross-subphase state) — to the cold tier they are
-      // pure message cost.
-      if (controls.lazy_subphases && unfired_list.empty()) break;
     }
 
     // Mid-run churn: nodes that left the overlay during this phase are no

@@ -86,9 +86,6 @@ void run_subphase_reference(const graph::Overlay& overlay,
   const MidRunHooks* live = params.live;
   const NodeId n = live ? live->node_bound() : overlay.num_nodes();
   const auto& h = overlay.h_simple();
-  const auto in_region = [&](NodeId v) {
-    return params.region.empty() || params.region[v] != 0;
-  };
   const auto present = [&](NodeId v) {
     return live == nullptr || live->alive(v);
   };
@@ -100,7 +97,6 @@ void run_subphase_reference(const graph::Overlay& overlay,
   // (Mid-run joiners have gen_color 0 until a phase boundary admits them,
   // so they can never enter the frontier before being alive.)
   for (NodeId v = 0; v < n; ++v) {
-    if (!in_region(v)) continue;
     ws.known[v] = gen_color[v];
     if (gen_color[v] > 0 && !crashed[v]) frontier.push_back(v);
   }
@@ -136,7 +132,6 @@ void run_subphase_reference(const graph::Overlay& overlay,
     }
     touched.clear();
     auto deliver = [&](NodeId receiver, NodeId sender, Color c, bool verify) {
-      if (!in_region(receiver)) return;
       if (crashed[receiver] || !present(receiver)) return;
       if (byz_mask[receiver]) {
         // Byzantine receivers absorb knowledge without verification; their
@@ -184,7 +179,7 @@ void run_subphase_reference(const graph::Overlay& overlay,
     // Byzantine injections scheduled for this step.
     for (const auto& inj : injections) {
       if (inj.step != t || crashed[inj.from]) continue;
-      if (!in_region(inj.from) || !present(inj.from)) continue;
+      if (!present(inj.from)) continue;
       const auto nbrs =
           live ? live->neighbors(inj.from) : h.neighbors(inj.from);
       instr.count_token(nbrs.size());
@@ -250,8 +245,8 @@ void run_subphase_reference(const graph::Overlay& overlay,
 //     CAS replaces 0 sets the touched bit (values only grow, so exactly
 //     one such CAS succeeds per node and step);
 //   * receivers are tested against two word-packed sets built by the
-//     step-1 sweep from the run's inputs — can-receive (in region, not
-//     crashed) and Byzantine — plus presence when live hooks are attached;
+//     step-1 sweep from the run's inputs — can-receive (not crashed) and
+//     Byzantine — plus presence when live hooks are attached;
 //   * the round digest is a commutative XOR fold, accumulated per worker
 //     and folded once on the main thread;
 //   * Instrumentation is sums plus one max, merged per worker under a
@@ -274,9 +269,6 @@ void run_subphase_kernel(const graph::Overlay& overlay,
   const MidRunHooks* live = params.live;
   const NodeId n = live ? live->node_bound() : overlay.num_nodes();
   const auto& h = overlay.h_simple();
-  const auto in_region = [&](NodeId v) {
-    return params.region.empty() || params.region[v] != 0;
-  };
   const auto present = [&](NodeId v) {
     return live == nullptr || live->alive(v);
   };
@@ -334,7 +326,6 @@ void run_subphase_kernel(const graph::Overlay& overlay,
         for (NodeId v = base; v < end; ++v) {
           const Word bit = Word{1} << (v - base);
           if (byz_mask[v]) b |= bit;
-          if (!in_region(v)) continue;
           ws.known[v] = gen_color[v];
           if (crashed[v]) continue;
           r |= bit;
@@ -425,7 +416,7 @@ void run_subphase_kernel(const graph::Overlay& overlay,
     // other injections).
     for (const auto& inj : injections) {
       if (inj.step != t || crashed[inj.from]) continue;
-      if (!in_region(inj.from) || !present(inj.from)) continue;
+      if (!present(inj.from)) continue;
       const auto nbrs =
           live ? live->neighbors(inj.from) : h.neighbors(inj.from);
       instr.count_token(nbrs.size());
@@ -512,14 +503,6 @@ void run_checked(SubphaseBody body, const graph::Overlay& overlay,
   if (gen_color.size() != n || byz_mask.size() != n || crashed.size() != n) {
     throw std::invalid_argument("run_flood_subphase: size mismatch");
   }
-  if (!params.region.empty() && params.region.size() != n) {
-    throw std::invalid_argument("run_flood_subphase: region size mismatch");
-  }
-  if (live != nullptr && !params.region.empty()) {
-    throw std::invalid_argument(
-        "run_flood_subphase: live topology is incompatible with focused "
-        "(region) floods");
-  }
   ws.ensure(n);
 
   // Observability (pure read-side; inert unless obs::set_enabled). The
@@ -528,8 +511,7 @@ void run_checked(SubphaseBody body, const graph::Overlay& overlay,
   static const obs::Counter obs_rounds("flood.rounds");
   static const obs::Counter obs_tokens("flood.tokens");
   obs::Span subphase_span("flood.subphase");
-  subphase_span.arg("steps", params.steps)
-      .arg("focused", params.region.empty() ? 0 : 1);
+  subphase_span.arg("steps", params.steps);
   const std::uint64_t subphase_tokens_before = instr.token_messages;
 
   body(overlay, byz_mask, crashed, verifier, params, gen_color, injections, ws,

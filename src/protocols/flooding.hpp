@@ -76,9 +76,9 @@ class FloodWorkspace {
   util::Bitset next_frontier_bits;
   util::Bitset touched_bits;
   /// The kernel's per-delivery receiver tests, packed by its step-1 sweep
-  /// from the subphase inputs: nodes that can receive (in the region and
-  /// not crashed) and Byzantine nodes (unaudited receivers). Under live
-  /// hooks presence changes per round, so it is still asked per delivery.
+  /// from the subphase inputs: nodes that can receive (not crashed) and
+  /// Byzantine nodes (unaudited receivers). Under live hooks presence
+  /// changes per round, so it is still asked per delivery.
   util::Bitset can_receive_bits;
   util::Bitset byz_bits;
 };
@@ -86,16 +86,7 @@ class FloodWorkspace {
 struct FloodParams {
   std::uint32_t steps = 1;      ///< = phase index i
   bool byz_forward = true;      ///< Byzantine nodes relay the flood
-  /// Focused mode (the warm tier's straggler re-evaluation): when
-  /// non-empty, only marked nodes generate, forward, and receive — the
-  /// flood runs on the induced subgraph. A node's step-t value depends
-  /// only on B_H(node, t), so outputs are EXACT at every node whose
-  /// radius-`steps` ball the region covers; the caller must only read
-  /// those. Empty = the ordinary whole-network flood.
-  std::span<const std::uint8_t> region;
   /// Mid-protocol churn hooks (see file comment). Null = static path.
-  /// Incompatible with `region` (the lazy tier is a static-topology
-  /// optimization); run_flood_subphase throws if both are set.
   MidRunHooks* live = nullptr;
   /// Clock of this subphase's FIRST step; the kernel advances step/round
   /// per flood step and hands the result to live->begin_round(). Ignored

@@ -2,9 +2,8 @@
 // WHILE a counting run is in flight (ROADMAP "mid-protocol churn"; the
 // dynamics layer implements it over MutableOverlay in dynamics/midrun.*).
 //
-// The static tiers (cold, warm, ε-warm) all freeze one Overlay snapshot for
-// the whole run. MidRunHooks instead lets run_counting_with resolve the
-// topology PER ROUND:
+// A static run freezes one Overlay snapshot for the whole run. MidRunHooks
+// instead lets run_counting_with resolve the topology PER ROUND:
 //
 //   * node_bound() fixes the id space up front — every node that is alive
 //     at run start plus every joiner the round schedule will ever splice in.

@@ -1,6 +1,6 @@
 // Backend-neutral run machinery shared by every proto::Estimator backend
 // (Algorithm 1/2 in fastpath.*, Byzantine-Resilient Counting in brc/*) and
-// by the message-level engine: the tier-selection knobs every run accepts
+// by the message-level engine: the knobs every run accepts
 // (RunControls), the phase-state digest fold both execution tiers emit at
 // the same semantic points, and the mid-run membership sweeps (joiner
 // admission at phase boundaries, departed reconciliation) that are policy,
@@ -25,43 +25,15 @@ class RunDigester;
 
 namespace byz::proto {
 
-/// Extension points for a counting run. The warm tier's lazy_subphases is
-/// DECISION-EXACT: the per-node status/estimate vectors are bitwise
-/// identical to the plain run for every input (only message/round
-/// accounting changes). start_phase and midrun deliberately are NOT — they
-/// are the ε-warm and mid-run-churn tiers, whose divergence is bounded and
-/// accounted elsewhere (warm_start.hpp, dynamics/midrun.hpp). Not every
-/// backend supports every knob — Estimator::supports declares the matrix,
-/// and a backend throws std::invalid_argument on a knob it cannot honor.
+/// Extension points for a counting run. midrun is the one knob that is
+/// not decision-exact: it is the mid-run-churn tier, whose divergence is
+/// bounded and accounted elsewhere (dynamics/midrun.hpp).
 struct RunControls {
-  /// Lazy subphase evaluation: stop each phase at the first subphase after
-  /// which every active node has fired. The fired flags are monotone
-  /// within a phase and are the ONLY state subphases share, so the skipped
-  /// subphases cannot change any decision — they are pure message cost.
-  /// (Skipping whole PHASES, by contrast, is never decision-exact: with
-  /// fresh per-epoch colors a poorly-connected node fails phase i's
-  /// threshold with probability ~(1/2)^(m*alpha_i) for m live neighbors,
-  /// so "nobody decides before the previous epoch's minimum" is a
-  /// positive-probability bet, not an invariant.)
-  bool lazy_subphases = false;
-  /// ε-warm phase skip: start the phase loop at this phase instead of 1,
-  /// executing zero subphases for the skipped prefix. Any node that would
-  /// have decided below start_phase decides at start_phase or later — a
-  /// DIVERGENT decision the ε-warm tier accounts against the paper's ε·n
-  /// outlier budget (WarmConfig::eps_*; E25 asserts the budget holds).
-  /// 1 = no skip (the exact tiers).
-  std::uint32_t start_phase = 1;
   /// Mid-protocol churn hooks (protocols/midrun.hpp): the run sizes its
   /// id space by node_bound(), the flood kernel resolves neighbors live,
   /// and phase boundaries apply the MembershipPolicy (joiner admission +
   /// verifier refresh). byz_mask must then cover node_bound() ids.
-  /// Incompatible with lazy_subphases (skipped subphases would shift the
-  /// churn-schedule clock, changing which round each event lands on);
-  /// run_counting_with throws on that combination. start_phase > 1 DOES
-  /// compose: the global round clock is pre-advanced past the skipped
-  /// prefix, so events scheduled there burst-apply at the entry phase's
-  /// first round — the ε-warm × mid-run composition the epoch driver
-  /// runs. Null = static run.
+  /// Null = static run.
   MidRunHooks* midrun = nullptr;
   /// Divergence-forensics digester (obs/digest.hpp): when attached the run
   /// folds a hierarchical digest trail (round -> subphase -> phase -> run)
@@ -71,7 +43,7 @@ struct RunControls {
   obs::RunDigester* digester = nullptr;
   /// Worker threads for the flood kernel (flooding.hpp; 0 = hardware
   /// threads). The kernel is bitwise identical at every thread count, so
-  /// this knob is DECISION-EXACT like lazy_subphases.
+  /// this knob is decision-exact.
   std::uint32_t flood_threads = 1;
 };
 

@@ -18,22 +18,18 @@ using proto::Color;
 Engine::Engine(const graph::Overlay& overlay, const std::vector<bool>& byz_mask,
                adv::Strategy& strategy, const proto::ProtocolConfig& cfg,
                std::uint64_t color_seed, proto::MidRunHooks* midrun,
-               std::uint32_t start_phase, obs::RunDigester* digester)
+               obs::RunDigester* digester)
     : overlay_(overlay),
       byz_(byz_mask),
       strategy_(strategy),
       cfg_(cfg),
       color_seed_(color_seed),
       midrun_(midrun),
-      start_phase_(start_phase),
       digester_(digester),
       nb_(midrun ? midrun->node_bound() : overlay.num_nodes()),
       world_(World::make(overlay, byz_mask, color_seed)) {
   if (nb_ < overlay.num_nodes() || byz_mask.size() != nb_) {
     throw std::invalid_argument("Engine: mask size mismatch");
-  }
-  if (start_phase_ == 0) {
-    throw std::invalid_argument("Engine: start_phase is 1-based (1 = no skip)");
   }
   if (midrun_ == nullptr) {
     owned_verifier_.emplace(overlay, byz_mask, cfg.verification);
@@ -47,7 +43,7 @@ proto::RunResult Engine::run() {
   obs::Span run_span("engine.run");
   const NodeId n = overlay_.num_nodes();
   const std::uint32_t d = overlay_.params().d;
-  run_span.arg("n", n).arg("start_phase", start_phase_);
+  run_span.arg("n", n);
   result_ = proto::RunResult{};
   result_.status.assign(nb_, proto::NodeStatus::kUndecided);
   result_.estimate.assign(nb_, 0);
@@ -92,15 +88,10 @@ proto::RunResult Engine::run() {
   }
   participates_.assign(nb_, 0);
   std::fill(participates_.begin(), participates_.begin() + n, 1);
-  // ε-warm entry: pre-advance the schedule clock past the skipped prefix
-  // (mirrors the fast path bit for bit — see RunControls::start_phase).
-  global_round_ =
-      start_phase_ > 1
-          ? proto::rounds_through_phase(start_phase_ - 1, d, cfg_.schedule)
-          : 0;
+  global_round_ = 0;
   std::vector<NodeId> admitted;
 
-  std::uint32_t phase = start_phase_ - 1;
+  std::uint32_t phase = 0;
   while (phase < max_phase && active_count_ > 0) {
     ++phase;
     obs::Span phase_span("engine.phase");

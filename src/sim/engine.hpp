@@ -67,17 +67,13 @@ class Engine {
   /// supplies the live topology and `byz_mask` must cover the full
   /// node_bound() id space (snapshot members + scheduled joiners), exactly
   /// as for proto::run_counting_with. Null hooks = the static reference
-  /// path, unchanged. `start_phase` mirrors RunControls::start_phase (the
-  /// ε-warm entry): the phase loop begins there and the global round clock
-  /// is pre-advanced past the skipped prefix, keeping the churn schedule's
-  /// event→round mapping bitwise aligned with the fast path. `digester`
+  /// path, unchanged. `digester`
   /// attaches divergence-forensics digesting (obs/digest.hpp) at the same
   /// semantic points as RunControls::digester on the fast path, so the two
   /// tiers' digest trails are comparable entry for entry.
   Engine(const graph::Overlay& overlay, const std::vector<bool>& byz_mask,
          adv::Strategy& strategy, const proto::ProtocolConfig& cfg,
          std::uint64_t color_seed, proto::MidRunHooks* midrun = nullptr,
-         std::uint32_t start_phase = 1,
          obs::RunDigester* digester = nullptr);
 
   /// Executes setup + phases until all honest nodes decided/crashed or the
@@ -126,7 +122,6 @@ class Engine {
   proto::ProtocolConfig cfg_;
   std::uint64_t color_seed_;
   proto::MidRunHooks* midrun_;
-  std::uint32_t start_phase_;
   obs::RunDigester* digester_;
   graph::NodeId nb_;  ///< run id space: overlay n, or midrun node_bound()
   World world_;

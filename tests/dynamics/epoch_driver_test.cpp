@@ -148,7 +148,6 @@ TEST(EpochDriver, AdaptiveSchedulerSkipsBelowTheDriftBound) {
   auto cfg = small_config();
   cfg.trace.epochs = 8;
   cfg.incremental.incremental = true;
-  cfg.incremental.warm_start = true;
   cfg.incremental.adaptive = true;
   // ~4 joins + ~4 leaves per epoch on ~128 nodes is ~6% drift: a 10%
   // threshold re-estimates roughly every second epoch.
@@ -178,61 +177,25 @@ TEST(EpochDriver, AdaptiveSchedulerSkipsBelowTheDriftBound) {
 
 TEST(EpochDriver, IncrementalTiersPreserveTheColdResults) {
   // The whole point of the incremental tier: same estimates, same accuracy,
-  // same staleness — less work. Compare a plain run against the fully
-  // instrumented incremental+warm run epoch by epoch.
+  // same staleness — less work. Compare a plain run against the
+  // incremental run with every snapshot verified, epoch by epoch: every
+  // EpochStats field but the ball counters must be identical.
   const auto base = small_config();
   auto inc = base;
   inc.incremental.incremental = true;
   inc.incremental.verify_snapshots = true;
-  inc.incremental.warm_start = true;
-  inc.incremental.verify_warm = true;
 
   const auto plain = run_churn(base);
-  const auto warm = run_churn(inc);
-  ASSERT_EQ(plain.epochs.size(), warm.epochs.size());
+  const auto incremental = run_churn(inc);
+  ASSERT_EQ(plain.epochs.size(), incremental.epochs.size());
   for (std::size_t e = 0; e < plain.epochs.size(); ++e) {
     const auto& a = plain.epochs[e];
-    const auto& b = warm.epochs[e];
-    EXPECT_EQ(a.n_true, b.n_true);
-    EXPECT_EQ(a.fresh.decided, b.fresh.decided);
-    EXPECT_EQ(a.fresh.in_band, b.fresh.in_band);
-    EXPECT_EQ(a.fresh.mean_ratio, b.fresh.mean_ratio);
-    EXPECT_EQ(a.stale_nodes, b.stale_nodes);
-    EXPECT_EQ(a.stale_in_band, b.stale_in_band);
-    // The cold shadow reproduces the plain run's traffic exactly; the warm
-    // run itself never exceeds it.
-    EXPECT_EQ(a.messages, b.messages_cold);
-    EXPECT_LE(b.messages, a.messages);
+    auto b = incremental.epochs[e];
     EXPECT_GT(b.balls_reused + b.balls_recomputed, 0u);
+    b.balls_recomputed = a.balls_recomputed;
+    b.balls_reused = a.balls_reused;
+    EXPECT_TRUE(a == b) << "epoch " << e;
   }
-}
-
-TEST(EpochDriver, AdaptiveCadenceStillEngagesTheWarmTier) {
-  // Regression: adaptive estimation fires exactly when accumulated drift
-  // crosses drift_threshold, so a warm fallback bound at or below the
-  // threshold would silently disable warm starts on EVERY estimated
-  // epoch. The driver raises the effective bound to 2x the threshold.
-  auto cfg = small_config();
-  cfg.trace.epochs = 8;
-  cfg.incremental.incremental = true;
-  cfg.incremental.warm_start = true;
-  cfg.incremental.verify_warm = true;
-  cfg.incremental.adaptive = true;
-  cfg.incremental.drift_threshold = 0.10;  // >= the warm max_drift default
-  const auto result = run_churn(cfg);
-  bool any_warm = false;
-  for (const auto& epoch : result.epochs) {
-    any_warm = any_warm || epoch.warm_used;
-  }
-  EXPECT_TRUE(any_warm);
-}
-
-TEST(EpochDriver, RunEngineWithWarmStartRequiresVerifyWarm) {
-  auto cfg = small_config();
-  cfg.run_engine = true;
-  cfg.incremental.warm_start = true;
-  cfg.incremental.verify_warm = false;
-  EXPECT_THROW((void)run_churn(cfg), std::invalid_argument);
 }
 
 }  // namespace

@@ -1,14 +1,16 @@
 // Unit coverage of the mid-run churn building blocks: schedule derivation,
 // LiveOverlayFeed bookkeeping (run-id space, mask growth, stats, flush),
-// and run_churn's mid-run mode (trace invariants, config validation, the
-// ε-warm budget accounting).
+// and run_churn's mid-run mode (trace invariants, the composed incremental
+// tier, the per-epoch engine oracle and the backends it refuses).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "dynamics/epoch_driver.hpp"
 #include "dynamics/midrun.hpp"
 #include "graph/categories.hpp"
+#include "protocols/estimator.hpp"
 #include "sim/runner.hpp"
 
 namespace byz {
@@ -136,35 +138,6 @@ TEST(MidRunChurnModeTest, ReplaysTraceAndReportsMidRunStats) {
   }
 }
 
-TEST(MidRunChurnModeTest, RejectsOnlyTheGenuinelyUnsupportedCombo) {
-  // The incremental/warm/adaptive tiers now COMPOSE with mid-run churn;
-  // the single rejected combination is the ε cold shadow under
-  // frontier-directed leaves (the shadow would flood a different overlay
-  // evolution, voiding the divergence accounting).
-  dynamics::ChurnRunConfig cfg;
-  cfg.trace.n0 = 96;
-  cfg.trace.epochs = 1;
-  cfg.trace.seed = 5;
-  cfg.seed = 5;
-  cfg.d = 6;
-  cfg.mid_run.enabled = true;
-  cfg.incremental.incremental = true;
-  cfg.incremental.warm_start = true;
-  cfg.incremental.adaptive = true;
-  EXPECT_NO_THROW((void)dynamics::run_churn(cfg));
-
-  cfg.incremental.eps_warm = true;
-  cfg.incremental.verify_warm = true;
-  cfg.mid_run.schedule = adv::MidRunScheduleStrategy::kFrontierLeaves;
-  EXPECT_THROW((void)dynamics::run_churn(cfg), std::invalid_argument);
-  // Either half of the conflict alone is fine.
-  cfg.mid_run.schedule = adv::MidRunScheduleStrategy::kUniform;
-  EXPECT_NO_THROW((void)dynamics::run_churn(cfg));
-  cfg.mid_run.schedule = adv::MidRunScheduleStrategy::kFrontierLeaves;
-  cfg.incremental.verify_warm = false;
-  EXPECT_NO_THROW((void)dynamics::run_churn(cfg));
-}
-
 TEST(ComposedMidRunTest, IncrementalSnapshotFeedsTheMidRunPath) {
   // With the incremental tier on, each mid-run epoch executes on
   // IncrementalEngine::snapshot(): after epoch 0's full bootstrap, only
@@ -230,39 +203,10 @@ TEST(ComposedMidRunTest, ComposedOutcomeMatchesStandaloneMidRun) {
   }
 }
 
-TEST(ComposedMidRunTest, WarmEpochsMatchTheColdReplayUnderMidRunChurn) {
-  dynamics::ChurnRunConfig cfg;
-  cfg.trace.n0 = 512;
-  cfg.trace.epochs = 4;
-  cfg.trace.arrival_rate = 2.0;
-  cfg.trace.departure_rate = 2.0;
-  cfg.trace.min_n = 256;
-  cfg.trace.seed = 15;
-  cfg.d = 6;
-  cfg.seed = 15;
-  cfg.mid_run.enabled = true;
-  cfg.incremental.incremental = true;
-  cfg.incremental.warm_start = true;
-  cfg.incremental.verify_warm = true;  // throws if warm moved any decision
-  cfg.incremental.warm.max_drift = 0.5;
-
-  const auto result = dynamics::run_churn(cfg);
-  ASSERT_EQ(result.epochs.size(), cfg.trace.epochs);
-  EXPECT_FALSE(result.epochs[0].warm_used);  // no estimates to seed from yet
-  bool any_warm = false;
-  for (std::uint32_t e = 1; e < result.epochs.size(); ++e) {
-    const auto& ep = result.epochs[e];
-    if (!ep.warm_used) continue;
-    any_warm = true;
-    EXPECT_GT(ep.messages_cold, 0u) << "epoch " << e;
-  }
-  EXPECT_TRUE(any_warm) << "no warm epoch across the trace";
-}
-
 TEST(ComposedMidRunTest, EngineOracleHoldsWithAllTiersOn) {
-  // The full composition — incremental snapshot + warm start + verify
-  // shadow + engine oracle — must keep the two protocol tiers bitwise
-  // identical per epoch (the E26 contract extended to the composed tier).
+  // The full composition — incremental snapshot + adaptive cadence +
+  // engine oracle — must keep the two protocol tiers bitwise identical per
+  // epoch (the E26 contract extended to the composed tier).
   dynamics::ChurnRunConfig cfg;
   cfg.trace.n0 = 256;
   cfg.trace.epochs = 3;
@@ -276,9 +220,7 @@ TEST(ComposedMidRunTest, EngineOracleHoldsWithAllTiersOn) {
   cfg.mid_run.enabled = true;
   cfg.incremental.incremental = true;
   cfg.incremental.verify_snapshots = true;
-  cfg.incremental.warm_start = true;
-  cfg.incremental.verify_warm = true;
-  cfg.incremental.warm.max_drift = 0.5;
+  cfg.incremental.adaptive = true;
 
   const auto result = dynamics::run_churn(cfg);
   for (const auto& ep : result.epochs) {
@@ -324,38 +266,6 @@ TEST(ComposedMidRunTest, AdaptiveCadenceSkipsQuietEpochsMidRun) {
   EXPECT_GT(skipped, 0u) << "adaptive cadence never skipped";
 }
 
-TEST(ComposedMidRunTest, EpsWarmEntersMidRunWithinBudget) {
-  dynamics::ChurnRunConfig cfg;
-  cfg.trace.n0 = 1024;
-  cfg.trace.epochs = 5;
-  cfg.trace.arrival_rate = 4.0;
-  cfg.trace.departure_rate = 4.0;
-  cfg.trace.min_n = 512;
-  cfg.trace.seed = 33;
-  cfg.d = 6;
-  cfg.seed = 33;
-  cfg.mid_run.enabled = true;
-  cfg.incremental.incremental = true;
-  cfg.incremental.warm_start = true;
-  cfg.incremental.verify_warm = true;  // counts divergences, enforces budget
-  cfg.incremental.eps_warm = true;
-  cfg.incremental.eps_budget = 0.10;
-  cfg.incremental.eps_margin = 0;
-  cfg.incremental.warm.max_drift = 0.5;
-
-  // run_churn throws if any epoch's divergence exceeds floor(ε·honest).
-  const auto result = dynamics::run_churn(cfg);
-  bool any_eps = false;
-  for (const auto& ep : result.epochs) {
-    if (!ep.eps_used) continue;
-    any_eps = true;
-    EXPECT_GT(ep.eps_entry_phase, 1u);
-    EXPECT_GT(ep.eps_budget_nodes, 0u);
-    EXPECT_LE(ep.eps_divergent, ep.eps_budget_nodes);
-  }
-  EXPECT_TRUE(any_eps) << "ε-warm entry never engaged under mid-run churn";
-}
-
 TEST(MidRunChurnModeTest, EngineOracleMatchesFastpathPerEpoch) {
   // run_engine is no longer excluded from mid-run mode: it replays every
   // epoch's schedule through the message-level engine and records bitwise
@@ -387,49 +297,30 @@ TEST(MidRunChurnModeTest, EngineOracleMatchesFastpathPerEpoch) {
   }
 }
 
-TEST(EpsWarmTest, RequiresWarmStart) {
-  dynamics::ChurnRunConfig cfg;
-  cfg.trace.n0 = 64;
-  cfg.trace.epochs = 1;
-  cfg.incremental.eps_warm = true;
-  EXPECT_THROW((void)dynamics::run_churn(cfg), std::invalid_argument);
-}
-
-TEST(EpsWarmTest, BudgetAccountingHoldsAcrossEpochs) {
-  dynamics::ChurnRunConfig cfg;
-  cfg.trace.n0 = 1024;
-  cfg.trace.epochs = 5;
-  cfg.trace.arrival_rate = 4.0;
-  cfg.trace.departure_rate = 4.0;
-  cfg.trace.min_n = 512;
-  cfg.trace.seed = 13;
-  cfg.d = 6;
-  cfg.delta = 0.7;
-  cfg.seed = 13;
-  cfg.incremental.incremental = true;
-  cfg.incremental.warm_start = true;
-  cfg.incremental.verify_warm = true;  // counts divergences, enforces budget
-  cfg.incremental.eps_warm = true;
-  cfg.incremental.eps_budget = 0.10;
-  cfg.incremental.eps_margin = 0;  // n=1024's decided-phase tail is shallow
-  cfg.incremental.warm.max_drift = 0.5;
-
-  // run_churn throws if any epoch's divergence exceeds floor(ε·honest).
-  const auto result = dynamics::run_churn(cfg);
-  bool any_eps = false;
-  for (const auto& ep : result.epochs) {
-    if (!ep.eps_used) {
-      EXPECT_EQ(ep.eps_divergent, 0u);
-      continue;
-    }
-    any_eps = true;
-    EXPECT_GT(ep.eps_entry_phase, 1u);
-    EXPECT_GT(ep.eps_skipped_subphases, 0u);
-    EXPECT_GT(ep.eps_budget_nodes, 0u);
-    EXPECT_LE(ep.eps_divergent, ep.eps_budget_nodes);
-    // The decided phases must respect the entry clamp.
-  }
-  EXPECT_TRUE(any_eps) << "ε-warm phase skip never engaged";
+TEST(MidRunChurnModeTest, EngineOracleRefusesANonAlgorithm2Backend) {
+  // The message-level engine replays Algorithm 2 only: asked to replay a
+  // run whose backend is BRC it must throw instead of comparing two
+  // different algorithms.
+  constexpr NodeId kN0 = 128;
+  dynamics::MutableOverlay overlay(kN0, 6, 0, 3);
+  util::Xoshiro256 place_rng(5);
+  std::vector<bool> byz = graph::random_byzantine_mask(
+      kN0, sim::derive_byz_count(kN0, 0.7), place_rng);
+  dynamics::ChurnEpoch epoch;
+  epoch.joins = 4;
+  epoch.leaves = 4;
+  proto::ProtocolConfig cfg;
+  const auto schedule = dynamics::derive_schedule(
+      epoch, dynamics::expected_horizon_rounds(kN0, 6, cfg.schedule), 7);
+  const auto brc = proto::make_estimator("brc", cfg);
+  dynamics::MidRunConfig mid_cfg;
+  mid_cfg.backend = brc.get();
+  util::Xoshiro256 churn_rng(9);
+  auto strategy = adv::make_strategy(adv::StrategyKind::kFakeColor);
+  EXPECT_THROW((void)dynamics::run_counting_midrun_engine(
+                   overlay, byz, *strategy, cfg, 11, schedule, mid_cfg,
+                   adv::ChurnAdversary::kNone, churn_rng),
+               std::invalid_argument);
 }
 
 TEST(FloodKernelIndependenceTest, MidRunOutcomeIdenticalAcrossFloodThreads) {
@@ -470,10 +361,9 @@ TEST(FloodKernelIndependenceTest, MidRunOutcomeIdenticalAcrossFloodThreads) {
 
 TEST(FloodKernelIndependenceTest, ComposedChurnIdenticalAcrossFloodThreads) {
   // The full composed pipeline — mid-run churn + incremental snapshot +
-  // warm start + verify_warm cold shadow + ε-warm phase skip — with the
-  // kernel knob threaded through every tier: all EpochStats (including
-  // the ε divergence accounting judged against the cold shadow) must be
-  // independent of flood-threads.
+  // adaptive cadence + engine oracle — with the kernel knob threaded
+  // through every tier: all EpochStats (including the engine-oracle
+  // verdict) must be independent of flood-threads.
   auto run_once = [](std::uint32_t flood_threads) {
     dynamics::ChurnRunConfig cfg;
     cfg.trace.n0 = 1024;
@@ -485,25 +375,22 @@ TEST(FloodKernelIndependenceTest, ComposedChurnIdenticalAcrossFloodThreads) {
     cfg.d = 6;
     cfg.seed = 33;
     cfg.mid_run.enabled = true;
+    cfg.run_engine = true;
     cfg.incremental.incremental = true;
-    cfg.incremental.warm_start = true;
-    cfg.incremental.verify_warm = true;
-    cfg.incremental.eps_warm = true;
-    cfg.incremental.eps_budget = 0.10;
-    cfg.incremental.eps_margin = 0;
-    cfg.incremental.warm.max_drift = 0.5;
+    cfg.incremental.adaptive = true;
     cfg.flood_threads = flood_threads;
     return dynamics::run_churn(cfg);
   };
   const auto one_thread = run_once(1);
-  bool any_warm = false;
-  bool any_eps = false;
+  bool any_reused = false;
+  bool any_skipped = false;
   for (const auto& ep : one_thread.epochs) {
-    any_warm = any_warm || ep.warm_used;
-    any_eps = any_eps || ep.eps_used;
+    EXPECT_TRUE(ep.engine_match);
+    any_reused = any_reused || ep.balls_reused > 0;
+    any_skipped = any_skipped || !ep.estimated;
   }
-  EXPECT_TRUE(any_warm) << "warm tier never engaged: comparison is vacuous";
-  EXPECT_TRUE(any_eps) << "eps tier never engaged: comparison is vacuous";
+  EXPECT_TRUE(any_reused) << "no ball reused: comparison is vacuous";
+  EXPECT_TRUE(any_skipped) << "adaptive cadence never skipped an epoch";
   for (const std::uint32_t t : {2u, 4u}) {
     const auto run = run_once(t);
     ASSERT_EQ(one_thread.epochs.size(), run.epochs.size());

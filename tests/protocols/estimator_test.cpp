@@ -92,26 +92,6 @@ TEST(CombinedAgreementBound, DegenerateBoundYieldsZero) {
   EXPECT_DOUBLE_EQ(band.hi, 0.0);
 }
 
-TEST(EstimatorTiers, SupportMatrix) {
-  const auto algo2 = make_estimator("algo2");
-  const auto algo1 = make_estimator("algo1");
-  const auto brc = make_estimator("brc");
-  const EstimatorTier tiers[] = {
-      EstimatorTier::kColdRun,     EstimatorTier::kLazySubphases,
-      EstimatorTier::kWarmStart,   EstimatorTier::kEpsWarm,
-      EstimatorTier::kMidRunChurn, EstimatorTier::kEngineOracle};
-  for (const auto tier : tiers) {
-    EXPECT_TRUE(algo2->supports(tier));
-    EXPECT_TRUE(algo1->supports(tier));
-  }
-  EXPECT_TRUE(brc->supports(EstimatorTier::kColdRun));
-  EXPECT_TRUE(brc->supports(EstimatorTier::kMidRunChurn));
-  EXPECT_FALSE(brc->supports(EstimatorTier::kLazySubphases));
-  EXPECT_FALSE(brc->supports(EstimatorTier::kWarmStart));
-  EXPECT_FALSE(brc->supports(EstimatorTier::kEpsWarm));
-  EXPECT_FALSE(brc->supports(EstimatorTier::kEngineOracle));
-}
-
 TEST(EstimatorInterface, Algo2MatchesDirectCall) {
   const auto overlay = make_overlay(512, 6, 0xE5701);
   const auto byz = make_byz(512, 0.7, 0xE5701);
@@ -204,23 +184,6 @@ TEST(BrcEstimator, FloodThreadsBitwiseEqualOneThread) {
   auto s2 = adv::make_strategy(adv::StrategyKind::kFakeColor);
   const auto four = est->run(*overlay, byz, *s2, 0xB4C3, four_controls);
   EXPECT_EQ(one_thread, four);
-}
-
-TEST(BrcEstimator, ThrowsOnUnsupportedControls) {
-  const auto overlay = make_overlay(128, 6, 0xB4C4);
-  const std::vector<bool> byz(128, false);
-  const auto est = make_estimator("brc");
-  auto strategy = adv::make_strategy(adv::StrategyKind::kHonest);
-
-  RunControls lazy;
-  lazy.lazy_subphases = true;
-  EXPECT_THROW((void)est->run(*overlay, byz, *strategy, 1, lazy),
-               std::invalid_argument);
-
-  RunControls warm;
-  warm.start_phase = 2;
-  EXPECT_THROW((void)est->run(*overlay, byz, *strategy, 1, warm),
-               std::invalid_argument);
 }
 
 TEST(BrcEstimator, MaxBatchesCapReportsUndecided) {

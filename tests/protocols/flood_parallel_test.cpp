@@ -164,8 +164,8 @@ TEST(FloodParallel, WordBoundarySizesMatchReference) {
 }
 
 TEST(FloodParallel, CrashesAndSuppressedByzantinesMatchReference) {
-  // The non-default kernel branches: crashed nodes silent, Byzantine
-  // forwarding disabled, and a focused region restricting the flood.
+  // The non-default kernel branches: crashed nodes silent and Byzantine
+  // forwarding disabled.
   const NodeId n = 256;
   const Overlay overlay = sample(n, 6, 44);
   util::Xoshiro256 rng(44);
@@ -177,13 +177,9 @@ TEST(FloodParallel, CrashesAndSuppressedByzantinesMatchReference) {
   for (NodeId v = 0; v < n; ++v) {
     gen[v] = byz[v] ? 0 : util::geometric_color(rng);
   }
-  std::vector<std::uint8_t> region(n, 0);
-  for (NodeId v = 0; v < n / 2; ++v) region[v] = 1;
-
   FloodParams params;
   params.steps = 4;
   params.byz_forward = false;
-  params.region = region;
   expect_kernel_matches_reference(overlay, byz, crashed, verifier, gen, {},
                                   params);
 }

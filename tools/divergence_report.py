@@ -3,8 +3,8 @@
 
 Usage: divergence_report.py FORENSICS.json [FORENSICS.json ...] [--json]
 
-The C++ oracle seams (compare_midrun_tiers, run_churn's engine oracle and
-verify_warm shadows, the E24 anchor) write these documents when two
+The C++ oracle seams (compare_midrun_tiers, run_churn's engine oracle, the
+E24 anchor) write these documents when two
 execution tiers that must agree bitwise stop agreeing. The JSON localizes
 the FIRST divergent (phase, subphase, round) by binary-searching the
 hierarchical digest trails; this tool turns that into a readable
