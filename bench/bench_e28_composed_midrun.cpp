@@ -8,8 +8,10 @@
 // cold rebuild on every call), its run-start Verifier reads that
 // snapshot's ball counts, and the engine oracle (run_engine) replays it
 // message by message. CI asserts
-// metrics.guard: engine divergences == 0 and the dirty-ball fraction < 1
-// at the lowest churn rate; E24/E26 remain the standalone bitwise anchors.
+// metrics.guard: engine divergences == 0, the dirty-ball fraction < 1 at
+// the lowest churn rate, and rows_recomputed > 0 (the readmit Verifier
+// refresh did work; the perf trajectory records the count per commit);
+// E24/E26 remain the standalone bitwise anchors.
 // All reported metrics are counters — no wall-clock — so the manifest is
 // bitwise identical across --jobs and joins the determinism comparison.
 #include "bench_common.hpp"
@@ -135,6 +137,7 @@ void run_e28(RunContext& ctx) {
           g["engine_divergences"] = divergences;
           g["dirty_frac"] = dirty_frac;
           g["sublinear"] = dirty_frac < 1.0;
+          g["rows_recomputed"] = rows_recomputed;
           ctx.metric("guard", std::move(g));
         }
       }
@@ -174,7 +177,8 @@ BYZBENCH_REGISTER(e28) {
                pow2_axis(9, 10)};
   spec.base_trials = 3;
   spec.metrics = {"composed_n<k>_<policy>_c<bp>.dirty_frac",
-                  "guard.engine_divergences", "guard.dirty_frac"};
+                  "guard.engine_divergences", "guard.dirty_frac",
+                  "guard.rows_recomputed"};
   spec.run = run_e28;
   return spec;
 }

@@ -113,6 +113,7 @@ LiveOverlayFeed::LiveOverlayFeed(MutableOverlay& overlay,
   nb_ = n0_ + static_cast<NodeId>(total_joins);
   next_join_run_id_ = n0_;
   k_ = snap.overlay.k();
+  w_ = graph::witness_width(k_);
 
   run_to_stable_.assign(nb_, graph::kInvalidNode);
   stable_to_run_.assign(overlay.id_bound(), graph::kInvalidNode);
@@ -134,8 +135,8 @@ LiveOverlayFeed::LiveOverlayFeed(MutableOverlay& overlay,
     run_byz_[slot++] = (e.kind == MidRunEventKind::kSybilJoin);
   }
 
-  alive_.assign(nb_, 0);
-  std::fill(alive_.begin(), alive_.begin() + n0_, 1);
+  alive_.assign(nb_);
+  for (NodeId v = 0; v < n0_; ++v) alive_.set(v);
   departed_.assign(nb_, 0);
   row_marked_.assign(nb_, 0);
   bfs_mark_.assign(nb_, 0);
@@ -152,7 +153,7 @@ LiveOverlayFeed::LiveOverlayFeed(MutableOverlay& overlay,
   // constructor reads off the snapshot (E24's parity rests on it) — its
   // ball counts for [0, n0) and the chains of its Byzantine members.
   // Joiner rows stay 0 until a refresh recomputes them.
-  rows_.assign(static_cast<std::size_t>(nb_) * k_, 0);
+  rows_.assign(static_cast<std::size_t>(nb_) * w_, 0);
   const auto counts = snap.overlay.ball_counts();
   std::copy(counts.begin(), counts.end(), rows_.begin());
   chains_ = proto::verifier_chains(
@@ -238,7 +239,7 @@ void LiveOverlayFeed::apply_join(bool byzantine) {
     // Invisible to the in-flight run: stays !alive, frozen adjacency.
     return;
   }
-  alive_[run_id] = 1;
+  alive_.set(run_id);
   pending_admit_.push_back(run_id);
   rebuild_adjacency(run_id);
   for (NodeId& t : touched) {
@@ -278,7 +279,7 @@ bool LiveOverlayFeed::apply_leave() {
   if (run_id == graph::kInvalidNode) {
     throw std::logic_error("LiveOverlayFeed: departure of unmapped node");
   }
-  alive_[run_id] = 0;
+  alive_.reset(run_id);
   departed_[run_id] = 1;
   ++stats_.leaves;
   if (digester_ != nullptr) {
@@ -291,8 +292,8 @@ bool LiveOverlayFeed::apply_leave() {
   std::erase(pending_admit_, run_id);
 
   if (config_.policy == proto::MembershipPolicy::kTreatAsSilent) {
-    // Frozen view: neighbors keep listing the victim; the alive() gate in
-    // the kernel turns it into pure silence.
+    // Frozen view: neighbors keep listing the victim; the presence gate
+    // (alive_set) in the kernel turns it into pure silence.
     return true;
   }
   adj_[run_id].clear();
@@ -324,30 +325,34 @@ void LiveOverlayFeed::rebuild_adjacency(NodeId run_id) {
 }
 
 void LiveOverlayFeed::mark_dirty_rows(std::span<const NodeId> sources) {
-  // Depth k-1 suffices for every part of a row; the class comment gives
-  // the argument.
+  // Counts change only within w-1 hops, chains only for Byzantine nodes
+  // within k-1 hops (w-1 <= k-1); the class comment gives the argument.
   bfs_queue_.clear();
   for (const NodeId s : sources) {
-    if (s == graph::kInvalidNode || alive_[s] == 0 || bfs_mark_[s] != 0) {
+    if (s == graph::kInvalidNode || !alive_.test(s) || bfs_mark_[s] != 0) {
       continue;
     }
     bfs_mark_[s] = 1;
     bfs_queue_.push_back(s);
   }
   std::size_t head = 0;
+  std::size_t near_end = bfs_queue_.size();  // end of the w-1 hop rows
   for (std::uint32_t depth = 1; depth < k_; ++depth) {
     const std::size_t level_end = bfs_queue_.size();
     while (head < level_end) {
       const NodeId u = bfs_queue_[head++];
       for (const NodeId w : adj_[u]) {
-        if (bfs_mark_[w] != 0 || alive_[w] == 0) continue;
+        if (bfs_mark_[w] != 0 || !alive_.test(w)) continue;
         bfs_mark_[w] = 1;
         bfs_queue_.push_back(w);
       }
     }
+    if (depth < w_) near_end = bfs_queue_.size();
   }
-  for (const NodeId u : bfs_queue_) {
+  for (std::size_t i = 0; i < bfs_queue_.size(); ++i) {
+    const NodeId u = bfs_queue_[i];
     bfs_mark_[u] = 0;
+    if (i >= near_end && !run_byz_[u]) continue;
     if (row_marked_[u] == 0) {
       row_marked_[u] = 1;
       marked_rows_.push_back(u);
@@ -356,9 +361,10 @@ void LiveOverlayFeed::mark_dirty_rows(std::span<const NodeId> sources) {
 }
 
 void LiveOverlayFeed::recompute_row(NodeId run_id) {
-  // Bounded BFS on the live run-id adjacency: cumulative |B_H(v, r)| for
-  // r = 1..k, and the usable Byzantine chain under the configured model —
-  // the live-topology equivalents of Overlay::ball_row and
+  // Bounded BFS of depth w on the live run-id adjacency: cumulative
+  // |B_H(v, r)| for r = 1..w, and the usable Byzantine chain under the
+  // configured model (the rewired count needs k-1 <= w hops) — the
+  // live-topology equivalents of Overlay::ball_row and
   // proto::verifier_chain_len.
   bfs_queue_.clear();
   bfs_queue_.push_back(run_id);
@@ -366,19 +372,19 @@ void LiveOverlayFeed::recompute_row(NodeId run_id) {
   std::uint32_t cum = 1;
   std::uint32_t byz_within_k1 = 0;
   std::size_t head = 0;
-  for (std::uint32_t depth = 1; depth <= k_; ++depth) {
+  for (std::uint32_t depth = 1; depth <= w_; ++depth) {
     const std::size_t level_end = bfs_queue_.size();
     while (head < level_end) {
       const NodeId u = bfs_queue_[head++];
       for (const NodeId w : adj_[u]) {
-        if (bfs_mark_[w] != 0 || alive_[w] == 0) continue;
+        if (bfs_mark_[w] != 0 || !alive_.test(w)) continue;
         bfs_mark_[w] = 1;
         bfs_queue_.push_back(w);
         ++cum;
         if (depth <= k_ - 1 && run_byz_[w]) ++byz_within_k1;
       }
     }
-    rows_[static_cast<std::size_t>(run_id) * k_ + (depth - 1)] = cum;
+    rows_[static_cast<std::size_t>(run_id) * w_ + (depth - 1)] = cum;
   }
   for (const NodeId u : bfs_queue_) bfs_mark_[u] = 0;
 
@@ -405,7 +411,7 @@ void LiveOverlayFeed::recompute_row(NodeId run_id) {
           continue;
         }
         const NodeId w = adj_[f.v][f.next++];
-        if (alive_[w] == 0 || !run_byz_[w] || on_path_[w] != 0) continue;
+        if (!alive_.test(w) || !run_byz_[w] || on_path_[w] != 0) continue;
         on_path_[w] = 1;
         chain_stack_.push_back({w});
         best = std::max(best, static_cast<std::uint32_t>(chain_stack_.size()));
@@ -425,7 +431,7 @@ void LiveOverlayFeed::rebuild_verifier() {
   std::uint64_t rows = 0;
   for (const NodeId v : marked_rows_) {
     row_marked_[v] = 0;
-    if (alive_[v] == 0) continue;
+    if (!alive_.test(v)) continue;
     recompute_row(v);
     ++rows;
   }

@@ -22,8 +22,11 @@
 //                       phase boundary pending joiners are admitted as
 //                       generating participants under a Verifier refreshed
 //                       against the live topology. The refresh recomputes
-//                       only the rows within k-1 H-hops of a splice applied
-//                       since the last boundary (see LiveOverlayFeed).
+//                       only the ball rows within w-1 H-hops of a splice
+//                       applied since the last boundary (w = max(k-1, 1),
+//                       the witness columns the audit bills) and the chains
+//                       of the Byzantine nodes within k-1 hops (see
+//                       LiveOverlayFeed).
 //
 // Model notes (documented deviations from a fully general treatment):
 //   * Joiners skip the Algorithm-2 setup stage (adjacency exchange + crash
@@ -138,7 +141,8 @@ struct MidRunStats {
   std::uint64_t admitted = 0;           ///< joiners admitted at boundaries
   std::uint64_t verifier_refreshes = 0; ///< live Verifier rebuilds
   /// Ball/chain rows recomputed by those rebuilds: the alive rows within
-  /// k-1 H-hops of a splice applied since the previous boundary.
+  /// w-1 H-hops (w = max(k-1, 1)) of a splice applied since the previous
+  /// boundary, plus the alive Byzantine rows within k-1 hops.
   std::uint64_t rows_recomputed = 0;
   std::uint64_t frontier_leaves = 0;    ///< departures that hit the wavefront
 
@@ -163,19 +167,32 @@ struct MidRunComposed {
 /// order. Grows `stable_byz` as joiners splice in, exactly like the
 /// between-runs replay loop does.
 ///
-/// Live Verifier refresh (kReadmitNextPhase): a row holds |B_H(v, r)| for
-/// r = 1..k, the strict chain (a simple Byzantine path of at most k hops)
-/// or the rewired count (Byzantine nodes within k-1 hops), all over the
-/// live alive-only adjacency. Every one of them is read off paths of at
-/// most k hops from v, so by the witness-path argument of
-/// incremental/dirty_ball.hpp a splice can change only the rows within
-/// k-1 hops of its endpoints. Each splice therefore marks those rows (one
-/// multi-source BFS of depth k-1 in the post-splice adjacency, from the
-/// alive touched endpoints plus the joiner), and the next boundary
-/// recomputes the marked rows that are still alive: O(marked rows × ball)
-/// per refresh instead of O(n × ball). The run starts from a copy of the
-/// snapshot's ball counts for [0, n0) plus chains for its Byzantine
-/// members; each Verifier views the feed's table rather than copying it.
+/// Presence is one util::Bitset over run ids (alive_set()), updated in
+/// place by the events begin_round applies.
+///
+/// Live Verifier refresh (kReadmitNextPhase): a row holds the witness
+/// counts |B_H(v, r)| for r = 1..w, w = graph::witness_width(k) =
+/// max(k-1, 1), and for a Byzantine v its usable chain: the strict chain (a
+/// simple Byzantine path of at most k hops ending at v) or the rewired
+/// count (Byzantine nodes within k-1 hops), all over the live alive-only
+/// adjacency. Witness-path argument (incremental/dirty_ball.hpp): a value
+/// read off the paths of at most r hops from v can change across a splice
+/// only if one of those paths, before or after it, crosses an edge the
+/// splice added or removed. The prefix before the FIRST changed edge uses
+/// unchanged edges only, has at most r-1 hops, and ends at a splice
+/// endpoint. So the counts (r = w) can change only within w-1 hops of an
+/// endpoint, and the chains (r = k for strict paths, k-1 for the rewired
+/// count) only for Byzantine nodes within k-1 hops. Each splice marks
+/// exactly those rows with one multi-source BFS of depth k-1 in the
+/// post-splice adjacency, from the alive touched endpoints plus the
+/// joiner: every node it reaches within w-1 hops, and the Byzantine nodes
+/// it reaches beyond. The next boundary recomputes the marked rows that
+/// are still alive, each with one BFS of depth w, which also counts the
+/// Byzantine nodes within k-1 <= w hops that the rewired chain needs:
+/// O(marked rows × w-ball) per refresh instead of O(n × k-ball). The run
+/// starts from a copy of the snapshot's ball counts for [0, n0) plus
+/// chains for its Byzantine members; each Verifier views the feed's table
+/// rather than copying it.
 class LiveOverlayFeed final : public proto::MidRunHooks {
  public:
   /// `composed` (optional, must outlive the feed) threads the incremental
@@ -192,8 +209,8 @@ class LiveOverlayFeed final : public proto::MidRunHooks {
 
   // proto::MidRunHooks
   [[nodiscard]] graph::NodeId node_bound() const override { return nb_; }
-  [[nodiscard]] bool alive(graph::NodeId v) const override {
-    return alive_[v] != 0;
+  [[nodiscard]] const util::Bitset& alive_set() const override {
+    return alive_;
   }
   [[nodiscard]] bool departed(graph::NodeId v) const override {
     return departed_[v] != 0;
@@ -241,8 +258,9 @@ class LiveOverlayFeed final : public proto::MidRunHooks {
   void apply_join(bool byzantine);
   bool apply_leave();  ///< false = deferred (membership floor)
   void rebuild_adjacency(graph::NodeId run_id);
-  /// Marks every alive row within k-1 live hops of `sources` (run ids;
-  /// dead or unmapped ones are skipped) for the next refresh.
+  /// Marks for the next refresh the alive rows within w-1 live hops of
+  /// `sources` (run ids; dead or unmapped ones are skipped) and the alive
+  /// Byzantine rows within k-1 hops.
   void mark_dirty_rows(std::span<const graph::NodeId> sources);
   void recompute_row(graph::NodeId run_id);
   void rebuild_verifier();
@@ -269,7 +287,7 @@ class LiveOverlayFeed final : public proto::MidRunHooks {
   std::vector<graph::NodeId> run_to_stable_;
   std::vector<graph::NodeId> stable_to_run_;  ///< by stable id; kInvalidNode
   std::vector<bool> run_byz_;
-  std::vector<std::uint8_t> alive_;
+  util::Bitset alive_;  ///< presence over run ids; see alive_set()
   std::vector<std::uint8_t> departed_;
   std::vector<std::vector<graph::NodeId>> adj_;  ///< run-id simple H view
 
@@ -279,9 +297,10 @@ class LiveOverlayFeed final : public proto::MidRunHooks {
   std::vector<graph::NodeId> frontier_stable_;
 
   std::uint32_t k_ = 0;
+  std::uint32_t w_ = 0;  ///< graph::witness_width(k_): columns per row
   bool rows_dirty_ = false;  ///< a splice since the last refresh
   std::vector<graph::NodeId> pending_admit_;
-  /// nb_ * k_ cumulative ball counts; sized once, so the Verifier's view
+  /// nb_ * w_ cumulative ball counts; sized once, so the Verifier's view
   /// stays valid for the feed's lifetime.
   std::vector<std::uint32_t> rows_;
   std::vector<std::uint8_t> chains_;     ///< nb_ usable-chain lengths

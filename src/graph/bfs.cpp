@@ -61,7 +61,7 @@ void bfs_ball(const Graph& g, NodeId src, std::uint32_t radius,
       }
     }
     level_begin = level_end;
-    if (!ball_sizes.empty()) {
+    if (depth <= ball_sizes.size()) {
       ball_sizes[depth - 1] = static_cast<std::uint32_t>(out.size());
     }
   }

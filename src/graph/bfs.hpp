@@ -49,9 +49,9 @@ struct BallEntry {
 
 /// Enumerates B(src, radius): all nodes within `radius` hops, including
 /// `src` itself at distance 0, in BFS order. Uses caller-provided scratch.
-/// `ball_sizes`, when not empty, must hold `radius` entries and receives
-/// |B(src, r)| for r = 1..radius: the BFS level ends, carried forward once
-/// the ball stops growing.
+/// `ball_sizes` (at most `radius` entries; may be shorter or empty)
+/// receives |B(src, r)| for r = 1..ball_sizes.size(): the BFS level ends,
+/// carried forward once the ball stops growing.
 void bfs_ball(const Graph& g, NodeId src, std::uint32_t radius,
               BfsScratch& scratch, std::vector<BallEntry>& out,
               std::span<std::uint32_t> ball_sizes = {});

@@ -35,20 +35,21 @@ Overlay Overlay::build_from_h(const OverlayParams& params, Graph h) {
 
   const NodeId n = params.n;
   const std::uint32_t k = o.k_;
+  const std::uint32_t w = witness_width(k);
 
   // Pass 1: ball sizes (excluding the center) -> CSR offsets, and the
-  // cumulative counts |B_H(v, r)| off the BFS level ends.
+  // cumulative counts |B_H(v, r)|, r <= w, off the BFS level ends.
   Graph::OffsetVec offsets(static_cast<std::size_t>(n) + 1, 0);
-  std::vector<std::uint32_t> counts(static_cast<std::size_t>(n) * k);
+  std::vector<std::uint32_t> counts(static_cast<std::size_t>(n) * w);
 #pragma omp parallel
   {
     BfsScratch scratch;
     std::vector<BallEntry> ball;
 #pragma omp for schedule(dynamic, 256)
     for (std::int64_t v = 0; v < static_cast<std::int64_t>(n); ++v) {
-      const auto row = static_cast<std::size_t>(v) * k;
+      const auto row = static_cast<std::size_t>(v) * w;
       bfs_ball(o.h_simple_, static_cast<NodeId>(v), k, scratch, ball,
-               std::span<std::uint32_t>(counts).subspan(row, k));
+               std::span<std::uint32_t>(counts).subspan(row, w));
       offsets[static_cast<std::size_t>(v) + 1] = ball.size() - 1;  // no self
     }
   }
@@ -103,8 +104,9 @@ Overlay Overlay::build_with_balls(const OverlayParams& params, Graph h,
   if (g_dist.size() != g.num_slots()) {
     throw std::invalid_argument("Overlay: g_dist size != G slots");
   }
-  if (ball_counts.size() != static_cast<std::size_t>(params.n) * o.k_) {
-    throw std::invalid_argument("Overlay: ball_counts size != n*k");
+  if (ball_counts.size() !=
+      static_cast<std::size_t>(params.n) * witness_width(o.k_)) {
+    throw std::invalid_argument("Overlay: ball_counts size != n*w");
   }
   o.h_ = std::move(h);
   o.h_simple_ = simplify(o.h_);

@@ -28,9 +28,21 @@ struct OverlayParams {
 /// Distance value meaning "w is not within v's k-ball".
 inline constexpr std::uint8_t kNotInBall = 0xFF;
 
+/// The paper's k = ceil(d/3).
+[[nodiscard]] constexpr std::uint32_t paper_k(std::uint32_t d) noexcept {
+  return (d + 2) / 3;
+}
+
+/// Columns of the witness-count table: Algorithm 2 line 15 interrogates
+/// B_H(w, min(t, k-1)), so the colour audit bills |B_H(v, r)| only for
+/// r = 1..max(k-1, 1) (k = 1 still bills the 1-ball).
+[[nodiscard]] constexpr std::uint32_t witness_width(std::uint32_t k) noexcept {
+  return k > 1 ? k - 1 : 1;
+}
+
 /// A sampled overlay: the H multigraph, its simple view, the dedup'd
 /// G = k-ball adjacency annotated with exact H-distances per slot, and the
-/// cumulative ball counts |B_H(v, r)|, r = 1..k.
+/// cumulative ball counts |B_H(v, r)|, r = 1..witness_width(k).
 class Overlay {
  public:
   /// Samples H(n,d) and materializes G and the ball counts. Cost: two
@@ -51,7 +63,8 @@ class Overlay {
   /// Assembles an overlay from a caller-supplied H **and** ready-made k-ball
   /// adjacency: `g` must be the dedup'd union of all balls B_H(v, k) \ {v}
   /// with `g_dist[slot]` the exact H-distance of each neighbor slot, and
-  /// `ball_counts` the n*k table ball_row() views — the arrays build_from_h
+  /// `ball_counts` the n * witness_width(k) table ball_row() views (checked
+  /// for that size) — the arrays build_from_h
   /// would have derived by running one bounded BFS per node. Skipping that
   /// BFS is the incremental snapshot engine's hot path; it is the CALLER's
   /// contract that the balls match H (the engine's debug mode cross-checks
@@ -76,13 +89,16 @@ class Overlay {
             g_dist_.data() + g_.first_slot(v) + g_.degree(v)};
   }
 
-  /// |B_H(v, r)| for r = 1..k, v itself included: the witness counts
-  /// Algorithm 2's colour audit bills (Lemmas 15/16).
+  /// |B_H(v, r)| for r = 1..witness_width(k), v itself included: the
+  /// witness counts Algorithm 2's colour audit bills (Lemmas 15/16). The
+  /// k-ball itself is G's row; no reader needs its size.
   [[nodiscard]] std::span<const std::uint32_t> ball_row(NodeId v) const {
-    return {ball_counts_.data() + static_cast<std::size_t>(v) * k_, k_};
+    const std::uint32_t w = witness_width(k_);
+    return {ball_counts_.data() + static_cast<std::size_t>(v) * w, w};
   }
 
-  /// Every ball_row, row-major: entry v*k + (r-1) is |B_H(v, r)|.
+  /// Every ball_row, row-major: entry v*w + (r-1) is |B_H(v, r)|, with
+  /// w = witness_width(k).
   [[nodiscard]] std::span<const std::uint32_t> ball_counts() const noexcept {
     return ball_counts_;
   }
@@ -109,12 +125,7 @@ class Overlay {
   Graph h_simple_;
   Graph g_;
   std::vector<std::uint8_t> g_dist_;
-  std::vector<std::uint32_t> ball_counts_;  ///< n*k, see ball_row
+  std::vector<std::uint32_t> ball_counts_;  ///< n*witness_width(k), ball_row
 };
-
-/// The paper's k = ceil(d/3).
-[[nodiscard]] constexpr std::uint32_t paper_k(std::uint32_t d) noexcept {
-  return (d + 2) / 3;
-}
 
 }  // namespace byz::graph

@@ -59,11 +59,12 @@ void IncrementalEngine::recompute_ball(NodeId v, graph::BfsScratch& scratch,
   tmp.push_back({v, 0});
   const std::uint32_t cycles = ov.num_cycles();
   const std::uint32_t k = ov.k();
+  const std::uint32_t w = graph::witness_width(k);
   std::uint32_t* const counts =
-      counts_.data() + static_cast<std::size_t>(v) * k;
+      counts_.data() + static_cast<std::size_t>(v) * w;
   std::size_t level_begin = 0;
   for (std::uint32_t depth = 1; depth <= k; ++depth) {
-    // A ball that stopped growing carries its final size out to r = k.
+    // A ball that stopped growing carries its final size outwards.
     const std::size_t level_end = tmp.size();
     for (std::size_t i = level_begin; i < level_end; ++i) {
       const NodeId u = tmp[i].node;
@@ -77,7 +78,7 @@ void IncrementalEngine::recompute_ball(NodeId v, graph::BfsScratch& scratch,
       }
     }
     level_begin = level_end;
-    counts[depth - 1] = static_cast<std::uint32_t>(tmp.size());
+    if (depth <= w) counts[depth - 1] = static_cast<std::uint32_t>(tmp.size());
   }
   auto& ball = balls_[v];
   ball.assign(tmp.begin() + 1, tmp.end());  // self excluded, like G rows
@@ -97,9 +98,10 @@ MutableOverlay::Snapshot IncrementalEngine::snapshot() {
   std::vector<NodeId> dense(bound, graph::kInvalidNode);
   for (NodeId i = 0; i < n; ++i) dense[snap.dense_to_stable[i]] = i;
   const std::uint32_t k = ov.k();
+  const std::uint32_t w = graph::witness_width(k);
   if (balls_.size() < bound) {
     balls_.resize(bound);
-    counts_.resize(static_cast<std::size_t>(bound) * k);
+    counts_.resize(static_cast<std::size_t>(bound) * w);
   }
 
   const bool full = !has_snapshot_ || !config_.incremental;
@@ -176,7 +178,7 @@ MutableOverlay::Snapshot IncrementalEngine::snapshot() {
     }
     graph::Graph::NeighborVec g_nbrs(g_off[n]);
     std::vector<std::uint8_t> g_dist(g_off[n]);
-    std::vector<std::uint32_t> counts(static_cast<std::size_t>(n) * k);
+    std::vector<std::uint32_t> counts(static_cast<std::size_t>(n) * w);
 #pragma omp parallel for schedule(static)
     for (std::int64_t si = 0; si < static_cast<std::int64_t>(n); ++si) {
       const auto i = static_cast<NodeId>(si);
@@ -187,8 +189,8 @@ MutableOverlay::Snapshot IncrementalEngine::snapshot() {
         g_nbrs[base + j] = dense[ball[j].node];
         g_dist[base + j] = ball[j].dist;
       }
-      std::copy_n(counts_.data() + static_cast<std::size_t>(v) * k, k,
-                  counts.data() + static_cast<std::size_t>(i) * k);
+      std::copy_n(counts_.data() + static_cast<std::size_t>(v) * w, w,
+                  counts.data() + static_cast<std::size_t>(i) * w);
     }
 
     graph::OverlayParams params;

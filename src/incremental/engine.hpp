@@ -5,9 +5,10 @@
 // cold run. IncrementalEngine keeps the k-balls of the PREVIOUS snapshot in
 // stable-id space, listens to splices through a DirtyBallTracker, and per
 // snapshot
-//   * re-runs the bounded BFS only for dirty nodes (those within distance k
-//     of any splice endpoint — a superset of every changed ball), keeping
-//     each ball's k cumulative counts |B_H(v, r)| beside it,
+//   * re-runs the bounded BFS only for dirty nodes (those within distance
+//     k-1 of any splice endpoint — a superset of every changed ball),
+//     keeping beside each ball its witness counts |B_H(v, r)| for
+//     r = 1..witness_width(k) (the columns the colour audit bills),
 //   * translates all balls stable→dense and assembles the G/H CSR arrays
 //     and the ball-count table directly (Graph::from_csr +
 //     Overlay::build_with_balls), skipping the full rebuild's two BFS
@@ -72,7 +73,8 @@ class IncrementalEngine {
   Config config_;
   DirtyBallTracker tracker_;
   std::vector<std::vector<graph::BallEntry>> balls_;  ///< by stable id
-  /// k cumulative counts |B_H(v, r)| per stable id, row-major.
+  /// witness_width(k) cumulative counts |B_H(v, r)| per stable id,
+  /// row-major.
   std::vector<std::uint32_t> counts_;
   bool has_snapshot_ = false;
   IncrementalStats stats_;

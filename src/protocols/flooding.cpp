@@ -246,7 +246,13 @@ void run_subphase_reference(const graph::Overlay& overlay,
 //     one such CAS succeeds per node and step);
 //   * receivers are tested against two word-packed sets built by the
 //     step-1 sweep from the run's inputs — can-receive (not crashed) and
-//     Byzantine — plus presence when live hooks are attached;
+//     Byzantine. Under live hooks the kernel reads MidRunHooks::alive_set()
+//     once per round, after begin_round has applied the round's events:
+//     it ANDs those words into the frontier words, so a departed sender is
+//     skipped as the reference's present(u) skips it, and forms the round's
+//     receiver set can-receive AND alive, the reference's
+//     `crashed[v] || !present(v)` test in packed form. Injections test the
+//     same two sets;
 //   * the round digest is a commutative XOR fold, accumulated per worker
 //     and folded once on the main thread;
 //   * Instrumentation is sums plus one max, merged per worker under a
@@ -269,9 +275,6 @@ void run_subphase_kernel(const graph::Overlay& overlay,
   const MidRunHooks* live = params.live;
   const NodeId n = live ? live->node_bound() : overlay.num_nodes();
   const auto& h = overlay.h_simple();
-  const auto present = [&](NodeId v) {
-    return live == nullptr || live->alive(v);
-  };
   const int nt = static_cast<int>(
       params.threads > 0 ? params.threads
                          : std::max(1u, std::thread::hardware_concurrency()));
@@ -283,6 +286,7 @@ void run_subphase_kernel(const graph::Overlay& overlay,
   ws.touched_bits.assign(n);
   ws.can_receive_bits.assign(n);
   ws.byz_bits.assign(n);
+  if (live != nullptr) ws.live_receive_bits.assign(n);
   const util::Bitset& can_receive = ws.can_receive_bits;
   const util::Bitset& byz = ws.byz_bits;
   const std::int64_t num_words =
@@ -344,14 +348,18 @@ void run_subphase_kernel(const graph::Overlay& overlay,
     round_span.arg("step", t).arg("frontier", frontier_count);
     frontier_histogram().observe(frontier_count);
     const std::uint64_t round_tokens_before = instr.token_messages;
+    // Presence after this round's events (null on the static path).
+    const util::Bitset* alive = nullptr;
     if (live != nullptr) {
       ws.live_frontier.clear();
       if (live->wants_frontier()) {
-        // Ascending bitset order IS the canonical sorted wavefront.
+        // Ascending bitset order IS the canonical sorted wavefront; presence
+        // is still the previous round's here.
+        const util::Bitset& was_alive = live->alive_set();
         ws.frontier_bits.for_each_set([&](std::size_t u) {
           if (crashed[u]) return;
           if (byz_mask[u] && !params.byz_forward) return;
-          if (!live->alive(static_cast<NodeId>(u))) return;
+          if (!was_alive.test(u)) return;
           ws.live_frontier.push_back(static_cast<NodeId>(u));
         });
       }
@@ -359,7 +367,14 @@ void run_subphase_kernel(const graph::Overlay& overlay,
       clock.step = t;
       clock.round = params.clock.round + (t - 1);
       params.live->begin_round(clock, ws.live_frontier);
+      alive = &live->alive_set();
+      const Word* aw = alive->words();
+      const Word* rw = can_receive.words();
+      Word* lw = ws.live_receive_bits.words();
+      for (std::int64_t wi = 0; wi < num_words; ++wi) lw[wi] = rw[wi] & aw[wi];
     }
+    const util::Bitset& receivers =
+        alive != nullptr ? ws.live_receive_bits : can_receive;
 
     std::uint64_t round_digest_acc = 0;
 
@@ -372,13 +387,13 @@ void run_subphase_kernel(const graph::Overlay& overlay,
         std::uint64_t dig = 0;
         for (std::int64_t wi = first; wi < last; ++wi) {
           Word w = fw[wi];
+          if (alive != nullptr) w &= alive->words()[wi];
           while (w) {
             const NodeId u = static_cast<NodeId>(
                 static_cast<std::size_t>(wi) * kWordBits +
                 static_cast<std::size_t>(std::countr_zero(w)));
             w &= w - 1;
             if (!params.byz_forward && byz.test(u)) continue;
-            if (!present(u)) continue;
             const auto nbrs = live ? live->neighbors(u) : h.neighbors(u);
             local.count_token(nbrs.size());
             local.max_node_round_sends = std::max<std::uint64_t>(
@@ -392,7 +407,7 @@ void run_subphase_kernel(const graph::Overlay& overlay,
             }
             std::uint64_t audited = 0;
             for (const NodeId v : nbrs) {
-              if (!can_receive.test(v) || !present(v)) continue;
+              if (!receivers.test(v)) continue;
               audited += byz.test(v) ? 0 : 1;
               fold(v, c);
             }
@@ -416,7 +431,7 @@ void run_subphase_kernel(const graph::Overlay& overlay,
     // other injections).
     for (const auto& inj : injections) {
       if (inj.step != t || crashed[inj.from]) continue;
-      if (!present(inj.from)) continue;
+      if (alive != nullptr && !alive->test(inj.from)) continue;
       const auto nbrs =
           live ? live->neighbors(inj.from) : h.neighbors(inj.from);
       instr.count_token(nbrs.size());
@@ -427,7 +442,7 @@ void run_subphase_kernel(const graph::Overlay& overlay,
                    : ((ws.fresh[inj.from] == t - 1) ? ws.known[inj.from] : 0);
       const bool from_byz = byz_mask[inj.from];
       for (const NodeId v : nbrs) {
-        if (!can_receive.test(v) || !present(v)) continue;
+        if (!receivers.test(v)) continue;
         // Byzantine receivers absorb the token unaudited.
         const bool accepted =
             byz.test(v) ||
@@ -502,6 +517,10 @@ void run_checked(SubphaseBody body, const graph::Overlay& overlay,
   const NodeId n = live ? live->node_bound() : overlay.num_nodes();
   if (gen_color.size() != n || byz_mask.size() != n || crashed.size() != n) {
     throw std::invalid_argument("run_flood_subphase: size mismatch");
+  }
+  if (live != nullptr && live->alive_set().size() != n) {
+    throw std::invalid_argument(
+        "run_flood_subphase: alive_set size != node_bound");
   }
   ws.ensure(n);
 

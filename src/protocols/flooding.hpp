@@ -26,7 +26,9 @@
 // messages from their departure round (sends and receives); joiners
 // receive and relay from their entry round ("flood from entry") but never
 // generate mid-subphase — generation is granted at phase boundaries by the
-// MembershipPolicy (see verification.hpp / fastpath.hpp). With live ==
+// MembershipPolicy (see verification.hpp / fastpath.hpp). The kernel reads
+// presence once per round, after begin_round, as the hooks' packed
+// alive_set(), and tests senders and receivers from its words. With live ==
 // nullptr the kernel is the static path, unchanged.
 #pragma once
 
@@ -77,10 +79,12 @@ class FloodWorkspace {
   util::Bitset touched_bits;
   /// The kernel's per-delivery receiver tests, packed by its step-1 sweep
   /// from the subphase inputs: nodes that can receive (not crashed) and
-  /// Byzantine nodes (unaudited receivers). Under live hooks presence
-  /// changes per round, so it is still asked per delivery.
+  /// Byzantine nodes (unaudited receivers).
   util::Bitset can_receive_bits;
   util::Bitset byz_bits;
+  /// Under live hooks, the round's receivers: can_receive_bits AND the
+  /// hooks' alive_set(), rebuilt after each begin_round.
+  util::Bitset live_receive_bits;
 };
 
 struct FloodParams {

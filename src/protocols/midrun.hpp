@@ -10,10 +10,12 @@
 //     Ids of not-yet-joined nodes are inert (absent) until their round.
 //   * begin_round() is invoked by the flood kernel before the sends of each
 //     flood step; the implementation applies the join/leave events scheduled
-//     for that round, after which alive()/neighbors() answer for the NEW
+//     for that round, after which alive_set()/neighbors() answer for the NEW
 //     topology. Departed nodes drop messages from their departure round on;
 //     joiners receive and relay from their entry round on ("flood from
-//     entry").
+//     entry"). Presence is one packed set rather than a per-node call, so
+//     the flood kernel reads it once per round and tests every sender and
+//     receiver from its words.
 //   * begin_phase() is invoked by the run loop at each phase boundary. The
 //     implementation applies its MembershipPolicy (verification.hpp): under
 //     kReadmitNextPhase it reports the joiners to admit as generating
@@ -34,6 +36,7 @@
 
 #include "graph/graph.hpp"
 #include "protocols/verification.hpp"
+#include "util/bitset.hpp"
 
 namespace byz::proto {
 
@@ -59,9 +62,17 @@ class MidRunHooks {
   /// Fixed for the whole run.
   [[nodiscard]] virtual graph::NodeId node_bound() const = 0;
 
-  /// Is v present in the overlay as of the last begin_round()? Joiners are
-  /// dead until their entry round; departed nodes are dead forever after.
-  [[nodiscard]] virtual bool alive(graph::NodeId v) const = 0;
+  /// The nodes present in the overlay as of the last begin_round(), over
+  /// [0, node_bound()) (the flood kernel rejects any other size). Joiners
+  /// are absent until their entry round; departed nodes are absent forever
+  /// after. The reference stays valid for the hooks' lifetime and changes
+  /// only inside begin_round.
+  [[nodiscard]] virtual const util::Bitset& alive_set() const = 0;
+
+  /// Is v present as of the last begin_round()? One bit of alive_set().
+  [[nodiscard]] bool alive(graph::NodeId v) const {
+    return alive_set().test(v);
+  }
 
   /// True iff v WAS present and has left (distinguishes a departure from a
   /// joiner whose entry round has not arrived — both are !alive()).

@@ -116,19 +116,21 @@ Verifier::Verifier(std::uint32_t k, std::span<const std::uint32_t> ball_counts,
                    VerificationConfig config)
     : config_(config),
       k_(k),
+      w_(graph::witness_width(k)),
       ball_counts_(ball_counts),
       chain_len_(std::move(chain_len)) {
-  // One k-wide row per chain entry, so every id with a chain has a row.
-  if (k_ == 0 || ball_counts_.size() != chain_len_.size() * k_) {
+  // One w-wide row per chain entry, so every id with a chain has a row.
+  if (k_ == 0 || ball_counts_.size() != chain_len_.size() * w_) {
     throw std::invalid_argument("Verifier: ball-count table size mismatch");
   }
 }
 
 std::uint64_t Verifier::check_ball_size(NodeId sender,
                                         std::uint32_t step) const {
+  // Radius min(step, k-1), at least 1: column min(max(step, 1), w).
   const std::uint32_t r =
-      std::min<std::uint32_t>(std::max<std::uint32_t>(step, 1), k_ - 1 > 0 ? k_ - 1 : 1);
-  return ball_counts_[static_cast<std::size_t>(sender) * k_ + (r - 1)];
+      std::min<std::uint32_t>(std::max<std::uint32_t>(step, 1), w_);
+  return ball_counts_[static_cast<std::size_t>(sender) * w_ + (r - 1)];
 }
 
 std::uint32_t Verifier::usable_chain(NodeId endpoint) const {

@@ -25,6 +25,11 @@
 // the checked ball (covering fake Byzantine-Byzantine H-edge claims that
 // survive the crash rule). Both vanish w.h.p. under random placement.
 //
+// WITNESS COUNTS: the interrogated ball has radius min(t, k-1) (at least
+// 1), so the Verifier keeps per node only |B_H(v, r)| for
+// r = 1..graph::witness_width(k) = max(k-1, 1) — the columns the audit
+// bills — plus a usable-chain length per Byzantine node.
+//
 // MID-RUN MEMBERSHIP (protocols/midrun.hpp, dynamics/midrun.*): the
 // Verifier's state — cumulative ball counts and usable chains — is computed
 // from a topology snapshot, so nodes joining or leaving DURING a run make
@@ -50,10 +55,11 @@
 //                      boundary that follows a splice the Verifier is
 //                      refreshed against the live topology, so admitted
 //                      joiners are verifiable senders. The refresh
-//                      recomputes the ball rows and chain lengths of only
-//                      the nodes within k-1 H-hops of a splice applied
-//                      since the last boundary; no other row can have
-//                      changed (dynamics/midrun.hpp). Within a phase the
+//                      recomputes the ball rows of only the nodes within
+//                      w-1 H-hops of a splice applied since the last
+//                      boundary (w = max(k-1, 1)), and the chains of the
+//                      Byzantine nodes within k-1 hops; no other row can
+//                      have changed (dynamics/midrun.hpp). Within a phase the
 //                      state stays frozen — mid-PHASE membership change is
 //                      exactly the staleness the policy tolerates, bounded
 //                      by one phase.
@@ -76,7 +82,8 @@ enum class ChainModel : std::uint8_t { kStrict, kRewired };
 /// comment for the full semantics; dynamics/midrun.* implements both).
 enum class MembershipPolicy : std::uint8_t {
   kTreatAsSilent,      ///< joiners stay silent all run; verifier frozen
-  kReadmitNextPhase,   ///< joiners admitted + verifier rebuilt at boundaries
+  kReadmitNextPhase,   ///< joiners admitted; splice-dirtied rows refreshed
+                       ///< at boundaries
 };
 
 [[nodiscard]] const char* to_string(MembershipPolicy policy);
@@ -95,19 +102,20 @@ class Verifier {
   Verifier(const graph::Overlay& overlay, const std::vector<bool>& byz_mask,
            VerificationConfig config);
 
-  /// A view of a ready-made cumulative ball-count table (`ball_counts[v*k +
-  /// (r-1)]` = |B_H(v, r)|, laid out like Overlay::ball_counts) plus the
-  /// per-node chain lengths, one per row. The mid-run tier passes its live
-  /// table over the run's id space (snapshot members plus scheduled
-  /// joiners), refreshed against the live topology at phase boundaries.
-  /// The table must outlive the Verifier.
+  /// A view of a ready-made cumulative ball-count table with
+  /// w = graph::witness_width(k) columns (`ball_counts[v*w + (r-1)]` =
+  /// |B_H(v, r)|, laid out like Overlay::ball_counts) plus the per-node
+  /// chain lengths, one per row. The mid-run tier passes its live table
+  /// over the run's id space (snapshot members plus scheduled joiners),
+  /// refreshed against the live topology at phase boundaries. The table
+  /// must outlive the Verifier.
   Verifier(std::uint32_t k, std::span<const std::uint32_t> ball_counts,
            std::vector<std::uint8_t> chain_len, VerificationConfig config);
 
-  /// This node's k cumulative ball counts.
+  /// This node's witness_width(k) cumulative ball counts.
   [[nodiscard]] std::span<const std::uint32_t> ball_row(
       graph::NodeId v) const {
-    return ball_counts_.subspan(static_cast<std::size_t>(v) * k_, k_);
+    return ball_counts_.subspan(static_cast<std::size_t>(v) * w_, w_);
   }
 
   /// The acceptance decision for a token (see file comment). `legit_fresh`
@@ -144,7 +152,8 @@ class Verifier {
  private:
   VerificationConfig config_;
   std::uint32_t k_;
-  // ball_counts_[v * k_ + (r-1)] = |B_H(v, r)| for r in 1..k (cumulative).
+  std::uint32_t w_;  ///< graph::witness_width(k_)
+  // ball_counts_[v * w_ + (r-1)] = |B_H(v, r)| for r in 1..w_ (cumulative).
   std::span<const std::uint32_t> ball_counts_;
   // usable chain length per node (0 for honest nodes).
   std::vector<std::uint8_t> chain_len_;

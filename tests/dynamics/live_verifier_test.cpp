@@ -9,7 +9,10 @@
 // no code with the feed's live BFS. The schedules are randomized
 // over sybil joins, frontier-directed leaves, boundary join storms, leaves
 // deferred at the membership floor, joiners that leave before admission,
-// and both chain models; the suite asserts that each case occurred.
+// both chain models and k from 1 to paper k + 2; the suite asserts that
+// each case occurred. A second case pins the refresh radius: one honest
+// join recomputes only the rows within w-1 hops of its splice, where
+// w = max(k-1, 1) is the number of witness columns.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -62,7 +65,9 @@ class OracleHooks final : public proto::MidRunHooks {
   [[nodiscard]] NodeId node_bound() const override {
     return feed_.node_bound();
   }
-  [[nodiscard]] bool alive(NodeId v) const override { return feed_.alive(v); }
+  [[nodiscard]] const util::Bitset& alive_set() const override {
+    return feed_.alive_set();
+  }
   [[nodiscard]] bool departed(NodeId v) const override {
     return feed_.departed(v);
   }
@@ -235,9 +240,12 @@ TEST(LiveVerifierOracle, IncrementalRefreshMatchesSnapshotRows) {
     const auto size = static_cast<NodeId>(shapes.below(tiny ? 6 : 113));
     shape.n0 = (tiny ? 5 : 16) + size;
     shape.d = kDegrees[shapes.below(3)];
-    // Paper k, or a deeper k so the marking radius k-1 spans more hops.
-    const auto deeper = static_cast<std::uint32_t>(shapes.below(3));
-    shape.k = deeper == 0 ? 0 : graph::paper_k(shape.d) + deeper;
+    // Paper k; a deeper k so both marking radii (w-1 for counts, k-1 for
+    // chains) span more hops; or k = 1, the one k with w = k.
+    const auto deeper = static_cast<std::uint32_t>(shapes.below(4));
+    shape.k = deeper == 0   ? 0
+              : deeper == 3 ? 1
+                            : graph::paper_k(shape.d) + deeper;
     shape.model =
         t % 2 == 0 ? proto::ChainModel::kStrict : proto::ChainModel::kRewired;
     shape.strategy = kStrategies[shapes.below(3)];
@@ -259,6 +267,36 @@ TEST(LiveVerifierOracle, IncrementalRefreshMatchesSnapshotRows) {
     // The refresh is incremental: fewer rows than a full refresh at each
     // of the same boundaries would recompute.
     EXPECT_LT(cov->rows_recomputed, cov->rows_full) << model;
+  }
+}
+
+TEST(LiveVerifierRefresh, OneHonestJoinRecomputesOnlyTheWitnessRadius) {
+  // n0 = 4096, d = 8, paper k = 3, so w = 2. One honest join at round 0
+  // splices d/2 ring edges: at most d alive endpoints plus the joiner, d+1
+  // sources with at most d+1 rows each within w-1 = 1 hop. Without
+  // Byzantine nodes no chain widens the mark, so the one refresh (at the
+  // phase-2 boundary) recomputes at most (d+1)^2 = 81 rows; a refresh
+  // radius of k-1 = 2 hops would mark several hundred.
+  constexpr NodeId kN0 = 4096;
+  constexpr std::uint32_t kD = 8;
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    dynamics::MutableOverlay overlay(kN0, kD, 0, seed);
+    std::vector<bool> stable_byz(kN0, false);
+    dynamics::ChurnSchedule schedule;
+    schedule.events.push_back({0, dynamics::MidRunEventKind::kJoin});
+    dynamics::MidRunConfig mid_cfg;
+    mid_cfg.policy = proto::MembershipPolicy::kReadmitNextPhase;
+    util::Xoshiro256 churn_rng(util::mix_seed(seed, 3));
+    const auto strategy = adv::make_strategy(adv::StrategyKind::kHonest);
+    const auto out = dynamics::run_counting_midrun(
+        overlay, stable_byz, *strategy, proto::ProtocolConfig{},
+        util::mix_seed(seed, 4), schedule, mid_cfg,
+        adv::ChurnAdversary::kNone, churn_rng);
+    EXPECT_EQ(out.stats.joins, 1u) << "seed=" << seed;
+    EXPECT_EQ(out.stats.verifier_refreshes, 1u) << "seed=" << seed;
+    EXPECT_GE(out.stats.rows_recomputed, 1u) << "seed=" << seed;
+    EXPECT_LE(out.stats.rows_recomputed, (kD + 1) * (kD + 1))
+        << "seed=" << seed;
   }
 }
 

@@ -103,21 +103,21 @@ TEST(SmallWorld, DistanceAnnotationsExact) {
   expect_distance_annotations_exact(sample(65539, 4, 7), 16);
 }
 
-/// ball_row(v)[r-1] == |B_H(v, r)| for every v and r, against two oracles:
-/// the G row's distance annotations (1 + the slots within r) and a BFS on
-/// the simple H truncated at k. Returns how many rows had saturated (the
-/// whole graph inside radius k).
+/// ball_row(v)[r-1] == |B_H(v, r)| for every v and r = 1..w, w =
+/// witness_width(k), against two oracles: the G row's distance annotations
+/// (1 + the slots within r) and a BFS on the simple H truncated at w.
+/// Returns how many rows had saturated (the whole graph inside radius w).
 NodeId expect_ball_counts_exact(const Overlay& o) {
-  const std::uint32_t k = o.k();
+  const std::uint32_t w = witness_width(o.k());
   const NodeId n = o.num_nodes();
-  EXPECT_EQ(o.ball_counts().size(), static_cast<std::size_t>(n) * k);
+  EXPECT_EQ(o.ball_counts().size(), static_cast<std::size_t>(n) * w);
   NodeId saturated = 0;
   for (NodeId v = 0; v < n; ++v) {
     const auto row = o.ball_row(v);
-    EXPECT_EQ(row.size(), k);
+    EXPECT_EQ(row.size(), w);
     const auto dists = o.g_dists(v);
-    const auto bfs = bfs_distances(o.h_simple(), v, k);
-    for (std::uint32_t r = 1; r <= k; ++r) {
+    const auto bfs = bfs_distances(o.h_simple(), v, w);
+    for (std::uint32_t r = 1; r <= w; ++r) {
       const auto from_g = 1 + std::count_if(dists.begin(), dists.end(),
                                             [r](std::uint8_t d) {
                                               return d <= r;
@@ -129,7 +129,7 @@ NodeId expect_ball_counts_exact(const Overlay& o) {
       EXPECT_EQ(row[r - 1], static_cast<std::uint32_t>(from_bfs))
           << "v=" << v << " r=" << r;
     }
-    if (row[k - 1] == n) ++saturated;
+    if (row[w - 1] == n) ++saturated;
   }
   return saturated;
 }
@@ -148,7 +148,7 @@ TEST(SmallWorld, BallCountsMatchBothOracles) {
   EXPECT_EQ(expect_ball_counts_exact(build(300, 8, 0, 43)), 0u);
   EXPECT_EQ(expect_ball_counts_exact(build(96, 4, 1, 45)), 0u);   // k = 1
   (void)expect_ball_counts_exact(build(200, 6, 4, 47));  // k above paper k
-  // A tiny overlay saturates before radius k: the rows carry n outwards.
+  // A tiny overlay saturates before radius w: the rows carry n outwards.
   const Overlay tiny = build(10, 4, 6, 49);
   EXPECT_EQ(expect_ball_counts_exact(tiny), tiny.num_nodes());
 }

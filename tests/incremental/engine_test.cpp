@@ -59,10 +59,11 @@ TEST(IncrementalEngine, VerifyModeCrossChecksEverySnapshot) {
 }
 
 TEST(IncrementalEngine, SaturatedBallsCarryTheirSizeOutToRadiusK) {
-  // At n0 = 10 and k = 6 every ball holds the whole graph before radius k,
-  // so every count row must carry n out to r = k: through the engine's
-  // own BFS on the bootstrap and on each dirty recompute. Verify mode
-  // compares every snapshot with the full rebuild, counts included.
+  // At n0 = 10 and k = 6 every ball holds the whole graph before radius
+  // w = witness_width(k) = 5, so every count row must carry n out to its
+  // last column r = w: through the engine's own BFS on the bootstrap and
+  // on each dirty recompute. Verify mode compares every snapshot with the
+  // full rebuild, counts included.
   MutableOverlay overlay(10, 4, 6, 17);
   IncrementalEngine engine(overlay, {/*incremental=*/true,
                                      /*verify_against_full=*/true});
@@ -134,7 +135,7 @@ TEST(IncrementalEngine, OverlaysIdenticalComparesBallCounts) {
   std::vector<std::uint32_t> same(counts.begin(), counts.end());
   EXPECT_TRUE(overlays_identical(a, rebuild(same)));
   std::vector<std::uint32_t> altered = same;
-  altered[5 * a.k() + 1] += 1;
+  altered[5 * graph::witness_width(a.k())] += 1;
   EXPECT_FALSE(overlays_identical(a, rebuild(altered)));
 }
 

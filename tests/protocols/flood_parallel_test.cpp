@@ -324,23 +324,29 @@ TEST(FloodParallel, ByzantineForwardersBesideCrashSetMatchReference) {
 /// Test-local live topology over a static overlay whose last id is a
 /// scheduled joiner: absent until step 2 of the subphase, when it enters
 /// and the first honest node of the wavefront departs (the frontier-
-/// targeting adversary in miniature). Neighbor lists are the overlay's;
-/// presence alone gates delivery. Records every wavefront it is handed.
+/// targeting adversary in miniature; `keep_leaver` picks it but suppresses
+/// the departure). Neighbor lists are the overlay's; presence alone gates
+/// delivery. Records every wavefront it is handed.
 class OneJoinOneLeaveHooks final : public MidRunHooks {
  public:
   OneJoinOneLeaveHooks(const Overlay& overlay, const std::vector<bool>& byz,
-                       const Verifier& verifier)
-      : overlay_(overlay), byz_(byz), verifier_(verifier) {}
+                       const Verifier& verifier, bool keep_leaver = false)
+      : overlay_(overlay),
+        byz_(byz),
+        verifier_(verifier),
+        keep_leaver_(keep_leaver),
+        alive_(overlay.num_nodes()) {
+    for (NodeId v = 0; v < joiner(); ++v) alive_.set(v);
+  }
 
   [[nodiscard]] NodeId node_bound() const override {
     return overlay_.num_nodes();
   }
-  [[nodiscard]] bool alive(NodeId v) const override {
-    if (v == joiner()) return entered_;
-    return !departed(v);
+  [[nodiscard]] const util::Bitset& alive_set() const override {
+    return alive_;
   }
   [[nodiscard]] bool departed(NodeId v) const override {
-    return leaver_.has_value() && v == *leaver_;
+    return !keep_leaver_ && leaver_.has_value() && v == *leaver_;
   }
   [[nodiscard]] std::span<const NodeId> neighbors(NodeId v) const override {
     return overlay_.h_simple().neighbors(v);
@@ -349,10 +355,11 @@ class OneJoinOneLeaveHooks final : public MidRunHooks {
                    std::span<const NodeId> frontier) override {
     frontiers.emplace_back(frontier.begin(), frontier.end());
     if (clock.step != 2) return;
-    entered_ = true;
+    alive_.set(joiner());
     for (const NodeId u : frontier) {
       if (!byz_[u]) {
         leaver_ = u;
+        if (!keep_leaver_) alive_.reset(u);
         break;
       }
     }
@@ -372,7 +379,8 @@ class OneJoinOneLeaveHooks final : public MidRunHooks {
   const Overlay& overlay_;
   const std::vector<bool>& byz_;
   const Verifier& verifier_;
-  bool entered_ = false;
+  bool keep_leaver_;
+  util::Bitset alive_;
   std::optional<NodeId> leaver_;
 };
 
@@ -416,6 +424,16 @@ TEST(FloodParallel, LiveHooksMidSubphaseChurnMatchesReference) {
   }
   EXPECT_GT(ref.ws.known[ref_hooks.joiner()], 0u)
       << "the joiner never received: the entry path is untested";
+  // Vacuity: the departure must matter, or the packed presence test on
+  // the kernel's sender and receiver paths is not exercised below.
+  OneJoinOneLeaveHooks kept_hooks(overlay, byz, verifier,
+                                  /*keep_leaver=*/true);
+  params.live = &kept_hooks;
+  const SubphaseRun kept(kReference, overlay, byz, crashed, verifier, gen,
+                         inj, params);
+  EXPECT_EQ(kept_hooks.leaver(), ref_hooks.leaver());
+  EXPECT_FALSE(kept.instr == ref.instr)
+      << "suppressing the departure changed nothing";
 
   for (const std::uint32_t t : kThreadCounts) {
     OneJoinOneLeaveHooks hooks(overlay, byz, verifier);
@@ -426,6 +444,57 @@ TEST(FloodParallel, LiveHooksMidSubphaseChurnMatchesReference) {
     expect_bitwise_equal(ref, run, t);
     EXPECT_EQ(ref_hooks.frontiers, hooks.frontiers) << "threads=" << t;
     EXPECT_EQ(ref_hooks.leaver(), hooks.leaver()) << "threads=" << t;
+  }
+}
+
+/// Live hooks whose alive set is one bit short of node_bound().
+class ShortAliveSetHooks final : public MidRunHooks {
+ public:
+  ShortAliveSetHooks(const Overlay& overlay, const Verifier& verifier)
+      : overlay_(overlay),
+        verifier_(verifier),
+        alive_(overlay.num_nodes() - 1) {}
+
+  [[nodiscard]] NodeId node_bound() const override {
+    return overlay_.num_nodes();
+  }
+  [[nodiscard]] const util::Bitset& alive_set() const override {
+    return alive_;
+  }
+  [[nodiscard]] bool departed(NodeId /*v*/) const override { return false; }
+  [[nodiscard]] std::span<const NodeId> neighbors(NodeId v) const override {
+    return overlay_.h_simple().neighbors(v);
+  }
+  void begin_round(const RoundClock& /*clock*/,
+                   std::span<const NodeId> /*frontier*/) override {}
+  [[nodiscard]] const Verifier* begin_phase(
+      std::uint32_t /*phase*/, std::vector<NodeId>& /*admitted*/) override {
+    return &verifier_;
+  }
+
+ private:
+  const Overlay& overlay_;
+  const Verifier& verifier_;
+  util::Bitset alive_;
+};
+
+TEST(FloodParallel, AliveSetOfTheWrongSizeIsRejected) {
+  const NodeId n = 65;
+  const Overlay overlay = sample(n, 6, 68);
+  const std::vector<bool> byz(n, false);
+  const std::vector<bool> crashed(n, false);
+  const Verifier verifier(overlay, byz, {});
+  const std::vector<Color> gen(n, 1);
+  ShortAliveSetHooks hooks(overlay, verifier);
+  FloodParams params;
+  params.steps = 2;
+  params.live = &hooks;
+  for (const SubphaseFn fn : {kReference, kKernel}) {
+    FloodWorkspace ws;
+    sim::Instrumentation instr;
+    EXPECT_THROW(
+        fn(overlay, byz, crashed, verifier, params, gen, {}, ws, instr),
+        std::invalid_argument);
   }
 }
 

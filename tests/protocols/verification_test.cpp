@@ -71,6 +71,31 @@ TEST(Verifier, CheckBallSizesMatchOverlay) {
     EXPECT_EQ(ver.check_ball_size(v, 2), within2);
     EXPECT_EQ(ver.check_ball_size(v, 99), within2);  // k-1 = 2 cap
   }
+  // Every k: radius min(t, k-1), at least 1, and the w = witness_width(k)
+  // columns hold every radius billed.
+  for (const std::uint32_t k : {1u, 2u, 3u, 4u}) {
+    OverlayParams p;
+    p.n = 200;
+    p.d = 6;
+    p.k = k;
+    p.seed = 97;
+    const Overlay ok = Overlay::build(p);
+    const Verifier vk(ok, std::vector<bool>(ok.num_nodes(), false), {});
+    for (NodeId v = 0; v < 8; ++v) {
+      EXPECT_EQ(vk.ball_row(v).size(), graph::witness_width(k));
+      const auto dists = ok.g_dists(v);
+      for (std::uint32_t step = 0; step <= k + 2; ++step) {
+        const std::uint32_t r =
+            std::max<std::uint32_t>(1, std::min(step, k - 1));
+        const auto within = 1 + std::count_if(
+                                    dists.begin(), dists.end(),
+                                    [r](std::uint8_t d) { return d <= r; });
+        EXPECT_EQ(vk.check_ball_size(v, step),
+                  static_cast<std::uint64_t>(within))
+            << "k=" << k << " v=" << v << " step=" << step;
+      }
+    }
+  }
 }
 
 TEST(Verifier, HonestForwardAlwaysAccepted) {
@@ -225,12 +250,14 @@ TEST(Verifier, MaskSizeMismatchThrows) {
 }
 
 TEST(Verifier, TableSizeMismatchThrows) {
-  // One k-wide row per chain entry, and k >= 1.
+  // One witness_width(k)-wide row per chain entry, and k >= 1.
   const std::vector<std::uint32_t> table(10, 1);
   EXPECT_THROW(Verifier(3, table, std::vector<std::uint8_t>(4, 0), {}),
                std::invalid_argument);
   EXPECT_THROW(Verifier(0, {}, {}, {}), std::invalid_argument);
-  EXPECT_NO_THROW(Verifier(2, table, std::vector<std::uint8_t>(5, 0), {}));
+  EXPECT_NO_THROW(Verifier(3, table, std::vector<std::uint8_t>(5, 0), {}));
+  EXPECT_NO_THROW(Verifier(2, table, std::vector<std::uint8_t>(10, 0), {}));
+  EXPECT_NO_THROW(Verifier(1, table, std::vector<std::uint8_t>(10, 0), {}));
 }
 
 TEST(Verifier, DenseMaskChainsEqualThePerCallResult) {

@@ -163,6 +163,35 @@ class RollupTest(unittest.TestCase):
         self.assertEqual(by_phase[1]["rounds"], 0)
 
 
+class SelfTimeTest(unittest.TestCase):
+    def test_self_time_subtracts_direct_children_only(self):
+        # tid 1: A [0,100) holds B [10,30) and C [40,90); C holds D [50,70).
+        # tid 2: E [20,60) overlaps A in time but is on another thread.
+        spans = [span("A", 0, 100), span("B", 10, 20), span("C", 40, 50),
+                 span("D", 50, 20), span("E", 20, 40, tid=2)]
+        self.assertEqual(trace_summary.self_times(spans),
+                         [30, 20, 30, 20, 40])
+
+    def test_equal_intervals_nest_in_listed_order(self):
+        spans = [span("outer", 0, 10), span("inner", 0, 10)]
+        self.assertEqual(trace_summary.self_times(spans), [0, 10])
+
+    def test_adjacent_siblings_are_not_nested(self):
+        spans = [span("P", 0, 30), span("X", 0, 10), span("Y", 10, 10)]
+        self.assertEqual(trace_summary.self_times(spans), [10, 10, 10])
+
+    def test_per_name_table_reports_self_us(self):
+        spans = [e for e in valid_doc()["traceEvents"] if e["ph"] == "X"]
+        by_name = {r["span"]: r
+                   for r in trace_summary.per_name_table(spans)}
+        # Phase 1 [100,500) holds rounds of 50 and 60 us and an 80 us
+        # subphase; phase 2 [600,800) holds one 40 us round.
+        self.assertEqual(by_name["count.phase"]["self_us"],
+                         (400 - 50 - 60 - 80) + (200 - 40))
+        self.assertEqual(by_name["flood.round"]["self_us"], 180.0)
+        self.assertEqual(by_name["count.subphase"]["self_us"], 80.0)
+
+
 class MainExitCodeTest(unittest.TestCase):
     def tearDown(self):
         if getattr(self, "path", None) and os.path.exists(self.path):
@@ -192,6 +221,7 @@ class MainExitCodeTest(unittest.TestCase):
         doc = json.loads(out)
         self.assertEqual(doc["dropped"], 0)
         self.assertTrue(doc["spans"])
+        self.assertTrue(all("self_us" in row for row in doc["spans"]))
         self.assertTrue(doc["phases"])
 
     def test_dropped_spans_exit_nonzero(self):

@@ -6,7 +6,11 @@ Usage: trace_summary.py TRACE.json [--json]
 Validates the document shape produced by `byzbench --trace-out` /
 `size_service --trace-out` (src/obs/trace.hpp), then prints two tables:
 
-  * per-span aggregate — count, total and mean wall time per span name;
+  * per-span aggregate — count, total, mean and self wall time per span
+    name. A span's self time is its duration minus the part of its
+    interval covered by its child spans on the same thread (found by
+    interval containment, like the phase attribution below), so the
+    column shows where time goes that no nested span explains;
   * per-phase cost — rounds, subphases, and token counts rolled up to the
     protocol phase. Flood kernel spans do not carry a phase themselves
     (the cold path has no populated RoundClock), so attribution is by
@@ -64,18 +68,55 @@ def load_events(path):
     return spans, dropped
 
 
+def self_times(spans):
+    """Self time of each span, aligned with `spans`: its duration minus the
+    union of its direct children's intervals, clipped to its own. A child
+    is a span on the same thread whose [ts, ts+dur] the parent encloses
+    with no enclosing span in between; of two equal intervals the one
+    listed first is the parent."""
+    order = sorted(range(len(spans)),
+                   key=lambda i: (spans[i]["tid"], spans[i]["ts"],
+                                  -spans[i]["dur"], i))
+    children = collections.defaultdict(list)
+    stack = []  # open ancestors of the current span, innermost last
+    for i in order:
+        start = spans[i]["ts"]
+        end = start + spans[i]["dur"]
+        while stack and (spans[stack[-1]]["tid"] != spans[i]["tid"] or
+                         spans[stack[-1]]["ts"] + spans[stack[-1]]["dur"]
+                         < end):
+            stack.pop()
+        if stack:
+            children[stack[-1]].append(i)
+        stack.append(i)
+    result = []
+    for i, span in enumerate(spans):
+        start, end = span["ts"], span["ts"] + span["dur"]
+        covered, reach = 0.0, start
+        for c in sorted(children[i], key=lambda c: spans[c]["ts"]):
+            lo = max(spans[c]["ts"], reach)
+            hi = min(spans[c]["ts"] + spans[c]["dur"], end)
+            if hi > lo:
+                covered += hi - lo
+                reach = hi
+        result.append(span["dur"] - covered)
+    return result
+
+
 def per_name_table(spans):
-    agg = collections.defaultdict(lambda: [0, 0.0])
-    for span in spans:
+    agg = collections.defaultdict(lambda: [0, 0.0, 0.0])
+    for span, self_us in zip(spans, self_times(spans)):
         entry = agg[span["name"]]
         entry[0] += 1
         entry[1] += span["dur"]
+        entry[2] += self_us
     rows = []
     for name in sorted(agg, key=lambda n: -agg[n][1]):
-        count, total = agg[name]
+        count, total, self_total = agg[name]
         rows.append({"span": name, "count": count,
                      "total_us": round(total, 1),
-                     "mean_us": round(total / count, 2)})
+                     "mean_us": round(total / count, 2),
+                     "self_us": round(self_total, 1)})
     return rows
 
 
