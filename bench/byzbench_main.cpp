@@ -6,7 +6,7 @@
 //
 //   $ byzbench --list
 //   $ byzbench --filter e07 --scale 0.1 --json-out .
-//   $ byzbench --jobs 8
+//   $ byzbench --jobs 4
 #include <iostream>
 
 #include "byzcount.hpp"
@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
     }
     opts.filter = args.str("filter");
     opts.scale = args.real("scale");
-    opts.jobs = static_cast<unsigned>(args.integer("jobs"));
+    opts.jobs = bench_core::TrialScheduler::checked_jobs(args.integer("jobs"));
     opts.json_out = args.str("json-out");
     opts.trace_out = args.str("trace-out");
     opts.metrics_out = args.str("metrics-out");

@@ -49,7 +49,6 @@
 #include <cmath>
 #include <iostream>
 #include <limits>
-#include <thread>
 
 #include "byzcount.hpp"
 
@@ -87,18 +86,18 @@ byz::proto::MembershipPolicy parse_policy(const std::string& name) {
                               " (try silent, readmit)");
 }
 
-/// --flood-threads: the flood kernel's worker count, 0 = every hardware
-/// thread. Values outside [0, hardware threads] are rejected instead of
-/// being wrapped into a 32-bit count.
-std::uint32_t parse_flood_threads(const byz::util::ArgParser& args) {
-  const std::int64_t hw = std::max(1u, std::thread::hardware_concurrency());
-  const std::int64_t threads = args.integer("flood-threads");
-  if (threads < 0 || threads > hw) {
-    throw std::invalid_argument(
-        "--flood-threads must be in [0, " + std::to_string(hw) +
-        "] (0 = all hardware threads), got " + std::to_string(threads));
+/// --trials: at least one deployment, and a count that fits the 32-bit
+/// trial index. Checked as a 64-bit value, so a negative --trials is
+/// rejected instead of wrapping into 2^32 - 1 deployments.
+std::uint32_t parse_trials(const byz::util::ArgParser& args) {
+  const std::int64_t top = std::numeric_limits<std::uint32_t>::max();
+  const std::int64_t trials = args.integer("trials");
+  if (trials < 1 || trials > top) {
+    throw std::invalid_argument("--trials must be in [1, " +
+                                std::to_string(top) + "], got " +
+                                std::to_string(trials));
   }
-  return static_cast<std::uint32_t>(threads);
+  return static_cast<std::uint32_t>(trials);
 }
 
 /// --n for one-shot runs: H(n,d) needs n >= 3, and every id must fit below
@@ -162,8 +161,8 @@ bool backend_name_ok(const std::string& flag, const std::string& name) {
 
 /// The --churn mode: --trials independent churn runs through the shared
 /// scheduler, aggregated per epoch.
-int run_churn_mode(const byz::util::ArgParser& args,
-                   std::uint32_t flood_threads) {
+int run_churn_mode(const byz::util::ArgParser& args, std::uint32_t trials,
+                   unsigned jobs) {
   using namespace byz;
 
   // The continuous loop (incremental/mid-run tiers, engine oracle) is
@@ -209,12 +208,9 @@ int run_churn_mode(const byz::util::ArgParser& args,
   // Pure read-side — the table below is identical with or without it.
   cfg.audit = args.flag("audit") || !args.str("audit-dir").empty();
   cfg.audit_dir = args.str("audit-dir");
-  cfg.flood_threads = flood_threads;
 
   const auto seed = static_cast<std::uint64_t>(args.integer("seed"));
-  const auto trials = static_cast<std::uint32_t>(args.integer("trials"));
-  const bench_core::TrialScheduler scheduler(
-      static_cast<unsigned>(args.integer("jobs")));
+  const bench_core::TrialScheduler scheduler(jobs);
   const auto runs = scheduler.map(trials, [&](std::uint64_t t) {
     auto trial_cfg = cfg;
     trial_cfg.trace.seed = bench_core::TrialScheduler::trial_seed(seed, t);
@@ -445,10 +441,6 @@ int main(int argc, char** argv) {
                   "snapshot and checks the combined declared accuracy band "
                   "(\"\" = off)",
                   "");
-  args.add_option("flood-threads",
-                  "flood kernel worker threads, 0 = all hardware threads "
-                  "(results are bitwise identical at every count)",
-                  "1");
   args.add_option("trace-out",
                   "Chrome trace-event JSON file (Perfetto/chrome://tracing; "
                   "empty = tracing off)",
@@ -460,12 +452,14 @@ int main(int argc, char** argv) {
   std::uint64_t seed;
   std::uint32_t trials;
   unsigned jobs;
-  std::uint32_t flood_threads;
   std::string trace_out;
   try {
     if (!args.parse(argc, argv)) return 0;
     trace_out = args.str("trace-out");
-    flood_threads = parse_flood_threads(args);
+    // Both modes size their scheduler from these; checked before any
+    // worker starts.
+    trials = parse_trials(args);
+    jobs = bench_core::TrialScheduler::checked_jobs(args.integer("jobs"));
     // Observability is opt-in and pure read-side (src/obs/obs.hpp):
     // estimates and tables are identical with or without tracing.
     if (!trace_out.empty()) obs::set_enabled(true);
@@ -480,7 +474,7 @@ int main(int argc, char** argv) {
       return 2;
     }
     if (args.flag("churn")) {
-      const int rc = run_churn_mode(args, flood_threads);
+      const int rc = run_churn_mode(args, trials, jobs);
       write_trace_if_requested(trace_out);
       return rc;
     }
@@ -488,8 +482,6 @@ int main(int argc, char** argv) {
     d = parse_degree(args);
     delta = args.real("delta");
     seed = static_cast<std::uint64_t>(args.integer("seed"));
-    trials = static_cast<std::uint32_t>(args.integer("trials"));
-    jobs = static_cast<unsigned>(args.integer("jobs"));
   } catch (const std::exception& e) {
     BYZ_ERROR << "size_service: " << e.what();
     std::cerr << '\n' << args.help();
@@ -526,17 +518,14 @@ int main(int argc, char** argv) {
     // Stage 1: Byzantine counting under the fake-color attack.
     const auto strategy = adv::make_strategy(adv::StrategyKind::kFakeColor);
     proto::ProtocolConfig cfg;
-    proto::RunControls controls;
-    controls.flood_threads = flood_threads;
     TrialOut out;
     proto::RunResult run;
     if (estimator != nullptr) {
-      run = estimator->run(overlay, byz, *strategy, trial_seed, controls);
+      run = estimator->run(overlay, byz, *strategy, trial_seed);
       const auto bound = estimator->bound(overlay);
       out.raw = proto::summarize_accuracy(run, n, bound.lo, bound.hi);
     } else {
-      run = proto::run_counting_with(overlay, byz, *strategy, cfg, trial_seed,
-                                     controls);
+      run = proto::run_counting(overlay, byz, *strategy, cfg, trial_seed);
       out.raw = proto::summarize_accuracy(run, n);
     }
     if (!algo2_stack) return out;

@@ -31,11 +31,7 @@ BackendComparison compare_backends(const graph::Overlay& overlay,
                                    adv::StrategyKind strategy,
                                    std::uint64_t color_seed,
                                    const proto::Estimator& ea,
-                                   const proto::Estimator& eb,
-                                   std::uint32_t flood_threads) {
-  proto::RunControls controls;
-  controls.flood_threads = flood_threads;
-
+                                   const proto::Estimator& eb) {
   // Fresh strategy per backend: strategies carry per-run plan state, and
   // sharing one would leak backend A's observations into backend B's run.
   const auto sa = adv::make_strategy(strategy);
@@ -43,9 +39,9 @@ BackendComparison compare_backends(const graph::Overlay& overlay,
 
   BackendComparison cmp;
   cmp.a = judge_backend(
-      ea, overlay, ea.run(overlay, byz_mask, *sa, color_seed, controls));
+      ea, overlay, ea.run(overlay, byz_mask, *sa, color_seed));
   cmp.b = judge_backend(
-      eb, overlay, eb.run(overlay, byz_mask, *sb, color_seed, controls));
+      eb, overlay, eb.run(overlay, byz_mask, *sb, color_seed));
 
   const proto::AgreementBound band =
       proto::combined_agreement_bound(cmp.a.bound, cmp.b.bound);

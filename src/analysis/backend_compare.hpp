@@ -60,8 +60,7 @@ struct BackendComparison {
 [[nodiscard]] BackendComparison compare_backends(
     const graph::Overlay& overlay, const std::vector<bool>& byz_mask,
     adv::StrategyKind strategy, std::uint64_t color_seed,
-    const proto::Estimator& ea, const proto::Estimator& eb,
-    std::uint32_t flood_threads = 1);
+    const proto::Estimator& ea, const proto::Estimator& eb);
 
 /// The own-bound + median-ratio judgment for a single backend run
 /// (compare_backends applies it to both sides; the run_churn shadow uses

@@ -46,8 +46,8 @@ struct TrialSweep {
 };
 
 /// Runs `trials` independent repetitions of `cfg` through the shared
-/// bench_core scheduler, deriving per-trial seeds exactly like
-/// sim::run_trials (mix_seed(cfg.seed, t + 1)) — results are bitwise
+/// bench_core scheduler, trial t seeded with
+/// TrialScheduler::trial_seed(cfg.seed, t) — results are bitwise
 /// identical for every worker count.
 [[nodiscard]] TrialSweep sweep_trials(const sim::TrialConfig& cfg,
                                       std::uint32_t trials,

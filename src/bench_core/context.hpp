@@ -85,8 +85,8 @@ class RunContext {
       graph::NodeId n, std::uint32_t d, std::uint64_t seed);
 
   /// `count` independent protocol trials through the shared scheduler,
-  /// seeds derived per index from cfg.seed — bitwise identical to
-  /// sim::run_trials for every --jobs value.
+  /// trial t seeded with TrialScheduler::trial_seed(cfg.seed, t) — bitwise
+  /// identical for every --jobs value.
   [[nodiscard]] std::vector<sim::TrialResult> run_trials(
       const sim::TrialConfig& cfg, std::uint32_t count);
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <mutex>
+#include <stdexcept>
+#include <string>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -33,6 +35,16 @@ TrialScheduler::TrialScheduler(unsigned jobs) : jobs_(jobs) {
   if (jobs_ == 0) {
     jobs_ = std::max(1u, std::thread::hardware_concurrency());
   }
+}
+
+unsigned TrialScheduler::checked_jobs(std::int64_t jobs) {
+  const std::int64_t hw = std::max(1u, std::thread::hardware_concurrency());
+  if (jobs < 0 || jobs > hw) {
+    throw std::invalid_argument(
+        "--jobs must be in [0, " + std::to_string(hw) +
+        "] (0 = all hardware threads), got " + std::to_string(jobs));
+  }
+  return static_cast<unsigned>(jobs);
 }
 
 void TrialScheduler::for_each(

@@ -26,6 +26,12 @@ class TrialScheduler {
   /// `jobs` worker threads; 0 = hardware concurrency.
   explicit TrialScheduler(unsigned jobs = 0);
 
+  /// A command-line --jobs value, checked before any worker starts: it must
+  /// lie in [0, hardware threads] (0 = hardware). Throws
+  /// std::invalid_argument naming the range, so a negative or huge value
+  /// is rejected instead of wrapping into billions of workers.
+  [[nodiscard]] static unsigned checked_jobs(std::int64_t jobs);
+
   [[nodiscard]] unsigned jobs() const noexcept { return jobs_; }
 
   /// Runs fn(index) for every index in [0, count). Blocks until all items
@@ -36,8 +42,8 @@ class TrialScheduler {
   void for_each(std::uint64_t count,
                 const std::function<void(std::uint64_t)>& fn) const;
 
-  /// Deterministic seed of trial `index` in a series rooted at `base`.
-  /// Matches the sim::run_trials convention: mix_seed(base, index + 1).
+  /// Deterministic seed of trial `index` in a series rooted at `base`:
+  /// mix_seed(base, index + 1).
   [[nodiscard]] static std::uint64_t trial_seed(std::uint64_t base,
                                                 std::uint64_t index) noexcept {
     return util::mix_seed(base, index + 1);

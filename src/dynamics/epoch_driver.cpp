@@ -94,7 +94,7 @@ ChurnRunResult run_churn(const ChurnRunConfig& cfg) {
     const auto cmp = analysis::compare_backends(
         snapshot, dense_byz, cfg.strategy,
         util::mix_seed(cfg.seed, kShadowStream + e), *primary_est,
-        *shadow_est, cfg.flood_threads);
+        *shadow_est);
     stats.shadow_ran = true;
     stats.shadow_median_ratio = cmp.b.median_ratio;
     stats.shadow_ratio = cmp.ratio;
@@ -250,7 +250,6 @@ ChurnRunResult run_churn(const ChurnRunConfig& cfg) {
       MidRunConfig mid_cfg;
       mid_cfg.policy = cfg.mid_run.policy;
       mid_cfg.schedule_strategy = cfg.mid_run.schedule;
-      mid_cfg.flood_threads = cfg.flood_threads;
 
       // Divergence audit: every tier executed this epoch records a digest
       // trail and a flight tail; the oracle checks below compare them and
@@ -402,7 +401,6 @@ ChurnRunResult run_churn(const ChurnRunConfig& cfg) {
 
     proto::RunControls run_rc;
     run_rc.digester = cfg.audit ? &run_dig : nullptr;
-    run_rc.flood_threads = cfg.flood_threads;
     const proto::RunResult run = proto::run_counting_with(
         snap.overlay, dense_byz, *strategy, cfg.protocol, color_seed, run_rc);
 

@@ -113,12 +113,6 @@ struct ChurnRunConfig {
   /// Directory forensic reports are written to ("" = render-only: the
   /// report is built but not written, and forensics_path stays empty).
   std::string audit_dir;
-  /// Flood-kernel thread count (0 = hardware threads) forwarded to every
-  /// fastpath-tier run this driver launches (snapshot, mid-run, and the
-  /// backend shadow). The kernel is bitwise identical at every count, so
-  /// every EpochStats field — including the engine-oracle comparison — is
-  /// independent of it.
-  std::uint32_t flood_threads = 1;
   /// Cross-ALGORITHM shadow oracle (analysis/backend_compare.hpp): after
   /// each estimating epoch, run this registered backend AND the cold
   /// algo2 reference on the epoch's post-churn snapshot (identical
@@ -179,8 +173,8 @@ struct EpochStats {
   bool shadow_in_band = true;        ///< shadow honored its own bound
   bool shadow_agree = true;          ///< pair ratio within the combined band
 
-  /// Bitwise identity over every counter — the oracle the flood-kernel
-  /// independence tests assert across thread counts.
+  /// Bitwise identity over every counter — what the incremental-vs-full
+  /// epoch comparison asserts.
   bool operator==(const EpochStats&) const = default;
 };
 

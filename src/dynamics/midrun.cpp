@@ -509,7 +509,6 @@ MidRunOutcome run_midrun_tier(MutableOverlay& overlay,
     proto::RunControls controls;
     controls.midrun = &feed;
     controls.digester = digester;
-    controls.flood_threads = config.flood_threads;
     if (config.backend != nullptr) {
       out.run = config.backend->run(feed.snapshot_overlay(), feed.run_byz(),
                                     strategy, color_seed, controls);

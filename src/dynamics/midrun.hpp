@@ -115,12 +115,6 @@ struct MidRunConfig {
   /// rounds it is given.
   adv::MidRunScheduleStrategy schedule_strategy =
       adv::MidRunScheduleStrategy::kUniform;
-  /// Flood-kernel thread count for the fastpath tier of this run (0 =
-  /// hardware threads; the message-level engine tier is per-message and
-  /// unaffected). The kernel is bitwise identical at every count, so
-  /// MidRunOutcome — including the engine-oracle comparison — is
-  /// independent of it.
-  std::uint32_t flood_threads = 1;
   /// Protocol backend executing the run (null = the Algorithm-2 fastpath,
   /// run_counting_with). Every backend rides the same LiveOverlayFeed,
   /// flush, and departed-reconcile plumbing. The message-level engine

@@ -1,7 +1,5 @@
 #include "graph/metrics.hpp"
 
-#include <omp.h>
-
 #include <algorithm>
 #include <vector>
 

@@ -1,7 +1,5 @@
 #include "graph/small_world.hpp"
 
-#include <omp.h>
-
 #include <algorithm>
 #include <stdexcept>
 

@@ -1,7 +1,5 @@
 #include "graph/tree_like.hpp"
 
-#include <omp.h>
-
 #include <cmath>
 #include <stdexcept>
 

@@ -210,7 +210,6 @@ RunResult run_brc_counting(const graph::Overlay& overlay,
       FloodParams params;
       params.steps = depth;
       params.byz_forward = strategy.forwards_floods();
-      params.threads = controls.flood_threads;
       if (midrun != nullptr) {
         params.live = midrun;
         params.clock = {batch, rep, 1, global_round};

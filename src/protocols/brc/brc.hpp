@@ -71,10 +71,10 @@ struct BrcConfig {
 [[nodiscard]] std::uint32_t resolve_brc_max_batches(
     const graph::Overlay& overlay, const BrcConfig& cfg);
 
-/// One BRC counting run. `controls` supports every knob: the flood-kernel
-/// thread count, the digester and mid-run hooks. RunResult::estimate holds
-/// the decided median color ≈ log2 n, directly comparable (as an est/log2 n
-/// ratio) with Algorithm 2's decided phase.
+/// One BRC counting run. `controls` supports every knob: the digester and
+/// mid-run hooks. RunResult::estimate holds the decided median color
+/// ≈ log2 n, directly comparable (as an est/log2 n ratio) with Algorithm
+/// 2's decided phase.
 [[nodiscard]] RunResult run_brc_counting(const graph::Overlay& overlay,
                                          const std::vector<bool>& byz_mask,
                                          adv::Strategy& strategy,

@@ -187,7 +187,6 @@ RunResult run_counting_with(const graph::Overlay& overlay,
       FloodParams params;
       params.steps = phase;
       params.byz_forward = strategy.forwards_floods();
-      params.threads = controls.flood_threads;
       if (midrun != nullptr) {
         params.live = midrun;
         params.clock = {phase, j, 1, global_round};

@@ -1,12 +1,9 @@
 #include "protocols/flooding.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cassert>
-#include <mutex>
 #include <stdexcept>
-#include <thread>
 
 #include "obs/digest.hpp"
 #include "obs/metrics.hpp"
@@ -31,41 +28,6 @@ namespace {
 const obs::Histogram& frontier_histogram() {
   static const obs::Histogram hist("flood.frontier");
   return hist;
-}
-
-/// Fork/join over `num_words` bitset words in `chunks` contiguous chunks
-/// (1 = inline on the caller); each worker runs body(first_word,
-/// last_word) exactly once, so per-worker accumulators live inside the
-/// body and merge at its end. The OpenMP form (one static chunk per thread)
-/// composes with the surrounding code's omp usage; under TSan the tool
-/// cannot see libgomp's futex barriers, so that build — and the no-OpenMP
-/// fallback — uses std::thread, whose join gives the identical fork/join
-/// happens-before in a form TSan understands.
-template <typename Body>
-void parallel_word_chunks(std::int64_t chunks, std::int64_t num_words,
-                          const Body& body) {
-  if (chunks <= 1) {
-    body(std::int64_t{0}, num_words);
-    return;
-  }
-  const std::int64_t chunk = (num_words + chunks - 1) / chunks;
-#if defined(_OPENMP) && !defined(__SANITIZE_THREAD__)
-#pragma omp parallel for schedule(static, 1) num_threads(static_cast<int>(chunks))
-  for (std::int64_t c = 0; c < chunks; ++c) {
-    body(c * chunk, std::min<std::int64_t>(num_words, (c + 1) * chunk));
-  }
-#else
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<std::size_t>(chunks - 1));
-  for (std::int64_t c = 1; c < chunks; ++c) {
-    const std::int64_t first = c * chunk;
-    const std::int64_t last =
-        std::min<std::int64_t>(num_words, (c + 1) * chunk);
-    workers.emplace_back([&body, first, last] { body(first, last); });
-  }
-  body(std::int64_t{0}, std::min<std::int64_t>(num_words, chunk));
-  for (auto& th : workers) th.join();
-#endif
 }
 
 // ---------------------------------------------------------------------------
@@ -220,9 +182,8 @@ void run_subphase_reference(const graph::Overlay& overlay,
 }
 
 // ---------------------------------------------------------------------------
-// The kernel: word-packed sets, rounds swept over word-range chunks on
-// params.threads workers. Bitwise-equivalent to the scalar reference at
-// every thread count by construction:
+// The kernel: word-packed sets, rounds swept word by word. Bitwise-equivalent
+// to the scalar reference by construction:
 //   * conformant frontier sends always satisfy c == legit_fresh (step 1:
 //     c = known = gen_color; later steps: frontier membership implies
 //     fresh == t-1, so legit = known = c) and c > 0 (step 1 sends only
@@ -233,17 +194,12 @@ void run_subphase_reference(const graph::Overlay& overlay,
 //     receivers and books them in one Verifier::book_conformant call (a
 //     debug assert re-checks c == legit_fresh). The few Byzantine
 //     injections — whose accept() outcome feeds the injection counters —
-//     are delivered serially after the sweep, one accept() per honest
-//     receiver as in the reference, and fold nothing when their value is 0;
+//     are delivered after the sweep, one accept() per honest receiver as
+//     in the reference, and fold nothing when their value is 0;
 //   * receive folding is a commutative max, and the touched set is "v
 //     received a nonzero accepted color this step", which is exactly the
-//     reference's set of 0 -> c transitions. When the sweep runs as one
-//     chunk (one worker, or n <= 64) it owns recv and the touched set, so
-//     it folds with a plain max and an unconditional touched-bit OR. With
-//     several chunks it folds with a relaxed CAS max — CAS loops commute,
-//     so the maxima are interleaving-independent — and the worker whose
-//     CAS replaces 0 sets the touched bit (values only grow, so exactly
-//     one such CAS succeeds per node and step);
+//     reference's set of 0 -> c transitions, so a plain max and an
+//     unconditional touched-bit OR reproduce it;
 //   * receivers are tested against two word-packed sets built by the
 //     step-1 sweep from the run's inputs — can-receive (not crashed) and
 //     Byzantine. Under live hooks the kernel reads MidRunHooks::alive_set()
@@ -253,16 +209,14 @@ void run_subphase_reference(const graph::Overlay& overlay,
 //     receiver set can-receive AND alive, the reference's
 //     `crashed[v] || !present(v)` test in packed form. Injections test the
 //     same two sets;
-//   * the round digest is a commutative XOR fold, accumulated per worker
-//     and folded once on the main thread;
-//   * Instrumentation is sums plus one max, merged per worker under a
-//     mutex via Instrumentation::merge;
-//   * the close sweep owns all state it writes (best_before/last_step/
-//     known/fresh and the next-frontier word) word-by-word, and every
-//     observable downstream of frontier ITERATION ORDER is
-//     order-insensitive (the live wavefront is explicitly canonical, and
-//     counters/digests commute), so ascending-bitset order matches the
-//     reference's vectors bit for bit.
+//   * the round digest is a commutative XOR fold, so the kernel's
+//     ascending-id fold order gives the reference's value whatever order
+//     its frontier and touched lists hold;
+//   * the close sweep writes best_before/last_step/known/fresh and the
+//     next-frontier word word-by-word, and every observable downstream of
+//     frontier ITERATION ORDER is order-insensitive (the live wavefront is
+//     explicitly canonical, and counters/digests commute), so
+//     ascending-bitset order matches the reference's vectors bit for bit.
 // ---------------------------------------------------------------------------
 
 void run_subphase_kernel(const graph::Overlay& overlay,
@@ -275,9 +229,6 @@ void run_subphase_kernel(const graph::Overlay& overlay,
   const MidRunHooks* live = params.live;
   const NodeId n = live ? live->node_bound() : overlay.num_nodes();
   const auto& h = overlay.h_simple();
-  const int nt = static_cast<int>(
-      params.threads > 0 ? params.threads
-                         : std::max(1u, std::thread::hardware_concurrency()));
 
   using Word = util::Bitset::Word;
   constexpr std::size_t kWordBits = util::Bitset::kWordBits;
@@ -289,57 +240,38 @@ void run_subphase_kernel(const graph::Overlay& overlay,
   if (live != nullptr) ws.live_receive_bits.assign(n);
   const util::Bitset& can_receive = ws.can_receive_bits;
   const util::Bitset& byz = ws.byz_bits;
-  const std::int64_t num_words =
-      static_cast<std::int64_t>(ws.frontier_bits.num_words());
-  const std::int64_t chunks =
-      std::max<std::int64_t>(1, std::min<std::int64_t>(nt, num_words));
-  std::mutex merge_mu;
+  const std::size_t num_words = ws.frontier_bits.num_words();
 
-  // Receive folds (see the proof above for when each is exact).
-  const auto fold_plain = [&](NodeId v, Color c) {
+  const auto fold = [&](NodeId v, Color c) {
     ws.recv[v] = std::max(ws.recv[v], c);
     ws.touched_bits.set(v);
   };
-  const auto fold_atomic = [&](NodeId v, Color c) {
-    std::atomic_ref<Color> slot(ws.recv[v]);
-    Color cur = slot.load(std::memory_order_relaxed);
-    while (cur < c) {
-      if (slot.compare_exchange_weak(cur, c, std::memory_order_relaxed)) {
-        if (cur == 0) ws.touched_bits.set_atomic(v);
-        break;
-      }
-    }
-  };
 
-  // Step 1 senders, word-parallel: each word of the frontier and of the
-  // can-receive and Byzantine sets is built locally and stored exactly once.
+  // Step 1 senders: each word of the frontier and of the can-receive and
+  // Byzantine sets is built locally and stored exactly once.
   {
     Word* fw = ws.frontier_bits.words();
     Word* rw = ws.can_receive_bits.words();
     Word* bw = ws.byz_bits.words();
-    parallel_word_chunks(chunks, num_words, [&](std::int64_t first,
-                                                std::int64_t last) {
-      for (std::int64_t wi = first; wi < last; ++wi) {
-        Word f = 0;
-        Word r = 0;
-        Word b = 0;
-        const NodeId base = static_cast<NodeId>(
-            static_cast<std::size_t>(wi) * kWordBits);
-        const NodeId end =
-            std::min<NodeId>(n, base + static_cast<NodeId>(kWordBits));
-        for (NodeId v = base; v < end; ++v) {
-          const Word bit = Word{1} << (v - base);
-          if (byz_mask[v]) b |= bit;
-          ws.known[v] = gen_color[v];
-          if (crashed[v]) continue;
-          r |= bit;
-          if (gen_color[v] > 0) f |= bit;
-        }
-        fw[wi] = f;
-        rw[wi] = r;
-        bw[wi] = b;
+    for (std::size_t wi = 0; wi < num_words; ++wi) {
+      Word f = 0;
+      Word r = 0;
+      Word b = 0;
+      const NodeId base = static_cast<NodeId>(wi * kWordBits);
+      const NodeId end =
+          std::min<NodeId>(n, base + static_cast<NodeId>(kWordBits));
+      for (NodeId v = base; v < end; ++v) {
+        const Word bit = Word{1} << (v - base);
+        if (byz_mask[v]) b |= bit;
+        ws.known[v] = gen_color[v];
+        if (crashed[v]) continue;
+        r |= bit;
+        if (gen_color[v] > 0) f |= bit;
       }
-    });
+      fw[wi] = f;
+      rw[wi] = r;
+      bw[wi] = b;
+    }
   }
 
   for (std::uint32_t t = 1; t <= params.steps; ++t) {
@@ -371,63 +303,45 @@ void run_subphase_kernel(const graph::Overlay& overlay,
       const Word* aw = alive->words();
       const Word* rw = can_receive.words();
       Word* lw = ws.live_receive_bits.words();
-      for (std::int64_t wi = 0; wi < num_words; ++wi) lw[wi] = rw[wi] & aw[wi];
+      for (std::size_t wi = 0; wi < num_words; ++wi) lw[wi] = rw[wi] & aw[wi];
     }
     const util::Bitset& receivers =
         alive != nullptr ? ws.live_receive_bits : can_receive;
 
-    std::uint64_t round_digest_acc = 0;
-
-    // Sender sweep over frontier words; one body, instantiated per fold.
-    const auto sender_sweep = [&](const auto& fold) {
+    // Sender sweep over frontier words.
+    {
       const Word* fw = ws.frontier_bits.words();
-      parallel_word_chunks(chunks, num_words, [&](std::int64_t first,
-                                                  std::int64_t last) {
-        sim::Instrumentation local;
-        std::uint64_t dig = 0;
-        for (std::int64_t wi = first; wi < last; ++wi) {
-          Word w = fw[wi];
-          if (alive != nullptr) w &= alive->words()[wi];
-          while (w) {
-            const NodeId u = static_cast<NodeId>(
-                static_cast<std::size_t>(wi) * kWordBits +
-                static_cast<std::size_t>(std::countr_zero(w)));
-            w &= w - 1;
-            if (!params.byz_forward && byz.test(u)) continue;
-            const auto nbrs = live ? live->neighbors(u) : h.neighbors(u);
-            local.count_token(nbrs.size());
-            local.max_node_round_sends = std::max<std::uint64_t>(
-                local.max_node_round_sends, nbrs.size());
-            const Color c = ws.known[u];
-            // c == legit_fresh, spelled out for c = known[u].
-            assert(c > 0 &&
-                   (t == 1 ? c == gen_color[u] : ws.fresh[u] == t - 1));
-            if (params.digest != nullptr) {
-              dig ^= obs::digest_sender_term(u, c);
-            }
-            std::uint64_t audited = 0;
-            for (const NodeId v : nbrs) {
-              if (!receivers.test(v)) continue;
-              audited += byz.test(v) ? 0 : 1;
-              fold(v, c);
-            }
-            verifier.book_conformant(u, t, audited, local);
+      for (std::size_t wi = 0; wi < num_words; ++wi) {
+        Word w = fw[wi];
+        if (alive != nullptr) w &= alive->words()[wi];
+        while (w) {
+          const NodeId u = static_cast<NodeId>(
+              wi * kWordBits + static_cast<std::size_t>(std::countr_zero(w)));
+          w &= w - 1;
+          if (!params.byz_forward && byz.test(u)) continue;
+          const auto nbrs = live ? live->neighbors(u) : h.neighbors(u);
+          instr.count_token(nbrs.size());
+          instr.max_node_round_sends =
+              std::max<std::uint64_t>(instr.max_node_round_sends, nbrs.size());
+          const Color c = ws.known[u];
+          // c == legit_fresh, spelled out for c = known[u].
+          assert(c > 0 && (t == 1 ? c == gen_color[u] : ws.fresh[u] == t - 1));
+          if (params.digest != nullptr) {
+            params.digest->fold_round(obs::digest_sender_term(u, c));
           }
+          std::uint64_t audited = 0;
+          for (const NodeId v : nbrs) {
+            if (!receivers.test(v)) continue;
+            audited += byz.test(v) ? 0 : 1;
+            fold(v, c);
+          }
+          verifier.book_conformant(u, t, audited, instr);
         }
-        std::lock_guard<std::mutex> lock(merge_mu);
-        instr.merge(local);
-        round_digest_acc ^= dig;
-      });
-    };
-    if (chunks == 1) {
-      sender_sweep(fold_plain);
-    } else {
-      sender_sweep(fold_atomic);
+      }
     }
 
     // Byzantine injections: few, and their accept() outcome feeds the
-    // injection counters, so they run serially on the real instrumentation
-    // after the sweep has joined (the max fold commutes with it and with
+    // injection counters (the max fold commutes with the sweep's and with
     // other injections).
     for (const auto& inj : injections) {
       if (inj.step != t || crashed[inj.from]) continue;
@@ -447,56 +361,47 @@ void run_subphase_kernel(const graph::Overlay& overlay,
         const bool accepted =
             byz.test(v) ||
             verifier.accept(inj.from, inj.value, t, legit, from_byz, instr);
-        if (accepted && inj.value > 0) fold_plain(v, inj.value);
+        if (accepted && inj.value > 0) fold(v, inj.value);
       }
     }
 
-    // Close sweep: every word of the touched set is owned by exactly one
-    // iteration, which also writes that word of the next frontier (0 when
-    // nothing was touched) and re-zeroes the touched word for the next
+    // Close sweep: each touched word also writes that word of the next
+    // frontier (0 when nothing was touched) and is re-zeroed for the next
     // step.
     {
       Word* tw_words = ws.touched_bits.words();
       Word* nf_words = ws.next_frontier_bits.words();
-      parallel_word_chunks(chunks, num_words, [&](std::int64_t first,
-                                                  std::int64_t last) {
-        std::uint64_t dig = 0;
-        for (std::int64_t wi = first; wi < last; ++wi) {
-          Word tw = tw_words[wi];
-          Word next_w = 0;
-          while (tw) {
-            const std::size_t bit =
-                static_cast<std::size_t>(std::countr_zero(tw));
-            tw &= tw - 1;
-            const NodeId v = static_cast<NodeId>(
-                static_cast<std::size_t>(wi) * kWordBits + bit);
-            const Color r = ws.recv[v];
-            ws.recv[v] = 0;
-            if (params.digest != nullptr) {
-              dig ^= obs::digest_receiver_term(v, r);
-            }
-            if (t < params.steps) {
-              ws.best_before[v] = std::max(ws.best_before[v], r);
-            } else {
-              ws.last_step[v] = r;
-            }
-            if (r > ws.known[v]) {
-              ws.known[v] = r;
-              ws.fresh[v] = t;
-              if (!crashed[v]) next_w |= Word{1} << bit;
-            }
+      for (std::size_t wi = 0; wi < num_words; ++wi) {
+        Word tw = tw_words[wi];
+        Word next_w = 0;
+        while (tw) {
+          const std::size_t bit =
+              static_cast<std::size_t>(std::countr_zero(tw));
+          tw &= tw - 1;
+          const NodeId v = static_cast<NodeId>(wi * kWordBits + bit);
+          const Color r = ws.recv[v];
+          ws.recv[v] = 0;
+          if (params.digest != nullptr) {
+            params.digest->fold_round(obs::digest_receiver_term(v, r));
           }
-          nf_words[wi] = next_w;
-          tw_words[wi] = 0;
+          if (t < params.steps) {
+            ws.best_before[v] = std::max(ws.best_before[v], r);
+          } else {
+            ws.last_step[v] = r;
+          }
+          if (r > ws.known[v]) {
+            ws.known[v] = r;
+            ws.fresh[v] = t;
+            if (!crashed[v]) next_w |= Word{1} << bit;
+          }
         }
-        std::lock_guard<std::mutex> lock(merge_mu);
-        round_digest_acc ^= dig;
-      });
+        nf_words[wi] = next_w;
+        tw_words[wi] = 0;
+      }
     }
 
     std::swap(ws.frontier_bits, ws.next_frontier_bits);
     if (params.digest != nullptr) {
-      params.digest->fold_round(round_digest_acc);
       params.digest->close_round(instr.token_messages - round_tokens_before);
     }
     round_span.arg("tokens", instr.token_messages - round_tokens_before);

@@ -1,6 +1,6 @@
 // The per-subphase flood kernel (Algorithm 1/2 lines 10-17 inner loop):
-// one word-packed implementation whose only knob is a thread count, plus
-// the scalar reference it is checked against bit for bit. One subphase of
+// one word-packed, single-threaded implementation, plus the scalar
+// reference it is checked against bit for bit. One subphase of
 // phase i floods colors along H for exactly i steps under the forward-once
 // rule: a node re-broadcasts only when its running maximum improves, so
 // each send carries the sender's fresh max. Byzantine senders are driven
@@ -101,10 +101,6 @@ struct FloodParams {
   /// and closes one round digest per flood step. Null = no digesting
   /// (the default; pure read-side either way).
   obs::RunDigester* digest = nullptr;
-  /// Worker threads for the kernel's word sweeps (0 = hardware threads).
-  /// Outputs, instrumentation, and digest trails are bitwise identical at
-  /// every count.
-  std::uint32_t threads = 1;
 };
 
 /// Runs one subphase. `gen_color[v]` is v's generated color (0 = does not
@@ -121,9 +117,9 @@ void run_flood_subphase(const graph::Overlay& overlay,
                         FloodWorkspace& ws, sim::Instrumentation& instr);
 
 /// The scalar reference oracle: the original per-node implementation of
-/// the same subphase, kept verbatim (and ignoring `params.threads`) so the
-/// bitwise-equivalence suite and E30 have an independent specification to
-/// compare run_flood_subphase against. No run configuration reaches it.
+/// the same subphase, kept verbatim so the bitwise-equivalence suite and
+/// E30 have an independent specification to compare run_flood_subphase
+/// against. No run configuration reaches it.
 void run_flood_subphase_reference(
     const graph::Overlay& overlay, const std::vector<bool>& byz_mask,
     const std::vector<bool>& crashed, const Verifier& verifier,

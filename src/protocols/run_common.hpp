@@ -41,10 +41,6 @@ struct RunControls {
   /// trails localize the first divergent round. Pure read-side; null = no
   /// digesting (the default).
   obs::RunDigester* digester = nullptr;
-  /// Worker threads for the flood kernel (flooding.hpp; 0 = hardware
-  /// threads). The kernel is bitwise identical at every thread count, so
-  /// this knob is decision-exact.
-  std::uint32_t flood_threads = 1;
 };
 
 /// Folds the phase-begin protocol state into the digester's open phase

@@ -1,7 +1,6 @@
 #include "sim/runner.hpp"
 
-#include <omp.h>
-
+#include <algorithm>
 #include <cmath>
 
 #include "graph/categories.hpp"
@@ -34,18 +33,6 @@ TrialResult run_trial(const TrialConfig& cfg) {
                                    util::mix_seed(cfg.seed, 0x0C01));
   result.accuracy = proto::summarize_accuracy(result.run, n);
   return result;
-}
-
-std::vector<TrialResult> run_trials(const TrialConfig& cfg,
-                                    std::uint32_t trials) {
-  std::vector<TrialResult> results(trials);
-#pragma omp parallel for schedule(dynamic)
-  for (std::int64_t t = 0; t < static_cast<std::int64_t>(trials); ++t) {
-    TrialConfig trial_cfg = cfg;
-    trial_cfg.seed = util::mix_seed(cfg.seed, static_cast<std::uint64_t>(t) + 1);
-    results[static_cast<std::size_t>(t)] = run_trial(trial_cfg);
-  }
-  return results;
 }
 
 }  // namespace byz::sim

@@ -1,11 +1,11 @@
-// Monte-Carlo trial runner: builds an independent overlay + Byzantine
-// placement + protocol run per trial, parallelized across trials with
-// OpenMP. Seeds are derived per trial with SplitMix64 so results are
-// bitwise independent of the thread count and schedule.
+// Monte-Carlo trial: builds an independent overlay + Byzantine placement +
+// protocol run from one seed. Sweeps over many trials run on the shared
+// bench_core scheduler (analysis::sweep_trials, bench_core::RunContext),
+// which derives each trial's seed with SplitMix64 so results are bitwise
+// independent of the worker count and schedule.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "adversary/strategies.hpp"
 #include "graph/small_world.hpp"
@@ -34,10 +34,5 @@ struct TrialResult {
 
 /// One trial with the config's seed.
 [[nodiscard]] TrialResult run_trial(const TrialConfig& cfg);
-
-/// `trials` independent repetitions (per-trial seeds split from cfg.seed),
-/// OpenMP-parallel. Results are ordered by trial index.
-[[nodiscard]] std::vector<TrialResult> run_trials(const TrialConfig& cfg,
-                                                  std::uint32_t trials);
 
 }  // namespace byz::sim

@@ -1,12 +1,9 @@
 // Word-packed node sets for the flood kernel. The frontier / next-frontier /
 // touched sets are dense over [0, n) and iterated in ascending node order,
 // which a 64-bit word scan does in n/64 loads with branch-free bit
-// extraction — and, crucially for the threaded sweeps, lets worker threads
-// publish membership with a single relaxed fetch_or while the merged set
-// still reads back in deterministic node-id order.
+// extraction.
 #pragma once
 
-#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <cstring>
@@ -41,13 +38,6 @@ class Bitset {
   void set(std::size_t i) { words_[i / kWordBits] |= Word{1} << (i % kWordBits); }
   void reset(std::size_t i) {
     words_[i / kWordBits] &= ~(Word{1} << (i % kWordBits));
-  }
-
-  /// Thread-safe set; relaxed order is enough because readers only look
-  /// after the parallel region's implicit barrier.
-  void set_atomic(std::size_t i) {
-    std::atomic_ref<Word> w(words_[i / kWordBits]);
-    w.fetch_or(Word{1} << (i % kWordBits), std::memory_order_relaxed);
   }
 
   void clear() {

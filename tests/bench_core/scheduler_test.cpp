@@ -27,6 +27,19 @@ TEST(TrialScheduler, ZeroJobsMeansHardware) {
   EXPECT_GE(sched.jobs(), 1u);
 }
 
+TEST(TrialScheduler, CheckedJobsAcceptsOnlyZeroToHardware) {
+  const std::int64_t hw = TrialScheduler(0).jobs();
+  EXPECT_EQ(TrialScheduler::checked_jobs(0), 0u);
+  EXPECT_EQ(TrialScheduler::checked_jobs(hw), static_cast<unsigned>(hw));
+  for (const std::int64_t bad : {std::int64_t{-1}, hw + 1,
+                                 std::int64_t{4294967295},
+                                 std::int64_t{5000000000}}) {
+    EXPECT_THROW((void)TrialScheduler::checked_jobs(bad),
+                 std::invalid_argument)
+        << bad;
+  }
+}
+
 TEST(TrialScheduler, EmptyCountIsNoop) {
   const TrialScheduler sched(4);
   bool ran = false;
@@ -51,8 +64,9 @@ TEST(TrialScheduler, PropagatesExceptions) {
 }
 
 TEST(TrialScheduler, TrialSeedMatchesSimRunner) {
-  // The scheduler's seed split must stay in lockstep with sim::run_trials
-  // so sweeps migrated onto it reproduce the OpenMP path bit-for-bit.
+  // The scheduler's seed split is the series convention every sweep of
+  // sim::run_trial shares: trial t of a series rooted at base runs with
+  // mix_seed(base, t + 1).
   EXPECT_EQ(TrialScheduler::trial_seed(123, 0), util::mix_seed(123, 1));
   EXPECT_EQ(TrialScheduler::trial_seed(123, 7), util::mix_seed(123, 8));
 }
@@ -84,9 +98,9 @@ TEST(TrialScheduler, DeterministicAcrossJobCounts) {
             sweep8.aggregate.frac_in_band.mean());
 }
 
-TEST(TrialScheduler, SweepMatchesOpenMpRunner) {
-  // sweep_trials (scheduler) and sim::run_trials (OpenMP) share the seed
-  // derivation, so their per-trial outputs must agree exactly.
+TEST(TrialScheduler, SweepMatchesSerialTrialLoop) {
+  // sweep_trials on two workers must reproduce a serial loop of run_trial
+  // at trial_seed(cfg.seed, t), trial for trial.
   sim::TrialConfig cfg;
   cfg.overlay.n = 256;
   cfg.overlay.d = 6;
@@ -95,11 +109,13 @@ TEST(TrialScheduler, SweepMatchesOpenMpRunner) {
   const std::uint32_t trials = 4;
 
   const auto sweep = analysis::sweep_trials(cfg, trials, TrialScheduler(2));
-  const auto legacy = sim::run_trials(cfg, trials);
-  ASSERT_EQ(sweep.results.size(), legacy.size());
-  for (std::size_t t = 0; t < trials; ++t) {
-    EXPECT_EQ(sweep.results[t].run.estimate, legacy[t].run.estimate);
-    EXPECT_EQ(sweep.results[t].byz_count, legacy[t].byz_count);
+  ASSERT_EQ(sweep.results.size(), trials);
+  for (std::uint32_t t = 0; t < trials; ++t) {
+    sim::TrialConfig trial_cfg = cfg;
+    trial_cfg.seed = TrialScheduler::trial_seed(cfg.seed, t);
+    const sim::TrialResult serial = sim::run_trial(trial_cfg);
+    EXPECT_EQ(sweep.results[t].run.estimate, serial.run.estimate) << t;
+    EXPECT_EQ(sweep.results[t].byz_count, serial.byz_count) << t;
   }
 }
 

@@ -182,51 +182,5 @@ TEST(ComposedMidRunProperty, InjectedSnapshotLeavesOutcomeUnchanged) {
   }
 }
 
-TEST(ComposedMidRunProperty, ComposedOutcomeIndependentOfFloodThreads) {
-  // The composed tier across flood thread counts: a mid-run trial executed
-  // on the injected incremental snapshot must produce the identical
-  // MidRunOutcome at every flood thread count — the injected snapshot,
-  // mid-run splices, and the word-packed kernel compose without moving a
-  // bit. Each execution rebuilds its world from the same seeds.
-  constexpr NodeId kN0 = 256;
-  constexpr std::uint32_t kD = 6;
-  for (std::uint64_t seed = 5; seed <= 6; ++seed) {
-    auto run_once = [seed](std::uint32_t flood_threads) {
-      dynamics::MutableOverlay overlay(kN0, kD, 0, util::mix_seed(seed, 1));
-      incremental::IncrementalEngine inc(overlay);
-      util::Xoshiro256 place_rng(util::mix_seed(seed, 2));
-      std::vector<bool> byz = graph::random_byzantine_mask(
-          kN0, sim::derive_byz_count(kN0, 0.7), place_rng);
-      dynamics::ChurnEpoch epoch;
-      epoch.joins = 6;
-      epoch.sybil_joins = 1;
-      epoch.leaves = 5;
-      proto::ProtocolConfig cfg;
-      const auto schedule = adv::derive_adversarial_schedule(
-          epoch, dynamics::expected_horizon_rounds(kN0, kD, cfg.schedule),
-          util::mix_seed(seed, 3), adv::MidRunScheduleStrategy::kUniform, kD,
-          cfg.schedule);
-      dynamics::MidRunConfig mid_cfg;
-      mid_cfg.policy = proto::MembershipPolicy::kReadmitNextPhase;
-      mid_cfg.flood_threads = flood_threads;
-      const auto snap = inc.snapshot();
-      dynamics::MidRunComposed composed;
-      composed.snapshot = &snap;
-      util::Xoshiro256 churn_rng(util::mix_seed(seed, 4));
-      auto strategy = adv::make_strategy(adv::StrategyKind::kFakeColor);
-      return dynamics::run_counting_midrun(overlay, byz, *strategy, cfg, 77,
-                                           schedule, mid_cfg,
-                                           adv::ChurnAdversary::kNone,
-                                           churn_rng, &composed);
-    };
-    const auto one_thread = run_once(1);
-    for (const std::uint32_t t : {2u, 4u, 8u}) {
-      const auto run = run_once(t);
-      EXPECT_TRUE(one_thread == run)
-          << "seed " << seed << " flood-threads=" << t;
-    }
-  }
-}
-
 }  // namespace
 }  // namespace byz

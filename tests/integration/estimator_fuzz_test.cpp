@@ -6,9 +6,9 @@
 // together, so a systematic failure here localizes a real bug in one of
 // them (or in the shared flood/obs machinery, which E30's bitwise oracle
 // then pins down). A second suite pins determinism: the whole fuzz corpus
-// is bitwise reproducible across scheduler --jobs values and across
-// flood thread counts — the same guarantees CI's cross---jobs
-// manifest cmp enforces for the registered scenarios.
+// is bitwise reproducible across scheduler --jobs values — the same
+// guarantee CI's cross---jobs manifest cmp enforces for the registered
+// scenarios.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -37,7 +37,7 @@ struct FuzzInstance {
 
 /// Derives instance i of the corpus from a SplitMix64 stream — pure
 /// function of (corpus_seed, i), so every suite below sees the identical
-/// corpus regardless of execution order or thread count.
+/// corpus regardless of execution order or worker count.
 FuzzInstance derive_instance(std::uint64_t corpus_seed, std::uint64_t i) {
   util::SplitMix64 stream(util::mix_seed(corpus_seed, i));
   FuzzInstance inst;
@@ -55,8 +55,7 @@ FuzzInstance derive_instance(std::uint64_t corpus_seed, std::uint64_t i) {
 
 analysis::BackendComparison run_instance(const FuzzInstance& inst,
                                          const proto::Estimator& algo2,
-                                         const proto::Estimator& brc,
-                                         std::uint32_t flood_threads = 1) {
+                                         const proto::Estimator& brc) {
   graph::OverlayParams params;
   params.n = inst.n;
   params.d = inst.d;
@@ -66,7 +65,7 @@ analysis::BackendComparison run_instance(const FuzzInstance& inst,
   const auto byz = graph::random_byzantine_mask(
       inst.n, sim::derive_byz_count(inst.n, inst.delta), place_rng);
   return analysis::compare_backends(overlay, byz, inst.strategy, inst.seed,
-                                    algo2, brc, flood_threads);
+                                    algo2, brc);
 }
 
 std::string describe(const FuzzInstance& inst) {
@@ -139,31 +138,6 @@ TEST(EstimatorFuzz, CorpusBitwiseDeterministicAcrossJobs) {
     EXPECT_EQ(one[i].agree, four[i].agree) << i;
     EXPECT_EQ(one[i].a.in_band, four[i].a.in_band) << i;
     EXPECT_EQ(one[i].b.in_band, four[i].b.in_band) << i;
-  }
-}
-
-TEST(EstimatorFuzz, CorpusBitwiseDeterministicAcrossFloodThreads) {
-  // The flood kernel at 1 thread vs 2 and 4 threads: its
-  // determinism-by-construction contract must carry through BOTH backends
-  // end to end.
-  const auto algo2 = proto::make_estimator("algo2");
-  const auto brc = proto::make_estimator("brc");
-  constexpr std::uint64_t kSubset = 24;
-  for (std::uint64_t i = 0; i < kSubset; ++i) {
-    const auto inst = derive_instance(kCorpusSeed, i);
-    const auto one_thread = run_instance(inst, *algo2, *brc, 1);
-    for (const std::uint32_t threads : {2u, 4u}) {
-      const auto run = run_instance(inst, *algo2, *brc, threads);
-      EXPECT_EQ(one_thread.a.median_estimate, run.a.median_estimate)
-          << describe(inst) << " threads=" << threads;
-      EXPECT_EQ(one_thread.b.median_estimate, run.b.median_estimate)
-          << describe(inst) << " threads=" << threads;
-      EXPECT_EQ(one_thread.a.rounds, run.a.rounds) << describe(inst);
-      EXPECT_EQ(one_thread.b.rounds, run.b.rounds) << describe(inst);
-      EXPECT_EQ(one_thread.a.messages, run.a.messages) << describe(inst);
-      EXPECT_EQ(one_thread.b.messages, run.b.messages) << describe(inst);
-      EXPECT_EQ(one_thread.ratio, run.ratio) << describe(inst);
-    }
   }
 }
 

@@ -109,26 +109,6 @@ TEST(BitsetFrontier, PopcountAndIterationMatchVectorRepresentation) {
   }
 }
 
-TEST(BitsetFrontier, AtomicSetMatchesPlainSet) {
-  // set_atomic is the flood kernel's touched-set insert; single-threaded
-  // it must be indistinguishable from set().
-  Bitset plain;
-  Bitset atomic;
-  plain.assign(129);
-  atomic.assign(129);
-  for (const std::size_t i : {std::size_t{0}, std::size_t{63}, std::size_t{64},
-                              std::size_t{100}, std::size_t{128}}) {
-    plain.set(i);
-    atomic.set_atomic(i);
-  }
-  EXPECT_EQ(plain.count(), atomic.count());
-  EXPECT_EQ(collect(plain), collect(atomic));
-
-  // Repeated atomic sets are idempotent.
-  atomic.set_atomic(64);
-  EXPECT_EQ(atomic.count(), 5u);
-}
-
 TEST(BitsetFrontier, ReassignResizesAndClears) {
   Bitset bits;
   bits.assign(64);

@@ -168,24 +168,6 @@ TEST(BrcEstimator, CommitmentFilterNeutralizesFakeColors) {
             attacked.instr.injections_attempted);
 }
 
-TEST(BrcEstimator, FloodThreadsBitwiseEqualOneThread) {
-  const auto overlay = make_overlay(768, 6, 0xB4C3);
-  const auto byz = make_byz(768, 0.7, 0xB4C3);
-  const auto est = make_estimator("brc");
-
-  auto s1 = adv::make_strategy(adv::StrategyKind::kFakeColor);
-  RunControls one_thread_controls;
-  one_thread_controls.flood_threads = 1;
-  const auto one_thread =
-      est->run(*overlay, byz, *s1, 0xB4C3, one_thread_controls);
-
-  RunControls four_controls;
-  four_controls.flood_threads = 4;
-  auto s2 = adv::make_strategy(adv::StrategyKind::kFakeColor);
-  const auto four = est->run(*overlay, byz, *s2, 0xB4C3, four_controls);
-  EXPECT_EQ(one_thread, four);
-}
-
 TEST(BrcEstimator, MaxBatchesCapReportsUndecided) {
   // A one-batch cap cannot reach the stability rule (it needs two batch
   // medians), so every honest node stays undecided — the cap maps through

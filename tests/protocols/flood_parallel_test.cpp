@@ -1,13 +1,10 @@
 // The flood kernel's contract: bitwise-identical to the scalar reference
-// oracle (run_flood_subphase_reference) at EVERY thread count — same
-// per-node state, same instrumentation counters, same hierarchical digest
-// trail, same wavefronts handed to live hooks. The reference is the
-// specification; these tests are the property suite that keeps the kernel
-// honest across randomized overlays, Byzantine sets, injections, crashes,
-// mid-subphase churn, and word-boundary sizes. Full-run parity
-// (run_counting_with under RunControls::flood_threads) rides on
-// RunResult's defaulted operator==, which compares every instrumentation
-// counter.
+// oracle (run_flood_subphase_reference) — same per-node state, same
+// instrumentation counters, same hierarchical digest trail, same
+// wavefronts handed to live hooks. The reference is the specification;
+// these tests are the property suite that keeps the kernel honest across
+// randomized overlays, Byzantine sets, injections, crashes, mid-subphase
+// churn, and word-boundary sizes.
 #include "protocols/flooding.hpp"
 
 #include <gtest/gtest.h>
@@ -16,10 +13,8 @@
 #include <optional>
 #include <vector>
 
-#include "adversary/strategies.hpp"
 #include "graph/categories.hpp"
 #include "obs/digest.hpp"
-#include "protocols/fastpath.hpp"
 #include "util/rng.hpp"
 
 namespace byz::proto {
@@ -28,8 +23,6 @@ namespace {
 using graph::NodeId;
 using graph::Overlay;
 using graph::OverlayParams;
-
-constexpr std::uint32_t kThreadCounts[] = {1, 2, 4, 8};
 
 using SubphaseFn = decltype(&run_flood_subphase);
 constexpr SubphaseFn kReference = &run_flood_subphase_reference;
@@ -64,46 +57,40 @@ struct SubphaseRun {
   }
 };
 
-void expect_bitwise_equal(const SubphaseRun& ref, const SubphaseRun& run,
-                          std::uint32_t threads) {
-  EXPECT_EQ(ref.ws.known, run.ws.known) << "threads=" << threads;
-  EXPECT_EQ(ref.ws.fresh, run.ws.fresh) << "threads=" << threads;
-  EXPECT_EQ(ref.ws.best_before, run.ws.best_before) << "threads=" << threads;
-  EXPECT_EQ(ref.ws.last_step, run.ws.last_step) << "threads=" << threads;
-  EXPECT_EQ(ref.instr, run.instr) << "threads=" << threads;
+void expect_bitwise_equal(const SubphaseRun& ref, const SubphaseRun& run) {
+  EXPECT_EQ(ref.ws.known, run.ws.known);
+  EXPECT_EQ(ref.ws.fresh, run.ws.fresh);
+  EXPECT_EQ(ref.ws.best_before, run.ws.best_before);
+  EXPECT_EQ(ref.ws.last_step, run.ws.last_step);
+  EXPECT_EQ(ref.instr, run.instr);
   const auto div =
       obs::first_divergence(ref.digester.trail(), run.digester.trail());
   EXPECT_FALSE(div.diverged())
-      << "threads=" << threads << " level=" << obs::to_string(div.level)
-      << " phase=" << div.phase << " subphase=" << div.subphase
-      << " round=" << div.round;
-  EXPECT_EQ(ref.digester.trail().run_digest, run.digester.trail().run_digest)
-      << "threads=" << threads;
+      << "level=" << obs::to_string(div.level) << " phase=" << div.phase
+      << " subphase=" << div.subphase << " round=" << div.round;
+  EXPECT_EQ(ref.digester.trail().run_digest, run.digester.trail().run_digest);
 }
 
-/// Runs the reference once and the kernel at every thread count, checks
-/// them bitwise equal, and returns the reference's instrumentation so the
-/// caller can pin what the case was built to exercise.
+/// Runs the reference and the kernel once each, checks them bitwise equal,
+/// and returns the reference's instrumentation so the caller can pin what
+/// the case was built to exercise.
 sim::Instrumentation expect_kernel_matches_reference(
     const Overlay& overlay, const std::vector<bool>& byz,
     const std::vector<bool>& crashed, const Verifier& verifier,
     std::span<const Color> gen, std::span<const Injection> inj,
-    FloodParams params) {
+    const FloodParams& params) {
   const SubphaseRun ref(kReference, overlay, byz, crashed, verifier, gen, inj,
                         params);
-  for (const std::uint32_t t : kThreadCounts) {
-    params.threads = t;
-    const SubphaseRun run(kKernel, overlay, byz, crashed, verifier, gen, inj,
-                          params);
-    expect_bitwise_equal(ref, run, t);
-  }
+  const SubphaseRun run(kKernel, overlay, byz, crashed, verifier, gen, inj,
+                        params);
+  expect_bitwise_equal(ref, run);
   return ref.instr;
 }
 
-TEST(FloodParallel, RandomizedSubphasesBitwiseEqualAcrossThreadCounts) {
+TEST(FloodParallel, RandomizedSubphasesMatchReference) {
   // Randomized overlays / Byzantine sets / colors / injections: the
-  // reference and the kernel must agree bit for bit at 1/2/4/8 threads,
-  // including the commutatively folded round digests.
+  // reference and the kernel must agree bit for bit, including the
+  // commutatively folded round digests.
   struct Shape {
     NodeId n;
     std::uint32_t d;
@@ -126,8 +113,8 @@ TEST(FloodParallel, RandomizedSubphasesBitwiseEqualAcrossThreadCounts) {
     }
     // Injections from Byzantine nodes across the step range: step-1
     // free floods, mid-subphase chain checks, and late fabrications that
-    // must be caught — the accept() paths whose counters the kernel folds
-    // serially.
+    // must be caught — the accept() paths the kernel runs after its sender
+    // sweep.
     std::vector<Injection> inj;
     for (NodeId v = 0; v < shape.n && inj.size() < 8; ++v) {
       if (!byz[v]) continue;
@@ -435,16 +422,13 @@ TEST(FloodParallel, LiveHooksMidSubphaseChurnMatchesReference) {
   EXPECT_FALSE(kept.instr == ref.instr)
       << "suppressing the departure changed nothing";
 
-  for (const std::uint32_t t : kThreadCounts) {
-    OneJoinOneLeaveHooks hooks(overlay, byz, verifier);
-    params.live = &hooks;
-    params.threads = t;
-    const SubphaseRun run(kKernel, overlay, byz, crashed, verifier, gen, inj,
-                          params);
-    expect_bitwise_equal(ref, run, t);
-    EXPECT_EQ(ref_hooks.frontiers, hooks.frontiers) << "threads=" << t;
-    EXPECT_EQ(ref_hooks.leaver(), hooks.leaver()) << "threads=" << t;
-  }
+  OneJoinOneLeaveHooks hooks(overlay, byz, verifier);
+  params.live = &hooks;
+  const SubphaseRun run(kKernel, overlay, byz, crashed, verifier, gen, inj,
+                        params);
+  expect_bitwise_equal(ref, run);
+  EXPECT_EQ(ref_hooks.frontiers, hooks.frontiers);
+  EXPECT_EQ(ref_hooks.leaver(), hooks.leaver());
 }
 
 /// Live hooks whose alive set is one bit short of node_bound().
@@ -495,43 +479,6 @@ TEST(FloodParallel, AliveSetOfTheWrongSizeIsRejected) {
     EXPECT_THROW(
         fn(overlay, byz, crashed, verifier, params, gen, {}, ws, instr),
         std::invalid_argument);
-  }
-}
-
-TEST(FloodParallel, FullRunsBitwiseEqualAcrossThreadCounts) {
-  // Whole-protocol parity through RunControls::flood_threads: statuses,
-  // estimates, phase/subphase/round counts, every instrumentation counter,
-  // and the full digest trail, against the one-thread run (which the
-  // subphase cases above pin to the reference). This is the relation the
-  // TSan CI job re-asserts with real threads.
-  const NodeId n = 512;
-  const Overlay overlay = sample(n, 6, 77);
-  util::Xoshiro256 rng(77);
-  const auto byz = graph::random_byzantine_mask(n, n / 64, rng);
-  const ProtocolConfig cfg;
-  const std::uint64_t color_seed = 404;
-
-  auto base_strategy = adv::make_strategy(adv::StrategyKind::kFakeColor);
-  obs::RunDigester base_digest;
-  RunControls base_controls;
-  base_controls.digester = &base_digest;
-  const RunResult base = run_counting_with(overlay, byz, *base_strategy, cfg,
-                                           color_seed, base_controls);
-
-  for (const std::uint32_t t : kThreadCounts) {
-    auto strategy = adv::make_strategy(adv::StrategyKind::kFakeColor);
-    obs::RunDigester digest;
-    RunControls controls;
-    controls.flood_threads = t;
-    controls.digester = &digest;
-    const RunResult run =
-        run_counting_with(overlay, byz, *strategy, cfg, color_seed, controls);
-    EXPECT_EQ(base, run) << "threads=" << t;
-    const auto div = obs::first_divergence(base_digest.trail(), digest.trail());
-    EXPECT_FALSE(div.diverged())
-        << "threads=" << t << " level=" << obs::to_string(div.level)
-        << " phase=" << div.phase << " subphase=" << div.subphase
-        << " round=" << div.round;
   }
 }
 

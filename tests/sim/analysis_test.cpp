@@ -106,6 +106,22 @@ TEST(Experiment, AggregateSkipsRatioWhenNoDeciders) {
   EXPECT_EQ(agg.crashed_frac.count(), 1u);
 }
 
+TEST(SweepTrials, IndependentSeedsDiffer) {
+  sim::TrialConfig cfg;
+  cfg.overlay.n = 200;
+  cfg.overlay.d = 6;
+  cfg.byz_count = 0;
+  cfg.seed = 11;
+  const auto sweep = sweep_trials(cfg, 4, bench_core::TrialScheduler(1));
+  ASSERT_EQ(sweep.results.size(), 4u);
+  // At least two trials should differ somewhere (different overlays).
+  bool any_diff = false;
+  for (std::size_t t = 1; t < sweep.results.size() && !any_diff; ++t) {
+    any_diff = sweep.results[t].run.estimate != sweep.results[0].run.estimate;
+  }
+  EXPECT_TRUE(any_diff);
+}
+
 TEST(Report, CaptureAppendsMarkdown) {
   const std::string path = ::testing::TempDir() + "/byz_capture_test.md";
   std::remove(path.c_str());
