@@ -86,21 +86,23 @@ byz::proto::MembershipPolicy parse_policy(const std::string& name) {
                               " (try silent, readmit)");
 }
 
-/// --trials: at least one deployment, and a count that fits the 32-bit
-/// trial index. Checked as a 64-bit value, so a negative --trials is
-/// rejected instead of wrapping into 2^32 - 1 deployments.
-std::uint32_t parse_trials(const byz::util::ArgParser& args) {
+/// A 32-bit count flag (--trials, --epochs, --burst-epoch) in
+/// [lo, 2^32 - 1]. Checked as a 64-bit value, so a negative count is
+/// rejected instead of wrapping into 2^32 - 1.
+std::uint32_t parse_count(const byz::util::ArgParser& args,
+                          const std::string& flag, std::int64_t lo) {
   const std::int64_t top = std::numeric_limits<std::uint32_t>::max();
-  const std::int64_t trials = args.integer("trials");
-  if (trials < 1 || trials > top) {
-    throw std::invalid_argument("--trials must be in [1, " +
+  const std::int64_t value = args.integer(flag);
+  if (value < lo || value > top) {
+    throw std::invalid_argument("--" + flag + " must be in [" +
+                                std::to_string(lo) + ", " +
                                 std::to_string(top) + "], got " +
-                                std::to_string(trials));
+                                std::to_string(value));
   }
-  return static_cast<std::uint32_t>(trials);
+  return static_cast<std::uint32_t>(value);
 }
 
-/// --n for one-shot runs: H(n,d) needs n >= 3, and every id must fit below
+/// --n: H(n,d) needs n >= 3, and every id must fit below
 /// graph::kInvalidNode. Checked as a 64-bit value, so a negative --n is
 /// rejected here instead of wrapping, and a bad size exits 2 instead of
 /// throwing inside a trial worker.
@@ -114,8 +116,8 @@ byz::graph::NodeId parse_network_size(const byz::util::ArgParser& args) {
   return static_cast<byz::graph::NodeId>(n);
 }
 
-/// --d for one-shot runs: H is a union of d/2 Hamiltonian cycles, so d
-/// must be even and >= 4.
+/// --d: H is a union of d/2 Hamiltonian cycles, so d must be even and
+/// >= 4.
 std::uint32_t parse_degree(const byz::util::ArgParser& args) {
   const std::int64_t top = std::numeric_limits<std::uint32_t>::max() - 1;
   const std::int64_t d = args.integer("d");
@@ -179,16 +181,16 @@ int run_churn_mode(const byz::util::ArgParser& args, std::uint32_t trials,
 
   dynamics::ChurnRunConfig cfg;
   cfg.shadow_backend = shadow;
-  cfg.trace.n0 = static_cast<graph::NodeId>(args.integer("n"));
-  cfg.trace.epochs = static_cast<std::uint32_t>(args.integer("epochs"));
+  // Sizes are range-checked here, before any trial starts.
+  cfg.trace.n0 = parse_network_size(args);
+  cfg.trace.epochs = parse_count(args, "epochs", 1);
   cfg.trace.arrival_rate = args.real("arrival");
   cfg.trace.departure_rate = args.real("departure");
   cfg.trace.model = parse_model(args.str("model"));
-  cfg.trace.burst_epoch =
-      static_cast<std::uint32_t>(args.integer("burst-epoch"));
+  cfg.trace.burst_epoch = parse_count(args, "burst-epoch", 0);
   cfg.trace.burst_fraction = args.real("burst-fraction");
   cfg.trace.min_n = std::max<graph::NodeId>(cfg.trace.n0 / 4, 16);
-  cfg.d = static_cast<std::uint32_t>(args.integer("d"));
+  cfg.d = parse_degree(args);
   cfg.delta = args.real("delta");
   cfg.strategy = adv::StrategyKind::kFakeColor;
   cfg.churn_adversary = parse_churn_adversary(args.str("adversary"));
@@ -458,7 +460,7 @@ int main(int argc, char** argv) {
     trace_out = args.str("trace-out");
     // Both modes size their scheduler from these; checked before any
     // worker starts.
-    trials = parse_trials(args);
+    trials = parse_count(args, "trials", 1);
     jobs = bench_core::TrialScheduler::checked_jobs(args.integer("jobs"));
     // Observability is opt-in and pure read-side (src/obs/obs.hpp):
     // estimates and tables are identical with or without tracing.

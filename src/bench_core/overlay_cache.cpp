@@ -9,9 +9,9 @@ std::shared_ptr<const graph::Overlay> OverlayCache::get(
   if (params.generation != 0) {
     throw std::invalid_argument(
         "OverlayCache::get: generation != 0 keys identify dynamic snapshots, "
-        "which cannot be rebuilt from (n, d, seed); publish them with put()");
+        "which cannot be rebuilt from (n, d, seed)");
   }
-  const Key key{params.n, params.d, params.k, params.seed, params.generation};
+  const Key key{params.n, params.d, params.k, params.seed};
 
   std::promise<std::shared_ptr<const graph::Overlay>> promise;
   {
@@ -73,60 +73,11 @@ std::shared_ptr<const graph::Overlay> OverlayCache::get(graph::NodeId n,
   return get(params);
 }
 
-std::shared_ptr<const graph::Overlay> OverlayCache::put(
-    std::shared_ptr<const graph::Overlay> overlay) {
-  const auto& params = overlay->params();
-  if (params.generation == 0) {
-    throw std::invalid_argument(
-        "OverlayCache::put: generation == 0 keys are reserved for overlays "
-        "get() derives from (n, d, seed); publishing a hand-built overlay "
-        "under a static key would poison later lookups");
-  }
-  const Key key{params.n, params.d, params.k, params.seed, params.generation};
-  std::unique_lock<std::mutex> lock(mutex_);
-  auto it = entries_.find(key);
-  if (it != entries_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
-    auto future = it->second.overlay;
-    lock.unlock();
-    return future.get();
-  }
-  std::promise<std::shared_ptr<const graph::Overlay>> promise;
-  promise.set_value(overlay);
-  lru_.push_front(key);
-  entries_.emplace(key, Entry{promise.get_future().share(), lru_.begin(),
-                              overlay->memory_bytes()});
-  resident_bytes_ += overlay->memory_bytes();
-  evict_locked(key);
-  return overlay;
-}
-
 void OverlayCache::evict_locked(const Key& incoming) {
   if (max_bytes_ == 0) return;
   while (resident_bytes_ > max_bytes_ && lru_.size() > 1) {
-    // Generation-aware policy: epoch snapshots of one evolving overlay
-    // (same d/k/seed, generation != 0) supersede each other, while static
-    // samples are shared across scenario grids — so retire the
-    // least-recently-used SNAPSHOT of the incoming entry's own family
-    // (snapshots are published in epoch order, so LRU-oldest is the oldest
-    // generation) before touching unrelated entries.
-    auto victim_pos = lru_.end();
-    for (auto it = std::prev(lru_.end());; --it) {
-      if (*it != incoming && it->generation != 0 && it->d == incoming.d &&
-          it->k == incoming.k && it->seed == incoming.seed) {
-        const auto entry = entries_.find(*it);
-        // Entries still building (bytes unknown) are not evictable.
-        if (entry != entries_.end() && entry->second.bytes != 0) {
-          victim_pos = it;
-          break;
-        }
-      }
-      if (it == lru_.begin()) break;
-    }
-    if (victim_pos == lru_.end()) {
-      victim_pos = std::prev(lru_.end());
-      if (*victim_pos == incoming) break;
-    }
+    const auto victim_pos = std::prev(lru_.end());
+    if (*victim_pos == incoming) break;
     auto it = entries_.find(*victim_pos);
     // Never evict an entry that is still building (bytes unknown).
     if (it == entries_.end() || it->second.bytes == 0) break;

@@ -1,11 +1,10 @@
 // Shared overlay cache for the orchestrator: scenarios that sweep the same
 // (n, d, seed) grid reuse one immutable Overlay instead of re-sampling it.
-// Keys carry the full OverlayParams INCLUDING the topology generation tag,
-// so an epoch snapshot of an evolving overlay (generation != 0) can never
-// alias the static sample with the same (n, d, seed). Concurrent requests
-// for the same key build once — later callers block on the builder's
-// shared_future. Overlays are handed out as shared_ptr<const Overlay>, so
-// eviction never invalidates a live user.
+// Only static samples (generation 0) enter: an epoch snapshot of an
+// evolving overlay cannot be re-derived from its params, so get() refuses
+// it. Concurrent requests for the same key build once — later callers
+// block on the builder's shared_future. Overlays are handed out as
+// shared_ptr<const Overlay>, so eviction never invalidates a live user.
 #pragma once
 
 #include <cstdint>
@@ -36,18 +35,9 @@ class OverlayCache {
   /// Returns the overlay for `params`, building it on a miss. Thread-safe;
   /// a concurrent miss on the same key builds exactly once. Throws
   /// std::invalid_argument when params.generation != 0: a snapshot of an
-  /// evolving overlay cannot be re-derived from (n, d, seed) — it must be
-  /// published with put().
+  /// evolving overlay cannot be re-derived from (n, d, seed).
   [[nodiscard]] std::shared_ptr<const graph::Overlay> get(
       const graph::OverlayParams& params);
-
-  /// Publishes an already-built overlay (e.g. a MutableOverlay epoch
-  /// snapshot) under its own params() key. If the key is already resident
-  /// the existing entry wins and is returned instead. Throws
-  /// std::invalid_argument when params().generation == 0 — static keys are
-  /// reserved for overlays get() derives from (n, d, seed).
-  std::shared_ptr<const graph::Overlay> put(
-      std::shared_ptr<const graph::Overlay> overlay);
 
   /// Convenience overload for the common (n, d, seed) case (paper k).
   [[nodiscard]] std::shared_ptr<const graph::Overlay> get(graph::NodeId n,
@@ -63,7 +53,6 @@ class OverlayCache {
     std::uint32_t d;
     std::uint32_t k;
     std::uint64_t seed;
-    std::uint64_t generation;  ///< 0 = static sample; else snapshot build tag
     auto operator<=>(const Key&) const = default;
   };
   struct Entry {

@@ -1,12 +1,13 @@
 #include "bench_core/scheduler.hpp"
 
 #include <algorithm>
-#include <mutex>
 #include <stdexcept>
 #include <string>
+#include <thread>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/parallel.hpp"
 
 namespace byz::bench_core {
 
@@ -49,48 +50,19 @@ unsigned TrialScheduler::checked_jobs(std::int64_t jobs) {
 
 void TrialScheduler::for_each(
     std::uint64_t count, const std::function<void(std::uint64_t)>& fn) const {
-  if (count == 0) return;
-  const unsigned workers =
-      static_cast<unsigned>(std::min<std::uint64_t>(jobs_, count));
-  if (workers <= 1) {
-    for (std::uint64_t i = 0; i < count; ++i) run_traced_trial(fn, i, 0);
-    return;
-  }
-
-  std::atomic<std::uint64_t> cursor{0};
-  std::exception_ptr first_error;
-  std::mutex error_mutex;
-
-  auto worker = [&](unsigned w) {
-    // Pool threads get a stable trace name; w == 0 is the caller thread,
-    // which keeps its own identity (scenario spans live there).
-    if (w != 0 && obs::enabled()) {
-      obs::set_trace_thread_name("worker-" + std::to_string(w));
-    }
-    for (;;) {
-      const std::uint64_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-      if (i >= count) return;
-      try {
-        run_traced_trial(fn, i, w);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
-        // Drain the remaining items without running them.
-        cursor.store(count, std::memory_order_relaxed);
-        return;
-      }
-    }
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(workers - 1);
-  for (unsigned w = 1; w < workers; ++w) {
-    pool.emplace_back(worker, w);
-  }
-  worker(0);
-  for (auto& t : pool) t.join();
-
-  if (first_error) std::rethrow_exception(first_error);
+  util::parallel_for(
+      count, 1, jobs_,
+      [](unsigned worker) {
+        // Pool threads get a stable trace name; worker 0 is the caller
+        // thread, which keeps its own identity (scenario spans live there).
+        if (worker != 0 && obs::enabled()) {
+          obs::set_trace_thread_name("worker-" + std::to_string(worker));
+        }
+        return worker;
+      },
+      [&](unsigned worker, std::uint64_t i) {
+        run_traced_trial(fn, i, worker);
+      });
 }
 
 }  // namespace byz::bench_core

@@ -1,20 +1,17 @@
 // Shared trial scheduler for the byzbench orchestrator: a work-stealing
-// index pool over std::thread. Work items claim indices from an atomic
-// counter, so load-balancing is dynamic, but every item derives its own
-// seed from (base_seed, index) with SplitMix64 and writes to its own slot —
-// results are bitwise identical for any worker count (the determinism
-// contract the tests pin down).
+// index pool over util::parallel_for. Work items claim indices from an
+// atomic counter, so load-balancing is dynamic, but every item derives its
+// own seed from (base_seed, index) with SplitMix64 and writes to its own
+// slot — results are bitwise identical for any worker count (the
+// determinism contract the tests pin down).
 //
-// This replaces per-binary OpenMP loops for everything above the overlay
-// builder: scenarios, Monte-Carlo sweeps, and the examples all share one
-// scheduler so a single --jobs flag governs the whole run.
+// Scenarios, Monte-Carlo sweeps and the examples all share one scheduler,
+// so a single --jobs flag governs the whole run: overlay builds inside a
+// trial run inline on the trial's worker (util/parallel.hpp).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <exception>
 #include <functional>
-#include <thread>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -36,9 +33,9 @@ class TrialScheduler {
 
   /// Runs fn(index) for every index in [0, count). Blocks until all items
   /// finish. Items are claimed dynamically (work stealing via a shared
-  /// atomic cursor); with jobs() == 1 the loop runs inline, no threads.
-  /// The first exception thrown by any item is rethrown to the caller
-  /// after the pool drains.
+  /// atomic cursor); with jobs() == 1, or when called from inside another
+  /// worker, the loop runs inline, no threads. The first exception thrown
+  /// by any item is rethrown to the caller after the pool drains.
   void for_each(std::uint64_t count,
                 const std::function<void(std::uint64_t)>& fn) const;
 

@@ -111,11 +111,10 @@ ChurnRunResult run_churn(const ChurnRunConfig& cfg) {
   // the feed's splices go through the same observer, so the dirty masks
   // stay exact there too.
   std::optional<incremental::IncrementalEngine> inc;
-  if (inc_cfg.incremental || inc_cfg.verify_snapshots) {
-    incremental::IncrementalEngine::Config engine_cfg;
-    engine_cfg.incremental = inc_cfg.incremental;
-    engine_cfg.verify_against_full = inc_cfg.verify_snapshots;
-    inc.emplace(overlay, engine_cfg);
+  if (inc_cfg.incremental) {
+    inc.emplace(overlay,
+                incremental::IncrementalEngine::Config{
+                    .verify_against_full = inc_cfg.verify_snapshots});
   }
 
   // Initial Byzantine placement on the bootstrap ids (the paper's uniform

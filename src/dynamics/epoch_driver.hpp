@@ -53,7 +53,9 @@ struct IncrementalConfig {
   /// balls within distance k of a splice endpoint and reuses the rest.
   bool incremental = false;
   /// Debug mode: every incremental snapshot is cross-checked bitwise
-  /// against a full rebuild (throws std::logic_error on divergence).
+  /// against a full rebuild (throws std::logic_error on divergence). Only
+  /// incremental snapshots are checked: without `incremental` the epoch
+  /// runs on the full rebuild itself.
   bool verify_snapshots = false;
   /// Drift-adaptive epoch scheduling: re-estimate only when the membership
   /// drift accumulated since the last estimation crosses drift_threshold,

@@ -58,16 +58,9 @@ double average_clustering(const Graph& simple, std::uint32_t sample,
       targets.push_back(static_cast<NodeId>(rng.below(n)));
     }
   }
-  // Compute in parallel, sum in index order: the floating-point result must
-  // not depend on the thread count or on which thread ran which target.
-  std::vector<double> local(targets.size());
-#pragma omp parallel for schedule(dynamic, 64)
-  for (std::int64_t i = 0; i < static_cast<std::int64_t>(targets.size()); ++i) {
-    const auto t = static_cast<std::size_t>(i);
-    local[t] = local_clustering(simple, targets[t]);
-  }
+  // Summed in target order: E03's manifest pins the bits of this average.
   double sum = 0.0;
-  for (const double c : local) sum += c;
+  for (const NodeId t : targets) sum += local_clustering(simple, t);
   return sum / static_cast<double>(targets.size());
 }
 
@@ -77,10 +70,7 @@ DiameterResult diameter(const Graph& g, std::uint32_t exact_threshold,
   if (n == 0) return {0, true};
   if (n <= exact_threshold) {
     std::uint32_t best = 0;
-#pragma omp parallel for reduction(max : best) schedule(dynamic, 64)
-    for (std::int64_t v = 0; v < static_cast<std::int64_t>(n); ++v) {
-      best = std::max(best, eccentricity(g, static_cast<NodeId>(v)));
-    }
+    for (NodeId v = 0; v < n; ++v) best = std::max(best, eccentricity(g, v));
     return {best, true};
   }
   // Iterated double sweep: BFS from a random node, then from the farthest
@@ -108,9 +98,8 @@ double average_path_length(const Graph& g, std::uint32_t sources,
   }
   double total = 0.0;
   std::uint64_t pairs = 0;
-#pragma omp parallel for reduction(+ : total, pairs) schedule(dynamic)
-  for (std::int64_t i = 0; i < static_cast<std::int64_t>(roots.size()); ++i) {
-    const auto dist = bfs_distances(g, roots[static_cast<std::size_t>(i)]);
+  for (const NodeId root : roots) {
+    const auto dist = bfs_distances(g, root);
     for (const auto d : dist) {
       if (d != kUnreachable && d > 0) {
         total += d;

@@ -6,9 +6,24 @@
 #include "graph/bfs.hpp"
 #include "graph/hamiltonian.hpp"
 #include "obs/trace.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace byz::graph {
+
+namespace {
+
+/// Nodes per chunk of the G pass's two per-node loops.
+constexpr std::uint64_t kBallGrain = 256;
+
+/// One G-pass worker's scratch, on that worker's own stack.
+struct BallWork {
+  BfsScratch scratch;
+  std::vector<BallEntry> ball;
+  std::vector<BallEntry> tmp;
+};
+
+}  // namespace
 
 Overlay Overlay::build(const OverlayParams& params) {
   util::Xoshiro256 rng(params.seed);
@@ -39,18 +54,13 @@ Overlay Overlay::build_from_h(const OverlayParams& params, Graph h) {
   // cumulative counts |B_H(v, r)|, r <= w, off the BFS level ends.
   Graph::OffsetVec offsets(static_cast<std::size_t>(n) + 1, 0);
   std::vector<std::uint32_t> counts(static_cast<std::size_t>(n) * w);
-#pragma omp parallel
-  {
-    BfsScratch scratch;
-    std::vector<BallEntry> ball;
-#pragma omp for schedule(dynamic, 256)
-    for (std::int64_t v = 0; v < static_cast<std::int64_t>(n); ++v) {
-      const auto row = static_cast<std::size_t>(v) * w;
-      bfs_ball(o.h_simple_, static_cast<NodeId>(v), k, scratch, ball,
-               std::span<std::uint32_t>(counts).subspan(row, w));
-      offsets[static_cast<std::size_t>(v) + 1] = ball.size() - 1;  // no self
-    }
-  }
+  util::parallel_for(
+      n, kBallGrain, 0, [](unsigned) { return BallWork{}; },
+      [&](BallWork& work, std::uint64_t v) {
+        bfs_ball(o.h_simple_, static_cast<NodeId>(v), k, work.scratch,
+                 work.ball, std::span<std::uint32_t>(counts).subspan(v * w, w));
+        offsets[v + 1] = work.ball.size() - 1;  // no self
+      });
   for (std::size_t i = 1; i < offsets.size(); ++i) {
     offsets[i] += offsets[i - 1];
   }
@@ -60,25 +70,20 @@ Overlay Overlay::build_from_h(const OverlayParams& params, Graph h) {
   // binary-search.
   Graph::NeighborVec nodes(offsets.back());
   std::vector<std::uint8_t> dists(offsets.back());
-#pragma omp parallel
-  {
-    BfsScratch scratch;
-    std::vector<BallEntry> ball;
-    std::vector<BallEntry> tmp;
-#pragma omp for schedule(dynamic, 256)
-    for (std::int64_t sv = 0; sv < static_cast<std::int64_t>(n); ++sv) {
-      const auto v = static_cast<NodeId>(sv);
-      bfs_ball(o.h_simple_, v, k, scratch, ball);
-      const auto others = std::span<BallEntry>(ball).subspan(1);
-      sort_ball_by_node(others, n, tmp);
-      std::uint64_t w = offsets[v];
-      for (const BallEntry& e : others) {
-        nodes[w] = e.node;
-        dists[w] = e.dist;
-        ++w;
-      }
-    }
-  }
+  util::parallel_for(
+      n, kBallGrain, 0, [](unsigned) { return BallWork{}; },
+      [&](BallWork& work, std::uint64_t v) {
+        bfs_ball(o.h_simple_, static_cast<NodeId>(v), k, work.scratch,
+                 work.ball);
+        const auto others = std::span<BallEntry>(work.ball).subspan(1);
+        sort_ball_by_node(others, n, work.tmp);
+        std::uint64_t slot = offsets[v];
+        for (const BallEntry& e : others) {
+          nodes[slot] = e.node;
+          dists[slot] = e.dist;
+          ++slot;
+        }
+      });
 
   o.g_ = Graph::from_csr(std::move(offsets), std::move(nodes));
   o.g_dist_ = std::move(dists);

@@ -47,9 +47,10 @@ class Overlay {
  public:
   /// Samples H(n,d) and materializes G and the ball counts. Cost: two
   /// bounded BFS passes per node (ball sizes and counts, then ball
-  /// contents; OpenMP-parallel) and a radix sort per ball
-  /// (graph::sort_ball_by_node). Peak memory is the final G arrays plus
-  /// per-thread scratch: the balls are written straight into G's CSR rows.
+  /// contents; each on util::parallel_for, so inline inside a trial
+  /// worker) and a radix sort per ball (graph::sort_ball_by_node). Peak
+  /// memory is the final G arrays plus per-worker scratch: the balls are
+  /// written straight into G's CSR rows.
   [[nodiscard]] static Overlay build(const OverlayParams& params);
 
   /// Materializes G over a caller-supplied H multigraph (must be an exactly

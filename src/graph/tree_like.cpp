@@ -74,20 +74,14 @@ TreeLikeResult classify_tree_like(const Graph& h_multi, std::uint32_t d,
   result.radius = radius;
   result.is_tree_like.assign(n, false);
   const std::uint64_t want = tree_ball_size(d, radius);
-  std::uint64_t count = 0;
-#pragma omp parallel reduction(+ : count)
-  {
-    BfsScratch scratch;
-    std::vector<BallEntry> ball;
-#pragma omp for schedule(dynamic, 256)
-    for (std::int64_t v = 0; v < static_cast<std::int64_t>(n); ++v) {
-      const bool ltl = node_is_tree_like(h_multi, static_cast<NodeId>(v),
-                                         radius, want, scratch, ball);
-      result.is_tree_like[static_cast<std::size_t>(v)] = ltl;
-      if (ltl) ++count;
-    }
+  BfsScratch scratch;
+  std::vector<BallEntry> ball;
+  for (NodeId v = 0; v < n; ++v) {
+    const bool ltl =
+        node_is_tree_like(h_multi, v, radius, want, scratch, ball);
+    result.is_tree_like[v] = ltl;
+    if (ltl) ++result.count;
   }
-  result.count = count;
   return result;
 }
 

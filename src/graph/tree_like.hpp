@@ -28,7 +28,7 @@ struct TreeLikeResult {
 
 /// Classifies every node of the d-regular multigraph H at the given radius.
 /// Uses the multigraph adjacency (parallel edges make a node atypical, as
-/// they must). OpenMP-parallel.
+/// they must). Serial: its callers run it inside trial workers.
 [[nodiscard]] TreeLikeResult classify_tree_like(const Graph& h_multi,
                                                 std::uint32_t d,
                                                 std::uint32_t radius);

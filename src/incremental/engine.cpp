@@ -6,10 +6,21 @@
 #include "graph/small_world.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/parallel.hpp"
 
 namespace byz::incremental {
 
 namespace {
+
+/// Rows per chunk of the snapshot's H-row fill and G translation: each
+/// row is a few cache lines of copying, so a chunk amortizes the cursor.
+constexpr std::uint64_t kRowGrain = 1024;
+
+/// One dirty-ball BFS worker's scratch, on that worker's own stack.
+struct BallWork {
+  graph::BfsScratch scratch;
+  std::vector<graph::BallEntry> tmp;
+};
 
 bool graphs_equal(const graph::Graph& a, const graph::Graph& b) {
   const NodeId n = a.num_nodes();
@@ -104,9 +115,8 @@ MutableOverlay::Snapshot IncrementalEngine::snapshot() {
     counts_.resize(static_cast<std::size_t>(bound) * w);
   }
 
-  const bool full = !has_snapshot_ || !config_.incremental;
   std::vector<NodeId> recompute;
-  if (full) {
+  if (!has_snapshot_) {
     recompute = snap.dense_to_stable;
     ++stats_.full_rebuilds;
   } else {
@@ -118,16 +128,11 @@ MutableOverlay::Snapshot IncrementalEngine::snapshot() {
   {
     obs::Span bfs_span("incremental.dirty_bfs");
     bfs_span.arg("recompute", recompute.size()).arg("alive", n);
-#pragma omp parallel
-    {
-      graph::BfsScratch scratch;
-      std::vector<graph::BallEntry> tmp;
-#pragma omp for schedule(dynamic, 64)
-      for (std::int64_t i = 0; i < static_cast<std::int64_t>(recompute.size());
-           ++i) {
-        recompute_ball(recompute[static_cast<std::size_t>(i)], scratch, tmp);
-      }
-    }
+    util::parallel_for(
+        recompute.size(), 64, 0, [](unsigned) { return BallWork{}; },
+        [&](BallWork& work, std::uint64_t i) {
+          recompute_ball(recompute[i], work.scratch, work.tmp);
+        });
   }
   // Departed nodes keep no ball (their stable ids are never reused).
   for (NodeId v = 0; v < bound; ++v) {
@@ -157,17 +162,17 @@ MutableOverlay::Snapshot IncrementalEngine::snapshot() {
       h_off[i] = static_cast<std::uint64_t>(i) * d;
     }
     graph::Graph::NeighborVec h_nbrs(static_cast<std::uint64_t>(n) * d);
-#pragma omp parallel for schedule(static)
-    for (std::int64_t si = 0; si < static_cast<std::int64_t>(n); ++si) {
-      const auto i = static_cast<NodeId>(si);
-      const NodeId v = snap.dense_to_stable[i];
-      NodeId* row = h_nbrs.data() + static_cast<std::uint64_t>(i) * d;
-      for (std::uint32_t c = 0; c < cycles; ++c) {
-        row[2 * c] = dense[ov.successor(c, v)];
-        row[2 * c + 1] = dense[ov.predecessor(c, v)];
-      }
-      std::sort(row, row + d);
-    }
+    util::parallel_for(
+        n, kRowGrain, 0, [](unsigned) { return 0; },
+        [&](int, std::uint64_t i) {
+          const NodeId v = snap.dense_to_stable[i];
+          NodeId* row = h_nbrs.data() + i * d;
+          for (std::uint32_t c = 0; c < cycles; ++c) {
+            row[2 * c] = dense[ov.successor(c, v)];
+            row[2 * c + 1] = dense[ov.predecessor(c, v)];
+          }
+          std::sort(row, row + d);
+        });
 
     // G: prefix-sum the stored ball sizes, then translate stable→dense.
     // The mapping is monotone (dense order IS increasing stable order), so
@@ -179,19 +184,19 @@ MutableOverlay::Snapshot IncrementalEngine::snapshot() {
     graph::Graph::NeighborVec g_nbrs(g_off[n]);
     std::vector<std::uint8_t> g_dist(g_off[n]);
     std::vector<std::uint32_t> counts(static_cast<std::size_t>(n) * w);
-#pragma omp parallel for schedule(static)
-    for (std::int64_t si = 0; si < static_cast<std::int64_t>(n); ++si) {
-      const auto i = static_cast<NodeId>(si);
-      const NodeId v = snap.dense_to_stable[i];
-      const auto& ball = balls_[v];
-      const std::uint64_t base = g_off[i];
-      for (std::size_t j = 0; j < ball.size(); ++j) {
-        g_nbrs[base + j] = dense[ball[j].node];
-        g_dist[base + j] = ball[j].dist;
-      }
-      std::copy_n(counts_.data() + static_cast<std::size_t>(v) * w, w,
-                  counts.data() + static_cast<std::size_t>(i) * w);
-    }
+    util::parallel_for(
+        n, kRowGrain, 0, [](unsigned) { return 0; },
+        [&](int, std::uint64_t i) {
+          const NodeId v = snap.dense_to_stable[i];
+          const auto& ball = balls_[v];
+          const std::uint64_t base = g_off[i];
+          for (std::size_t j = 0; j < ball.size(); ++j) {
+            g_nbrs[base + j] = dense[ball[j].node];
+            g_dist[base + j] = ball[j].dist;
+          }
+          std::copy_n(counts_.data() + static_cast<std::size_t>(v) * w, w,
+                      counts.data() + i * w);
+        });
 
     graph::OverlayParams params;
     params.n = n;

@@ -29,7 +29,7 @@ namespace byz::incremental {
 
 struct IncrementalStats {
   std::uint64_t snapshots = 0;
-  std::uint64_t full_rebuilds = 0;  ///< first snapshot or incremental off
+  std::uint64_t full_rebuilds = 0;  ///< the first snapshot
   std::uint64_t balls_recomputed = 0;
   std::uint64_t balls_reused = 0;
   std::uint64_t verified = 0;  ///< debug cross-checks that passed
@@ -42,9 +42,6 @@ struct IncrementalStats {
 class IncrementalEngine {
  public:
   struct Config {
-    /// Reuse clean balls (false = full rebuild through the same assembly
-    /// path; the tracker still reports what actually changed).
-    bool incremental = true;
     /// Debug mode: every snapshot() also runs the full rebuild and throws
     /// std::logic_error unless the two overlays are bitwise identical.
     bool verify_against_full = false;

@@ -4,7 +4,7 @@
 // 64-bit seed alone, and per-node / per-subphase streams are derived with
 // SplitMix64 so results are independent of thread scheduling. This is the
 // standard discipline for parallel Monte-Carlo sweeps: never share a stream
-// across OpenMP threads; derive child streams by hashing (seed, index).
+// across threads; derive child streams by hashing (seed, index).
 #pragma once
 
 #include <cstdint>

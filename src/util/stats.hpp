@@ -12,7 +12,7 @@
 namespace byz::util {
 
 /// Welford online accumulator: numerically stable mean/variance plus
-/// min/max, mergeable (for OpenMP reductions across per-thread copies).
+/// min/max, mergeable (to fold per-trial or per-worker copies).
 class OnlineStats {
  public:
   void add(double x) noexcept;

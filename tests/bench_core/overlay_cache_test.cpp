@@ -88,95 +88,17 @@ TEST(OverlayCache, EvictsLeastRecentlyUsedPastByteBound) {
 }
 
 TEST(OverlayCache, SnapshotGenerationNeverAliasesTheStaticKey) {
-  // The collision scenario the generation tag exists for: a dynamic epoch
-  // snapshot carries the same (n, d, seed) as the static sample it evolved
-  // from, but MUST occupy a distinct cache entry.
+  // A dynamic epoch snapshot carries the same (n, d, seed) as the static
+  // sample it evolved from, so get() must refuse to fabricate one from its
+  // generation-tagged params.
   OverlayCache cache;
-  constexpr graph::NodeId kN = 96;
-  const std::uint64_t seed = 42;
-
-  dynamics::MutableOverlay dyn(kN, 6, 0, seed);
+  dynamics::MutableOverlay dyn(96, 6, 0, 42);
   util::Xoshiro256 rng(7);
-  // One join + one leave: back to n = 96 with the SAME (n, d, seed) as the
-  // static build but a different edge set.
-  const auto joined = dyn.join(rng);
-  dyn.leave(joined - 1);
-  auto snap = dyn.snapshot();
-  ASSERT_EQ(snap.overlay.num_nodes(), kN);
+  dyn.leave(dyn.join(rng) - 1);  // back to n = 96, a different edge set
+  const auto snap = dyn.snapshot();
+  ASSERT_EQ(snap.overlay.num_nodes(), 96u);
   ASSERT_NE(snap.overlay.params().generation, 0u);
-
-  const auto published = cache.put(std::make_shared<const graph::Overlay>(
-      std::move(snap.overlay)));
-  const auto static_overlay = cache.get(kN, 6, seed);
-  EXPECT_NE(published.get(), static_overlay.get());
-  EXPECT_EQ(cache.stats().entries, 2u);
-
-  // Publishing the same snapshot key again: the resident entry wins.
-  const auto again = cache.put(published);
-  EXPECT_EQ(again.get(), published.get());
-  EXPECT_EQ(cache.stats().entries, 2u);
-
-  // get() refuses to fabricate a snapshot from a generation-tagged key,
-  // and put() refuses to poison a static key with a hand-built overlay.
-  EXPECT_THROW((void)cache.get(published->params()), std::invalid_argument);
-  graph::OverlayParams static_params;
-  static_params.n = kN;
-  static_params.d = 6;
-  static_params.seed = seed;
-  EXPECT_THROW((void)cache.put(std::make_shared<const graph::Overlay>(
-                   graph::Overlay::build(static_params))),
-               std::invalid_argument);
-}
-
-TEST(OverlayCache, EvictsOldGenerationsOfTheSameOverlayBeforeStaticEntries) {
-  // Generation-aware capacity policy: epoch snapshots of one evolving
-  // overlay supersede each other, so when a new snapshot lands at
-  // capacity, the oldest resident generation of the SAME (d, k, seed)
-  // family goes first — even when an unrelated static entry is older in
-  // plain LRU terms.
-  const std::uint64_t seed = 42;
-  dynamics::MutableOverlay dyn(96, 6, 0, seed);
-  util::Xoshiro256 rng(7);
-  auto snapshot_ptr = [&] {
-    return std::make_shared<const graph::Overlay>(
-        std::move(dyn.snapshot().overlay));
-  };
-  const auto gen1 = snapshot_ptr();
-  dyn.join(rng);
-  const auto gen2 = snapshot_ptr();
-  dyn.join(rng);
-  const auto gen3 = snapshot_ptr();
-
-  graph::OverlayParams static_params;
-  static_params.n = 128;
-  static_params.d = 6;
-  static_params.seed = 7;
-  const auto static_bytes =
-      graph::Overlay::build(static_params).memory_bytes();
-
-  // Budget that holds the static entry plus two snapshots, but not three:
-  // publishing gen3 must evict exactly one entry.
-  OverlayCache cache(static_bytes + gen1->memory_bytes() +
-                     gen2->memory_bytes() + gen3->memory_bytes() - 1);
-  const auto static_overlay = cache.get(static_params);  // LRU-oldest
-  (void)cache.put(gen1);
-  (void)cache.put(gen2);
-  (void)cache.put(gen3);
-
-  auto stats = cache.stats();
-  EXPECT_EQ(stats.evictions, 1u);
-  EXPECT_EQ(stats.entries, 3u);
-  // The unrelated static entry survived despite being least recently used:
-  // a re-get is a pure hit, not a rebuild.
-  const auto misses_before = stats.misses;
-  const auto again = cache.get(static_params);
-  EXPECT_EQ(again.get(), static_overlay.get());
-  EXPECT_EQ(cache.stats().misses, misses_before);
-  // The victim was the oldest same-family generation: re-publishing gen1
-  // inserts it anew (entry count grows) while gen2 was still resident.
-  (void)cache.put(gen1);
-  EXPECT_GE(cache.stats().entries, 3u);
-  EXPECT_GE(cache.stats().evictions, 2u);  // re-insert re-evicts in-family
+  EXPECT_THROW((void)cache.get(snap.overlay.params()), std::invalid_argument);
 }
 
 TEST(OverlayCache, ClearDropsEntries) {

@@ -2,11 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
-#include <bit>
 #include <cmath>
 #include <cstdint>
 
@@ -74,26 +69,6 @@ TEST(Clustering, SampledCloseToExact) {
   const double sampled = average_clustering(h, 512, 99);
   EXPECT_NEAR(sampled, exact, 0.05);
 }
-
-#ifdef _OPENMP
-TEST(Clustering, BitwiseIndependentOfThreadCount) {
-  // E03's manifest reports this average: its bits must not depend on how
-  // OpenMP splits the targets across threads.
-  OverlayParams p;
-  p.n = 4096;
-  p.d = 6;
-  p.seed = 3;
-  const Overlay o = Overlay::build(p);
-  const int saved = omp_get_max_threads();
-  omp_set_num_threads(1);
-  const double one = average_clustering(o.g(), 0, 1);
-  omp_set_num_threads(4);
-  const double four = average_clustering(o.g(), 0, 1);
-  omp_set_num_threads(saved);
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(one),
-            std::bit_cast<std::uint64_t>(four));
-}
-#endif
 
 TEST(Diameter, CycleExact) {
   const DiameterResult r = diameter(cycle_graph(10));

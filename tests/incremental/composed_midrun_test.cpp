@@ -40,7 +40,7 @@ TraceTotals drive_random_trace(proto::MembershipPolicy policy,
   constexpr std::uint32_t kD = 6;
   dynamics::MutableOverlay overlay(kN0, kD, 0, util::mix_seed(seed, 1));
   incremental::IncrementalEngine inc(
-      overlay, {/*incremental=*/true, /*verify_against_full=*/verify_mode});
+      overlay, {/*verify_against_full=*/verify_mode});
 
   util::Xoshiro256 place_rng(util::mix_seed(seed, 2));
   std::vector<bool> byz = graph::random_byzantine_mask(

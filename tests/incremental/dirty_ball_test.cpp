@@ -43,8 +43,7 @@ TEST(DirtyBall, IncrementalBallsBitwiseEqualFullRebuildOn200SeededTraces) {
     const graph::NodeId n0 = 24 + (trace * 7) % 120;
     const std::uint32_t d = 4 + 2 * (trace % 3);  // 4, 6, 8
     MutableOverlay overlay(n0, d, 0, 1000 + trace);
-    IncrementalEngine engine(overlay, {/*incremental=*/true,
-                                       /*verify_against_full=*/false});
+    IncrementalEngine engine(overlay, {/*verify_against_full=*/false});
     util::Xoshiro256 rng(trace);
 
     const std::uint32_t rounds = 1 + trace % 3;

@@ -47,8 +47,7 @@ TEST(IncrementalEngine, ReusesCleanBallsAcrossEpochs) {
 
 TEST(IncrementalEngine, VerifyModeCrossChecksEverySnapshot) {
   MutableOverlay overlay(192, 6, 0, 11);
-  IncrementalEngine engine(overlay, {/*incremental=*/true,
-                                     /*verify_against_full=*/true});
+  IncrementalEngine engine(overlay, {/*verify_against_full=*/true});
   util::Xoshiro256 rng(5);
   for (int round = 0; round < 3; ++round) {
     overlay.join(rng);
@@ -65,8 +64,7 @@ TEST(IncrementalEngine, SaturatedBallsCarryTheirSizeOutToRadiusK) {
   // on each dirty recompute. Verify mode compares every snapshot with the
   // full rebuild, counts included.
   MutableOverlay overlay(10, 4, 6, 17);
-  IncrementalEngine engine(overlay, {/*incremental=*/true,
-                                     /*verify_against_full=*/true});
+  IncrementalEngine engine(overlay, {/*verify_against_full=*/true});
   util::Xoshiro256 rng(9);
   for (int round = 0; round < 4; ++round) {
     const auto snap = engine.snapshot();
@@ -78,27 +76,6 @@ TEST(IncrementalEngine, SaturatedBallsCarryTheirSizeOutToRadiusK) {
     overlay.leave(overlay.random_alive(rng));
   }
   EXPECT_EQ(engine.stats().verified, 4u);
-}
-
-TEST(IncrementalEngine, NonIncrementalModeStillReportsDirtyMasks) {
-  MutableOverlay overlay(256, 6, 0, 13);
-  IncrementalEngine engine(overlay, {/*incremental=*/false,
-                                     /*verify_against_full=*/false});
-  (void)engine.snapshot();
-  util::Xoshiro256 rng(1);
-  overlay.join(rng);
-  // The tracker still reflects only what actually changed...
-  std::uint64_t dirty_alive = 0;
-  for (const auto stable : overlay.alive_nodes()) {
-    if (engine.tracker().is_dirty(stable)) ++dirty_alive;
-  }
-  EXPECT_GT(dirty_alive, 0u);
-  EXPECT_LT(dirty_alive, overlay.num_alive());
-  // ...but every snapshot is a full rebuild.
-  const auto snap = engine.snapshot();
-  EXPECT_EQ(engine.stats().full_rebuilds, 2u);
-  EXPECT_EQ(engine.stats().last_reused, 0u);
-  EXPECT_TRUE(overlays_identical(snap.overlay, overlay.snapshot().overlay));
 }
 
 TEST(IncrementalEngine, OverlaysIdenticalDetectsDifferences) {

@@ -1,0 +1,35 @@
+# Re-runs one byzbench scenario at the golden settings (--scale 0.05
+# --jobs 1) and byte-compares its BENCH manifest with the committed file.
+#
+#   cmake -DBYZBENCH=<byzbench> -DSCENARIO=e01 -DGOLDEN_DIR=<bench/golden>
+#         -DOUT_DIR=<scratch dir> -P tools/check_golden.cmake
+#
+# README.md ("Golden manifests") gives the command that regenerates the
+# golden files after a change that moves an output.
+foreach(var BYZBENCH SCENARIO GOLDEN_DIR OUT_DIR)
+  if(NOT DEFINED ${var})
+    message(FATAL_ERROR "check_golden.cmake: -D${var}=... is required")
+  endif()
+endforeach()
+
+file(REMOVE_RECURSE "${OUT_DIR}")
+execute_process(
+  COMMAND "${BYZBENCH}" --filter "${SCENARIO}" --scale 0.05 --jobs 1
+          --json-out "${OUT_DIR}"
+  OUTPUT_QUIET
+  RESULT_VARIABLE run_rc)
+if(NOT run_rc EQUAL 0)
+  message(FATAL_ERROR "byzbench --filter ${SCENARIO} exited ${run_rc}")
+endif()
+
+set(actual "${OUT_DIR}/BENCH_${SCENARIO}.json")
+set(golden "${GOLDEN_DIR}/BENCH_${SCENARIO}.json")
+execute_process(
+  COMMAND "${CMAKE_COMMAND}" -E compare_files "${actual}" "${golden}"
+  RESULT_VARIABLE cmp_rc)
+if(NOT cmp_rc EQUAL 0)
+  message(FATAL_ERROR
+          "${actual} differs from ${golden}: an output moved. If the change "
+          "is intended, regenerate the golden files (README.md) and commit "
+          "the diff.")
+endif()
