@@ -102,16 +102,19 @@ std::uint32_t parse_count(const byz::util::ArgParser& args,
   return static_cast<std::uint32_t>(value);
 }
 
-/// --n: H(n,d) needs n >= 3, and every id must fit below
+/// --n: H(n,d) needs n >= 3 (the churn mode's trace generator needs
+/// `lo` = dynamics::kMinTraceNodes), and every id must fit below
 /// graph::kInvalidNode. Checked as a 64-bit value, so a negative --n is
 /// rejected here instead of wrapping, and a bad size exits 2 instead of
 /// throwing inside a trial worker.
-byz::graph::NodeId parse_network_size(const byz::util::ArgParser& args) {
+byz::graph::NodeId parse_network_size(const byz::util::ArgParser& args,
+                                      std::int64_t lo = 3) {
   const std::int64_t top = byz::graph::kInvalidNode - 1;
   const std::int64_t n = args.integer("n");
-  if (n < 3 || n > top) {
-    throw std::invalid_argument("--n must be in [3, " + std::to_string(top) +
-                                "], got " + std::to_string(n));
+  if (n < lo || n > top) {
+    throw std::invalid_argument("--n must be in [" + std::to_string(lo) +
+                                ", " + std::to_string(top) + "], got " +
+                                std::to_string(n));
   }
   return static_cast<byz::graph::NodeId>(n);
 }
@@ -182,7 +185,7 @@ int run_churn_mode(const byz::util::ArgParser& args, std::uint32_t trials,
   dynamics::ChurnRunConfig cfg;
   cfg.shadow_backend = shadow;
   // Sizes are range-checked here, before any trial starts.
-  cfg.trace.n0 = parse_network_size(args);
+  cfg.trace.n0 = parse_network_size(args, dynamics::kMinTraceNodes);
   cfg.trace.epochs = parse_count(args, "epochs", 1);
   cfg.trace.arrival_rate = args.real("arrival");
   cfg.trace.departure_rate = args.real("departure");

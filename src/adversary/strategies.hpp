@@ -39,7 +39,11 @@ class Strategy {
   /// Installs adjacency-claim lies into `claims` (default: truthful).
   virtual void setup_lies(const sim::World& world, proto::ClaimSet& claims);
 
-  /// Emits token injections for the given subphase (default: none).
+  /// Appends the token injections of the given subphase to `out`
+  /// (default: none). A plan must depend only on the World and `ref`, not
+  /// on earlier calls or on how earlier subphases went: static runs draw
+  /// the plans of all the subphases they flood side by side (a phase's,
+  /// or a BRC batch's repetitions) before the flood, in subphase order.
   virtual void plan_subphase(const sim::World& world, const SubphaseRef& ref,
                              std::vector<proto::Injection>& out);
 

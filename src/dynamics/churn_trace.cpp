@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace byz::dynamics {
 
@@ -46,8 +47,9 @@ std::uint32_t poisson(util::Xoshiro256& rng, double mean) {
 }
 
 ChurnTrace generate_trace(const ChurnTraceParams& params) {
-  if (params.n0 < 4) {
-    throw std::invalid_argument("generate_trace: need n0 >= 4");
+  if (params.n0 < kMinTraceNodes) {
+    throw std::invalid_argument("generate_trace: need n0 >= " +
+                                std::to_string(kMinTraceNodes));
   }
   ChurnTrace trace;
   trace.params = params;

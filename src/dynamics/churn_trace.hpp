@@ -33,6 +33,9 @@ enum class ChurnModel : std::uint8_t {
 [[nodiscard]] const char* to_string(ChurnModel model);
 [[nodiscard]] std::vector<ChurnModel> all_churn_models();
 
+/// The smallest bootstrap membership generate_trace accepts.
+inline constexpr graph::NodeId kMinTraceNodes = 4;
+
 struct ChurnTraceParams {
   graph::NodeId n0 = 1024;        ///< bootstrap membership
   std::uint32_t epochs = 12;

@@ -1,6 +1,7 @@
 #include "protocols/brc/brc.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <optional>
 #include <stdexcept>
@@ -25,10 +26,11 @@ using graph::NodeId;
 /// their agreement (E32) is evidence, not shared randomness.
 constexpr std::uint64_t kBrcSeedStream = 0xB5C0;
 
-/// Committed color of node v for global repetition index `rep_idx`.
-Color committed_color(std::uint64_t brc_seed, NodeId v,
+/// Committed color of node v for global repetition index `rep_idx`, with
+/// `node_seed` = node_color_seed(brc_seed, v).
+Color committed_color(std::uint64_t node_seed,
                       std::uint32_t rep_idx) noexcept {
-  return color_at(brc_seed, v, rep_idx);
+  return color_at_node(node_seed, rep_idx);
 }
 
 std::uint32_t force_odd(std::uint32_t reps) {
@@ -129,15 +131,24 @@ RunResult run_brc_counting(const graph::Overlay& overlay,
   }
 
   FloodWorkspace ws;
-  std::vector<Color> gen(nb, 0);
-  std::vector<Injection> injections;
+  std::vector<Injection> planned;
   std::vector<Injection> conformant;
-  std::vector<Color> rep_max(static_cast<std::size_t>(nb) * reps, 0);
+  std::vector<std::uint32_t> lane_begin;
   std::vector<Color> med(nb, 0);
   std::vector<Color> prev_med(nb, 0);
   std::vector<std::uint8_t> prev_valid(nb, 0);
   std::vector<Color> row(reps);
   std::uint64_t global_round = 0;
+  // A static run floods up to kMaxFloodLanes repetitions of a batch in one
+  // kernel call; a live run floods one at a time, since its membership
+  // changes between the rounds of successive repetitions.
+  const std::uint32_t pass_cap = midrun == nullptr ? kMaxFloodLanes : 1;
+  // Per node, the batch's repetition maxima. A batch that fits one pass
+  // (the default 15 repetitions of a static run) leaves them in the flood
+  // workspace's lane rows; otherwise they are collected here, pass by pass.
+  const bool one_pass = reps <= pass_cap;
+  std::vector<Color> rep_max(
+      one_pass ? 0 : static_cast<std::size_t>(nb) * reps, 0);
 
   obs::RunDigester* const dg = controls.digester;
   std::uint32_t batch = 0;
@@ -161,31 +172,35 @@ RunResult run_brc_counting(const graph::Overlay& overlay,
     }
     result.subphases_scheduled += reps;
 
-    for (std::uint32_t rep = 1; rep <= reps; ++rep) {
-      obs::Span sub_span("count.subphase");
-      sub_span.arg("phase", batch).arg("j", rep);
-      obs_reps.add(1);
-      const std::uint32_t s = (batch - 1) * reps + (rep - 1);
+    for (std::uint32_t first = 1; first <= reps; first += pass_cap) {
+      // Lane l floods repetition rep = first + l, coin index s.
+      const std::uint32_t lanes = std::min(pass_cap, reps - first + 1);
+      const std::uint32_t s0 = (batch - 1) * reps + (first - 1);
 
       // Every member floods its committed color every repetition — decided
       // nodes keep generating (they are still members; stragglers and
-      // mid-run joiners need the full color mass to land in band).
-      Color member_max = 0;
+      // mid-run joiners need the full color mass to land in band). The
+      // colors are drawn straight into the lane rows.
+      ws.ensure(nb, lanes, /*step_maxima=*/false);
+      std::array<Color, kMaxFloodLanes> member_max{};
       for (NodeId v = 0; v < nb; ++v) {
         const bool member =
             (midrun == nullptr || participates[v] != 0) &&
             result.status[v] != NodeStatus::kDeparted &&
             result.status[v] != NodeStatus::kCrashed;
-        if (!member) {
-          gen[v] = 0;
-          continue;
+        if (!member) continue;
+        const bool floods = !byz_mask[v] || byz_participates;
+        const std::uint64_t node_seed = node_color_seed(brc_seed, v);
+        Color* lane_row = ws.known.data() + ws.at(v, 0);
+        for (std::uint32_t l = 0; l < lanes; ++l) {
+          const Color c = committed_color(node_seed, s0 + l);
+          // The commitment of EVERY member (including a withholding
+          // Byzantine node) caps what an adversary can claim: colluders
+          // may reveal a withheld commitment, but cannot exceed the member
+          // maximum.
+          member_max[l] = std::max(member_max[l], c);
+          if (floods) lane_row[l] = c;
         }
-        const Color c = committed_color(brc_seed, v, s);
-        // The commitment of EVERY member (including a withholding Byzantine
-        // node) caps what an adversary can claim: colluders may reveal a
-        // withheld commitment, but cannot exceed the member maximum.
-        member_max = std::max(member_max, c);
-        gen[v] = (!byz_mask[v] || byz_participates) ? c : 0;
       }
 
       // Commitment filter: an injected value is deliverable only if some
@@ -193,18 +208,24 @@ RunResult run_brc_counting(const graph::Overlay& overlay,
       // matches no commitment and is dropped at the first honest hop.
       // Inflation past the true member maximum is impossible by
       // construction; what passes the filter only pushes receivers TOWARD
-      // the global maximum they must converge to anyway.
-      injections.clear();
-      strategy.plan_subphase(world, {depth, rep, s}, injections);
+      // the global maximum they must converge to anyway. A plan depends
+      // only on the World and the repetition, so the pass's plans are
+      // drawn before its flood.
       conformant.clear();
-      for (const Injection& inj : injections) {
-        if (inj.value <= member_max) {
-          conformant.push_back(inj);
-        } else {
-          ++result.instr.injections_attempted;
-          ++result.instr.injections_caught;
-          obs_forged.add(1);
+      lane_begin.assign(1, 0);
+      for (std::uint32_t l = 0; l < lanes; ++l) {
+        planned.clear();
+        strategy.plan_subphase(world, {depth, first + l, s0 + l}, planned);
+        for (const Injection& inj : planned) {
+          if (inj.value <= member_max[l]) {
+            conformant.push_back(inj);
+          } else {
+            ++result.instr.injections_attempted;
+            ++result.instr.injections_caught;
+            obs_forged.add(1);
+          }
         }
+        lane_begin.push_back(static_cast<std::uint32_t>(conformant.size()));
       }
 
       FloodParams params;
@@ -212,25 +233,41 @@ RunResult run_brc_counting(const graph::Overlay& overlay,
       params.byz_forward = strategy.forwards_floods();
       if (midrun != nullptr) {
         params.live = midrun;
-        params.clock = {batch, rep, 1, global_round};
+        params.clock = {batch, first, 1, global_round};
       }
       if (dg != nullptr) {
-        dg->begin_subphase(rep);
+        // One lane closes its rounds into the open subphase as they end.
+        if (lanes == 1) dg->begin_subphase(first);
         params.digest = dg;
       }
-      run_flood_subphase(overlay, byz_mask, crashed, *verifier, params, gen,
-                         conformant, ws, result.instr);
-      global_round += depth;
-      ++result.subphases_executed;
+      run_flood_lanes(overlay, byz_mask, crashed, *verifier, params,
+                      conformant, lane_begin, ws, result.instr);
+      global_round += std::uint64_t{depth} * lanes;
+      result.subphases_executed += lanes;
 
-      for (NodeId v = 0; v < nb; ++v) {
-        rep_max[static_cast<std::size_t>(v) * reps + (rep - 1)] = ws.known[v];
-      }
-      if (dg != nullptr) {
-        for (NodeId v = 0; v < nb; ++v) {
-          dg->fold_subphase(obs::digest_state_term(v, ws.known[v]));
+      // Each repetition's bookkeeping, in repetition order.
+      for (std::uint32_t l = 0; l < lanes; ++l) {
+        const std::uint32_t rep = first + l;
+        obs::Span sub_span("count.subphase");
+        sub_span.arg("phase", batch).arg("j", rep);
+        obs_reps.add(1);
+        if (!one_pass) {
+          for (NodeId v = 0; v < nb; ++v) {
+            rep_max[static_cast<std::size_t>(v) * reps + (rep - 1)] =
+                ws.known[ws.at(v, l)];
+          }
         }
-        dg->close_subphase();
+        if (dg != nullptr) {
+          if (lanes > 1) {
+            dg->begin_subphase(rep);
+            replay_lane_rounds(ws, l, *dg);
+          }
+          for (NodeId v = 0; v < nb; ++v) {
+            dg->fold_subphase(
+                obs::digest_state_term(v, ws.known[ws.at(v, l)]));
+          }
+          dg->close_subphase();
+        }
       }
     }
 
@@ -246,7 +283,9 @@ RunResult run_brc_counting(const graph::Overlay& overlay,
     std::uint64_t decided_now = 0;
     for (NodeId v = 0; v < nb; ++v) {
       if (!active[v]) continue;
-      const Color* vals = rep_max.data() + static_cast<std::size_t>(v) * reps;
+      const Color* vals =
+          one_pass ? ws.known.data() + ws.at(v, 0)
+                   : rep_max.data() + static_cast<std::size_t>(v) * reps;
       std::copy(vals, vals + reps, row.begin());
       std::nth_element(row.begin(), row.begin() + reps / 2, row.end());
       med[v] = row[reps / 2];

@@ -1,5 +1,6 @@
 #include "protocols/color.hpp"
 
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 
@@ -19,8 +20,23 @@ double continue_threshold(std::uint32_t i, std::uint32_t d) {
 
 Color color_at(std::uint64_t color_seed, std::uint32_t node,
                std::uint32_t global_subphase) noexcept {
-  util::Xoshiro256 rng(
-      util::mix_seed(util::mix_seed(color_seed, node), global_subphase));
+  return color_at_node(node_color_seed(color_seed, node), global_subphase);
+}
+
+Color color_at_node(std::uint64_t node_seed,
+                    std::uint32_t global_subphase) noexcept {
+  // The color is geometric_color of Xoshiro256(seed). That generator's
+  // first output reads only its second state word, which is the second
+  // SplitMix64 output of the seed, so compute that word alone. Only an
+  // all-zero first output (probability 2^-64) needs the next outputs.
+  const std::uint64_t seed = util::mix_seed(node_seed, global_subphase);
+  std::uint64_t s1 = seed + 2 * 0x9E3779B97F4A7C15ULL;
+  s1 = (s1 ^ (s1 >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  s1 = (s1 ^ (s1 >> 27)) * 0x94D049BB133111EBULL;
+  s1 ^= s1 >> 31;
+  const std::uint64_t first = std::rotl(s1 * 5, 7) * 9;
+  if (first != 0) return static_cast<Color>(std::countr_zero(first)) + 1;
+  util::Xoshiro256 rng(seed);
   return draw_color(rng);
 }
 

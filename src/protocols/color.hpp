@@ -34,6 +34,18 @@ using Color = std::uint32_t;
 [[nodiscard]] Color color_at(std::uint64_t color_seed, std::uint32_t node,
                              std::uint32_t global_subphase) noexcept;
 
+/// The node's half of color_at's key: color_at(seed, v, s) ==
+/// color_at_node(node_color_seed(seed, v), s). A caller drawing several
+/// subphases of one node derives it once.
+[[nodiscard]] constexpr std::uint64_t node_color_seed(
+    std::uint64_t color_seed, std::uint32_t node) noexcept {
+  return util::mix_seed(color_seed, node);
+}
+
+/// color_at with the node's key precomputed (node_color_seed).
+[[nodiscard]] Color color_at_node(std::uint64_t node_seed,
+                                  std::uint32_t global_subphase) noexcept;
+
 /// Probability helpers matching Observation 4 (used by tests).
 [[nodiscard]] double prob_color_eq(std::uint32_t r);        ///< Pr[c = r]
 [[nodiscard]] double prob_color_ge(std::uint32_t r);        ///< Pr[c >= r]

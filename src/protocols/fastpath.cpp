@@ -1,6 +1,7 @@
 #include "protocols/fastpath.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <optional>
 #include <stdexcept>
@@ -133,11 +134,15 @@ RunResult run_counting_with(const graph::Overlay& overlay,
   }
 
   FloodWorkspace ws;
-  std::vector<Color> gen(nb, 0);
   std::vector<Injection> injections;
+  std::vector<std::uint32_t> lane_begin;
   std::vector<bool> fired(nb, false);
   // Global flood-round counter driving the mid-run churn schedule.
   std::uint64_t global_round = 0;
+  // A static run floods up to kMaxFloodLanes subphases of a phase in one
+  // kernel call; a live run floods one at a time, since its membership
+  // changes between the rounds of successive subphases.
+  const std::uint32_t pass_cap = midrun == nullptr ? kMaxFloodLanes : 1;
 
   obs::RunDigester* const dg = controls.digester;
   std::uint32_t phase = 0;
@@ -164,61 +169,88 @@ RunResult run_counting_with(const graph::Overlay& overlay,
     const double threshold = continue_threshold(phase, d);
     result.subphases_scheduled += subphases;
 
-    for (std::uint32_t j = 1; j <= subphases; ++j) {
-      obs::Span sub_span("count.subphase");
-      sub_span.arg("phase", phase).arg("j", j);
-      obs_subphases.add(1);
-      const std::uint32_t s =
-          global_subphase_index(phase, j, d, cfg.schedule);
-      // Colors: active honest nodes generate; decided/crashed do not;
-      // Byzantine nodes generate their honest draw only if the strategy
-      // mimics the protocol. Mid-run joiners generate only once admitted.
+    for (std::uint32_t first = 1; first <= subphases; first += pass_cap) {
+      // Lane l floods subphase j = first + l.
+      const std::uint32_t lanes = std::min(pass_cap, subphases - first + 1);
+      std::array<std::uint32_t, kMaxFloodLanes> coin_index{};
+      for (std::uint32_t l = 0; l < lanes; ++l) {
+        coin_index[l] =
+            global_subphase_index(phase, first + l, d, cfg.schedule);
+      }
+      // Colors, drawn straight into the lane rows: active honest nodes
+      // generate; decided/crashed do not; Byzantine nodes generate their
+      // honest draw only if the strategy mimics the protocol. Mid-run
+      // joiners generate only once admitted.
+      ws.ensure(nb, lanes);
       for (NodeId v = 0; v < nb; ++v) {
-        if ((active[v] || (byz_mask[v] && byz_gen)) &&
-            (midrun == nullptr || participates[v] != 0)) {
-          gen[v] = color_at(color_seed, v, s);
-        } else {
-          gen[v] = 0;
+        if (!(active[v] || (byz_mask[v] && byz_gen)) ||
+            (midrun != nullptr && participates[v] == 0)) {
+          continue;
+        }
+        const std::uint64_t node_seed = node_color_seed(color_seed, v);
+        Color* row = ws.known.data() + ws.at(v, 0);
+        for (std::uint32_t l = 0; l < lanes; ++l) {
+          row[l] = color_at_node(node_seed, coin_index[l]);
         }
       }
+      // A plan depends only on the World and the subphase, so the pass's
+      // plans are drawn before its flood.
       injections.clear();
-      strategy.plan_subphase(world, {phase, j, s}, injections);
+      lane_begin.assign(1, 0);
+      for (std::uint32_t l = 0; l < lanes; ++l) {
+        strategy.plan_subphase(world, {phase, first + l, coin_index[l]},
+                               injections);
+        lane_begin.push_back(static_cast<std::uint32_t>(injections.size()));
+      }
 
       FloodParams params;
       params.steps = phase;
       params.byz_forward = strategy.forwards_floods();
       if (midrun != nullptr) {
         params.live = midrun;
-        params.clock = {phase, j, 1, global_round};
+        params.clock = {phase, first, 1, global_round};
       }
       if (dg != nullptr) {
-        dg->begin_subphase(j);
+        // One lane closes its rounds into the open subphase as they end.
+        if (lanes == 1) dg->begin_subphase(first);
         params.digest = dg;
       }
-      run_flood_subphase(overlay, byz_mask, crashed, *verifier, params, gen,
-                         injections, ws, result.instr);
-      global_round += phase;
-      ++result.subphases_executed;
+      run_flood_lanes(overlay, byz_mask, crashed, *verifier, params,
+                      injections, lane_begin, ws, result.instr);
+      global_round += std::uint64_t{phase} * lanes;
+      result.subphases_executed += lanes;
 
-      // Line 18: the phase "continues" for v if the final-step max strictly
-      // beats every earlier step AND clears the threshold, in ANY subphase.
-      std::uint64_t unfired = 0;
-      for (NodeId v = 0; v < nb; ++v) {
-        if (!active[v] || fired[v]) continue;
-        const Color ki = ws.last_step[v];
-        if (ki > ws.best_before[v] &&
-            static_cast<double>(ki) > threshold) {
-          fired[v] = true;
-        } else {
-          ++unfired;
+      // Each subphase's bookkeeping, in subphase order.
+      for (std::uint32_t l = 0; l < lanes; ++l) {
+        const std::uint32_t j = first + l;
+        obs::Span sub_span("count.subphase");
+        sub_span.arg("phase", phase).arg("j", j);
+        obs_subphases.add(1);
+        if (dg != nullptr && lanes > 1) {
+          dg->begin_subphase(j);
+          replay_lane_rounds(ws, l, *dg);
         }
-      }
-      sub_span.arg("unfired", unfired);
-      if (dg != nullptr) {
+        // Line 18: the phase "continues" for v if the final-step max
+        // strictly beats every earlier step AND clears the threshold, in
+        // ANY subphase.
+        std::uint64_t unfired = 0;
         for (NodeId v = 0; v < nb; ++v) {
-          if (fired[v]) dg->fold_subphase(obs::digest_state_term(v, 1));
+          if (!active[v] || fired[v]) continue;
+          const Color ki = ws.last_step[ws.at(v, l)];
+          if (ki > ws.best_before[ws.at(v, l)] &&
+              static_cast<double>(ki) > threshold) {
+            fired[v] = true;
+          } else {
+            ++unfired;
+          }
         }
-        dg->close_subphase();
+        sub_span.arg("unfired", unfired);
+        if (dg != nullptr) {
+          for (NodeId v = 0; v < nb; ++v) {
+            if (fired[v]) dg->fold_subphase(obs::digest_state_term(v, 1));
+          }
+          dg->close_subphase();
+        }
       }
     }
 

@@ -1,6 +1,7 @@
 #include "protocols/flooding.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cassert>
 #include <stdexcept>
@@ -13,12 +14,35 @@ namespace byz::proto {
 
 using graph::NodeId;
 
-void FloodWorkspace::ensure(NodeId n) {
-  known.assign(n, 0);
-  fresh.assign(n, 0);
-  best_before.assign(n, 0);
-  last_step.assign(n, 0);
-  recv.assign(n, 0);
+namespace {
+
+/// Row stride for `lanes` lanes: 1, or a whole number of 128-bit vectors.
+std::uint32_t lane_stride(std::uint32_t lanes) {
+  if (lanes <= 1) return 1;
+  if (lanes <= 4) return 4;
+  return lanes <= 8 ? 8 : 16;
+}
+
+}  // namespace
+
+void FloodWorkspace::ensure(NodeId n, std::uint32_t lanes,
+                            bool step_maxima) {
+  if (lanes == 0 || lanes > kMaxFloodLanes) {
+    throw std::invalid_argument("FloodWorkspace: lanes must lie in [1, 16]");
+  }
+  lanes_ = lanes;
+  stride_ = lane_stride(lanes);
+  step_maxima_ = step_maxima;
+  const std::size_t cells = static_cast<std::size_t>(n) * stride_;
+  known.assign(cells, 0);
+  best_before.assign(step_maxima ? cells : 0, 0);
+  last_step.assign(step_maxima ? cells : 0, 0);
+  recv.assign(cells, 0);
+  if (lanes == 1) {
+    fresh.assign(n, 0);
+  } else {
+    fresh.clear();
+  }
   live_frontier.clear();
 }
 
@@ -182,53 +206,81 @@ void run_subphase_reference(const graph::Overlay& overlay,
 }
 
 // ---------------------------------------------------------------------------
-// The kernel: word-packed sets, rounds swept word by word. Bitwise-equivalent
-// to the scalar reference by construction:
+// The kernel: word-packed sets, rounds swept word by word, ws.lanes()
+// subphases side by side. Each lane is bitwise-equivalent to one call of
+// the scalar reference, by construction:
+//   * lanes share nothing but the union sets the sweeps walk. A frontier
+//     node's lane mask says which lanes it sends in; the sender sweep
+//     masks its known row down to those lanes and folds the result into
+//     each live receiver's recv row with a lane-wise max, which is the
+//     per-lane fold since 0 is below every color. The receiver tests
+//     (crashed, alive, Byzantine) depend on no lane. Lane l's injections
+//     fold into lane l only. The close sweep treats each lane of a
+//     touched node alone: a lane was touched iff its recv value is
+//     nonzero, so untouched lanes fold max(.., 0) and leave the rows as
+//     they were;
 //   * conformant frontier sends always satisfy c == legit_fresh (step 1:
-//     c = known = gen_color; later steps: frontier membership implies
-//     fresh == t-1, so legit = known = c) and c > 0 (step 1 sends only
-//     positive generated colors; later a node joins the frontier only when
-//     its max strictly grew). On that path accept() always returns true
-//     and only adds |B_H(u, min(t, k-1))| round trips per honest receiver,
-//     so the sweep calls no accept(): it counts each sender's honest
-//     receivers and books them in one Verifier::book_conformant call (a
-//     debug assert re-checks c == legit_fresh). The few Byzantine
-//     injections — whose accept() outcome feeds the injection counters —
-//     are delivered after the sweep, one accept() per honest receiver as
-//     in the reference, and fold nothing when their value is 0;
+//     c = known = the generated color; later steps: frontier membership
+//     in a lane means known grew there in the previous step, so legit =
+//     known = c) and c > 0 (step 1 sends only positive generated colors;
+//     later a node joins a lane's frontier only when that lane's max
+//     strictly grew). On that path accept() always returns true and only
+//     adds |B_H(u, min(t, k-1))| round trips per honest receiver, so the
+//     sweep calls no accept(): it counts each sender's honest receivers
+//     once and books receivers × sending lanes in one
+//     Verifier::book_conformant call. Tokens are degree × sending lanes.
+//     The few Byzantine injections — whose accept() outcome feeds the
+//     injection counters — are delivered after the sweep, one accept()
+//     per honest receiver as in the reference, and fold nothing when their
+//     value is 0. Their legit_fresh is the reference's: known in the
+//     injector's lane if it is on that lane's frontier (it sends at this
+//     step), else 0;
 //   * receive folding is a commutative max, and the touched set is "v
 //     received a nonzero accepted color this step", which is exactly the
 //     reference's set of 0 -> c transitions, so a plain max and an
 //     unconditional touched-bit OR reproduce it;
 //   * receivers are tested against two word-packed sets built by the
 //     step-1 sweep from the run's inputs — can-receive (not crashed) and
-//     Byzantine. Under live hooks the kernel reads MidRunHooks::alive_set()
-//     once per round, after begin_round has applied the round's events:
-//     it ANDs those words into the frontier words, so a departed sender is
-//     skipped as the reference's present(u) skips it, and forms the round's
-//     receiver set can-receive AND alive, the reference's
-//     `crashed[v] || !present(v)` test in packed form. Injections test the
-//     same two sets;
+//     Byzantine. Under live hooks (one lane) the kernel reads
+//     MidRunHooks::alive_set() once per round, after begin_round has
+//     applied the round's events: it ANDs those words into the frontier
+//     words, so a departed sender is skipped as the reference's present(u)
+//     skips it, and forms the round's receiver set can-receive AND alive,
+//     the reference's `crashed[v] || !present(v)` test in packed form.
+//     Injections test the same two sets. Crashed nodes are never
+//     receivers, so they are never touched and never rejoin a frontier;
 //   * the round digest is a commutative XOR fold, so the kernel's
 //     ascending-id fold order gives the reference's value whatever order
-//     its frontier and touched lists hold;
-//   * the close sweep writes best_before/last_step/known/fresh and the
+//     its frontier and touched lists hold. Each lane's fold and token
+//     count are kept apart, and replayed in lane order they give the
+//     trail of one call per lane;
+//   * the close sweep writes best_before/last_step/known and the
 //     next-frontier word word-by-word, and every observable downstream of
 //     frontier ITERATION ORDER is order-insensitive (the live wavefront is
 //     explicitly canonical, and counters/digests commute), so
 //     ascending-bitset order matches the reference's vectors bit for bit.
+// Live runs get one lane because begin_round changes membership between
+// the rounds of one subphase and the next, which a side-by-side sweep
+// would apply to every lane at once.
 // ---------------------------------------------------------------------------
 
-void run_subphase_kernel(const graph::Overlay& overlay,
-                         const std::vector<bool>& byz_mask,
-                         const std::vector<bool>& crashed,
-                         const Verifier& verifier, const FloodParams& params,
-                         std::span<const Color> gen_color,
-                         std::span<const Injection> injections,
-                         FloodWorkspace& ws, sim::Instrumentation& instr) {
+template <std::uint32_t W>
+void run_lanes_kernel(const graph::Overlay& overlay,
+                      const std::vector<bool>& byz_mask,
+                      const std::vector<bool>& crashed,
+                      const Verifier& verifier, const FloodParams& params,
+                      std::span<const Injection> injections,
+                      std::span<const std::uint32_t> lane_begin,
+                      FloodWorkspace& ws, sim::Instrumentation& instr) {
   const MidRunHooks* live = params.live;
   const NodeId n = live ? live->node_bound() : overlay.num_nodes();
   const auto& h = overlay.h_simple();
+  const std::uint32_t lanes = ws.lanes();
+  const std::uint32_t steps = params.steps;
+  obs::RunDigester* const dg = params.digest;
+  // A one-lane call closes its rounds into the digester inline; a fused
+  // call keeps them per lane for replay_lane_rounds.
+  const bool record = dg != nullptr && lanes > 1;
 
   using Word = util::Bitset::Word;
   constexpr std::size_t kWordBits = util::Bitset::kWordBits;
@@ -238,17 +290,24 @@ void run_subphase_kernel(const graph::Overlay& overlay,
   ws.can_receive_bits.assign(n);
   ws.byz_bits.assign(n);
   if (live != nullptr) ws.live_receive_bits.assign(n);
+  if constexpr (W > 1) {
+    ws.frontier_lanes.resize(n);
+    ws.next_frontier_lanes.resize(n);
+  }
+  const std::size_t records = record ? std::size_t{lanes} * steps : 0;
+  ws.round_folds.assign(records, 0);
+  ws.round_tokens.assign(records, 0);
   const util::Bitset& can_receive = ws.can_receive_bits;
   const util::Bitset& byz = ws.byz_bits;
   const std::size_t num_words = ws.frontier_bits.num_words();
+  Color* const known = ws.known.data();
+  Color* const recv = ws.recv.data();
+  Color* const best_before = ws.best_before.data();
+  Color* const last_step = ws.last_step.data();
 
-  const auto fold = [&](NodeId v, Color c) {
-    ws.recv[v] = std::max(ws.recv[v], c);
-    ws.touched_bits.set(v);
-  };
-
-  // Step 1 senders: each word of the frontier and of the can-receive and
-  // Byzantine sets is built locally and stored exactly once.
+  // Step 1 senders: each node sends in the lanes where it generated a
+  // color. Each word of the frontier and of the can-receive and Byzantine
+  // sets is built locally and stored exactly once.
   {
     Word* fw = ws.frontier_bits.words();
     Word* rw = ws.can_receive_bits.words();
@@ -263,10 +322,21 @@ void run_subphase_kernel(const graph::Overlay& overlay,
       for (NodeId v = base; v < end; ++v) {
         const Word bit = Word{1} << (v - base);
         if (byz_mask[v]) b |= bit;
-        ws.known[v] = gen_color[v];
         if (crashed[v]) continue;
         r |= bit;
-        if (gen_color[v] > 0) f |= bit;
+        if constexpr (W == 1) {
+          if (known[v] > 0) f |= bit;
+        } else {
+          const Color* row = known + static_cast<std::size_t>(v) * W;
+          unsigned m = 0;
+          for (std::uint32_t l = 0; l < W; ++l) {
+            m |= (row[l] > 0 ? 1u : 0u) << l;
+          }
+          if (m != 0) {
+            f |= bit;
+            ws.frontier_lanes[v] = static_cast<LaneMask>(m);
+          }
+        }
       }
       fw[wi] = f;
       rw[wi] = r;
@@ -274,12 +344,17 @@ void run_subphase_kernel(const graph::Overlay& overlay,
     }
   }
 
-  for (std::uint32_t t = 1; t <= params.steps; ++t) {
+  for (std::uint32_t t = 1; t <= steps; ++t) {
     const std::size_t frontier_count = ws.frontier_bits.count();
     obs::Span round_span("flood.round");
-    round_span.arg("step", t).arg("frontier", frontier_count);
+    round_span.arg("step", t).arg("frontier", frontier_count).arg("lanes",
+                                                                  lanes);
     frontier_histogram().observe(frontier_count);
     const std::uint64_t round_tokens_before = instr.token_messages;
+    // Per-lane round digest folds and token counts (kept only with a
+    // digester attached).
+    std::array<std::uint64_t, W> lane_fold{};
+    std::array<std::uint64_t, W> lane_tokens{};
     // Presence after this round's events (null on the static path).
     const util::Bitset* alive = nullptr;
     if (live != nullptr) {
@@ -308,7 +383,8 @@ void run_subphase_kernel(const graph::Overlay& overlay,
     const util::Bitset& receivers =
         alive != nullptr ? ws.live_receive_bits : can_receive;
 
-    // Sender sweep over frontier words.
+    // Sender sweep over the union frontier's words: one adjacency read per
+    // sender for all the lanes it sends in.
     {
       const Word* fw = ws.frontier_bits.words();
       for (std::size_t wi = 0; wi < num_words; ++wi) {
@@ -320,48 +396,75 @@ void run_subphase_kernel(const graph::Overlay& overlay,
           w &= w - 1;
           if (!params.byz_forward && byz.test(u)) continue;
           const auto nbrs = live ? live->neighbors(u) : h.neighbors(u);
-          instr.count_token(nbrs.size());
+          const unsigned m = W == 1 ? 1u : ws.frontier_lanes[u];
+          const auto sending = static_cast<std::uint64_t>(std::popcount(m));
+          instr.count_token(nbrs.size() * sending);
           instr.max_node_round_sends =
               std::max<std::uint64_t>(instr.max_node_round_sends, nbrs.size());
-          const Color c = ws.known[u];
-          // c == legit_fresh, spelled out for c = known[u].
-          assert(c > 0 && (t == 1 ? c == gen_color[u] : ws.fresh[u] == t - 1));
-          if (params.digest != nullptr) {
-            params.digest->fold_round(obs::digest_sender_term(u, c));
+          const Color* krow = known + static_cast<std::size_t>(u) * W;
+          std::array<Color, W> send;
+          for (std::uint32_t l = 0; l < W; ++l) {
+            send[l] = (m >> l) & 1u ? krow[l] : 0;
+          }
+          // c == legit_fresh in every sending lane (see the proof above);
+          // at one lane, known grew in the previous step.
+          assert(W > 1 || t == 1 || ws.fresh[u] == t - 1);
+          if (dg != nullptr) {
+            for (unsigned lm = m; lm != 0; lm &= lm - 1) {
+              const auto l = static_cast<std::uint32_t>(std::countr_zero(lm));
+              assert(send[l] > 0);
+              lane_fold[l] ^= obs::digest_sender_term(u, send[l]);
+              lane_tokens[l] += nbrs.size();
+            }
           }
           std::uint64_t audited = 0;
           for (const NodeId v : nbrs) {
             if (!receivers.test(v)) continue;
             audited += byz.test(v) ? 0 : 1;
-            fold(v, c);
+            Color* rrow = recv + static_cast<std::size_t>(v) * W;
+            for (std::uint32_t l = 0; l < W; ++l) {
+              rrow[l] = std::max(rrow[l], send[l]);
+            }
+            ws.touched_bits.set(v);
           }
-          verifier.book_conformant(u, t, audited, instr);
+          verifier.book_conformant(u, t, audited * sending, instr);
         }
       }
     }
 
-    // Byzantine injections: few, and their accept() outcome feeds the
-    // injection counters (the max fold commutes with the sweep's and with
-    // other injections).
-    for (const auto& inj : injections) {
-      if (inj.step != t || crashed[inj.from]) continue;
-      if (alive != nullptr && !alive->test(inj.from)) continue;
-      const auto nbrs =
-          live ? live->neighbors(inj.from) : h.neighbors(inj.from);
-      instr.count_token(nbrs.size());
-      instr.max_node_round_sends =
-          std::max<std::uint64_t>(instr.max_node_round_sends, nbrs.size());
-      const Color legit =
-          (t == 1) ? gen_color[inj.from]
-                   : ((ws.fresh[inj.from] == t - 1) ? ws.known[inj.from] : 0);
-      const bool from_byz = byz_mask[inj.from];
-      for (const NodeId v : nbrs) {
-        if (!receivers.test(v)) continue;
-        // Byzantine receivers absorb the token unaudited.
-        const bool accepted =
-            byz.test(v) ||
-            verifier.accept(inj.from, inj.value, t, legit, from_byz, instr);
-        if (accepted && inj.value > 0) fold(v, inj.value);
+    // Byzantine injections, lane by lane: few, and their accept() outcome
+    // feeds the injection counters (the max fold commutes with the sweep's
+    // and with other injections).
+    for (std::uint32_t l = 0; l < lanes; ++l) {
+      for (std::uint32_t i = lane_begin[l]; i < lane_begin[l + 1]; ++i) {
+        const Injection& inj = injections[i];
+        if (inj.step != t || crashed[inj.from]) continue;
+        if (alive != nullptr && !alive->test(inj.from)) continue;
+        const auto nbrs =
+            live ? live->neighbors(inj.from) : h.neighbors(inj.from);
+        instr.count_token(nbrs.size());
+        instr.max_node_round_sends =
+            std::max<std::uint64_t>(instr.max_node_round_sends, nbrs.size());
+        lane_tokens[l] += nbrs.size();
+        const bool on_frontier =
+            ws.frontier_bits.test(inj.from) &&
+            (W == 1 || ((ws.frontier_lanes[inj.from] >> l) & 1u) != 0);
+        const Color legit =
+            on_frontier ? known[static_cast<std::size_t>(inj.from) * W + l]
+                        : 0;
+        const bool from_byz = byz_mask[inj.from];
+        for (const NodeId v : nbrs) {
+          if (!receivers.test(v)) continue;
+          // Byzantine receivers absorb the token unaudited.
+          const bool accepted =
+              byz.test(v) ||
+              verifier.accept(inj.from, inj.value, t, legit, from_byz, instr);
+          if (accepted && inj.value > 0) {
+            Color& r = recv[static_cast<std::size_t>(v) * W + l];
+            r = std::max(r, inj.value);
+            ws.touched_bits.set(v);
+          }
+        }
       }
     }
 
@@ -369,6 +472,8 @@ void run_subphase_kernel(const graph::Overlay& overlay,
     // frontier (0 when nothing was touched) and is re-zeroed for the next
     // step.
     {
+      const bool last = t == steps;
+      const bool step_maxima = ws.step_maxima();
       Word* tw_words = ws.touched_bits.words();
       Word* nf_words = ws.next_frontier_bits.words();
       for (std::size_t wi = 0; wi < num_words; ++wi) {
@@ -379,20 +484,38 @@ void run_subphase_kernel(const graph::Overlay& overlay,
               static_cast<std::size_t>(std::countr_zero(tw));
           tw &= tw - 1;
           const NodeId v = static_cast<NodeId>(wi * kWordBits + bit);
-          const Color r = ws.recv[v];
-          ws.recv[v] = 0;
-          if (params.digest != nullptr) {
-            params.digest->fold_round(obs::digest_receiver_term(v, r));
+          const std::size_t row = static_cast<std::size_t>(v) * W;
+          std::array<Color, W> r;
+          unsigned improved = 0;
+          for (std::uint32_t l = 0; l < W; ++l) {
+            r[l] = recv[row + l];
+            recv[row + l] = 0;
+            improved |= (r[l] > known[row + l] ? 1u : 0u) << l;
           }
-          if (t < params.steps) {
-            ws.best_before[v] = std::max(ws.best_before[v], r);
-          } else {
-            ws.last_step[v] = r;
+          if (step_maxima && last) {
+            for (std::uint32_t l = 0; l < W; ++l) last_step[row + l] = r[l];
+          } else if (step_maxima) {
+            for (std::uint32_t l = 0; l < W; ++l) {
+              best_before[row + l] = std::max(best_before[row + l], r[l]);
+            }
           }
-          if (r > ws.known[v]) {
-            ws.known[v] = r;
-            ws.fresh[v] = t;
-            if (!crashed[v]) next_w |= Word{1} << bit;
+          if (dg != nullptr) {
+            for (std::uint32_t l = 0; l < lanes; ++l) {
+              if (r[l] != 0) {
+                lane_fold[l] ^= obs::digest_receiver_term(v, r[l]);
+              }
+            }
+          }
+          if (improved != 0) {
+            for (std::uint32_t l = 0; l < W; ++l) {
+              known[row + l] = std::max(known[row + l], r[l]);
+            }
+            next_w |= Word{1} << bit;
+            if constexpr (W == 1) {
+              ws.fresh[v] = t;
+            } else {
+              ws.next_frontier_lanes[v] = static_cast<LaneMask>(improved);
+            }
           }
         }
         nf_words[wi] = next_w;
@@ -401,53 +524,106 @@ void run_subphase_kernel(const graph::Overlay& overlay,
     }
 
     std::swap(ws.frontier_bits, ws.next_frontier_bits);
-    if (params.digest != nullptr) {
-      params.digest->close_round(instr.token_messages - round_tokens_before);
+    if constexpr (W > 1) std::swap(ws.frontier_lanes, ws.next_frontier_lanes);
+    if (record) {
+      for (std::uint32_t l = 0; l < lanes; ++l) {
+        const std::size_t at = static_cast<std::size_t>(l) * steps + (t - 1);
+        ws.round_folds[at] = lane_fold[l];
+        ws.round_tokens[at] = lane_tokens[l];
+      }
+    } else if (dg != nullptr) {
+      dg->fold_round(lane_fold[0]);
+      dg->close_round(lane_tokens[0]);
     }
     round_span.arg("tokens", instr.token_messages - round_tokens_before);
   }
 }
 
-using SubphaseBody = decltype(&run_flood_subphase);
-
-/// The contract both implementations share: argument checks, workspace
-/// reset, observability, and the subphase's round count.
-void run_checked(SubphaseBody body, const graph::Overlay& overlay,
-                 const std::vector<bool>& byz_mask,
-                 const std::vector<bool>& crashed, const Verifier& verifier,
-                 const FloodParams& params, std::span<const Color> gen_color,
-                 std::span<const Injection> injections, FloodWorkspace& ws,
-                 sim::Instrumentation& instr) {
+/// Argument checks every entry shares: the generated colors fill
+/// `color_cells` cells of rows `stride` wide, one row per node. Returns
+/// the run's id bound.
+NodeId check_inputs(const graph::Overlay& overlay,
+                    const std::vector<bool>& byz_mask,
+                    const std::vector<bool>& crashed,
+                    const FloodParams& params, std::size_t color_cells,
+                    std::uint32_t stride) {
   const MidRunHooks* live = params.live;
   const NodeId n = live ? live->node_bound() : overlay.num_nodes();
-  if (gen_color.size() != n || byz_mask.size() != n || crashed.size() != n) {
+  if (color_cells != std::size_t{n} * stride || byz_mask.size() != n ||
+      crashed.size() != n) {
     throw std::invalid_argument("run_flood_subphase: size mismatch");
   }
   if (live != nullptr && live->alive_set().size() != n) {
     throw std::invalid_argument(
         "run_flood_subphase: alive_set size != node_bound");
   }
-  ws.ensure(n);
+  return n;
+}
 
-  // Observability (pure read-side; inert unless obs::set_enabled). The
-  // subphase span carries the flood geometry; each round span carries the
-  // frontier it sent from and the token volume the sends produced.
+/// The observability every entry shares: one flood.subphase span around
+/// the call (pure read-side; inert unless obs::set_enabled), the flood
+/// counters, and the call's round count, steps × lanes.
+template <typename Body>
+void observed(const FloodParams& params, std::uint32_t lanes,
+              sim::Instrumentation& instr, Body&& body) {
   static const obs::Counter obs_rounds("flood.rounds");
   static const obs::Counter obs_tokens("flood.tokens");
   obs::Span subphase_span("flood.subphase");
-  subphase_span.arg("steps", params.steps);
-  const std::uint64_t subphase_tokens_before = instr.token_messages;
+  subphase_span.arg("steps", params.steps).arg("lanes", lanes);
+  const std::uint64_t tokens_before = instr.token_messages;
 
-  body(overlay, byz_mask, crashed, verifier, params, gen_color, injections, ws,
-       instr);
+  body();
 
-  instr.flood_rounds += params.steps;
-  obs_rounds.add(params.steps);
-  obs_tokens.add(instr.token_messages - subphase_tokens_before);
-  subphase_span.arg("tokens", instr.token_messages - subphase_tokens_before);
+  const std::uint64_t rounds = std::uint64_t{params.steps} * lanes;
+  instr.flood_rounds += rounds;
+  obs_rounds.add(rounds);
+  obs_tokens.add(instr.token_messages - tokens_before);
+  subphase_span.arg("tokens", instr.token_messages - tokens_before);
 }
 
 }  // namespace
+
+void run_flood_lanes(const graph::Overlay& overlay,
+                     const std::vector<bool>& byz_mask,
+                     const std::vector<bool>& crashed,
+                     const Verifier& verifier, const FloodParams& params,
+                     std::span<const Injection> injections,
+                     std::span<const std::uint32_t> lane_begin,
+                     FloodWorkspace& ws, sim::Instrumentation& instr) {
+  const std::uint32_t lanes = ws.lanes();
+  check_inputs(overlay, byz_mask, crashed, params, ws.known.size(),
+               ws.stride());
+  if (lane_begin.size() != lanes + std::size_t{1} || lane_begin.front() != 0 ||
+      lane_begin.back() != injections.size() ||
+      !std::is_sorted(lane_begin.begin(), lane_begin.end())) {
+    throw std::invalid_argument(
+        "run_flood_lanes: lane_begin must split the injections by lane");
+  }
+  if (params.live != nullptr && lanes > 1) {
+    throw std::invalid_argument("run_flood_lanes: live hooks need one lane");
+  }
+  const auto kernel = [&] {
+    switch (ws.stride()) {
+      case 1: return &run_lanes_kernel<1>;
+      case 4: return &run_lanes_kernel<4>;
+      case 8: return &run_lanes_kernel<8>;
+      default: return &run_lanes_kernel<16>;
+    }
+  }();
+  observed(params, lanes, instr, [&] {
+    kernel(overlay, byz_mask, crashed, verifier, params, injections,
+           lane_begin, ws, instr);
+  });
+}
+
+void replay_lane_rounds(const FloodWorkspace& ws, std::uint32_t lane,
+                        obs::RunDigester& digester) {
+  const std::size_t steps = ws.round_folds.size() / ws.lanes();
+  for (std::size_t t = 0; t < steps; ++t) {
+    digester.fold_round(ws.round_folds[lane * steps + t]);
+    digester.close_round(ws.round_tokens[lane * steps + t]);
+  }
+}
 
 void run_flood_subphase(const graph::Overlay& overlay,
                         const std::vector<bool>& byz_mask,
@@ -456,8 +632,13 @@ void run_flood_subphase(const graph::Overlay& overlay,
                         std::span<const Color> gen_color,
                         std::span<const Injection> injections,
                         FloodWorkspace& ws, sim::Instrumentation& instr) {
-  run_checked(&run_subphase_kernel, overlay, byz_mask, crashed, verifier,
-              params, gen_color, injections, ws, instr);
+  ws.ensure(
+      check_inputs(overlay, byz_mask, crashed, params, gen_color.size(), 1));
+  std::copy(gen_color.begin(), gen_color.end(), ws.known.begin());
+  const std::array<std::uint32_t, 2> lane_begin = {
+      0, static_cast<std::uint32_t>(injections.size())};
+  run_flood_lanes(overlay, byz_mask, crashed, verifier, params, injections,
+                  lane_begin, ws, instr);
 }
 
 void run_flood_subphase_reference(
@@ -466,8 +647,12 @@ void run_flood_subphase_reference(
     const FloodParams& params, std::span<const Color> gen_color,
     std::span<const Injection> injections, FloodWorkspace& ws,
     sim::Instrumentation& instr) {
-  run_checked(&run_subphase_reference, overlay, byz_mask, crashed, verifier,
-              params, gen_color, injections, ws, instr);
+  ws.ensure(
+      check_inputs(overlay, byz_mask, crashed, params, gen_color.size(), 1));
+  observed(params, 1, instr, [&] {
+    run_subphase_reference(overlay, byz_mask, crashed, verifier, params,
+                           gen_color, injections, ws, instr);
+  });
 }
 
 }  // namespace byz::proto

@@ -58,6 +58,63 @@ TEST(ColorAt, FollowsGeometricLaw) {
   EXPECT_NEAR(ones, kCells / 2, 1500);
 }
 
+/// color_at's body before it computed only the generator word its first
+/// output reads: seed a full Xoshiro256 and draw.
+Color full_generator_color(std::uint64_t color_seed, std::uint32_t node,
+                           std::uint32_t global_subphase) {
+  util::Xoshiro256 rng(
+      util::mix_seed(util::mix_seed(color_seed, node), global_subphase));
+  return util::geometric_color(rng);
+}
+
+TEST(ColorAt, MatchesTheFullGenerator) {
+  util::Xoshiro256 rng(0xC0102);
+  std::uint64_t mismatches = 0;
+  constexpr int kTriples = 1'200'000;
+  for (int i = 0; i < kTriples; ++i) {
+    const std::uint64_t seed = rng();
+    const auto node = static_cast<std::uint32_t>(rng() >> 40);
+    const auto s = static_cast<std::uint32_t>(rng() % 4096);
+    const Color want = full_generator_color(seed, node, s);
+    mismatches += color_at(seed, node, s) != want ? 1 : 0;
+    mismatches +=
+        color_at_node(node_color_seed(seed, node), s) != want ? 1 : 0;
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+/// Inverse of SplitMix64's output finalizer.
+std::uint64_t unfinalize(std::uint64_t y) {
+  const auto inverse = [](std::uint64_t c) {
+    std::uint64_t x = c;  // Newton: each step doubles the correct low bits
+    for (int i = 0; i < 5; ++i) x *= 2 - c * x;
+    return x;
+  };
+  y ^= (y >> 31) ^ (y >> 62);
+  y *= inverse(0x94D049BB133111EBULL);
+  y ^= (y >> 27) ^ (y >> 54);
+  y *= inverse(0xBF58476D1CE4E5B9ULL);
+  y ^= (y >> 30) ^ (y >> 60);
+  return y;
+}
+
+TEST(ColorAt, ZeroFirstOutputFallsBackToTheFullGenerator) {
+  // Xoshiro256's first output is 0 iff its second state word is, i.e. iff
+  // its seed is -2γ (γ = SplitMix64's increment). Solve mix_seed(a, s) for
+  // that seed, so the draw takes the 2^-64 branch.
+  constexpr std::uint64_t kGamma = 0x9E3779B97F4A7C15ULL;
+  const std::uint64_t target = 0 - 2 * kGamma;
+  const std::uint32_t s = 5;
+  const std::uint64_t b = s;
+  const std::uint64_t node_seed =
+      (unfinalize(target ^ b) - 2 * kGamma) ^ (kGamma + (b << 6) + (b >> 2));
+  ASSERT_EQ(util::mix_seed(node_seed, s), target);
+  util::Xoshiro256 rng(target);
+  const Color want = util::geometric_color(rng);
+  EXPECT_GT(want, 64u) << "the first output was not zero";
+  EXPECT_EQ(color_at_node(node_seed, s), want);
+}
+
 TEST(Probabilities, Observation4) {
   EXPECT_DOUBLE_EQ(prob_color_eq(1), 0.5);
   EXPECT_DOUBLE_EQ(prob_color_eq(3), 0.125);

@@ -6,10 +6,12 @@
 #include <cmath>
 #include <memory>
 #include <stdexcept>
+#include <string>
 
 #include "adversary/strategies.hpp"
 #include "graph/categories.hpp"
 #include "graph/small_world.hpp"
+#include "obs/digest.hpp"
 #include "protocols/brc/brc.hpp"
 #include "protocols/estimate.hpp"
 #include "sim/runner.hpp"
@@ -166,6 +168,100 @@ TEST(BrcEstimator, CommitmentFilterNeutralizesFakeColors) {
   EXPECT_EQ(attacked.instr.injections_accepted, 0u);
   EXPECT_EQ(attacked.instr.injections_caught,
             attacked.instr.injections_attempted);
+}
+
+/// Live-topology hooks that change nothing: every node is present all
+/// run, neighbors are the overlay's, and every phase gets one Verifier. A
+/// run through them floods one repetition at a time.
+class PassThroughHooks final : public MidRunHooks {
+ public:
+  PassThroughHooks(const graph::Overlay& overlay, const Verifier& verifier)
+      : overlay_(overlay), verifier_(verifier), alive_(overlay.num_nodes()) {
+    for (graph::NodeId v = 0; v < overlay.num_nodes(); ++v) alive_.set(v);
+  }
+  [[nodiscard]] graph::NodeId node_bound() const override {
+    return overlay_.num_nodes();
+  }
+  [[nodiscard]] const util::Bitset& alive_set() const override {
+    return alive_;
+  }
+  [[nodiscard]] bool departed(graph::NodeId /*v*/) const override {
+    return false;
+  }
+  [[nodiscard]] std::span<const graph::NodeId> neighbors(
+      graph::NodeId v) const override {
+    return overlay_.h_simple().neighbors(v);
+  }
+  void begin_round(const RoundClock& /*clock*/,
+                   std::span<const graph::NodeId> /*frontier*/) override {}
+  [[nodiscard]] const Verifier* begin_phase(
+      std::uint32_t /*phase*/,
+      std::vector<graph::NodeId>& /*admitted*/) override {
+    return &verifier_;
+  }
+
+ private:
+  const graph::Overlay& overlay_;
+  const Verifier& verifier_;
+  util::Bitset alive_;
+};
+
+TEST(BrcEstimator, FusedRepetitionsMatchOneAtATime) {
+  // A static run floods a batch's repetitions side by side: 15 in one
+  // pass, whose medians are read off the lane rows, or 17 in two passes.
+  // A run through pass-through live hooks floods them one at a time.
+  // Outcomes, counters and digest trails must agree, with injections
+  // that pass the commitment filter (the probe's small value), forged
+  // ones it drops, and suppression.
+  const graph::NodeId n = 700;
+  const auto overlay = make_overlay(n, 6, 0xB4C7);
+  const auto byz = make_byz(n, 0.7, 0xB4C7);
+  VerificationConfig vcfg;
+  vcfg.enabled = false;
+  const Verifier verifier(*overlay, byz, vcfg);
+  const auto strategy = [](int which) -> std::unique_ptr<adv::Strategy> {
+    if (which == 0) return std::make_unique<adv::InjectionProbe>(2, 3);
+    return adv::make_strategy(which == 1 ? adv::StrategyKind::kFakeColor
+                                         : adv::StrategyKind::kSuppress);
+  };
+  for (const std::uint32_t reps : {15u, 17u}) {
+    for (int which = 0; which < 3; ++which) {
+      SCOPED_TRACE("reps=" + std::to_string(reps) +
+                   " strategy=" + std::to_string(which));
+      BrcConfig cfg;
+      cfg.reps_per_batch = reps;
+      obs::RunDigester fused_digest;
+      RunControls fused_controls;
+      fused_controls.digester = &fused_digest;
+      const auto fused_strategy = strategy(which);
+      const RunResult fused = run_brc_counting(
+          *overlay, byz, *fused_strategy, cfg, 0xB4C7, fused_controls);
+
+      PassThroughHooks hooks(*overlay, verifier);
+      obs::RunDigester single_digest;
+      RunControls single_controls;
+      single_controls.midrun = &hooks;
+      single_controls.digester = &single_digest;
+      const auto single_strategy = strategy(which);
+      const RunResult single = run_brc_counting(
+          *overlay, byz, *single_strategy, cfg, 0xB4C7, single_controls);
+
+      EXPECT_GT(fused.phases_executed, 1u);
+      EXPECT_EQ(fused.status, single.status);
+      EXPECT_EQ(fused.estimate, single.estimate);
+      EXPECT_EQ(fused.instr, single.instr);
+      EXPECT_EQ(fused.phases_executed, single.phases_executed);
+      EXPECT_EQ(fused.subphases_executed, single.subphases_executed);
+      if (which == 0) {
+        EXPECT_GT(fused.instr.injections_attempted, 0u);
+      }
+      const auto div = obs::first_divergence(fused_digest.trail(),
+                                             single_digest.trail());
+      EXPECT_FALSE(div.diverged())
+          << "level=" << obs::to_string(div.level) << " phase=" << div.phase
+          << " subphase=" << div.subphase << " round=" << div.round;
+    }
+  }
 }
 
 TEST(BrcEstimator, MaxBatchesCapReportsUndecided) {

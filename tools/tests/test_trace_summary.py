@@ -147,6 +147,28 @@ class RollupTest(unittest.TestCase):
         # The orphan round (outside every phase) is attributed nowhere.
         self.assertEqual(sum(r["rounds"] for r in rows), 3)
 
+    def test_fused_rounds_count_once_per_lane(self):
+        # A fused kernel call floods three subphases of phase 4 side by
+        # side: each flood.round span is one step of all three, and the
+        # count.subphase spans follow the flood. The table must read as
+        # three one-lane calls would: 2 steps x 3 lanes rounds, 3
+        # subphases, and the summed tokens.
+        spans = [span("count.phase", 0, 1000, args={"phase": 4}),
+                 span("flood.round", 10, 50, args={"lanes": 3,
+                                                   "tokens": 90}),
+                 span("flood.round", 70, 50, args={"lanes": 3,
+                                                   "tokens": 30}),
+                 span("count.subphase", 130, 5, args={"j": 1}),
+                 span("count.subphase", 140, 5, args={"j": 2}),
+                 span("count.subphase", 150, 5, args={"j": 3}),
+                 span("flood.round", 200, 20, args={"lanes": 1,
+                                                    "tokens": 8})]
+        rows = trace_summary.per_phase_table(spans)
+        self.assertEqual(len(rows), 1)
+        self.assertEqual(rows[0]["rounds"], 7)
+        self.assertEqual(rows[0]["subphases"], 3)
+        self.assertEqual(rows[0]["tokens"], 128)
+
     def test_cross_thread_spans_not_attributed(self):
         spans = [span("count.phase", 0, 1000, tid=1, args={"phase": 5}),
                  span("flood.round", 100, 10, tid=2, args={"tokens": 1})]

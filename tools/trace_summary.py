@@ -16,6 +16,9 @@ Validates the document shape produced by `byzbench --trace-out` /
     (the cold path has no populated RoundClock), so attribution is by
     time-interval containment: a flood.round belongs to the count.phase /
     engine.phase span on the same thread whose [ts, ts+dur] encloses it.
+    One flood.round span covers one step of every subphase its kernel
+    call floods side by side (its `lanes` arg, 1 when absent), so it
+    counts as that many rounds; its `tokens` arg is already their sum.
 
 Exits nonzero on malformed input (unreadable file, not a trace-event
 document, events missing required keys) AND on dropped spans — a nonzero
@@ -157,8 +160,9 @@ def per_phase_table(spans):
                 continue
             entry = stats[int(phase)]
             if span["name"] in ROUND_SPANS:
-                entry["rounds"] += 1
-                entry["tokens"] += int(span.get("args", {}).get("tokens", 0))
+                args = span.get("args", {})
+                entry["rounds"] += int(args.get("lanes", 1))
+                entry["tokens"] += int(args.get("tokens", 0))
             else:
                 entry["subphases"] += 1
     rows = []
