@@ -75,6 +75,14 @@ std::shared_ptr<const graph::Overlay> OverlayCache::get(graph::NodeId n,
 
 void OverlayCache::evict_locked(const Key& incoming) {
   if (max_bytes_ == 0) return;
+  // An overlay grows when a reader first builds its G, so re-read every
+  // built entry's size.
+  for (auto& [key, entry] : entries_) {
+    if (entry.bytes == 0) continue;  // still building
+    const std::uint64_t now = entry.overlay.get()->memory_bytes();
+    resident_bytes_ += now - entry.bytes;
+    entry.bytes = now;
+  }
   while (resident_bytes_ > max_bytes_ && lru_.size() > 1) {
     const auto victim_pos = std::prev(lru_.end());
     if (*victim_pos == incoming) break;

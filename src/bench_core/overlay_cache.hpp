@@ -29,7 +29,8 @@ class OverlayCache {
   };
 
   /// `max_bytes` bounds resident overlay memory (0 = unlimited); least
-  /// recently used entries are evicted past the bound.
+  /// recently used entries are evicted past the bound. Each insertion
+  /// re-reads every entry's memory_bytes(), so a G built since counts.
   explicit OverlayCache(std::uint64_t max_bytes = 0) : max_bytes_(max_bytes) {}
 
   /// Returns the overlay for `params`, building it on a miss. Thread-safe;
@@ -58,7 +59,9 @@ class OverlayCache {
   struct Entry {
     std::shared_future<std::shared_ptr<const graph::Overlay>> overlay;
     std::list<Key>::iterator lru_pos;
-    std::uint64_t bytes = 0;  ///< 0 until the build completes
+    /// memory_bytes() when last read (at insertion and on every eviction
+    /// check); 0 until the build completes.
+    std::uint64_t bytes = 0;
   };
 
   void evict_locked(const Key& incoming);

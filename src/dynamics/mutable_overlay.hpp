@@ -129,8 +129,8 @@ class MutableOverlay {
     [[nodiscard]] NodeId to_dense(NodeId stable) const;
   };
 
-  /// Extracts the snapshot: O(n·d) edge assembly plus the usual k-ball
-  /// materialization. params.generation = build_tag() (never 0, so a
+  /// Extracts the snapshot: O(n·d) edge assembly plus the overlay's eager
+  /// ball-count pass (its G is built on first read, as for any overlay). params.generation = build_tag() (never 0, so a
   /// snapshot key is always distinct from the static sample's, and distinct
   /// histories get distinct keys).
   [[nodiscard]] Snapshot snapshot() const;

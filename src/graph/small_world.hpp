@@ -6,8 +6,12 @@
 // simulator of course does.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <span>
+#include <vector>
 
 #include "graph/graph.hpp"
 
@@ -40,24 +44,39 @@ inline constexpr std::uint8_t kNotInBall = 0xFF;
   return k > 1 ? k - 1 : 1;
 }
 
-/// A sampled overlay: the H multigraph, its simple view, the dedup'd
-/// G = k-ball adjacency annotated with exact H-distances per slot, and the
-/// cumulative ball counts |B_H(v, r)|, r = 1..witness_width(k).
+/// A sampled overlay. Built eagerly: the H multigraph, its simple view and
+/// the cumulative ball counts |B_H(v, r)|, r = 1..witness_width(k). Built
+/// once, on first read: G = the dedup'd k-ball adjacency, annotated with
+/// the exact H-distance of each slot. The adjacency exchange and its crash
+/// rule, the liar strategies, rewired chains, smoothing, the message-level
+/// engine and the categories read G; a BRC run reads none of them and
+/// never builds it.
 class Overlay {
  public:
-  /// Samples H(n,d) and materializes G and the ball counts. Cost: two
-  /// bounded BFS passes per node (ball sizes and counts, then ball
-  /// contents; each on util::parallel_for, so inline inside a trial
-  /// worker) and a radix sort per ball (graph::sort_ball_by_node). Peak
-  /// memory is the final G arrays plus per-worker scratch: the balls are
-  /// written straight into G's CSR rows.
+  /// Samples H(n,d) (span `graph.h_sample`), then build_from_h.
   [[nodiscard]] static Overlay build(const OverlayParams& params);
 
-  /// Materializes G over a caller-supplied H multigraph (must be an exactly
-  /// d-regular multigraph on params.n nodes; parallel edges allowed). Used
-  /// by dynamics::MutableOverlay to turn an epoch's cycle state into the
-  /// immutable overlay the protocols run on; params.seed/generation are
+  /// The eager part over a caller-supplied H multigraph (must be an exactly
+  /// d-regular multigraph on params.n nodes; parallel edges allowed): the
+  /// simple view, then one bounded BFS per node to depth
+  /// w = witness_width(k) for the ball counts (span `graph.ball_counts`,
+  /// on util::parallel_for, so inline inside a trial worker).
+  /// dynamics::MutableOverlay uses it to turn an epoch's cycle state into
+  /// the immutable overlay the protocols run on; params.seed/generation are
   /// recorded as provenance, not re-sampled.
+  ///
+  /// G is built by the first g(), g_dists() or h_dist() call (span
+  /// `graph.g_pass`, nested under that reader): one bounded BFS to depth k
+  /// and one radix sort per node (graph::sort_ball_by_node), each ball
+  /// written at a fixed stride of min(sum_{i=1..k} d(d-1)^(i-1), n-1)
+  /// slots — h_simple has degree <= d, so no ball exceeds it — then the
+  /// rows are compacted in place into CSR. The stride buffer, n * stride *
+  /// 5 bytes, is the peak and stays G's storage. At d = 8, k = 3 the
+  /// stride is 456 and the balls fill 99.7% of it at n = 2^16; as the
+  /// bound nears n they overlap and fill less (66% at n = 512), and once
+  /// it reaches n - 1 the buffer is n(n-1) * 5 bytes. Concurrent first
+  /// readers block until the one build is done; a build that throws
+  /// publishes nothing, and the next reader retries.
   [[nodiscard]] static Overlay build_from_h(const OverlayParams& params,
                                             Graph h);
 
@@ -65,12 +84,11 @@ class Overlay {
   /// adjacency: `g` must be the dedup'd union of all balls B_H(v, k) \ {v}
   /// with `g_dist[slot]` the exact H-distance of each neighbor slot, and
   /// `ball_counts` the n * witness_width(k) table ball_row() views (checked
-  /// for that size) — the arrays build_from_h
-  /// would have derived by running one bounded BFS per node. Skipping that
-  /// BFS is the incremental snapshot engine's hot path; it is the CALLER's
-  /// contract that the balls match H (the engine's debug mode cross-checks
-  /// against a full rebuild). Only cheap shape invariants are validated
-  /// here.
+  /// for that size) — the arrays the eager pass and the first G read of
+  /// build_from_h would have derived. Skipping those BFS passes is the
+  /// incremental snapshot engine's hot path; it is the CALLER's contract
+  /// that the balls match H (the engine's debug mode cross-checks against
+  /// a full rebuild). Only cheap shape invariants are validated here.
   [[nodiscard]] static Overlay build_with_balls(
       const OverlayParams& params, Graph h, Graph g,
       std::vector<std::uint8_t> g_dist,
@@ -82,12 +100,14 @@ class Overlay {
 
   [[nodiscard]] const Graph& h() const noexcept { return h_; }
   [[nodiscard]] const Graph& h_simple() const noexcept { return h_simple_; }
-  [[nodiscard]] const Graph& g() const noexcept { return g_; }
+  /// G; the first read of G builds it (see build_from_h). Loops fetch it
+  /// once.
+  [[nodiscard]] const Graph& g() const { return balls().g; }
 
   /// H-distances aligned with g().neighbors(v); values in [1, k].
   [[nodiscard]] std::span<const std::uint8_t> g_dists(NodeId v) const {
-    return {g_dist_.data() + g_.first_slot(v),
-            g_dist_.data() + g_.first_slot(v) + g_.degree(v)};
+    const Balls& b = balls();
+    return {b.dist.data() + b.g.first_slot(v), b.g.degree(v)};
   }
 
   /// |B_H(v, r)| for r = 1..witness_width(k), v itself included: the
@@ -105,7 +125,7 @@ class Overlay {
   }
 
   /// Exact H-distance from v to w if w lies within v's k-ball, else
-  /// kNotInBall. O(log deg_G(v)).
+  /// kNotInBall. O(log deg_G(v)); reads G.
   [[nodiscard]] std::uint8_t h_dist(NodeId v, NodeId w) const;
 
   /// v's H-neighbors (distance exactly 1 within G's annotation); equals
@@ -114,19 +134,37 @@ class Overlay {
     return h_simple_.neighbors(v);
   }
 
-  [[nodiscard]] std::uint64_t memory_bytes() const noexcept {
-    return h_.memory_bytes() + h_simple_.memory_bytes() + g_.memory_bytes() +
-           g_dist_.size() + ball_counts_.size() * sizeof(std::uint32_t);
-  }
+  /// Bytes the overlay holds now: H, its simple view, the ball counts and,
+  /// once built, G with its whole stride buffer.
+  [[nodiscard]] std::uint64_t memory_bytes() const noexcept;
 
  private:
+  struct Balls {
+    Graph g;
+    std::vector<std::uint8_t> dist;  ///< aligned with g's slots
+    std::uint64_t bytes = 0;         ///< allocated, spare capacity included
+  };
+  /// G's holder, on the heap so that references to G stay valid when the
+  /// Overlay moves.
+  struct LazyBalls {
+    std::mutex mutex;  ///< held by the one build
+    std::atomic<const Balls*> ready{nullptr};  ///< &balls once built
+    Balls balls;
+  };
+
+  [[nodiscard]] const Balls& balls() const {
+    const Balls* b = lazy_->ready.load(std::memory_order_acquire);
+    return b != nullptr ? *b : materialize();
+  }
+  /// Builds G under the holder's mutex unless another reader already did.
+  const Balls& materialize() const;
+
   OverlayParams params_;
   std::uint32_t k_ = 0;
   Graph h_;
   Graph h_simple_;
-  Graph g_;
-  std::vector<std::uint8_t> g_dist_;
   std::vector<std::uint32_t> ball_counts_;  ///< n*witness_width(k), ball_row
+  std::unique_ptr<LazyBalls> lazy_ = std::make_unique<LazyBalls>();
 };
 
 }  // namespace byz::graph

@@ -11,8 +11,8 @@
 //     r = 1..witness_width(k) (the columns the colour audit bills),
 //   * translates all balls stable→dense and assembles the G/H CSR arrays
 //     and the ball-count table directly (Graph::from_csr +
-//     Overlay::build_with_balls), skipping the full rebuild's two BFS
-//     passes and per-ball sort for every clean node.
+//     Overlay::build_with_balls), skipping for every clean node the full
+//     rebuild's count BFS and the BFS and sort of its first G read.
 // The result is bitwise identical to MutableOverlay::snapshot() — the
 // config's verify_against_full debug mode asserts exactly that on every
 // call, and the property suite replays hundreds of seeded op interleavings

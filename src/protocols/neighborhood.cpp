@@ -13,16 +13,12 @@ void ClaimSet::set_claim(NodeId u, std::vector<NodeId> claimed) {
   overrides_[u] = std::move(claimed);
 }
 
-std::span<const NodeId> ClaimSet::claimed(NodeId u) const {
-  if (overrides_[u]) return *overrides_[u];
-  return overlay_->g().neighbors(u);
-}
-
 namespace {
 
-/// Membership test in a sorted claim list.
-bool claims_edge(const ClaimSet& claims, NodeId u, NodeId w) {
-  const auto list = claims.claimed(u);
+/// Membership test in a sorted claim list; `g` is claims.overlay().g().
+bool claims_edge(const ClaimSet& claims, const graph::Graph& g, NodeId u,
+                 NodeId w) {
+  const auto list = claims.claimed(u, g);
   return std::binary_search(list.begin(), list.end(), w);
 }
 
@@ -34,11 +30,13 @@ bool detects_conflict(const ClaimSet& claims, NodeId v) {
   for (std::size_t a = 0; a < nbrs.size(); ++a) {
     // A neighbor denying the very channel v holds to it is a contradiction
     // v can observe directly (ids cannot be faked on channels, §2.1).
-    if (!claims_edge(claims, nbrs[a], v)) return true;
+    if (!claims_edge(claims, g, nbrs[a], v)) return true;
     for (std::size_t b = a + 1; b < nbrs.size(); ++b) {
       const NodeId u = nbrs[a];
       const NodeId w = nbrs[b];
-      if (claims_edge(claims, u, w) != claims_edge(claims, w, u)) return true;
+      if (claims_edge(claims, g, u, w) != claims_edge(claims, g, w, u)) {
+        return true;
+      }
     }
   }
   return false;
@@ -58,7 +56,7 @@ std::vector<bool> compute_crash_set(const ClaimSet& claims,
   if (instr != nullptr) {
     // Every node ships its claimed list to each G-neighbor once.
     for (NodeId u = 0; u < n; ++u) {
-      instr->count_setup_list(claims.claimed(u).size(), g.degree(u));
+      instr->count_setup_list(claims.claimed(u, g).size(), g.degree(u));
     }
   }
 
@@ -72,7 +70,7 @@ std::vector<bool> compute_crash_set(const ClaimSet& claims,
   for (NodeId u = 0; u < n; ++u) {
     if (claims.truthful(u)) continue;
     const auto real = g.neighbors(u);
-    const auto said = claims.claimed(u);
+    const auto said = claims.claimed(u, g);
     // Merge-walk the sorted lists; diff keeps the real ids of Δ(u)
     // (fabricated ids past n are seen by no G-neighbor; a self-claim
     // w = u always agrees with itself in the pair test below).
@@ -100,7 +98,9 @@ std::vector<bool> compute_crash_set(const ClaimSet& claims,
     }
     for (const NodeId w : diff) {
       // w's side comes from its own claim: two liars can lie consistently.
-      if (claims_edge(claims, u, w) == claims_edge(claims, w, u)) continue;
+      if (claims_edge(claims, g, u, w) == claims_edge(claims, g, w, u)) {
+        continue;
+      }
       const auto other = g.neighbors(w);
       auto a = real.begin();
       auto b = other.begin();
@@ -141,7 +141,7 @@ Reconstruction reconstruct_neighborhood(const ClaimSet& claims, NodeId v) {
   std::vector<std::uint64_t> rows(deg * words, 0);
   for (std::size_t a = 0; a < deg; ++a) {
     rows[a * words + a / 64] |= (1ULL << (a % 64));  // self (closure)
-    const auto list = claims.claimed(nbrs[a]);
+    const auto list = claims.claimed(nbrs[a], g);
     // Walk the two sorted sequences in tandem.
     std::size_t bi = 0;
     for (const NodeId w : list) {

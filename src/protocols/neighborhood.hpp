@@ -40,7 +40,16 @@ class ClaimSet {
   void set_claim(graph::NodeId u, std::vector<graph::NodeId> claimed);
 
   /// The list u presents (truth unless overridden).
-  [[nodiscard]] std::span<const graph::NodeId> claimed(graph::NodeId u) const;
+  [[nodiscard]] std::span<const graph::NodeId> claimed(graph::NodeId u) const {
+    return claimed(u, overlay_->g());
+  }
+
+  /// claimed(u) for loops that fetch `g` = overlay().g() once.
+  [[nodiscard]] std::span<const graph::NodeId> claimed(
+      graph::NodeId u, const graph::Graph& g) const {
+    return overrides_[u] ? std::span<const graph::NodeId>(*overrides_[u])
+                         : g.neighbors(u);
+  }
 
   /// True iff u presents the truth.
   [[nodiscard]] bool truthful(graph::NodeId u) const {

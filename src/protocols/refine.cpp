@@ -81,12 +81,13 @@ std::vector<double> smooth_estimates(const graph::Overlay& overlay,
     if (count[r]++ == 0) seen.push_back(r);
     ++size;
   };
+  const graph::Graph& g = overlay.g();
   for (NodeId v = 0; v < n; ++v) {
     if (byz_mask[v]) continue;
     seen.clear();
     size = 0;
     tally(v);
-    for (const NodeId w : overlay.g().neighbors(v)) tally(w);
+    for (const NodeId w : g.neighbors(v)) tally(w);
     if (size == 0) continue;
     std::sort(seen.begin(), seen.end());
     // util::percentile(window, 0.5), arithmetic for arithmetic.

@@ -61,9 +61,10 @@ proto::RunResult Engine::run() {
   if (cfg_.crash_rule) {
     // Reference path: run the full pairwise conflict detection per node
     // (the fast path uses the byz-pair shortcut; agreement is a test).
+    const auto& g = overlay_.g();
     for (NodeId u = 0; u < n; ++u) {
-      const auto len = claims.claimed(u).size();
-      for (std::uint32_t e = 0; e < overlay_.g().degree(u); ++e) {
+      const auto len = claims.claimed(u, g).size();
+      for (std::uint32_t e = 0; e < g.degree(u); ++e) {
         result_.instr.count_setup_list(len);
       }
     }

@@ -1,10 +1,10 @@
 // Cache-line-aligned vector storage. The CSR hot loops (flood kernel, the
-// G pass's ball BFS) stream the adjacency arrays; aligning the
-// allocations to 64-byte lines keeps the rows from straddling an extra
+// overlay's ball BFS passes over H) stream the adjacency arrays; aligning
+// the allocations to 64-byte lines keeps the rows from straddling an extra
 // line per access and gives the vectorizer an honest alignment story.
 // The allocator is stateless, so aligned_vector moves/swaps exactly like
-// std::vector — the incremental snapshot engine hands its assembled CSR
-// arrays to Graph::from_csr without a copy.
+// std::vector — the overlay's G build and the incremental snapshot engine
+// hand their assembled CSR arrays to Graph::from_csr without a copy.
 #pragma once
 
 #include <cstddef>

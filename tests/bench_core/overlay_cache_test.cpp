@@ -87,6 +87,30 @@ TEST(OverlayCache, EvictsLeastRecentlyUsedPastByteBound) {
   EXPECT_EQ(cache.stats().misses, 3u);
 }
 
+TEST(OverlayCache, CountsAGBuiltAfterInsertion) {
+  // The bound holds one overlay with its G built, and two without. Once a
+  // reader builds the first entry's G, inserting a second must evict it.
+  graph::OverlayParams params;
+  params.n = 256;
+  params.d = 6;
+  params.seed = 1;
+  const auto probe = graph::Overlay::build(params);
+  const std::uint64_t eager = probe.memory_bytes();
+  (void)probe.g();
+  const std::uint64_t materialized = probe.memory_bytes();
+  ASSERT_GT(materialized, 2 * eager);
+
+  OverlayCache cache(materialized);
+  const auto a = cache.get(256, 6, 1);
+  EXPECT_EQ(cache.stats().resident_bytes, eager);
+  (void)a->g();
+  (void)cache.get(256, 6, 2);
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.evictions, 1u);
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_LT(stats.resident_bytes, materialized);
+}
+
 TEST(OverlayCache, SnapshotGenerationNeverAliasesTheStaticKey) {
   // A dynamic epoch snapshot carries the same (n, d, seed) as the static
   // sample it evolved from, so get() must refuse to fabricate one from its

@@ -5,7 +5,7 @@
 // same feed. This suite can. It drives run_counting_with through a hooks
 // wrapper that, at EVERY readmit boundary, compares the ball row and
 // usable chain of each alive run id with a fresh MutableOverlay::snapshot()
-// (its G pass's Overlay::ball_row, and verifier_chain_len), which shares
+// (its ball-count pass's Overlay::ball_row, and verifier_chain_len), which shares
 // no code with the feed's live BFS. The schedules are randomized
 // over sybil joins, frontier-directed leaves, boundary join storms, leaves
 // deferred at the membership floor, joiners that leave before admission,

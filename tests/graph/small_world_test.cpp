@@ -5,19 +5,28 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <latch>
+#include <thread>
 #include <vector>
 
 #include "graph/bfs.hpp"
+#include "obs/trace.hpp"
 
 namespace byz::graph {
 namespace {
 
-Overlay sample(NodeId n = 256, std::uint32_t d = 8, std::uint64_t seed = 11) {
+Overlay build(NodeId n, std::uint32_t d, std::uint32_t k,
+              std::uint64_t seed) {
   OverlayParams p;
   p.n = n;
   p.d = d;
+  p.k = k;
   p.seed = seed;
   return Overlay::build(p);
+}
+
+Overlay sample(NodeId n = 256, std::uint32_t d = 8, std::uint64_t seed = 11) {
+  return build(n, d, 0, seed);
 }
 
 TEST(SmallWorld, PaperK) {
@@ -91,16 +100,21 @@ void expect_distance_annotations_exact(const Overlay& o, NodeId count) {
 
 TEST(SmallWorld, GMatchesBallDefinition) {
   // n=128 and n=300 sort on one and two id bytes; n=65539 (d=4, k=2) on
-  // three.
+  // three. n=10 (d=4, k=6) puts the whole graph in every ball, at the
+  // n - 1 stride cap; d=10, k=4 (stride bound 8200) is capped at n - 1 too.
   expect_g_matches_ball_definition(sample(128, 6, 5), 32);
   expect_g_matches_ball_definition(sample(300, 6, 5), 32);
   expect_g_matches_ball_definition(sample(65539, 4, 5), 16);
+  expect_g_matches_ball_definition(build(10, 4, 6, 5), 10);
+  expect_g_matches_ball_definition(build(1500, 10, 4, 5), 16);
 }
 
 TEST(SmallWorld, DistanceAnnotationsExact) {
   expect_distance_annotations_exact(sample(128, 6, 7), 16);
   expect_distance_annotations_exact(sample(300, 8, 7), 16);
   expect_distance_annotations_exact(sample(65539, 4, 7), 16);
+  expect_distance_annotations_exact(build(10, 4, 6, 7), 10);
+  expect_distance_annotations_exact(build(1500, 10, 4, 7), 16);
 }
 
 /// ball_row(v)[r-1] == |B_H(v, r)| for every v and r = 1..w, w =
@@ -135,22 +149,97 @@ NodeId expect_ball_counts_exact(const Overlay& o) {
 }
 
 TEST(SmallWorld, BallCountsMatchBothOracles) {
-  const auto build = [](NodeId n, std::uint32_t d, std::uint32_t k,
-                        std::uint64_t seed) {
-    OverlayParams p;
-    p.n = n;
-    p.d = d;
-    p.k = k;
-    p.seed = seed;
-    return Overlay::build(p);
-  };
   EXPECT_EQ(expect_ball_counts_exact(build(128, 6, 0, 41)), 0u);  // paper k
   EXPECT_EQ(expect_ball_counts_exact(build(300, 8, 0, 43)), 0u);
   EXPECT_EQ(expect_ball_counts_exact(build(96, 4, 1, 45)), 0u);   // k = 1
   (void)expect_ball_counts_exact(build(200, 6, 4, 47));  // k above paper k
+  EXPECT_EQ(expect_ball_counts_exact(build(1500, 10, 4, 51)), 0u);
   // A tiny overlay saturates before radius w: the rows carry n outwards.
   const Overlay tiny = build(10, 4, 6, 49);
   EXPECT_EQ(expect_ball_counts_exact(tiny), tiny.num_nodes());
+}
+
+/// G's rows and distance annotations, compared slot for slot.
+void expect_same_g(const Overlay& a, const Overlay& b) {
+  ASSERT_EQ(a.num_nodes(), b.num_nodes());
+  ASSERT_EQ(a.g().num_slots(), b.g().num_slots());
+  for (NodeId v = 0; v < a.num_nodes(); ++v) {
+    const auto na = a.g().neighbors(v);
+    const auto nb = b.g().neighbors(v);
+    ASSERT_TRUE(std::equal(na.begin(), na.end(), nb.begin(), nb.end()))
+        << "v=" << v;
+    const auto da = a.g_dists(v);
+    const auto db = b.g_dists(v);
+    ASSERT_TRUE(std::equal(da.begin(), da.end(), db.begin(), db.end()))
+        << "v=" << v;
+  }
+}
+
+TEST(SmallWorld, FirstReadBuildsGAndCountsItsBytes) {
+  const Overlay o = sample(512, 8, 55);
+  const std::uint64_t eager = o.memory_bytes();
+  const std::uint64_t h_bytes = o.h().memory_bytes() +
+                                o.h_simple().memory_bytes() +
+                                o.ball_counts().size() * sizeof(std::uint32_t);
+  EXPECT_EQ(eager, h_bytes);  // no G yet
+  const Graph& g = o.g();
+  const std::uint64_t built = o.memory_bytes();
+  // G's rows and distances, and at least the slots they fill.
+  EXPECT_GE(built - eager, g.memory_bytes() + g.num_slots());
+  EXPECT_EQ(&o.g(), &g);
+  EXPECT_EQ(o.memory_bytes(), built);
+}
+
+TEST(SmallWorld, ConcurrentFirstReadsBuildGOnce) {
+  // Eight threads make the first G read of one fresh overlay, through each
+  // of the three readers: one build, one object, the rows of a serial
+  // build.
+  const Overlay reference = sample(2048, 8, 57);
+  (void)reference.g();
+  const Overlay fresh = sample(2048, 8, 57);
+#if BYZ_OBS_ENABLED
+  obs::reset_trace();
+  obs::set_enabled(true);
+#endif
+  constexpr int kThreads = 8;
+  std::vector<const Graph*> seen(kThreads, nullptr);
+  {
+    std::latch start(kThreads);
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        const auto v = static_cast<NodeId>(t);
+        start.arrive_and_wait();
+        switch (t % 3) {
+          case 0:
+            seen[t] = &fresh.g();
+            break;
+          case 1:
+            EXPECT_EQ(fresh.g_dists(v).size(), reference.g().degree(v));
+            seen[t] = &fresh.g();
+            break;
+          default:
+            EXPECT_EQ(fresh.h_dist(v, v + 1), reference.h_dist(v, v + 1));
+            seen[t] = &fresh.g();
+            break;
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+  }
+#if BYZ_OBS_ENABLED
+  obs::set_enabled(false);
+  int g_passes = 0;
+  for (const auto& e : obs::trace_snapshot().events) {
+    if (e.name == "graph.g_pass") ++g_passes;
+  }
+  EXPECT_EQ(g_passes, 1);
+  obs::reset_trace();
+#endif
+  for (int t = 1; t < kThreads; ++t) EXPECT_EQ(seen[t], seen[0]);
+  expect_same_g(fresh, reference);
+  EXPECT_EQ(fresh.memory_bytes(), reference.memory_bytes());
 }
 
 TEST(SmallWorld, HDistLookup) {

@@ -6,6 +6,7 @@
 // BENCH-manifest level).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <set>
 #include <string>
@@ -68,6 +69,8 @@ TEST(TraceExportIntegration, ProtocolRunEmitsPhaseSubphaseAndRoundSpans) {
   for (const auto& e : doc->find("traceEvents")->elements()) {
     names.insert(e.find("name")->as_string());
   }
+  EXPECT_TRUE(names.contains("graph.h_sample"));
+  EXPECT_TRUE(names.contains("graph.ball_counts"));
   EXPECT_TRUE(names.contains("graph.g_pass"));
   EXPECT_TRUE(names.contains("count.run"));
   EXPECT_TRUE(names.contains("count.setup"));
@@ -76,6 +79,21 @@ TEST(TraceExportIntegration, ProtocolRunEmitsPhaseSubphaseAndRoundSpans) {
   EXPECT_TRUE(names.contains("flood.subphase"));
   EXPECT_TRUE(names.contains("flood.round"));
   EXPECT_TRUE(names.contains("protocols.smooth"));
+
+  // G is built once, by its first reader: the crash rule, inside the
+  // run's setup span on the same thread.
+  const auto events = obs::trace_snapshot().events;
+  std::vector<const obs::TraceEvent*> g_passes;
+  for (const auto& e : events) {
+    if (e.name == "graph.g_pass") g_passes.push_back(&e);
+  }
+  ASSERT_EQ(g_passes.size(), 1u);
+  const obs::TraceEvent& g_pass = *g_passes.front();
+  EXPECT_TRUE(std::any_of(events.begin(), events.end(), [&](const auto& e) {
+    return e.name == "count.setup" && e.tid == g_pass.tid &&
+           e.ts_us <= g_pass.ts_us &&
+           g_pass.ts_us + g_pass.dur_us <= e.ts_us + e.dur_us;
+  })) << "graph.g_pass is not inside count.setup";
 
   // The metrics registry saw the same run.
   const auto snap = obs::metrics_snapshot();

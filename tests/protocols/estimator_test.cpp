@@ -170,6 +170,24 @@ TEST(BrcEstimator, CommitmentFilterNeutralizesFakeColors) {
             attacked.instr.injections_attempted);
 }
 
+TEST(BrcEstimator, RunNeverBuildsG) {
+  // BRC has no adjacency exchange and its Verifier views the ball counts,
+  // so a BRC run, honest or attacked, leaves the overlay's G unbuilt; an
+  // Algorithm 2 run on the same overlay builds it.
+  const auto overlay = make_overlay(1024, 6, 0xB4C3);
+  const auto byz = make_byz(1024, 0.7, 0xB4C3);
+  const std::uint64_t eager = overlay->memory_bytes();
+  for (const auto kind :
+       {adv::StrategyKind::kHonest, adv::StrategyKind::kFakeColor}) {
+    auto strategy = adv::make_strategy(kind);
+    (void)make_estimator("brc")->run(*overlay, byz, *strategy, 0xB4C3);
+    EXPECT_EQ(overlay->memory_bytes(), eager);
+  }
+  auto strategy = adv::make_strategy(adv::StrategyKind::kHonest);
+  (void)make_estimator("algo2")->run(*overlay, byz, *strategy, 0xB4C3);
+  EXPECT_GT(overlay->memory_bytes(), eager);
+}
+
 /// Live-topology hooks that change nothing: every node is present all
 /// run, neighbors are the overlay's, and every phase gets one Verifier. A
 /// run through them floods one repetition at a time.

@@ -148,18 +148,22 @@ TEST(ParallelFor, ExceptionReachesTheCallerAfterTheJoin) {
 
 TEST(ParallelFor, OverlayBuiltInsideATrialWorkerEqualsTheThreadedBuild) {
   graph::OverlayParams params;
-  params.n = 4096;  // 16 chunks of the G pass
+  params.n = 4096;  // 16 chunks of the ball-count pass and of the G pass
   params.d = 6;
   params.seed = 99;
-  // On the main thread the G pass forks (given more than one hardware
-  // thread); inside a trial worker it runs inline.
+  // On the main thread both loops fork (given more than one hardware
+  // thread); inside a trial worker they run inline. G is built on its
+  // first read, so each side reads it where it built the overlay.
   EXPECT_EQ(parallel_workers(params.n, 1, 0),
             std::max(1u, std::thread::hardware_concurrency()));
   const graph::Overlay threaded = graph::Overlay::build(params);
+  (void)threaded.g();
   const bench_core::TrialScheduler scheduler(2);
   const auto inline_builds = scheduler.map(2, [&](std::uint64_t) {
     EXPECT_EQ(parallel_workers(params.n, 1, 0), 1u);
-    return graph::Overlay::build(params);
+    auto overlay = graph::Overlay::build(params);
+    (void)overlay.g();
+    return overlay;
   });
   for (const auto& o : inline_builds) {
     EXPECT_TRUE(incremental::overlays_identical(threaded, o));
