@@ -45,7 +45,6 @@ void run_e22(RunContext& ctx) {
       cfg.d = 6;
       cfg.delta = 0.7;
       cfg.strategy = adv::StrategyKind::kFakeColor;
-      cfg.incremental.incremental = true;
       cfg.incremental.adaptive = policy.adaptive;
       cfg.incremental.drift_threshold = policy.threshold;
 

@@ -5,8 +5,8 @@
 // membership policies. This is the contract that keeps the mid-run code
 // honest: whatever machinery the live tier threads through the kernel, it
 // costs nothing and changes nothing until an event actually fires.
-// CI treats the emitted guard like E20's: metrics.guard.identical must be
-// true, and the manifest participates in the --jobs determinism cmp.
+// CI asserts the emitted guard: metrics.guard.identical must be true, and
+// the manifest participates in the --jobs determinism cmp.
 #include "bench_common.hpp"
 
 namespace {

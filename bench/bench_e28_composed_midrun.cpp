@@ -1,17 +1,13 @@
 // E28 — the composed tier under CONTINUOUS live churn: mid-run splices
-// (events strike WHILE Algorithm 2 floods) consumed by the incremental
-// dirty-ball observer, with the per-epoch message-level engine oracle on.
-// This is the steady-state hot path a long-running deployment would
-// operate: each epoch's run executes on IncrementalEngine::snapshot()
-// (only the balls dirtied by the previous epoch's mid-run + flushed
-// splices are recomputed — verify mode asserts bitwise equality with a
-// cold rebuild on every call), its run-start Verifier reads that
+// (events strike WHILE Algorithm 2 floods) epoch after epoch, with the
+// per-epoch message-level engine oracle on. This is the steady-state loop
+// a long-running deployment would operate: each epoch's run executes on a
+// fresh MutableOverlay::snapshot(), its run-start Verifier reads that
 // snapshot's ball counts, and the engine oracle (run_engine) replays it
-// message by message. CI asserts
-// metrics.guard: engine divergences == 0, the dirty-ball fraction < 1 at
-// the lowest churn rate, and rows_recomputed > 0 (the readmit Verifier
-// refresh did work; the perf trajectory records the count per commit);
-// E24/E26 remain the standalone bitwise anchors.
+// message by message. CI asserts metrics.guard: engine divergences == 0
+// and rows_recomputed > 0 (the readmit Verifier refresh did work; the perf
+// trajectory records the count per commit); E24/E26 remain the standalone
+// bitwise anchors.
 // All reported metrics are counters — no wall-clock — so the manifest is
 // bitwise identical across --jobs and joins the determinism comparison.
 #include "bench_common.hpp"
@@ -32,14 +28,11 @@ void run_e28(RunContext& ctx) {
 
   util::Table table("E28: composed tier under live mid-run churn, d=6 (" +
                     std::to_string(t) + " trials, " + std::to_string(kEpochs) +
-                    " epochs, incremental+oracle on)");
-  table.columns({"n0", "policy", "churn/epoch", "balls redone", "engine ok",
-                 "fresh in-band"});
+                    " epochs, engine oracle on)");
+  table.columns({"n0", "policy", "churn/epoch", "engine ok", "fresh in-band"});
 
   std::vector<double> band_all;
   std::uint64_t guard_divergences = 0;
-  double guard_dirty_frac = 1.0;
-  bool have_guard = false;
   std::uint64_t digest_xor = 0, epochs_digested = 0, forensics_reports = 0;
   for (const auto n0 : sizes) {
     for (const auto policy : policies) {
@@ -56,9 +49,7 @@ void run_e28(RunContext& ctx) {
         cfg.run_engine = true;
         cfg.mid_run.enabled = true;
         cfg.mid_run.policy = policy;
-        cfg.incremental.incremental = true;
-        cfg.incremental.verify_snapshots = true;  // bitwise exactness oracle
-        // --audit: both tiers the driver executes (composed run, engine
+        // --audit: both tiers the driver executes (fast path, engine
         // oracle) record a digest trail; the oracle seam emits
         // byzobs/forensics/v1 reports under --digest-out on divergence.
         cfg.audit = ctx.audit();
@@ -75,13 +66,11 @@ void run_e28(RunContext& ctx) {
         });
 
         util::OnlineStats fresh;
-        std::uint64_t recomputed = 0, reused = 0;
         std::uint64_t rows_recomputed = 0;
         std::uint64_t messages = 0;
         std::uint64_t divergences = 0;
         for (const auto& run : runs) {
-          for (std::uint32_t e = 0; e < run.epochs.size(); ++e) {
-            const auto& ep = run.epochs[e];
+          for (const auto& ep : run.epochs) {
             fresh.add(ep.fresh.frac_in_band);
             band_all.push_back(ep.fresh.frac_in_band);
             if (!ep.engine_match) ++divergences;
@@ -92,31 +81,19 @@ void run_e28(RunContext& ctx) {
             if (!ep.forensics_path.empty()) ++forensics_reports;
             messages += ep.messages;
             rows_recomputed += ep.verify_rows_recomputed;
-            if (e == 0) continue;  // bootstrap epoch is a full rebuild
-            recomputed += ep.balls_recomputed;
-            reused += ep.balls_reused;
           }
         }
-        const double dirty_frac =
-            recomputed + reused > 0
-                ? static_cast<double>(recomputed) /
-                      static_cast<double>(recomputed + reused)
-                : 1.0;
         const bool silent =
             policy == proto::MembershipPolicy::kTreatAsSilent;
         table.row()
             .cell(std::uint64_t{n0})
             .cell(proto::to_string(policy))
             .cell(util::format_double(200.0 * rate, 1) + "%")
-            .cell(util::format_double(100.0 * dirty_frac, 1) + "%")
             .cell(divergences == 0 ? "yes" : "NO")
             .cell(fresh.mean(), 4);
 
         Json j = Json::object();
         j["fresh_in_band"] = fresh.mean();
-        j["dirty_frac"] = dirty_frac;
-        j["balls_recomputed"] = recomputed;
-        j["balls_reused"] = reused;
         j["rows_recomputed"] = rows_recomputed;
         j["messages"] = messages;
         j["engine_divergences"] = divergences;
@@ -129,31 +106,22 @@ void run_e28(RunContext& ctx) {
         // the steady-state regime the tentpole claim is about.
         if (!silent && rate == rates[0] && n0 == sizes.back()) {
           guard_divergences = divergences;
-          guard_dirty_frac = dirty_frac;
-          have_guard = true;
           Json g = Json::object();
           g["n"] = std::uint64_t{n0};
           g["churn_bp"] = static_cast<int>(rate * 1000);
           g["engine_divergences"] = divergences;
-          g["dirty_frac"] = dirty_frac;
-          g["sublinear"] = dirty_frac < 1.0;
           g["rows_recomputed"] = rows_recomputed;
           ctx.metric("guard", std::move(g));
         }
       }
     }
   }
-  (void)have_guard;
-  table.note("Every run starts from the incremental snapshot — "
-             "verify_snapshots cross-checks it bitwise against a cold "
-             "rebuild, so 'balls redone' is the fraction of run-start BFS "
-             "balls actually recomputed after the previous epoch's mid-run "
-             "splices (steady-state epochs only; the bootstrap is a full "
-             "rebuild by definition). 'engine ok' is the per-epoch "
+  table.note("Every run starts from a fresh snapshot of the evolving "
+             "overlay, and the previous epoch's mid-run and flushed "
+             "splices are all in it. 'engine ok' is the per-epoch "
              "message-level oracle. Guard: " +
-             std::to_string(guard_divergences) + " engine divergences, " +
-             util::format_double(100.0 * guard_dirty_frac, 1) +
-             "% balls redone at the lowest rate.");
+             std::to_string(guard_divergences) +
+             " engine divergences at the lowest rate.");
   ctx.emit(table);
   ctx.record_accuracy("fresh_in_band", band_all);
   if (ctx.audit()) {
@@ -167,18 +135,15 @@ void run_e28(RunContext& ctx) {
 BYZBENCH_REGISTER(e28) {
   ScenarioSpec spec;
   spec.id = "e28";
-  spec.title = "Composed tier: incremental + oracle under live churn";
-  spec.claim = "Mid-run churn composes with the incremental tier: "
-               "run-start snapshots recompute only splice-dirtied balls "
-               "(bitwise-verified) and the engine oracle stays "
-               "divergence-free";
+  spec.title = "Composed tier: engine oracle under live churn";
+  spec.claim = "Mid-run churn runs epoch after epoch on fresh snapshots "
+               "and the engine oracle stays divergence-free";
   spec.grid = {{"policy", {"treat-as-silent", "readmit-next-phase"}},
                {"churn_rate", {"0.001", "0.01"}},
                pow2_axis(9, 10)};
   spec.base_trials = 3;
-  spec.metrics = {"composed_n<k>_<policy>_c<bp>.dirty_frac",
-                  "guard.engine_divergences", "guard.dirty_frac",
-                  "guard.rows_recomputed"};
+  spec.metrics = {"composed_n<k>_<policy>_c<bp>.engine_divergences",
+                  "guard.engine_divergences", "guard.rows_recomputed"};
   spec.run = run_e28;
   return spec;
 }

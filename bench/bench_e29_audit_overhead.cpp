@@ -7,7 +7,7 @@
 // and repeating the audited run reproduces the identical run digest — and
 // that the wall-clock overhead of auditing stays within budget.
 //
-// Like E20 this scenario measures wall-time, so trials run SERIALLY and
+// This scenario measures wall-time, so trials run SERIALLY and
 // the manifest is excluded from the CI --jobs determinism cmp; the
 // overhead ratio feeds tools/perf_trajectory.py instead.
 #include "bench_common.hpp"

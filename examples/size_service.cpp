@@ -22,12 +22,9 @@
 //                    [--burst-epoch=4] [--burst-fraction=0.25]
 //                    [--adversary=none|sybil-burst|targeted-departure|eclipse]
 //
-// --incremental switches the continuous loop onto dirty-ball snapshot
-// maintenance: only churn-affected BFS balls are recomputed per epoch, and
-// every result is identical to the full-rebuild loop. --adaptive replaces
-// the fixed per-epoch cadence with the drift-adaptive scheduler:
-// re-estimate when accumulated membership drift crosses --drift-bound,
-// coast on stale estimates below it.
+// --adaptive replaces the fixed per-epoch cadence with the drift-adaptive
+// scheduler: re-estimate when accumulated membership drift crosses
+// --drift-bound, coast on stale estimates below it.
 //
 // --mid-run-churn applies each epoch's joins/leaves DURING its estimation
 // run — placed on individual flood rounds — instead of between runs, under
@@ -39,16 +36,13 @@
 // onto phase-final rounds to stress readmission). --engine-oracle
 // additionally replays every epoch's schedule through the message-level
 // sim::Engine and reports whether the two tiers agreed bitwise (the E26
-// contract); it works in every churn mode, --incremental included.
-// Mid-run churn COMPOSES with the incremental tier (E28): with
-// --incremental the run starts from the dirty-ball snapshot (only balls
-// the previous run's splices touched are recomputed, and the run-start
-// Verifier reads its ball counts), and --adaptive coasts through
-// drift-quiet epochs.
+// contract); it works in every churn mode. Mid-run churn COMPOSES with
+// --adaptive (E28), which coasts through drift-quiet epochs.
 #include <algorithm>
 #include <cmath>
 #include <iostream>
 #include <limits>
+#include <sstream>
 
 #include "byzcount.hpp"
 
@@ -132,6 +126,26 @@ std::uint32_t parse_degree(const byz::util::ArgParser& args) {
   return static_cast<std::uint32_t>(d);
 }
 
+/// A real-valued flag in [lo, hi], finite (so NaN and infinities are
+/// rejected too); `range` spells the interval for the message.
+double parse_real(const byz::util::ArgParser& args, const std::string& flag,
+                  double lo, double hi, const std::string& range) {
+  const double value = args.real(flag);
+  if (!std::isfinite(value) || value < lo || value > hi) {
+    std::ostringstream got;
+    got << value;
+    throw std::invalid_argument("--" + flag + " must be in " + range +
+                                ", got " + got.str());
+  }
+  return value;
+}
+
+/// --delta, in both modes: derive_byz_count takes n^(1-delta), so delta
+/// outside [0, 1] (or NaN) would place a meaningless Byzantine count.
+double parse_delta(const byz::util::ArgParser& args) {
+  return parse_real(args, "delta", 0.0, 1.0, "[0, 1]");
+}
+
 /// --trace-out plumbing: dump the Chrome trace collected so far (no-op
 /// when the flag was not given).
 void write_trace_if_requested(const std::string& path) {
@@ -170,9 +184,9 @@ int run_churn_mode(const byz::util::ArgParser& args, std::uint32_t trials,
                    unsigned jobs) {
   using namespace byz;
 
-  // The continuous loop (incremental/mid-run tiers, engine oracle) is
-  // Algorithm-2 machinery; other backends ride along as the per-epoch
-  // cross-algorithm shadow instead of replacing the primary.
+  // The continuous loop (mid-run churn, engine oracle) is Algorithm-2
+  // machinery; other backends ride along as the per-epoch cross-algorithm
+  // shadow instead of replacing the primary.
   const auto backend = args.str("backend");
   if (!backend.empty() && backend != "algo2") {
     std::cerr << "size_service: --churn runs the algo2 stack as the primary "
@@ -187,22 +201,27 @@ int run_churn_mode(const byz::util::ArgParser& args, std::uint32_t trials,
   // Sizes are range-checked here, before any trial starts.
   cfg.trace.n0 = parse_network_size(args, dynamics::kMinTraceNodes);
   cfg.trace.epochs = parse_count(args, "epochs", 1);
-  cfg.trace.arrival_rate = args.real("arrival");
-  cfg.trace.departure_rate = args.real("departure");
+  // Rates and bounds are finite; the drift bound is > 0, i.e. at least
+  // the smallest positive double.
+  constexpr double kMax = std::numeric_limits<double>::max();
+  constexpr double kMinPositive = std::numeric_limits<double>::denorm_min();
+  cfg.trace.arrival_rate = parse_real(args, "arrival", 0.0, kMax, "[0, inf)");
+  cfg.trace.departure_rate =
+      parse_real(args, "departure", 0.0, kMax, "[0, inf)");
   cfg.trace.model = parse_model(args.str("model"));
   cfg.trace.burst_epoch = parse_count(args, "burst-epoch", 0);
-  cfg.trace.burst_fraction = args.real("burst-fraction");
+  cfg.trace.burst_fraction =
+      parse_real(args, "burst-fraction", 0.0, 1.0, "[0, 1]");
   cfg.trace.min_n = std::max<graph::NodeId>(cfg.trace.n0 / 4, 16);
   cfg.d = parse_degree(args);
-  cfg.delta = args.real("delta");
+  cfg.delta = parse_delta(args);
   cfg.strategy = adv::StrategyKind::kFakeColor;
   cfg.churn_adversary = parse_churn_adversary(args.str("adversary"));
-  const bool incremental = args.flag("incremental");
   const bool adaptive = args.flag("adaptive");
   const bool mid_run = args.flag("mid-run-churn");
-  cfg.incremental.incremental = incremental;
   cfg.incremental.adaptive = adaptive;
-  cfg.incremental.drift_threshold = args.real("drift-bound");
+  cfg.incremental.drift_threshold =
+      parse_real(args, "drift-bound", kMinPositive, kMax, "(0, inf)");
   const bool engine_oracle = args.flag("engine-oracle");
   cfg.mid_run.enabled = mid_run;
   cfg.mid_run.policy = parse_policy(args.str("policy"));
@@ -228,7 +247,6 @@ int run_churn_mode(const byz::util::ArgParser& args, std::uint32_t trials,
       std::string(dynamics::to_string(cfg.trace.model)) + ", adversary: " +
       adv::to_string(cfg.churn_adversary) + ", " + std::to_string(trials) +
       " deployments, " + std::to_string(scheduler.jobs()) + " workers";
-  if (incremental) title += ", incremental tier";
   if (adaptive) title += ", adaptive cadence";
   if (mid_run) {
     title += std::string(", mid-run churn [") +
@@ -243,7 +261,6 @@ int run_churn_mode(const byz::util::ArgParser& args, std::uint32_t trials,
       "epoch",         "n(t)",           "byz",  "joins", "leaves",
       "fresh in-band", "stale in-band",  "mean est/log2n", "msgs"};
   if (adaptive) columns.push_back("estimated");
-  if (incremental) columns.push_back("balls redone");
   if (mid_run) columns.push_back("events mid-run");
   if (engine_oracle) columns.push_back("engine ok");
   if (!shadow.empty()) {
@@ -253,7 +270,7 @@ int run_churn_mode(const byz::util::ArgParser& args, std::uint32_t trials,
   table.columns(columns);
   for (std::uint32_t e = 0; e < cfg.trace.epochs; ++e) {
     util::OnlineStats n_t, byz_n, joins, leaves, fresh, stale, ratio, msgs;
-    util::OnlineStats estimated, redone, applied_frac, engine_ok;
+    util::OnlineStats estimated, applied_frac, engine_ok;
     util::OnlineStats shadow_agree, shadow_band;
     for (const auto& run : runs) {
       const auto& ep = run.epochs[e];
@@ -266,8 +283,6 @@ int run_churn_mode(const byz::util::ArgParser& args, std::uint32_t trials,
       if (ep.estimated) {
         fresh.add(ep.fresh.frac_in_band);
         ratio.add(ep.fresh.mean_ratio);
-        redone.add(static_cast<double>(ep.balls_recomputed) /
-                   static_cast<double>(ep.n_true));
       }
       const std::uint64_t events =
           ep.midrun_events_applied + ep.midrun_events_flushed;
@@ -300,11 +315,6 @@ int run_churn_mode(const byz::util::ArgParser& args, std::uint32_t trials,
     if (adaptive) {
       row.cell(util::format_double(100.0 * estimated.mean(), 0) + "%");
     }
-    if (incremental) {
-      row.cell(redone.count() == 0
-                   ? std::string("-")
-                   : util::format_double(100.0 * redone.mean(), 1) + "%");
-    }
     if (mid_run) {
       row.cell(applied_frac.count() == 0
                    ? std::string("-")
@@ -333,11 +343,6 @@ int run_churn_mode(const byz::util::ArgParser& args, std::uint32_t trials,
       "re-runs Algorithm 2 under the fake-color attack. Stale = "
       "estimates surviving from earlier epochs judged against the "
       "current n(t); epoch 0 has none.";
-  if (incremental) {
-    note += " Incremental tier: only churn-affected BFS balls are "
-            "recomputed per snapshot ('balls redone') — every result is "
-            "identical to the full-rebuild loop.";
-  }
   if (adaptive) {
     note += " Adaptive cadence: epochs below the drift bound skip "
             "re-estimation and coast on stale estimates.";
@@ -406,9 +411,6 @@ int main(int argc, char** argv) {
   args.add_option("adversary", "churn adversary: none, sybil-burst, "
                                "targeted-departure, eclipse",
                   "none");
-  args.add_flag("incremental", "churn mode: dirty-ball snapshots (results "
-                               "identical to a full rebuild, cheaper per "
-                               "epoch)");
   args.add_flag("adaptive", "churn mode: re-estimate when accumulated "
                             "drift crosses --drift-bound instead of every "
                             "epoch");
@@ -417,7 +419,7 @@ int main(int argc, char** argv) {
                   "0.05");
   args.add_flag("mid-run-churn", "churn mode: apply each epoch's "
                                  "joins/leaves DURING its estimation run "
-                                 "(composes with --incremental/--adaptive)");
+                                 "(composes with --adaptive)");
   args.add_option("policy", "mid-run membership policy: silent, readmit",
                   "readmit");
   args.add_option("schedule", "mid-run event timing: uniform, "
@@ -485,7 +487,7 @@ int main(int argc, char** argv) {
     }
     n = parse_network_size(args);
     d = parse_degree(args);
-    delta = args.real("delta");
+    delta = parse_delta(args);
     seed = static_cast<std::uint64_t>(args.integer("seed"));
   } catch (const std::exception& e) {
     BYZ_ERROR << "size_service: " << e.what();

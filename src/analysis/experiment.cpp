@@ -12,13 +12,6 @@ std::vector<std::uint32_t> pow2_sizes(std::uint32_t lo, std::uint32_t hi) {
   return sizes;
 }
 
-double env_scale() {
-  const char* s = std::getenv("BYZCOUNT_SCALE");
-  if (s == nullptr) return 1.0;
-  const double v = std::atof(s);
-  return v > 0.0 ? v : 1.0;
-}
-
 std::uint32_t env_max_exp(std::uint32_t fallback) {
   const char* s = std::getenv("BYZCOUNT_MAX_EXP");
   if (s == nullptr) return fallback;

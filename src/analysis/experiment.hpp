@@ -17,10 +17,7 @@ namespace byz::analysis {
 [[nodiscard]] std::vector<std::uint32_t> pow2_sizes(std::uint32_t lo,
                                                     std::uint32_t hi);
 
-/// Scale factor from the BYZCOUNT_SCALE environment variable (default 1.0);
-/// benches multiply their trial counts by it. BYZCOUNT_MAX_EXP (if set)
-/// caps sweep sizes at 2^value.
-[[nodiscard]] double env_scale();
+/// BYZCOUNT_MAX_EXP (if set, and >= 4) caps sweep sizes at 2^value.
 [[nodiscard]] std::uint32_t env_max_exp(std::uint32_t fallback);
 
 /// Accuracy statistics aggregated over trials.

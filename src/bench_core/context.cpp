@@ -15,7 +15,7 @@ RunContext::RunContext(const ScenarioSpec& spec, const RunOptions& opts,
       opts_(opts),
       cache_(cache),
       scheduler_(scheduler),
-      scale_(opts.scale * analysis::env_scale()),
+      scale_(opts.scale),
       doc_(Json::object()) {
   // Only DETERMINISTIC content goes into the BENCH_<exp>.json doc: the
   // manifest must be bitwise identical for every --jobs value. Volatile run

@@ -71,8 +71,7 @@ class RunContext {
   /// the scenario's default stack.
   [[nodiscard]] const std::string& backend() const noexcept;
 
-  /// Trial count after scaling (>= 1). Folds in the legacy BYZCOUNT_SCALE
-  /// environment knob so capture scripts keep working.
+  /// Trial count after --scale (>= 1).
   [[nodiscard]] std::uint32_t trials(std::uint32_t base) const;
 
   /// Sweep cap: env-controlled BYZCOUNT_MAX_EXP, shrunk by --scale < 1

@@ -44,8 +44,6 @@
 #include "graph/small_world.hpp"         // IWYU pragma: export
 #include "graph/spectral.hpp"            // IWYU pragma: export
 #include "graph/tree_like.hpp"           // IWYU pragma: export
-#include "incremental/dirty_ball.hpp"    // IWYU pragma: export
-#include "incremental/engine.hpp"        // IWYU pragma: export
 #include "obs/metrics.hpp"               // IWYU pragma: export
 #include "obs/obs.hpp"                   // IWYU pragma: export
 #include "obs/trace.hpp"                 // IWYU pragma: export

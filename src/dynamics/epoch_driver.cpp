@@ -8,7 +8,6 @@
 
 #include "analysis/backend_compare.hpp"
 #include "graph/categories.hpp"
-#include "incremental/engine.hpp"
 #include "obs/digest.hpp"
 #include "obs/trace.hpp"
 #include "protocols/estimator.hpp"
@@ -107,15 +106,6 @@ ChurnRunResult run_churn(const ChurnRunConfig& cfg) {
 
   MutableOverlay overlay(cfg.trace.n0, cfg.d, cfg.k,
                          util::mix_seed(cfg.seed, kOverlayStream));
-  // The incremental engine owns dirty-ball tracking. Under mid-run churn
-  // the feed's splices go through the same observer, so the dirty masks
-  // stay exact there too.
-  std::optional<incremental::IncrementalEngine> inc;
-  if (inc_cfg.incremental) {
-    inc.emplace(overlay,
-                incremental::IncrementalEngine::Config{
-                    .verify_against_full = inc_cfg.verify_snapshots});
-  }
 
   // Initial Byzantine placement on the bootstrap ids (the paper's uniform
   // model); the mask is indexed by STABLE id and grows with joins.
@@ -175,8 +165,7 @@ ChurnRunResult run_churn(const ChurnRunConfig& cfg) {
       epoch_span.arg("policy", cfg.mid_run.enabled ? "mid-run" : "snapshot")
           .arg("estimated", stats.estimated ? 1 : 0)
           .arg("drift", stats.drift)
-          .arg("estimate_mean_ratio", stats.fresh.mean_ratio)
-          .arg("balls_recomputed", stats.balls_recomputed);
+          .arg("estimate_mean_ratio", stats.fresh.mean_ratio);
     };
 
     // Membership/staleness bookkeeping shared by every path: judge the
@@ -223,9 +212,7 @@ ChurnRunResult run_churn(const ChurnRunConfig& cfg) {
           n_last_estimated;
 
       // Drift-adaptive cadence composes with mid-run churn: a skipped
-      // epoch runs no protocol, so its events apply between runs (the
-      // splices still notify the dirty-ball tracker, so the NEXT
-      // estimating epoch's snapshot accounts for them).
+      // epoch runs no protocol, so its events apply between runs.
       const bool estimated = !inc_cfg.adaptive || e == 0 ||
                              acc_drift >= inc_cfg.drift_threshold;
       if (!estimated) {
@@ -261,33 +248,24 @@ ChurnRunResult run_churn(const ChurnRunConfig& cfg) {
         engine_dig.attach_recorder(&engine_rec);
       }
 
-      // Composed tier: the run starts from the incremental snapshot
-      // (bitwise identical to a cold rebuild by IncrementalEngine's
-      // contract — verify_snapshots asserts it).
-      std::optional<MutableOverlay::Snapshot> snap;
-      if (inc) snap.emplace(inc->snapshot());
-      MidRunComposed composed;
-      composed.snapshot = snap ? &*snap : nullptr;
-
       // Engine oracle: replay the identical schedule from a copy of the
       // pre-run state through the message-level engine and demand a
       // bitwise-identical outcome (the E26 contract, per epoch).
       std::optional<MidRunOutcome> engine_outcome;
       if (cfg.run_engine) {
         MutableOverlay engine_overlay = overlay;
-        engine_overlay.set_observer(nullptr);
         std::vector<bool> engine_byz = byz;
         util::Xoshiro256 engine_rng = churn_rng;
         auto engine_strategy = adv::make_strategy(cfg.strategy);
         engine_outcome = run_counting_midrun_engine(
             engine_overlay, engine_byz, *engine_strategy, cfg.protocol,
             color_seed, schedule, mid_cfg, cfg.churn_adversary, engine_rng,
-            &composed, cfg.audit ? &engine_dig : nullptr);
+            nullptr, cfg.audit ? &engine_dig : nullptr);
       }
 
       auto outcome = run_counting_midrun(
           overlay, byz, *strategy, cfg.protocol, color_seed, schedule, mid_cfg,
-          cfg.churn_adversary, churn_rng, &composed,
+          cfg.churn_adversary, churn_rng, nullptr,
           cfg.audit ? &fast_dig : nullptr);
       if (overlay.num_alive() != epoch.n_after) {
         throw std::logic_error(
@@ -312,12 +290,6 @@ ChurnRunResult run_churn(const ChurnRunConfig& cfg) {
         run_shadow(stats, e, shadow_snap.overlay, shadow_byz);
       }
       stats.messages = outcome.run.instr.total_messages();
-      if (snap) {
-        stats.balls_recomputed = inc->stats().last_recomputed;
-        stats.balls_reused = inc->stats().last_reused;
-      } else {
-        stats.balls_recomputed = n_before;  // full snapshot at run start
-      }
       stats.midrun_events_applied = outcome.stats.events_applied;
       stats.midrun_events_flushed = outcome.stats.events_flushed;
       stats.midrun_admitted = outcome.stats.admitted;
@@ -373,14 +345,8 @@ ChurnRunResult run_churn(const ChurnRunConfig& cfg) {
       continue;
     }
 
-    // Snapshot (incremental or full rebuild) and re-estimate.
-    const auto snap = inc ? inc->snapshot() : overlay.snapshot();
-    if (inc) {
-      stats.balls_recomputed = inc->stats().last_recomputed;
-      stats.balls_reused = inc->stats().last_reused;
-    } else {
-      stats.balls_recomputed = n;
-    }
+    // Snapshot and re-estimate; the run's setup stage builds G.
+    const auto snap = overlay.snapshot();
     std::vector<bool> dense_byz(n, false);
     for (NodeId i = 0; i < n; ++i) {
       if (byz[snap.dense_to_stable[i]]) dense_byz[i] = true;

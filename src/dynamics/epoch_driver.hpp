@@ -7,26 +7,23 @@
 // the message-level sim::Engine on the same snapshot to assert the two
 // protocol tiers still agree decision-for-decision under churn.
 //
-// The driver selects between the repo's churn models and estimation tiers
-// (docs/ARCHITECTURE.md has the full matrix):
+// The driver selects between the repo's churn models (docs/ARCHITECTURE.md
+// has the full matrix):
 //
 //   * snapshot churn (default): events apply BETWEEN runs; each run
-//     executes on a frozen snapshot. IncrementalConfig layers the
-//     incremental tiers on top — dirty-ball snapshots and drift-adaptive
-//     cadence. Every estimating epoch runs the plain Algorithm 2 run.
+//     executes on a frozen MutableOverlay::snapshot(), whose G is built by
+//     its first reader (the setup stage). IncrementalConfig adds
+//     drift-adaptive cadence. Every estimating epoch runs the plain
+//     Algorithm 2 run.
 //   * mid-run churn (ChurnRunConfig::mid_run): the epoch's events are
 //     placed on individual flood rounds — uniformly, or adversarially
 //     timed/targeted (adversary/midrun_schedule.hpp) — and strike DURING
 //     the run (dynamics/midrun.*), under a MembershipPolicy that decides
-//     how the in-flight run reacts. The IncrementalConfig tiers COMPOSE
-//     with it (the steady-state hot path): each epoch's run executes on
-//     IncrementalEngine::snapshot() — the mid-run and flushed splices flow
-//     through the overlay's SpliceObserver, so the next snapshot
-//     recomputes only the balls they dirtied — and skips drift-quiet
-//     epochs adaptively (those epochs apply their events between-runs
-//     style). run_engine doubles as the per-epoch E26 oracle: the
-//     message-level engine replays the identical schedule (composed
-//     inputs included) and must agree bitwise.
+//     how the in-flight run reacts. Adaptive cadence COMPOSES with it:
+//     drift-quiet epochs are skipped and apply their events between-runs
+//     style. run_engine doubles as the per-epoch E26 oracle: the
+//     message-level engine replays the identical schedule and must agree
+//     bitwise.
 //
 // Everything is derived from cfg.seed with SplitMix64 streams and replayed
 // sequentially, so a churn run is bitwise reproducible regardless of how
@@ -46,17 +43,8 @@
 
 namespace byz::dynamics {
 
-/// The incremental-estimation knobs (all off = a full snapshot rebuild
-/// plus a protocol run every epoch).
+/// The estimation-cadence knobs (off = a protocol run every epoch).
 struct IncrementalConfig {
-  /// Dirty-ball snapshot maintenance: snapshot() recomputes only the BFS
-  /// balls within distance k of a splice endpoint and reuses the rest.
-  bool incremental = false;
-  /// Debug mode: every incremental snapshot is cross-checked bitwise
-  /// against a full rebuild (throws std::logic_error on divergence). Only
-  /// incremental snapshots are checked: without `incremental` the epoch
-  /// runs on the full rebuild itself.
-  bool verify_snapshots = false;
   /// Drift-adaptive epoch scheduling: re-estimate only when the membership
   /// drift accumulated since the last estimation crosses drift_threshold,
   /// instead of on every epoch.
@@ -81,18 +69,17 @@ struct ChurnRunConfig {
   /// Accuracy band for est/log2(n(t)) (summarize_accuracy defaults).
   double band_lo = 0.05;
   double band_hi = 3.0;
-  /// Incremental-tier switches (snapshot reuse, adaptive scheduling).
+  /// Adaptive scheduling.
   IncrementalConfig incremental;
   /// Mid-protocol churn (dynamics/midrun.*): apply each epoch's
   /// joins/leaves DURING its estimation run — spread over the run's
-  /// expected flood rounds — instead of between runs. The incremental
-  /// tier COMPOSES with it (see the file comment): dirty-ball snapshots
-  /// feed the run start and adaptive cadence skips drift-quiet epochs
-  /// (their events then apply between-runs style). run_engine IS
+  /// expected flood rounds — instead of between runs. Adaptive cadence
+  /// COMPOSES with it (see the file comment): drift-quiet epochs are
+  /// skipped and their events apply between-runs style. run_engine IS
   /// supported: each epoch the message-level sim::Engine replays the
-  /// identical schedule from a copy of the pre-run state (composed inputs
-  /// included) and EpochStats.engine_match records whether the two tiers
-  /// agreed bitwise (the E26 oracle).
+  /// identical schedule from a copy of the pre-run state and
+  /// EpochStats.engine_match records whether the two tiers agreed bitwise
+  /// (the E26 oracle).
   struct MidRunMode {
     bool enabled = false;
     proto::MembershipPolicy policy =
@@ -140,11 +127,9 @@ struct EpochStats {
   double stale_frac_in_band = 0.0;
   std::uint64_t messages = 0;     ///< protocol messages this epoch
   bool engine_match = true;       ///< engine == fastpath (when run_engine)
-  // --- incremental tier ---
+  // --- adaptive cadence ---
   bool estimated = true;          ///< false = adaptive scheduler skipped
   double drift = 0.0;             ///< accumulated drift entering the epoch
-  std::uint64_t balls_recomputed = 0;  ///< snapshot balls BFS'd this epoch
-  std::uint64_t balls_reused = 0;      ///< balls carried from last snapshot
   /// Mid-run mode: Verifier rows the live kReadmitNextPhase refreshes
   /// recomputed, i.e. those within k-1 H-hops of a splice since the
   /// previous boundary (MidRunStats::rows_recomputed). 0 in snapshot mode:
@@ -174,10 +159,6 @@ struct EpochStats {
   double shadow_ratio = 0.0;         ///< algo2 median est / shadow median est
   bool shadow_in_band = true;        ///< shadow honored its own bound
   bool shadow_agree = true;          ///< pair ratio within the combined band
-
-  /// Bitwise identity over every counter — what the incremental-vs-full
-  /// epoch comparison asserts.
-  bool operator==(const EpochStats&) const = default;
 };
 
 struct ChurnRunResult {

@@ -92,8 +92,7 @@ LiveOverlayFeed::LiveOverlayFeed(MutableOverlay& overlay,
   if (stable_byz.size() != overlay.id_bound()) {
     throw std::invalid_argument("LiveOverlayFeed: stable mask size mismatch");
   }
-  // Run-start snapshot: the injected incremental one (bitwise identical to
-  // the full rebuild by IncrementalEngine's contract) or our own rebuild.
+  // Run-start snapshot: the injected one or our own.
   if (composed_ != nullptr && composed_->snapshot != nullptr) {
     snap_ = composed_->snapshot;
     if (snap_->overlay.num_nodes() != overlay.num_alive() ||
@@ -599,7 +598,6 @@ MidRunTierComparison compare_midrun_tiers(const MutableOverlay& overlay,
   }
   {
     MutableOverlay fast_overlay = overlay;
-    fast_overlay.set_observer(nullptr);
     std::vector<bool> fast_byz = stable_byz;
     util::Xoshiro256 fast_rng = rng;
     auto fast_strategy = adv::make_strategy(strategy);
@@ -610,7 +608,6 @@ MidRunTierComparison compare_midrun_tiers(const MutableOverlay& overlay,
   }
   {
     MutableOverlay engine_overlay = overlay;
-    engine_overlay.set_observer(nullptr);
     std::vector<bool> engine_byz = stable_byz;
     util::Xoshiro256 engine_rng = rng;
     auto engine_strategy = adv::make_strategy(strategy);

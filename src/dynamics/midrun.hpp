@@ -50,17 +50,11 @@
 //        identical MidRunOutcome for every rate/policy/strategy — the two
 //        tiers cross-check each other's mid-run membership machinery, so
 //        fastpath-only behavior is no longer unverifiable.
-//   E28  the COMPOSED tier: mid-run churn is no longer exclusive with the
-//        incremental machinery. MidRunComposed lets the epoch driver hand
-//        the feed an IncrementalEngine snapshot (bitwise identical to the
-//        cold rebuild by that engine's contract, so E24/E26 transfer
-//        unchanged). The feed's run-start Verifier rows are the
-//        snapshot's own ball counts (graph::Overlay::ball_row). The feed's
-//        own splices go through MutableOverlay::join_at/leave, which
-//        notify whatever SpliceObserver is attached — so the
-//        DirtyBallTracker sees every mid-run and flushed event and the
-//        NEXT epoch's snapshot recomputes only the balls this epoch
-//        dirtied.
+//   E28  the COMPOSED tier: mid-run churn epoch after epoch, with the
+//        per-epoch engine oracle on. Each run starts from a fresh
+//        MutableOverlay::snapshot(); the feed's run-start Verifier rows are
+//        that snapshot's own ball counts (graph::Overlay::ball_row), and
+//        its G is built by the setup stage's first read.
 //
 // Adversarial schedules (adversary/midrun_schedule.hpp) reuse this replay
 // machinery unchanged: derive_adversarial_schedule shapes WHEN the same
@@ -143,14 +137,11 @@ struct MidRunStats {
   bool operator==(const MidRunStats&) const = default;
 };
 
-/// Composed-tier input the epoch driver threads into a mid-run run
-/// (optional; the default value is the standalone behavior):
-/// `snapshot` is a run-start snapshot to execute on INSTEAD of the feed's
-/// own MutableOverlay::snapshot() full rebuild. The driver passes
-/// IncrementalEngine::snapshot(), which is bitwise identical to the full
-/// rebuild by contract, so every mid-run anchor (E24/E26) transfers
-/// unchanged. Must describe the overlay's current alive membership and
-/// outlive the feed.
+/// Optional input to a mid-run run (the default value is the standalone
+/// behavior): `snapshot` is a run-start snapshot to execute on INSTEAD of
+/// the feed's own MutableOverlay::snapshot(), so a caller that already
+/// holds one does not build a second. It must be that overlay's current
+/// snapshot (only its size is checked) and outlive the feed.
 struct MidRunComposed {
   const MutableOverlay::Snapshot* snapshot = nullptr;
 };
@@ -169,7 +160,7 @@ struct MidRunComposed {
 /// max(k-1, 1), and for a Byzantine v its usable chain: the strict chain (a
 /// simple Byzantine path of at most k hops ending at v) or the rewired
 /// count (Byzantine nodes within k-1 hops), all over the live alive-only
-/// adjacency. Witness-path argument (incremental/dirty_ball.hpp): a value
+/// adjacency. Witness-path argument: a value
 /// read off the paths of at most r hops from v can change across a splice
 /// only if one of those paths, before or after it, crosses an edge the
 /// splice added or removed. The prefix before the FIRST changed edge uses
@@ -189,8 +180,8 @@ struct MidRunComposed {
 /// rather than copying it.
 class LiveOverlayFeed final : public proto::MidRunHooks {
  public:
-  /// `composed` (optional, must outlive the feed) threads the incremental
-  /// snapshot in — see MidRunComposed.
+  /// `composed` (optional, must outlive the feed) supplies the run-start
+  /// snapshot — see MidRunComposed.
   /// `digester` (optional; same instance the run itself is handed) lets
   /// the feed fold membership changes into the current round digest and
   /// record join/leave flight events. Pure read-side.
@@ -228,8 +219,7 @@ class LiveOverlayFeed final : public proto::MidRunHooks {
   void flush_remaining();
 
   /// The run-start snapshot the protocol executes on (run ids < n0 are
-  /// its dense ids) — the feed's own full rebuild, or the injected
-  /// incremental snapshot when MidRunComposed supplies one.
+  /// its dense ids) — the feed's own, or the one MidRunComposed supplies.
   [[nodiscard]] const graph::Overlay& snapshot_overlay() const noexcept {
     return snap_->overlay;
   }
@@ -333,8 +323,8 @@ struct MidRunOutcome {
 /// the between-runs path. `stable_byz` grows with every join (sybil
 /// joiners marked Byzantine), `rng` advances exactly one draw per
 /// adversary decision — both identical to the between-runs replay, so a
-/// driver can alternate modes per epoch. `composed` (nullable) layers the
-/// incremental tier onto the run — see MidRunComposed.
+/// driver can alternate modes per epoch. `composed` (nullable) supplies
+/// the run-start snapshot — see MidRunComposed.
 [[nodiscard]] MidRunOutcome run_counting_midrun(
     MutableOverlay& overlay, std::vector<bool>& stable_byz,
     adv::Strategy& strategy, const proto::ProtocolConfig& cfg,
@@ -347,7 +337,7 @@ struct MidRunOutcome {
 /// array fast path — identical feed, identical rng/byz evolution, and (the
 /// E26 oracle) an identical MidRunOutcome bit for bit: the two tiers must
 /// agree under NONZERO mid-run churn, not just at the E24 empty-schedule
-/// anchor. Composed inputs thread through identically.
+/// anchor. A composed snapshot threads through identically.
 [[nodiscard]] MidRunOutcome run_counting_midrun_engine(
     MutableOverlay& overlay, std::vector<bool>& stable_byz,
     adv::Strategy& strategy, const proto::ProtocolConfig& cfg,

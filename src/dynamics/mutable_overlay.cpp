@@ -69,20 +69,10 @@ NodeId MutableOverlay::join_at(std::span<const NodeId> anchors) {
     succ_[c].push_back(graph::kInvalidNode);
     pred_[c].push_back(graph::kInvalidNode);
   }
-  std::vector<NodeId> touched;
-  if (observer_ != nullptr) {
-    touched.reserve(1 + 2 * num_cycles());
-    touched.push_back(v);
-    for (std::uint32_t c = 0; c < num_cycles(); ++c) {
-      touched.push_back(anchors[c]);
-      touched.push_back(succ_[c][anchors[c]]);  // anchor's pre-splice succ
-    }
-  }
   splice_in(v, anchors);
   ++generation_;
   fold(0x10000000ull | v);
   for (const NodeId a : anchors) fold(a);
-  notify(touched);
   return v;
 }
 
@@ -102,11 +92,6 @@ void MutableOverlay::leave(NodeId v) {
   if (alive_count_ <= 3) {
     throw std::invalid_argument("leave: overlay cannot shrink below 3 nodes");
   }
-  std::vector<NodeId> touched;
-  if (observer_ != nullptr) {
-    touched.reserve(1 + 2 * num_cycles());
-    touched.push_back(v);
-  }
   for (std::uint32_t c = 0; c < num_cycles(); ++c) {
     const NodeId p = pred_[c][v];
     const NodeId s = succ_[c][v];
@@ -114,10 +99,6 @@ void MutableOverlay::leave(NodeId v) {
     pred_[c][s] = p;
     succ_[c][v] = graph::kInvalidNode;
     pred_[c][v] = graph::kInvalidNode;
-    if (observer_ != nullptr) {
-      touched.push_back(p);
-      touched.push_back(s);
-    }
   }
   alive_[v] = 0;
   const NodeId pos = pos_in_list_[v];
@@ -128,27 +109,17 @@ void MutableOverlay::leave(NodeId v) {
   --alive_count_;
   ++generation_;
   fold(0x20000000ull | v);
-  notify(touched);
 }
 
 void MutableOverlay::rewire(NodeId v, util::Xoshiro256& rng) {
   if (!is_alive(v)) throw std::invalid_argument("rewire: node not alive");
   if (alive_count_ < 4) return;  // nowhere else to go in a 3-ring
   // Splice out, pick anchors among the OTHERS, splice back in.
-  std::vector<NodeId> touched;
-  if (observer_ != nullptr) {
-    touched.reserve(1 + 4 * num_cycles());
-    touched.push_back(v);
-  }
   for (std::uint32_t c = 0; c < num_cycles(); ++c) {
     const NodeId p = pred_[c][v];
     const NodeId s = succ_[c][v];
     succ_[c][p] = s;
     pred_[c][s] = p;
-    if (observer_ != nullptr) {
-      touched.push_back(p);
-      touched.push_back(s);
-    }
   }
   std::vector<NodeId> anchors(num_cycles());
   for (auto& a : anchors) {
@@ -156,17 +127,10 @@ void MutableOverlay::rewire(NodeId v, util::Xoshiro256& rng) {
       a = random_alive(rng);
     } while (a == v);
   }
-  if (observer_ != nullptr) {
-    for (std::uint32_t c = 0; c < num_cycles(); ++c) {
-      touched.push_back(anchors[c]);
-      touched.push_back(succ_[c][anchors[c]]);  // becomes v's new successor
-    }
-  }
   splice_in(v, anchors);
   ++generation_;
   fold(0x30000000ull | v);
   for (const NodeId a : anchors) fold(a);
-  notify(touched);
 }
 
 std::vector<NodeId> MutableOverlay::alive_nodes() const {

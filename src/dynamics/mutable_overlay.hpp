@@ -32,24 +32,6 @@ using graph::NodeId;
 
 class MutableOverlay {
  public:
-  /// Observes topology splices (the hook incremental::DirtyBallTracker
-  /// attaches to). The observer sees each join/leave/rewire AFTER the rings
-  /// are updated, with the stable ids whose incident H-edges the operation
-  /// changed: the joined/departed/rewired node itself, every splice anchor,
-  /// and each anchor's former ring successor (duplicates possible). All
-  /// reported ids are alive in the post-op overlay except a departed node.
-  class SpliceObserver {
-   public:
-    virtual ~SpliceObserver() = default;
-    virtual void on_splice(std::span<const NodeId> touched) = 0;
-  };
-
-  /// Attaches (or, with nullptr, detaches) the single observer slot.
-  void set_observer(SpliceObserver* observer) noexcept {
-    observer_ = observer;
-  }
-  [[nodiscard]] SpliceObserver* observer() const noexcept { return observer_; }
-
   /// Bootstraps with `n0` nodes (stable ids 0..n0-1) by running the exact
   /// Fisher-Yates cycle sampling of build_hamiltonian_graph on `seed`: the
   /// generation-0 snapshot is edge-identical to Overlay::build({n0, d, k,
@@ -130,9 +112,10 @@ class MutableOverlay {
   };
 
   /// Extracts the snapshot: O(n·d) edge assembly plus the overlay's eager
-  /// ball-count pass (its G is built on first read, as for any overlay). params.generation = build_tag() (never 0, so a
-  /// snapshot key is always distinct from the static sample's, and distinct
-  /// histories get distinct keys).
+  /// ball-count pass; its G is built on first read, as for any overlay.
+  /// Every churn epoch runs on one. params.generation = build_tag() (never
+  /// 0, so a snapshot key is always distinct from the static sample's, and
+  /// distinct histories get distinct keys).
   [[nodiscard]] Snapshot snapshot() const;
 
  private:
@@ -140,11 +123,6 @@ class MutableOverlay {
   void fold(std::uint64_t value) noexcept {
     history_tag_ = util::mix_seed(history_tag_, value);
   }
-  void notify(std::span<const NodeId> touched) {
-    if (observer_ != nullptr) observer_->on_splice(touched);
-  }
-
-  SpliceObserver* observer_ = nullptr;
   std::uint32_t d_;
   std::uint32_t k_;
   std::uint64_t seed_;

@@ -37,11 +37,10 @@ class Graph {
 
   /// Adopts ready-made CSR arrays without per-edge work — the fast path for
   /// callers that already hold sorted per-node ranges (the overlay's G
-  /// build, after compacting its fixed-stride rows in place, and the
-  /// incremental snapshot engine, for G and for H). `neighbors` may hold
-  /// spare capacity; it is kept. `offsets` must be monotone with offsets[0] == 0 and
-  /// offsets.back() == neighbors.size(); each node's range must be sorted
-  /// ascending (checked in debug builds only).
+  /// build, after compacting its fixed-stride rows in place). `neighbors`
+  /// may hold spare capacity; it is kept. `offsets` must be monotone with
+  /// offsets[0] == 0 and offsets.back() == neighbors.size(); each node's
+  /// range must be sorted ascending (checked in debug builds only).
   [[nodiscard]] static Graph from_csr(OffsetVec offsets,
                                       NeighborVec neighbors);
 

@@ -134,37 +134,6 @@ const Overlay::Balls& Overlay::materialize() const {
   return lazy.balls;
 }
 
-Overlay Overlay::build_with_balls(const OverlayParams& params, Graph h,
-                                  Graph g, std::vector<std::uint8_t> g_dist,
-                                  std::vector<std::uint32_t> ball_counts) {
-  Overlay o;
-  o.params_ = params;
-  o.k_ = params.k == 0 ? paper_k(params.d) : params.k;
-  if (o.k_ == 0) throw std::invalid_argument("Overlay: k must be >= 1");
-  if (h.num_nodes() != params.n || g.num_nodes() != params.n) {
-    throw std::invalid_argument("Overlay: H/G node count != params.n");
-  }
-  if (!h.is_regular(params.d)) {
-    throw std::invalid_argument("Overlay: H is not d-regular");
-  }
-  if (g_dist.size() != g.num_slots()) {
-    throw std::invalid_argument("Overlay: g_dist size != G slots");
-  }
-  if (ball_counts.size() !=
-      static_cast<std::size_t>(params.n) * witness_width(o.k_)) {
-    throw std::invalid_argument("Overlay: ball_counts size != n*w");
-  }
-  o.h_ = std::move(h);
-  o.h_simple_ = simplify(o.h_);
-  o.ball_counts_ = std::move(ball_counts);
-  LazyBalls& lazy = *o.lazy_;
-  lazy.balls.bytes = g.memory_bytes() + g_dist.size();
-  lazy.balls.g = std::move(g);
-  lazy.balls.dist = std::move(g_dist);
-  lazy.ready.store(&lazy.balls, std::memory_order_release);
-  return o;
-}
-
 std::uint8_t Overlay::h_dist(NodeId v, NodeId w) const {
   const Balls& b = balls();
   if (v == w) return 0;

@@ -80,20 +80,6 @@ class Overlay {
   [[nodiscard]] static Overlay build_from_h(const OverlayParams& params,
                                             Graph h);
 
-  /// Assembles an overlay from a caller-supplied H **and** ready-made k-ball
-  /// adjacency: `g` must be the dedup'd union of all balls B_H(v, k) \ {v}
-  /// with `g_dist[slot]` the exact H-distance of each neighbor slot, and
-  /// `ball_counts` the n * witness_width(k) table ball_row() views (checked
-  /// for that size) — the arrays the eager pass and the first G read of
-  /// build_from_h would have derived. Skipping those BFS passes is the
-  /// incremental snapshot engine's hot path; it is the CALLER's contract
-  /// that the balls match H (the engine's debug mode cross-checks against
-  /// a full rebuild). Only cheap shape invariants are validated here.
-  [[nodiscard]] static Overlay build_with_balls(
-      const OverlayParams& params, Graph h, Graph g,
-      std::vector<std::uint8_t> g_dist,
-      std::vector<std::uint32_t> ball_counts);
-
   [[nodiscard]] const OverlayParams& params() const noexcept { return params_; }
   [[nodiscard]] std::uint32_t k() const noexcept { return k_; }
   [[nodiscard]] NodeId num_nodes() const noexcept { return h_.num_nodes(); }

@@ -3,8 +3,8 @@
 // the allocations to 64-byte lines keeps the rows from straddling an extra
 // line per access and gives the vectorizer an honest alignment story.
 // The allocator is stateless, so aligned_vector moves/swaps exactly like
-// std::vector — the overlay's G build and the incremental snapshot engine
-// hand their assembled CSR arrays to Graph::from_csr without a copy.
+// std::vector — the overlay's G build hands its assembled CSR arrays to
+// Graph::from_csr without a copy.
 #pragma once
 
 #include <cstddef>

@@ -1,12 +1,14 @@
 // Unit coverage of the mid-run churn building blocks: schedule derivation,
 // LiveOverlayFeed bookkeeping (run-id space, mask growth, stats, flush),
-// and run_churn's mid-run mode (trace invariants, the composed incremental
-// tier, the per-epoch engine oracle and the backends it refuses).
+// and run_churn's mid-run mode (trace invariants, snapshot injection,
+// adaptive cadence, the per-epoch engine oracle and the backends it
+// refuses).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <stdexcept>
 
+#include "adversary/midrun_schedule.hpp"
 #include "dynamics/epoch_driver.hpp"
 #include "dynamics/midrun.hpp"
 #include "graph/categories.hpp"
@@ -138,75 +140,57 @@ TEST(MidRunChurnModeTest, ReplaysTraceAndReportsMidRunStats) {
   }
 }
 
-TEST(ComposedMidRunTest, IncrementalSnapshotFeedsTheMidRunPath) {
-  // With the incremental tier on, each mid-run epoch executes on
-  // IncrementalEngine::snapshot(): after epoch 0's full bootstrap, only
-  // the balls dirtied by the previous epoch's splices are recomputed.
-  dynamics::ChurnRunConfig cfg;
-  cfg.trace.n0 = 512;
-  cfg.trace.epochs = 4;
-  cfg.trace.arrival_rate = 2.0;
-  cfg.trace.departure_rate = 2.0;
-  cfg.trace.min_n = 256;
-  cfg.trace.seed = 7;
-  cfg.d = 6;
-  cfg.seed = 7;
-  cfg.mid_run.enabled = true;
-  cfg.incremental.incremental = true;
-  cfg.incremental.verify_snapshots = true;  // bitwise oracle on every call
+TEST(ComposedMidRunTest, InjectedSnapshotLeavesOutcomeUnchanged) {
+  // Snapshot injection is pure plumbing: a mid-run trial executed on a
+  // MutableOverlay::snapshot() handed in through MidRunComposed must
+  // produce the same MidRunOutcome bit for bit as the standalone feed,
+  // which takes its own.
+  constexpr NodeId kN0 = 256;
+  constexpr std::uint32_t kD = 6;
+  for (std::uint64_t seed = 5; seed <= 7; ++seed) {
+    dynamics::MutableOverlay inj_overlay(kN0, kD, 0, util::mix_seed(seed, 1));
+    dynamics::MutableOverlay ref_overlay(kN0, kD, 0, util::mix_seed(seed, 1));
 
-  const auto result = dynamics::run_churn(cfg);
-  ASSERT_EQ(result.epochs.size(), cfg.trace.epochs);
-  EXPECT_EQ(result.epochs[0].balls_recomputed, 512u);
-  for (std::uint32_t e = 1; e < result.epochs.size(); ++e) {
-    const auto& ep = result.epochs[e];
-    // The run-start snapshot covers the members alive BEFORE this epoch's
-    // churn — the previous epoch's n_after.
-    EXPECT_EQ(ep.balls_recomputed + ep.balls_reused,
-              static_cast<std::uint64_t>(result.epochs[e - 1].n_true));
-    EXPECT_GT(ep.balls_reused, 0u) << "epoch " << e;
-    EXPECT_LT(ep.balls_recomputed, static_cast<std::uint64_t>(ep.n_true))
-        << "epoch " << e;
+    util::Xoshiro256 place_rng(util::mix_seed(seed, 2));
+    std::vector<bool> inj_byz = graph::random_byzantine_mask(
+        kN0, sim::derive_byz_count(kN0, 0.7), place_rng);
+    std::vector<bool> ref_byz = inj_byz;
+
+    dynamics::ChurnEpoch epoch;
+    epoch.joins = 6;
+    epoch.sybil_joins = 1;
+    epoch.leaves = 5;
+    proto::ProtocolConfig cfg;
+    const auto schedule = adv::derive_adversarial_schedule(
+        epoch,
+        dynamics::expected_horizon_rounds(kN0, kD, cfg.schedule),
+        util::mix_seed(seed, 3), adv::MidRunScheduleStrategy::kUniform, kD,
+        cfg.schedule);
+    dynamics::MidRunConfig mid_cfg;
+
+    const auto snap = inj_overlay.snapshot();
+    dynamics::MidRunComposed composed;
+    composed.snapshot = &snap;
+    util::Xoshiro256 inj_rng(util::mix_seed(seed, 4));
+    util::Xoshiro256 ref_rng(util::mix_seed(seed, 4));
+    auto inj_strategy = adv::make_strategy(adv::StrategyKind::kFakeColor);
+    auto ref_strategy = adv::make_strategy(adv::StrategyKind::kFakeColor);
+    const auto injected_out = dynamics::run_counting_midrun(
+        inj_overlay, inj_byz, *inj_strategy, cfg, 77, schedule, mid_cfg,
+        adv::ChurnAdversary::kNone, inj_rng, &composed);
+    const auto standalone_out = dynamics::run_counting_midrun(
+        ref_overlay, ref_byz, *ref_strategy, cfg, 77, schedule, mid_cfg,
+        adv::ChurnAdversary::kNone, ref_rng);
+    EXPECT_GT(injected_out.stats.events_applied, 0u) << "seed " << seed;
+    EXPECT_TRUE(injected_out == standalone_out) << "seed " << seed;
+    EXPECT_EQ(inj_byz, ref_byz);
   }
 }
 
-TEST(ComposedMidRunTest, ComposedOutcomeMatchesStandaloneMidRun) {
-  // Snapshot injection alone must not move a single bit of the per-epoch
-  // results: the incremental snapshot is identical to the full rebuild by
-  // contract, so the composed run IS the standalone run.
-  dynamics::ChurnRunConfig base;
-  base.trace.n0 = 256;
-  base.trace.epochs = 4;
-  base.trace.arrival_rate = 4.0;
-  base.trace.departure_rate = 4.0;
-  base.trace.min_n = 128;
-  base.trace.seed = 9;
-  base.d = 6;
-  base.seed = 9;
-  base.mid_run.enabled = true;
-
-  auto composed_cfg = base;
-  composed_cfg.incremental.incremental = true;
-  const auto plain = dynamics::run_churn(base);
-  const auto composed = dynamics::run_churn(composed_cfg);
-  ASSERT_EQ(plain.epochs.size(), composed.epochs.size());
-  for (std::size_t e = 0; e < plain.epochs.size(); ++e) {
-    const auto& a = plain.epochs[e];
-    const auto& b = composed.epochs[e];
-    EXPECT_EQ(a.n_true, b.n_true);
-    EXPECT_EQ(a.fresh.decided, b.fresh.decided);
-    EXPECT_EQ(a.fresh.in_band, b.fresh.in_band);
-    EXPECT_EQ(a.messages, b.messages);
-    EXPECT_EQ(a.midrun_events_applied, b.midrun_events_applied);
-    EXPECT_EQ(a.midrun_events_flushed, b.midrun_events_flushed);
-    EXPECT_EQ(a.stale_in_band, b.stale_in_band);
-  }
-}
-
-TEST(ComposedMidRunTest, EngineOracleHoldsWithAllTiersOn) {
-  // The full composition — incremental snapshot + adaptive cadence +
-  // engine oracle — must keep the two protocol tiers bitwise identical per
-  // epoch (the E26 contract extended to the composed tier).
+TEST(ComposedMidRunTest, EngineOracleHoldsWithAdaptiveCadenceOn) {
+  // Adaptive cadence + engine oracle must keep the two protocol tiers
+  // bitwise identical per epoch (the E26 contract extended to the
+  // composed tier).
   dynamics::ChurnRunConfig cfg;
   cfg.trace.n0 = 256;
   cfg.trace.epochs = 3;
@@ -218,14 +202,12 @@ TEST(ComposedMidRunTest, EngineOracleHoldsWithAllTiersOn) {
   cfg.seed = 21;
   cfg.run_engine = true;
   cfg.mid_run.enabled = true;
-  cfg.incremental.incremental = true;
-  cfg.incremental.verify_snapshots = true;
   cfg.incremental.adaptive = true;
 
   const auto result = dynamics::run_churn(cfg);
   for (const auto& ep : result.epochs) {
     EXPECT_TRUE(ep.engine_match)
-        << "engine diverged from fastpath with the composed tiers on";
+        << "engine diverged from fastpath with adaptive cadence on";
   }
 }
 
@@ -240,8 +222,6 @@ TEST(ComposedMidRunTest, AdaptiveCadenceSkipsQuietEpochsMidRun) {
   cfg.d = 6;
   cfg.seed = 27;
   cfg.mid_run.enabled = true;
-  cfg.incremental.incremental = true;
-  cfg.incremental.verify_snapshots = true;
   cfg.incremental.adaptive = true;
   cfg.incremental.drift_threshold = 0.05;  // ~0.4% churn/epoch: mostly skip
 
@@ -323,11 +303,11 @@ TEST(MidRunChurnModeTest, EngineOracleRefusesANonAlgorithm2Backend) {
                std::invalid_argument);
 }
 
-TEST(ComposedMidRunTest, EngineMatchesAcrossReusedBallsAndSkippedEpochs) {
-  // The full composed pipeline — mid-run churn + incremental snapshot +
-  // adaptive cadence + engine oracle — at a size where the incremental
-  // engine reuses balls and the cadence skips epochs: the engine oracle
-  // must match on every epoch, and neither activity may be vacuous.
+TEST(ComposedMidRunTest, EngineMatchesAcrossSkippedEpochs) {
+  // The full composed pipeline — mid-run churn + adaptive cadence +
+  // engine oracle — at a size where the cadence skips epochs: the engine
+  // oracle must match on every epoch, and the skipping may not be
+  // vacuous.
   dynamics::ChurnRunConfig cfg;
   cfg.trace.n0 = 1024;
   cfg.trace.epochs = 5;
@@ -339,17 +319,13 @@ TEST(ComposedMidRunTest, EngineMatchesAcrossReusedBallsAndSkippedEpochs) {
   cfg.seed = 33;
   cfg.mid_run.enabled = true;
   cfg.run_engine = true;
-  cfg.incremental.incremental = true;
   cfg.incremental.adaptive = true;
   const auto result = dynamics::run_churn(cfg);
-  bool any_reused = false;
   bool any_skipped = false;
   for (const auto& ep : result.epochs) {
     EXPECT_TRUE(ep.engine_match);
-    any_reused = any_reused || ep.balls_reused > 0;
     any_skipped = any_skipped || !ep.estimated;
   }
-  EXPECT_TRUE(any_reused) << "no ball reused: comparison is vacuous";
   EXPECT_TRUE(any_skipped) << "adaptive cadence never skipped an epoch";
 }
 

@@ -46,21 +46,6 @@ TEST(Experiment, Pow2Sizes) {
   EXPECT_EQ(sizes[2], 4096u);
 }
 
-TEST(Experiment, EnvScaleDefaultsToOne) {
-  EnvGuard guard("BYZCOUNT_SCALE", nullptr);
-  EXPECT_DOUBLE_EQ(env_scale(), 1.0);
-}
-
-TEST(Experiment, EnvScaleParses) {
-  EnvGuard guard("BYZCOUNT_SCALE", "2.5");
-  EXPECT_DOUBLE_EQ(env_scale(), 2.5);
-}
-
-TEST(Experiment, EnvScaleRejectsGarbage) {
-  EnvGuard guard("BYZCOUNT_SCALE", "banana");
-  EXPECT_DOUBLE_EQ(env_scale(), 1.0);
-}
-
 TEST(Experiment, EnvMaxExp) {
   {
     EnvGuard guard("BYZCOUNT_MAX_EXP", nullptr);

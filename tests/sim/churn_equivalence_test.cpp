@@ -4,14 +4,10 @@
 // identical message accounting (run_churn compares status, estimates,
 // phase/round counts, and the instrumentation counters when run_engine is
 // set). This pins down that churn only changes WHICH overlay the protocol
-// runs on, never how the two tiers execute it. Every case also runs on
-// incremental snapshots with verify_snapshots on, so each epoch's
-// dirty-ball snapshot is checked bitwise against a full rebuild (run_churn
-// throws on the first divergence) and the engine oracle holds on it.
+// runs on, never how the two tiers execute it.
 #include <gtest/gtest.h>
 
 #include <string>
-#include <tuple>
 
 #include "dynamics/epoch_driver.hpp"
 
@@ -25,11 +21,10 @@ struct Case {
   std::uint64_t seed;
 };
 
-class ChurnEquivalenceTest
-    : public ::testing::TestWithParam<std::tuple<Case, bool>> {};
+class ChurnEquivalenceTest : public ::testing::TestWithParam<Case> {};
 
 TEST_P(ChurnEquivalenceTest, EngineMatchesFastPathOnEverySnapshot) {
-  const auto& [c, incremental] = GetParam();
+  const Case& c = GetParam();
   dynamics::ChurnRunConfig cfg;
   cfg.trace.n0 = 160;
   cfg.trace.epochs = 3;
@@ -46,10 +41,8 @@ TEST_P(ChurnEquivalenceTest, EngineMatchesFastPathOnEverySnapshot) {
   cfg.churn_adversary = c.adversary;
   cfg.seed = c.seed;
   cfg.run_engine = true;
-  cfg.incremental.incremental = incremental;
-  cfg.incremental.verify_snapshots = incremental;
 
-  const auto result = dynamics::run_churn(cfg);  // throws on divergence
+  const auto result = dynamics::run_churn(cfg);
   ASSERT_EQ(result.epochs.size(), cfg.trace.epochs);
   for (std::uint32_t e = 0; e < result.epochs.size(); ++e) {
     EXPECT_TRUE(result.epochs[e].engine_match)
@@ -59,29 +52,24 @@ TEST_P(ChurnEquivalenceTest, EngineMatchesFastPathOnEverySnapshot) {
 
 INSTANTIATE_TEST_SUITE_P(
     ChurnModels, ChurnEquivalenceTest,
-    ::testing::Combine(
-        ::testing::Values(
-            Case{dynamics::ChurnModel::kSteady, adv::StrategyKind::kHonest,
-                 adv::ChurnAdversary::kNone, 1},
-            Case{dynamics::ChurnModel::kSteady, adv::StrategyKind::kFakeColor,
-                 adv::ChurnAdversary::kNone, 2},
-            Case{dynamics::ChurnModel::kBurst, adv::StrategyKind::kAdaptive,
-                 adv::ChurnAdversary::kTargetedDeparture, 3},
-            Case{dynamics::ChurnModel::kSybilJoin,
-                 adv::StrategyKind::kFakeColor,
-                 adv::ChurnAdversary::kSybilBurst, 4},
-            Case{dynamics::ChurnModel::kSybilJoin,
-                 adv::StrategyKind::kCrashMaximizer,
-                 adv::ChurnAdversary::kEclipse, 5}),
-        ::testing::Bool()),
-    [](const ::testing::TestParamInfo<std::tuple<Case, bool>>& info) {
-      const Case& c = std::get<0>(info.param);
-      const bool incremental = std::get<1>(info.param);
+    ::testing::Values(
+        Case{dynamics::ChurnModel::kSteady, adv::StrategyKind::kHonest,
+             adv::ChurnAdversary::kNone, 1},
+        Case{dynamics::ChurnModel::kSteady, adv::StrategyKind::kFakeColor,
+             adv::ChurnAdversary::kNone, 2},
+        Case{dynamics::ChurnModel::kBurst, adv::StrategyKind::kAdaptive,
+             adv::ChurnAdversary::kTargetedDeparture, 3},
+        Case{dynamics::ChurnModel::kSybilJoin, adv::StrategyKind::kFakeColor,
+             adv::ChurnAdversary::kSybilBurst, 4},
+        Case{dynamics::ChurnModel::kSybilJoin,
+             adv::StrategyKind::kCrashMaximizer, adv::ChurnAdversary::kEclipse,
+             5}),
+    [](const ::testing::TestParamInfo<Case>& info) {
+      const Case& c = info.param;
       std::string name = std::string(dynamics::to_string(c.model)) + "_" +
                          adv::to_string(c.strategy) + "_" +
                          adv::to_string(c.adversary) + "_s" +
-                         std::to_string(c.seed) +
-                         (incremental ? "_incremental" : "");
+                         std::to_string(c.seed);
       for (auto& ch : name) {
         if (ch == '-') ch = '_';
       }

@@ -11,10 +11,7 @@
 #include <vector>
 
 #include "bench_core/scheduler.hpp"
-#include "dynamics/mutable_overlay.hpp"
 #include "graph/small_world.hpp"
-#include "incremental/engine.hpp"
-#include "util/rng.hpp"
 
 namespace byz::util {
 namespace {
@@ -146,6 +143,41 @@ TEST(ParallelFor, ExceptionReachesTheCallerAfterTheJoin) {
                std::logic_error);
 }
 
+bool graphs_equal(const graph::Graph& a, const graph::Graph& b) {
+  const graph::NodeId n = a.num_nodes();
+  if (n != b.num_nodes() || a.num_slots() != b.num_slots()) return false;
+  for (graph::NodeId v = 0; v < n; ++v) {
+    const auto na = a.neighbors(v);
+    const auto nb = b.neighbors(v);
+    if (!std::equal(na.begin(), na.end(), nb.begin(), nb.end())) return false;
+  }
+  return true;
+}
+
+/// Deep structural equality of two overlays: params, H, its simple view,
+/// G, the per-slot distance annotations and the ball counts.
+bool overlays_identical(const graph::Overlay& a, const graph::Overlay& b) {
+  const auto& pa = a.params();
+  const auto& pb = b.params();
+  if (pa.n != pb.n || pa.d != pb.d || pa.k != pb.k || pa.seed != pb.seed ||
+      pa.generation != pb.generation || a.k() != b.k()) {
+    return false;
+  }
+  if (!graphs_equal(a.h(), b.h()) ||
+      !graphs_equal(a.h_simple(), b.h_simple()) ||
+      !graphs_equal(a.g(), b.g())) {
+    return false;
+  }
+  for (graph::NodeId v = 0; v < a.num_nodes(); ++v) {
+    const auto da = a.g_dists(v);
+    const auto db = b.g_dists(v);
+    if (!std::equal(da.begin(), da.end(), db.begin(), db.end())) return false;
+  }
+  const auto ca = a.ball_counts();
+  const auto cb = b.ball_counts();
+  return std::equal(ca.begin(), ca.end(), cb.begin(), cb.end());
+}
+
 TEST(ParallelFor, OverlayBuiltInsideATrialWorkerEqualsTheThreadedBuild) {
   graph::OverlayParams params;
   params.n = 4096;  // 16 chunks of the ball-count pass and of the G pass
@@ -166,42 +198,11 @@ TEST(ParallelFor, OverlayBuiltInsideATrialWorkerEqualsTheThreadedBuild) {
     return overlay;
   });
   for (const auto& o : inline_builds) {
-    EXPECT_TRUE(incremental::overlays_identical(threaded, o));
+    EXPECT_TRUE(overlays_identical(threaded, o));
   }
-}
-
-TEST(ParallelFor, SnapshotTakenInsideATrialWorkerEqualsTheThreadedOne) {
-  // Two copies of one evolving overlay, the same churn on each: one engine
-  // snapshots on the main thread, the other inside a trial worker.
-  constexpr graph::NodeId kN0 = 4096;
-  dynamics::MutableOverlay main_overlay(kN0, 6, 0, 7);
-  dynamics::MutableOverlay worker_overlay(kN0, 6, 0, 7);
-  incremental::IncrementalEngine main_engine(main_overlay);
-  incremental::IncrementalEngine worker_engine(worker_overlay);
-  util::Xoshiro256 main_rng(3);
-  util::Xoshiro256 worker_rng(3);
-  const bench_core::TrialScheduler scheduler(2);
-  for (int round = 0; round < 3; ++round) {
-    if (round > 0) {
-      for (int op = 0; op < 8; ++op) {
-        main_overlay.join(main_rng);
-        worker_overlay.join(worker_rng);
-        main_overlay.leave(main_overlay.random_alive(main_rng));
-        worker_overlay.leave(worker_overlay.random_alive(worker_rng));
-      }
-    }
-    const auto threaded = main_engine.snapshot();
-    const auto inline_snaps = scheduler.map(1, [&](std::uint64_t) {
-      EXPECT_EQ(parallel_workers(kN0, 1, 0), 1u);
-      return worker_engine.snapshot();
-    });
-    EXPECT_EQ(threaded.dense_to_stable, inline_snaps[0].dense_to_stable);
-    EXPECT_TRUE(incremental::overlays_identical(threaded.overlay,
-                                                inline_snaps[0].overlay))
-        << "round " << round;
-  }
-  EXPECT_EQ(main_engine.stats().balls_recomputed,
-            worker_engine.stats().balls_recomputed);
+  // The comparison can fail: another sample of the same size differs.
+  params.seed = 100;
+  EXPECT_FALSE(overlays_identical(threaded, graph::Overlay::build(params)));
 }
 
 }  // namespace

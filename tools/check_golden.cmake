@@ -16,10 +16,16 @@ file(REMOVE_RECURSE "${OUT_DIR}")
 execute_process(
   COMMAND "${BYZBENCH}" --filter "${SCENARIO}" --scale 0.05 --jobs 1
           --json-out "${OUT_DIR}"
-  OUTPUT_QUIET
+  OUTPUT_VARIABLE run_out
+  ERROR_VARIABLE run_err
   RESULT_VARIABLE run_rc)
 if(NOT run_rc EQUAL 0)
-  message(FATAL_ERROR "byzbench --filter ${SCENARIO} exited ${run_rc}")
+  # The run summary's FAILED: row says why (e.g. the exception a scenario
+  # threw); stderr carries anything logged before it.
+  string(REGEX MATCHALL "[^\n]*FAILED:[^\n]*" failed_rows "${run_out}")
+  string(REPLACE ";" "\n" failed_rows "${failed_rows}")
+  message(FATAL_ERROR "byzbench --filter ${SCENARIO} exited ${run_rc}\n"
+                      "${failed_rows}\n${run_err}")
 endif()
 
 set(actual "${OUT_DIR}/BENCH_${SCENARIO}.json")

@@ -8,9 +8,10 @@ writes a single JSON document holding every guard keyed by scenario id,
 stamped with the commit/run identity CI exposes (GITHUB_SHA, GITHUB_RUN_ID,
 GITHUB_REF_NAME — absent keys are simply omitted, so the script also runs
 locally). CI uploads the file as a per-run artifact: the sequence of
-artifacts over the run history IS the perf trajectory — E20's snapshot
-speedup and E28's composed-tier numbers per landed commit — so a perf
-regression is read off the artifacts instead of rediscovered by hand.
+artifacts over the run history IS the perf trajectory — E28's composed-tier
+numbers, E29's audit overhead and E30's flood-kernel speedup per landed
+commit — so a perf regression is read off the artifacts instead of
+rediscovered by hand.
 
 Exits nonzero when a manifest is missing or carries no guard metric, so a
 scenario silently dropping its guard breaks the CI step that calls this.
