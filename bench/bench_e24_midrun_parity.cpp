@@ -5,8 +5,9 @@
 // membership policies. This is the contract that keeps the mid-run code
 // honest: whatever machinery the live tier threads through the kernel, it
 // costs nothing and changes nothing until an event actually fires.
-// CI asserts the emitted guard: metrics.guard.identical must be true, and
-// the manifest participates in the --jobs determinism cmp.
+// The scenario checks its own guard: when metrics.guard.identical is false
+// it fails (byzbench exits 1), after writing the manifest and sidecar; the
+// golden_e24 ctest target pins the manifest byte for byte.
 #include "bench_common.hpp"
 
 namespace {
@@ -158,6 +159,10 @@ void run_e24(RunContext& ctx) {
   ctx.metric("guard", std::move(guard));
   if (ctx.audit()) {
     write_digest_sidecar(ctx, "e24", digest_xor, total, trail_divergences);
+  }
+  if (identical != total) {
+    throw std::runtime_error(
+        "mid-run path diverged from the static path at zero churn");
   }
 }
 

@@ -6,8 +6,8 @@
 // MembershipPolicy. E24 pinned the machinery at zero churn; this sweep
 // pins it where it matters: real mid-run joins/leaves, both policies, and
 // the adversarial frontier/boundary schedules, across strategies and
-// rates. CI asserts metrics.guard.divergences == 0 and diffs the manifest
-// across --jobs values.
+// rates. The scenario fails unless metrics.guard.identical holds with
+// divergences == 0; the golden_e26 ctest target pins the manifest.
 #include "bench_common.hpp"
 
 namespace {
@@ -130,6 +130,11 @@ void run_e26(RunContext& ctx) {
   ctx.metric("guard", std::move(guard));
   if (ctx.audit()) {
     write_digest_sidecar(ctx, "e26", digest_xor, total, trail_divergences);
+  }
+  if (identical != total) {
+    throw std::runtime_error(
+        "engine diverged from fastpath under mid-run churn: " +
+        std::to_string(total - identical) + " of " + std::to_string(total));
   }
 }
 

@@ -4,10 +4,10 @@
 // a long-running deployment would operate: each epoch's run executes on a
 // fresh MutableOverlay::snapshot(), its run-start Verifier reads that
 // snapshot's ball counts, and the engine oracle (run_engine) replays it
-// message by message. CI asserts metrics.guard: engine divergences == 0
-// and rows_recomputed > 0 (the readmit Verifier refresh did work; the perf
-// trajectory records the count per commit); E24/E26 remain the standalone
-// bitwise anchors.
+// message by message. The scenario fails unless metrics.guard holds:
+// engine divergences == 0 and rows_recomputed > 0 (the readmit Verifier
+// refresh did work; the perf trajectory records the count per commit);
+// E24/E26 remain the standalone bitwise anchors.
 // All reported metrics are counters — no wall-clock — so the manifest is
 // bitwise identical across --jobs and joins the determinism comparison.
 #include "bench_common.hpp"
@@ -33,6 +33,7 @@ void run_e28(RunContext& ctx) {
 
   std::vector<double> band_all;
   std::uint64_t guard_divergences = 0;
+  std::uint64_t guard_rows = 0;
   std::uint64_t digest_xor = 0, epochs_digested = 0, forensics_reports = 0;
   for (const auto n0 : sizes) {
     for (const auto policy : policies) {
@@ -106,6 +107,7 @@ void run_e28(RunContext& ctx) {
         // the steady-state regime the tentpole claim is about.
         if (!silent && rate == rates[0] && n0 == sizes.back()) {
           guard_divergences = divergences;
+          guard_rows = rows_recomputed;
           Json g = Json::object();
           g["n"] = std::uint64_t{n0};
           g["churn_bp"] = static_cast<int>(rate * 1000);
@@ -127,6 +129,15 @@ void run_e28(RunContext& ctx) {
   if (ctx.audit()) {
     write_digest_sidecar(ctx, "e28", digest_xor, epochs_digested,
                          forensics_reports);
+  }
+  if (guard_divergences != 0) {
+    throw std::runtime_error("engine diverged " +
+                             std::to_string(guard_divergences) +
+                             " times with the composed tiers on");
+  }
+  if (guard_rows == 0) {
+    throw std::runtime_error(
+        "readmit Verifier refresh recomputed no rows under mid-run churn");
   }
 }
 

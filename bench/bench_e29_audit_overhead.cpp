@@ -1,15 +1,17 @@
 // E29 — audit-overhead + parity guard for the divergence-forensics layer.
 // An E24-style mid-run workload runs through compare_midrun_tiers twice
 // per trial: once plain, once with an obs::AuditConfig attached (both
-// tiers digesting every round, flight recorders armed). The guard asserts
-// the audit is pure read-side — the audited outcomes are bitwise identical
-// to the plain ones, the two tiers' digest trails match entry for entry,
-// and repeating the audited run reproduces the identical run digest — and
-// that the wall-clock overhead of auditing stays within budget.
+// tiers digesting every round, flight recorders armed). The scenario fails
+// unless the audit is pure read-side — the audited outcomes are bitwise
+// identical to the plain ones, the two tiers' digest trails match entry
+// for entry (guard.identical), and repeating the audited run reproduces
+// the identical run digest (guard.deterministic). guard.within_budget
+// records whether the wall-clock overhead of auditing stays within
+// kOverheadBudget.
 //
-// This scenario measures wall-time, so trials run SERIALLY and
-// the manifest is excluded from the CI --jobs determinism cmp; the
-// overhead ratio feeds tools/perf_trajectory.py instead.
+// This scenario measures wall-time, so trials run SERIALLY and the
+// manifest stays out of the golden set; the overhead ratio feeds
+// tools/perf_trajectory.py instead.
 #include "bench_common.hpp"
 
 namespace {
@@ -20,7 +22,9 @@ using namespace byz::bench;
 /// Wall-clock budget: an audited oracle comparison may cost at most this
 /// multiple of the plain comparison. Digesting is one XOR per message plus
 /// one mix per round/phase close, so 3x is generous headroom for small n
-/// where the fixed cost dominates.
+/// where the fixed cost dominates. Recorded, not enforced: a ratio of two
+/// wall times taken inside a shared run is not a measurement, so only a
+/// dedicated serial run (CI's) asserts guard.within_budget.
 constexpr double kOverheadBudget = 3.0;
 
 struct Cell {
@@ -138,6 +142,14 @@ void run_e29(RunContext& ctx) {
   guard["overhead_ratio"] = overhead_ratio;
   guard["within_budget"] = (overhead_ratio <= kOverheadBudget);
   ctx.metric("guard", std::move(guard));
+  if (identical != compared) {
+    throw std::runtime_error(
+        "audited oracle comparison changed an outcome or trail");
+  }
+  if (!deterministic) {
+    throw std::runtime_error(
+        "repeat audited runs produced different run digests");
+  }
 }
 
 }  // namespace

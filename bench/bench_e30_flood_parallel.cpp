@@ -5,9 +5,9 @@
 // best_before / last_step, every instrumentation counter, and the
 // hierarchical digest trail), so the speedup column is a claim about an
 // EQUAL result — the equivalence argument documented in
-// src/protocols/flooding.cpp. Wall-clock numbers go to stdout via
-// ctx.line/table only; the guard metric carries the speedup for the CI
-// perf step, which strips it before the cross---jobs manifest comparison.
+// src/protocols/flooding.cpp. The scenario fails unless guard.identical
+// holds with zero trail divergences. Wall-clock numbers go to stdout via
+// ctx.line/table and to guard.speedup.
 #include <algorithm>
 
 #include "bench_common.hpp"
@@ -18,6 +18,12 @@ using namespace byz;
 using namespace byz::bench;
 
 using SubphaseFn = decltype(&proto::run_flood_subphase);
+
+/// Speedup floor over the scalar reference at the largest size (the
+/// data-layout gain). Recorded as guard.within_budget, not enforced: a
+/// ratio of two wall times taken inside a shared run is not a measurement,
+/// so only a dedicated serial run (CI's) asserts it.
+constexpr double kSpeedupFloor = 3.0;
 
 struct KernelRun {
   double ms = 0.0;
@@ -54,8 +60,8 @@ bool same_outputs(const KernelRun& a, const KernelRun& b) {
 
 void run_e30(RunContext& ctx) {
   // Smoke scales shrink max_exp below the full-size floor of 2^16; clamp
-  // the low end so the sweep (and the guard metric CI asserts on) never
-  // degenerates to zero sizes.
+  // the low end so the sweep (and the guard it checks) never degenerates
+  // to zero sizes.
   const auto hi_exp = ctx.max_exp(20);
   const auto sizes = analysis::pow2_sizes(std::min(16u, hi_exp), hi_exp);
   const auto reps = ctx.trials(3);
@@ -125,6 +131,7 @@ void run_e30(RunContext& ctx) {
       Json g = Json::object();
       g["n"] = std::uint64_t{n};
       g["speedup"] = speedup;
+      g["within_budget"] = (speedup >= kSpeedupFloor);
       g["identical"] = guard_identical;
       g["divergences"] = trail_divergences;
       g["compared"] = guard_compared;
@@ -141,6 +148,14 @@ void run_e30(RunContext& ctx) {
   ctx.emit(table);
   write_digest_sidecar(ctx, "e30", digest_xor, runs_digested,
                        trail_divergences);
+  if (!guard_identical) {
+    throw std::runtime_error("flood kernel diverged from the scalar oracle");
+  }
+  if (trail_divergences != 0) {
+    throw std::runtime_error("digest trails diverged: " +
+                             std::to_string(trail_divergences) + " of " +
+                             std::to_string(guard_compared));
+  }
 }
 
 }  // namespace
@@ -155,7 +170,8 @@ BYZBENCH_REGISTER(e30) {
                "instrumentation, and digest trails";
   spec.grid = {{"steps", {"8"}}, {"byz_delta", {"0.01"}}, pow2_axis(16, 20)};
   spec.base_trials = 3;
-  spec.metrics = {"guard.speedup", "guard.identical", "guard.divergences"};
+  spec.metrics = {"guard.speedup", "guard.within_budget", "guard.identical",
+                  "guard.divergences"};
   spec.run = run_e30;
   return spec;
 }

@@ -11,8 +11,9 @@
 // matched event budgets — the identical schedule, round for round — so
 // the frontier also covers worst-case churn TIMING, not just static
 // instances. Each backend is judged against its OWN declared
-// EstimatorBound; the guard counts own-bound violations (the pairwise
-// agreement oracle is E32's job).
+// EstimatorBound; the guard counts own-bound violations, and the scenario
+// fails when either count is nonzero (the pairwise agreement oracle is
+// E32's job).
 #include <string_view>
 #include <utility>
 
@@ -267,6 +268,16 @@ void run_e31(RunContext& ctx) {
   guard["brc_msg_ratio"] = brc_msg_ratio;
   guard["brc_round_ratio"] = brc_round_ratio;
   ctx.metric("guard", std::move(guard));
+  if (own_violations != 0) {
+    throw std::runtime_error(std::to_string(own_violations) +
+                             " frontier cells broke their backend's "
+                             "declared bound");
+  }
+  if (midrun_violations != 0) {
+    throw std::runtime_error(std::to_string(midrun_violations) +
+                             " mid-run backend runs broke their declared "
+                             "bound under adversarial schedules");
+  }
 }
 
 }  // namespace

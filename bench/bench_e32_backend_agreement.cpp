@@ -1,5 +1,5 @@
-// E32 — the cross-ALGORITHM agreement oracle, swept and CI-guarded at
-// ZERO violations: Algorithm 2 and Byzantine-Resilient Counting share no
+// E32 — the cross-ALGORITHM agreement oracle, swept and guarded at ZERO
+// violations: Algorithm 2 and Byzantine-Resilient Counting share no
 // decision logic (a threshold race's stopping phase vs a committed-color
 // median), so running both on the identical instance — same overlay, same
 // Byzantine placement, same coin seed — and asserting (a) each inside its
@@ -9,10 +9,10 @@
 // algorithm identically, but it will not shift two algorithms
 // identically. analysis::compare_backends is the oracle; run_churn's
 // shadow backend applies the same check per epoch in production — this
-// scenario is its offline, grid-swept form. CI reads guard.violations and
-// fails the build on any nonzero value, and the manifest participates in
-// the --jobs determinism cmp (compare_backends is scheduler-independent:
-// fresh strategies per backend, one derived seed per instance).
+// scenario is its offline, grid-swept form. The scenario fails on any
+// nonzero guard.violations, and the golden_e32 ctest target pins the
+// manifest (compare_backends is scheduler-independent: fresh strategies
+// per backend, one derived seed per instance).
 #include <limits>
 
 #include "bench_common.hpp"
@@ -101,6 +101,12 @@ void run_e32(RunContext& ctx) {
   guard["ratio_min"] = ratio_min_all;
   guard["ratio_max"] = ratio_max_all;
   ctx.metric("guard", std::move(guard));
+  if (violations != 0) {
+    throw std::runtime_error(std::to_string(violations) + " of " +
+                             std::to_string(instances) +
+                             " instances broke the cross-backend agreement "
+                             "bound");
+  }
 }
 
 }  // namespace

@@ -55,9 +55,7 @@ class SleeperStrategy final : public adv::Strategy {
   std::uint32_t d_;
 };
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   util::ArgParser args("adversary_lab", "plug in a custom adversary");
   args.add_option("n", "network size", "4096");
   args.add_option("d", "H-degree", "8");
@@ -110,4 +108,15 @@ int main(int argc, char** argv) {
              "the adversary wakes up.");
   std::cout << table;
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    BYZ_ERROR << "adversary_lab: " << e.what();
+    return 2;
+  }
 }

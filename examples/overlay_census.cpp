@@ -22,9 +22,7 @@ std::string grade(double est_log, double true_log) {
          util::format_double(off, 2) + "x of log2 n)";
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   util::ArgParser args("overlay_census",
                        "classical estimators vs Algorithm 2 under attack");
   args.add_option("n", "network size", "8192");
@@ -113,4 +111,15 @@ int main(int argc, char** argv) {
              "fake-color adversary.");
   std::cout << table;
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    BYZ_ERROR << "overlay_census: " << e.what();
+    return 2;
+  }
 }

@@ -21,9 +21,7 @@ byz::adv::StrategyKind parse_strategy(const std::string& name) {
                               "topology-liar, crash-max, adaptive)");
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace byz;
 
   util::ArgParser args("protocol_trace", "narrated Algorithm-2 run");
@@ -96,4 +94,15 @@ int main(int argc, char** argv) {
             << run.instr.injections_accepted << "/"
             << run.instr.injections_caught << "\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    BYZ_ERROR << "protocol_trace: " << e.what();
+    return 2;
+  }
 }

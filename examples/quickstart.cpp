@@ -11,7 +11,9 @@
 
 #include "byzcount.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace byz;
 
   util::ArgParser args("quickstart", "Byzantine counting in one page");
@@ -75,4 +77,15 @@ int main(int argc, char** argv) {
              "constant-factor estimate of log n.");
   std::cout << table;
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    BYZ_ERROR << "quickstart: " << e.what();
+    return 2;
+  }
 }

@@ -39,7 +39,6 @@
 #include "graph/connectivity.hpp"        // IWYU pragma: export
 #include "graph/graph.hpp"               // IWYU pragma: export
 #include "graph/hamiltonian.hpp"         // IWYU pragma: export
-#include "graph/io.hpp"                  // IWYU pragma: export
 #include "graph/metrics.hpp"             // IWYU pragma: export
 #include "graph/small_world.hpp"         // IWYU pragma: export
 #include "graph/spectral.hpp"            // IWYU pragma: export
@@ -62,9 +61,7 @@
 #include "sim/engine.hpp"                // IWYU pragma: export
 #include "sim/runner.hpp"                // IWYU pragma: export
 #include "sim/world.hpp"                 // IWYU pragma: export
-#include "util/bitops.hpp"               // IWYU pragma: export
 #include "util/cli.hpp"                  // IWYU pragma: export
-#include "util/csv.hpp"                  // IWYU pragma: export
 #include "util/log.hpp"                  // IWYU pragma: export
 #include "util/rng.hpp"                  // IWYU pragma: export
 #include "util/stats.hpp"                // IWYU pragma: export

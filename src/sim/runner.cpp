@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
+#include <stdexcept>
 
 #include "graph/categories.hpp"
 #include "util/rng.hpp"
@@ -9,6 +11,11 @@
 namespace byz::sim {
 
 graph::NodeId derive_byz_count(graph::NodeId n, double delta) {
+  if (!std::isfinite(delta) || delta < 0.0 || delta > 1.0) {
+    std::ostringstream got;
+    got << delta;
+    throw std::invalid_argument("delta must be in [0, 1], got " + got.str());
+  }
   const double b = std::pow(static_cast<double>(n), 1.0 - delta);
   return static_cast<graph::NodeId>(std::min<double>(std::floor(b),
                                                      static_cast<double>(n) / 4.0));

@@ -14,7 +14,9 @@
 
 namespace byz::sim {
 
-/// Byzantine budget B(n) = floor(n^(1-delta)) (the paper's bound).
+/// Byzantine budget B(n) = floor(n^(1-delta)) (the paper's bound), capped
+/// at n/4. Throws std::invalid_argument unless delta is in [0, 1] (NaN and
+/// infinities included).
 [[nodiscard]] graph::NodeId derive_byz_count(graph::NodeId n, double delta);
 
 struct TrialConfig {

@@ -201,18 +201,42 @@ TEST(Orchestrator, ManifestsBitwiseIdenticalAcrossJobCounts) {
 }
 
 TEST(Orchestrator, ReportsScenarioFailure) {
+  // A guard scenario records its guard and then throws when the guard does
+  // not hold: the run fails, and the manifest still carries the guard.
   Registry registry;
-  auto spec = make_spec("eboom", "always throws");
-  spec.run = [](RunContext&) { throw std::runtime_error("kaput"); };
+  auto spec = make_spec("eboom", "guard fails");
+  spec.run = [](RunContext& ctx) {
+    Json guard = Json::object();
+    guard["identical"] = false;
+    guard["compared"] = std::uint64_t{3};
+    ctx.metric("guard", std::move(guard));
+    throw std::runtime_error("kaput");
+  };
   registry.add(std::move(spec));
+  const std::string dir = ::testing::TempDir() + "/eboom";
   RunOptions opts;
+  opts.json_out = dir;
   opts.quiet = true;
   const auto outcomes = run_scenarios(registry, opts);
   ASSERT_EQ(outcomes.size(), 1u);
   EXPECT_FALSE(outcomes[0].ok);
   EXPECT_EQ(outcomes[0].error, "kaput");
+  EXPECT_EQ(outcomes[0].json_path, dir + "/BENCH_eboom.json");
   const auto summary = summarize_outcomes(outcomes);
   EXPECT_NE(summary.find("FAILED: kaput"), std::string::npos);
+
+  std::ifstream in(dir + "/BENCH_eboom.json");
+  ASSERT_TRUE(in.good());
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  const auto doc = Json::parse(buffer.str()).value_or(Json());
+  ASSERT_TRUE(doc.is_object());
+  EXPECT_FALSE(doc.find("ok")->as_bool());
+  EXPECT_EQ(doc.find("error")->as_string(), "kaput");
+  const auto* guard = doc.find("metrics")->find("guard");
+  ASSERT_NE(guard, nullptr);
+  EXPECT_FALSE(guard->find("identical")->as_bool());
+  EXPECT_EQ(guard->find("compared")->as_number(), 3.0);
 }
 
 }  // namespace

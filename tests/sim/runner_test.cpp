@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 namespace byz::sim {
 namespace {
@@ -16,6 +17,15 @@ TEST(DeriveByzCount, MatchesPower) {
 TEST(DeriveByzCount, CappedAtQuarter) {
   // δ → 0 would make everyone Byzantine; the cap keeps runs meaningful.
   EXPECT_LE(derive_byz_count(100, 0.01), 25u);
+}
+
+TEST(DeriveByzCount, RejectsDeltaOutsideUnitInterval) {
+  // NaN would reach an undefined NaN -> NodeId cast, and -3 would silently
+  // place the n/4 cap.
+  for (const double delta : {std::nan(""), -3.0, 1.5}) {
+    EXPECT_THROW((void)derive_byz_count(512, delta), std::invalid_argument)
+        << delta;
+  }
 }
 
 TEST(RunTrial, CleanTrialAllDecide) {

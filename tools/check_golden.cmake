@@ -20,8 +20,8 @@ execute_process(
   ERROR_VARIABLE run_err
   RESULT_VARIABLE run_rc)
 if(NOT run_rc EQUAL 0)
-  # The run summary's FAILED: row says why (e.g. the exception a scenario
-  # threw); stderr carries anything logged before it.
+  # The run summary's FAILED: row says why (e.g. the guard that does not
+  # hold); stderr carries anything logged before it.
   string(REGEX MATCHALL "[^\n]*FAILED:[^\n]*" failed_rows "${run_out}")
   string(REPLACE ";" "\n" failed_rows "${failed_rows}")
   message(FATAL_ERROR "byzbench --filter ${SCENARIO} exited ${run_rc}\n"
