@@ -1,7 +1,7 @@
 // Shared plumbing for the registered byzbench scenarios. Each
 // bench_eXX.cpp registers one ScenarioSpec against the bench_core
 // registry; the byzbench binary links them all and drives them through
-// the orchestrator (shared scheduler + overlay cache + JSON emitters).
+// the orchestrator (shared scheduler + JSON emitters).
 #pragma once
 
 #include <cmath>

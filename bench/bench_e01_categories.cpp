@@ -23,18 +23,24 @@ void run_e01(RunContext& ctx) {
   const auto sizes = analysis::pow2_sizes(10, ctx.max_exp(14));
   const std::uint32_t d = 8;
 
+  // Both deltas classify the same overlays: build each size's once.
+  const auto overlays = ctx.scheduler().map(sizes.size(), [&](std::uint64_t i) {
+    return graph::Overlay::build(
+        {.n = sizes[i], .d = d, .seed = 0xE1 + sizes[i]});
+  });
+
   for (const double delta : {0.5, 0.7}) {
     // Grid cells are independent: classify every size on the scheduler.
     const auto rows = ctx.scheduler().map(sizes.size(), [&](std::uint64_t i) {
       const auto n = sizes[i];
-      const auto overlay = ctx.overlay(n, d, 0xE1 + n);
+      const auto& overlay = overlays[i];
       const auto byz = place_byz(n, delta, 0xE1 + n);
       Row row;
       row.n = n;
-      row.cat1 = graph::classify_categories(*overlay, byz, 1, 1);
-      row.cat2 = graph::classify_categories(*overlay, byz, 1, 2);
-      row.chain = graph::longest_byzantine_chain(overlay->h_simple(), byz, 16);
-      row.paper_radius = graph::paper_radius_a(n, d, overlay->k(), delta);
+      row.cat1 = graph::classify_categories(overlay, byz, 1, 1);
+      row.cat2 = graph::classify_categories(overlay, byz, 1, 2);
+      row.chain = graph::longest_byzantine_chain(overlay.h_simple(), byz, 16);
+      row.paper_radius = graph::paper_radius_a(n, d, overlay.k(), delta);
       return row;
     });
 

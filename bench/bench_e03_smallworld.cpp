@@ -23,17 +23,18 @@ void run_e03(RunContext& ctx) {
 
   const auto rows = ctx.scheduler().map(sizes.size(), [&](std::uint64_t i) {
     const auto n = sizes[i];
-    const auto overlay = ctx.overlay(n, 8, 0xE3 + n);
+    const auto overlay =
+        graph::Overlay::build({.n = n, .d = 8, .seed = 0xE3 + n});
     Row row;
     row.n = n;
-    row.ch = graph::average_clustering(overlay->h_simple(),
+    row.ch = graph::average_clustering(overlay.h_simple(),
                                        n > 8192 ? 2048 : 0, 0xE3);
-    row.cg = graph::average_clustering(overlay->g(), 512, 0xE3);
-    const auto diam = graph::diameter(overlay->h_simple(), 4096, 8, 0xE3);
+    row.cg = graph::average_clustering(overlay.g(), 512, 0xE3);
+    const auto diam = graph::diameter(overlay.h_simple(), 4096, 8, 0xE3);
     row.diam = diam.value;
     row.diam_exact = diam.exact;
-    row.apl = graph::average_path_length(overlay->h_simple(), 8, 0xE3);
-    row.avg_deg_g = 2.0 * static_cast<double>(overlay->g().num_edges()) / n;
+    row.apl = graph::average_path_length(overlay.h_simple(), 8, 0xE3);
+    row.avg_deg_g = 2.0 * static_cast<double>(overlay.g().num_edges()) / n;
     return row;
   });
 

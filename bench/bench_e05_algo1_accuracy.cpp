@@ -11,6 +11,13 @@ using namespace byz::bench;
 void run_e05(RunContext& ctx) {
   const auto sizes = analysis::pow2_sizes(10, ctx.max_exp(15));
   const auto t = ctx.trials(5);
+  // Every eps runs on the same (size x trial) overlays: build each once.
+  const auto overlays =
+      ctx.scheduler().map(sizes.size() * t, [&](std::uint64_t unit) {
+        const auto n = sizes[unit / t];
+        return graph::Overlay::build(
+            {.n = n, .d = 8, .seed = util::mix_seed(0xE5 + n, unit % t)});
+      });
 
   for (const double eps : {0.05, 0.1, 0.2}) {
     struct Cell {
@@ -25,12 +32,10 @@ void run_e05(RunContext& ctx) {
         ctx.scheduler().map(sizes.size() * t, [&](std::uint64_t unit) {
           const auto n = sizes[unit / t];
           const auto trial = static_cast<std::uint32_t>(unit % t);
-          const auto overlay =
-              ctx.overlay(n, 8, util::mix_seed(0xE5 + n, trial));
           proto::ScheduleConfig sched;
           sched.epsilon = eps;
           const auto run = proto::run_basic_counting(
-              *overlay, util::mix_seed(0xC5, trial), sched);
+              overlays[unit], util::mix_seed(0xC5, trial), sched);
           return std::make_pair(proto::summarize_accuracy(run, n),
                                 std::make_pair(run.phases_executed,
                                                run.flood_rounds));

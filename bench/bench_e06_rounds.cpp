@@ -21,12 +21,13 @@ void run_e06(RunContext& ctx) {
   };
   const auto rows = ctx.scheduler().map(sizes.size(), [&](std::uint64_t i) {
     const auto n = sizes[i];
-    const auto overlay = ctx.overlay(n, 8, 0xE6 + n);
-    const auto clean = proto::run_basic_counting(*overlay, 0xC6);
+    const auto overlay =
+        graph::Overlay::build({.n = n, .d = 8, .seed = 0xE6 + n});
+    const auto clean = proto::run_basic_counting(overlay, 0xC6);
     const auto byz = place_byz(n, 0.5, 0xE6 + n);
     const auto strat = adv::make_strategy(adv::StrategyKind::kFakeColor);
     proto::ProtocolConfig cfg;
-    const auto attacked = proto::run_counting(*overlay, byz, *strat, cfg, 0xC6);
+    const auto attacked = proto::run_counting(overlay, byz, *strat, cfg, 0xC6);
     Row row;
     row.clean_rounds = clean.flood_rounds;
     row.attacked_rounds = attacked.flood_rounds;

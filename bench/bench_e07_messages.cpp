@@ -22,11 +22,12 @@ void run_e07(RunContext& ctx) {
     };
     const auto rows = ctx.scheduler().map(sizes.size(), [&](std::uint64_t i) {
       const auto n = sizes[i];
-      const auto overlay = ctx.overlay(n, 6, 0xE7 + n);
+      const auto overlay =
+          graph::Overlay::build({.n = n, .d = 6, .seed = 0xE7 + n});
       const auto byz = place_byz(n, 0.7, 0xE7 + n);
       const auto strat = adv::make_strategy(adv::StrategyKind::kFakeColor);
       proto::ProtocolConfig cfg;
-      sim::Engine engine(*overlay, byz, *strat, cfg, 0xC7);
+      sim::Engine engine(overlay, byz, *strat, cfg, 0xC7);
       const auto run = engine.run();
       Row row;
       row.instr = run.instr;
@@ -68,11 +69,12 @@ void run_e07(RunContext& ctx) {
     };
     const auto rows = ctx.scheduler().map(sizes.size(), [&](std::uint64_t i) {
       const auto n = sizes[i];
-      const auto overlay = ctx.overlay(n, 8, 0xE7B + n);
+      const auto overlay =
+          graph::Overlay::build({.n = n, .d = 8, .seed = 0xE7B + n});
       const auto byz = place_byz(n, 0.5, 0xE7B + n);
       const auto strat = adv::make_strategy(adv::StrategyKind::kFakeColor);
       proto::ProtocolConfig cfg;
-      const auto run = proto::run_counting(*overlay, byz, *strat, cfg, 0xC7);
+      const auto run = proto::run_counting(overlay, byz, *strat, cfg, 0xC7);
       return Row{run.instr, run.flood_rounds};
     });
 

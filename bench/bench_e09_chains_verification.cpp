@@ -34,19 +34,25 @@ void run_e09(RunContext& ctx) {
     for (const auto n : sizes) {
       for (const double delta : deltas) grid.push_back({n, delta});
     }
+    // Every delta of a size samples placements on the same overlay.
+    const auto overlays =
+        ctx.scheduler().map(sizes.size(), [&](std::uint64_t s) {
+          return graph::Overlay::build(
+              {.n = sizes[s], .d = 8, .seed = 0xE9 + sizes[s]});
+        });
     const auto cells = ctx.scheduler().map(grid.size(), [&](std::uint64_t i) {
       const auto [n, delta] = grid[i];
-      const auto overlay = ctx.overlay(n, 8, 0xE9 + n);
+      const auto& overlay = overlays[i / std::size(deltas)];
       Cell cell;
-      cell.k = overlay->k();
+      cell.k = overlay.k();
       for (std::uint32_t trial = 0; trial < t; ++trial) {
         util::Xoshiro256 rng(util::mix_seed(0xE9A + n, trial));
         const auto byz = graph::random_byzantine_mask(
             n, sim::derive_byz_count(n, delta), rng);
         const auto chain =
-            graph::longest_byzantine_chain(overlay->h_simple(), byz, 10);
+            graph::longest_byzantine_chain(overlay.h_simple(), byz, 10);
         cell.worst = std::max(cell.worst, chain);
-        if (chain >= overlay->k()) ++cell.violations;
+        if (chain >= overlay.k()) ++cell.violations;
       }
       return cell;
     });
@@ -79,16 +85,20 @@ void run_e09(RunContext& ctx) {
       std::uint64_t undecided = 0;
       sim::Instrumentation instr;
     };
+    // Every step probes the same overlay.
+    const auto built = ctx.scheduler().map(1, [&](std::uint64_t) {
+      return graph::Overlay::build({.n = n, .d = 8, .seed = 0xE9B});
+    });
+    const auto& overlay = built.front();
     const auto rows = ctx.scheduler().map(std::size(steps), [&](std::uint64_t i) {
       const auto step = steps[i];
-      const auto overlay = ctx.overlay(n, 8, 0xE9B);
       const auto byz = place_byz(n, 0.5, 0xE9B);
       adv::InjectionProbe probe(step, 900000 + step);
       proto::ProtocolConfig cfg;
-      const auto run = proto::run_counting(*overlay, byz, probe, cfg, 0xC9);
+      const auto run = proto::run_counting(overlay, byz, probe, cfg, 0xC9);
       const auto acc = proto::summarize_accuracy(run, n);
       Row row;
-      row.needs_chain = std::min(step, overlay->k());
+      row.needs_chain = std::min(step, overlay.k());
       row.accepted = run.instr.injections_accepted;
       row.caught = run.instr.injections_caught;
       row.undecided = acc.undecided;

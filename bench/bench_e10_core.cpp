@@ -20,6 +20,11 @@ void run_e10(RunContext& ctx) {
   for (const double delta : deltas) {
     for (const auto n : sizes) grid.push_back({delta, n});
   }
+  // Both deltas attack the same overlays: build each size's once.
+  const auto overlays = ctx.scheduler().map(sizes.size(), [&](std::uint64_t s) {
+    return graph::Overlay::build(
+        {.n = sizes[s], .d = 6, .seed = 0xEA + sizes[s]});
+  });
 
   struct Cell {
     std::uint64_t crashed_count = 0;
@@ -29,11 +34,11 @@ void run_e10(RunContext& ctx) {
   };
   const auto cells = ctx.scheduler().map(grid.size(), [&](std::uint64_t i) {
     const auto [delta, n] = grid[i];
-    const auto overlay = ctx.overlay(n, 6, 0xEA + n);
+    const auto& overlay = overlays[i % sizes.size()];
     const auto byz = place_byz(n, delta, 0xEA + n);
     const auto strat = adv::make_strategy(adv::StrategyKind::kCrashMaximizer);
-    const auto world = sim::World::make(*overlay, byz, 0xCA);
-    proto::ClaimSet claims(*overlay);
+    const auto world = sim::World::make(overlay, byz, 0xCA);
+    proto::ClaimSet claims(overlay);
     strat->setup_lies(world, claims);
     const auto crashed = proto::compute_crash_set(claims, byz, nullptr);
 
@@ -49,8 +54,8 @@ void run_e10(RunContext& ctx) {
       }
     }
     const auto core_mask =
-        graph::largest_component_mask(overlay->h_simple(), keep);
-    const auto core = graph::induced_subgraph(overlay->h_simple(), core_mask);
+        graph::largest_component_mask(overlay.h_simple(), keep);
+    const auto core = graph::induced_subgraph(overlay.h_simple(), core_mask);
     cell.core_n = core.num_nodes();
     if (cell.core_n > 2) {
       const auto spec = graph::second_eigenvalue(core, 1500, 1e-9, 0xEA);

@@ -33,9 +33,10 @@ void run_e11(RunContext& ctx) {
   const auto cells = ctx.scheduler().map(grid.size(), [&](std::uint64_t i) {
     const auto [d, n] = grid[i];
     const double delta = d == 6 ? 0.7 : 0.5;
-    const auto overlay = ctx.overlay(n, d, 0xEB + n + d);
+    const auto overlay =
+        graph::Overlay::build({.n = n, .d = d, .seed = 0xEB + n + d});
     // gamma: edge-expansion lower bound from the measured spectral gap.
-    const auto spec = graph::second_eigenvalue(overlay->h(), 2000, 1e-10, 0xEB);
+    const auto spec = graph::second_eigenvalue(overlay.h(), 2000, 1e-10, 0xEB);
     const double gamma = graph::cheeger_bounds(d, spec.lambda2).lower;
     Cell cell;
     for (std::uint32_t trial = 0; trial < t; ++trial) {
@@ -44,7 +45,7 @@ void run_e11(RunContext& ctx) {
           n, sim::derive_byz_count(n, delta), rng);
       const auto strat = adv::make_strategy(adv::StrategyKind::kFakeColor);
       proto::ProtocolConfig cfg;
-      const auto run = proto::run_counting(*overlay, byz, *strat, cfg,
+      const auto run = proto::run_counting(overlay, byz, *strat, cfg,
                                            util::mix_seed(0xCB, trial));
       const auto acc = proto::summarize_accuracy(run, n);
       if (acc.decided > 0) {
@@ -52,7 +53,7 @@ void run_e11(RunContext& ctx) {
         cell.max_ratio = std::max(cell.max_ratio, acc.max_ratio);
       }
     }
-    cell.a = proto::factor_a(delta, overlay->k(), d);
+    cell.a = proto::factor_a(delta, overlay.k(), d);
     cell.b = proto::factor_b(gamma, d);
     return cell;
   });

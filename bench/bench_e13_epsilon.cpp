@@ -25,15 +25,19 @@ void run_e13(RunContext& ctx) {
       std::uint64_t rounds = 0;
       std::uint32_t phases = 0;
     };
+    // Every (policy, eps) unit floods the same overlay.
+    const auto built = ctx.scheduler().map(1, [&](std::uint64_t) {
+      return graph::Overlay::build({.n = n, .d = d, .seed = 0xED});
+    });
+    const auto& overlay = built.front();
     const auto units = std::size(kPolicies) * std::size(kEps);
     const auto cells = ctx.scheduler().map(units, [&](std::uint64_t u) {
       const auto policy = kPolicies[u / std::size(kEps)];
       const double eps = kEps[u % std::size(kEps)];
-      const auto overlay = ctx.overlay(n, d, 0xED);
       proto::ScheduleConfig sched;
       sched.epsilon = eps;
       sched.policy = policy;
-      const auto run = proto::run_basic_counting(*overlay, 0xCD, sched);
+      const auto run = proto::run_basic_counting(overlay, 0xCD, sched);
       // Early = decided more than 2 phases before the median.
       std::vector<std::uint32_t> est(run.estimate);
       std::sort(est.begin(), est.end());

@@ -23,6 +23,13 @@ void run_e15(RunContext& ctx) {
   for (const auto n : sizes) {
     for (const auto placement : placements) grid.push_back({n, placement});
   }
+  // Every placement of a size runs on the same t overlays: build each once.
+  const auto overlays =
+      ctx.scheduler().map(sizes.size() * t, [&](std::uint64_t u) {
+        const auto n = sizes[u / t];
+        return graph::Overlay::build(
+            {.n = n, .d = 8, .seed = util::mix_seed(0xEF + n, u % t)});
+      });
 
   struct Cell {
     analysis::AccuracyAggregate agg;
@@ -35,15 +42,15 @@ void run_e15(RunContext& ctx) {
     const auto [n, placement] = grid[i];
     Cell cell;
     for (std::uint32_t trial = 0; trial < t; ++trial) {
-      const auto overlay = ctx.overlay(n, 8, util::mix_seed(0xEF + n, trial));
+      const auto& overlay = overlays[i / placements.size() * t + trial];
       cell.b = sim::derive_byz_count(n, 0.5);
       util::Xoshiro256 rng(util::mix_seed(0xEF2 + n, trial));
-      const auto byz = adv::place_byzantine(*overlay, cell.b, placement, rng);
+      const auto byz = adv::place_byzantine(overlay, cell.b, placement, rng);
       cell.chain_stat.add(static_cast<double>(
-          graph::longest_byzantine_chain(overlay->h_simple(), byz, 32)));
+          graph::longest_byzantine_chain(overlay.h_simple(), byz, 32)));
       const auto strat = adv::make_strategy(adv::StrategyKind::kFakeColor);
       proto::ProtocolConfig cfg;
-      const auto run = proto::run_counting(*overlay, byz, *strat, cfg,
+      const auto run = proto::run_counting(overlay, byz, *strat, cfg,
                                            util::mix_seed(0xCF, trial));
       cell.agg.add(proto::summarize_accuracy(run, n));
       cell.accepted.add(static_cast<double>(run.instr.injections_accepted));

@@ -21,6 +21,11 @@ void run_e16(RunContext& ctx) {
   for (const auto n : sizes) {
     for (const bool attacked : {false, true}) grid.push_back({n, attacked});
   }
+  // The clean and the attacked run of a size share its overlay.
+  const auto overlays = ctx.scheduler().map(sizes.size(), [&](std::uint64_t s) {
+    return graph::Overlay::build(
+        {.n = sizes[s], .d = 8, .seed = 0xF0 + sizes[s]});
+  });
 
   struct Cell {
     proto::Accuracy raw;
@@ -29,20 +34,20 @@ void run_e16(RunContext& ctx) {
   };
   const auto cells = ctx.scheduler().map(grid.size(), [&](std::uint64_t i) {
     const auto [n, attacked] = grid[i];
-    const auto overlay = ctx.overlay(n, 8, 0xF0 + n);
+    const auto& overlay = overlays[i / 2];
     std::vector<bool> byz(n, false);
     if (attacked) byz = place_byz(n, 0.5, 0xF0 + n);
     const auto strat = adv::make_strategy(attacked
                                               ? adv::StrategyKind::kFakeColor
                                               : adv::StrategyKind::kHonest);
     proto::ProtocolConfig cfg;
-    const auto run = proto::run_counting(*overlay, byz, *strat, cfg, 0xD0);
+    const auto run = proto::run_counting(overlay, byz, *strat, cfg, 0xD0);
     Cell cell;
     cell.raw = proto::summarize_accuracy(run, n);
     const auto refined = proto::refine_run(run, 8);
     cell.racc = proto::summarize_refined(refined, byz, n);
     const auto smoothed = proto::smooth_estimates(
-        *overlay, byz, refined,
+        overlay, byz, refined,
         attacked ? proto::EstimateLie::kInflate : proto::EstimateLie::kHonest);
     cell.sacc = proto::summarize_refined(smoothed, byz, n);
     return cell;

@@ -80,10 +80,10 @@ void run_e30(RunContext& ctx) {
   for (const auto n : sizes) {
     const std::uint64_t seed =
         bench_core::TrialScheduler::trial_seed(0xE30 + n, 0);
-    const auto overlay = ctx.overlay(n, 6, seed);
+    const auto overlay = graph::Overlay::build({.n = n, .d = 6, .seed = seed});
     const auto byz = place_byz(n, 0.01, seed);
     const std::vector<bool> crashed(n, false);
-    const proto::Verifier verifier(*overlay, byz, {});
+    const proto::Verifier verifier(overlay, byz, {});
     util::Xoshiro256 rng(util::mix_seed(seed, 0xF100D));
     std::vector<proto::Color> gen(n);
     for (graph::NodeId v = 0; v < n; ++v) {
@@ -96,9 +96,9 @@ void run_e30(RunContext& ctx) {
     for (std::uint32_t rep = 0; rep < reps; ++rep) {
       KernelRun ref;
       KernelRun kernel;
-      run_kernel(&proto::run_flood_subphase_reference, *overlay, byz, crashed,
+      run_kernel(&proto::run_flood_subphase_reference, overlay, byz, crashed,
                  verifier, gen, kSteps, ref);
-      run_kernel(&proto::run_flood_subphase, *overlay, byz, crashed, verifier,
+      run_kernel(&proto::run_flood_subphase, overlay, byz, crashed, verifier,
                  gen, kSteps, kernel);
       ref_ms += ref.ms;
       kernel_ms += kernel.ms;

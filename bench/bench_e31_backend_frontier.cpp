@@ -53,6 +53,27 @@ void run_e31(RunContext& ctx) {
     const char* name;
     bool adversarial_rows;
   } backends[] = {{"algo2", true}, {"brc", true}, {"algo1", false}};
+  const auto instance_seed = [](graph::NodeId n, adv::StrategyKind strategy,
+                                std::uint64_t i) {
+    const std::uint64_t base_seed =
+        0xE31 + n * 8 + static_cast<std::uint64_t>(strategy);
+    return bench_core::TrialScheduler::trial_seed(base_seed, i);
+  };
+  // Every backend runs the same (size, strategy, trial) instances, so
+  // their overlays are built once, up front — the last one is the overlay
+  // section B reads its declared bounds from.
+  const graph::NodeId n0 = 1u << 10;
+  const std::uint64_t per_size = std::size(strategies) * t;
+  const auto overlays = ctx.scheduler().map(
+      sizes.size() * per_size + 1, [&](std::uint64_t u) {
+        if (u == sizes.size() * per_size) {
+          return graph::Overlay::build({.n = n0, .d = 6, .seed = 0xB0D});
+        }
+        const auto n = sizes[u / per_size];
+        const auto strategy = strategies[u % per_size / t];
+        return graph::Overlay::build(
+            {.n = n, .d = 6, .seed = instance_seed(n, strategy, u % t)});
+      });
 
   util::Table table("E31: backend frontier at matched instances, d=6, "
                     "delta=0.7 (" +
@@ -63,25 +84,24 @@ void run_e31(RunContext& ctx) {
   std::uint64_t cells = 0;
   double brc_msg_ratio = 0.0;
   double brc_round_ratio = 0.0;
-  for (const auto n : sizes) {
+  for (std::size_t s = 0; s < sizes.size(); ++s) {
+    const auto n = sizes[s];
     double algo2_msgs = 0.0, algo2_rounds = 0.0;
     for (const auto& backend : backends) {
       const auto est = proto::make_estimator(backend.name);
-      for (const auto strategy : strategies) {
+      for (std::size_t st = 0; st < std::size(strategies); ++st) {
+        const auto strategy = strategies[st];
         if (strategy != adv::StrategyKind::kHonest &&
             !backend.adversarial_rows) {
           continue;
         }
-        const std::uint64_t base_seed =
-            0xE31 + n * 8 + static_cast<std::uint64_t>(strategy);
         const auto outcomes = ctx.scheduler().map(t, [&](std::uint64_t i) {
-          const auto seed =
-              bench_core::TrialScheduler::trial_seed(base_seed, i);
-          const auto overlay = ctx.overlay(n, 6, seed);
+          const auto seed = instance_seed(n, strategy, i);
+          const auto& overlay = overlays[s * per_size + st * t + i];
           const auto byz = place_byz(n, 0.7, seed);
           auto adversary = adv::make_strategy(strategy);
-          const auto run = est->run(*overlay, byz, *adversary, seed);
-          auto out = analysis::judge_backend(*est, *overlay, run);
+          const auto run = est->run(overlay, byz, *adversary, seed);
+          auto out = analysis::judge_backend(*est, overlay, run);
           out.messages = run.instr.total_messages();
           return std::pair{out, run.instr.verify_messages};
         });
@@ -146,7 +166,6 @@ void run_e31(RunContext& ctx) {
   // schedule (same epoch budget, same event rounds, same victim policy),
   // so the accuracy deltas isolate how each algorithm absorbs churn struck
   // at its flood wavefront / admission boundaries.
-  const graph::NodeId n0 = 1u << 10;
   const auto mt = ctx.trials(3);
   const auto schedules = adv::all_midrun_schedule_strategies();
   const char* midrun_backends[] = {"algo2", "brc"};
@@ -169,7 +188,7 @@ void run_e31(RunContext& ctx) {
     const auto est = proto::make_estimator(backend_name, pcfg);
     // The declared band depends only on (n, d) — evaluate it once against
     // a representative overlay instead of per trial.
-    const auto bound = est->bound(*ctx.overlay(n0, 6, 0xB0D));
+    const auto bound = est->bound(overlays.back());
     for (const auto schedule : schedules) {
       const std::uint64_t base_seed =
           0xE31B + static_cast<std::uint64_t>(schedule) * 131;

@@ -48,9 +48,10 @@ void run_e32(RunContext& ctx) {
         const auto comparisons = ctx.scheduler().map(t, [&](std::uint64_t i) {
           const auto seed =
               bench_core::TrialScheduler::trial_seed(base_seed, i);
-          const auto overlay = ctx.overlay(n, d, seed);
+          const auto overlay =
+              graph::Overlay::build({.n = n, .d = d, .seed = seed});
           const auto byz = place_byz(n, 0.7, seed);
-          return analysis::compare_backends(*overlay, byz, strategy, seed,
+          return analysis::compare_backends(overlay, byz, strategy, seed,
                                             *algo2, *brc);
         });
         double rmin = std::numeric_limits<double>::infinity();
@@ -70,14 +71,18 @@ void run_e32(RunContext& ctx) {
         violations += cell_violations;
         ratio_min_all = std::min(ratio_min_all, rmin);
         ratio_max_all = std::max(ratio_max_all, rmax);
+        std::string band = "[";
+        band += util::format_double(clo, 3);
+        band += ", ";
+        band += util::format_double(chi, 3);
+        band += ']';
         table.row()
             .cell(std::uint64_t{n})
             .cell(std::uint64_t{d})
             .cell(adv::to_string(strategy))
             .cell(rmin, 3)
             .cell(rmax, 3)
-            .cell("[" + util::format_double(clo, 3) + ", " +
-                  util::format_double(chi, 3) + "]")
+            .cell(band)
             .cell(std::to_string(agree) + "/" + std::to_string(t))
             .cell(std::to_string(own) + "/" + std::to_string(t))
             .cell(cell_violations);

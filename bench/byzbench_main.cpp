@@ -1,12 +1,13 @@
 // byzbench — unified experiment orchestrator. Replaces the 16 standalone
 // bench_eXX binaries: every experiment registers a ScenarioSpec (grid,
 // trials, metrics, run function) and this driver resolves --filter
-// against the registry, runs the selection on a shared scheduler +
-// overlay cache, and emits both the human tables and BENCH_<exp>.json.
+// against the registry, runs the selection on a shared scheduler, and
+// emits both the human tables and BENCH_<exp>.json.
 //
 //   $ byzbench --list
 //   $ byzbench --filter e07 --scale 0.1 --json-out .
 //   $ byzbench --jobs 4
+#include <cmath>
 #include <iostream>
 
 #include "byzcount.hpp"
@@ -40,8 +41,8 @@ int main(int argc, char** argv) {
                   "forensics reports (empty = off; implies --audit)",
                   "");
   args.add_option("backend",
-                  "protocol backend for backend-aware scenarios (registered "
-                  "proto::Estimator name, e.g. algo2, algo1, brc; empty = "
+                  "protocol backend for backend-aware scenarios "
+                  "(proto::Estimator name: algo1, algo2 or brc; empty = "
                   "each scenario's default stack)",
                   "");
   auto& registry = bench_core::Registry::instance();
@@ -73,8 +74,9 @@ int main(int argc, char** argv) {
     std::cerr << "\n";
     return 2;
   }
-  if (opts.scale <= 0.0) {
-    std::cerr << "byzbench: --scale must be > 0\n";
+  if (!std::isfinite(opts.scale) || opts.scale <= 0.0) {
+    std::cerr << "byzbench: --scale must be finite and > 0, got " << opts.scale
+              << "\n";
     return 2;
   }
 

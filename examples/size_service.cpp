@@ -165,7 +165,7 @@ byz::adv::MidRunScheduleStrategy parse_schedule(const std::string& name) {
 }
 
 /// Resolves a --backend / --shadow-backend name against the estimator
-/// registry; empty is allowed (means "default"). Exits with the known-name
+/// backends; empty is allowed (means "default"). Exits with the known-name
 /// list on an unknown name, like byzbench does.
 bool backend_name_ok(const std::string& flag, const std::string& name) {
   if (name.empty() || byz::proto::estimator_registered(name)) return true;
@@ -497,7 +497,7 @@ int main(int argc, char** argv) {
   const double truth = std::log2(static_cast<double>(n));
   // --backend plumbing: an empty flag keeps the historical pipeline
   // (run_counting + the generic band) bit for bit; naming a backend —
-  // including "algo2" — routes stage 1 through the registry and judges it
+  // including "algo2" — routes stage 1 through make_estimator and judges it
   // against that backend's OWN declared bound. Refine/smooth read
   // Algorithm-2 phase semantics, so non-algo2 backends stop after stage 1.
   const auto backend = args.str("backend");

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
+#include <stdexcept>
 
 #include "analysis/report.hpp"
 #include "bench_core/registry.hpp"
@@ -10,16 +12,15 @@
 namespace byz::bench_core {
 
 RunContext::RunContext(const ScenarioSpec& spec, const RunOptions& opts,
-                       OverlayCache& cache, const TrialScheduler& scheduler)
+                       const TrialScheduler& scheduler)
     : spec_(spec),
       opts_(opts),
-      cache_(cache),
       scheduler_(scheduler),
       scale_(opts.scale),
       doc_(Json::object()) {
   // Only DETERMINISTIC content goes into the BENCH_<exp>.json doc: the
   // manifest must be bitwise identical for every --jobs value. Volatile run
-  // facts (worker count, wall-time, cache stats) go into the RUNMETA
+  // facts (worker count, wall-time, observability) go into the RUNMETA
   // sidecar the orchestrator writes.
   doc_["schema"] = "byzbench/v1";
   doc_["experiment"] = spec.id;
@@ -41,6 +42,13 @@ const std::string& RunContext::backend() const noexcept {
 
 std::uint32_t RunContext::trials(std::uint32_t base) const {
   const double scaled = base * scale_;
+  // Also false for NaN: the cast below is defined only for values that fit.
+  if (!(scaled < 0x1p32)) {
+    std::ostringstream msg;
+    msg << "trials(" << base << ") at scale " << scale_
+        << " is not a trial count in [1, 2^32 - 1]";
+    throw std::invalid_argument(msg.str());
+  }
   return scaled < 1.0 ? 1u : static_cast<std::uint32_t>(scaled);
 }
 
@@ -52,12 +60,6 @@ std::uint32_t RunContext::max_exp(std::uint32_t fallback) const {
     exp = exp > shrink ? exp - shrink : 0;
   }
   return std::max(exp, 10u);
-}
-
-std::shared_ptr<const graph::Overlay> RunContext::overlay(graph::NodeId n,
-                                                          std::uint32_t d,
-                                                          std::uint64_t seed) {
-  return cache_.get(n, d, seed);
 }
 
 std::vector<sim::TrialResult> RunContext::run_trials(

@@ -1,17 +1,17 @@
 // Per-scenario run context handed to every registered experiment: scaling,
-// the shared trial scheduler, the overlay cache, table emission (stdout +
-// capture + structured JSON), and metric recording for BENCH_<exp>.json.
+// the shared trial scheduler, table emission (stdout + capture + structured
+// JSON), and metric recording for BENCH_<exp>.json. Scenarios build their
+// own overlays; one that several trials share is built once, on the
+// scheduler, before the map that reads it.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "analysis/experiment.hpp"
 #include "bench_core/json.hpp"
-#include "bench_core/overlay_cache.hpp"
 #include "bench_core/scheduler.hpp"
 #include "sim/instrumentation.hpp"
 #include "sim/runner.hpp"
@@ -45,8 +45,8 @@ struct RunOptions {
   std::string digest_out;
   /// Protocol backend for scenarios that honor a backend selection (the
   /// cross-backend scenarios always run their full backend set). Must be
-  /// a registered proto::Estimator name; byzbench validates it against
-  /// the registry before any scenario runs. "" = the scenario's default
+  /// a proto::Estimator backend name; byzbench validates it against the
+  /// backend table before any scenario runs. "" = the scenario's default
   /// (the Algorithm-2 stack).
   std::string backend;
 };
@@ -54,34 +54,30 @@ struct RunOptions {
 class RunContext {
  public:
   RunContext(const ScenarioSpec& spec, const RunOptions& opts,
-             OverlayCache& cache, const TrialScheduler& scheduler);
+             const TrialScheduler& scheduler);
 
   [[nodiscard]] const ScenarioSpec& spec() const noexcept { return spec_; }
   [[nodiscard]] double scale() const noexcept { return scale_; }
   [[nodiscard]] const TrialScheduler& scheduler() const noexcept {
     return scheduler_;
   }
-  [[nodiscard]] OverlayCache& cache() noexcept { return cache_; }
   /// Audit mode (RunOptions::audit): scenarios with an oracle seam thread
   /// an obs::AuditConfig through it when this is set.
   [[nodiscard]] bool audit() const noexcept;
   /// RunOptions::digest_out (forensics / digest-sidecar directory).
   [[nodiscard]] const std::string& digest_out() const noexcept;
-  /// RunOptions::backend — registry-validated estimator name, or "" for
-  /// the scenario's default stack.
+  /// RunOptions::backend — a validated backend name, or "" for the
+  /// scenario's default stack.
   [[nodiscard]] const std::string& backend() const noexcept;
 
-  /// Trial count after --scale (>= 1).
+  /// Trial count after --scale (>= 1). Throws std::invalid_argument when
+  /// base * scale does not fit a std::uint32_t.
   [[nodiscard]] std::uint32_t trials(std::uint32_t base) const;
 
   /// Sweep cap: env-controlled BYZCOUNT_MAX_EXP, shrunk by --scale < 1
   /// (every halving of scale drops one exponent, floor 10) so smoke runs
   /// stay small without per-scenario plumbing.
   [[nodiscard]] std::uint32_t max_exp(std::uint32_t fallback) const;
-
-  /// Cached overlay lookup (paper k).
-  [[nodiscard]] std::shared_ptr<const graph::Overlay> overlay(
-      graph::NodeId n, std::uint32_t d, std::uint64_t seed);
 
   /// `count` independent protocol trials through the shared scheduler,
   /// trial t seeded with TrialScheduler::trial_seed(cfg.seed, t) — bitwise
@@ -105,14 +101,13 @@ class RunContext {
   /// metrics.accuracy.<name>.
   void record_accuracy(const std::string& name, std::span<const double> ratios);
 
-  /// The BENCH_<exp>.json document built so far (orchestrator adds
-  /// wall-time and cache stats before writing).
+  /// The BENCH_<exp>.json document built so far (the orchestrator adds
+  /// the outcome before writing).
   [[nodiscard]] Json& doc() noexcept { return doc_; }
 
  private:
   const ScenarioSpec& spec_;
   const RunOptions& opts_;
-  OverlayCache& cache_;
   const TrialScheduler& scheduler_;
   double scale_;
   sim::Instrumentation message_totals_;

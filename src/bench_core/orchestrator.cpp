@@ -15,9 +15,6 @@ namespace byz::bench_core {
 
 namespace {
 
-/// Resident-overlay budget of the run-wide cache (LRU past this).
-constexpr std::uint64_t kCacheBytes = 1ull << 30;  // 1 GiB
-
 std::string grid_summary(const ScenarioSpec& spec) {
   std::ostringstream os;
   for (std::size_t i = 0; i < spec.grid.size(); ++i) {
@@ -42,8 +39,6 @@ std::string join(const std::vector<std::string>& parts) {
 Json metrics_summary_json(const obs::MetricsSnapshot& snap) {
   Json counters = Json::object();
   for (const auto& [name, value] : snap.counters) counters[name] = value;
-  Json gauges = Json::object();
-  for (const auto& [name, value] : snap.gauges) gauges[name] = value;
   Json histograms = Json::object();
   for (const auto& h : snap.histograms) {
     Json entry = Json::object();
@@ -53,7 +48,6 @@ Json metrics_summary_json(const obs::MetricsSnapshot& snap) {
   }
   Json out = Json::object();
   out["counters"] = std::move(counters);
-  out["gauges"] = std::move(gauges);
   out["histograms"] = std::move(histograms);
   return out;
 }
@@ -69,9 +63,6 @@ std::vector<ScenarioOutcome> run_scenarios(const Registry& registry,
   // BENCH manifests below are bitwise identical either way (CI-guarded).
   const bool observe = !opts.trace_out.empty() || !opts.metrics_out.empty();
   if (observe) obs::set_enabled(true);
-  // Shared across scenarios so common (n, d, seed) grids build once, but
-  // bounded: a full run otherwise pins every overlay until process exit.
-  OverlayCache cache(kCacheBytes);
 
   if (!opts.json_out.empty()) {
     std::error_code ec;
@@ -83,8 +74,7 @@ std::vector<ScenarioOutcome> run_scenarios(const Registry& registry,
   for (const auto* spec : selected) {
     ScenarioOutcome outcome;
     outcome.id = spec->id;
-    RunContext ctx(*spec, opts, cache, scheduler);
-    const auto cache_before = cache.stats();
+    RunContext ctx(*spec, opts, scheduler);
     const auto metrics_before =
         observe ? obs::metrics_snapshot() : obs::MetricsSnapshot{};
     util::Timer timer;
@@ -111,15 +101,7 @@ std::vector<ScenarioOutcome> run_scenarios(const Registry& registry,
       if (!outcome.ok) doc["error"] = outcome.error;
 
       // Volatile run facts live in the RUNMETA sidecar: worker count,
-      // wall-time, and the overlay-cache stats. Hits/misses are reported
-      // as this scenario's delta (the cache is shared across the run);
-      // entries/resident_bytes are the global snapshot after it finished.
-      const auto cache_stats = cache.stats();
-      Json cache_json = Json::object();
-      cache_json["hits"] = cache_stats.hits - cache_before.hits;
-      cache_json["misses"] = cache_stats.misses - cache_before.misses;
-      cache_json["entries"] = std::uint64_t{cache_stats.entries};
-      cache_json["resident_bytes"] = cache_stats.resident_bytes;
+      // wall-time and, when observing, the scenario's metrics.
       Json meta = Json::object();
       meta["schema"] = "byzbench/meta/v1";
       meta["experiment"] = spec->id;
@@ -127,7 +109,6 @@ std::vector<ScenarioOutcome> run_scenarios(const Registry& registry,
       meta["wall_seconds"] = outcome.wall_seconds;
       meta["ok"] = outcome.ok;
       if (!outcome.ok) meta["error"] = outcome.error;
-      meta["overlay_cache"] = std::move(cache_json);
       if (observe) {
         // Metrics summary for this scenario (counter deltas against the
         // run-so-far). RUNMETA is the right home: the numbers are volatile

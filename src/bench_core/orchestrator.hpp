@@ -1,6 +1,6 @@
 // Drives a byzbench run: resolves the filter against the registry, runs
-// each scenario under a shared scheduler + overlay cache, times it, and
-// writes BENCH_<exp>.json manifests for the perf-trajectory tracking.
+// each scenario on a shared scheduler, times it, and writes
+// BENCH_<exp>.json manifests for the perf-trajectory tracking.
 #pragma once
 
 #include <string>

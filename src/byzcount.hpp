@@ -27,7 +27,6 @@
 #include "bench_core/context.hpp"        // IWYU pragma: export
 #include "bench_core/json.hpp"           // IWYU pragma: export
 #include "bench_core/orchestrator.hpp"   // IWYU pragma: export
-#include "bench_core/overlay_cache.hpp"  // IWYU pragma: export
 #include "bench_core/registry.hpp"       // IWYU pragma: export
 #include "bench_core/scheduler.hpp"      // IWYU pragma: export
 #include "dynamics/churn_trace.hpp"      // IWYU pragma: export

@@ -11,8 +11,7 @@ MutableOverlay::MutableOverlay(NodeId n0, std::uint32_t d, std::uint32_t k,
                                std::uint64_t seed)
     : d_(d),
       k_(k == 0 ? graph::paper_k(d) : k),
-      seed_(seed),
-      history_tag_(util::mix_seed(seed, 0xD15C)) {
+      seed_(seed) {
   if (n0 < 3) throw std::invalid_argument("MutableOverlay: need n0 >= 3");
   if (d < 4 || d % 2 != 0) {
     throw std::invalid_argument("MutableOverlay: need even d >= 4");
@@ -26,7 +25,8 @@ MutableOverlay::MutableOverlay(NodeId n0, std::uint32_t d, std::uint32_t k,
 
   // The exact cycle sampling of build_hamiltonian_graph: one shared perm,
   // Fisher-Yates re-shuffled per cycle, rings read off consecutively. A
-  // generation-0 snapshot therefore reproduces Overlay::build bit for bit.
+  // snapshot before any operation therefore reproduces Overlay::build bit
+  // for bit.
   const std::uint32_t cycles = d_ / 2;
   succ_.assign(cycles, std::vector<NodeId>(n0));
   pred_.assign(cycles, std::vector<NodeId>(n0));
@@ -70,9 +70,6 @@ NodeId MutableOverlay::join_at(std::span<const NodeId> anchors) {
     pred_[c].push_back(graph::kInvalidNode);
   }
   splice_in(v, anchors);
-  ++generation_;
-  fold(0x10000000ull | v);
-  for (const NodeId a : anchors) fold(a);
   return v;
 }
 
@@ -107,8 +104,6 @@ void MutableOverlay::leave(NodeId v) {
   pos_in_list_[last] = pos;
   alive_list_.pop_back();
   --alive_count_;
-  ++generation_;
-  fold(0x20000000ull | v);
 }
 
 void MutableOverlay::rewire(NodeId v, util::Xoshiro256& rng) {
@@ -128,9 +123,6 @@ void MutableOverlay::rewire(NodeId v, util::Xoshiro256& rng) {
     } while (a == v);
   }
   splice_in(v, anchors);
-  ++generation_;
-  fold(0x30000000ull | v);
-  for (const NodeId a : anchors) fold(a);
 }
 
 std::vector<NodeId> MutableOverlay::alive_nodes() const {
@@ -168,7 +160,6 @@ MutableOverlay::Snapshot MutableOverlay::snapshot() const {
   params.d = d_;
   params.k = k_;
   params.seed = seed_;
-  params.generation = build_tag();  // nonzero: never aliases the static key
   snap.overlay = graph::Overlay::build_from_h(
       params, graph::Graph::from_edges(n, edges, /*dedup=*/false));
   return snap;

@@ -14,9 +14,7 @@
 //     stay within the H(n, d) distribution family (expansion w.h.p.).
 //
 // Stable ids are never reused; `snapshot()` compacts the alive set to the
-// dense [0, n) ids the immutable graph::Overlay world expects and stamps
-// the result with the mutation generation (OverlayParams::generation), so
-// epoch snapshots can never alias a cached static overlay.
+// dense [0, n) ids the immutable graph::Overlay world expects.
 #pragma once
 
 #include <cstdint>
@@ -33,9 +31,10 @@ using graph::NodeId;
 class MutableOverlay {
  public:
   /// Bootstraps with `n0` nodes (stable ids 0..n0-1) by running the exact
-  /// Fisher-Yates cycle sampling of build_hamiltonian_graph on `seed`: the
-  /// generation-0 snapshot is edge-identical to Overlay::build({n0, d, k,
-  /// seed}). Requirements: n0 >= 3, d even >= 4; k = 0 means paper k.
+  /// Fisher-Yates cycle sampling of build_hamiltonian_graph on `seed`: a
+  /// snapshot taken before any operation is edge-identical to
+  /// Overlay::build({n0, d, k, seed}). Requirements: n0 >= 3, d even >= 4;
+  /// k = 0 means paper k.
   MutableOverlay(NodeId n0, std::uint32_t d, std::uint32_t k,
                  std::uint64_t seed);
 
@@ -50,22 +49,9 @@ class MutableOverlay {
   [[nodiscard]] bool is_alive(NodeId v) const noexcept {
     return v < alive_.size() && alive_[v] != 0;
   }
-  /// Bumped by every join/leave/rewire (the op COUNT).
-  [[nodiscard]] std::uint64_t generation() const noexcept {
-    return generation_;
-  }
-  /// The seed the generation-0 topology was sampled from (snapshot params
+  /// The seed the bootstrap topology was sampled from (snapshot params
   /// record it as provenance).
   [[nodiscard]] std::uint64_t bootstrap_seed() const noexcept { return seed_; }
-
-  /// Topology build tag stamped into snapshot params: a SplitMix64 fold of
-  /// the bootstrap seed and the full operation log (op kind, node, anchors),
-  /// so two overlays reach the same tag only by replaying the identical
-  /// history — an op COUNTER would collide across e.g. leave(0) vs leave(1).
-  /// Always nonzero (0 is reserved for static Overlay::build samples).
-  [[nodiscard]] std::uint64_t build_tag() const noexcept {
-    return history_tag_ == 0 ? 1 : history_tag_;
-  }
 
   /// Joins a new node by splicing it into each ring after an independent
   /// uniformly random alive anchor. Returns the new stable id.
@@ -113,21 +99,14 @@ class MutableOverlay {
 
   /// Extracts the snapshot: O(n·d) edge assembly plus the overlay's eager
   /// ball-count pass; its G is built on first read, as for any overlay.
-  /// Every churn epoch runs on one. params.generation = build_tag() (never
-  /// 0, so a snapshot key is always distinct from the static sample's, and
-  /// distinct histories get distinct keys).
+  /// Every churn epoch runs on one.
   [[nodiscard]] Snapshot snapshot() const;
 
  private:
   void splice_in(NodeId v, std::span<const NodeId> anchors);
-  void fold(std::uint64_t value) noexcept {
-    history_tag_ = util::mix_seed(history_tag_, value);
-  }
   std::uint32_t d_;
   std::uint32_t k_;
   std::uint64_t seed_;
-  std::uint64_t generation_ = 0;
-  std::uint64_t history_tag_ = 0;
   NodeId alive_count_ = 0;
   std::vector<std::uint8_t> alive_;        ///< by stable id
   std::vector<NodeId> alive_list_;         ///< unordered alive ids

@@ -22,11 +22,6 @@ struct OverlayParams {
   std::uint32_t d = 8;       ///< H-degree; even, >= 4
   std::uint32_t k = 0;       ///< L-radius; 0 means the paper's ceil(d/3)
   std::uint64_t seed = 1;    ///< drives the H(n,d) sample
-  /// Topology build tag: 0 = the static H(n,d) sample determined by `seed`;
-  /// dynamics::MutableOverlay snapshots stamp their (nonzero) mutation
-  /// generation here, so caches keyed on the full params can never alias an
-  /// epoch snapshot with the static overlay of the same (n, d, seed).
-  std::uint64_t generation = 0;
 };
 
 /// Distance value meaning "w is not within v's k-ball".
@@ -62,8 +57,8 @@ class Overlay {
   /// w = witness_width(k) for the ball counts (span `graph.ball_counts`,
   /// on util::parallel_for, so inline inside a trial worker).
   /// dynamics::MutableOverlay uses it to turn an epoch's cycle state into
-  /// the immutable overlay the protocols run on; params.seed/generation are
-  /// recorded as provenance, not re-sampled.
+  /// the immutable overlay the protocols run on; params.seed is recorded
+  /// as provenance, not re-sampled.
   ///
   /// G is built by the first g(), g_dists() or h_dist() call (span
   /// `graph.g_pass`, nested under that reader): one bounded BFS to depth k

@@ -13,7 +13,6 @@ namespace {
 // cap's last slot rather than failing — wrong numbers beat UB, and the
 // caps are an order of magnitude above current usage.
 constexpr std::size_t kMaxCounters = 128;
-constexpr std::size_t kMaxGauges = 64;
 constexpr std::size_t kMaxHistograms = 64;
 
 struct HistogramCells {
@@ -62,9 +61,7 @@ void zero_shard(Shard& shard) {
 struct State {
   std::mutex mutex;
   std::vector<std::string> counter_names;
-  std::vector<std::string> gauge_names;
   std::vector<std::string> histogram_names;
-  std::array<std::atomic<double>, kMaxGauges> gauges{};
   std::vector<Shard*> live;
   Shard retained;  // folded-in shards of exited threads
 };
@@ -126,17 +123,6 @@ void Counter::add(std::uint64_t delta) const noexcept {
   local_shard().counters[id_].fetch_add(delta, std::memory_order_relaxed);
 }
 
-Gauge::Gauge(std::string_view name) {
-  State& s = state();
-  const std::lock_guard<std::mutex> lock(s.mutex);
-  id_ = intern(s.gauge_names, name, kMaxGauges);
-}
-
-void Gauge::set(double value) const noexcept {
-  if (!enabled()) return;
-  state().gauges[id_].store(value, std::memory_order_relaxed);
-}
-
 Histogram::Histogram(std::string_view name) {
   State& s = state();
   const std::lock_guard<std::mutex> lock(s.mutex);
@@ -166,11 +152,6 @@ MetricsSnapshot metrics_snapshot() {
     }
     snap.counters.emplace_back(s.counter_names[i], total);
   }
-  snap.gauges.reserve(s.gauge_names.size());
-  for (std::size_t i = 0; i < s.gauge_names.size(); ++i) {
-    snap.gauges.emplace_back(s.gauge_names[i],
-                             s.gauges[i].load(std::memory_order_relaxed));
-  }
   snap.histograms.reserve(s.histogram_names.size());
   for (std::size_t i = 0; i < s.histogram_names.size(); ++i) {
     HistogramSnapshot h;
@@ -197,7 +178,6 @@ MetricsSnapshot metrics_snapshot() {
 MetricsSnapshot metrics_delta(const MetricsSnapshot& before,
                               const MetricsSnapshot& after) {
   MetricsSnapshot out;
-  out.gauges = after.gauges;
   out.counters.reserve(after.counters.size());
   for (const auto& [name, value] : after.counters) {
     std::uint64_t base = 0;
@@ -263,14 +243,6 @@ std::string metrics_json(const MetricsSnapshot& snap) {
     out += "\": " + std::to_string(snap.counters[i].second);
   }
   out += snap.counters.empty() ? "},\n" : "\n  },\n";
-  out += "  \"gauges\": {";
-  for (std::size_t i = 0; i < snap.gauges.size(); ++i) {
-    out += i == 0 ? "\n    \"" : ",\n    \"";
-    detail::append_json_escaped(out, snap.gauges[i].first);
-    out += "\": ";
-    detail::append_json_double(out, snap.gauges[i].second);
-  }
-  out += snap.gauges.empty() ? "},\n" : "\n  },\n";
   // Buckets are sparse [index, count] pairs; index b covers values in
   // [2^(b-1), 2^b - 1] (b = 0 holds exact zeros).
   out += "  \"histograms\": {";
@@ -292,8 +264,11 @@ std::string metrics_json(const MetricsSnapshot& snap) {
       if (h.buckets[b] == 0) continue;
       if (!first) out += ", ";
       first = false;
-      out +=
-          "[" + std::to_string(b) + ", " + std::to_string(h.buckets[b]) + "]";
+      out += '[';
+      out += std::to_string(b);
+      out += ", ";
+      out += std::to_string(h.buckets[b]);
+      out += ']';
     }
     out += "]}";
   }
@@ -315,7 +290,6 @@ void reset_metrics() {
   const std::lock_guard<std::mutex> lock(s.mutex);
   zero_shard(s.retained);
   for (Shard* shard : s.live) zero_shard(*shard);
-  for (auto& g : s.gauges) g.store(0.0, std::memory_order_relaxed);
 }
 
 }  // namespace byz::obs

@@ -1,5 +1,5 @@
-// Metrics registry: named counters, gauges, and fixed-bucket log2
-// histograms with lock-free per-thread shards merged at scrape time.
+// Metrics registry: named counters and fixed-bucket log2 histograms with
+// lock-free per-thread shards merged at scrape time.
 //
 // Handles intern their name once (a mutex-guarded lookup, normally hidden
 // behind a function-local static at the call site); recording then touches
@@ -47,15 +47,6 @@ class Counter {
   std::uint32_t id_;
 };
 
-class Gauge {
- public:
-  explicit Gauge(std::string_view name);
-  void set(double value) const noexcept;
-
- private:
-  std::uint32_t id_;
-};
-
 class Histogram {
  public:
   explicit Histogram(std::string_view name);
@@ -69,12 +60,6 @@ class Counter {
  public:
   explicit Counter(std::string_view) noexcept {}
   void add(std::uint64_t = 1) const noexcept {}
-};
-
-class Gauge {
- public:
-  explicit Gauge(std::string_view) noexcept {}
-  void set(double) const noexcept {}
 };
 
 class Histogram {
@@ -95,7 +80,6 @@ struct HistogramSnapshot {
 /// stable across scrapes of the same process.
 struct MetricsSnapshot {
   std::vector<std::pair<std::string, std::uint64_t>> counters;
-  std::vector<std::pair<std::string, double>> gauges;
   std::vector<HistogramSnapshot> histograms;
 };
 
@@ -103,9 +87,8 @@ struct MetricsSnapshot {
 /// recording threads (their in-flight increments may or may not land).
 [[nodiscard]] MetricsSnapshot metrics_snapshot();
 
-/// Counter and histogram deltas `after - before` (gauges keep `after`'s
-/// value). Both snapshots must come from the same process; names present
-/// only in `after` are kept as-is.
+/// Counter and histogram deltas `after - before`. Both snapshots must come
+/// from the same process; names present only in `after` are kept as-is.
 [[nodiscard]] MetricsSnapshot metrics_delta(const MetricsSnapshot& before,
                                             const MetricsSnapshot& after);
 
@@ -122,7 +105,7 @@ struct MetricsSnapshot {
 /// Writes metrics_json(metrics_snapshot()) to `path`. False on I/O error.
 bool write_metrics_file(const std::string& path);
 
-/// Zeroes every counter/gauge/histogram (names stay registered). Tests.
+/// Zeroes every counter and histogram (names stay registered). Tests.
 void reset_metrics();
 
 }  // namespace byz::obs

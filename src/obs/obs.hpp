@@ -3,7 +3,7 @@
 //
 // Two gates, both defaulting to "off the hot path":
 //   * compile time — building with -DBYZ_OBS_ENABLED=0 (CMake option
-//     BYZCOUNT_OBS=OFF) turns every Counter/Gauge/Histogram/Span into an
+//     BYZCOUNT_OBS=OFF) turns every Counter/Histogram/Span into an
 //     empty inline stub, so instrumented call sites cost nothing;
 //   * run time — with the default build, recording still starts disabled:
 //     every record call is one relaxed atomic load until set_enabled(true)

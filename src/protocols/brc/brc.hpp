@@ -82,10 +82,10 @@ struct BrcConfig {
                                          std::uint64_t color_seed,
                                          const RunControls& controls);
 
-/// The registry factory ("brc"). ProtocolConfig mapping: max_phase
-/// overrides BrcConfig::max_batches; schedule/verification/crash_rule do
-/// not apply (BRC has no subphase schedule, no witness verification, and
-/// no crash rule).
+/// The "brc" backend's factory (make_estimator). ProtocolConfig mapping:
+/// max_phase overrides BrcConfig::max_batches; schedule/verification/
+/// crash_rule do not apply (BRC has no subphase schedule, no witness
+/// verification, and no crash rule).
 [[nodiscard]] std::unique_ptr<Estimator> make_brc_estimator(
     const ProtocolConfig& cfg);
 

@@ -1,8 +1,6 @@
 #include "protocols/estimator.hpp"
 
 #include <algorithm>
-#include <map>
-#include <mutex>
 #include <stdexcept>
 #include <utility>
 
@@ -50,35 +48,34 @@ class FastpathEstimator final : public Estimator {
   double eps_;
 };
 
-struct Registry {
-  std::mutex mu;
-  std::map<std::string, EstimatorFactory> factories;
-};
-
-Registry& registry() {
-  static Registry* r = new Registry;  // leaked: outlives static destructors
-  return *r;
+std::unique_ptr<Estimator> make_algo1(const ProtocolConfig& cfg) {
+  ProtocolConfig basic = cfg;
+  basic.verification.enabled = false;
+  basic.crash_rule = false;
+  // Algorithm 1 has no Byzantine countermeasures: its declared bound only
+  // claims the CLEAN setting, so its ε is the phase-cap straggler slack.
+  return std::make_unique<FastpathEstimator>("algo1", basic, /*eps=*/0.10);
 }
 
-/// Built-ins are registered on first registry use (not static init — the
-/// registry must work from any link order, including test binaries that
-/// never reference this TU's globals).
-void ensure_builtins_locked(Registry& r) {
-  if (!r.factories.empty()) return;
-  r.factories["algo2"] = [](const ProtocolConfig& cfg) {
-    return std::make_unique<FastpathEstimator>("algo2", cfg, /*eps=*/0.15);
-  };
-  r.factories["algo1"] = [](const ProtocolConfig& cfg) {
-    ProtocolConfig basic = cfg;
-    basic.verification.enabled = false;
-    basic.crash_rule = false;
-    // Algorithm 1 has no Byzantine countermeasures: its declared bound only
-    // claims the CLEAN setting, so its ε is the phase-cap straggler slack.
-    return std::make_unique<FastpathEstimator>("algo1", basic, /*eps=*/0.10);
-  };
-  r.factories["brc"] = [](const ProtocolConfig& cfg) {
-    return make_brc_estimator(cfg);
-  };
+std::unique_ptr<Estimator> make_algo2(const ProtocolConfig& cfg) {
+  return std::make_unique<FastpathEstimator>("algo2", cfg, /*eps=*/0.15);
+}
+
+struct Backend {
+  std::string_view name;
+  std::unique_ptr<Estimator> (*make)(const ProtocolConfig&);
+};
+
+/// Every backend, sorted by name.
+constexpr Backend kBackends[] = {
+    {"algo1", make_algo1}, {"algo2", make_algo2}, {"brc", make_brc_estimator}};
+static_assert(std::ranges::is_sorted(kBackends, {}, &Backend::name));
+
+const Backend* find_backend(std::string_view name) {
+  for (const Backend& b : kBackends) {
+    if (b.name == name) return &b;
+  }
+  return nullptr;
 }
 
 }  // namespace
@@ -91,51 +88,28 @@ AgreementBound combined_agreement_bound(const EstimatorBound& a,
   return out;
 }
 
-void register_estimator(const std::string& name, EstimatorFactory factory) {
-  Registry& r = registry();
-  const std::lock_guard<std::mutex> lock(r.mu);
-  ensure_builtins_locked(r);
-  r.factories[name] = std::move(factory);
-}
-
 std::unique_ptr<Estimator> make_estimator(std::string_view name,
                                           const ProtocolConfig& cfg) {
-  Registry& r = registry();
-  EstimatorFactory factory;
-  {
-    const std::lock_guard<std::mutex> lock(r.mu);
-    ensure_builtins_locked(r);
-    const auto it = r.factories.find(std::string(name));
-    if (it == r.factories.end()) {
-      std::string known;
-      for (const auto& [key, unused] : r.factories) {
-        if (!known.empty()) known += ", ";
-        known += key;
-      }
-      throw std::invalid_argument("unknown estimator backend '" +
-                                  std::string(name) + "' (known: " + known +
-                                  ")");
-    }
-    factory = it->second;
+  if (const Backend* b = find_backend(name)) return b->make(cfg);
+  std::string msg = "unknown estimator backend '";
+  msg += name;
+  msg += "' (known: ";
+  for (std::size_t i = 0; i < std::size(kBackends); ++i) {
+    if (i != 0) msg += ", ";
+    msg += kBackends[i].name;
   }
-  return factory(cfg);
+  msg += ')';
+  throw std::invalid_argument(msg);
 }
 
 std::vector<std::string> estimator_names() {
-  Registry& r = registry();
-  const std::lock_guard<std::mutex> lock(r.mu);
-  ensure_builtins_locked(r);
   std::vector<std::string> names;
-  names.reserve(r.factories.size());
-  for (const auto& [key, unused] : r.factories) names.push_back(key);
+  for (const Backend& b : kBackends) names.emplace_back(b.name);
   return names;
 }
 
 bool estimator_registered(std::string_view name) {
-  Registry& r = registry();
-  const std::lock_guard<std::mutex> lock(r.mu);
-  ensure_builtins_locked(r);
-  return r.factories.find(std::string(name)) != r.factories.end();
+  return find_backend(name) != nullptr;
 }
 
 }  // namespace byz::proto

@@ -10,14 +10,13 @@
 // logic. analysis::compare_backends runs it; E31/E32 and the run_churn
 // shadow wire it into CI.
 //
-// Backends register by name in a process-wide factory
-// (register_estimator / make_estimator); "algo1", "algo2", and "brc" are
-// built in. CLI layers (`byzbench --backend`, `size_service --backend /
-// --shadow-backend`) resolve user input through the same registry, so an
-// unknown name fails with the known-name list everywhere.
+// The backends are a fixed table of "algo1", "algo2" and "brc", built by
+// name with make_estimator. CLI layers (`byzbench --backend`,
+// `size_service --backend / --shadow-backend`) resolve user input through
+// the same table, so an unknown name fails with the known-name list
+// everywhere.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -60,7 +59,7 @@ class Estimator {
  public:
   virtual ~Estimator() = default;
 
-  /// Registry name ("algo2", "brc", ...).
+  /// Backend name ("algo2", "brc", ...).
   [[nodiscard]] virtual std::string_view name() const = 0;
 
   /// The declared accuracy contract on this overlay (may depend on n, d).
@@ -83,22 +82,15 @@ class Estimator {
   }
 };
 
-using EstimatorFactory =
-    std::function<std::unique_ptr<Estimator>(const ProtocolConfig&)>;
-
-/// Registers a backend factory under `name` (replaces an existing entry —
-/// tests use this to shadow a built-in). Thread-safe.
-void register_estimator(const std::string& name, EstimatorFactory factory);
-
-/// Instantiates a registered backend. The ProtocolConfig carries the knobs
+/// Instantiates a backend by name. The ProtocolConfig carries the knobs
 /// a backend understands (schedule, verification, max_phase — each backend
 /// documents its mapping); throws std::invalid_argument on an unknown
-/// name, listing the registered names in the message (the CLI layers
-/// surface it verbatim).
+/// name, listing the known names in the message (the CLI layers surface it
+/// verbatim).
 [[nodiscard]] std::unique_ptr<Estimator> make_estimator(
     std::string_view name, const ProtocolConfig& cfg = {});
 
-/// Registered backend names, sorted.
+/// Backend names, sorted.
 [[nodiscard]] std::vector<std::string> estimator_names();
 
 [[nodiscard]] bool estimator_registered(std::string_view name);

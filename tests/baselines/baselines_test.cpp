@@ -53,7 +53,9 @@ TEST(GeometricSupport, SingleByzantineDestroysEveryEstimate) {
   byz[100] = true;
   const auto r = run_geometric_support(h, byz, FloodAttack::kInflate, 100, 9);
   for (NodeId v = 0; v < n; ++v) {
-    if (!byz[v]) EXPECT_GE(r.estimate[v], 1u << 30);
+    if (!byz[v]) {
+      EXPECT_GE(r.estimate[v], 1u << 30);
+    }
   }
 }
 
@@ -95,7 +97,9 @@ TEST(ExponentialSupport, ByzantineInflatesUnboundedly) {
   byz[7] = true;
   const auto r = run_exponential_support(h, byz, FloodAttack::kInflate, 16, 100, 13);
   for (NodeId v = 0; v < n; v += 31) {
-    if (!byz[v]) EXPECT_GT(r.estimate[v], 1e6);
+    if (!byz[v]) {
+      EXPECT_GT(r.estimate[v], 1e6);
+    }
   }
 }
 

@@ -175,11 +175,10 @@ TEST(Orchestrator, WritesSchemaValidJsonManifest) {
   const auto* ratio = metrics->find("accuracy")->find("ratio");
   ASSERT_NE(ratio, nullptr);
   EXPECT_EQ(ratio->find("count")->as_number(), 4.0);
-  // Volatile facts (jobs, wall-time, cache stats) live in the RUNMETA
-  // sidecar, never in the BENCH manifest.
+  // Volatile facts (jobs, wall-time) live in the RUNMETA sidecar, never in
+  // the BENCH manifest.
   EXPECT_EQ(doc.find("wall_seconds"), nullptr);
   EXPECT_EQ(doc.find("jobs"), nullptr);
-  EXPECT_EQ(doc.find("overlay_cache"), nullptr);
   std::ifstream meta_in(dir + "/RUNMETA_esynth.json");
   ASSERT_TRUE(meta_in.good());
   std::stringstream meta_buf;
@@ -189,7 +188,6 @@ TEST(Orchestrator, WritesSchemaValidJsonManifest) {
   EXPECT_EQ(meta.find("schema")->as_string(), "byzbench/meta/v1");
   EXPECT_EQ(meta.find("jobs")->as_number(), 2.0);
   EXPECT_GE(meta.find("wall_seconds")->as_number(), 0.0);
-  ASSERT_NE(meta.find("overlay_cache"), nullptr);
 }
 
 TEST(Orchestrator, ManifestsBitwiseIdenticalAcrossJobCounts) {
@@ -237,6 +235,25 @@ TEST(Orchestrator, ReportsScenarioFailure) {
   ASSERT_NE(guard, nullptr);
   EXPECT_FALSE(guard->find("identical")->as_bool());
   EXPECT_EQ(guard->find("compared")->as_number(), 3.0);
+}
+
+TEST(Orchestrator, TrialCountPastUint32FailsTheScenario) {
+  // 4 x 1e300 trials cannot be cast to a count: the scenario fails with
+  // the message instead of running a wrapped number of trials.
+  Registry registry;
+  auto spec = make_spec("ehuge", "huge scale");
+  spec.run = [](RunContext& ctx) { (void)ctx.trials(4); };
+  registry.add(std::move(spec));
+  RunOptions opts;
+  opts.scale = 1e300;
+  opts.quiet = true;
+  const auto outcomes = run_scenarios(registry, opts);
+  ASSERT_EQ(outcomes.size(), 1u);
+  EXPECT_FALSE(outcomes[0].ok);
+  EXPECT_EQ(outcomes[0].error,
+            "trials(4) at scale 1e+300 is not a trial count in [1, 2^32 - 1]");
+  EXPECT_NE(summarize_outcomes(outcomes).find("FAILED: trials(4) at scale"),
+            std::string::npos);
 }
 
 }  // namespace

@@ -75,9 +75,6 @@ TEST(MutableOverlay, BootstrapSnapshotMatchesStaticBuild) {
       const auto db = expect.g_dists(v);
       ASSERT_TRUE(std::equal(da.begin(), da.end(), db.begin(), db.end()));
     }
-    // Snapshots are tagged with a nonzero generation; the static build is 0.
-    EXPECT_EQ(expect.params().generation, 0u);
-    EXPECT_NE(snap.overlay.params().generation, 0u);
   }
 }
 
@@ -96,11 +93,9 @@ TEST(MutableOverlay, InvariantsSurviveChurn) {
   EXPECT_EQ(overlay.num_alive(), 52u);
   expect_invariants(overlay);
 
-  // Rewiring repair keeps membership but bumps the generation.
-  const auto gen = overlay.generation();
+  // Rewiring repair keeps membership.
   for (int i = 0; i < 10; ++i) overlay.rewire(overlay.random_alive(rng), rng);
   EXPECT_EQ(overlay.num_alive(), 52u);
-  EXPECT_EQ(overlay.generation(), gen + 10);
   expect_invariants(overlay);
 
   // Interleaved trickle.
@@ -145,30 +140,6 @@ TEST(MutableOverlay, RejectsInvalidOperations) {
   EXPECT_THROW(overlay.join_at(std::vector<NodeId>{0}), std::invalid_argument);
   const std::vector<NodeId> dead_anchor(overlay.num_cycles(), v);
   EXPECT_THROW(overlay.join_at(dead_anchor), std::invalid_argument);
-}
-
-TEST(MutableOverlay, BuildTagDistinguishesDifferentHistories) {
-  // Same (n0, d, seed), same op COUNT, different op content: leave(0) vs
-  // leave(1), then one join each. The snapshots have identical (n, d, k,
-  // seed) and equal generation counters, so a counter-based tag would
-  // collide — the history fold must not.
-  MutableOverlay a(64, 6, 0, 9);
-  MutableOverlay b(64, 6, 0, 9);
-  EXPECT_EQ(a.build_tag(), b.build_tag());  // identical so far
-  util::Xoshiro256 rng_a(5);
-  util::Xoshiro256 rng_b(5);
-  a.leave(0);
-  b.leave(1);
-  a.join(rng_a);
-  b.join(rng_b);
-  EXPECT_EQ(a.generation(), b.generation());
-  EXPECT_NE(a.build_tag(), b.build_tag());
-  const auto snap_a = a.snapshot();
-  const auto snap_b = b.snapshot();
-  EXPECT_EQ(snap_a.overlay.params().n, snap_b.overlay.params().n);
-  EXPECT_EQ(snap_a.overlay.params().seed, snap_b.overlay.params().seed);
-  EXPECT_NE(snap_a.overlay.params().generation,
-            snap_b.overlay.params().generation);
 }
 
 TEST(MutableOverlay, StableIdsAreNeverReused) {

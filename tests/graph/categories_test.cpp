@@ -106,7 +106,9 @@ TEST(Categories, SafeSupersetOfByzSafe) {
   const auto byz = random_byzantine_mask(o.num_nodes(), 32, rng);
   const auto cat = classify_categories(o, byz, 1, 1);
   for (NodeId v = 0; v < o.num_nodes(); ++v) {
-    if (cat.is_byz_safe[v]) EXPECT_TRUE(cat.is_safe[v]);
+    if (cat.is_byz_safe[v]) {
+      EXPECT_TRUE(cat.is_safe[v]);
+    }
   }
   EXPECT_LE(cat.byz_safe, cat.safe);
 }

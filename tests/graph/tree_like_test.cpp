@@ -101,7 +101,9 @@ TEST(TreeLike, Radius2StillDominant) {
   // Monotonicity: LTL at radius 2 implies LTL at radius 1.
   const auto r1 = classify_tree_like(h, 8, 1);
   for (NodeId v = 0; v < n; ++v) {
-    if (r2.is_tree_like[v]) EXPECT_TRUE(r1.is_tree_like[v]);
+    if (r2.is_tree_like[v]) {
+      EXPECT_TRUE(r1.is_tree_like[v]);
+    }
   }
 }
 

@@ -109,10 +109,15 @@ INSTANTIATE_TEST_SUITE_P(
                       Param{1024, 8, 3, 5}, Param{300, 6, 5, 6},
                       Param{2048, 6, 3, 7}, Param{777, 8, 4, 8}),
     [](const ::testing::TestParamInfo<Param>& info) {
-      return "n" + std::to_string(info.param.n) + "_d" +
-             std::to_string(info.param.d) + "_t" +
-             std::to_string(info.param.steps) + "_s" +
-             std::to_string(info.param.seed);
+      std::string name = "n";
+      name += std::to_string(info.param.n);
+      name += "_d";
+      name += std::to_string(info.param.d);
+      name += "_t";
+      name += std::to_string(info.param.steps);
+      name += "_s";
+      name += std::to_string(info.param.seed);
+      return name;
     });
 
 }  // namespace

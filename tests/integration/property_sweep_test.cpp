@@ -24,6 +24,16 @@ struct World {
   std::uint64_t seed;
 };
 
+std::string world_name(const ::testing::TestParamInfo<World>& info) {
+  std::string name = "n";
+  name += std::to_string(info.param.n);
+  name += "_d";
+  name += std::to_string(info.param.d);
+  name += "_s";
+  name += std::to_string(info.param.seed);
+  return name;
+}
+
 class OverlayProperties : public ::testing::TestWithParam<World> {
  protected:
   Overlay build() const {
@@ -86,11 +96,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(World{128, 4, 1}, World{256, 6, 2}, World{512, 8, 3},
                       World{1024, 6, 4}, World{300, 8, 5}, World{777, 6, 6},
                       World{2048, 8, 7}, World{129, 4, 8}),
-    [](const ::testing::TestParamInfo<World>& info) {
-      return "n" + std::to_string(info.param.n) + "_d" +
-             std::to_string(info.param.d) + "_s" +
-             std::to_string(info.param.seed);
-    });
+    world_name);
 
 // ---------------------------------------------------------------------------
 
@@ -183,11 +189,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(World{256, 6, 11}, World{512, 8, 12}, World{1024, 8, 13},
                       World{2048, 6, 14}, World{400, 8, 15},
                       World{1500, 6, 16}),
-    [](const ::testing::TestParamInfo<World>& info) {
-      return "n" + std::to_string(info.param.n) + "_d" +
-             std::to_string(info.param.d) + "_s" +
-             std::to_string(info.param.seed);
-    });
+    world_name);
 
 }  // namespace
 }  // namespace byz

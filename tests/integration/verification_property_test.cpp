@@ -100,9 +100,13 @@ INSTANTIATE_TEST_SUITE_P(
                       Param{8, 4, 7}, Param{12, 2, 8}, Param{12, 4, 9},
                       Param{12, 5, 10}),
     [](const ::testing::TestParamInfo<Param>& info) {
-      return "d" + std::to_string(info.param.d) + "_chain" +
-             std::to_string(info.param.chain_len) + "_s" +
-             std::to_string(info.param.seed);
+      std::string name = "d";
+      name += std::to_string(info.param.d);
+      name += "_chain";
+      name += std::to_string(info.param.chain_len);
+      name += "_s";
+      name += std::to_string(info.param.seed);
+      return name;
     });
 
 }  // namespace

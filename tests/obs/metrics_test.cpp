@@ -134,22 +134,6 @@ TEST(MetricsRegistry, MultiThreadShardsMergeAtScrape) {
   EXPECT_EQ(bucket_total, hist->count);
 }
 
-TEST(MetricsRegistry, GaugeKeepsLastValue) {
-  ObsGuard guard;
-  const Gauge g("test.gauge");
-  g.set(1.5);
-  g.set(-3.25);
-  const auto snap = metrics_snapshot();
-  bool found = false;
-  for (const auto& [name, value] : snap.gauges) {
-    if (name == "test.gauge") {
-      EXPECT_DOUBLE_EQ(value, -3.25);
-      found = true;
-    }
-  }
-  EXPECT_TRUE(found);
-}
-
 TEST(MetricsRegistry, DeltaSubtractsCountersAndHistograms) {
   ObsGuard guard;
   const Counter c("test.delta_counter");

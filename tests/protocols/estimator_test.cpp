@@ -61,19 +61,6 @@ TEST(EstimatorRegistry, UnknownNameThrowsWithKnownList) {
   }
 }
 
-TEST(EstimatorRegistry, RegisterAddsAndReplaces) {
-  register_estimator("test-backend", [](const ProtocolConfig& cfg) {
-    return make_estimator("algo2", cfg);
-  });
-  EXPECT_TRUE(estimator_registered("test-backend"));
-  EXPECT_EQ(make_estimator("test-backend")->name(), "algo2");
-
-  register_estimator("test-backend", [](const ProtocolConfig& cfg) {
-    return make_estimator("brc", cfg);
-  });
-  EXPECT_EQ(make_estimator("test-backend")->name(), "brc");
-}
-
 TEST(EstimatorRegistry, NamesMatchInstances) {
   EXPECT_EQ(make_estimator("algo1")->name(), "algo1");
   EXPECT_EQ(make_estimator("algo2")->name(), "algo2");

@@ -153,7 +153,9 @@ TEST(Flooding, LateInjectionWithoutChainGoesNowhere) {
   run_flood_subphase(f.overlay, f.byz, f.crashed, f.verifier, params, gen, inj,
                      f.ws, f.instr);
   for (NodeId v = 0; v < n; ++v) {
-    if (!f.byz[v]) EXPECT_LT(f.ws.known[v], 500u);
+    if (!f.byz[v]) {
+      EXPECT_LT(f.ws.known[v], 500u);
+    }
   }
   EXPECT_GT(f.instr.injections_caught, 0u);
   EXPECT_EQ(f.instr.injections_accepted, 0u);

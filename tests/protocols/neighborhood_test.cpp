@@ -246,11 +246,15 @@ TEST(CrashSet, EmptyLieCrashesAllHonestNeighbors) {
   claims.set_claim(10, {});
   const auto crash = compute_crash_set(claims, byz, nullptr);
   for (const NodeId w : o.g().neighbors(10)) {
-    if (!byz[w]) EXPECT_TRUE(crash[w]);
+    if (!byz[w]) {
+      EXPECT_TRUE(crash[w]);
+    }
   }
   // Nodes outside N_G(10) never see node 10's claims: no crash.
   for (NodeId v = 0; v < o.num_nodes(); ++v) {
-    if (!byz[v] && !o.g().has_edge(10, v)) EXPECT_FALSE(crash[v]);
+    if (!byz[v] && !o.g().has_edge(10, v)) {
+      EXPECT_FALSE(crash[v]);
+    }
   }
 }
 

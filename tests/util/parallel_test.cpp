@@ -160,7 +160,7 @@ bool overlays_identical(const graph::Overlay& a, const graph::Overlay& b) {
   const auto& pa = a.params();
   const auto& pb = b.params();
   if (pa.n != pb.n || pa.d != pb.d || pa.k != pb.k || pa.seed != pb.seed ||
-      pa.generation != pb.generation || a.k() != b.k()) {
+      a.k() != b.k()) {
     return false;
   }
   if (!graphs_equal(a.h(), b.h()) ||

@@ -82,7 +82,7 @@ TEST(Percentile, InterpolatesEvenSample) {
 }
 
 TEST(Percentile, EmptyThrows) {
-  EXPECT_THROW(percentile({}, 0.5), std::invalid_argument);
+  EXPECT_THROW((void)percentile({}, 0.5), std::invalid_argument);
 }
 
 /// The full-sort definition percentile() must reproduce bit for bit.
@@ -163,8 +163,9 @@ TEST(LinearFit, NoisyLineStillHighR2) {
 }
 
 TEST(LinearFit, RejectsTinyInput) {
-  EXPECT_THROW(linear_fit(std::vector<double>{1.0}, std::vector<double>{1.0}),
-               std::invalid_argument);
+  EXPECT_THROW(
+      (void)linear_fit(std::vector<double>{1.0}, std::vector<double>{1.0}),
+      std::invalid_argument);
 }
 
 TEST(ChiSquared, ZeroForPerfectMatch) {
