@@ -14,8 +14,7 @@ using namespace byz::bench;
 
 struct Policy {
   const char* name;
-  bool adaptive;
-  double threshold;
+  double threshold;  ///< ChurnRunConfig::drift_threshold (0 = fixed)
 };
 
 void run_e22(RunContext& ctx) {
@@ -23,9 +22,9 @@ void run_e22(RunContext& ctx) {
   const auto t = ctx.trials(3);
   constexpr std::uint32_t kEpochs = 12;
   const Policy policies[] = {
-      {"fixed", false, 0.0},
-      {"adaptive 5%", true, 0.05},
-      {"adaptive 10%", true, 0.10},
+      {"fixed", 0.0},
+      {"adaptive 5%", 0.05},
+      {"adaptive 10%", 0.10},
   };
 
   util::Table table("E22: adaptive vs fixed re-estimation cadence, d=6 (" +
@@ -45,8 +44,7 @@ void run_e22(RunContext& ctx) {
       cfg.d = 6;
       cfg.delta = 0.7;
       cfg.strategy = adv::StrategyKind::kFakeColor;
-      cfg.incremental.adaptive = policy.adaptive;
-      cfg.incremental.drift_threshold = policy.threshold;
+      cfg.drift_threshold = policy.threshold;
 
       const std::uint64_t base_seed = 0xE22 + n0;
       const auto runs = ctx.scheduler().map(t, [&](std::uint64_t i) {
@@ -104,7 +102,7 @@ void run_e22(RunContext& ctx) {
       j["stale_in_band_skipped"] =
           stale_skipped.count() ? stale_skipped.mean() : 1.0;
       ctx.metric("policy_n" + std::to_string(n0) + "_" +
-                     std::string(policy.adaptive
+                     std::string(policy.threshold > 0.0
                                      ? "adaptive" +
                                            std::to_string(static_cast<int>(
                                                policy.threshold * 100))

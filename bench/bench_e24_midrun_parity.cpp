@@ -15,30 +15,6 @@ namespace {
 using namespace byz;
 using namespace byz::bench;
 
-bool runs_identical(const proto::RunResult& a, const proto::RunResult& b) {
-  if (a.status != b.status || a.estimate != b.estimate) return false;
-  if (a.phases_executed != b.phases_executed ||
-      a.flood_rounds != b.flood_rounds ||
-      a.subphases_scheduled != b.subphases_scheduled ||
-      a.subphases_executed != b.subphases_executed) {
-    return false;
-  }
-  const auto& ia = a.instr;
-  const auto& ib = b.instr;
-  return ia.setup_messages == ib.setup_messages &&
-         ia.setup_bytes == ib.setup_bytes &&
-         ia.token_messages == ib.token_messages &&
-         ia.token_bytes == ib.token_bytes &&
-         ia.verify_messages == ib.verify_messages &&
-         ia.verify_bytes == ib.verify_bytes &&
-         ia.flood_rounds == ib.flood_rounds &&
-         ia.injections_attempted == ib.injections_attempted &&
-         ia.injections_accepted == ib.injections_accepted &&
-         ia.injections_caught == ib.injections_caught &&
-         ia.max_node_round_sends == ib.max_node_round_sends &&
-         ia.crashes == ib.crashes;
-}
-
 /// Per-trial result: outcome parity plus the audit-only digest facts for
 /// the DIGEST_e24.json sidecar (zeros when --audit is off).
 struct TrialAudit {
@@ -100,7 +76,7 @@ void run_e24(RunContext& ctx) {
               overlay, byz, *live_strategy, cfg, seed,
               dynamics::ChurnSchedule{}, mid_cfg, adv::ChurnAdversary::kNone,
               churn_rng, nullptr, ctx.audit() ? &live_dig : nullptr);
-          if (runs_identical(got.run, expect)) ++r.ok;
+          if (got.run == expect) ++r.ok;
           if (ctx.audit()) {
             const auto div = obs::first_divergence(static_dig.trail(),
                                                    live_dig.trail());

@@ -219,9 +219,9 @@ int run_churn_mode(const byz::util::ArgParser& args, std::uint32_t trials,
   cfg.churn_adversary = parse_churn_adversary(args.str("adversary"));
   const bool adaptive = args.flag("adaptive");
   const bool mid_run = args.flag("mid-run-churn");
-  cfg.incremental.adaptive = adaptive;
-  cfg.incremental.drift_threshold =
+  const double drift_bound =
       parse_real(args, "drift-bound", kMinPositive, kMax, "(0, inf)");
+  cfg.drift_threshold = adaptive ? drift_bound : 0.0;
   const bool engine_oracle = args.flag("engine-oracle");
   cfg.mid_run.enabled = mid_run;
   cfg.mid_run.policy = parse_policy(args.str("policy"));

@@ -62,17 +62,6 @@ std::uint32_t RunContext::max_exp(std::uint32_t fallback) const {
   return std::max(exp, 10u);
 }
 
-std::vector<sim::TrialResult> RunContext::run_trials(
-    const sim::TrialConfig& cfg, std::uint32_t count) {
-  auto results = scheduler_.map(count, [&](std::uint64_t t) {
-    sim::TrialConfig trial_cfg = cfg;
-    trial_cfg.seed = TrialScheduler::trial_seed(cfg.seed, t);
-    return sim::run_trial(trial_cfg);
-  });
-  for (const auto& r : results) count_messages(r.run.instr);
-  return results;
-}
-
 void RunContext::emit(const util::Table& table) {
   if (!opts_.quiet) analysis::emit(table);
   doc_["tables"].push_back(table_json(table));

@@ -14,7 +14,6 @@
 #include "bench_core/json.hpp"
 #include "bench_core/scheduler.hpp"
 #include "sim/instrumentation.hpp"
-#include "sim/runner.hpp"
 #include "util/table.hpp"
 
 namespace byz::bench_core {
@@ -78,12 +77,6 @@ class RunContext {
   /// (every halving of scale drops one exponent, floor 10) so smoke runs
   /// stay small without per-scenario plumbing.
   [[nodiscard]] std::uint32_t max_exp(std::uint32_t fallback) const;
-
-  /// `count` independent protocol trials through the shared scheduler,
-  /// trial t seeded with TrialScheduler::trial_seed(cfg.seed, t) — bitwise
-  /// identical for every --jobs value.
-  [[nodiscard]] std::vector<sim::TrialResult> run_trials(
-      const sim::TrialConfig& cfg, std::uint32_t count);
 
   /// Emits a finished table: stdout (+ BYZCOUNT_CAPTURE) and the JSON doc.
   void emit(const util::Table& table);

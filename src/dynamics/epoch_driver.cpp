@@ -28,21 +28,6 @@ constexpr std::uint64_t kColorStream = 0xE000;
 constexpr std::uint64_t kMidRunStream = 0x31D1;
 constexpr std::uint64_t kShadowStream = 0x5AAD;
 
-bool same_outcome(const proto::RunResult& a, const proto::RunResult& b) {
-  if (a.status != b.status || a.estimate != b.estimate) return false;
-  if (a.phases_executed != b.phases_executed) return false;
-  if (a.flood_rounds != b.flood_rounds) return false;
-  const auto& ia = a.instr;
-  const auto& ib = b.instr;
-  return ia.setup_messages == ib.setup_messages &&
-         ia.token_messages == ib.token_messages &&
-         ia.verify_messages == ib.verify_messages &&
-         ia.injections_attempted == ib.injections_attempted &&
-         ia.injections_accepted == ib.injections_accepted &&
-         ia.injections_caught == ib.injections_caught &&
-         ia.crashes == ib.crashes;
-}
-
 /// Renders (and, with an audit_dir, writes) a byzobs/forensics/v1 report
 /// for one epoch's engine-oracle divergence: `a` is the fast path, `b` the
 /// engine. Returns the written path ("" when render-only or the write
@@ -72,8 +57,6 @@ std::string emit_forensics(const ChurnRunConfig& cfg, std::uint32_t epoch,
 }  // namespace
 
 ChurnRunResult run_churn(const ChurnRunConfig& cfg) {
-  const IncrementalConfig& inc_cfg = cfg.incremental;
-
   // Cross-backend shadow oracle: resolve both estimators up front so an
   // unknown name fails before any epoch runs (make_estimator's message
   // lists the registered names).
@@ -189,7 +172,7 @@ ChurnRunResult run_churn(const ChurnRunConfig& cfg) {
         if (est == 0) continue;
         ++stats.stale_nodes;
         const double ratio = static_cast<double>(est) / log_n;
-        if (ratio >= cfg.band_lo && ratio <= cfg.band_hi) {
+        if (ratio >= proto::kBandLo && ratio <= proto::kBandHi) {
           ++stats.stale_in_band;
         }
       }
@@ -213,8 +196,7 @@ ChurnRunResult run_churn(const ChurnRunConfig& cfg) {
 
       // Drift-adaptive cadence composes with mid-run churn: a skipped
       // epoch runs no protocol, so its events apply between runs.
-      const bool estimated = !inc_cfg.adaptive || e == 0 ||
-                             acc_drift >= inc_cfg.drift_threshold;
+      const bool estimated = e == 0 || acc_drift >= cfg.drift_threshold;
       if (!estimated) {
         replay_between_runs(epoch);
         EpochStats stats;
@@ -277,8 +259,7 @@ ChurnRunResult run_churn(const ChurnRunConfig& cfg) {
       const NodeId n = fill_membership_stats(stats);
       if (cfg.audit) stats.run_digest = fast_dig.trail().run_digest;
 
-      stats.fresh =
-          proto::summarize_accuracy(outcome.run, n, cfg.band_lo, cfg.band_hi);
+      stats.fresh = proto::summarize_accuracy(outcome.run, n);
       if (shadow_est) {
         // Post-churn state: the run flushed every event, so a fresh full
         // snapshot is the same membership the between-runs path ends in.
@@ -336,9 +317,9 @@ ChurnRunResult run_churn(const ChurnRunConfig& cfg) {
     const NodeId n = fill_membership_stats(stats);
 
     // Drift-adaptive scheduling: estimation runs when the accumulated
-    // drift crosses the bound (epoch 0 always bootstraps the estimates).
-    stats.estimated = !inc_cfg.adaptive || e == 0 ||
-                      acc_drift >= inc_cfg.drift_threshold;
+    // drift crosses the bound (epoch 0 always bootstraps the estimates;
+    // drift is never negative, so a bound of 0 runs every epoch).
+    stats.estimated = e == 0 || acc_drift >= cfg.drift_threshold;
     if (!stats.estimated) {
       stamp_epoch_span(stats);
       out.epochs.push_back(stats);
@@ -370,7 +351,7 @@ ChurnRunResult run_churn(const ChurnRunConfig& cfg) {
         snap.overlay, dense_byz, *strategy, cfg.protocol, color_seed, run_rc);
 
     if (cfg.audit) stats.run_digest = run_dig.trail().run_digest;
-    stats.fresh = proto::summarize_accuracy(run, n, cfg.band_lo, cfg.band_hi);
+    stats.fresh = proto::summarize_accuracy(run, n);
     run_shadow(stats, e, snap.overlay, dense_byz);
     stats.messages = run.instr.total_messages();
 
@@ -379,7 +360,7 @@ ChurnRunResult run_churn(const ChurnRunConfig& cfg) {
       sim::Engine engine(snap.overlay, dense_byz, *strategy2, cfg.protocol,
                          color_seed, nullptr,
                          cfg.audit ? &engine_dig : nullptr);
-      stats.engine_match = same_outcome(run, engine.run());
+      stats.engine_match = engine.run() == run;
       if (cfg.audit) {
         // The engine and the epoch's run execute identical schedules, so
         // their trails must match entry for entry.

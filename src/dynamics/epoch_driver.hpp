@@ -12,8 +12,8 @@
 //
 //   * snapshot churn (default): events apply BETWEEN runs; each run
 //     executes on a frozen MutableOverlay::snapshot(), whose G is built by
-//     its first reader (the setup stage). IncrementalConfig adds
-//     drift-adaptive cadence. Every estimating epoch runs the plain
+//     its first reader (the setup stage). ChurnRunConfig::drift_threshold
+//     adds drift-adaptive cadence. Every estimating epoch runs the plain
 //     Algorithm 2 run.
 //   * mid-run churn (ChurnRunConfig::mid_run): the epoch's events are
 //     placed on individual flood rounds — uniformly, or adversarially
@@ -43,17 +43,6 @@
 
 namespace byz::dynamics {
 
-/// The estimation-cadence knobs (off = a protocol run every epoch).
-struct IncrementalConfig {
-  /// Drift-adaptive epoch scheduling: re-estimate only when the membership
-  /// drift accumulated since the last estimation crosses drift_threshold,
-  /// instead of on every epoch.
-  bool adaptive = false;
-  /// Fraction of the last-estimated membership that must churn before the
-  /// adaptive scheduler re-estimates.
-  double drift_threshold = 0.02;
-};
-
 struct ChurnRunConfig {
   ChurnTraceParams trace;
   std::uint32_t d = 8;
@@ -66,11 +55,11 @@ struct ChurnRunConfig {
   std::uint64_t seed = 1;
   /// Also run the message-level Engine per snapshot and compare outcomes.
   bool run_engine = false;
-  /// Accuracy band for est/log2(n(t)) (summarize_accuracy defaults).
-  double band_lo = 0.05;
-  double band_hi = 3.0;
-  /// Adaptive scheduling.
-  IncrementalConfig incremental;
+  /// Drift-adaptive cadence: re-estimate only when the membership drift
+  /// accumulated since the last estimation (the fraction of the
+  /// last-estimated membership that churned) reaches this bound. Epoch 0
+  /// always estimates; 0 = re-estimate every epoch.
+  double drift_threshold = 0.0;
   /// Mid-protocol churn (dynamics/midrun.*): apply each epoch's
   /// joins/leaves DURING its estimation run — spread over the run's
   /// expected flood rounds — instead of between runs. Adaptive cadence
@@ -147,7 +136,7 @@ struct EpochStats {
   /// divergence ("" = no divergence, no audit, or no audit_dir).
   std::string forensics_path;
   /// Closed run-level digest of this epoch's estimation run (0 when audit
-  /// is off, the epoch was skipped, or the obs layer is compiled out).
+  /// is off or the epoch was skipped).
   /// Scenarios fold these into DIGEST_<exp>.json sidecars.
   std::uint64_t run_digest = 0;
   // --- cross-backend shadow (ChurnRunConfig::shadow_backend only) ---

@@ -106,25 +106,6 @@ void MutableOverlay::leave(NodeId v) {
   --alive_count_;
 }
 
-void MutableOverlay::rewire(NodeId v, util::Xoshiro256& rng) {
-  if (!is_alive(v)) throw std::invalid_argument("rewire: node not alive");
-  if (alive_count_ < 4) return;  // nowhere else to go in a 3-ring
-  // Splice out, pick anchors among the OTHERS, splice back in.
-  for (std::uint32_t c = 0; c < num_cycles(); ++c) {
-    const NodeId p = pred_[c][v];
-    const NodeId s = succ_[c][v];
-    succ_[c][p] = s;
-    pred_[c][s] = p;
-  }
-  std::vector<NodeId> anchors(num_cycles());
-  for (auto& a : anchors) {
-    do {
-      a = random_alive(rng);
-    } while (a == v);
-  }
-  splice_in(v, anchors);
-}
-
 std::vector<NodeId> MutableOverlay::alive_nodes() const {
   std::vector<NodeId> out(alive_list_);
   std::sort(out.begin(), out.end());

@@ -49,9 +49,6 @@ class MutableOverlay {
   [[nodiscard]] bool is_alive(NodeId v) const noexcept {
     return v < alive_.size() && alive_[v] != 0;
   }
-  /// The seed the bootstrap topology was sampled from (snapshot params
-  /// record it as provenance).
-  [[nodiscard]] std::uint64_t bootstrap_seed() const noexcept { return seed_; }
 
   /// Joins a new node by splicing it into each ring after an independent
   /// uniformly random alive anchor. Returns the new stable id.
@@ -65,12 +62,6 @@ class MutableOverlay {
   /// Splices `v` out of every ring. Throws if v is not alive or the
   /// overlay would shrink below 3 nodes (a ring needs >= 2 others).
   void leave(NodeId v);
-
-  /// Repair/rewiring primitive: re-splices `v` at fresh random positions
-  /// (equivalent to leave + join but keeps the stable id). Refreshing
-  /// splice randomness is how a deployment heals locality that accumulated
-  /// from correlated departures.
-  void rewire(NodeId v, util::Xoshiro256& rng);
 
   /// Ring successor / predecessor of alive node v in cycle c.
   [[nodiscard]] NodeId successor(std::uint32_t cycle, NodeId v) const {

@@ -98,8 +98,6 @@ DigestDivergence first_divergence(const DigestTrail& a, const DigestTrail& b) {
   return out;
 }
 
-#if BYZ_OBS_ENABLED
-
 RunDigester::RunDigester(std::uint64_t seed) : seed_(seed), run_acc_(seed) {}
 
 void RunDigester::note(FlightEventKind kind, std::uint64_t a,
@@ -151,8 +149,6 @@ void RunDigester::close_run() {
   trail_.run_digest = mix64(run_acc_);
   trail_.closed = true;
 }
-
-#endif  // BYZ_OBS_ENABLED
 
 namespace {
 

@@ -20,8 +20,8 @@
 // Like every obs/ facility this is pure read-side (see obs.hpp): a
 // digester observes the run, it never feeds anything back — BENCH
 // manifests are bitwise identical with auditing on and off (CI-guarded,
-// E29). Under BYZ_OBS_ENABLED=0 the digester is an empty stub, trails are
-// empty, and audit comparisons degrade to the plain outcome check.
+// E29). An attached digester always records: a run that floods at least
+// one round leaves a trail with rounds in it.
 #pragma once
 
 #include <cstdint>
@@ -122,8 +122,6 @@ struct DigestDivergence {
 [[nodiscard]] DigestDivergence first_divergence(const DigestTrail& a,
                                                 const DigestTrail& b);
 
-#if BYZ_OBS_ENABLED
-
 class RunDigester {
  public:
   explicit RunDigester(std::uint64_t seed = kDigestSeed);
@@ -192,33 +190,6 @@ class RunDigester {
   std::uint64_t perturb_round_ = ~std::uint64_t{0};
   std::uint64_t perturb_mask_ = 0;
 };
-
-#else
-
-class RunDigester {
- public:
-  explicit RunDigester(std::uint64_t = kDigestSeed) noexcept {}
-  void attach_recorder(FlightRecorder*) noexcept {}
-  [[nodiscard]] FlightRecorder* recorder() const noexcept { return nullptr; }
-  void note(FlightEventKind, std::uint64_t, std::uint64_t) {}
-  void begin_phase(std::uint32_t) {}
-  void begin_subphase(std::uint32_t) {}
-  void fold_round(std::uint64_t) noexcept {}
-  void close_round(std::uint64_t) {}
-  void fold_subphase(std::uint64_t) noexcept {}
-  void close_subphase() {}
-  void fold_phase(std::uint64_t) noexcept {}
-  void close_phase() {}
-  void fold_run(std::uint64_t) noexcept {}
-  void close_run() {}
-  [[nodiscard]] const DigestTrail& trail() const noexcept {
-    static const DigestTrail kEmpty;
-    return kEmpty;
-  }
-  void set_perturbation(std::uint64_t, std::uint64_t) noexcept {}
-};
-
-#endif  // BYZ_OBS_ENABLED
 
 /// Oracle audit mode: passed through the comparison seams
 /// (dynamics::compare_midrun_tiers, ChurnRunConfig) to attach digesters to

@@ -83,7 +83,6 @@ std::uint32_t intern(std::vector<std::string>& names, std::string_view name,
   return static_cast<std::uint32_t>(names.size() - 1);
 }
 
-#if BYZ_OBS_ENABLED
 struct ThreadShard {
   Shard* shard;
 
@@ -106,11 +105,8 @@ Shard& local_shard() {
   thread_local ThreadShard tls;
   return *tls.shard;
 }
-#endif
 
 }  // namespace
-
-#if BYZ_OBS_ENABLED
 
 Counter::Counter(std::string_view name) {
   State& s = state();
@@ -136,8 +132,6 @@ void Histogram::observe(std::uint64_t value) const noexcept {
   h.sum.fetch_add(value, std::memory_order_relaxed);
   h.buckets[histogram_bucket(value)].fetch_add(1, std::memory_order_relaxed);
 }
-
-#endif  // BYZ_OBS_ENABLED
 
 MetricsSnapshot metrics_snapshot() {
   State& s = state();

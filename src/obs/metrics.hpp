@@ -37,7 +37,6 @@ inline constexpr std::size_t kHistogramBuckets = 64;
   return b < kHistogramBuckets ? b : kHistogramBuckets - 1;
 }
 
-#if BYZ_OBS_ENABLED
 class Counter {
  public:
   explicit Counter(std::string_view name);
@@ -55,19 +54,6 @@ class Histogram {
  private:
   std::uint32_t id_;
 };
-#else
-class Counter {
- public:
-  explicit Counter(std::string_view) noexcept {}
-  void add(std::uint64_t = 1) const noexcept {}
-};
-
-class Histogram {
- public:
-  explicit Histogram(std::string_view) noexcept {}
-  void observe(std::uint64_t) const noexcept {}
-};
-#endif
 
 struct HistogramSnapshot {
   std::string name;

@@ -1,13 +1,11 @@
 // Observability master switch shared by the metrics registry and the span
 // tracer (src/obs/metrics.hpp, src/obs/trace.hpp).
 //
-// Two gates, both defaulting to "off the hot path":
-//   * compile time — building with -DBYZ_OBS_ENABLED=0 (CMake option
-//     BYZCOUNT_OBS=OFF) turns every Counter/Histogram/Span into an
-//     empty inline stub, so instrumented call sites cost nothing;
-//   * run time — with the default build, recording still starts disabled:
-//     every record call is one relaxed atomic load until set_enabled(true)
-//     (byzbench --trace-out/--metrics-out, size_service --trace-out).
+// Recording starts disabled: every Counter/Histogram/Span record call is
+// one relaxed atomic load until set_enabled(true) (byzbench
+// --trace-out/--metrics-out, size_service --trace-out). Digesters and
+// flight recorders do not read this switch; they record whenever a caller
+// attaches them (obs/digest.hpp).
 //
 // Hard invariant: everything in obs/ is PURE READ-SIDE. It never draws
 // from an RNG, never touches sim::Instrumentation, and never feeds a
@@ -17,10 +15,6 @@
 
 #include <string>
 #include <string_view>
-
-#ifndef BYZ_OBS_ENABLED
-#define BYZ_OBS_ENABLED 1
-#endif
 
 namespace byz::obs {
 

@@ -13,8 +13,6 @@ const char* to_string(FlightEventKind kind) {
   return "unknown";
 }
 
-#if BYZ_OBS_ENABLED
-
 FlightRecorder::FlightRecorder(std::size_t capacity)
     : ring_(capacity == 0 ? 1 : capacity) {}
 
@@ -33,8 +31,6 @@ std::vector<FlightEvent> FlightRecorder::tail() const {
   }
   return out;
 }
-
-#endif  // BYZ_OBS_ENABLED
 
 std::string flight_tail_json(const FlightRecorder& recorder) {
   std::string out = "[";

@@ -6,9 +6,7 @@
 // preallocated ring: no locks, no atomics, no allocation past construction.
 //
 // Like every obs/ facility this is pure read-side (see obs.hpp): events
-// describe protocol state, they never feed back into it. Under
-// BYZ_OBS_ENABLED=0 the recorder is an empty stub and record() compiles
-// away at the call sites.
+// describe protocol state, they never feed back into it.
 #pragma once
 
 #include <cstddef>
@@ -43,8 +41,6 @@ struct FlightEvent {
 
 inline constexpr std::size_t kDefaultFlightCapacity = 256;
 
-#if BYZ_OBS_ENABLED
-
 class FlightRecorder {
  public:
   explicit FlightRecorder(std::size_t capacity = kDefaultFlightCapacity);
@@ -66,19 +62,6 @@ class FlightRecorder {
   std::vector<FlightEvent> ring_;
   std::uint64_t total_ = 0;
 };
-
-#else
-
-class FlightRecorder {
- public:
-  explicit FlightRecorder(std::size_t = kDefaultFlightCapacity) noexcept {}
-  void record(const FlightEvent&) noexcept {}
-  [[nodiscard]] std::vector<FlightEvent> tail() const { return {}; }
-  [[nodiscard]] std::uint64_t total_recorded() const noexcept { return 0; }
-  [[nodiscard]] std::size_t capacity() const noexcept { return 0; }
-};
-
-#endif  // BYZ_OBS_ENABLED
 
 /// JSON array rendering of a recorder's tail (oldest -> newest), used as
 /// the "flight_tail" evidence block of a byzobs/forensics/v1 report.

@@ -38,7 +38,6 @@ TraceState& trace_state() {
   return *s;
 }
 
-#if BYZ_OBS_ENABLED
 struct ThreadBufferHandle {
   ThreadBuffer* buf;
 
@@ -66,7 +65,6 @@ ThreadBuffer& local_buffer() {
   thread_local ThreadBufferHandle tls;
   return *tls.buf;
 }
-#endif
 
 }  // namespace
 
@@ -80,16 +78,10 @@ std::uint64_t trace_now_us() noexcept {
 }
 
 void set_trace_thread_name(std::string_view name) {
-#if BYZ_OBS_ENABLED
   ThreadBuffer& buf = local_buffer();
   const std::lock_guard<std::mutex> lock(buf.mutex);
   buf.name.assign(name);
-#else
-  (void)name;
-#endif
 }
-
-#if BYZ_OBS_ENABLED
 
 Span::Span(const char* name) noexcept : name_(name), active_(enabled()) {
   if (active_) start_us_ = trace_now_us();
@@ -137,8 +129,6 @@ Span& Span::arg(const char* key, const char* value) {
   args_ += '"';
   return *this;
 }
-
-#endif  // BYZ_OBS_ENABLED
 
 TraceSnapshot trace_snapshot() {
   TraceState& s = trace_state();

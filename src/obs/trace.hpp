@@ -13,8 +13,7 @@
 //
 // Like every obs/ facility this is pure read-side (see obs.hpp): spans
 // observe; they never influence protocol, RNG, or scheduling state. With
-// the runtime switch off a Span is one relaxed load; with
-// BYZ_OBS_ENABLED=0 it is an empty inline stub.
+// the runtime switch off a Span is one relaxed load.
 #pragma once
 
 #include <cstdint>
@@ -42,7 +41,6 @@ struct TraceEvent {
 /// Names the calling thread in the exported trace ("worker-3", ...).
 void set_trace_thread_name(std::string_view name);
 
-#if BYZ_OBS_ENABLED
 class Span {
  public:
   /// `name` must outlive the span (string literals at every call site).
@@ -67,16 +65,6 @@ class Span {
   std::string args_;
   bool active_;
 };
-#else
-class Span {
- public:
-  explicit Span(const char*) noexcept {}
-  template <typename T>
-  Span& arg(const char*, T) noexcept {
-    return *this;
-  }
-};
-#endif
 
 /// Point-in-time merge of every span buffer, timestamp-sorted.
 struct TraceSnapshot {

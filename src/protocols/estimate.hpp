@@ -55,13 +55,18 @@ struct Accuracy {
   bool operator==(const Accuracy&) const = default;
 };
 
-/// Computes the summary. `lo`/`hi` bound the accepted ratio est/log2(n);
-/// the defaults cover the d-dependent termination point diameter ≈
-/// log n / log(d-1) with generous slack (a "constant factor" band).
+/// The default accepted band for the ratio est/log2(n): it covers the
+/// d-dependent termination point diameter ≈ log n / log(d-1) with generous
+/// slack (a "constant factor" band).
+inline constexpr double kBandLo = 0.05;
+inline constexpr double kBandHi = 3.0;
+
+/// Computes the summary. `lo`/`hi` bound the accepted ratio est/log2(n).
 /// Backends with a tighter contract pass their own EstimatorBound.
 [[nodiscard]] Accuracy summarize_accuracy(const RunResult& result,
                                           std::uint64_t true_n,
-                                          double lo = 0.05, double hi = 3.0);
+                                          double lo = kBandLo,
+                                          double hi = kBandHi);
 
 /// Median estimate over the decided nodes (0.0 if none decided). This is
 /// the scale-free per-run aggregate the cross-backend agreement oracle

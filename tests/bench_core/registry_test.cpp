@@ -7,6 +7,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "analysis/experiment.hpp"
 #include "bench_core/context.hpp"
 #include "bench_core/orchestrator.hpp"
 #include "util/table.hpp"
@@ -115,15 +116,16 @@ ScenarioSpec synthetic_scenario() {
     cfg.overlay.d = 6;
     cfg.delta = 0.7;
     cfg.seed = 11;
-    const auto results = ctx.run_trials(cfg, ctx.trials(4));
+    const auto sweep =
+        analysis::sweep_trials(cfg, ctx.trials(4), ctx.scheduler());
     util::Table table("synthetic");
     table.columns({"trial", "rounds"});
     std::vector<double> ratios;
-    for (std::size_t t = 0; t < results.size(); ++t) {
-      table.row()
-          .cell(std::uint64_t{t})
-          .cell(results[t].run.flood_rounds);
-      ratios.push_back(results[t].accuracy.mean_ratio);
+    for (std::size_t t = 0; t < sweep.results.size(); ++t) {
+      const auto& r = sweep.results[t];
+      ctx.count_messages(r.run.instr);
+      table.row().cell(std::uint64_t{t}).cell(r.run.flood_rounds);
+      ratios.push_back(r.accuracy.mean_ratio);
     }
     ctx.emit(table);
     ctx.record_accuracy("ratio", ratios);
@@ -167,7 +169,7 @@ TEST(Orchestrator, WritesSchemaValidJsonManifest) {
   EXPECT_EQ(table.find("title")->as_string(), "synthetic");
   EXPECT_EQ(table.find("columns")->size(), 2u);
   EXPECT_EQ(table.find("rows")->size(), 4u);
-  // run_trials auto-records message totals; record_accuracy adds quantiles.
+  // count_messages records message totals; record_accuracy adds quantiles.
   const auto* metrics = doc.find("metrics");
   ASSERT_NE(metrics, nullptr);
   ASSERT_NE(metrics->find("messages"), nullptr);

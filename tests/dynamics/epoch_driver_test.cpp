@@ -147,10 +147,9 @@ TEST(EpochDriver, RecoveryAtTheFinalEpochRequiresTheThresholdToBeMet) {
 TEST(EpochDriver, AdaptiveSchedulerSkipsBelowTheDriftBound) {
   auto cfg = small_config();
   cfg.trace.epochs = 8;
-  cfg.incremental.adaptive = true;
   // ~4 joins + ~4 leaves per epoch on ~128 nodes is ~6% drift: a 10%
   // threshold re-estimates roughly every second epoch.
-  cfg.incremental.drift_threshold = 0.10;
+  cfg.drift_threshold = 0.10;
   const auto result = run_churn(cfg);
 
   std::uint32_t estimated = 0;
@@ -165,7 +164,7 @@ TEST(EpochDriver, AdaptiveSchedulerSkipsBelowTheDriftBound) {
       EXPECT_EQ(epoch.messages, 0u);
       EXPECT_EQ(epoch.fresh.honest, 0u);
       EXPECT_GT(epoch.stale_nodes, 0u);
-      EXPECT_LT(epoch.drift, cfg.incremental.drift_threshold);
+      EXPECT_LT(epoch.drift, cfg.drift_threshold);
       EXPECT_GT(epoch.drift, last_drift);  // drift accumulates while idle
     }
     last_drift = epoch.estimated ? 0.0 : epoch.drift;

@@ -63,9 +63,7 @@ TEST(ForensicsAudit, CleanComparisonHasMatchingTrailsAndNoReport) {
   EXPECT_TRUE(cmp.forensics.empty());
   EXPECT_TRUE(cmp.forensics_path.empty());
   EXPECT_EQ(cmp.run_digest_fastpath, cmp.run_digest_engine);
-#if BYZ_OBS_ENABLED
   EXPECT_NE(cmp.run_digest_fastpath, 0u);
-#endif
   // The audit is pure read-side: the outcome matches an unaudited run.
   const auto plain = audited_compare(nullptr);
   EXPECT_TRUE(plain.fastpath == cmp.fastpath);
@@ -84,8 +82,6 @@ TEST(ForensicsAudit, TrailsIdenticalTracedAndUntraced) {
   EXPECT_EQ(traced.run_digest_engine, untraced.run_digest_engine);
   EXPECT_TRUE(traced.fastpath == untraced.fastpath);
 }
-
-#if BYZ_OBS_ENABLED
 
 TEST(ForensicsAudit, InjectedPerturbationLocalizesToTheExactRound) {
   constexpr std::uint64_t kInjectedRound = 5;
@@ -156,25 +152,6 @@ TEST(ForensicsAudit, ReportIsWrittenToOutDir) {
   EXPECT_EQ(doc->find("scenario")->as_string(), "forensics_write");
   EXPECT_EQ(doc->find("seed")->as_number(), 13.0);
 }
-
-#else  // !BYZ_OBS_ENABLED
-
-TEST(ForensicsAudit, StubbedDigestersDegradeToOutcomeCheck) {
-  obs::AuditConfig audit;
-  audit.scenario = "forensics_test";
-  audit.seed = 11;
-  audit.perturb_tier = 1;  // stub: set_perturbation is a no-op
-  audit.perturb_round = 5;
-  audit.perturb_mask = 0xDEAD;
-  const auto cmp = audited_compare(&audit);
-  EXPECT_TRUE(cmp.identical);
-  EXPECT_TRUE(cmp.digests_identical);
-  EXPECT_TRUE(cmp.forensics.empty());
-  EXPECT_EQ(cmp.run_digest_fastpath, 0u);
-  EXPECT_EQ(cmp.run_digest_engine, 0u);
-}
-
-#endif  // BYZ_OBS_ENABLED
 
 }  // namespace
 }  // namespace byz

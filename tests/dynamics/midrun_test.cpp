@@ -202,7 +202,7 @@ TEST(ComposedMidRunTest, EngineOracleHoldsWithAdaptiveCadenceOn) {
   cfg.seed = 21;
   cfg.run_engine = true;
   cfg.mid_run.enabled = true;
-  cfg.incremental.adaptive = true;
+  cfg.drift_threshold = 0.02;
 
   const auto result = dynamics::run_churn(cfg);
   for (const auto& ep : result.epochs) {
@@ -222,8 +222,7 @@ TEST(ComposedMidRunTest, AdaptiveCadenceSkipsQuietEpochsMidRun) {
   cfg.d = 6;
   cfg.seed = 27;
   cfg.mid_run.enabled = true;
-  cfg.incremental.adaptive = true;
-  cfg.incremental.drift_threshold = 0.05;  // ~0.4% churn/epoch: mostly skip
+  cfg.drift_threshold = 0.05;  // ~0.4% churn/epoch: mostly skip
 
   const auto result = dynamics::run_churn(cfg);
   std::uint32_t estimated = 0;
@@ -319,7 +318,7 @@ TEST(ComposedMidRunTest, EngineMatchesAcrossSkippedEpochs) {
   cfg.seed = 33;
   cfg.mid_run.enabled = true;
   cfg.run_engine = true;
-  cfg.incremental.adaptive = true;
+  cfg.drift_threshold = 0.02;
   const auto result = dynamics::run_churn(cfg);
   bool any_skipped = false;
   for (const auto& ep : result.epochs) {

@@ -197,10 +197,8 @@ TEST(SmallWorld, ConcurrentFirstReadsBuildGOnce) {
   const Overlay reference = sample(2048, 8, 57);
   (void)reference.g();
   const Overlay fresh = sample(2048, 8, 57);
-#if BYZ_OBS_ENABLED
   obs::reset_trace();
   obs::set_enabled(true);
-#endif
   constexpr int kThreads = 8;
   std::vector<const Graph*> seen(kThreads, nullptr);
   {
@@ -228,7 +226,6 @@ TEST(SmallWorld, ConcurrentFirstReadsBuildGOnce) {
     }
     for (auto& th : threads) th.join();
   }
-#if BYZ_OBS_ENABLED
   obs::set_enabled(false);
   int g_passes = 0;
   for (const auto& e : obs::trace_snapshot().events) {
@@ -236,7 +233,6 @@ TEST(SmallWorld, ConcurrentFirstReadsBuildGOnce) {
   }
   EXPECT_EQ(g_passes, 1);
   obs::reset_trace();
-#endif
   for (int t = 1; t < kThreads; ++t) EXPECT_EQ(seen[t], seen[0]);
   expect_same_g(fresh, reference);
   EXPECT_EQ(fresh.memory_bytes(), reference.memory_bytes());

@@ -28,7 +28,6 @@
 namespace byz {
 namespace {
 
-#if BYZ_OBS_ENABLED
 struct TracedRun {
   proto::RunResult run;
   std::vector<double> smoothed;
@@ -197,8 +196,6 @@ TEST(TraceExportIntegration, LiveVerifierRefreshSpansMatchMidRunStats) {
   obs::reset_trace();
   obs::reset_metrics();
 }
-
-#endif  // BYZ_OBS_ENABLED
 
 }  // namespace
 }  // namespace byz

@@ -110,7 +110,6 @@ TEST(DigestDivergenceWalk, RunOnlyDifferenceReportsRunLevel) {
 
 TEST(FlightRecorderRing, KeepsNewestEventsBounded) {
   FlightRecorder rec(4);
-#if BYZ_OBS_ENABLED
   for (std::uint64_t i = 0; i < 10; ++i) {
     rec.record({FlightEventKind::kNote, 1, 0, i, i, 0});
   }
@@ -119,11 +118,6 @@ TEST(FlightRecorderRing, KeepsNewestEventsBounded) {
   ASSERT_EQ(tail.size(), 4u);
   EXPECT_EQ(tail.front().a, 6u);  // oldest surviving
   EXPECT_EQ(tail.back().a, 9u);   // newest
-#else
-  rec.record({FlightEventKind::kNote, 1, 0, 0, 0, 0});
-  EXPECT_EQ(rec.total_recorded(), 0u);
-  EXPECT_TRUE(rec.tail().empty());
-#endif
 }
 
 /// Drives a digester through a deterministic synthetic schedule (the same
@@ -147,8 +141,6 @@ void drive(RunDigester& dg) {
   dg.fold_run(digest_state_term(0, 7));
   dg.close_run();
 }
-
-#if BYZ_OBS_ENABLED
 
 TEST(RunDigesterTrail, SameSequenceFoldsIdenticalTrails) {
   RunDigester a;
@@ -253,30 +245,6 @@ TEST(ForensicsReport, JsonParsesAndNamesTheDivergentRound) {
     EXPECT_FALSE(tier.find("run_digest")->as_string().empty());
   }
 }
-
-#else  // !BYZ_OBS_ENABLED
-
-TEST(RunDigesterStub, EverythingIsANoOp) {
-  RunDigester dg;
-  drive(dg);
-  EXPECT_TRUE(dg.trail().rounds.empty());
-  EXPECT_TRUE(dg.trail().phases.empty());
-  EXPECT_EQ(dg.trail().run_digest, 0u);
-  EXPECT_FALSE(first_divergence(dg.trail(), dg.trail()).diverged());
-}
-
-TEST(ForensicsReportStub, JsonStillParses) {
-  ForensicsInfo info;
-  info.scenario = "stub";
-  const RunDigester dg;
-  const std::string doc_text =
-      forensics_json(info, dg.trail(), dg.trail(), nullptr, nullptr);
-  const auto doc = bench_core::Json::parse(doc_text);
-  ASSERT_TRUE(doc.has_value()) << doc_text;
-  EXPECT_EQ(doc->find("schema")->as_string(), "byzobs/forensics/v1");
-}
-
-#endif  // BYZ_OBS_ENABLED
 
 }  // namespace
 }  // namespace byz::obs

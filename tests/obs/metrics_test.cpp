@@ -25,7 +25,6 @@ class ObsGuard {
   }
 };
 
-#if BYZ_OBS_ENABLED
 std::uint64_t counter_value(const MetricsSnapshot& snap,
                             const std::string& name) {
   for (const auto& [n, v] : snap.counters) {
@@ -42,7 +41,6 @@ const HistogramSnapshot* find_histogram(const MetricsSnapshot& snap,
   }
   return nullptr;
 }
-#endif  // BYZ_OBS_ENABLED
 
 TEST(MetricsRegistry, HistogramBucketIsLog2) {
   EXPECT_EQ(histogram_bucket(0), 0u);
@@ -87,8 +85,6 @@ TEST(MetricsRegistry, QuantileWalksLog2Buckets) {
   // Monotone in q.
   EXPECT_LE(histogram_quantile(h, 0.10), p50);
 }
-
-#if BYZ_OBS_ENABLED
 
 TEST(MetricsRegistry, DisabledRecordingIsDropped) {
   reset_metrics();
@@ -189,8 +185,6 @@ TEST(MetricsRegistry, JsonDocumentParses) {
   EXPECT_GE(hist->find("p99")->as_number(), 64.0);
   EXPECT_LE(hist->find("p99")->as_number(), 127.0);
 }
-
-#endif  // BYZ_OBS_ENABLED
 
 }  // namespace
 }  // namespace byz::obs

@@ -42,8 +42,6 @@ TEST(TraceExport, EmptySnapshotIsValidJson) {
   ASSERT_NE(find_event(*doc, "process_name"), nullptr);
 }
 
-#if BYZ_OBS_ENABLED
-
 TEST(TraceExport, DisabledSpanRecordsNothing) {
   reset_trace();
   ASSERT_FALSE(enabled());  // runtime default is off
@@ -130,8 +128,6 @@ TEST(TraceExport, ResetDiscardsBufferedEvents) {
   reset_trace();
   EXPECT_TRUE(trace_snapshot().events.empty());
 }
-
-#endif  // BYZ_OBS_ENABLED
 
 }  // namespace
 }  // namespace byz::obs

@@ -260,6 +260,10 @@ TEST(BrcEstimator, FusedRepetitionsMatchOneAtATime) {
       if (which == 0) {
         EXPECT_GT(fused.instr.injections_attempted, 0u);
       }
+      // Vacuity: both trails hold the batches' rounds.
+      EXPECT_GT(fused_digest.trail().rounds.size(), 0u);
+      EXPECT_EQ(fused_digest.trail().rounds.size(),
+                single_digest.trail().rounds.size());
       const auto div = obs::first_divergence(fused_digest.trail(),
                                              single_digest.trail());
       EXPECT_FALSE(div.diverged())

@@ -149,11 +149,8 @@ void expect_fused_matches_reference(const LaneCase& c,
     EXPECT_EQ(ref.last_step[j], fused.last_step[j]) << "lane " << j;
   }
   EXPECT_EQ(ref.instr, fused.instr);
-#if BYZ_OBS_ENABLED
-  // Vacuity: the trail has one round per lane and step. (With the obs
-  // layer compiled out the digester is a stub and both trails are empty.)
+  // Vacuity: the trail has one round per lane and step.
   EXPECT_EQ(ref.trail.rounds.size(), c.gen.size() * c.params.steps);
-#endif
   const auto div = obs::first_divergence(ref.trail, fused.trail);
   EXPECT_FALSE(div.diverged())
       << "level=" << obs::to_string(div.level) << " subphase=" << div.subphase

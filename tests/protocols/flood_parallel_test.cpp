@@ -63,6 +63,10 @@ void expect_bitwise_equal(const SubphaseRun& ref, const SubphaseRun& run) {
   EXPECT_EQ(ref.ws.best_before, run.ws.best_before);
   EXPECT_EQ(ref.ws.last_step, run.ws.last_step);
   EXPECT_EQ(ref.instr, run.instr);
+  // Vacuity: both trails hold the subphase's rounds.
+  EXPECT_GT(ref.digester.trail().rounds.size(), 0u);
+  EXPECT_EQ(ref.digester.trail().rounds.size(),
+            run.digester.trail().rounds.size());
   const auto div =
       obs::first_divergence(ref.digester.trail(), run.digester.trail());
   EXPECT_FALSE(div.diverged())

@@ -1,10 +1,10 @@
 // Extension of the engine↔fastpath equivalence suite to the dynamic world:
 // on EVERY epoch snapshot of a churn trace, the message-level Engine and
 // the array fast path must produce identical per-node decisions and
-// identical message accounting (run_churn compares status, estimates,
-// phase/round counts, and the instrumentation counters when run_engine is
-// set). This pins down that churn only changes WHICH overlay the protocol
-// runs on, never how the two tiers execute it.
+// identical message accounting (run_churn compares the whole RunResult,
+// every instrumentation counter included, when run_engine is set). This
+// pins down that churn only changes WHICH overlay the protocol runs on,
+// never how the two tiers execute it.
 #include <gtest/gtest.h>
 
 #include <string>
