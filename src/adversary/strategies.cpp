@@ -55,11 +55,13 @@ class TopologyLiarStrategy final : public Strategy {
  public:
   [[nodiscard]] std::string_view name() const override { return "topology-liar"; }
   void setup_lies(const sim::World& world, proto::ClaimSet& claims) override {
-    const auto& g = world.overlay->g();
     const NodeId n = world.overlay->num_nodes();
+    graph::RowScratch scratch;
     for (const NodeId b : world.byz_nodes) {
-      const auto nbrs = g.neighbors(b);
-      std::vector<NodeId> lie(nbrs.begin(), nbrs.end());
+      std::vector<NodeId> lie;
+      for (const graph::BallEntry& e : world.overlay->g_row(b, scratch)) {
+        lie.push_back(e.node);
+      }
       // Suppress the first honest neighbor (pretend the edge to it is
       // absent) and graft a fabricated node id beyond the real id space.
       const auto it = std::find_if(lie.begin(), lie.end(), [&](NodeId w) {

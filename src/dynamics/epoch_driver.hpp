@@ -11,8 +11,8 @@
 // has the full matrix):
 //
 //   * snapshot churn (default): events apply BETWEEN runs; each run
-//     executes on a frozen MutableOverlay::snapshot(), whose G is built by
-//     its first reader (the setup stage). ChurnRunConfig::drift_threshold
+//     executes on a frozen MutableOverlay::snapshot(), whose G the static
+//     run's setup stage builds. ChurnRunConfig::drift_threshold
 //     adds drift-adaptive cadence. Every estimating epoch runs the plain
 //     Algorithm 2 run.
 //   * mid-run churn (ChurnRunConfig::mid_run): the epoch's events are
@@ -21,7 +21,9 @@
 //     the run (dynamics/midrun.*), under a MembershipPolicy that decides
 //     how the in-flight run reacts. Adaptive cadence COMPOSES with it:
 //     drift-quiet epochs are skipped and apply their events between-runs
-//     style. run_engine doubles as the per-epoch E26 oracle: the
+//     style. A live run's setup counts the snapshot's G-degrees and BFSes
+//     its liars' balls; it never builds G. run_engine doubles as the
+//     per-epoch E26 oracle: the
 //     message-level engine replays the identical schedule and must agree
 //     bitwise.
 //

@@ -53,8 +53,9 @@
 //   E28  the COMPOSED tier: mid-run churn epoch after epoch, with the
 //        per-epoch engine oracle on. Each run starts from a fresh
 //        MutableOverlay::snapshot(); the feed's run-start Verifier rows are
-//        that snapshot's own ball counts (graph::Overlay::ball_row), and
-//        its G is built by the setup stage's first read.
+//        that snapshot's own ball counts (graph::Overlay::ball_row). Its
+//        setup reads the snapshot's G-degree table and its liars' balls,
+//        so only the engine oracle builds the snapshot's G.
 //
 // Adversarial schedules (adversary/midrun_schedule.hpp) reuse this replay
 // machinery unchanged: derive_adversarial_schedule shapes WHEN the same

@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "obs/trace.hpp"
+
 namespace byz::dynamics {
 
 MutableOverlay::MutableOverlay(NodeId n0, std::uint32_t d, std::uint32_t k,
@@ -120,6 +122,7 @@ NodeId MutableOverlay::Snapshot::to_dense(NodeId stable) const {
 }
 
 MutableOverlay::Snapshot MutableOverlay::snapshot() const {
+  obs::Span snapshot_span("dynamics.snapshot");
   Snapshot snap;
   snap.dense_to_stable = alive_nodes();
   const auto n = static_cast<NodeId>(snap.dense_to_stable.size());

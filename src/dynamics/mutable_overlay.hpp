@@ -88,9 +88,10 @@ class MutableOverlay {
     [[nodiscard]] NodeId to_dense(NodeId stable) const;
   };
 
-  /// Extracts the snapshot: O(n·d) edge assembly plus the overlay's eager
-  /// ball-count pass; its G is built on first read, as for any overlay.
-  /// Every churn epoch runs on one.
+  /// Extracts the snapshot (span `dynamics.snapshot`): O(n·d) edge
+  /// assembly plus the overlay's eager ball-count pass; its degree table
+  /// and G are built on first read, as for any overlay. Every churn epoch
+  /// runs on one.
   [[nodiscard]] Snapshot snapshot() const;
 
  private:

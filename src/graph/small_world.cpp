@@ -17,13 +17,6 @@ namespace {
 /// Nodes per chunk of the per-node BFS loops.
 constexpr std::uint64_t kBallGrain = 256;
 
-/// One BFS worker's scratch, on that worker's own stack.
-struct BallWork {
-  BfsScratch scratch;
-  std::vector<BallEntry> ball;
-  std::vector<BallEntry> tmp;
-};
-
 /// The most nodes a k-ball of a simple graph of degree <= d holds besides
 /// its center, sum_{i=1..k} d(d-1)^(i-1), capped at n - 1.
 std::uint64_t ball_stride(NodeId n, std::uint32_t d, std::uint32_t k) {
@@ -69,47 +62,75 @@ Overlay Overlay::build_from_h(const OverlayParams& params, Graph h) {
   const std::uint32_t w = witness_width(o.k_);
   o.ball_counts_.resize(static_cast<std::size_t>(n) * w);
   util::parallel_for(
-      n, kBallGrain, 0, [](unsigned) { return BallWork{}; },
-      [&](BallWork& work, std::uint64_t v) {
-        bfs_ball(o.h_simple_, static_cast<NodeId>(v), w, work.scratch,
-                 work.ball,
+      n, kBallGrain, 0, [](unsigned) { return RowScratch{}; },
+      [&](RowScratch& work, std::uint64_t v) {
+        bfs_ball(o.h_simple_, static_cast<NodeId>(v), w, work.bfs, work.ball,
                  std::span<std::uint32_t>(o.ball_counts_).subspan(v * w, w));
       });
   return o;
 }
 
+std::span<const BallEntry> Overlay::g_row(NodeId v,
+                                          RowScratch& scratch) const {
+  bfs_ball(h_simple_, v, k_, scratch.bfs, scratch.ball);
+  const auto others = std::span<BallEntry>(scratch.ball).subspan(1);
+  sort_ball_by_node(others, num_nodes(), scratch.tmp);
+  return others;
+}
+
+const Overlay::Degrees& Overlay::count_degrees() const {
+  Lazy<Degrees>& lazy = *degrees_;
+  const std::lock_guard<std::mutex> lock(lazy.mutex);
+  if (const Degrees* t = lazy.ready.load(std::memory_order_relaxed)) return *t;
+
+  const NodeId n = num_nodes();
+  Degrees degrees(n);
+  if (const Balls* b = balls_->ready.load(std::memory_order_acquire)) {
+    for (NodeId v = 0; v < n; ++v) {
+      degrees[v] = static_cast<std::uint32_t>(b->g.degree(v));
+    }
+  } else {
+    obs::Span degrees_span("graph.g_degrees");
+    util::parallel_for(
+        n, kBallGrain, 0, [](unsigned) { return RowScratch{}; },
+        [&](RowScratch& work, std::uint64_t v) {
+          bfs_ball(h_simple_, static_cast<NodeId>(v), k_, work.bfs, work.ball);
+          degrees[v] = static_cast<std::uint32_t>(work.ball.size() - 1);
+        });
+  }
+  lazy.value = std::move(degrees);
+  lazy.ready.store(&lazy.value, std::memory_order_release);
+  return lazy.value;
+}
+
 const Overlay::Balls& Overlay::materialize() const {
-  LazyBalls& lazy = *lazy_;
+  Lazy<Balls>& lazy = *balls_;
   const std::lock_guard<std::mutex> lock(lazy.mutex);
   if (const Balls* b = lazy.ready.load(std::memory_order_relaxed)) return *b;
 
   obs::Span g_pass_span("graph.g_pass");
   const NodeId n = num_nodes();
-  const std::uint32_t k = k_;
-  const std::uint64_t stride = ball_stride(n, params_.d, k);
+  const std::uint64_t stride = ball_stride(n, params_.d, k_);
 
-  // Each ball, sorted by neighbor id so the Graph invariants (sorted
-  // adjacency) hold and h_dist can binary-search, lands at v * stride;
-  // offsets[v + 1] holds its size until the prefix sum below.
+  // Each row, sorted by neighbor id so the Graph invariants (sorted
+  // adjacency) hold, lands at v * stride; offsets[v + 1] holds its size
+  // until the prefix sum below.
   Graph::OffsetVec offsets(static_cast<std::size_t>(n) + 1, 0);
   Graph::NeighborVec nodes(n * stride);
   std::vector<std::uint8_t> dists(n * stride);
   util::parallel_for(
-      n, kBallGrain, 0, [](unsigned) { return BallWork{}; },
-      [&](BallWork& work, std::uint64_t v) {
-        bfs_ball(h_simple_, static_cast<NodeId>(v), k, work.scratch,
-                 work.ball);
-        const auto others = std::span<BallEntry>(work.ball).subspan(1);
-        if (others.size() > stride) {
+      n, kBallGrain, 0, [](unsigned) { return RowScratch{}; },
+      [&](RowScratch& work, std::uint64_t v) {
+        const auto row = g_row(static_cast<NodeId>(v), work);
+        if (row.size() > stride) {
           throw std::logic_error("Overlay: k-ball exceeds the degree bound");
         }
-        sort_ball_by_node(others, n, work.tmp);
         const std::uint64_t base = v * stride;
-        for (std::size_t i = 0; i < others.size(); ++i) {
-          nodes[base + i] = others[i].node;
-          dists[base + i] = others[i].dist;
+        for (std::size_t i = 0; i < row.size(); ++i) {
+          nodes[base + i] = row[i].node;
+          dists[base + i] = row[i].dist;
         }
-        offsets[v + 1] = others.size();
+        offsets[v + 1] = row.size();
       });
 
   // Compact in place: row v moves down to offsets[v] <= v * stride, past
@@ -126,28 +147,20 @@ const Overlay::Balls& Overlay::materialize() const {
   nodes.resize(offsets.back());
   dists.resize(offsets.back());
 
-  lazy.balls.bytes = offsets.size() * sizeof(std::uint64_t) +
+  lazy.value.bytes = offsets.size() * sizeof(std::uint64_t) +
                      nodes.capacity() * sizeof(NodeId) + dists.capacity();
-  lazy.balls.g = Graph::from_csr(std::move(offsets), std::move(nodes));
-  lazy.balls.dist = std::move(dists);
-  lazy.ready.store(&lazy.balls, std::memory_order_release);
-  return lazy.balls;
-}
-
-std::uint8_t Overlay::h_dist(NodeId v, NodeId w) const {
-  const Balls& b = balls();
-  if (v == w) return 0;
-  const auto nbrs = b.g.neighbors(v);
-  const auto it = std::lower_bound(nbrs.begin(), nbrs.end(), w);
-  if (it == nbrs.end() || *it != w) return kNotInBall;
-  const auto slot = static_cast<std::uint64_t>(it - nbrs.begin());
-  return b.dist[b.g.first_slot(v) + slot];
+  lazy.value.g = Graph::from_csr(std::move(offsets), std::move(nodes));
+  lazy.value.dist = std::move(dists);
+  lazy.ready.store(&lazy.value, std::memory_order_release);
+  return lazy.value;
 }
 
 std::uint64_t Overlay::memory_bytes() const noexcept {
-  const Balls* b = lazy_->ready.load(std::memory_order_acquire);
+  const Balls* b = balls_->ready.load(std::memory_order_acquire);
+  const Degrees* t = degrees_->ready.load(std::memory_order_acquire);
   return h_.memory_bytes() + h_simple_.memory_bytes() +
          ball_counts_.size() * sizeof(std::uint32_t) +
+         (t != nullptr ? t->size() * sizeof(std::uint32_t) : 0) +
          (b != nullptr ? b->bytes : 0);
 }
 

@@ -13,6 +13,7 @@
 #include <span>
 #include <vector>
 
+#include "graph/bfs.hpp"
 #include "graph/graph.hpp"
 
 namespace byz::graph {
@@ -23,9 +24,6 @@ struct OverlayParams {
   std::uint32_t k = 0;       ///< L-radius; 0 means the paper's ceil(d/3)
   std::uint64_t seed = 1;    ///< drives the H(n,d) sample
 };
-
-/// Distance value meaning "w is not within v's k-ball".
-inline constexpr std::uint8_t kNotInBall = 0xFF;
 
 /// The paper's k = ceil(d/3).
 [[nodiscard]] constexpr std::uint32_t paper_k(std::uint32_t d) noexcept {
@@ -39,13 +37,24 @@ inline constexpr std::uint8_t kNotInBall = 0xFF;
   return k > 1 ? k - 1 : 1;
 }
 
+/// One caller's scratch for Overlay::g_row and the overlay's per-node BFS
+/// passes.
+struct RowScratch {
+  BfsScratch bfs;
+  std::vector<BallEntry> ball;
+  std::vector<BallEntry> tmp;
+};
+
 /// A sampled overlay. Built eagerly: the H multigraph, its simple view and
 /// the cumulative ball counts |B_H(v, r)|, r = 1..witness_width(k). Built
-/// once, on first read: G = the dedup'd k-ball adjacency, annotated with
-/// the exact H-distance of each slot. The adjacency exchange and its crash
-/// rule, the liar strategies, rewired chains, smoothing, the message-level
-/// engine and the categories read G; a BRC run reads none of them and
-/// never builds it.
+/// once, on first read: the G-degree table, and G = the dedup'd k-ball
+/// adjacency, annotated with the exact H-distance of each slot. The setup
+/// stage reads no G: its accounting takes the degree table, and the crash
+/// rule, the liar strategies and the rewired chains take the few balls
+/// they need from g_row. A static run still reads G in its setup (its
+/// overlay is smoothed over or shared next), as do smoothing, the
+/// message-level engine and the categories; a live (mid-run churn) run or
+/// a BRC run never builds it.
 class Overlay {
  public:
   /// Samples H(n,d) (span `graph.h_sample`), then build_from_h.
@@ -60,18 +69,18 @@ class Overlay {
   /// the immutable overlay the protocols run on; params.seed is recorded
   /// as provenance, not re-sampled.
   ///
-  /// G is built by the first g(), g_dists() or h_dist() call (span
-  /// `graph.g_pass`, nested under that reader): one bounded BFS to depth k
-  /// and one radix sort per node (graph::sort_ball_by_node), each ball
-  /// written at a fixed stride of min(sum_{i=1..k} d(d-1)^(i-1), n-1)
-  /// slots — h_simple has degree <= d, so no ball exceeds it — then the
-  /// rows are compacted in place into CSR. The stride buffer, n * stride *
+  /// G is built by the first g() or g_dists() call (span `graph.g_pass`,
+  /// nested under that reader): one g_row per node, each row written at a
+  /// fixed stride of min(sum_{i=1..k} d(d-1)^(i-1), n-1) slots — h_simple
+  /// has degree <= d, so no ball exceeds it — then the rows are compacted
+  /// in place into CSR. The stride buffer, n * stride *
   /// 5 bytes, is the peak and stays G's storage. At d = 8, k = 3 the
   /// stride is 456 and the balls fill 99.7% of it at n = 2^16; as the
   /// bound nears n they overlap and fill less (66% at n = 512), and once
   /// it reaches n - 1 the buffer is n(n-1) * 5 bytes. Concurrent first
   /// readers block until the one build is done; a build that throws
-  /// publishes nothing, and the next reader retries.
+  /// publishes nothing, and the next reader retries. The degree table is
+  /// built the same way, by the first g_degrees() call.
   [[nodiscard]] static Overlay build_from_h(const OverlayParams& params,
                                             Graph h);
 
@@ -105,9 +114,24 @@ class Overlay {
     return ball_counts_;
   }
 
-  /// Exact H-distance from v to w if w lies within v's k-ball, else
-  /// kNotInBall. O(log deg_G(v)); reads G.
-  [[nodiscard]] std::uint8_t h_dist(NodeId v, NodeId w) const;
+  /// G's degrees, |B_H(v, k)| - 1 per node: the list lengths of the
+  /// adjacency exchange. Built on the first call: off G's row lengths if G
+  /// is built, else by one bounded BFS per node on h_simple, of which only
+  /// the size is kept (span `graph.g_degrees`, on util::parallel_for, so
+  /// inline inside a trial worker; no sort, no row written); n * 4 bytes.
+  /// Never builds G.
+  [[nodiscard]] std::span<const std::uint32_t> g_degrees() const {
+    const Degrees* t = degrees_->ready.load(std::memory_order_acquire);
+    return t != nullptr ? *t : count_degrees();
+  }
+
+  /// v's G-row without reading G: its k-ball on h_simple less v itself,
+  /// sorted by id, each entry with its H-distance (g().neighbors(v) and
+  /// g_dists(v), slot for slot). One bounded BFS and one
+  /// graph::sort_ball_by_node; the view lives in `scratch` until its next
+  /// use. G's build makes every row with it.
+  [[nodiscard]] std::span<const BallEntry> g_row(NodeId v,
+                                                 RowScratch& scratch) const;
 
   /// v's H-neighbors (distance exactly 1 within G's annotation); equals
   /// h_simple().neighbors(v).
@@ -116,7 +140,7 @@ class Overlay {
   }
 
   /// Bytes the overlay holds now: H, its simple view, the ball counts and,
-  /// once built, G with its whole stride buffer.
+  /// once built, the degree table and G with its whole stride buffer.
   [[nodiscard]] std::uint64_t memory_bytes() const noexcept;
 
  private:
@@ -125,27 +149,33 @@ class Overlay {
     std::vector<std::uint8_t> dist;  ///< aligned with g's slots
     std::uint64_t bytes = 0;         ///< allocated, spare capacity included
   };
-  /// G's holder, on the heap so that references to G stay valid when the
-  /// Overlay moves.
-  struct LazyBalls {
+  using Degrees = std::vector<std::uint32_t>;
+  /// The holder of G or of the degree table, on the heap so that references
+  /// to its value stay valid when the Overlay moves.
+  template <class T>
+  struct Lazy {
     std::mutex mutex;  ///< held by the one build
-    std::atomic<const Balls*> ready{nullptr};  ///< &balls once built
-    Balls balls;
+    std::atomic<const T*> ready{nullptr};  ///< &value once built
+    T value;
   };
 
   [[nodiscard]] const Balls& balls() const {
-    const Balls* b = lazy_->ready.load(std::memory_order_acquire);
+    const Balls* b = balls_->ready.load(std::memory_order_acquire);
     return b != nullptr ? *b : materialize();
   }
   /// Builds G under the holder's mutex unless another reader already did.
   const Balls& materialize() const;
+  /// Builds the degree table under its holder's mutex unless another reader
+  /// already did.
+  const Degrees& count_degrees() const;
 
   OverlayParams params_;
   std::uint32_t k_ = 0;
   Graph h_;
   Graph h_simple_;
   std::vector<std::uint32_t> ball_counts_;  ///< n*witness_width(k), ball_row
-  std::unique_ptr<LazyBalls> lazy_ = std::make_unique<LazyBalls>();
+  std::unique_ptr<Lazy<Balls>> balls_ = std::make_unique<Lazy<Balls>>();
+  std::unique_ptr<Lazy<Degrees>> degrees_ = std::make_unique<Lazy<Degrees>>();
 };
 
 }  // namespace byz::graph

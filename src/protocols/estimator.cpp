@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "protocols/brc/brc.hpp"
+#include "protocols/estimate.hpp"
 
 namespace byz::proto {
 
@@ -28,9 +29,10 @@ class FastpathEstimator final : public Estimator {
     // Theorem 1's "constant factor" band as the repo has always judged it
     // (summarize_accuracy defaults): the decided phase tracks the
     // d-dependent termination point diameter ≈ log n / log(d-1), so the
-    // est/log2(n) ratio spans [0.05, 3.0] with the paper's slack. The ε
-    // outlier budget covers crash-rule casualties and phase-cap stragglers.
-    return {0.05, 3.0, eps_};
+    // est/log2(n) ratio spans [kBandLo, kBandHi] with the paper's slack.
+    // The ε outlier budget covers crash-rule casualties and phase-cap
+    // stragglers.
+    return {kBandLo, kBandHi, eps_};
   }
 
   [[nodiscard]] RunResult run(const graph::Overlay& overlay,

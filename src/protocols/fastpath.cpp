@@ -74,8 +74,9 @@ RunResult run_counting_with(const graph::Overlay& overlay,
   }
 
   // Setup: adjacency exchange, lies, crash rule (Algorithm 2 lines 1-2).
-  // Mid-run joiners skip setup: they were not present for the adjacency
-  // exchange, so the crash rule never applies to them.
+  // The lies and the crash rule read G's degree table and the liars'
+  // balls, not G. Mid-run joiners skip setup: they were not present for
+  // the adjacency exchange, so the crash rule never applies to them.
   std::vector<bool> crashed(nb, false);
   {
     obs::Span setup_span("count.setup");
@@ -83,6 +84,12 @@ RunResult run_counting_with(const graph::Overlay& overlay,
     strategy.setup_lies(world, claims);
     if (cfg.crash_rule) {
       if (midrun == nullptr) {
+        // A static overlay is smoothed over or shared by other trials
+        // next, and they read all of G: build it here, so the degree
+        // table comes off its rows rather than a count pass of its own. A
+        // live run's snapshot is dropped after its epoch and never builds
+        // G.
+        (void)overlay.g();
         crashed = compute_crash_set(claims, byz_mask, &result.instr);
       } else {
         // The crash rule runs on the snapshot's members only; joiner ids
@@ -263,19 +270,22 @@ RunResult run_counting_with(const graph::Overlay& overlay,
 
     // Nodes with FlagTerminate still set accept i as the estimate of log n.
     std::uint64_t decided_now = 0;
-    for (NodeId v = 0; v < nb; ++v) {
-      if (active[v] && !fired[v]) {
-        active[v] = false;
-        --active_count;
-        result.status[v] = NodeStatus::kDecided;
-        result.estimate[v] = phase;
-        ++decided_now;
-        if (dg != nullptr) dg->fold_phase(obs::digest_state_term(v, phase));
+    {
+      obs::Span decide_span("count.decide");
+      for (NodeId v = 0; v < nb; ++v) {
+        if (active[v] && !fired[v]) {
+          active[v] = false;
+          --active_count;
+          result.status[v] = NodeStatus::kDecided;
+          result.estimate[v] = phase;
+          ++decided_now;
+          if (dg != nullptr) dg->fold_phase(obs::digest_state_term(v, phase));
+        }
       }
-    }
-    if (dg != nullptr) {
-      dg->fold_phase(obs::mix2(decided_now, active_count));
-      dg->close_phase();
+      if (dg != nullptr) {
+        dg->fold_phase(obs::mix2(decided_now, active_count));
+        dg->close_phase();
+      }
     }
     BYZ_TRACE << "phase " << phase << ": " << subphases << " subphases, "
               << decided_now << " nodes decided (estimate=" << phase << "), "

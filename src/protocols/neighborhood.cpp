@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace byz::proto {
 
@@ -46,8 +47,7 @@ std::vector<bool> compute_crash_set(const ClaimSet& claims,
                                     const std::vector<bool>& byz_mask,
                                     sim::Instrumentation* instr) {
   const auto& overlay = claims.overlay();
-  const auto& g = overlay.g();
-  const NodeId n = g.num_nodes();
+  const NodeId n = overlay.num_nodes();
   if (byz_mask.size() != n) {
     throw std::invalid_argument("compute_crash_set: mask size mismatch");
   }
@@ -55,8 +55,11 @@ std::vector<bool> compute_crash_set(const ClaimSet& claims,
 
   if (instr != nullptr) {
     // Every node ships its claimed list to each G-neighbor once.
+    const auto degrees = overlay.g_degrees();
     for (NodeId u = 0; u < n; ++u) {
-      instr->count_setup_list(claims.claimed(u, g).size(), g.degree(u));
+      const std::uint64_t len =
+          claims.truthful(u) ? degrees[u] : claims.lie(u).size();
+      instr->count_setup_list(len, degrees[u]);
     }
   }
 
@@ -66,24 +69,28 @@ std::vector<bool> compute_crash_set(const ClaimSet& claims,
   const auto crash = [&](NodeId v) {
     if (!byz_mask[v]) crashed[v] = true;
   };
-  std::vector<NodeId> diff;
+  graph::RowScratch u_scratch;
+  graph::RowScratch w_scratch;
+  // The real ids of Δ(u), each with u's claim about it.
+  std::vector<std::pair<NodeId, bool>> diff;
   for (NodeId u = 0; u < n; ++u) {
     if (claims.truthful(u)) continue;
-    const auto real = g.neighbors(u);
-    const auto said = claims.claimed(u, g);
-    // Merge-walk the sorted lists; diff keeps the real ids of Δ(u)
-    // (fabricated ids past n are seen by no G-neighbor; a self-claim
-    // w = u always agrees with itself in the pair test below).
+    const auto real = overlay.g_row(u, u_scratch);
+    const auto said = claims.lie(u);
+    // Merge-walk the sorted lists (fabricated ids past n are seen by no
+    // G-neighbor; a self-claim w = u always agrees with itself in the pair
+    // test below).
     diff.clear();
     std::size_t i = 0;
     std::size_t j = 0;
     while (i < real.size() || j < said.size()) {
-      if (j == said.size() || (i < real.size() && real[i] < said[j])) {
-        crash(real[i]);  // u denies the channel its holder knows exists
-        diff.push_back(real[i++]);
-      } else if (i == real.size() || said[j] < real[i]) {
+      if (j == said.size() || (i < real.size() && real[i].node < said[j])) {
+        const NodeId w = real[i++].node;
+        crash(w);  // u denies the channel its holder knows exists
+        diff.emplace_back(w, false);
+      } else if (i == real.size() || said[j] < real[i].node) {
         const NodeId w = said[j++];
-        if (w < n) diff.push_back(w);
+        if (w < n) diff.emplace_back(w, true);
       } else {
         ++i;
         ++j;
@@ -92,25 +99,29 @@ std::vector<bool> compute_crash_set(const ClaimSet& claims,
     // A disagreeing pair crashes the common G-neighbors of u and w, all of
     // them in N_G(u): once u's denials alone crashed every honest member of
     // N_G(u) (E10's empty lie), the pairs can add nothing.
-    if (std::all_of(real.begin(), real.end(),
-                    [&](NodeId v) { return byz_mask[v] || crashed[v]; })) {
+    if (std::all_of(real.begin(), real.end(), [&](const graph::BallEntry& e) {
+          return byz_mask[e.node] || crashed[e.node];
+        })) {
       continue;
     }
-    for (const NodeId w : diff) {
-      // w's side comes from its own claim: two liars can lie consistently.
-      if (claims_edge(claims, g, u, w) == claims_edge(claims, g, w, u)) {
-        continue;
-      }
-      const auto other = g.neighbors(w);
+    for (const auto& [w, u_claims_w] : diff) {
+      // w's side: the truth, which u's claim contradicts since w ∈ Δ(u)
+      // (w claims u iff w ∈ N_G(u), by symmetry), unless w lies too: two
+      // liars can lie consistently.
+      const bool w_claims_u =
+          claims.truthful(w) ? !u_claims_w
+                             : std::ranges::binary_search(claims.lie(w), u);
+      if (w_claims_u == u_claims_w) continue;
+      const auto other = overlay.g_row(w, w_scratch);
       auto a = real.begin();
       auto b = other.begin();
       while (a != real.end() && b != other.end()) {
-        if (*a < *b) {
+        if (a->node < b->node) {
           ++a;
-        } else if (*b < *a) {
+        } else if (b->node < a->node) {
           ++b;
         } else {
-          crash(*a);
+          crash(a->node);
           ++a;
           ++b;
         }

@@ -12,9 +12,14 @@
 // computation therefore visits liars only. An honest v crashes iff a liar
 // u ∈ N_G(v) denies v, or some real w ∈ Δ(u) ∩ N_G(v), w ≠ u, claims the
 // edge {u, w} the other way round (w's side is read from its own claim:
-// two liars can lie consistently). A run without liars costs O(n), one
-// with liars O(n + Σ_liars |Δ(u)|·deg_G). The message-level engine keeps
-// the full per-node pairwise check as the independent oracle.
+// two liars can lie consistently). It reads no G: the setup accounting
+// takes the overlay's degree table (the sizes of one BFS per node, or G's
+// row lengths once G is built), and the balls of the liars and of the
+// members of their diff sets come from Overlay::g_row, one bounded BFS
+// each. A run without liars thus costs the table plus O(n), one with
+// liars O(Σ_liars (1 + |Δ(u)|)·|B_H(·, k)|) more. The message-level
+// engine keeps the full per-node pairwise check over G as the independent
+// oracle.
 #pragma once
 
 #include <cstdint>
@@ -39,7 +44,7 @@ class ClaimSet {
   /// Installs a lying claim for node u (sorted internally).
   void set_claim(graph::NodeId u, std::vector<graph::NodeId> claimed);
 
-  /// The list u presents (truth unless overridden).
+  /// The list u presents (truth unless overridden); reads G.
   [[nodiscard]] std::span<const graph::NodeId> claimed(graph::NodeId u) const {
     return claimed(u, overlay_->g());
   }
@@ -47,13 +52,18 @@ class ClaimSet {
   /// claimed(u) for loops that fetch `g` = overlay().g() once.
   [[nodiscard]] std::span<const graph::NodeId> claimed(
       graph::NodeId u, const graph::Graph& g) const {
-    return overrides_[u] ? std::span<const graph::NodeId>(*overrides_[u])
-                         : g.neighbors(u);
+    return overrides_[u] ? lie(u) : g.neighbors(u);
   }
 
   /// True iff u presents the truth.
   [[nodiscard]] bool truthful(graph::NodeId u) const {
     return !overrides_[u].has_value();
+  }
+
+  /// The list liar u presents, sorted and deduplicated; reads no G. Throws
+  /// std::bad_optional_access if u is truthful.
+  [[nodiscard]] std::span<const graph::NodeId> lie(graph::NodeId u) const {
+    return overrides_[u].value();
   }
 
   [[nodiscard]] const graph::Overlay& overlay() const { return *overlay_; }
@@ -70,7 +80,8 @@ class ClaimSet {
 
 /// Crash set over all honest nodes, computed from the liars' diff sets
 /// (equal to running detects_conflict everywhere — see the equivalence
-/// test). Counts setup traffic and crashes into `instr` if given.
+/// test). Counts setup traffic and crashes into `instr` if given. Reads the
+/// overlay's degree table and g_row, never G.
 [[nodiscard]] std::vector<bool> compute_crash_set(
     const ClaimSet& claims, const std::vector<bool>& byz_mask,
     sim::Instrumentation* instr = nullptr);

@@ -21,6 +21,7 @@ double refined_log_estimate(std::uint32_t decided_phase, std::uint32_t d) {
 }
 
 std::vector<double> refine_run(const RunResult& result, std::uint32_t d) {
+  obs::Span refine_span("protocols.refine");
   std::vector<double> refined(result.estimate.size(), 0.0);
   for (std::size_t v = 0; v < result.estimate.size(); ++v) {
     if (result.status[v] == NodeStatus::kDecided) {

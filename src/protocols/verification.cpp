@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "graph/bfs.hpp"
+
 namespace byz::proto {
 
 using graph::NodeId;
@@ -38,26 +40,33 @@ std::uint32_t longest_byz_path(const graph::Graph& h,
   return best;
 }
 
-/// verifier_chain_len with the strict model's DFS mask supplied by the
-/// caller (all false; left all false).
+/// The chain models' scratch: the strict model's DFS mask (all false; left
+/// all false) and the rewired model's BFS.
+struct ChainScratch {
+  std::vector<bool> on_path;
+  graph::BfsScratch bfs;
+  std::vector<graph::BallEntry> ball;
+};
+
+/// verifier_chain_len over caller scratch.
 std::uint8_t chain_len(const graph::Overlay& overlay,
                        const std::vector<bool>& byz_mask, NodeId v,
-                       ChainModel model, std::vector<bool>& on_path) {
+                       ChainModel model, ChainScratch& scratch) {
   if (!byz_mask[v]) return 0;
   const std::uint32_t k = overlay.k();
   if (model == ChainModel::kStrict) {
+    scratch.on_path.resize(overlay.num_nodes(), false);
     return static_cast<std::uint8_t>(std::min<std::uint32_t>(
-        longest_byz_path(overlay.h_simple(), byz_mask, on_path, v, k + 1),
+        longest_byz_path(overlay.h_simple(), byz_mask, scratch.on_path, v,
+                         k + 1),
         255));
   }
-  // kRewired: Byzantine nodes within B_H(v, k-1) can pose as a chain by
-  // claiming fake Byz-Byz H-edges that survive the crash rule.
-  std::uint32_t count = 1;
-  const auto nbrs = overlay.g().neighbors(v);
-  const auto dists = overlay.g_dists(v);
-  for (std::size_t s = 0; s < nbrs.size(); ++s) {
-    if (dists[s] <= k - 1 && byz_mask[nbrs[s]]) ++count;
-  }
+  // kRewired: Byzantine nodes within B_H(v, k-1) (v included) can pose as
+  // a chain by claiming fake Byz-Byz H-edges that survive the crash rule.
+  graph::bfs_ball(overlay.h_simple(), v, k - 1, scratch.bfs, scratch.ball);
+  const auto count = static_cast<std::uint32_t>(std::count_if(
+      scratch.ball.begin(), scratch.ball.end(),
+      [&](const graph::BallEntry& e) { return byz_mask[e.node]; }));
   return static_cast<std::uint8_t>(std::min<std::uint32_t>(count, 255));
 }
 
@@ -82,9 +91,8 @@ std::uint32_t byz_path_ending_at(const graph::Graph& h_simple,
 std::uint8_t verifier_chain_len(const graph::Overlay& overlay,
                                 const std::vector<bool>& byz_mask, NodeId v,
                                 ChainModel model) {
-  std::vector<bool> on_path(
-      model == ChainModel::kStrict ? overlay.num_nodes() : 0, false);
-  return chain_len(overlay, byz_mask, v, model, on_path);
+  ChainScratch scratch;
+  return chain_len(overlay, byz_mask, v, model, scratch);
 }
 
 std::vector<std::uint8_t> verifier_chains(const graph::Overlay& overlay,
@@ -95,10 +103,10 @@ std::vector<std::uint8_t> verifier_chains(const graph::Overlay& overlay,
     throw std::invalid_argument("Verifier: mask size mismatch");
   }
   std::vector<std::uint8_t> chains(n, 0);
-  std::vector<bool> on_path(n, false);
+  ChainScratch scratch;
   for (NodeId v = 0; v < n; ++v) {
     if (byz_mask[v]) {
-      chains[v] = chain_len(overlay, byz_mask, v, model, on_path);
+      chains[v] = chain_len(overlay, byz_mask, v, model, scratch);
     }
   }
   return chains;

@@ -174,7 +174,8 @@ class Verifier {
 
 /// verifier_chain_len for every node of `overlay`: the Byzantine rows are
 /// computed, honest rows stay 0. The strict model's path DFS reuses one
-/// on-path mask across rows.
+/// on-path mask across rows; the rewired model counts the Byzantine nodes
+/// of one bounded BFS to depth k-1 on h_simple per row. Neither reads G.
 [[nodiscard]] std::vector<std::uint8_t> verifier_chains(
     const graph::Overlay& overlay, const std::vector<bool>& byz_mask,
     ChainModel model);

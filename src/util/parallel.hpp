@@ -1,6 +1,6 @@
-// The library's one fork/join loop. The overlay's ball-count and G
-// passes and bench_core's trial scheduler start their threads here, and
-// nowhere else.
+// The library's one fork/join loop. The overlay's ball-count, degree
+// count and G passes and bench_core's trial scheduler start their threads
+// here, and nowhere else.
 //
 // A call made on a thread that is already running a parallel_for body runs
 // inline: inside the trial scheduler's workers the trials already fill the

@@ -187,6 +187,45 @@ TEST(ComposedMidRunTest, InjectedSnapshotLeavesOutcomeUnchanged) {
   }
 }
 
+TEST(ComposedMidRunTest, LiveRunLeavesTheSnapshotsGUnbuilt) {
+  // A live run's setup reads the snapshot's degree table and its liars'
+  // balls, and the feed's run-start chains read its Byzantine nodes' balls
+  // (both chain models): the snapshot grows by the table's n * 4 bytes
+  // only, so its G is never built.
+  constexpr NodeId kN0 = 512;
+  constexpr std::uint32_t kD = 8;
+  for (const auto model :
+       {proto::ChainModel::kStrict, proto::ChainModel::kRewired}) {
+    dynamics::MutableOverlay overlay(kN0, kD, 0, 21);
+    util::Xoshiro256 place_rng(22);
+    std::vector<bool> byz = graph::random_byzantine_mask(
+        kN0, sim::derive_byz_count(kN0, 0.6), place_rng);
+    dynamics::ChurnEpoch epoch;
+    epoch.joins = 4;
+    epoch.sybil_joins = 1;
+    epoch.leaves = 4;
+    proto::ProtocolConfig cfg;
+    cfg.verification.chain_model = model;
+    const auto schedule = dynamics::derive_schedule(
+        epoch, dynamics::expected_horizon_rounds(kN0, kD, cfg.schedule), 23);
+    dynamics::MidRunConfig mid_cfg;
+    mid_cfg.policy = proto::MembershipPolicy::kReadmitNextPhase;
+
+    const auto snap = overlay.snapshot();
+    const std::uint64_t eager = snap.overlay.memory_bytes();
+    dynamics::MidRunComposed composed;
+    composed.snapshot = &snap;
+    util::Xoshiro256 churn_rng(24);
+    const auto strategy = adv::make_strategy(adv::StrategyKind::kTopologyLiar);
+    const auto out = dynamics::run_counting_midrun(
+        overlay, byz, *strategy, cfg, 25, schedule, mid_cfg,
+        adv::ChurnAdversary::kNone, churn_rng, &composed);
+    EXPECT_GT(out.stats.events_applied, 0u);
+    EXPECT_GT(out.run.instr.crashes, 0u);  // the liars' lies were caught
+    EXPECT_EQ(snap.overlay.memory_bytes(), eager + std::uint64_t{kN0} * 4);
+  }
+}
+
 TEST(ComposedMidRunTest, EngineOracleHoldsWithAdaptiveCadenceOn) {
   // Adaptive cadence + engine oracle must keep the two protocol tiers
   // bitwise identical per epoch (the E26 contract extended to the

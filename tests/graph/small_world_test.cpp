@@ -6,6 +6,7 @@
 #include <cmath>
 #include <functional>
 #include <latch>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -98,6 +99,51 @@ void expect_distance_annotations_exact(const Overlay& o, NodeId count) {
   }
 }
 
+/// The G-free readers against G: g_degrees() (every node) and g_row(v)
+/// (prefix and suffix ids) must equal G's row lengths, rows and distance
+/// annotations, read before G is built (on `fresh`: the count pass and the
+/// BFS rows, which must leave G unbuilt) and after (on `fresh` once its G
+/// is read, and on `built`, whose G is read before its table, which then
+/// comes off G's rows). `fresh` and `built` are two builds of one overlay.
+void expect_degrees_and_rows_match_g(const Overlay& fresh,
+                                     const Overlay& built, NodeId count) {
+  const NodeId n = fresh.num_nodes();
+  const std::uint64_t eager = fresh.memory_bytes();
+  const auto table = fresh.g_degrees();
+  ASSERT_EQ(table.size(), n);
+  const auto ids = prefix_and_suffix(fresh, count);
+  RowScratch scratch;
+  std::vector<std::vector<BallEntry>> rows;
+  for (const NodeId v : ids) {
+    const auto row = fresh.g_row(v, scratch);
+    rows.emplace_back(row.begin(), row.end());
+  }
+  // The table's n * 4 bytes and nothing else: G is still unbuilt.
+  EXPECT_EQ(fresh.memory_bytes(), eager + std::uint64_t{n} * 4);
+
+  const auto expect_row_is_g = [&](const Overlay& o, NodeId v,
+                                   std::span<const BallEntry> row) {
+    const auto nbrs = o.g().neighbors(v);
+    const auto dists = o.g_dists(v);
+    ASSERT_EQ(row.size(), nbrs.size()) << "v=" << v;
+    for (std::size_t i = 0; i < row.size(); ++i) {
+      EXPECT_EQ(row[i].node, nbrs[i]) << "v=" << v << " slot " << i;
+      EXPECT_EQ(row[i].dist, dists[i]) << "v=" << v << " slot " << i;
+    }
+  };
+  (void)built.g();
+  const auto from_rows = built.g_degrees();
+  for (NodeId v = 0; v < n; ++v) {
+    EXPECT_EQ(table[v], fresh.g().degree(v)) << "v=" << v;
+    EXPECT_EQ(from_rows[v], built.g().degree(v)) << "v=" << v;
+  }
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    expect_row_is_g(fresh, ids[i], rows[i]);
+    expect_row_is_g(fresh, ids[i], fresh.g_row(ids[i], scratch));
+    expect_row_is_g(built, ids[i], built.g_row(ids[i], scratch));
+  }
+}
+
 TEST(SmallWorld, GMatchesBallDefinition) {
   // n=128 and n=300 sort on one and two id bytes; n=65539 (d=4, k=2) on
   // three. n=10 (d=4, k=6) puts the whole graph in every ball, at the
@@ -107,6 +153,16 @@ TEST(SmallWorld, GMatchesBallDefinition) {
   expect_g_matches_ball_definition(sample(65539, 4, 5), 16);
   expect_g_matches_ball_definition(build(10, 4, 6, 5), 10);
   expect_g_matches_ball_definition(build(1500, 10, 4, 5), 16);
+}
+
+TEST(SmallWorld, DegreesAndRowsMatchGBeforeAndAfterItIsBuilt) {
+  expect_degrees_and_rows_match_g(sample(128, 6, 5), sample(128, 6, 5), 32);
+  expect_degrees_and_rows_match_g(sample(300, 6, 5), sample(300, 6, 5), 32);
+  expect_degrees_and_rows_match_g(sample(65539, 4, 5), sample(65539, 4, 5),
+                                  16);
+  expect_degrees_and_rows_match_g(build(10, 4, 6, 5), build(10, 4, 6, 5), 10);
+  expect_degrees_and_rows_match_g(build(1500, 10, 4, 5),
+                                  build(1500, 10, 4, 5), 16);
 }
 
 TEST(SmallWorld, DistanceAnnotationsExact) {
@@ -188,11 +244,14 @@ TEST(SmallWorld, FirstReadBuildsGAndCountsItsBytes) {
   EXPECT_GE(built - eager, g.memory_bytes() + g.num_slots());
   EXPECT_EQ(&o.g(), &g);
   EXPECT_EQ(o.memory_bytes(), built);
+  // The degree table, read after G, adds its n * 4 bytes.
+  (void)o.g_degrees();
+  EXPECT_EQ(o.memory_bytes(), built + std::uint64_t{o.num_nodes()} * 4);
 }
 
 TEST(SmallWorld, ConcurrentFirstReadsBuildGOnce) {
   // Eight threads make the first G read of one fresh overlay, through each
-  // of the three readers: one build, one object, the rows of a serial
+  // of its two readers: one build, one object, the rows of a serial
   // build.
   const Overlay reference = sample(2048, 8, 57);
   (void)reference.g();
@@ -209,19 +268,10 @@ TEST(SmallWorld, ConcurrentFirstReadsBuildGOnce) {
       threads.emplace_back([&, t] {
         const auto v = static_cast<NodeId>(t);
         start.arrive_and_wait();
-        switch (t % 3) {
-          case 0:
-            seen[t] = &fresh.g();
-            break;
-          case 1:
-            EXPECT_EQ(fresh.g_dists(v).size(), reference.g().degree(v));
-            seen[t] = &fresh.g();
-            break;
-          default:
-            EXPECT_EQ(fresh.h_dist(v, v + 1), reference.h_dist(v, v + 1));
-            seen[t] = &fresh.g();
-            break;
+        if (t % 2 == 1) {
+          EXPECT_EQ(fresh.g_dists(v).size(), reference.g().degree(v));
         }
+        seen[t] = &fresh.g();
       });
     }
     for (auto& th : threads) th.join();
@@ -238,32 +288,66 @@ TEST(SmallWorld, ConcurrentFirstReadsBuildGOnce) {
   EXPECT_EQ(fresh.memory_bytes(), reference.memory_bytes());
 }
 
-TEST(SmallWorld, HDistLookup) {
-  const Overlay o = sample(128, 6, 9);
-  EXPECT_EQ(o.h_dist(5, 5), 0u);
-  const auto nbrs = o.g().neighbors(5);
-  const auto dists = o.g_dists(5);
-  for (std::size_t i = 0; i < nbrs.size(); ++i) {
-    EXPECT_EQ(o.h_dist(5, nbrs[i]), dists[i]);
+TEST(SmallWorld, ConcurrentFirstReadsBuildTheDegreeTableOnce) {
+  // Eight threads make the first g_degrees() read of one fresh overlay: one
+  // count pass, one table, a serial build's degrees, and still no G.
+  const Overlay reference = sample(2048, 8, 59);
+  const Overlay fresh = sample(2048, 8, 59);
+  const std::uint64_t eager = fresh.memory_bytes();
+  obs::reset_trace();
+  obs::set_enabled(true);
+  constexpr int kThreads = 8;
+  std::vector<const std::uint32_t*> seen(kThreads, nullptr);
+  {
+    std::latch start(kThreads);
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        start.arrive_and_wait();
+        seen[t] = fresh.g_degrees().data();
+      });
+    }
+    for (auto& th : threads) th.join();
+  }
+  obs::set_enabled(false);
+  int count_passes = 0;
+  for (const auto& e : obs::trace_snapshot().events) {
+    if (e.name == "graph.g_degrees") ++count_passes;
+  }
+  EXPECT_EQ(count_passes, 1);
+  obs::reset_trace();
+  for (int t = 1; t < kThreads; ++t) EXPECT_EQ(seen[t], seen[0]);
+  EXPECT_EQ(fresh.memory_bytes(),
+            eager + std::uint64_t{fresh.num_nodes()} * 4);
+  const auto table = fresh.g_degrees();
+  for (NodeId v = 0; v < fresh.num_nodes(); ++v) {
+    EXPECT_EQ(table[v], reference.g().degree(v)) << "v=" << v;
   }
 }
 
-TEST(SmallWorld, HDistSymmetric) {
+TEST(SmallWorld, GDistsSymmetric) {
+  // w sits in v's row at distance r iff v sits in w's row at distance r.
   const Overlay o = sample(64, 6, 13);
   for (NodeId v = 0; v < o.num_nodes(); ++v) {
-    for (const NodeId w : o.g().neighbors(v)) {
-      EXPECT_EQ(o.h_dist(v, w), o.h_dist(w, v));
+    const auto nbrs = o.g().neighbors(v);
+    const auto dists = o.g_dists(v);
+    for (std::size_t i = 0; i < nbrs.size(); ++i) {
+      const auto back = o.g().neighbors(nbrs[i]);
+      const auto it = std::lower_bound(back.begin(), back.end(), v);
+      ASSERT_TRUE(it != back.end() && *it == v) << "v=" << v;
+      EXPECT_EQ(o.g_dists(nbrs[i])[it - back.begin()], dists[i]);
     }
   }
 }
 
-TEST(SmallWorld, NotInBallSentinel) {
+TEST(SmallWorld, FarNodesStayOutOfTheRow) {
   const Overlay o = sample(512, 4, 17);  // k=2, sparse: far pairs exist
   bool found_far = false;
   const auto dist = bfs_distances(o.h_simple(), 0);
   for (NodeId w = 0; w < o.num_nodes(); ++w) {
     if (dist[w] > o.k()) {
-      EXPECT_EQ(o.h_dist(0, w), kNotInBall);
+      EXPECT_FALSE(o.g().has_edge(0, w));
       found_far = true;
       break;
     }

@@ -1,9 +1,9 @@
 // End-to-end observability contract: tracing a real protocol run yields a
 // parseable Chrome trace containing overlay-build, setup, phase, subphase,
-// round, smoothing, trial and live Verifier refresh spans — and the run's
-// outputs are bitwise identical with tracing on or off (the pure read-side
-// invariant of src/obs/obs.hpp, the same contract CI pins at the
-// BENCH-manifest level).
+// round, decide, refinement, smoothing, trial, snapshot and live Verifier
+// refresh spans — and the run's outputs are bitwise identical with tracing
+// on or off (the pure read-side invariant of src/obs/obs.hpp, the same
+// contract CI pins at the BENCH-manifest level).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -35,6 +35,25 @@ struct TracedRun {
 
 /// Overlay build, one Algorithm-2 run, then refine + smooth — the
 /// size_service pipeline — with tracing on or off.
+/// True iff some `outer` span on `inner`'s thread encloses it.
+bool nested_in(const std::vector<obs::TraceEvent>& events,
+               const obs::TraceEvent& inner, const std::string& outer) {
+  return std::any_of(events.begin(), events.end(), [&](const auto& e) {
+    return e.name == outer && e.tid == inner.tid && e.ts_us <= inner.ts_us &&
+           inner.ts_us + inner.dur_us <= e.ts_us + e.dur_us;
+  });
+}
+
+/// The events named `name`.
+std::vector<const obs::TraceEvent*> named(
+    const std::vector<obs::TraceEvent>& events, const std::string& name) {
+  std::vector<const obs::TraceEvent*> out;
+  for (const auto& e : events) {
+    if (e.name == name) out.push_back(&e);
+  }
+  return out;
+}
+
 TracedRun traced_run(bool trace) {
   obs::set_enabled(trace);
   graph::OverlayParams params;
@@ -77,22 +96,18 @@ TEST(TraceExportIntegration, ProtocolRunEmitsPhaseSubphaseAndRoundSpans) {
   EXPECT_TRUE(names.contains("count.subphase"));
   EXPECT_TRUE(names.contains("flood.subphase"));
   EXPECT_TRUE(names.contains("flood.round"));
+  EXPECT_TRUE(names.contains("count.decide"));
+  EXPECT_TRUE(names.contains("protocols.refine"));
   EXPECT_TRUE(names.contains("protocols.smooth"));
 
-  // G is built once, by its first reader: the crash rule, inside the
-  // run's setup span on the same thread.
+  // G is built once, by the static run's setup, on the same thread; the
+  // degree table then comes off its rows, with no count pass.
   const auto events = obs::trace_snapshot().events;
-  std::vector<const obs::TraceEvent*> g_passes;
-  for (const auto& e : events) {
-    if (e.name == "graph.g_pass") g_passes.push_back(&e);
-  }
+  const auto g_passes = named(events, "graph.g_pass");
   ASSERT_EQ(g_passes.size(), 1u);
-  const obs::TraceEvent& g_pass = *g_passes.front();
-  EXPECT_TRUE(std::any_of(events.begin(), events.end(), [&](const auto& e) {
-    return e.name == "count.setup" && e.tid == g_pass.tid &&
-           e.ts_us <= g_pass.ts_us &&
-           g_pass.ts_us + g_pass.dur_us <= e.ts_us + e.dur_us;
-  })) << "graph.g_pass is not inside count.setup";
+  EXPECT_TRUE(nested_in(events, *g_passes.front(), "count.setup"))
+      << "graph.g_pass is not inside count.setup";
+  EXPECT_TRUE(named(events, "graph.g_degrees").empty());
 
   // The metrics registry saw the same run.
   const auto snap = obs::metrics_snapshot();
@@ -163,6 +178,27 @@ dynamics::MidRunOutcome midrun_run(bool trace) {
       adv::ChurnAdversary::kNone, churn_rng);
   obs::set_enabled(false);
   return out;
+}
+
+TEST(TraceExportIntegration, MidRunSetupCountsDegreesAndNeverBuildsG) {
+  // The live run's own snapshot nests its ball-count pass; its setup counts
+  // G's degrees (one count pass, inside count.setup on its thread) and
+  // nothing builds G.
+  obs::reset_trace();
+  (void)midrun_run(true);
+  const auto events = obs::trace_snapshot().events;
+  const auto snapshots = named(events, "dynamics.snapshot");
+  ASSERT_EQ(snapshots.size(), 1u);
+  const auto counts = named(events, "graph.ball_counts");
+  ASSERT_EQ(counts.size(), 1u);
+  EXPECT_TRUE(nested_in(events, *counts.front(), "dynamics.snapshot"))
+      << "graph.ball_counts is not inside dynamics.snapshot";
+  const auto degrees = named(events, "graph.g_degrees");
+  ASSERT_EQ(degrees.size(), 1u);
+  EXPECT_TRUE(nested_in(events, *degrees.front(), "count.setup"))
+      << "graph.g_degrees is not inside count.setup";
+  EXPECT_TRUE(named(events, "graph.g_pass").empty());
+  obs::reset_trace();
 }
 
 TEST(TraceExportIntegration, LiveVerifierRefreshSpansMatchMidRunStats) {

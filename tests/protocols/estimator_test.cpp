@@ -93,6 +93,10 @@ TEST(EstimatorInterface, Algo2MatchesDirectCall) {
   const auto direct = run_counting_with(*overlay, byz, *s2, ProtocolConfig{},
                                         0xC0105EED, RunControls{});
   EXPECT_EQ(via_interface, direct);
+  // The declared band is the default accuracy band, not a copy of it.
+  const auto bound = est->bound(*overlay);
+  EXPECT_EQ(bound.lo, kBandLo);
+  EXPECT_EQ(bound.hi, kBandHi);
 }
 
 TEST(EstimatorInterface, Algo1ForcesAblationConfig) {
@@ -112,6 +116,9 @@ TEST(EstimatorInterface, Algo1ForcesAblationConfig) {
   const auto direct = run_counting_with(*overlay, byz, *s2, basic, 0xC0105EED,
                                         RunControls{});
   EXPECT_EQ(via_interface, direct);
+  const auto bound = est->bound(*overlay);
+  EXPECT_EQ(bound.lo, kBandLo);
+  EXPECT_EQ(bound.hi, kBandHi);
 }
 
 TEST(BrcEstimator, HonestRunHonorsDeclaredBound) {

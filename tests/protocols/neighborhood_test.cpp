@@ -6,8 +6,10 @@
 #include <optional>
 #include <utility>
 
+#include "adversary/strategies.hpp"
 #include "graph/categories.hpp"
 #include "graph/tree_like.hpp"
+#include "sim/world.hpp"
 #include "util/rng.hpp"
 
 namespace byz::proto {
@@ -236,6 +238,117 @@ TEST(CrashSet, MatchesReferenceConflictDetection) {
   // Both outcomes occur, so the comparison is not vacuous either way.
   EXPECT_GT(crashed_total, 0u);
   EXPECT_GT(spared_total, 0u);
+}
+
+/// compute_crash_set on claims over an overlay whose G is unbuilt, checked
+/// against the G-reading reference: its memory grows by the degree table's
+/// n * 4 bytes only (`eager` is memory_bytes() before the lies were set),
+/// and the crash set equals detects_conflict at every node, the setup
+/// traffic one count_setup_list per G-edge. Returns the crash count.
+std::uint64_t expect_g_free_crash_set_matches_reference(
+    const ClaimSet& claims, const std::vector<bool>& byz,
+    std::uint64_t eager) {
+  const Overlay& o = claims.overlay();
+  const NodeId n = o.num_nodes();
+  sim::Instrumentation instr;
+  const auto crash = compute_crash_set(claims, byz, &instr);
+  EXPECT_EQ(o.memory_bytes(), eager + std::uint64_t{n} * 4);
+
+  sim::Instrumentation ref;
+  for (NodeId u = 0; u < n; ++u) {
+    for (std::uint64_t e = 0; e < o.g().degree(u); ++e) {
+      ref.count_setup_list(claims.claimed(u).size());
+    }
+  }
+  for (NodeId v = 0; v < n; ++v) {
+    if (byz[v]) {
+      EXPECT_FALSE(crash[v]) << "v=" << v;
+      continue;
+    }
+    const bool conflict = detects_conflict(claims, v);
+    EXPECT_EQ(crash[v], conflict) << "v=" << v;
+    ref.crashes += conflict ? 1 : 0;
+  }
+  EXPECT_EQ(instr, ref);
+  return instr.crashes;
+}
+
+TEST(CrashSet, GFreeOnAFreshOverlayForEveryStrategy) {
+  // Each built-in strategy lies on an overlay whose G is unbuilt; neither
+  // its lies nor the crash rule build G.
+  std::uint64_t crashes = 0;
+  for (const auto kind : adv::all_strategies()) {
+    const Overlay o = sample(512, 6, 91);
+    util::Xoshiro256 rng(92);
+    const auto byz = graph::random_byzantine_mask(o.num_nodes(), 12, rng);
+    const std::uint64_t eager = o.memory_bytes();
+    ClaimSet claims(o);
+    const auto world = sim::World::make(o, byz, 93);
+    adv::make_strategy(kind)->setup_lies(world, claims);
+    EXPECT_EQ(o.memory_bytes(), eager) << adv::to_string(kind);
+    crashes += expect_g_free_crash_set_matches_reference(claims, byz, eager);
+  }
+  EXPECT_GT(crashes, 0u);
+}
+
+TEST(CrashSet, GFreeOnAFreshOverlayWithConsistentLiars) {
+  // Two liar pairs lie consistently about their mutual edge (u, w deny a
+  // G-edge; x, y claim a non-edge, y two hops past x's ball), so their
+  // common neighbors see agreeing claims; a fifth liar z denies one honest
+  // neighbor, which keeps the comparison from being vacuous. Rows come from
+  // g_row, so G stays unbuilt until the reference reads it.
+  const Overlay o = sample(512, 6, 95);
+  const NodeId n = o.num_nodes();
+  const std::uint64_t eager = o.memory_bytes();
+  graph::RowScratch scratch;
+  const auto row_of = [&](NodeId v) {
+    std::vector<NodeId> row;
+    for (const auto& e : o.g_row(v, scratch)) row.push_back(e.node);
+    return row;
+  };
+  std::vector<bool> byz(n, false);
+  ClaimSet claims(o);
+  const auto lie = [&](NodeId a, NodeId b, bool claim) {
+    byz[a] = true;
+    auto list = row_of(a);
+    if (claim) {
+      list.push_back(b);
+    } else {
+      std::erase(list, b);
+    }
+    claims.set_claim(a, std::move(list));
+  };
+  const NodeId u = 3;
+  const NodeId w = row_of(u).front();
+  lie(u, w, false);
+  lie(w, u, false);
+  const NodeId x = 200;
+  const auto x_row = row_of(x);
+  NodeId y = graph::kInvalidNode;
+  for (const NodeId m : x_row) {
+    for (const NodeId c : row_of(m)) {
+      if (c != x && !byz[c] && !std::ranges::binary_search(x_row, c)) y = c;
+    }
+    if (y != graph::kInvalidNode) break;
+  }
+  ASSERT_NE(y, graph::kInvalidNode);
+  lie(x, y, true);
+  lie(y, x, true);
+  const NodeId z = 400;
+  ASSERT_FALSE(byz[z]);
+  lie(z, row_of(z).back(), false);
+  ASSERT_FALSE(byz[row_of(z).back()]);
+  EXPECT_GT(expect_g_free_crash_set_matches_reference(claims, byz, eager), 0u);
+  // The consistent pairs crash nobody: z's denial alone crashes its victim
+  // and the common neighbors of z and the victim.
+  for (NodeId v = 0; v < n; ++v) {
+    if (byz[v]) continue;
+    const bool sees_z = o.g().has_edge(v, z);
+    const NodeId victim = o.g().neighbors(z).back();
+    const bool crashed_by_z =
+        v == victim || (sees_z && o.g().has_edge(v, victim));
+    EXPECT_EQ(detects_conflict(claims, v), crashed_by_z) << "v=" << v;
+  }
 }
 
 TEST(CrashSet, EmptyLieCrashesAllHonestNeighbors) {
