@@ -36,8 +36,9 @@
 // onto phase-final rounds to stress readmission). --engine-oracle
 // additionally replays every epoch's schedule through the message-level
 // sim::Engine and reports whether the two tiers agreed bitwise (the E26
-// contract); it works in every churn mode. Mid-run churn COMPOSES with
-// --adaptive (E28), which coasts through drift-quiet epochs.
+// contract), exiting 1 after the table when they did not; it works in
+// every churn mode. Mid-run churn COMPOSES with --adaptive (E28), which
+// coasts through drift-quiet epochs.
 #include <algorithm>
 #include <cmath>
 #include <iostream>
@@ -372,18 +373,26 @@ int run_churn_mode(const byz::util::ArgParser& args, std::uint32_t trials,
   }
   table.note(note);
   std::cout << table;
-  if (cfg.audit) {
-    // Surface any forensics the engine-oracle seam wrote.
-    for (const auto& run : runs) {
-      for (const auto& ep : run.epochs) {
-        if (!ep.forensics_path.empty()) {
-          BYZ_ERROR << "size_service: divergence forensics written to "
-                    << ep.forensics_path;
-        }
+  // The engine oracle fails the command: an estimated epoch whose tiers
+  // disagreed, or whose audit wrote a forensics report, exits 1 once the
+  // table is out, naming the trial and the epoch.
+  int status = 0;
+  for (std::size_t t = 0; t < runs.size(); ++t) {
+    for (std::size_t e = 0; e < runs[t].epochs.size(); ++e) {
+      const auto& ep = runs[t].epochs[e];
+      if (!ep.estimated || (ep.engine_match && ep.forensics_path.empty())) {
+        continue;
       }
+      std::cerr << "size_service: engine oracle diverged in trial " << t
+                << ", epoch " << e;
+      if (!ep.forensics_path.empty()) {
+        std::cerr << "; forensics written to " << ep.forensics_path;
+      }
+      std::cerr << "\n";
+      status = 1;
     }
   }
-  return 0;
+  return status;
 }
 
 }  // namespace
@@ -426,9 +435,9 @@ int main(int argc, char** argv) {
                               "frontier-leaves, boundary-join-storm",
                   "uniform");
   args.add_flag("engine-oracle", "churn mode: replay every epoch's run "
-                                 "through the message-level engine and "
-                                 "report bitwise agreement (works in every "
-                                 "churn mode)");
+                                 "through the message-level engine, report "
+                                 "bitwise agreement and exit 1 on a "
+                                 "divergence (works in every churn mode)");
   args.add_flag("audit", "churn mode: record hierarchical digest trails in "
                          "every tier and explain oracle failures with "
                          "byzobs/forensics/v1 reports (pure read-side)");

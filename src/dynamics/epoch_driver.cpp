@@ -11,7 +11,6 @@
 #include "obs/digest.hpp"
 #include "obs/trace.hpp"
 #include "protocols/estimator.hpp"
-#include "sim/engine.hpp"
 #include "sim/runner.hpp"
 
 namespace byz::dynamics {
@@ -66,23 +65,6 @@ ChurnRunResult run_churn(const ChurnRunConfig& cfg) {
     shadow_est = proto::make_estimator(cfg.shadow_backend, cfg.protocol);
     primary_est = proto::make_estimator("algo2", cfg.protocol);
   }
-  // The shadow comparison runs both backends on the epoch's post-churn
-  // snapshot — dedicated seed stream, fresh strategies, no rng side
-  // effects — and records the oracle verdicts.
-  const auto run_shadow = [&](EpochStats& stats, std::uint32_t e,
-                              const graph::Overlay& snapshot,
-                              const std::vector<bool>& dense_byz) {
-    if (!shadow_est) return;
-    const auto cmp = analysis::compare_backends(
-        snapshot, dense_byz, cfg.strategy,
-        util::mix_seed(cfg.seed, kShadowStream + e), *primary_est,
-        *shadow_est);
-    stats.shadow_ran = true;
-    stats.shadow_median_ratio = cmp.b.median_ratio;
-    stats.shadow_ratio = cmp.ratio;
-    stats.shadow_in_band = cmp.b.in_band;
-    stats.shadow_agree = cmp.agree;
-  };
 
   ChurnRunResult out;
   out.trace = generate_trace(cfg.trace);
@@ -104,9 +86,9 @@ ChurnRunResult run_churn(const ChurnRunConfig& cfg) {
 
   // Between-runs event replay: joins first (honest, then sybil), then
   // departures — the bookkeeping order generate_trace assumed when it
-  // clamped the counts. The snapshot path uses it every epoch; mid-run
-  // mode uses it for adaptively SKIPPED epochs (no run happens, so there
-  // is nothing for the events to strike mid-flight).
+  // clamped the counts. Snapshot churn applies every epoch's events this
+  // way; mid-run churn only those of adaptively SKIPPED epochs (no run
+  // happens, so there is nothing for the events to strike mid-flight).
   const auto replay_between_runs = [&](const ChurnEpoch& epoch) {
     for (std::uint32_t i = 0; i < epoch.joins; ++i) {
       const auto anchors = adv::plan_join_anchors(
@@ -126,12 +108,6 @@ ChurnRunResult run_churn(const ChurnRunConfig& cfg) {
       overlay.leave(adv::pick_departure(overlay, byz, cfg.churn_adversary,
                                         churn_rng));
     }
-    if (overlay.num_alive() != epoch.n_after) {
-      throw std::logic_error("run_churn: replay diverged from trace n_after");
-    }
-    // Joiners have no previous estimate: grow the stable-id table BEFORE
-    // the staleness scan reads it.
-    last_estimate.resize(overlay.id_bound(), 0);
   };
 
   out.epochs.reserve(out.trace.epochs.size());
@@ -151,11 +127,17 @@ ChurnRunResult run_churn(const ChurnRunConfig& cfg) {
           .arg("estimate_mean_ratio", stats.fresh.mean_ratio);
     };
 
-    // Membership/staleness bookkeeping shared by every path: judge the
-    // estimates honest survivors still carry from previous epochs against
-    // the CURRENT truth (before this epoch's run replaces them). Returns
-    // the post-churn membership count.
+    // Membership/staleness bookkeeping, once the epoch's events have all
+    // applied: judge the estimates honest survivors still carry from
+    // previous epochs against the CURRENT truth (before this epoch's run
+    // replaces them). Returns the post-churn membership count.
     const auto fill_membership_stats = [&](EpochStats& stats) {
+      if (overlay.num_alive() != epoch.n_after) {
+        throw std::logic_error("run_churn: replay diverged from trace n_after");
+      }
+      // Joiners have no previous estimate: grow the stable-id table BEFORE
+      // the staleness scan reads it.
+      last_estimate.resize(overlay.id_bound(), 0);
       const auto alive = overlay.alive_nodes();
       const auto n = static_cast<NodeId>(alive.size());
       stats.n_true = n;
@@ -184,202 +166,129 @@ ChurnRunResult run_churn(const ChurnRunConfig& cfg) {
       return n;
     };
 
-    if (cfg.mid_run.enabled) {
-      // Mid-protocol churn: the epoch's events are spread over the run's
-      // expected flood rounds and applied WHILE it floods; whatever the
-      // run never reaches is flushed afterwards, so the epoch ends in the
-      // same overlay state as the between-runs path.
-      const NodeId n_before = overlay.num_alive();
-      acc_drift +=
-          static_cast<double>(epoch.joins + epoch.sybil_joins + epoch.leaves) /
-          n_last_estimated;
-
-      // Drift-adaptive cadence composes with mid-run churn: a skipped
-      // epoch runs no protocol, so its events apply between runs.
-      const bool estimated = e == 0 || acc_drift >= cfg.drift_threshold;
-      if (!estimated) {
-        replay_between_runs(epoch);
-        EpochStats stats;
-        fill_membership_stats(stats);
-        stats.estimated = false;
-        stamp_epoch_span(stats);
-        out.epochs.push_back(stats);
-        continue;
-      }
-
-      const std::uint64_t horizon = expected_horizon_rounds(
-          n_before, cfg.d, cfg.protocol.schedule);
-      const ChurnSchedule schedule = adv::derive_adversarial_schedule(
-          epoch, horizon, util::mix_seed(cfg.seed, kMidRunStream + e),
-          cfg.mid_run.schedule, cfg.d, cfg.protocol.schedule);
-      const std::uint64_t color_seed =
-          util::mix_seed(cfg.seed, kColorStream + e);
-      auto strategy = adv::make_strategy(cfg.strategy);
-      MidRunConfig mid_cfg;
-      mid_cfg.policy = cfg.mid_run.policy;
-      mid_cfg.schedule_strategy = cfg.mid_run.schedule;
-
-      // Divergence audit: every tier executed this epoch records a digest
-      // trail and a flight tail; the oracle checks below compare them and
-      // emit forensics on divergence. Null digesters otherwise (one branch
-      // per hook, trails untouched).
-      obs::FlightRecorder fast_rec, engine_rec;
-      obs::RunDigester fast_dig, engine_dig;
-      if (cfg.audit) {
-        fast_dig.attach_recorder(&fast_rec);
-        engine_dig.attach_recorder(&engine_rec);
-      }
-
-      // Engine oracle: replay the identical schedule from a copy of the
-      // pre-run state through the message-level engine and demand a
-      // bitwise-identical outcome (the E26 contract, per epoch).
-      std::optional<MidRunOutcome> engine_outcome;
-      if (cfg.run_engine) {
-        MutableOverlay engine_overlay = overlay;
-        std::vector<bool> engine_byz = byz;
-        util::Xoshiro256 engine_rng = churn_rng;
-        auto engine_strategy = adv::make_strategy(cfg.strategy);
-        engine_outcome = run_counting_midrun_engine(
-            engine_overlay, engine_byz, *engine_strategy, cfg.protocol,
-            color_seed, schedule, mid_cfg, cfg.churn_adversary, engine_rng,
-            nullptr, cfg.audit ? &engine_dig : nullptr);
-      }
-
-      auto outcome = run_counting_midrun(
-          overlay, byz, *strategy, cfg.protocol, color_seed, schedule, mid_cfg,
-          cfg.churn_adversary, churn_rng, nullptr,
-          cfg.audit ? &fast_dig : nullptr);
-      if (overlay.num_alive() != epoch.n_after) {
-        throw std::logic_error(
-            "run_churn: mid-run replay diverged from trace n_after");
-      }
-      last_estimate.resize(overlay.id_bound(), 0);
-
-      EpochStats stats;
-      const NodeId n = fill_membership_stats(stats);
-      if (cfg.audit) stats.run_digest = fast_dig.trail().run_digest;
-
-      stats.fresh = proto::summarize_accuracy(outcome.run, n);
-      if (shadow_est) {
-        // Post-churn state: the run flushed every event, so a fresh full
-        // snapshot is the same membership the between-runs path ends in.
-        const auto shadow_snap = overlay.snapshot();
-        std::vector<bool> shadow_byz(n, false);
-        for (NodeId i = 0; i < n; ++i) {
-          if (byz[shadow_snap.dense_to_stable[i]]) shadow_byz[i] = true;
-        }
-        run_shadow(stats, e, shadow_snap.overlay, shadow_byz);
-      }
-      stats.messages = outcome.run.instr.total_messages();
-      stats.midrun_events_applied = outcome.stats.events_applied;
-      stats.midrun_events_flushed = outcome.stats.events_flushed;
-      stats.midrun_admitted = outcome.stats.admitted;
-      stats.midrun_verifier_refreshes = outcome.stats.verifier_refreshes;
-      stats.midrun_frontier_leaves = outcome.stats.frontier_leaves;
-      stats.verify_rows_recomputed = outcome.stats.rows_recomputed;
-      if (engine_outcome) {
-        stats.engine_match = *engine_outcome == outcome;
-        if (cfg.audit) {
-          // The two tiers execute the identical schedule, so their trails
-          // must match entry for entry — a trail-only divergence is a bug
-          // the outcome comparison was not sharp enough to see.
-          const auto div =
-              obs::first_divergence(fast_dig.trail(), engine_dig.trail());
-          if (!stats.engine_match || div.diverged()) {
-            stats.forensics_path = emit_forensics(
-                cfg, e,
-                stats.engine_match
-                    ? "digest trails diverged (outcomes identical)"
-                    : "mid-run engine outcome diverged from fastpath",
-                fast_dig, engine_dig, &fast_rec, &engine_rec);
-          }
-        }
-      }
-      for (std::size_t i = 0; i < outcome.run.status.size(); ++i) {
-        if (outcome.run.status[i] == proto::NodeStatus::kDecided) {
-          last_estimate[outcome.run_to_stable[i]] = outcome.run.estimate[i];
-        }
-      }
-      acc_drift = 0.0;
-      n_last_estimated = static_cast<double>(n);
-      stamp_epoch_span(stats);
-      out.epochs.push_back(stats);
-      continue;
-    }
-
-    replay_between_runs(epoch);
-
     acc_drift +=
         static_cast<double>(epoch.joins + epoch.sybil_joins + epoch.leaves) /
         n_last_estimated;
+    // Drift-adaptive scheduling: estimation runs when the accumulated drift
+    // crosses the bound (epoch 0 always bootstraps the estimates; drift is
+    // never negative, so a bound of 0 runs every epoch).
+    const bool estimated = e == 0 || acc_drift >= cfg.drift_threshold;
 
-    EpochStats stats;
-    const NodeId n = fill_membership_stats(stats);
-
-    // Drift-adaptive scheduling: estimation runs when the accumulated
-    // drift crosses the bound (epoch 0 always bootstraps the estimates;
-    // drift is never negative, so a bound of 0 runs every epoch).
-    stats.estimated = e == 0 || acc_drift >= cfg.drift_threshold;
-    if (!stats.estimated) {
+    // Mid-run churn spreads an estimated epoch's events over its run's
+    // expected flood rounds, where they strike WHILE it floods; whatever
+    // the run never reaches is flushed afterwards, so the epoch ends in the
+    // same overlay state as the between-runs path. Every other epoch
+    // applies its events between runs; if it estimates, its run takes an
+    // empty schedule: bitwise the static run on the same snapshot (E24),
+    // flooded in fused lanes, with a setup that never builds G.
+    ChurnSchedule schedule;
+    if (cfg.mid_run.enabled && estimated) {
+      const std::uint64_t horizon = expected_horizon_rounds(
+          overlay.num_alive(), cfg.d, cfg.protocol.schedule);
+      schedule = adv::derive_adversarial_schedule(
+          epoch, horizon, util::mix_seed(cfg.seed, kMidRunStream + e),
+          cfg.mid_run.schedule, cfg.d, cfg.protocol.schedule);
+    } else {
+      replay_between_runs(epoch);
+    }
+    if (!estimated) {
+      EpochStats stats;
+      fill_membership_stats(stats);
+      stats.estimated = false;
       stamp_epoch_span(stats);
       out.epochs.push_back(stats);
       continue;
     }
 
-    // Snapshot and re-estimate; the run's setup stage builds G.
-    const auto snap = overlay.snapshot();
-    std::vector<bool> dense_byz(n, false);
-    for (NodeId i = 0; i < n; ++i) {
-      if (byz[snap.dense_to_stable[i]]) dense_byz[i] = true;
-    }
     const std::uint64_t color_seed =
         util::mix_seed(cfg.seed, kColorStream + e);
     auto strategy = adv::make_strategy(cfg.strategy);
+    MidRunConfig mid_cfg;
+    mid_cfg.policy = cfg.mid_run.policy;
+    mid_cfg.schedule_strategy = cfg.mid_run.schedule;
 
-    // Divergence audit (snapshot path): the epoch's run and the engine
-    // oracle each record a trail.
-    obs::FlightRecorder run_rec, engine_rec;
-    obs::RunDigester run_dig, engine_dig;
+    // Divergence audit: every tier executed this epoch records a digest
+    // trail and a flight tail; the oracle checks below compare them and
+    // emit forensics on divergence. Null digesters otherwise (one branch
+    // per hook, trails untouched).
+    obs::FlightRecorder fast_rec, engine_rec;
+    obs::RunDigester fast_dig, engine_dig;
     if (cfg.audit) {
-      run_dig.attach_recorder(&run_rec);
+      fast_dig.attach_recorder(&fast_rec);
       engine_dig.attach_recorder(&engine_rec);
     }
 
-    proto::RunControls run_rc;
-    run_rc.digester = cfg.audit ? &run_dig : nullptr;
-    const proto::RunResult run = proto::run_counting_with(
-        snap.overlay, dense_byz, *strategy, cfg.protocol, color_seed, run_rc);
-
-    if (cfg.audit) stats.run_digest = run_dig.trail().run_digest;
-    stats.fresh = proto::summarize_accuracy(run, n);
-    run_shadow(stats, e, snap.overlay, dense_byz);
-    stats.messages = run.instr.total_messages();
-
+    // Engine oracle: replay the identical schedule from a copy of the
+    // pre-run state through the message-level engine and demand a
+    // bitwise-identical outcome (the E26 contract, per epoch).
+    std::optional<MidRunOutcome> engine_outcome;
     if (cfg.run_engine) {
-      auto strategy2 = adv::make_strategy(cfg.strategy);
-      sim::Engine engine(snap.overlay, dense_byz, *strategy2, cfg.protocol,
-                         color_seed, nullptr,
-                         cfg.audit ? &engine_dig : nullptr);
-      stats.engine_match = engine.run() == run;
+      MutableOverlay engine_overlay = overlay;
+      std::vector<bool> engine_byz = byz;
+      util::Xoshiro256 engine_rng = churn_rng;
+      auto engine_strategy = adv::make_strategy(cfg.strategy);
+      engine_outcome = run_counting_midrun_engine(
+          engine_overlay, engine_byz, *engine_strategy, cfg.protocol,
+          color_seed, schedule, mid_cfg, cfg.churn_adversary, engine_rng,
+          nullptr, cfg.audit ? &engine_dig : nullptr);
+    }
+
+    auto outcome = run_counting_midrun(
+        overlay, byz, *strategy, cfg.protocol, color_seed, schedule, mid_cfg,
+        cfg.churn_adversary, churn_rng, nullptr,
+        cfg.audit ? &fast_dig : nullptr);
+
+    EpochStats stats;
+    const NodeId n = fill_membership_stats(stats);
+    if (cfg.audit) stats.run_digest = fast_dig.trail().run_digest;
+
+    stats.fresh = proto::summarize_accuracy(outcome.run, n);
+    if (shadow_est) {
+      // The shadow comparison runs both backends cold on the post-churn
+      // snapshot — the run flushed every event, so a fresh snapshot is the
+      // membership the between-runs path ends in — with a dedicated seed
+      // stream and no rng side effects, and records the oracle verdicts.
+      const auto snap = overlay.snapshot();
+      std::vector<bool> snap_byz(n);
+      for (NodeId i = 0; i < n; ++i) snap_byz[i] = byz[snap.dense_to_stable[i]];
+      const auto cmp = analysis::compare_backends(
+          snap.overlay, snap_byz, cfg.strategy,
+          util::mix_seed(cfg.seed, kShadowStream + e), *primary_est,
+          *shadow_est);
+      stats.shadow_ran = true;
+      stats.shadow_median_ratio = cmp.b.median_ratio;
+      stats.shadow_ratio = cmp.ratio;
+      stats.shadow_in_band = cmp.b.in_band;
+      stats.shadow_agree = cmp.agree;
+    }
+    stats.messages = outcome.run.instr.total_messages();
+    stats.midrun_events_applied = outcome.stats.events_applied;
+    stats.midrun_events_flushed = outcome.stats.events_flushed;
+    stats.midrun_admitted = outcome.stats.admitted;
+    stats.midrun_verifier_refreshes = outcome.stats.verifier_refreshes;
+    stats.midrun_frontier_leaves = outcome.stats.frontier_leaves;
+    stats.verify_rows_recomputed = outcome.stats.rows_recomputed;
+    if (engine_outcome) {
+      stats.engine_match = *engine_outcome == outcome;
       if (cfg.audit) {
-        // The engine and the epoch's run execute identical schedules, so
-        // their trails must match entry for entry.
+        // The two tiers execute the identical schedule, so their trails
+        // must match entry for entry — a trail-only divergence is a bug
+        // the outcome comparison was not sharp enough to see.
         const auto div =
-            obs::first_divergence(run_dig.trail(), engine_dig.trail());
+            obs::first_divergence(fast_dig.trail(), engine_dig.trail());
         if (!stats.engine_match || div.diverged()) {
           stats.forensics_path = emit_forensics(
               cfg, e,
               stats.engine_match
                   ? "digest trails diverged (outcomes identical)"
                   : "engine outcome diverged from the fastpath",
-              run_dig, engine_dig, &run_rec, &engine_rec);
+              fast_dig, engine_dig, &fast_rec, &engine_rec);
         }
       }
     }
-
-    for (NodeId i = 0; i < n; ++i) {
-      if (run.status[i] == proto::NodeStatus::kDecided) {
-        last_estimate[snap.dense_to_stable[i]] = run.estimate[i];
+    for (std::size_t i = 0; i < outcome.run.status.size(); ++i) {
+      if (outcome.run.status[i] == proto::NodeStatus::kDecided) {
+        last_estimate[outcome.run_to_stable[i]] = outcome.run.estimate[i];
       }
     }
     acc_drift = 0.0;

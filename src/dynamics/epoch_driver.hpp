@@ -4,28 +4,30 @@
 // experiments. Per epoch it records fresh accuracy against the true n(t),
 // the STALENESS of the previous epoch's estimates (how wrong a node that
 // skips re-estimation becomes as the network drifts), and optionally runs
-// the message-level sim::Engine on the same snapshot to assert the two
+// the message-level sim::Engine on the same epoch to assert the two
 // protocol tiers still agree decision-for-decision under churn.
 //
-// The driver selects between the repo's churn models (docs/ARCHITECTURE.md
-// has the full matrix):
+// Every estimating epoch runs one body: a live run (dynamics/midrun.*) on
+// a fresh MutableOverlay::snapshot() under a ChurnSchedule. Its setup
+// counts the snapshot's G-degrees and BFSes its liars' balls, so only the
+// engine oracle (run_engine) builds G. The churn model decides only when
+// the events strike (docs/ARCHITECTURE.md has the full matrix):
 //
-//   * snapshot churn (default): events apply BETWEEN runs; each run
-//     executes on a frozen MutableOverlay::snapshot(), whose G the static
-//     run's setup stage builds. ChurnRunConfig::drift_threshold
-//     adds drift-adaptive cadence. Every estimating epoch runs the plain
-//     Algorithm 2 run.
+//   * snapshot churn (default): events apply BETWEEN runs, and the run
+//     takes an empty schedule. That run is bitwise the static Algorithm 2
+//     run on the same snapshot (the E24 anchor) and floods a phase's
+//     subphases in fused lanes, as the static run does.
 //   * mid-run churn (ChurnRunConfig::mid_run): the epoch's events are
 //     placed on individual flood rounds — uniformly, or adversarially
 //     timed/targeted (adversary/midrun_schedule.hpp) — and strike DURING
-//     the run (dynamics/midrun.*), under a MembershipPolicy that decides
-//     how the in-flight run reacts. Adaptive cadence COMPOSES with it:
-//     drift-quiet epochs are skipped and apply their events between-runs
-//     style. A live run's setup counts the snapshot's G-degrees and BFSes
-//     its liars' balls; it never builds G. run_engine doubles as the
-//     per-epoch E26 oracle: the
-//     message-level engine replays the identical schedule and must agree
-//     bitwise.
+//     the run, under a MembershipPolicy that decides how the in-flight run
+//     reacts.
+//
+// ChurnRunConfig::drift_threshold adds drift-adaptive cadence to either
+// model: drift-quiet epochs are skipped and apply their events between
+// runs. run_engine is the per-epoch engine oracle in both models: the
+// message-level engine replays the identical schedule
+// (run_counting_midrun_engine) and must agree bitwise (E26).
 //
 // Everything is derived from cfg.seed with SplitMix64 streams and replayed
 // sequentially, so a churn run is bitwise reproducible regardless of how
@@ -55,7 +57,10 @@ struct ChurnRunConfig {
   adv::ChurnAdversary churn_adversary = adv::ChurnAdversary::kNone;
   proto::ProtocolConfig protocol;
   std::uint64_t seed = 1;
-  /// Also run the message-level Engine per snapshot and compare outcomes.
+  /// Engine oracle: each estimating epoch the message-level sim::Engine
+  /// replays the epoch's schedule from a copy of the pre-run state, and
+  /// EpochStats::engine_match records whether the two tiers agreed
+  /// bitwise.
   bool run_engine = false;
   /// Drift-adaptive cadence: re-estimate only when the membership drift
   /// accumulated since the last estimation (the fraction of the
@@ -66,11 +71,8 @@ struct ChurnRunConfig {
   /// joins/leaves DURING its estimation run — spread over the run's
   /// expected flood rounds — instead of between runs. Adaptive cadence
   /// COMPOSES with it (see the file comment): drift-quiet epochs are
-  /// skipped and their events apply between-runs style. run_engine IS
-  /// supported: each epoch the message-level sim::Engine replays the
-  /// identical schedule from a copy of the pre-run state and
-  /// EpochStats.engine_match records whether the two tiers agreed bitwise
-  /// (the E26 oracle).
+  /// skipped and their events apply between-runs style. The policy and
+  /// schedule strategy below matter only when enabled.
   struct MidRunMode {
     bool enabled = false;
     proto::MembershipPolicy policy =
@@ -122,9 +124,9 @@ struct EpochStats {
   bool estimated = true;          ///< false = adaptive scheduler skipped
   double drift = 0.0;             ///< accumulated drift entering the epoch
   /// Mid-run mode: Verifier rows the live kReadmitNextPhase refreshes
-  /// recomputed, i.e. those within k-1 H-hops of a splice since the
+  /// recomputed, i.e. those within w-1 H-hops of a splice since the
   /// previous boundary (MidRunStats::rows_recomputed). 0 in snapshot mode:
-  /// a snapshot run's Verifier views the overlay's ball counts.
+  /// an empty schedule splices nothing.
   std::uint64_t verify_rows_recomputed = 0;
   // --- mid-run churn ---
   std::uint64_t midrun_events_applied = 0;  ///< at their scheduled round
@@ -157,7 +159,7 @@ struct ChurnRunResult {
   std::vector<EpochStats> epochs;
 };
 
-/// Replays cfg.trace and runs estimation on every epoch snapshot.
+/// Replays cfg.trace and runs estimation on every epoch's snapshot.
 [[nodiscard]] ChurnRunResult run_churn(const ChurnRunConfig& cfg);
 
 /// Epochs the fresh in-band fraction needs to climb back to >= threshold

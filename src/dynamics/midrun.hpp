@@ -45,6 +45,10 @@
 //        run_counting_midrun is BITWISE identical — statuses, estimates,
 //        round counts, every instrumentation counter — to
 //        proto::run_counting on the same snapshot, under both policies.
+//        Such a feed does not churn (MidRunHooks::churns()), so the run
+//        floods in fused lanes like the static run. A snapshot-churn epoch
+//        of run_churn (epoch_driver.hpp) is this run, so its setup never
+//        builds G either.
 //   E26  at NONZERO mid-run churn, the message-level sim::Engine driven by
 //        an identical feed (run_counting_midrun_engine) produces a bitwise
 //        identical MidRunOutcome for every rate/policy/strategy — the two
@@ -210,6 +214,11 @@ class LiveOverlayFeed final : public proto::MidRunHooks {
   [[nodiscard]] bool wants_frontier() const override {
     return config_.schedule_strategy ==
            adv::MidRunScheduleStrategy::kFrontierLeaves;
+  }
+  /// False iff the schedule is empty: then the feed is a pure
+  /// pass-through (E24) and the run floods in fused lanes.
+  [[nodiscard]] bool churns() const override {
+    return !schedule_.events.empty();
   }
   [[nodiscard]] const proto::Verifier* begin_phase(
       std::uint32_t phase, std::vector<graph::NodeId>& admitted) override;

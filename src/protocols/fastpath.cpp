@@ -87,8 +87,8 @@ RunResult run_counting_with(const graph::Overlay& overlay,
         // A static overlay is smoothed over or shared by other trials
         // next, and they read all of G: build it here, so the degree
         // table comes off its rows rather than a count pass of its own. A
-        // live run's snapshot is dropped after its epoch and never builds
-        // G.
+        // live run (every churn epoch, snapshot churn included) runs on a
+        // snapshot dropped after its epoch and never builds G.
         (void)overlay.g();
         crashed = compute_crash_set(claims, byz_mask, &result.instr);
       } else {
@@ -146,10 +146,11 @@ RunResult run_counting_with(const graph::Overlay& overlay,
   std::vector<bool> fired(nb, false);
   // Global flood-round counter driving the mid-run churn schedule.
   std::uint64_t global_round = 0;
-  // A static run floods up to kMaxFloodLanes subphases of a phase in one
-  // kernel call; a live run floods one at a time, since its membership
-  // changes between the rounds of successive subphases.
-  const std::uint32_t pass_cap = midrun == nullptr ? kMaxFloodLanes : 1;
+  // A run floods up to kMaxFloodLanes subphases of a phase in one kernel
+  // call, unless its hooks churn: then its membership changes between the
+  // rounds of successive subphases, and it floods one at a time.
+  const std::uint32_t pass_cap =
+      midrun == nullptr || !midrun->churns() ? kMaxFloodLanes : 1;
 
   obs::RunDigester* const dg = controls.digester;
   std::uint32_t phase = 0;

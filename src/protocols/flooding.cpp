@@ -241,12 +241,13 @@ void run_subphase_reference(const graph::Overlay& overlay,
 //     unconditional touched-bit OR reproduce it;
 //   * receivers are tested against two word-packed sets built by the
 //     step-1 sweep from the run's inputs — can-receive (not crashed) and
-//     Byzantine. Under live hooks (one lane) the kernel reads
-//     MidRunHooks::alive_set() once per round, after begin_round has
-//     applied the round's events: it ANDs those words into the frontier
-//     words, so a departed sender is skipped as the reference's present(u)
-//     skips it, and forms the round's receiver set can-receive AND alive,
-//     the reference's `crashed[v] || !present(v)` test in packed form.
+//     Byzantine. Under live hooks the kernel reads MidRunHooks::alive_set()
+//     once per round, after begin_round has applied the round's events
+//     (hooks that do not churn keep one set): it ANDs those words into the
+//     frontier words, so a departed sender is skipped as the reference's
+//     present(u) skips it, and forms the round's receiver set can-receive
+//     AND alive, the reference's `crashed[v] || !present(v)` test in packed
+//     form.
 //     Injections test the same two sets. Crashed nodes are never
 //     receivers, so they are never touched and never rejoin a frontier;
 //   * the round digest is a commutative XOR fold, so the kernel's
@@ -259,9 +260,10 @@ void run_subphase_reference(const graph::Overlay& overlay,
 //     frontier ITERATION ORDER is order-insensitive (the live wavefront is
 //     explicitly canonical, and counters/digests commute), so
 //     ascending-bitset order matches the reference's vectors bit for bit.
-// Live runs get one lane because begin_round changes membership between
-// the rounds of one subphase and the next, which a side-by-side sweep
-// would apply to every lane at once.
+// Hooks that churn get one lane because begin_round changes membership
+// between the rounds of one subphase and the next, which a side-by-side
+// sweep would apply to every lane at once. Hooks that do not churn have
+// one membership for every lane, and the kernel calls no begin_round.
 // ---------------------------------------------------------------------------
 
 template <std::uint32_t W>
@@ -272,12 +274,15 @@ void run_lanes_kernel(const graph::Overlay& overlay,
                       std::span<const Injection> injections,
                       std::span<const std::uint32_t> lane_begin,
                       FloodWorkspace& ws, sim::Instrumentation& instr) {
-  const MidRunHooks* live = params.live;
+  MidRunHooks* const live = params.live;
   const NodeId n = live ? live->node_bound() : overlay.num_nodes();
   const auto& h = overlay.h_simple();
   const std::uint32_t lanes = ws.lanes();
   const std::uint32_t steps = params.steps;
   obs::RunDigester* const dg = params.digest;
+  // Hooks that churn apply events in begin_round before each step; others
+  // keep one membership for the whole call.
+  const bool churning = live != nullptr && live->churns();
   // A one-lane call closes its rounds into the digester inline; a fused
   // call keeps them per lane for replay_lane_rounds.
   const bool record = dg != nullptr && lanes > 1;
@@ -304,6 +309,10 @@ void run_lanes_kernel(const graph::Overlay& overlay,
   Color* const recv = ws.recv.data();
   Color* const best_before = ws.best_before.data();
   Color* const last_step = ws.last_step.data();
+  // Presence (null on the static path): the hooks' set, which only
+  // begin_round changes.
+  const util::Bitset* const alive =
+      live != nullptr ? &live->alive_set() : nullptr;
 
   // Step 1 senders: each node sends in the lanes where it generated a
   // color. Each word of the frontier and of the can-receive and Byzantine
@@ -355,26 +364,25 @@ void run_lanes_kernel(const graph::Overlay& overlay,
     // digester attached).
     std::array<std::uint64_t, W> lane_fold{};
     std::array<std::uint64_t, W> lane_tokens{};
-    // Presence after this round's events (null on the static path).
-    const util::Bitset* alive = nullptr;
-    if (live != nullptr) {
+    if (churning) {
       ws.live_frontier.clear();
       if (live->wants_frontier()) {
         // Ascending bitset order IS the canonical sorted wavefront; presence
         // is still the previous round's here.
-        const util::Bitset& was_alive = live->alive_set();
         ws.frontier_bits.for_each_set([&](std::size_t u) {
           if (crashed[u]) return;
           if (byz_mask[u] && !params.byz_forward) return;
-          if (!was_alive.test(u)) return;
+          if (!alive->test(u)) return;
           ws.live_frontier.push_back(static_cast<NodeId>(u));
         });
       }
       RoundClock clock = params.clock;
       clock.step = t;
       clock.round = params.clock.round + (t - 1);
-      params.live->begin_round(clock, ws.live_frontier);
-      alive = &live->alive_set();
+      live->begin_round(clock, ws.live_frontier);
+    }
+    if (alive != nullptr) {
+      // Presence after this round's events.
       const Word* aw = alive->words();
       const Word* rw = can_receive.words();
       Word* lw = ws.live_receive_bits.words();
@@ -599,8 +607,9 @@ void run_flood_lanes(const graph::Overlay& overlay,
     throw std::invalid_argument(
         "run_flood_lanes: lane_begin must split the injections by lane");
   }
-  if (params.live != nullptr && lanes > 1) {
-    throw std::invalid_argument("run_flood_lanes: live hooks need one lane");
+  if (params.live != nullptr && params.live->churns() && lanes > 1) {
+    throw std::invalid_argument(
+        "run_flood_lanes: hooks that churn need one lane");
   }
   const auto kernel = [&] {
     switch (ws.stride()) {

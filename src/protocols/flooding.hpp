@@ -22,9 +22,9 @@
 // sender's adjacency once for all the lanes it sends in, instead of once
 // per subphase. Every lane's outputs, the summed Instrumentation and the
 // per-lane round digests equal those of one run_flood_subphase call per
-// lane, made in lane order. Algorithm 2's static runs fuse a phase's
-// subphases, and BRC's (protocols/brc/) a batch's repetitions. Runs under
-// mid-run churn keep one lane: membership changes between the rounds of
+// lane, made in lane order. Algorithm 2 runs fuse a phase's subphases,
+// and static BRC runs (protocols/brc/) a batch's repetitions. Runs whose
+// hooks churn keep one lane: membership changes between the rounds of
 // successive subphases, so their floods are not independent.
 //
 // Per-node bookkeeping matches the pseudocode: k_t is the maximum ACCEPTED
@@ -40,8 +40,10 @@
 // generate mid-subphase — generation is granted at phase boundaries by the
 // MembershipPolicy (see verification.hpp / fastpath.hpp). The kernel reads
 // presence once per round, after begin_round, as the hooks' packed
-// alive_set(), and tests senders and receivers from its words. With live ==
-// nullptr the kernel is the static path, unchanged.
+// alive_set(), and tests senders and receivers from its words. Hooks that
+// do not churn (MidRunHooks::churns(), an empty schedule) get no
+// begin_round and may carry several lanes. With live == nullptr the kernel
+// is the static path, unchanged.
 #pragma once
 
 #include <cstdint>
@@ -169,8 +171,8 @@ struct FloodParams {
 /// are injections[lane_begin[l], lane_begin[l + 1]) (lane_begin has
 /// lanes + 1 entries, the last = injections.size()). Outputs land in the
 /// workspace's rows; `instr` receives the sum over the lanes, and
-/// flood_rounds grows by steps × lanes. Live hooks need one lane (throws
-/// std::invalid_argument otherwise).
+/// flood_rounds grows by steps × lanes. Hooks that churn need one lane
+/// (throws std::invalid_argument otherwise).
 void run_flood_lanes(const graph::Overlay& overlay,
                      const std::vector<bool>& byz_mask,
                      const std::vector<bool>& crashed,

@@ -22,12 +22,16 @@
 //     participants and returns a Verifier refreshed against the live
 //     topology; under kTreatAsSilent it admits nobody and keeps the
 //     run-start Verifier.
+//   * churns() is false when no event will ever apply (an empty round
+//     schedule). The membership is then fixed for the whole run, so the
+//     run floods up to kMaxFloodLanes subphases per kernel pass, as a
+//     static run does, and the kernel calls no begin_round.
 //
 // Contract (E24, tests/sim/midrun_equivalence_test.cpp): with an EMPTY
 // round schedule the hooks are pure pass-throughs and run_counting_with
 // must produce a RunResult bitwise identical — status, estimates, phase and
 // round counts, every instrumentation counter — to the plain static run on
-// the same snapshot.
+// the same snapshot. A snapshot-churn epoch is such a run.
 #pragma once
 
 #include <cstdint>
@@ -108,6 +112,12 @@ class MidRunHooks {
   /// — the gate depends only on the shared hooks instance, so tier
   /// equivalence is unaffected while the common path pays nothing.
   [[nodiscard]] virtual bool wants_frontier() const { return false; }
+
+  /// Can begin_round change membership this run? False promises that
+  /// begin_round never changes alive_set() or neighbors() and does nothing
+  /// else the run observes, so the flood kernel may skip it and fuse
+  /// subphases into lanes (see the file comment).
+  [[nodiscard]] virtual bool churns() const { return true; }
 
   /// Phase boundary: applies the membership policy. Fills `admitted` with
   /// the joiner ids that become full (generating) participants this phase

@@ -10,11 +10,13 @@
 #include <atomic>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "adversary/strategies.hpp"
 #include "bench_core/json.hpp"
 #include "bench_core/scheduler.hpp"
+#include "dynamics/epoch_driver.hpp"
 #include "dynamics/midrun.hpp"
 #include "graph/categories.hpp"
 #include "graph/small_world.hpp"
@@ -199,6 +201,119 @@ TEST(TraceExportIntegration, MidRunSetupCountsDegreesAndNeverBuildsG) {
       << "graph.g_degrees is not inside count.setup";
   EXPECT_TRUE(named(events, "graph.g_pass").empty());
   obs::reset_trace();
+}
+
+/// A traced run_churn of three estimating epochs, churned between runs
+/// (snapshot churn) or during them (mid-run churn), with no engine oracle.
+std::vector<obs::TraceEvent> traced_churn(graph::NodeId n0, bool mid_run) {
+  dynamics::ChurnRunConfig cfg;
+  cfg.trace.n0 = n0;
+  cfg.trace.epochs = 3;
+  cfg.trace.arrival_rate = 8.0;
+  cfg.trace.departure_rate = 8.0;
+  cfg.trace.min_n = n0 / 2;
+  cfg.trace.seed = 21;
+  cfg.d = 8;
+  cfg.seed = 21;
+  cfg.mid_run.enabled = mid_run;
+  obs::reset_trace();
+  obs::set_enabled(true);
+  const auto result = dynamics::run_churn(cfg);
+  obs::set_enabled(false);
+  auto events = obs::trace_snapshot().events;
+  obs::reset_trace();
+  for (const auto& epoch : result.epochs) EXPECT_TRUE(epoch.estimated);
+  return events;
+}
+
+TEST(TraceExportIntegration, SnapshotEpochsCountDegreesAndNeverBuildG) {
+  // A snapshot-churn epoch is a live run on an empty schedule: its setup
+  // counts G's degrees once, inside the epoch, and nothing builds G.
+  const auto events = traced_churn(256, /*mid_run=*/false);
+  const auto epochs = named(events, "epoch");
+  ASSERT_EQ(epochs.size(), 3u);
+  const auto degrees = named(events, "graph.g_degrees");
+  EXPECT_EQ(degrees.size(), epochs.size());
+  for (const auto* span : degrees) {
+    EXPECT_TRUE(nested_in(events, *span, "count.setup"))
+        << "graph.g_degrees is not inside count.setup";
+    EXPECT_TRUE(nested_in(events, *span, "epoch"))
+        << "graph.g_degrees is not inside an epoch";
+  }
+  EXPECT_TRUE(named(events, "graph.g_pass").empty());
+}
+
+TEST(TraceExportIntegration, EmptyScheduleFloodsInFusedLanes) {
+  // A live run whose schedule is empty floods as many kernel passes as the
+  // static run on the same snapshot, and fewer than its subphases: it
+  // fused them into lanes.
+  constexpr graph::NodeId kN0 = 512;
+  dynamics::MutableOverlay overlay(kN0, 6, 0, 23);
+  util::Xoshiro256 placement(24);
+  std::vector<bool> byz = graph::random_byzantine_mask(
+      kN0, sim::derive_byz_count(kN0, 0.5), placement);
+  const auto snapshot = overlay.snapshot();
+  std::vector<bool> dense_byz(kN0, false);
+  for (graph::NodeId i = 0; i < kN0; ++i) {
+    dense_byz[i] = byz[snapshot.dense_to_stable[i]];
+  }
+  proto::ProtocolConfig cfg;
+  const auto strategy = adv::make_strategy(adv::StrategyKind::kFakeColor);
+
+  obs::reset_trace();
+  obs::set_enabled(true);
+  const auto run = proto::run_counting(snapshot.overlay, dense_byz,
+                                       *strategy, cfg, 25);
+  obs::set_enabled(false);
+  const auto static_passes =
+      named(obs::trace_snapshot().events, "flood.subphase").size();
+
+  util::Xoshiro256 churn_rng(26);
+  obs::reset_trace();
+  obs::set_enabled(true);
+  const auto live = dynamics::run_counting_midrun(
+      overlay, byz, *strategy, cfg, 25, dynamics::ChurnSchedule{},
+      dynamics::MidRunConfig{}, adv::ChurnAdversary::kNone, churn_rng);
+  obs::set_enabled(false);
+  const auto live_passes =
+      named(obs::trace_snapshot().events, "flood.subphase").size();
+  obs::reset_trace();
+
+  EXPECT_EQ(live.run, run);
+  EXPECT_EQ(live_passes, static_passes);
+  EXPECT_LT(live_passes, live.run.subphases_executed);
+}
+
+TEST(TraceExportIntegration, EpochChildrenCoverTheEpochSpan) {
+  // Span coverage of the one epoch body, in both churn models: the spans
+  // an epoch encloses on its thread cover at least 90% of it.
+  for (const bool mid_run : {false, true}) {
+    const auto events = traced_churn(1024, mid_run);
+    const auto epochs = named(events, "epoch");
+    ASSERT_EQ(epochs.size(), 3u);
+    for (const auto* epoch : epochs) {
+      // The union of the enclosed spans' intervals, in microseconds.
+      std::vector<std::pair<std::uint64_t, std::uint64_t>> inside;
+      for (const auto& e : events) {
+        if (&e == epoch || e.tid != epoch->tid || e.ts_us < epoch->ts_us ||
+            e.ts_us + e.dur_us > epoch->ts_us + epoch->dur_us) {
+          continue;
+        }
+        inside.emplace_back(e.ts_us, e.ts_us + e.dur_us);
+      }
+      std::sort(inside.begin(), inside.end());
+      std::uint64_t covered = 0;
+      std::uint64_t reached = epoch->ts_us;
+      for (const auto& [begin, end] : inside) {
+        const std::uint64_t from = std::max(begin, reached);
+        if (end > from) covered += end - from;
+        reached = std::max(reached, end);
+      }
+      EXPECT_GE(10 * covered, 9 * epoch->dur_us)
+          << (mid_run ? "mid-run" : "snapshot") << " epoch of "
+          << epoch->dur_us << " us, children cover " << covered << " us";
+    }
+  }
 }
 
 TEST(TraceExportIntegration, LiveVerifierRefreshSpansMatchMidRunStats) {

@@ -2,8 +2,9 @@
 // equals S run_flood_subphase_reference calls made in lane order — every
 // lane's known/best_before/last_step, the summed Instrumentation, and the
 // digest trail once the caller replays each lane's rounds in subphase
-// order. Callers split more than kMaxFloodLanes lanes into passes, and so
-// does this suite, so lane counts on both sides of the cap are covered.
+// order — on a static overlay and under live hooks that do not churn.
+// Callers split more than kMaxFloodLanes lanes into passes, and so does
+// this suite, so lane counts on both sides of the cap are covered.
 #include "protocols/flooding.hpp"
 
 #include <gtest/gtest.h>
@@ -315,12 +316,20 @@ TEST(FloodLanes, VerificationIsBookedPerSendingLane) {
   EXPECT_EQ(fused.instr.token_messages, lanes * one.instr.token_messages);
 }
 
-/// Live hooks over a static overlay that change nothing.
+/// Live hooks over a static overlay whose membership never changes:
+/// `absent` nodes neither send nor receive. `churns` is what the hooks
+/// report to the kernel; begin_round only counts its calls.
 class StaticHooks final : public MidRunHooks {
  public:
-  StaticHooks(const Overlay& overlay, const Verifier& verifier)
-      : overlay_(overlay), verifier_(verifier), alive_(overlay.num_nodes()) {
-    for (NodeId v = 0; v < overlay.num_nodes(); ++v) alive_.set(v);
+  StaticHooks(const Overlay& overlay, const Verifier& verifier, bool churns,
+              const std::vector<bool>& absent = {})
+      : overlay_(overlay),
+        verifier_(verifier),
+        churns_(churns),
+        alive_(overlay.num_nodes()) {
+    for (NodeId v = 0; v < overlay.num_nodes(); ++v) {
+      if (absent.empty() || !absent[v]) alive_.set(v);
+    }
   }
   [[nodiscard]] NodeId node_bound() const override {
     return overlay_.num_nodes();
@@ -333,17 +342,69 @@ class StaticHooks final : public MidRunHooks {
     return overlay_.h_simple().neighbors(v);
   }
   void begin_round(const RoundClock& /*clock*/,
-                   std::span<const NodeId> /*frontier*/) override {}
+                   std::span<const NodeId> /*frontier*/) override {
+    ++rounds_begun;
+  }
+  [[nodiscard]] bool churns() const override { return churns_; }
   [[nodiscard]] const Verifier* begin_phase(
       std::uint32_t /*phase*/, std::vector<NodeId>& /*admitted*/) override {
     return &verifier_;
   }
 
+  std::uint64_t rounds_begun = 0;
+
  private:
   const Overlay& overlay_;
   const Verifier& verifier_;
+  bool churns_;
   util::Bitset alive_;
 };
+
+TEST(FloodLanes, NonChurningHooksFuseLikeOneLaneAtATime) {
+  // Hooks that never change membership (a live run on an empty schedule)
+  // let the run fuse its subphases: one call over 2-16 lanes under them
+  // equals the same lanes flooded one at a time, in order, under the same
+  // hooks, and calls no begin_round. Some nodes are absent throughout, so
+  // the presence mask is exercised in every lane.
+  struct Shape {
+    NodeId n;
+    std::uint32_t d;
+  };
+  const Shape shapes[] = {{64, 6}, {129, 8}, {300, 4}, {600, 8}};
+  const std::uint32_t lane_counts[] = {2, 3, 8, 11, 16};
+  util::Xoshiro256 rng(0x10CC);
+  std::uint64_t case_id = 0;
+  for (const Shape& shape : shapes) {
+    const Overlay overlay = sample(shape.n, shape.d, 900 + shape.n);
+    for (const std::uint32_t lanes : lane_counts) {
+      ++case_id;
+      const bool byz_forward = case_id % 2 == 0;
+      const auto byz = graph::random_byzantine_mask(
+          shape.n, 2 + static_cast<NodeId>(rng.below(shape.n / 8)), rng);
+      std::vector<bool> crashed(shape.n, false);
+      std::vector<bool> absent(shape.n, false);
+      for (NodeId v = 0; v < shape.n; ++v) {
+        crashed[v] = !byz[v] && rng.below(9) == 0;
+        absent[v] = rng.below(10) == 0;
+      }
+      const Verifier verifier(overlay, byz, {});
+      StaticHooks hooks(overlay, verifier, /*churns=*/false, absent);
+      const auto steps = static_cast<std::uint32_t>(1 + rng.below(5));
+      LaneCase c = random_case(overlay, byz, crashed, verifier, lanes, steps,
+                               byz_forward, rng);
+      c.params.live = &hooks;
+      const std::string label =
+          "n=" + std::to_string(shape.n) + " d=" + std::to_string(shape.d) +
+          " lanes=" + std::to_string(lanes) +
+          " steps=" + std::to_string(steps) +
+          " byz_forward=" + std::to_string(byz_forward);
+      expect_fused_matches_reference(c, label);
+      hooks.rounds_begun = 0;
+      (void)run_fused(c);
+      EXPECT_EQ(hooks.rounds_begun, 0u) << label;
+    }
+  }
+}
 
 TEST(FloodLanes, RejectsInputsItCannotFuse) {
   const NodeId n = 70;
@@ -370,12 +431,16 @@ TEST(FloodLanes, RejectsInputsItCannotFuse) {
   EXPECT_THROW(run_flood_lanes(overlay, byz, crashed, verifier, params, inj,
                                loose_split, ws, instr),
                std::invalid_argument);
-  // Live hooks change membership between subphases: one lane only.
-  StaticHooks hooks(overlay, verifier);
-  params.live = &hooks;
+  // Hooks that churn change membership between subphases: one lane only.
+  StaticHooks churning(overlay, verifier, /*churns=*/true);
+  params.live = &churning;
   EXPECT_THROW(run_flood_lanes(overlay, byz, crashed, verifier, params, inj,
                                split, ws, instr),
                std::invalid_argument);
+  StaticHooks fixed(overlay, verifier, /*churns=*/false);
+  params.live = &fixed;
+  EXPECT_NO_THROW(run_flood_lanes(overlay, byz, crashed, verifier, params,
+                                  inj, split, ws, instr));
   // A workspace sized for another node count.
   params.live = nullptr;
   ws.ensure(n - 1, 3);
