@@ -29,9 +29,6 @@ int main(int argc, char** argv) {
                   "Chrome trace-event JSON file (Perfetto/chrome://tracing; "
                   "empty = tracing off)",
                   "");
-  args.add_option("metrics-out",
-                  "metrics registry dump, byzobs/metrics/v1 JSON (empty = off)",
-                  "");
   args.add_flag("audit",
                 "divergence audit: digest both tiers at every oracle seam "
                 "and emit byzobs/forensics/v1 reports on divergence "
@@ -58,12 +55,11 @@ int main(int argc, char** argv) {
     opts.jobs = bench_core::TrialScheduler::checked_jobs(args.integer("jobs"));
     opts.json_out = args.str("json-out");
     opts.trace_out = args.str("trace-out");
-    opts.metrics_out = args.str("metrics-out");
     opts.digest_out = args.str("digest-out");
     opts.audit = args.flag("audit") || !opts.digest_out.empty();
     opts.backend = args.str("backend");
   } catch (const std::exception& e) {
-    std::cerr << "byzbench: " << e.what() << "\n\n" << args.help();
+    std::cerr << "byzbench: " << e.what() << "\n";
     return 2;
   }
   if (!opts.backend.empty() && !proto::estimator_registered(opts.backend)) {

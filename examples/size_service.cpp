@@ -500,7 +500,6 @@ int main(int argc, char** argv) {
     seed = static_cast<std::uint64_t>(args.integer("seed"));
   } catch (const std::exception& e) {
     BYZ_ERROR << "size_service: " << e.what();
-    std::cerr << '\n' << args.help();
     return 2;
   }
   const double truth = std::log2(static_cast<double>(n));

@@ -31,8 +31,6 @@ struct RunOptions {
   /// Chrome trace-event JSON file (src/obs/trace.hpp); empty = tracing
   /// off. Setting it flips the obs runtime switch for the whole run.
   std::string trace_out;
-  /// byzobs/metrics/v1 JSON file (src/obs/metrics.hpp); empty = off.
-  std::string metrics_out;
   /// Divergence-forensics audit (src/obs/digest.hpp): oracle scenarios
   /// attach digesters to both execution tiers, compare the hierarchical
   /// digest trails, and emit a byzobs/forensics/v1 report on divergence.

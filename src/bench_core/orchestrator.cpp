@@ -5,7 +5,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/log.hpp"
 #include "util/table.hpp"
@@ -33,35 +32,16 @@ std::string join(const std::vector<std::string>& parts) {
   return os.str();
 }
 
-/// A metrics-registry snapshot (typically a per-scenario delta) as JSON
-/// for the RUNMETA sidecar. Histograms are summarized to count/sum —
-/// the full bucket vectors live in the --metrics-out file.
-Json metrics_summary_json(const obs::MetricsSnapshot& snap) {
-  Json counters = Json::object();
-  for (const auto& [name, value] : snap.counters) counters[name] = value;
-  Json histograms = Json::object();
-  for (const auto& h : snap.histograms) {
-    Json entry = Json::object();
-    entry["count"] = h.count;
-    entry["sum"] = h.sum;
-    histograms[h.name] = std::move(entry);
-  }
-  Json out = Json::object();
-  out["counters"] = std::move(counters);
-  out["histograms"] = std::move(histograms);
-  return out;
-}
-
 }  // namespace
 
 std::vector<ScenarioOutcome> run_scenarios(const Registry& registry,
                                            const RunOptions& opts) {
   const auto selected = registry.match(opts.filter);
   const TrialScheduler scheduler(opts.jobs);
-  // Observability is opt-in per run: asking for either output file flips
-  // the runtime switch. It is pure read-side (src/obs/obs.hpp), so the
-  // BENCH manifests below are bitwise identical either way (CI-guarded).
-  const bool observe = !opts.trace_out.empty() || !opts.metrics_out.empty();
+  // Observability is opt-in per run: asking for a trace file flips the
+  // runtime switch. It is pure read-side (src/obs/obs.hpp), so the BENCH
+  // manifests below are bitwise identical either way (CI-guarded).
+  const bool observe = !opts.trace_out.empty();
   if (observe) obs::set_enabled(true);
 
   if (!opts.json_out.empty()) {
@@ -75,8 +55,6 @@ std::vector<ScenarioOutcome> run_scenarios(const Registry& registry,
     ScenarioOutcome outcome;
     outcome.id = spec->id;
     RunContext ctx(*spec, opts, scheduler);
-    const auto metrics_before =
-        observe ? obs::metrics_snapshot() : obs::MetricsSnapshot{};
     util::Timer timer;
     {
       obs::Span scenario_span("bench.scenario");
@@ -101,7 +79,7 @@ std::vector<ScenarioOutcome> run_scenarios(const Registry& registry,
       if (!outcome.ok) doc["error"] = outcome.error;
 
       // Volatile run facts live in the RUNMETA sidecar: worker count,
-      // wall-time and, when observing, the scenario's metrics.
+      // wall-time and, when tracing, the span buffers' saturation.
       Json meta = Json::object();
       meta["schema"] = "byzbench/meta/v1";
       meta["experiment"] = spec->id;
@@ -110,14 +88,9 @@ std::vector<ScenarioOutcome> run_scenarios(const Registry& registry,
       meta["ok"] = outcome.ok;
       if (!outcome.ok) meta["error"] = outcome.error;
       if (observe) {
-        // Metrics summary for this scenario (counter deltas against the
-        // run-so-far). RUNMETA is the right home: the numbers are volatile
-        // (timings, worker interleavings) and must NEVER leak into the
-        // bitwise-deterministic BENCH manifest above.
-        Json observability = metrics_summary_json(
-            obs::metrics_delta(metrics_before, obs::metrics_snapshot()));
         // Span-buffer saturation so far: nonzero means the trace file will
         // be missing tails (tools/trace_summary.py fails on it).
+        Json observability = Json::object();
         observability["dropped_spans"] = obs::trace_snapshot().dropped;
         meta["observability"] = std::move(observability);
       }
@@ -146,9 +119,6 @@ std::vector<ScenarioOutcome> run_scenarios(const Registry& registry,
 
   if (!opts.trace_out.empty() && !obs::write_chrome_trace(opts.trace_out)) {
     BYZ_ERROR << "byzbench: cannot write trace file " << opts.trace_out;
-  }
-  if (!opts.metrics_out.empty() && !obs::write_metrics_file(opts.metrics_out)) {
-    BYZ_ERROR << "byzbench: cannot write metrics file " << opts.metrics_out;
   }
   return outcomes;
 }

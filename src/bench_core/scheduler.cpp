@@ -5,7 +5,6 @@
 #include <string>
 #include <thread>
 
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/parallel.hpp"
 
@@ -18,16 +17,9 @@ namespace {
 // schedule is visible in the exported trace.
 void run_traced_trial(const std::function<void(std::uint64_t)>& fn,
                       std::uint64_t index, unsigned worker) {
-  static const obs::Counter obs_trials("scheduler.trials");
-  static const obs::Histogram obs_trial_us("scheduler.trial_us");
-  const std::uint64_t start_us = obs::trace_now_us();
-  {
-    obs::Span span("bench.trial");
-    span.arg("trial", index).arg("worker", worker);
-    fn(index);
-  }
-  obs_trials.add(1);
-  obs_trial_us.observe(obs::trace_now_us() - start_us);
+  obs::Span span("bench.trial");
+  span.arg("trial", index).arg("worker", worker);
+  fn(index);
 }
 
 }  // namespace

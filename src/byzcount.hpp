@@ -42,7 +42,6 @@
 #include "graph/small_world.hpp"         // IWYU pragma: export
 #include "graph/spectral.hpp"            // IWYU pragma: export
 #include "graph/tree_like.hpp"           // IWYU pragma: export
-#include "obs/metrics.hpp"               // IWYU pragma: export
 #include "obs/obs.hpp"                   // IWYU pragma: export
 #include "obs/trace.hpp"                 // IWYU pragma: export
 #include "protocols/brc/brc.hpp"         // IWYU pragma: export

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "protocols/schedule.hpp"
 #include "protocols/verification.hpp"
@@ -423,7 +422,6 @@ void LiveOverlayFeed::recompute_row(NodeId run_id) {
 }
 
 void LiveOverlayFeed::rebuild_verifier() {
-  static const obs::Counter obs_rows("dynamics.rows_recomputed");
   obs::Span span("dynamics.verifier_refresh");
   // Only the rows the splices since the last refresh marked can differ
   // from rows_; the rest are carried over as they are.
@@ -437,7 +435,6 @@ void LiveOverlayFeed::rebuild_verifier() {
   marked_rows_.clear();
   stats_.rows_recomputed += rows;
   span.arg("rows", rows);
-  obs_rows.add(rows);
   verifier_.emplace(k_, rows_, chains_, verification_);
   ++stats_.verifier_refreshes;
 }

@@ -67,10 +67,6 @@ class Graph {
     return neighbors_.size();
   }
 
-  /// Index of v's first adjacency slot; parallel arrays (e.g. per-slot
-  /// distance annotations in the small-world overlay) use this to align.
-  [[nodiscard]] std::uint64_t first_slot(NodeId v) const { return offsets_[v]; }
-
   /// Maximum and minimum degree over all nodes (0 for the empty graph).
   [[nodiscard]] std::uint32_t max_degree() const noexcept;
   [[nodiscard]] std::uint32_t min_degree() const noexcept;

@@ -117,7 +117,6 @@ const Overlay::Balls& Overlay::materialize() const {
   // until the prefix sum below.
   Graph::OffsetVec offsets(static_cast<std::size_t>(n) + 1, 0);
   Graph::NeighborVec nodes(n * stride);
-  std::vector<std::uint8_t> dists(n * stride);
   util::parallel_for(
       n, kBallGrain, 0, [](unsigned) { return RowScratch{}; },
       [&](RowScratch& work, std::uint64_t v) {
@@ -128,7 +127,6 @@ const Overlay::Balls& Overlay::materialize() const {
         const std::uint64_t base = v * stride;
         for (std::size_t i = 0; i < row.size(); ++i) {
           nodes[base + i] = row[i].node;
-          dists[base + i] = row[i].dist;
         }
         offsets[v + 1] = row.size();
       });
@@ -142,15 +140,12 @@ const Overlay::Balls& Overlay::materialize() const {
     if (size == 0) continue;  // (an empty buffer may have no storage)
     std::memmove(nodes.data() + offsets[v], nodes.data() + from,
                  size * sizeof(NodeId));
-    std::memmove(dists.data() + offsets[v], dists.data() + from, size);
   }
   nodes.resize(offsets.back());
-  dists.resize(offsets.back());
 
   lazy.value.bytes = offsets.size() * sizeof(std::uint64_t) +
-                     nodes.capacity() * sizeof(NodeId) + dists.capacity();
+                     nodes.capacity() * sizeof(NodeId);
   lazy.value.g = Graph::from_csr(std::move(offsets), std::move(nodes));
-  lazy.value.dist = std::move(dists);
   lazy.ready.store(&lazy.value, std::memory_order_release);
   return lazy.value;
 }

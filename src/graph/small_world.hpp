@@ -48,7 +48,7 @@ struct RowScratch {
 /// A sampled overlay. Built eagerly: the H multigraph, its simple view and
 /// the cumulative ball counts |B_H(v, r)|, r = 1..witness_width(k). Built
 /// once, on first read: the G-degree table, and G = the dedup'd k-ball
-/// adjacency, annotated with the exact H-distance of each slot. The setup
+/// adjacency, node ids only (g_row gives a row's H-distances). The setup
 /// stage reads no G: its accounting takes the degree table, and the crash
 /// rule, the liar strategies and the rewired chains take the few balls
 /// they need from g_row. A static run still reads G in its setup (its
@@ -69,18 +69,18 @@ class Overlay {
   /// the immutable overlay the protocols run on; params.seed is recorded
   /// as provenance, not re-sampled.
   ///
-  /// G is built by the first g() or g_dists() call (span `graph.g_pass`,
-  /// nested under that reader): one g_row per node, each row written at a
-  /// fixed stride of min(sum_{i=1..k} d(d-1)^(i-1), n-1) slots — h_simple
-  /// has degree <= d, so no ball exceeds it — then the rows are compacted
-  /// in place into CSR. The stride buffer, n * stride *
-  /// 5 bytes, is the peak and stays G's storage. At d = 8, k = 3 the
-  /// stride is 456 and the balls fill 99.7% of it at n = 2^16; as the
-  /// bound nears n they overlap and fill less (66% at n = 512), and once
-  /// it reaches n - 1 the buffer is n(n-1) * 5 bytes. Concurrent first
-  /// readers block until the one build is done; a build that throws
-  /// publishes nothing, and the next reader retries. The degree table is
-  /// built the same way, by the first g_degrees() call.
+  /// G is built by the first g() call (span `graph.g_pass`, nested under
+  /// that reader): one g_row per node, each row's ids written at a fixed
+  /// stride of min(sum_{i=1..k} d(d-1)^(i-1), n-1) slots — h_simple has
+  /// degree <= d, so no ball exceeds it — then the rows are compacted in
+  /// place into CSR. The stride buffer, n * stride * 4 bytes, is the peak
+  /// and stays G's storage. At d = 8, k = 3 the stride is 456 and the
+  /// balls fill 99.7% of it at n = 2^16; as the bound nears n they overlap
+  /// and fill less (66% at n = 512), and once it reaches n - 1 the buffer
+  /// is n(n-1) * 4 bytes. Concurrent first readers block until the one
+  /// build is done; a build that throws publishes nothing, and the next
+  /// reader retries. The degree table is built the same way, by the first
+  /// g_degrees() call.
   [[nodiscard]] static Overlay build_from_h(const OverlayParams& params,
                                             Graph h);
 
@@ -93,12 +93,6 @@ class Overlay {
   /// G; the first read of G builds it (see build_from_h). Loops fetch it
   /// once.
   [[nodiscard]] const Graph& g() const { return balls().g; }
-
-  /// H-distances aligned with g().neighbors(v); values in [1, k].
-  [[nodiscard]] std::span<const std::uint8_t> g_dists(NodeId v) const {
-    const Balls& b = balls();
-    return {b.dist.data() + b.g.first_slot(v), b.g.degree(v)};
-  }
 
   /// |B_H(v, r)| for r = 1..witness_width(k), v itself included: the
   /// witness counts Algorithm 2's colour audit bills (Lemmas 15/16). The
@@ -126,14 +120,14 @@ class Overlay {
   }
 
   /// v's G-row without reading G: its k-ball on h_simple less v itself,
-  /// sorted by id, each entry with its H-distance (g().neighbors(v) and
-  /// g_dists(v), slot for slot). One bounded BFS and one
+  /// sorted by id, each entry with its H-distance in [1, k] (the nodes are
+  /// g().neighbors(v), slot for slot). One bounded BFS and one
   /// graph::sort_ball_by_node; the view lives in `scratch` until its next
   /// use. G's build makes every row with it.
   [[nodiscard]] std::span<const BallEntry> g_row(NodeId v,
                                                  RowScratch& scratch) const;
 
-  /// v's H-neighbors (distance exactly 1 within G's annotation); equals
+  /// v's H-neighbors (its G-neighbors at H-distance 1); equals
   /// h_simple().neighbors(v).
   [[nodiscard]] std::span<const NodeId> h_neighbors(NodeId v) const {
     return h_simple_.neighbors(v);
@@ -146,8 +140,7 @@ class Overlay {
  private:
   struct Balls {
     Graph g;
-    std::vector<std::uint8_t> dist;  ///< aligned with g's slots
-    std::uint64_t bytes = 0;         ///< allocated, spare capacity included
+    std::uint64_t bytes = 0;  ///< allocated, spare capacity included
   };
   using Degrees = std::vector<std::uint32_t>;
   /// The holder of G or of the degree table, on the heap so that references

@@ -1,11 +1,12 @@
-// Observability master switch shared by the metrics registry and the span
-// tracer (src/obs/metrics.hpp, src/obs/trace.hpp).
+// Observability master switch of the span tracer (src/obs/trace.hpp).
+// Spans and their args are the one observability channel; the protocol's
+// costs reach the BENCH manifests through RunResult and
+// sim::Instrumentation.
 //
-// Recording starts disabled: every Counter/Histogram/Span record call is
-// one relaxed atomic load until set_enabled(true) (byzbench
-// --trace-out/--metrics-out, size_service --trace-out). Digesters and
-// flight recorders do not read this switch; they record whenever a caller
-// attaches them (obs/digest.hpp).
+// Recording starts disabled: every Span is one relaxed atomic load until
+// set_enabled(true) (byzbench --trace-out, size_service --trace-out).
+// Digesters and flight recorders do not read this switch; they record
+// whenever a caller attaches them (obs/digest.hpp).
 //
 // Hard invariant: everything in obs/ is PURE READ-SIDE. It never draws
 // from an RNG, never touches sim::Instrumentation, and never feeds a
@@ -18,8 +19,8 @@
 
 namespace byz::obs {
 
-/// Runtime master switch. Off by default; when off, every metric/span
-/// record call returns after a single relaxed load.
+/// Runtime master switch. Off by default; when off, every span returns
+/// after a single relaxed load.
 [[nodiscard]] bool enabled() noexcept;
 void set_enabled(bool on) noexcept;
 

@@ -34,7 +34,9 @@ struct TraceState {
 };
 
 TraceState& trace_state() {
-  static TraceState* s = new TraceState;  // leaked; see metrics.cpp
+  // Leaked on purpose: thread_local buffer destructors (any thread, any
+  // time up to process exit) must always find the state alive.
+  static TraceState* s = new TraceState;
   return *s;
 }
 
@@ -66,8 +68,7 @@ ThreadBuffer& local_buffer() {
   return *tls.buf;
 }
 
-}  // namespace
-
+/// Microseconds since the process-wide trace anchor (first use).
 std::uint64_t trace_now_us() noexcept {
   using clock = std::chrono::steady_clock;
   static const clock::time_point anchor = clock::now();
@@ -76,6 +77,8 @@ std::uint64_t trace_now_us() noexcept {
                                                             anchor)
           .count());
 }
+
+}  // namespace
 
 void set_trace_thread_name(std::string_view name) {
   ThreadBuffer& buf = local_buffer();

@@ -35,9 +35,6 @@ struct TraceEvent {
   std::string args;          ///< pre-rendered JSON object body ("" = none)
 };
 
-/// Microseconds since the process-wide trace anchor (first use).
-[[nodiscard]] std::uint64_t trace_now_us() noexcept;
-
 /// Names the calling thread in the exported trace ("worker-3", ...).
 void set_trace_thread_name(std::string_view name);
 

@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "obs/digest.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "protocols/color.hpp"
 #include "sim/world.hpp"
@@ -68,9 +67,6 @@ RunResult run_brc_counting(const graph::Overlay& overlay,
     throw std::invalid_argument("run_brc_counting: mask size mismatch");
   }
 
-  static const obs::Counter obs_batches("brc.batches");
-  static const obs::Counter obs_reps("brc.repetitions");
-  static const obs::Counter obs_forged("brc.forged_injections_dropped");
   obs::Span run_span("count.run");
   run_span.arg("n", n).arg("backend", "brc");
 
@@ -158,7 +154,6 @@ RunResult run_brc_counting(const graph::Overlay& overlay,
     obs::Span batch_span("count.phase");
     batch_span.arg("phase", batch).arg("depth", depth).arg("active_in",
                                                            active_count);
-    obs_batches.add(1);
     if (midrun != nullptr) {
       verifier = admit_at_phase_boundary(*midrun, batch, byz_mask, crashed,
                                          result.status, participates, active,
@@ -222,7 +217,6 @@ RunResult run_brc_counting(const graph::Overlay& overlay,
           } else {
             ++result.instr.injections_attempted;
             ++result.instr.injections_caught;
-            obs_forged.add(1);
           }
         }
         lane_begin.push_back(static_cast<std::uint32_t>(conformant.size()));
@@ -250,7 +244,6 @@ RunResult run_brc_counting(const graph::Overlay& overlay,
         const std::uint32_t rep = first + l;
         obs::Span sub_span("count.subphase");
         sub_span.arg("phase", batch).arg("j", rep);
-        obs_reps.add(1);
         if (!one_pass) {
           for (NodeId v = 0; v < nb; ++v) {
             rep_max[static_cast<std::size_t>(v) * reps + (rep - 1)] =

@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "obs/digest.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "protocols/color.hpp"
 #include "protocols/flooding.hpp"
@@ -54,7 +53,6 @@ RunResult run_counting_with(const graph::Overlay& overlay,
   // Observability spans (pure read-side; see src/obs/obs.hpp). The run
   // span encloses setup and every phase; phase/subphase spans nest inside
   // it, and the flood kernel adds flood.subphase/flood.round below them.
-  static const obs::Counter obs_subphases("count.subphases");
   obs::Span run_span("count.run");
   run_span.arg("n", n);
 
@@ -233,7 +231,6 @@ RunResult run_counting_with(const graph::Overlay& overlay,
         const std::uint32_t j = first + l;
         obs::Span sub_span("count.subphase");
         sub_span.arg("phase", phase).arg("j", j);
-        obs_subphases.add(1);
         if (dg != nullptr && lanes > 1) {
           dg->begin_subphase(j);
           replay_lane_rounds(ws, l, *dg);

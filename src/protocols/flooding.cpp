@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "obs/digest.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace byz::proto {
@@ -48,12 +47,6 @@ void FloodWorkspace::ensure(NodeId n, std::uint32_t lanes,
 
 namespace {
 
-/// Per-round frontier-size histogram shared by the kernel and the reference.
-const obs::Histogram& frontier_histogram() {
-  static const obs::Histogram hist("flood.frontier");
-  return hist;
-}
-
 // ---------------------------------------------------------------------------
 // Scalar reference — the oracle. This body is the original scalar
 // implementation, kept verbatim apart from owning its frontier vectors; the
@@ -91,7 +84,6 @@ void run_subphase_reference(const graph::Overlay& overlay,
   for (std::uint32_t t = 1; t <= params.steps; ++t) {
     obs::Span round_span("flood.round");
     round_span.arg("step", t).arg("frontier", frontier.size());
-    frontier_histogram().observe(frontier.size());
     const std::uint64_t round_tokens_before = instr.token_messages;
     // Mid-run churn: apply the events scheduled for this round BEFORE its
     // sends, so a node departing at round r never sends at r and a joiner
@@ -358,7 +350,6 @@ void run_lanes_kernel(const graph::Overlay& overlay,
     obs::Span round_span("flood.round");
     round_span.arg("step", t).arg("frontier", frontier_count).arg("lanes",
                                                                   lanes);
-    frontier_histogram().observe(frontier_count);
     const std::uint64_t round_tokens_before = instr.token_messages;
     // Per-lane round digest folds and token counts (kept only with a
     // digester attached).
@@ -569,13 +560,11 @@ NodeId check_inputs(const graph::Overlay& overlay,
 }
 
 /// The observability every entry shares: one flood.subphase span around
-/// the call (pure read-side; inert unless obs::set_enabled), the flood
-/// counters, and the call's round count, steps × lanes.
+/// the call (pure read-side; inert unless obs::set_enabled) with its
+/// steps, lanes and tokens, and the call's round count, steps × lanes.
 template <typename Body>
 void observed(const FloodParams& params, std::uint32_t lanes,
               sim::Instrumentation& instr, Body&& body) {
-  static const obs::Counter obs_rounds("flood.rounds");
-  static const obs::Counter obs_tokens("flood.tokens");
   obs::Span subphase_span("flood.subphase");
   subphase_span.arg("steps", params.steps).arg("lanes", lanes);
   const std::uint64_t tokens_before = instr.token_messages;
@@ -584,8 +573,6 @@ void observed(const FloodParams& params, std::uint32_t lanes,
 
   const std::uint64_t rounds = std::uint64_t{params.steps} * lanes;
   instr.flood_rounds += rounds;
-  obs_rounds.add(rounds);
-  obs_tokens.add(instr.token_messages - tokens_before);
   subphase_span.arg("tokens", instr.token_messages - tokens_before);
 }
 

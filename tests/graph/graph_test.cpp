@@ -75,14 +75,6 @@ TEST(Graph, DegreeBounds) {
   EXPECT_FALSE(g.is_regular(1));
 }
 
-TEST(Graph, FirstSlotAlignsWithDegreePrefix) {
-  const std::vector<Edge> edges{{0, 1}, {1, 2}, {2, 3}};
-  const Graph g = Graph::from_edges(4, edges, true);
-  EXPECT_EQ(g.first_slot(0), 0u);
-  EXPECT_EQ(g.first_slot(1), g.degree(0));
-  EXPECT_EQ(g.first_slot(2), g.degree(0) + g.degree(1));
-}
-
 TEST(Graph, MemoryBytesPositive) {
   const std::vector<Edge> edges{{0, 1}};
   const Graph g = Graph::from_edges(2, edges, true);

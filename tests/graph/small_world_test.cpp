@@ -86,25 +86,23 @@ void expect_g_matches_ball_definition(const Overlay& o, NodeId count) {
   }
 }
 
-/// g_dists(v) holds the exact H-distance of each G neighbor, slot for slot.
+/// g_row(v) holds the exact H-distance of each G neighbor, slot for slot.
 void expect_distance_annotations_exact(const Overlay& o, NodeId count) {
+  RowScratch scratch;
   for (const NodeId v : prefix_and_suffix(o, count)) {
     const auto dist = bfs_distances(o.h_simple(), v);
-    const auto nbrs = o.g().neighbors(v);
-    const auto dists = o.g_dists(v);
-    ASSERT_EQ(nbrs.size(), dists.size());
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      EXPECT_EQ(dists[i], dist[nbrs[i]]) << "v=" << v << " w=" << nbrs[i];
+    for (const BallEntry& e : o.g_row(v, scratch)) {
+      EXPECT_EQ(e.dist, dist[e.node]) << "v=" << v << " w=" << e.node;
     }
   }
 }
 
 /// The G-free readers against G: g_degrees() (every node) and g_row(v)
-/// (prefix and suffix ids) must equal G's row lengths, rows and distance
-/// annotations, read before G is built (on `fresh`: the count pass and the
-/// BFS rows, which must leave G unbuilt) and after (on `fresh` once its G
-/// is read, and on `built`, whose G is read before its table, which then
-/// comes off G's rows). `fresh` and `built` are two builds of one overlay.
+/// (prefix and suffix ids) must equal G's row lengths and rows, read
+/// before G is built (on `fresh`: the count pass and the BFS rows, which
+/// must leave G unbuilt) and after (on `fresh` once its G is read, and on
+/// `built`, whose G is read before its table, which then comes off G's
+/// rows). `fresh` and `built` are two builds of one overlay.
 void expect_degrees_and_rows_match_g(const Overlay& fresh,
                                      const Overlay& built, NodeId count) {
   const NodeId n = fresh.num_nodes();
@@ -124,11 +122,9 @@ void expect_degrees_and_rows_match_g(const Overlay& fresh,
   const auto expect_row_is_g = [&](const Overlay& o, NodeId v,
                                    std::span<const BallEntry> row) {
     const auto nbrs = o.g().neighbors(v);
-    const auto dists = o.g_dists(v);
     ASSERT_EQ(row.size(), nbrs.size()) << "v=" << v;
     for (std::size_t i = 0; i < row.size(); ++i) {
       EXPECT_EQ(row[i].node, nbrs[i]) << "v=" << v << " slot " << i;
-      EXPECT_EQ(row[i].dist, dists[i]) << "v=" << v << " slot " << i;
     }
   };
   (void)built.g();
@@ -174,23 +170,24 @@ TEST(SmallWorld, DistanceAnnotationsExact) {
 }
 
 /// ball_row(v)[r-1] == |B_H(v, r)| for every v and r = 1..w, w =
-/// witness_width(k), against two oracles: the G row's distance annotations
-/// (1 + the slots within r) and a BFS on the simple H truncated at w.
+/// witness_width(k), against two oracles: g_row's distances (1 + the
+/// entries within r) and a BFS on the simple H truncated at w.
 /// Returns how many rows had saturated (the whole graph inside radius w).
 NodeId expect_ball_counts_exact(const Overlay& o) {
   const std::uint32_t w = witness_width(o.k());
   const NodeId n = o.num_nodes();
   EXPECT_EQ(o.ball_counts().size(), static_cast<std::size_t>(n) * w);
   NodeId saturated = 0;
+  RowScratch scratch;
   for (NodeId v = 0; v < n; ++v) {
     const auto row = o.ball_row(v);
     EXPECT_EQ(row.size(), w);
-    const auto dists = o.g_dists(v);
+    const auto k_ball = o.g_row(v, scratch);
     const auto bfs = bfs_distances(o.h_simple(), v, w);
     for (std::uint32_t r = 1; r <= w; ++r) {
-      const auto from_g = 1 + std::count_if(dists.begin(), dists.end(),
-                                            [r](std::uint8_t d) {
-                                              return d <= r;
+      const auto from_g = 1 + std::count_if(k_ball.begin(), k_ball.end(),
+                                            [r](const BallEntry& e) {
+                                              return e.dist <= r;
                                             });
       const auto from_bfs = std::count_if(
           bfs.begin(), bfs.end(), [r](std::uint32_t d) { return d <= r; });
@@ -215,7 +212,7 @@ TEST(SmallWorld, BallCountsMatchBothOracles) {
   EXPECT_EQ(expect_ball_counts_exact(tiny), tiny.num_nodes());
 }
 
-/// G's rows and distance annotations, compared slot for slot.
+/// G's rows, compared slot for slot.
 void expect_same_g(const Overlay& a, const Overlay& b) {
   ASSERT_EQ(a.num_nodes(), b.num_nodes());
   ASSERT_EQ(a.g().num_slots(), b.g().num_slots());
@@ -223,10 +220,6 @@ void expect_same_g(const Overlay& a, const Overlay& b) {
     const auto na = a.g().neighbors(v);
     const auto nb = b.g().neighbors(v);
     ASSERT_TRUE(std::equal(na.begin(), na.end(), nb.begin(), nb.end()))
-        << "v=" << v;
-    const auto da = a.g_dists(v);
-    const auto db = b.g_dists(v);
-    ASSERT_TRUE(std::equal(da.begin(), da.end(), db.begin(), db.end()))
         << "v=" << v;
   }
 }
@@ -240,8 +233,12 @@ TEST(SmallWorld, FirstReadBuildsGAndCountsItsBytes) {
   EXPECT_EQ(eager, h_bytes);  // no G yet
   const Graph& g = o.g();
   const std::uint64_t built = o.memory_bytes();
-  // G's rows and distances, and at least the slots they fill.
-  EXPECT_GE(built - eager, g.memory_bytes() + g.num_slots());
+  // G's offsets and its whole stride buffer of node ids, 456 per node at
+  // d = 8, k = 3: at least the slots the rows fill.
+  const std::uint64_t n = o.num_nodes();
+  EXPECT_EQ(built - eager,
+            (n + 1) * sizeof(std::uint64_t) + n * 456 * sizeof(NodeId));
+  EXPECT_GE(built - eager, g.memory_bytes());
   EXPECT_EQ(&o.g(), &g);
   EXPECT_EQ(o.memory_bytes(), built);
   // The degree table, read after G, adds its n * 4 bytes.
@@ -250,9 +247,8 @@ TEST(SmallWorld, FirstReadBuildsGAndCountsItsBytes) {
 }
 
 TEST(SmallWorld, ConcurrentFirstReadsBuildGOnce) {
-  // Eight threads make the first G read of one fresh overlay, through each
-  // of its two readers: one build, one object, the rows of a serial
-  // build.
+  // Eight threads make the first G read of one fresh overlay: one build,
+  // one object, the rows of a serial build.
   const Overlay reference = sample(2048, 8, 57);
   (void)reference.g();
   const Overlay fresh = sample(2048, 8, 57);
@@ -266,11 +262,7 @@ TEST(SmallWorld, ConcurrentFirstReadsBuildGOnce) {
     threads.reserve(kThreads);
     for (int t = 0; t < kThreads; ++t) {
       threads.emplace_back([&, t] {
-        const auto v = static_cast<NodeId>(t);
         start.arrive_and_wait();
-        if (t % 2 == 1) {
-          EXPECT_EQ(fresh.g_dists(v).size(), reference.g().degree(v));
-        }
         seen[t] = &fresh.g();
       });
     }
@@ -326,17 +318,19 @@ TEST(SmallWorld, ConcurrentFirstReadsBuildTheDegreeTableOnce) {
   }
 }
 
-TEST(SmallWorld, GDistsSymmetric) {
+TEST(SmallWorld, RowDistancesSymmetric) {
   // w sits in v's row at distance r iff v sits in w's row at distance r.
   const Overlay o = sample(64, 6, 13);
+  RowScratch scratch;
+  RowScratch back_scratch;
   for (NodeId v = 0; v < o.num_nodes(); ++v) {
-    const auto nbrs = o.g().neighbors(v);
-    const auto dists = o.g_dists(v);
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      const auto back = o.g().neighbors(nbrs[i]);
-      const auto it = std::lower_bound(back.begin(), back.end(), v);
-      ASSERT_TRUE(it != back.end() && *it == v) << "v=" << v;
-      EXPECT_EQ(o.g_dists(nbrs[i])[it - back.begin()], dists[i]);
+    for (const BallEntry& e : o.g_row(v, scratch)) {
+      const auto back = o.g_row(e.node, back_scratch);
+      const auto it = std::lower_bound(
+          back.begin(), back.end(), v,
+          [](const BallEntry& b, NodeId id) { return b.node < id; });
+      ASSERT_TRUE(it != back.end() && it->node == v) << "v=" << v;
+      EXPECT_EQ(it->dist, e.dist) << "v=" << v << " w=" << e.node;
     }
   }
 }

@@ -5,6 +5,7 @@
 
 #include <cmath>
 
+#include "graph/bfs.hpp"
 #include "graph/categories.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/metrics.hpp"
@@ -65,12 +66,15 @@ TEST_P(OverlayProperties, GSymmetric) {
   }
 }
 
-TEST_P(OverlayProperties, GDistancesBoundedByK) {
+TEST_P(OverlayProperties, GRowDistancesExactAndWithinK) {
   const Overlay o = build();
+  graph::RowScratch scratch;
   for (NodeId v = 0; v < o.num_nodes(); ++v) {
-    for (const auto dist : o.g_dists(v)) {
-      EXPECT_GE(dist, 1u);
-      EXPECT_LE(dist, o.k());
+    const auto dist = graph::bfs_distances(o.h_simple(), v, o.k());
+    for (const graph::BallEntry& e : o.g_row(v, scratch)) {
+      EXPECT_EQ(e.dist, dist[e.node]) << "v=" << v << " w=" << e.node;
+      EXPECT_GE(e.dist, 1u);
+      EXPECT_LE(e.dist, o.k());
     }
   }
 }

@@ -20,7 +20,6 @@
 #include "dynamics/midrun.hpp"
 #include "graph/categories.hpp"
 #include "graph/small_world.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "protocols/fastpath.hpp"
 #include "protocols/refine.hpp"
@@ -79,8 +78,7 @@ TracedRun traced_run(bool trace) {
 
 TEST(TraceExportIntegration, ProtocolRunEmitsPhaseSubphaseAndRoundSpans) {
   obs::reset_trace();
-  obs::reset_metrics();
-  (void)traced_run(true);
+  const auto traced = traced_run(true);
 
   const auto doc =
       bench_core::Json::parse(obs::chrome_trace_json(obs::trace_snapshot()));
@@ -111,15 +109,22 @@ TEST(TraceExportIntegration, ProtocolRunEmitsPhaseSubphaseAndRoundSpans) {
       << "graph.g_pass is not inside count.setup";
   EXPECT_TRUE(named(events, "graph.g_degrees").empty());
 
-  // The metrics registry saw the same run.
-  const auto snap = obs::metrics_snapshot();
-  bool rounds_counted = false;
-  for (const auto& [name, value] : snap.counters) {
-    if (name == "flood.rounds") rounds_counted = value > 0;
+  // The flood.subphase spans carry the run's flood cost: every kernel call
+  // is one span, worth steps x lanes rounds and its tokens.
+  std::uint64_t span_rounds = 0;
+  std::uint64_t span_tokens = 0;
+  for (const auto& e : doc->find("traceEvents")->elements()) {
+    if (e.find("name")->as_string() != "flood.subphase") continue;
+    const auto arg = [&e](const char* key) {
+      return static_cast<std::uint64_t>(e.find("args")->find(key)->as_number());
+    };
+    span_rounds += arg("steps") * arg("lanes");
+    span_tokens += arg("tokens");
   }
-  EXPECT_TRUE(rounds_counted);
+  EXPECT_GT(span_rounds, 0u);
+  EXPECT_EQ(span_rounds, traced.run.instr.flood_rounds);
+  EXPECT_EQ(span_tokens, traced.run.instr.token_messages);
   obs::reset_trace();
-  obs::reset_metrics();
 }
 
 TEST(TraceExportIntegration, ScheduledTrialsEmitTrialSpans) {
@@ -142,7 +147,6 @@ TEST(TraceExportIntegration, ScheduledTrialsEmitTrialSpans) {
 
 TEST(TraceExportIntegration, TracingDoesNotPerturbTheRun) {
   obs::reset_trace();
-  obs::reset_metrics();
   const auto plain = traced_run(false);
   const auto traced = traced_run(true);
   EXPECT_EQ(plain.run.status, traced.run.status);
@@ -152,7 +156,6 @@ TEST(TraceExportIntegration, TracingDoesNotPerturbTheRun) {
   EXPECT_EQ(plain.run.instr, traced.run.instr);
   EXPECT_EQ(plain.smoothed, traced.smoothed);
   obs::reset_trace();
-  obs::reset_metrics();
 }
 
 /// One readmit-next-phase run with mid-run joins, sybil joins and leaves,
@@ -318,7 +321,6 @@ TEST(TraceExportIntegration, EpochChildrenCoverTheEpochSpan) {
 
 TEST(TraceExportIntegration, LiveVerifierRefreshSpansMatchMidRunStats) {
   obs::reset_trace();
-  obs::reset_metrics();
   const auto plain = midrun_run(false);
   const auto traced = midrun_run(true);
   EXPECT_EQ(plain, traced) << "tracing perturbed the mid-run outcome";
@@ -338,14 +340,7 @@ TEST(TraceExportIntegration, LiveVerifierRefreshSpansMatchMidRunStats) {
   }
   EXPECT_EQ(spans, traced.stats.verifier_refreshes);
   EXPECT_EQ(span_rows, traced.stats.rows_recomputed);
-
-  std::uint64_t counted = 0;
-  for (const auto& [name, value] : obs::metrics_snapshot().counters) {
-    if (name == "dynamics.rows_recomputed") counted = value;
-  }
-  EXPECT_EQ(counted, traced.stats.rows_recomputed);
   obs::reset_trace();
-  obs::reset_metrics();
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 
+#include "graph/bfs.hpp"
 #include "graph/categories.hpp"
 #include "util/rng.hpp"
 
@@ -64,10 +65,9 @@ TEST(Verifier, CheckBallSizesMatchOverlay) {
   for (NodeId v = 0; v < 16; ++v) {
     EXPECT_EQ(ver.check_ball_size(v, 1),
               1u + o.h_simple().degree(v));
-    std::uint32_t within2 = 1;
-    for (const auto dval : o.g_dists(v)) {
-      if (dval <= 2) ++within2;
-    }
+    const auto bfs = graph::bfs_distances(o.h_simple(), v, 2);
+    const auto within2 = static_cast<std::uint64_t>(std::count_if(
+        bfs.begin(), bfs.end(), [](std::uint32_t d) { return d <= 2; }));
     EXPECT_EQ(ver.check_ball_size(v, 2), within2);
     EXPECT_EQ(ver.check_ball_size(v, 99), within2);  // k-1 = 2 cap
   }
@@ -83,13 +83,12 @@ TEST(Verifier, CheckBallSizesMatchOverlay) {
     const Verifier vk(ok, std::vector<bool>(ok.num_nodes(), false), {});
     for (NodeId v = 0; v < 8; ++v) {
       EXPECT_EQ(vk.ball_row(v).size(), graph::witness_width(k));
-      const auto dists = ok.g_dists(v);
+      const auto bfs = graph::bfs_distances(ok.h_simple(), v, k);
       for (std::uint32_t step = 0; step <= k + 2; ++step) {
         const std::uint32_t r =
             std::max<std::uint32_t>(1, std::min(step, k - 1));
-        const auto within = 1 + std::count_if(
-                                    dists.begin(), dists.end(),
-                                    [r](std::uint8_t d) { return d <= r; });
+        const auto within = std::count_if(
+            bfs.begin(), bfs.end(), [r](std::uint32_t d) { return d <= r; });
         EXPECT_EQ(vk.check_ball_size(v, step),
                   static_cast<std::uint64_t>(within))
             << "k=" << k << " v=" << v << " step=" << step;

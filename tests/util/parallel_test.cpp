@@ -155,7 +155,7 @@ bool graphs_equal(const graph::Graph& a, const graph::Graph& b) {
 }
 
 /// Deep structural equality of two overlays: params, H, its simple view,
-/// G, the per-slot distance annotations and the ball counts.
+/// G's rows and the ball counts.
 bool overlays_identical(const graph::Overlay& a, const graph::Overlay& b) {
   const auto& pa = a.params();
   const auto& pb = b.params();
@@ -167,11 +167,6 @@ bool overlays_identical(const graph::Overlay& a, const graph::Overlay& b) {
       !graphs_equal(a.h_simple(), b.h_simple()) ||
       !graphs_equal(a.g(), b.g())) {
     return false;
-  }
-  for (graph::NodeId v = 0; v < a.num_nodes(); ++v) {
-    const auto da = a.g_dists(v);
-    const auto db = b.g_dists(v);
-    if (!std::equal(da.begin(), da.end(), db.begin(), db.end())) return false;
   }
   const auto ca = a.ball_counts();
   const auto cb = b.ball_counts();

@@ -1,10 +1,11 @@
 """Unit tests for tools/trace_summary.py.
 
-Covers the two contracts CI leans on: valid trace documents roll up into
-correct per-span and per-phase tables, and anything malformed — wrong
-document shape, events missing required keys, unknown event phases — or
-lossy (nonzero dropped-span count) fails LOUDLY with a nonzero exit so
-the gate cannot silently pass on an incomplete summary.
+Covers the contracts CI and ctest lean on: valid trace documents roll up
+into correct per-span and per-phase tables, and anything malformed — wrong
+document shape, events missing required keys, unknown event phases —,
+lossy (nonzero dropped-span count) or uncovered (a root span with more
+than 10% self time) fails LOUDLY with a nonzero exit so the gate cannot
+silently pass on an incomplete summary.
 
 Stdlib only; run with `python3 -m unittest discover tools/tests`.
 """
@@ -44,6 +45,23 @@ def valid_doc():
             span("count.phase", 600, 200, args={"phase": 2}),
             span("flood.round", 650, 40, args={"tokens": 11}),
             span("flood.round", 20, 30, args={"tokens": 99}),  # orphan
+        ],
+        "otherData": {"dropped": 0},
+    }
+
+
+def covered_doc():
+    """One trial span whose two phases cover 95% of it: its only root, so
+    the document passes the coverage gate."""
+    return {
+        "traceEvents": [
+            {"ph": "M", "name": "process_name", "pid": 1,
+             "args": {"name": "size_service"}},
+            span("bench.trial", 0, 1000),
+            span("count.phase", 0, 600, args={"phase": 1}),
+            span("flood.round", 20, 50, args={"tokens": 7}),
+            span("count.phase", 600, 350, args={"phase": 2}),
+            span("flood.round", 650, 40, args={"tokens": 11}),
         ],
         "otherData": {"dropped": 0},
     }
@@ -214,6 +232,47 @@ class SelfTimeTest(unittest.TestCase):
         self.assertEqual(by_name["count.subphase"]["self_us"], 80.0)
 
 
+class RootCoverageTest(unittest.TestCase):
+    def names(self, spans):
+        return [s["name"] for s, _ in trace_summary.uncovered_roots(spans)]
+
+    def test_root_at_the_limit_passes(self):
+        # 10 of 100 us uncovered: exactly the limit, not more.
+        spans = [span("root", 0, 100), span("a", 0, 60), span("b", 70, 30)]
+        self.assertEqual(self.names(spans), [])
+
+    def test_root_past_the_limit_fails(self):
+        spans = [span("root", 0, 100), span("a", 0, 60), span("b", 71, 29)]
+        [(root, self_us)] = trace_summary.uncovered_roots(spans)
+        self.assertEqual(root["name"], "root")
+        self.assertEqual(self_us, 11)
+
+    def test_childless_root_fails_and_empty_root_passes(self):
+        spans = [span("lone", 0, 50), span("empty", 60, 0)]
+        self.assertEqual(self.names(spans), ["lone"])
+
+    def test_only_roots_are_judged(self):
+        # The phase keeps 50% self time, but the trial it fills is covered.
+        spans = [span("bench.trial", 0, 100), span("count.phase", 0, 100),
+                 span("flood.round", 0, 50)]
+        self.assertEqual(self.names(spans), [])
+
+    def test_each_thread_has_its_own_roots(self):
+        # A span on another thread covers nothing of tid 1's root, and is a
+        # covered root of its own.
+        spans = [span("main", 0, 100, tid=1), span("trial", 0, 100, tid=2),
+                 span("run", 0, 95, tid=2)]
+        self.assertEqual(self.names(spans), ["main"])
+
+    def test_valid_doc_roots_are_uncovered(self):
+        # Both phases and the orphan round are roots of valid_doc.
+        spans = [e for e in valid_doc()["traceEvents"] if e["ph"] == "X"]
+        self.assertEqual(self.names(spans),
+                         ["count.phase", "count.phase", "flood.round"])
+        covered = [e for e in covered_doc()["traceEvents"] if e["ph"] == "X"]
+        self.assertEqual(self.names(covered), [])
+
+
 class MainExitCodeTest(unittest.TestCase):
     def tearDown(self):
         if getattr(self, "path", None) and os.path.exists(self.path):
@@ -231,14 +290,14 @@ class MainExitCodeTest(unittest.TestCase):
         return code, out.getvalue(), err.getvalue()
 
     def test_valid_trace_exits_zero(self):
-        code, out, err = self.run_main(valid_doc())
+        code, out, err = self.run_main(covered_doc())
         self.assertEqual(code, 0)
         self.assertIn("per-span cost", out)
         self.assertIn("per-phase cost", out)
         self.assertEqual(err, "")
 
     def test_json_mode_round_trips(self):
-        code, out, _ = self.run_main(valid_doc(), "--json")
+        code, out, _ = self.run_main(covered_doc(), "--json")
         self.assertEqual(code, 0)
         doc = json.loads(out)
         self.assertEqual(doc["dropped"], 0)
@@ -247,11 +306,18 @@ class MainExitCodeTest(unittest.TestCase):
         self.assertTrue(doc["phases"])
 
     def test_dropped_spans_exit_nonzero(self):
-        doc = valid_doc()
+        doc = covered_doc()
         doc["otherData"]["dropped"] = 3
         code, _, err = self.run_main(doc)
         self.assertEqual(code, 1)
         self.assertIn("3 spans were dropped", err)
+
+    def test_uncovered_root_exits_nonzero(self):
+        code, out, err = self.run_main(valid_doc())
+        self.assertEqual(code, 1)
+        self.assertIn("per-span cost", out)  # the summary still prints
+        self.assertIn("root span count.phase", err)
+        self.assertIn("root span flood.round", err)
 
     def test_malformed_input_exits_nonzero(self):
         code, _, err = self.run_main({"events": []})

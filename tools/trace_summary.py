@@ -21,15 +21,22 @@ Validates the document shape produced by `byzbench --trace-out` /
     counts as that many rounds; its `tokens` arg is already their sum.
 
 Exits nonzero on malformed input (unreadable file, not a trace-event
-document, events missing required keys) AND on dropped spans — a nonzero
+document, events missing required keys), on dropped spans — a nonzero
 otherData.dropped count means the per-thread buffers saturated and the
-per-phase attribution below is missing tails — so CI can gate on it.
+per-phase attribution below is missing tails — AND on an uncovered root:
+a root span (one no span on its thread encloses) whose self time is more
+than ROOT_SELF_LIMIT of its duration, time that no named layer explains.
+CI and ctest gate on it. Inner spans are not judged: a phase's own
+bookkeeping between its subphases is real work, not a gap.
 """
 
 import argparse
 import collections
 import json
 import sys
+
+# The most self time a root span may keep, as a share of its duration.
+ROOT_SELF_LIMIT = 0.10
 
 PHASE_SPANS = ("count.phase", "engine.phase")
 ROUND_SPANS = ("flood.round", "engine.round")
@@ -71,12 +78,11 @@ def load_events(path):
     return spans, dropped
 
 
-def self_times(spans):
-    """Self time of each span, aligned with `spans`: its duration minus the
-    union of its direct children's intervals, clipped to its own. A child
+def nesting(spans):
+    """The direct children of each span, as a dict of index lists. A child
     is a span on the same thread whose [ts, ts+dur] the parent encloses
     with no enclosing span in between; of two equal intervals the one
-    listed first is the parent."""
+    listed first is the parent. A span that is no one's child is a root."""
     order = sorted(range(len(spans)),
                    key=lambda i: (spans[i]["tid"], spans[i]["ts"],
                                   -spans[i]["dur"], i))
@@ -92,6 +98,15 @@ def self_times(spans):
         if stack:
             children[stack[-1]].append(i)
         stack.append(i)
+    return children
+
+
+def self_times(spans, children=None):
+    """Self time of each span, aligned with `spans`: its duration minus the
+    union of its direct children's intervals (see nesting), clipped to its
+    own."""
+    if children is None:
+        children = nesting(spans)
     result = []
     for i, span in enumerate(spans):
         start, end = span["ts"], span["ts"] + span["dur"]
@@ -104,6 +119,17 @@ def self_times(spans):
                 reach = hi
         result.append(span["dur"] - covered)
     return result
+
+
+def uncovered_roots(spans):
+    """(span, self_us) of every root span whose self time is more than
+    ROOT_SELF_LIMIT of its duration, in input order."""
+    children = nesting(spans)
+    nested = {c for kids in children.values() for c in kids}
+    return [(span, self_us)
+            for i, (span, self_us)
+            in enumerate(zip(spans, self_times(spans, children)))
+            if i not in nested and self_us > ROOT_SELF_LIMIT * span["dur"]]
 
 
 def per_name_table(spans):
@@ -209,13 +235,21 @@ def main(argv):
         print(f"{args.trace}: {len(spans)} spans, {dropped} dropped")
         print_table("per-span cost", names)
         print_table("per-phase cost", phases)
+    failed = False
     if dropped:
         print(f"ERROR: {args.trace}: {dropped} spans were dropped by the "
               "per-thread buffer caps — the summary above is incomplete "
               "(raise the exporter's buffer cap or trace a smaller run)",
               file=sys.stderr)
-        return 1
-    return 0
+        failed = True
+    for span, self_us in uncovered_roots(spans):
+        print(f"ERROR: {args.trace}: root span {span['name']} (tid "
+              f"{span['tid']}, ts {span['ts']}) keeps {self_us:.0f} of its "
+              f"{span['dur']:.0f} us as self time, more than "
+              f"{ROOT_SELF_LIMIT:.0%} — name the layer that takes it",
+              file=sys.stderr)
+        failed = True
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
