@@ -36,11 +36,11 @@ inline GridAxis pow2_axis(std::uint32_t lo, std::uint32_t hi) {
   return {"n", {"2^" + std::to_string(lo) + "..2^" + std::to_string(hi)}};
 }
 
-/// Divergence-audit sidecar: DIGEST_<exp>.json under ctx.digest_out(),
-/// carrying the order-independent XOR of the scenario's per-run digests.
-/// Deliberately OUTSIDE the BENCH manifest so audited and plain byzbench
-/// runs stay bitwise identical there; CI diffs the sidecar across --jobs
-/// values instead (the XOR fold makes scheduler interleaving irrelevant).
+/// Digest sidecar: DIGEST_<exp>.json under ctx.digest_out(), carrying the
+/// order-independent XOR of the scenario's per-run digests. It stays
+/// OUTSIDE the BENCH manifest, which holds the guard verdicts alone; CI
+/// diffs the sidecar across --jobs values instead (the XOR fold makes
+/// scheduler interleaving irrelevant).
 inline void write_digest_sidecar(RunContext& ctx, const std::string& exp,
                                  std::uint64_t digest_xor,
                                  std::uint64_t runs_digested,

@@ -5,8 +5,10 @@
 // membership policies. This is the contract that keeps the mid-run code
 // honest: whatever machinery the live tier threads through the kernel, it
 // costs nothing and changes nothing until an event actually fires.
-// The scenario checks its own guard: when metrics.guard.identical is false
-// it fails (byzbench exits 1), after writing the manifest and sidecar; the
+// Each comparison also digests both runs (obs::OracleAudit) and counts
+// as identical only when their digest trails match entry for entry. The
+// scenario checks its own guard: when metrics.guard.identical is false it
+// fails (byzbench exits 1), after writing the manifest and sidecar; the
 // golden_e24 ctest target pins the manifest byte for byte.
 #include "bench_common.hpp"
 
@@ -15,8 +17,8 @@ namespace {
 using namespace byz;
 using namespace byz::bench;
 
-/// Per-trial result: outcome parity plus the audit-only digest facts for
-/// the DIGEST_e24.json sidecar (zeros when --audit is off).
+/// Per-trial result: parity (outcome and trail) plus the digest facts for
+/// the DIGEST_e24.json sidecar.
 struct TrialAudit {
   std::uint32_t ok = 0;
   std::uint64_t digest = 0;
@@ -54,54 +56,36 @@ void run_e24(RunContext& ctx) {
           dense_byz[v] = byz[snap.dense_to_stable[v]];
         }
         proto::ProtocolConfig cfg;
-        auto cold_strategy = adv::make_strategy(strategy);
-        // --audit sharpens this anchor from outcome parity to TRAIL
-        // parity: the static run and each empty-schedule mid-run record
-        // hierarchical digests, which must match entry for entry.
-        obs::RunDigester static_dig;
-        proto::RunControls static_rc;
-        static_rc.digester = ctx.audit() ? &static_dig : nullptr;
-        const auto expect =
-            proto::run_counting_with(snap.overlay, dense_byz, *cold_strategy,
-                                     cfg, seed, static_rc);
-
         TrialAudit r;
         for (const auto policy : policies) {
+          // Trail parity, not just outcome parity: the static run and the
+          // empty-schedule mid-run must fold identical digest trails.
+          obs::AuditConfig audit_cfg;
+          audit_cfg.out_dir = ctx.digest_out();
+          audit_cfg.scenario = "e24";
+          audit_cfg.seed = seed;
+          audit_cfg.flags = "policy=" + std::string(proto::to_string(policy));
+          obs::OracleAudit audit(audit_cfg, "static", "midrun-empty");
+          auto cold_strategy = adv::make_strategy(strategy);
+          proto::RunControls static_rc;
+          static_rc.digester = &audit.a();
+          const auto expect =
+              proto::run_counting_with(snap.overlay, dense_byz, *cold_strategy,
+                                       cfg, seed, static_rc);
+
           dynamics::MidRunConfig mid_cfg;
           mid_cfg.policy = policy;
           util::Xoshiro256 churn_rng(util::mix_seed(seed, 0xC002));
           auto live_strategy = adv::make_strategy(strategy);
-          obs::RunDigester live_dig;
           const auto got = dynamics::run_counting_midrun(
               overlay, byz, *live_strategy, cfg, seed,
               dynamics::ChurnSchedule{}, mid_cfg, adv::ChurnAdversary::kNone,
-              churn_rng, nullptr, ctx.audit() ? &live_dig : nullptr);
-          if (got.run == expect) ++r.ok;
-          if (ctx.audit()) {
-            const auto div = obs::first_divergence(static_dig.trail(),
-                                                   live_dig.trail());
-            if (div.diverged()) {
-              ++r.trail_divergences;
-              if (!ctx.digest_out().empty()) {
-                obs::ForensicsInfo info;
-                info.scenario = "e24";
-                info.seed = seed;
-                info.flags = "--audit policy=" +
-                             std::string(proto::to_string(policy));
-                info.detail = "empty-schedule mid-run trail diverged from "
-                              "the static run";
-                info.tier_a = "static";
-                info.tier_b = "midrun-empty";
-                obs::write_forensics_file(
-                    ctx.digest_out() + "/forensics_e24_" +
-                        std::to_string(seed) + ".json",
-                    obs::forensics_json(info, static_dig.trail(),
-                                        live_dig.trail(), nullptr, nullptr));
-              }
-            }
-          }
+              churn_rng, nullptr, &audit.b());
+          const auto verdict = audit.judge(got.run == expect, "e24");
+          if (verdict.passed) ++r.ok;
+          if (!verdict.trails_match) ++r.trail_divergences;
+          r.digest = verdict.run_digest_a;
         }
-        r.digest = static_dig.trail().run_digest;
         return r;
       });
       std::uint64_t cell_ok = 0;
@@ -133,9 +117,7 @@ void run_e24(RunContext& ctx) {
   guard["identical"] = (identical == total);
   guard["compared"] = total;
   ctx.metric("guard", std::move(guard));
-  if (ctx.audit()) {
-    write_digest_sidecar(ctx, "e24", digest_xor, total, trail_divergences);
-  }
+  write_digest_sidecar(ctx, "e24", digest_xor, total, trail_divergences);
   if (identical != total) {
     throw std::runtime_error(
         "mid-run path diverged from the static path at zero churn");

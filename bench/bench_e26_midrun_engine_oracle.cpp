@@ -6,8 +6,10 @@
 // MembershipPolicy. E24 pinned the machinery at zero churn; this sweep
 // pins it where it matters: real mid-run joins/leaves, both policies, and
 // the adversarial frontier/boundary schedules, across strategies and
-// rates. The scenario fails unless metrics.guard.identical holds with
-// divergences == 0; the golden_e26 ctest target pins the manifest.
+// rates. A comparison counts as identical only when the two tiers' digest
+// trails also match entry for entry. The scenario fails unless
+// metrics.guard.identical holds with divergences == 0; the golden_e26
+// ctest target pins the manifest.
 #include "bench_common.hpp"
 
 namespace {
@@ -15,8 +17,8 @@ namespace {
 using namespace byz;
 using namespace byz::bench;
 
-/// Per-trial result: outcome parity (the guard, identical audited or not)
-/// plus the audit-only digest facts that feed the DIGEST_e26.json sidecar.
+/// Per-trial result: the oracle's verdict (outcome and trail) plus the
+/// digest facts that feed the DIGEST_e26.json sidecar.
 struct TrialAudit {
   std::uint32_t ok = 0;
   std::uint64_t digest = 0;
@@ -72,23 +74,19 @@ void run_e26(RunContext& ctx) {
               mid_cfg.policy = policy;
               mid_cfg.schedule_strategy = schedule_strategy;
               util::Xoshiro256 churn_rng(util::mix_seed(seed, 0xC002));
-              // --audit: both tiers digest every round; divergence emits a
-              // byzobs/forensics/v1 report under --digest-out. The guard
-              // stays an OUTCOME check either way, so the BENCH manifest is
-              // bitwise identical audited or not.
+              // A divergence writes a byzobs/forensics/v1 report under
+              // --digest-out.
               obs::AuditConfig audit;
               audit.scenario = "e26";
               audit.seed = seed;
-              audit.flags = "--audit";
               audit.out_dir = ctx.digest_out();
               const auto cmp = dynamics::compare_midrun_tiers(
                   overlay, byz, strategy, cfg, seed, schedule, mid_cfg,
-                  adv::ChurnAdversary::kNone, churn_rng,
-                  ctx.audit() ? &audit : nullptr);
+                  adv::ChurnAdversary::kNone, churn_rng, audit);
               TrialAudit r;
-              r.ok = cmp.identical ? 1 : 0;
-              r.digest = cmp.run_digest_fastpath;
-              r.trail_divergences = !cmp.digests_identical ? 1 : 0;
+              r.ok = cmp.verdict.passed ? 1 : 0;
+              r.digest = cmp.verdict.run_digest_a;
+              r.trail_divergences = cmp.verdict.trails_match ? 0 : 1;
               return r;
             });
             std::uint64_t cell_ok = 0;
@@ -128,9 +126,7 @@ void run_e26(RunContext& ctx) {
   guard["divergences"] = total - identical;
   guard["compared"] = total;
   ctx.metric("guard", std::move(guard));
-  if (ctx.audit()) {
-    write_digest_sidecar(ctx, "e26", digest_xor, total, trail_divergences);
-  }
+  write_digest_sidecar(ctx, "e26", digest_xor, total, trail_divergences);
   if (identical != total) {
     throw std::runtime_error(
         "engine diverged from fastpath under mid-run churn: " +

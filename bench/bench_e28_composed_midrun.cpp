@@ -4,10 +4,10 @@
 // a long-running deployment would operate: each epoch's run executes on a
 // fresh MutableOverlay::snapshot(), its run-start Verifier reads that
 // snapshot's ball counts, and the engine oracle (run_engine) replays it
-// message by message. The scenario fails unless metrics.guard holds:
-// engine divergences == 0 and rows_recomputed > 0 (the readmit Verifier
-// refresh did work; the perf trajectory records the count per commit);
-// E24/E26 remain the standalone bitwise anchors.
+// message by message, outcome and digest trail. The scenario fails unless
+// metrics.guard holds: engine divergences == 0 and rows_recomputed > 0
+// (the readmit Verifier refresh did work; the perf trajectory records the
+// count per commit); E24/E26 remain the standalone bitwise anchors.
 // All reported metrics are counters — no wall-clock — so the manifest is
 // bitwise identical across --jobs and joins the determinism comparison.
 #include "bench_common.hpp"
@@ -50,10 +50,8 @@ void run_e28(RunContext& ctx) {
         cfg.run_engine = true;
         cfg.mid_run.enabled = true;
         cfg.mid_run.policy = policy;
-        // --audit: both tiers the driver executes (fast path, engine
-        // oracle) record a digest trail; the oracle seam emits
-        // byzobs/forensics/v1 reports under --digest-out on divergence.
-        cfg.audit = ctx.audit();
+        // The engine oracle writes a byzobs/forensics/v1 report under
+        // --digest-out for each epoch that diverges.
         cfg.audit_dir = ctx.digest_out();
 
         const std::uint64_t base_seed = 0xE28 + n0 +
@@ -126,10 +124,8 @@ void run_e28(RunContext& ctx) {
              " engine divergences at the lowest rate.");
   ctx.emit(table);
   ctx.record_accuracy("fresh_in_band", band_all);
-  if (ctx.audit()) {
-    write_digest_sidecar(ctx, "e28", digest_xor, epochs_digested,
-                         forensics_reports);
-  }
+  write_digest_sidecar(ctx, "e28", digest_xor, epochs_digested,
+                       forensics_reports);
   if (guard_divergences != 0) {
     throw std::runtime_error("engine diverged " +
                              std::to_string(guard_divergences) +

@@ -29,18 +29,9 @@ int main(int argc, char** argv) {
                   "Chrome trace-event JSON file (Perfetto/chrome://tracing; "
                   "empty = tracing off)",
                   "");
-  args.add_flag("audit",
-                "divergence audit: digest both tiers at every oracle seam "
-                "and emit byzobs/forensics/v1 reports on divergence "
-                "(BENCH manifests stay bitwise identical)");
   args.add_option("digest-out",
                   "directory for DIGEST_<exp>.json run-digest sidecars and "
-                  "forensics reports (empty = off; implies --audit)",
-                  "");
-  args.add_option("backend",
-                  "protocol backend for backend-aware scenarios "
-                  "(proto::Estimator name: algo1, algo2 or brc; empty = "
-                  "each scenario's default stack)",
+                  "the forensics reports of oracle divergences (empty = off)",
                   "");
   auto& registry = bench_core::Registry::instance();
   bench_core::RunOptions opts;
@@ -56,18 +47,8 @@ int main(int argc, char** argv) {
     opts.json_out = args.str("json-out");
     opts.trace_out = args.str("trace-out");
     opts.digest_out = args.str("digest-out");
-    opts.audit = args.flag("audit") || !opts.digest_out.empty();
-    opts.backend = args.str("backend");
   } catch (const std::exception& e) {
     std::cerr << "byzbench: " << e.what() << "\n";
-    return 2;
-  }
-  if (!opts.backend.empty() && !proto::estimator_registered(opts.backend)) {
-    std::cerr << "byzbench: unknown --backend '" << opts.backend << "'; known:";
-    for (const auto& name : proto::estimator_names()) {
-      std::cerr << " " << name;
-    }
-    std::cerr << "\n";
     return 2;
   }
   if (!std::isfinite(opts.scale) || opts.scale <= 0.0) {

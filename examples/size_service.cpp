@@ -22,9 +22,9 @@
 //                    [--burst-epoch=4] [--burst-fraction=0.25]
 //                    [--adversary=none|sybil-burst|targeted-departure|eclipse]
 //
-// --adaptive replaces the fixed per-epoch cadence with the drift-adaptive
-// scheduler: re-estimate when accumulated membership drift crosses
-// --drift-bound, coast on stale estimates below it.
+// --drift-bound above 0 replaces the fixed per-epoch cadence with the
+// drift-adaptive scheduler: re-estimate when accumulated membership drift
+// crosses the bound, coast on stale estimates below it.
 //
 // --mid-run-churn applies each epoch's joins/leaves DURING its estimation
 // run — placed on individual flood rounds — instead of between runs, under
@@ -36,9 +36,9 @@
 // onto phase-final rounds to stress readmission). --engine-oracle
 // additionally replays every epoch's schedule through the message-level
 // sim::Engine and reports whether the two tiers agreed bitwise (the E26
-// contract), exiting 1 after the table when they did not; it works in
-// every churn mode. Mid-run churn COMPOSES with --adaptive (E28), which
-// coasts through drift-quiet epochs.
+// contract), outcome and digest trail, exiting 1 after the table when they
+// did not; it works in every churn mode. Mid-run churn COMPOSES with
+// adaptive cadence (E28), which coasts through drift-quiet epochs.
 #include <algorithm>
 #include <cmath>
 #include <iostream>
@@ -202,10 +202,8 @@ int run_churn_mode(const byz::util::ArgParser& args, std::uint32_t trials,
   // Sizes are range-checked here, before any trial starts.
   cfg.trace.n0 = parse_network_size(args, dynamics::kMinTraceNodes);
   cfg.trace.epochs = parse_count(args, "epochs", 1);
-  // Rates and bounds are finite; the drift bound is > 0, i.e. at least
-  // the smallest positive double.
+  // Rates and bounds are finite and not negative.
   constexpr double kMax = std::numeric_limits<double>::max();
-  constexpr double kMinPositive = std::numeric_limits<double>::denorm_min();
   cfg.trace.arrival_rate = parse_real(args, "arrival", 0.0, kMax, "[0, inf)");
   cfg.trace.departure_rate =
       parse_real(args, "departure", 0.0, kMax, "[0, inf)");
@@ -218,20 +216,14 @@ int run_churn_mode(const byz::util::ArgParser& args, std::uint32_t trials,
   cfg.delta = parse_delta(args);
   cfg.strategy = adv::StrategyKind::kFakeColor;
   cfg.churn_adversary = parse_churn_adversary(args.str("adversary"));
-  const bool adaptive = args.flag("adaptive");
   const bool mid_run = args.flag("mid-run-churn");
-  const double drift_bound =
-      parse_real(args, "drift-bound", kMinPositive, kMax, "(0, inf)");
-  cfg.drift_threshold = adaptive ? drift_bound : 0.0;
+  cfg.drift_threshold = parse_real(args, "drift-bound", 0.0, kMax, "[0, inf)");
+  const bool adaptive = cfg.drift_threshold > 0.0;
   const bool engine_oracle = args.flag("engine-oracle");
   cfg.mid_run.enabled = mid_run;
   cfg.mid_run.policy = parse_policy(args.str("policy"));
   cfg.mid_run.schedule = parse_schedule(args.str("schedule"));
   cfg.run_engine = engine_oracle;
-  // Divergence audit: digest every tier at the driver's oracle seams and
-  // write byzobs/forensics/v1 reports (under --audit-dir) on divergence.
-  // Pure read-side — the table below is identical with or without it.
-  cfg.audit = args.flag("audit") || !args.str("audit-dir").empty();
   cfg.audit_dir = args.str("audit-dir");
 
   const auto seed = static_cast<std::uint64_t>(args.integer("seed"));
@@ -256,7 +248,6 @@ int run_churn_mode(const byz::util::ArgParser& args, std::uint32_t trials,
   }
   if (engine_oracle) title += ", engine oracle";
   if (!shadow.empty()) title += ", shadow backend: " + shadow;
-  if (cfg.audit) title += ", audited";
   util::Table table(title + ")");
   std::vector<std::string> columns = {
       "epoch",         "n(t)",           "byz",  "joins", "leaves",
@@ -374,15 +365,13 @@ int run_churn_mode(const byz::util::ArgParser& args, std::uint32_t trials,
   table.note(note);
   std::cout << table;
   // The engine oracle fails the command: an estimated epoch whose tiers
-  // disagreed, or whose audit wrote a forensics report, exits 1 once the
-  // table is out, naming the trial and the epoch.
+  // disagreed, in outcome or digest trail, exits 1 once the table is out,
+  // naming the trial and the epoch.
   int status = 0;
   for (std::size_t t = 0; t < runs.size(); ++t) {
     for (std::size_t e = 0; e < runs[t].epochs.size(); ++e) {
       const auto& ep = runs[t].epochs[e];
-      if (!ep.estimated || (ep.engine_match && ep.forensics_path.empty())) {
-        continue;
-      }
+      if (!ep.estimated || ep.engine_match) continue;
       std::cerr << "size_service: engine oracle diverged in trial " << t
                 << ", epoch " << e;
       if (!ep.forensics_path.empty()) {
@@ -420,15 +409,13 @@ int main(int argc, char** argv) {
   args.add_option("adversary", "churn adversary: none, sybil-burst, "
                                "targeted-departure, eclipse",
                   "none");
-  args.add_flag("adaptive", "churn mode: re-estimate when accumulated "
-                            "drift crosses --drift-bound instead of every "
-                            "epoch");
-  args.add_option("drift-bound", "adaptive cadence: drift fraction that "
-                                 "triggers re-estimation",
-                  "0.05");
+  args.add_option("drift-bound", "churn mode: adaptive cadence, "
+                                 "re-estimate only when accumulated drift "
+                                 "reaches this fraction (0 = every epoch)",
+                  "0");
   args.add_flag("mid-run-churn", "churn mode: apply each epoch's "
                                  "joins/leaves DURING its estimation run "
-                                 "(composes with --adaptive)");
+                                 "(composes with --drift-bound)");
   args.add_option("policy", "mid-run membership policy: silent, readmit",
                   "readmit");
   args.add_option("schedule", "mid-run event timing: uniform, "
@@ -436,13 +423,12 @@ int main(int argc, char** argv) {
                   "uniform");
   args.add_flag("engine-oracle", "churn mode: replay every epoch's run "
                                  "through the message-level engine, report "
-                                 "bitwise agreement and exit 1 on a "
-                                 "divergence (works in every churn mode)");
-  args.add_flag("audit", "churn mode: record hierarchical digest trails in "
-                         "every tier and explain oracle failures with "
-                         "byzobs/forensics/v1 reports (pure read-side)");
-  args.add_option("audit-dir", "directory for forensics reports (implies "
-                               "--audit; \"\" = embed paths only)",
+                                 "bitwise agreement of outcomes and digest "
+                                 "trails and exit 1 on a divergence (works "
+                                 "in every churn mode)");
+  args.add_option("audit-dir", "--engine-oracle: directory for the "
+                               "byzobs/forensics/v1 report of a divergent "
+                               "epoch (\"\" = not written)",
                   "");
   args.add_option("backend",
                   "counting backend for stage 1 (registered proto::Estimator "
@@ -503,15 +489,13 @@ int main(int argc, char** argv) {
     return 2;
   }
   const double truth = std::log2(static_cast<double>(n));
-  // --backend plumbing: an empty flag keeps the historical pipeline
-  // (run_counting + the generic band) bit for bit; naming a backend —
-  // including "algo2" — routes stage 1 through make_estimator and judges it
+  // Stage 1 runs the --backend estimator (algo2 when empty) and judges it
   // against that backend's OWN declared bound. Refine/smooth read
   // Algorithm-2 phase semantics, so non-algo2 backends stop after stage 1.
   const auto backend = args.str("backend");
-  const bool algo2_stack = backend.empty() || backend == "algo2";
   const auto estimator =
-      backend.empty() ? nullptr : proto::make_estimator(backend);
+      proto::make_estimator(backend.empty() ? "algo2" : backend);
+  const bool algo2_stack = estimator->name() == "algo2";
 
   struct TrialOut {
     proto::Accuracy raw;
@@ -532,17 +516,11 @@ int main(int argc, char** argv) {
 
     // Stage 1: Byzantine counting under the fake-color attack.
     const auto strategy = adv::make_strategy(adv::StrategyKind::kFakeColor);
-    proto::ProtocolConfig cfg;
     TrialOut out;
-    proto::RunResult run;
-    if (estimator != nullptr) {
-      run = estimator->run(overlay, byz, *strategy, trial_seed);
-      const auto bound = estimator->bound(overlay);
-      out.raw = proto::summarize_accuracy(run, n, bound.lo, bound.hi);
-    } else {
-      run = proto::run_counting(overlay, byz, *strategy, cfg, trial_seed);
-      out.raw = proto::summarize_accuracy(run, n);
-    }
+    const proto::RunResult run =
+        estimator->run(overlay, byz, *strategy, trial_seed);
+    const auto bound = estimator->bound(overlay);
+    out.raw = proto::summarize_accuracy(run, n, bound.lo, bound.hi);
     if (!algo2_stack) return out;
 
     // Stage 2: model-aware refinement l_{i*-2}.

@@ -30,14 +30,8 @@ RunContext::RunContext(const ScenarioSpec& spec, const RunOptions& opts,
   doc_["metrics"] = Json::object();
 }
 
-bool RunContext::audit() const noexcept { return opts_.audit; }
-
 const std::string& RunContext::digest_out() const noexcept {
   return opts_.digest_out;
-}
-
-const std::string& RunContext::backend() const noexcept {
-  return opts_.backend;
 }
 
 std::uint32_t RunContext::trials(std::uint32_t base) const {

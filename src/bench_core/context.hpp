@@ -31,21 +31,11 @@ struct RunOptions {
   /// Chrome trace-event JSON file (src/obs/trace.hpp); empty = tracing
   /// off. Setting it flips the obs runtime switch for the whole run.
   std::string trace_out;
-  /// Divergence-forensics audit (src/obs/digest.hpp): oracle scenarios
-  /// attach digesters to both execution tiers, compare the hierarchical
-  /// digest trails, and emit a byzobs/forensics/v1 report on divergence.
-  /// Pure read-side: BENCH manifests are bitwise identical with auditing
-  /// on and off (E29 + CI guard it).
-  bool audit = false;
-  /// Directory for DIGEST_<exp>.json sidecars (run-level digests) and
-  /// forensic reports; empty = render-only audit (nothing written).
+  /// Directory for DIGEST_<exp>.json sidecars (run-level digests) and the
+  /// byzobs/forensics/v1 reports of oracle divergences; empty = nothing
+  /// written. The oracle scenarios digest both of their tiers either way
+  /// (src/obs/digest.hpp), so this moves no BENCH manifest bit.
   std::string digest_out;
-  /// Protocol backend for scenarios that honor a backend selection (the
-  /// cross-backend scenarios always run their full backend set). Must be
-  /// a proto::Estimator backend name; byzbench validates it against the
-  /// backend table before any scenario runs. "" = the scenario's default
-  /// (the Algorithm-2 stack).
-  std::string backend;
 };
 
 class RunContext {
@@ -58,14 +48,8 @@ class RunContext {
   [[nodiscard]] const TrialScheduler& scheduler() const noexcept {
     return scheduler_;
   }
-  /// Audit mode (RunOptions::audit): scenarios with an oracle seam thread
-  /// an obs::AuditConfig through it when this is set.
-  [[nodiscard]] bool audit() const noexcept;
   /// RunOptions::digest_out (forensics / digest-sidecar directory).
   [[nodiscard]] const std::string& digest_out() const noexcept;
-  /// RunOptions::backend — a validated backend name, or "" for the
-  /// scenario's default stack.
-  [[nodiscard]] const std::string& backend() const noexcept;
 
   /// Trial count after --scale (>= 1). Throws std::invalid_argument when
   /// base * scale does not fit a std::uint32_t.

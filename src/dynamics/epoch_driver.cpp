@@ -27,30 +27,19 @@ constexpr std::uint64_t kColorStream = 0xE000;
 constexpr std::uint64_t kMidRunStream = 0x31D1;
 constexpr std::uint64_t kShadowStream = 0x5AAD;
 
-/// Renders (and, with an audit_dir, writes) a byzobs/forensics/v1 report
-/// for one epoch's engine-oracle divergence: `a` is the fast path, `b` the
-/// engine. Returns the written path ("" when render-only or the write
-/// failed).
-std::string emit_forensics(const ChurnRunConfig& cfg, std::uint32_t epoch,
-                           const std::string& detail, const obs::RunDigester& a,
-                           const obs::RunDigester& b,
-                           const obs::FlightRecorder* rec_a,
-                           const obs::FlightRecorder* rec_b) {
-  obs::ForensicsInfo info;
-  info.scenario = "run_churn/engine_oracle";
-  info.seed = cfg.seed;
-  info.flags = "d=" + std::to_string(cfg.d) +
-               " strategy=" + std::string(adv::to_string(cfg.strategy)) +
-               (cfg.mid_run.enabled ? " mid-run" : "") +
-               " epoch=" + std::to_string(epoch);
-  info.detail = detail;
-  const std::string doc =
-      obs::forensics_json(info, a.trail(), b.trail(), rec_a, rec_b);
-  if (cfg.audit_dir.empty()) return {};
-  const std::string path =
-      cfg.audit_dir + "/forensics_churn_engine_oracle_epoch" +
-      std::to_string(epoch) + "_" + std::to_string(cfg.seed) + ".json";
-  return obs::write_forensics_file(path, doc) ? path : std::string{};
+/// The engine oracle's audit settings for one epoch: the report's repro
+/// line and the directory it is written to.
+obs::AuditConfig oracle_audit_config(const ChurnRunConfig& cfg,
+                                     std::uint32_t epoch) {
+  obs::AuditConfig audit;
+  audit.out_dir = cfg.audit_dir;
+  audit.scenario = "run_churn/engine_oracle";
+  audit.seed = cfg.seed;
+  audit.flags = "d=" + std::to_string(cfg.d) +
+                " strategy=" + std::string(adv::to_string(cfg.strategy)) +
+                (cfg.mid_run.enabled ? " mid-run" : "") +
+                " epoch=" + std::to_string(epoch);
+  return audit;
 }
 
 }  // namespace
@@ -207,22 +196,14 @@ ChurnRunResult run_churn(const ChurnRunConfig& cfg) {
     mid_cfg.policy = cfg.mid_run.policy;
     mid_cfg.schedule_strategy = cfg.mid_run.schedule;
 
-    // Divergence audit: every tier executed this epoch records a digest
-    // trail and a flight tail; the oracle checks below compare them and
-    // emit forensics on divergence. Null digesters otherwise (one branch
-    // per hook, trails untouched).
-    obs::FlightRecorder fast_rec, engine_rec;
-    obs::RunDigester fast_dig, engine_dig;
-    if (cfg.audit) {
-      fast_dig.attach_recorder(&fast_rec);
-      engine_dig.attach_recorder(&engine_rec);
-    }
-
     // Engine oracle: replay the identical schedule from a copy of the
     // pre-run state through the message-level engine and demand a
-    // bitwise-identical outcome (the E26 contract, per epoch).
+    // bitwise-identical outcome and digest trail (the E26 contract, per
+    // epoch). Without it no digester is attached.
+    std::optional<obs::OracleAudit> audit;
     std::optional<MidRunOutcome> engine_outcome;
     if (cfg.run_engine) {
+      audit.emplace(oracle_audit_config(cfg, e));
       MutableOverlay engine_overlay = overlay;
       std::vector<bool> engine_byz = byz;
       util::Xoshiro256 engine_rng = churn_rng;
@@ -230,17 +211,16 @@ ChurnRunResult run_churn(const ChurnRunConfig& cfg) {
       engine_outcome = run_counting_midrun_engine(
           engine_overlay, engine_byz, *engine_strategy, cfg.protocol,
           color_seed, schedule, mid_cfg, cfg.churn_adversary, engine_rng,
-          nullptr, cfg.audit ? &engine_dig : nullptr);
+          nullptr, &audit->b());
     }
 
     auto outcome = run_counting_midrun(
         overlay, byz, *strategy, cfg.protocol, color_seed, schedule, mid_cfg,
         cfg.churn_adversary, churn_rng, nullptr,
-        cfg.audit ? &fast_dig : nullptr);
+        audit ? &audit->a() : nullptr);
 
     EpochStats stats;
     const NodeId n = fill_membership_stats(stats);
-    if (cfg.audit) stats.run_digest = fast_dig.trail().run_digest;
 
     stats.fresh = proto::summarize_accuracy(outcome.run, n);
     if (shadow_est) {
@@ -269,22 +249,12 @@ ChurnRunResult run_churn(const ChurnRunConfig& cfg) {
     stats.midrun_frontier_leaves = outcome.stats.frontier_leaves;
     stats.verify_rows_recomputed = outcome.stats.rows_recomputed;
     if (engine_outcome) {
-      stats.engine_match = *engine_outcome == outcome;
-      if (cfg.audit) {
-        // The two tiers execute the identical schedule, so their trails
-        // must match entry for entry — a trail-only divergence is a bug
-        // the outcome comparison was not sharp enough to see.
-        const auto div =
-            obs::first_divergence(fast_dig.trail(), engine_dig.trail());
-        if (!stats.engine_match || div.diverged()) {
-          stats.forensics_path = emit_forensics(
-              cfg, e,
-              stats.engine_match
-                  ? "digest trails diverged (outcomes identical)"
-                  : "engine outcome diverged from the fastpath",
-              fast_dig, engine_dig, &fast_rec, &engine_rec);
-        }
-      }
+      const obs::OracleVerdict verdict = audit->judge(
+          *engine_outcome == outcome,
+          "churn_engine_oracle_epoch" + std::to_string(e));
+      stats.engine_match = verdict.passed;
+      stats.forensics_path = verdict.forensics_path;
+      stats.run_digest = verdict.run_digest_a;
     }
     for (std::size_t i = 0; i < outcome.run.status.size(); ++i) {
       if (outcome.run.status[i] == proto::NodeStatus::kDecided) {

@@ -5,7 +5,8 @@
 // the STALENESS of the previous epoch's estimates (how wrong a node that
 // skips re-estimation becomes as the network drifts), and optionally runs
 // the message-level sim::Engine on the same epoch to assert the two
-// protocol tiers still agree decision-for-decision under churn.
+// protocol tiers still agree decision-for-decision and digest for digest
+// under churn.
 //
 // Every estimating epoch runs one body: a live run (dynamics/midrun.*) on
 // a fresh MutableOverlay::snapshot() under a ChurnSchedule. Its setup
@@ -27,7 +28,8 @@
 // model: drift-quiet epochs are skipped and apply their events between
 // runs. run_engine is the per-epoch engine oracle in both models: the
 // message-level engine replays the identical schedule
-// (run_counting_midrun_engine) and must agree bitwise (E26).
+// (run_counting_midrun_engine) and must agree bitwise (E26), outcome and
+// digest trail (obs::OracleAudit). Only the oracle attaches digesters.
 //
 // Everything is derived from cfg.seed with SplitMix64 streams and replayed
 // sequentially, so a churn run is bitwise reproducible regardless of how
@@ -58,9 +60,9 @@ struct ChurnRunConfig {
   proto::ProtocolConfig protocol;
   std::uint64_t seed = 1;
   /// Engine oracle: each estimating epoch the message-level sim::Engine
-  /// replays the epoch's schedule from a copy of the pre-run state, and
-  /// EpochStats::engine_match records whether the two tiers agreed
-  /// bitwise.
+  /// replays the epoch's schedule from a copy of the pre-run state, both
+  /// tiers record digest trails, and EpochStats::engine_match records
+  /// whether the outcomes and the trails agreed bitwise.
   bool run_engine = false;
   /// Drift-adaptive cadence: re-estimate only when the membership drift
   /// accumulated since the last estimation (the fraction of the
@@ -85,15 +87,9 @@ struct ChurnRunConfig {
         adv::MidRunScheduleStrategy::kUniform;
   };
   MidRunMode mid_run;
-  /// Divergence-forensics audit (obs/digest.hpp): digest every execution
-  /// at this driver's oracle seam — the per-epoch engine oracle — and
-  /// render a byzobs/forensics/v1 report on any divergence, BEFORE the
-  /// failure is recorded. Pure read-side: outcomes and every EpochStats
-  /// counter are bitwise unaffected (only forensics_path, an audit-only
-  /// field, is set).
-  bool audit = false;
-  /// Directory forensic reports are written to ("" = render-only: the
-  /// report is built but not written, and forensics_path stays empty).
+  /// Directory the engine oracle writes a byzobs/forensics/v1 report to
+  /// when an epoch diverges ("" = the report is rendered, not written,
+  /// and forensics_path stays empty).
   std::string audit_dir;
   /// Cross-ALGORITHM shadow oracle (analysis/backend_compare.hpp): after
   /// each estimating epoch, run this registered backend AND the cold
@@ -119,7 +115,8 @@ struct EpochStats {
   std::uint64_t stale_in_band = 0;
   double stale_frac_in_band = 0.0;
   std::uint64_t messages = 0;     ///< protocol messages this epoch
-  bool engine_match = true;       ///< engine == fastpath (when run_engine)
+  bool engine_match = true;       ///< engine == fastpath, outcome and
+                                  ///< digest trail (when run_engine)
   // --- adaptive cadence ---
   bool estimated = true;          ///< false = adaptive scheduler skipped
   double drift = 0.0;             ///< accumulated drift entering the epoch
@@ -135,12 +132,12 @@ struct EpochStats {
   std::uint64_t midrun_verifier_refreshes = 0;
   std::uint64_t midrun_frontier_leaves = 0; ///< departures that struck the
                                             ///< observed flood wavefront
-  // --- divergence audit (ChurnRunConfig::audit only) ---
+  // --- engine-oracle digests (ChurnRunConfig::run_engine only) ---
   /// Path of the forensics report written for this epoch's engine-oracle
-  /// divergence ("" = no divergence, no audit, or no audit_dir).
+  /// divergence ("" = no divergence, no oracle, or no audit_dir).
   std::string forensics_path;
-  /// Closed run-level digest of this epoch's estimation run (0 when audit
-  /// is off or the epoch was skipped).
+  /// Closed run-level digest of this epoch's fast-path run (0 without
+  /// run_engine or when the epoch was skipped).
   /// Scenarios fold these into DIGEST_<exp>.json sidecars.
   std::uint64_t run_digest = 0;
   // --- cross-backend shadow (ChurnRunConfig::shadow_backend only) ---

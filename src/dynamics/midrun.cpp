@@ -576,23 +576,9 @@ MidRunTierComparison compare_midrun_tiers(const MutableOverlay& overlay,
                                           const MidRunConfig& config,
                                           adv::ChurnAdversary adversary,
                                           const util::Xoshiro256& rng,
-                                          const obs::AuditConfig* audit) {
+                                          const obs::AuditConfig& audit) {
   MidRunTierComparison cmp;
-  obs::FlightRecorder fast_recorder;
-  obs::FlightRecorder engine_recorder;
-  obs::RunDigester fast_digester;
-  obs::RunDigester engine_digester;
-  if (audit != nullptr) {
-    fast_digester.attach_recorder(&fast_recorder);
-    engine_digester.attach_recorder(&engine_recorder);
-    if (audit->perturb_tier == 0) {
-      fast_digester.set_perturbation(audit->perturb_round,
-                                     audit->perturb_mask);
-    } else if (audit->perturb_tier == 1) {
-      engine_digester.set_perturbation(audit->perturb_round,
-                                       audit->perturb_mask);
-    }
-  }
+  obs::OracleAudit oracle(audit);
   {
     MutableOverlay fast_overlay = overlay;
     std::vector<bool> fast_byz = stable_byz;
@@ -600,8 +586,7 @@ MidRunTierComparison compare_midrun_tiers(const MutableOverlay& overlay,
     auto fast_strategy = adv::make_strategy(strategy);
     cmp.fastpath = run_counting_midrun(
         fast_overlay, fast_byz, *fast_strategy, cfg, color_seed, schedule,
-        config, adversary, fast_rng, nullptr,
-        audit != nullptr ? &fast_digester : nullptr);
+        config, adversary, fast_rng, nullptr, &oracle.a());
   }
   {
     MutableOverlay engine_overlay = overlay;
@@ -610,40 +595,11 @@ MidRunTierComparison compare_midrun_tiers(const MutableOverlay& overlay,
     auto engine_strategy = adv::make_strategy(strategy);
     cmp.engine = run_counting_midrun_engine(
         engine_overlay, engine_byz, *engine_strategy, cfg, color_seed,
-        schedule, config, adversary, engine_rng, nullptr,
-        audit != nullptr ? &engine_digester : nullptr);
+        schedule, config, adversary, engine_rng, nullptr, &oracle.b());
   }
   cmp.identical = cmp.fastpath == cmp.engine;
-  if (audit != nullptr) {
-    const obs::DigestTrail& fast_trail = fast_digester.trail();
-    const obs::DigestTrail& engine_trail = engine_digester.trail();
-    const obs::DigestDivergence div =
-        obs::first_divergence(fast_trail, engine_trail);
-    cmp.run_digest_fastpath = fast_trail.run_digest;
-    cmp.run_digest_engine = engine_trail.run_digest;
-    cmp.digests_identical = !div.diverged();
-    if (!cmp.identical || div.diverged()) {
-      obs::ForensicsInfo info;
-      info.scenario = audit->scenario;
-      info.seed = audit->seed;
-      info.flags = audit->flags;
-      info.detail = cmp.identical
-                        ? "digest trails diverged (outcomes identical)"
-                        : "mid-run tier outcomes diverged";
-      cmp.forensics = obs::forensics_json(info, fast_trail, engine_trail,
-                                          &fast_recorder, &engine_recorder);
-      if (!audit->out_dir.empty()) {
-        const std::string path =
-            audit->out_dir + "/forensics_" +
-            (audit->scenario.empty() ? std::string("midrun")
-                                     : audit->scenario) +
-            "_" + std::to_string(audit->seed) + ".json";
-        if (obs::write_forensics_file(path, cmp.forensics)) {
-          cmp.forensics_path = path;
-        }
-      }
-    }
-  }
+  cmp.verdict = oracle.judge(
+      cmp.identical, audit.scenario.empty() ? "midrun" : audit.scenario);
   return cmp;
 }
 

@@ -54,6 +54,9 @@
 //        identical MidRunOutcome for every rate/policy/strategy — the two
 //        tiers cross-check each other's mid-run membership machinery, so
 //        fastpath-only behavior is no longer unverifiable.
+//        compare_midrun_tiers digests both tiers (obs::OracleAudit) and
+//        passes only when their digest trails also match entry for entry,
+//        so a failure names its first divergent round.
 //   E28  the COMPOSED tier: mid-run churn epoch after epoch, with the
 //        per-epoch engine oracle on. Each run starts from a fresh
 //        MutableOverlay::snapshot(); the feed's run-start Verifier rows are
@@ -364,32 +367,26 @@ struct MidRunTierComparison {
   /// counter), the run→stable map, the Byzantine mask evolution, and the
   /// mid-run event bookkeeping.
   bool identical = false;
-  // Audit mode only (compare_midrun_tiers called with an AuditConfig):
-  // run-level digests of each tier, whether the two hierarchical trails
-  // matched entry for entry, and — on any divergence, outcome or trail —
-  // the rendered byzobs/forensics/v1 report plus the path it was written
-  // to (empty if AuditConfig::out_dir was empty or the write failed).
-  std::uint64_t run_digest_fastpath = 0;
-  std::uint64_t run_digest_engine = 0;
-  bool digests_identical = true;
-  std::string forensics;
-  std::string forensics_path;
+  /// The oracle's verdict (tier a = fastpath, tier b = engine): passed
+  /// only when the outcomes are identical AND the two hierarchical digest
+  /// trails match entry for entry; otherwise it carries the rendered
+  /// byzobs/forensics/v1 report.
+  obs::OracleVerdict verdict;
 };
 
 /// Runs BOTH tiers from the identical initial state — each on its own
 /// copy of (overlay, byz mask, churn rng), with a fresh strategy instance
-/// per tier — and compares the outcomes bitwise. The inputs are left
-/// untouched; this is the mid-run equivalence oracle E26 sweeps. With
-/// `audit` attached both tiers also record hierarchical digest trails and
-/// flight events, the trails are compared, and a forensics report is
-/// emitted on any divergence (see MidRunTierComparison's audit fields) —
-/// the outcomes themselves are bitwise unaffected (digesting is pure
-/// read-side).
+/// per tier, each with a digester and a flight recorder attached — and
+/// compares the outcomes bitwise and the digest trails entry for entry.
+/// The inputs are left untouched; this is the mid-run equivalence oracle
+/// E26 sweeps. `audit` names the report's repro line and directory (and
+/// carries the tests' trail perturbation); digesting is pure read-side,
+/// so the outcomes are those of undigested runs.
 [[nodiscard]] MidRunTierComparison compare_midrun_tiers(
     const MutableOverlay& overlay, const std::vector<bool>& stable_byz,
     adv::StrategyKind strategy, const proto::ProtocolConfig& cfg,
     std::uint64_t color_seed, const ChurnSchedule& schedule,
     const MidRunConfig& config, adv::ChurnAdversary adversary,
-    const util::Xoshiro256& rng, const obs::AuditConfig* audit = nullptr);
+    const util::Xoshiro256& rng, const obs::AuditConfig& audit = {});
 
 }  // namespace byz::dynamics

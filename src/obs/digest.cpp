@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <utility>
 
 namespace byz::obs {
 
@@ -246,6 +247,50 @@ bool write_forensics_file(const std::string& path, const std::string& doc) {
   if (f == nullptr) return false;
   const bool ok = std::fwrite(doc.data(), 1, doc.size(), f) == doc.size();
   return std::fclose(f) == 0 && ok;
+}
+
+OracleAudit::OracleAudit(const AuditConfig& config, std::string tier_a,
+                         std::string tier_b)
+    : config_(config), tier_a_(std::move(tier_a)), tier_b_(std::move(tier_b)) {
+  digester_a_.attach_recorder(&recorder_a_);
+  digester_b_.attach_recorder(&recorder_b_);
+  if (config.perturb_tier == 0) {
+    digester_a_.set_perturbation(config.perturb_round, config.perturb_mask);
+  } else if (config.perturb_tier == 1) {
+    digester_b_.set_perturbation(config.perturb_round, config.perturb_mask);
+  }
+}
+
+OracleVerdict OracleAudit::judge(bool outcomes_match,
+                                 const std::string& file_tag) const {
+  const DigestTrail& trail_a = digester_a_.trail();
+  const DigestTrail& trail_b = digester_b_.trail();
+  OracleVerdict verdict;
+  verdict.trails_match = !first_divergence(trail_a, trail_b).diverged();
+  verdict.passed = outcomes_match && verdict.trails_match;
+  verdict.run_digest_a = trail_a.run_digest;
+  verdict.run_digest_b = trail_b.run_digest;
+  if (verdict.passed) return verdict;
+
+  ForensicsInfo info;
+  info.scenario = config_.scenario;
+  info.seed = config_.seed;
+  info.flags = config_.flags;
+  info.detail = outcomes_match
+                    ? "digest trails diverged (outcomes identical)"
+                    : tier_a_ + " and " + tier_b_ + " outcomes diverged";
+  info.tier_a = tier_a_;
+  info.tier_b = tier_b_;
+  verdict.forensics =
+      forensics_json(info, trail_a, trail_b, &recorder_a_, &recorder_b_);
+  if (!config_.out_dir.empty()) {
+    const std::string path = config_.out_dir + "/forensics_" + file_tag +
+                             "_" + std::to_string(config_.seed) + ".json";
+    if (write_forensics_file(path, verdict.forensics)) {
+      verdict.forensics_path = path;
+    }
+  }
+  return verdict;
 }
 
 }  // namespace byz::obs

@@ -3,9 +3,9 @@
 // A RunDigester folds a streaming 64-bit digest of protocol state upward
 // through the paper's own execution hierarchy — round -> subphase -> phase
 // -> run — so the digest trails of two executions that should be bitwise
-// identical (engine vs fastpath, audit on vs off, composed vs monolithic)
-// can be walked to the FIRST divergent phase/subphase/round instead of a
-// boolean "divergences=1".
+// identical (engine vs fastpath, composed vs monolithic) can be walked to
+// the FIRST divergent phase/subphase/round instead of a boolean
+// "divergences=1".
 //
 // The mix is a seeded splitmix64-style finalizer: deterministic, no RNG
 // draws, no allocation past the trail vectors. Per-round folds are a
@@ -18,10 +18,15 @@
 // produces the same trail in traced and untraced runs.
 //
 // Like every obs/ facility this is pure read-side (see obs.hpp): a
-// digester observes the run, it never feeds anything back — BENCH
-// manifests are bitwise identical with auditing on and off (CI-guarded,
-// E29). An attached digester always records: a run that floods at least
-// one round leaves a trail with rounds in it.
+// digester observes the run, it never feeds anything back — an attached
+// digester moves no outcome bit (tests/dynamics/forensics_test.cpp). An
+// attached digester always records: a run that floods at least one round
+// leaves a trail with rounds in it.
+//
+// Every engine<->fastpath oracle seam (dynamics::compare_midrun_tiers,
+// run_churn's engine oracle, E24's static<->mid-run anchor) digests both
+// of its tiers through one OracleAudit and passes only when the outcomes
+// AND the trails match. Production runs attach no digester.
 #pragma once
 
 #include <cstdint>
@@ -191,9 +196,8 @@ class RunDigester {
   std::uint64_t perturb_mask_ = 0;
 };
 
-/// Oracle audit mode: passed through the comparison seams
-/// (dynamics::compare_midrun_tiers, ChurnRunConfig) to attach digesters to
-/// both tiers and emit a byzobs/forensics/v1 report on divergence.
+/// An oracle comparison's audit settings: where its report goes, the
+/// report's repro line, and a test-only trail perturbation.
 struct AuditConfig {
   std::string out_dir;   ///< forensic report directory ("" = render only)
   std::string scenario;  ///< repro line: scenario name
@@ -229,5 +233,46 @@ struct ForensicsInfo {
 
 /// Writes a rendered report to `path`. False on I/O error.
 bool write_forensics_file(const std::string& path, const std::string& doc);
+
+/// What an oracle comparison found once both of its tiers ran.
+struct OracleVerdict {
+  bool passed = false;        ///< outcomes and digest trails both matched
+  bool trails_match = false;  ///< trails matched entry for entry
+  std::uint64_t run_digest_a = 0;
+  std::uint64_t run_digest_b = 0;
+  std::string forensics;       ///< byzobs/forensics/v1 report; "" if passed
+  std::string forensics_path;  ///< where it was written; "" if not written
+};
+
+/// The digest half of one oracle comparison: a digester with its own
+/// flight recorder for each tier, AuditConfig's perturbation applied. Run
+/// tier a with a(), tier b with b(), then judge() the pair.
+class OracleAudit {
+ public:
+  explicit OracleAudit(const AuditConfig& config,
+                       std::string tier_a = "fastpath",
+                       std::string tier_b = "engine");
+  // The digesters point at the recorders beside them.
+  OracleAudit(const OracleAudit&) = delete;
+  OracleAudit& operator=(const OracleAudit&) = delete;
+
+  [[nodiscard]] RunDigester& a() noexcept { return digester_a_; }
+  [[nodiscard]] RunDigester& b() noexcept { return digester_b_; }
+
+  /// Compares the two trails. Unless the outcomes and the trails both
+  /// match, renders the report and, when AuditConfig::out_dir is set,
+  /// writes it to <out_dir>/forensics_<file_tag>_<seed>.json.
+  [[nodiscard]] OracleVerdict judge(bool outcomes_match,
+                                    const std::string& file_tag) const;
+
+ private:
+  AuditConfig config_;
+  std::string tier_a_;
+  std::string tier_b_;
+  FlightRecorder recorder_a_;
+  FlightRecorder recorder_b_;
+  RunDigester digester_a_;
+  RunDigester digester_b_;
+};
 
 }  // namespace byz::obs

@@ -11,10 +11,9 @@
 // shadow wire it into CI.
 //
 // The backends are a fixed table of "algo1", "algo2" and "brc", built by
-// name with make_estimator. CLI layers (`byzbench --backend`,
-// `size_service --backend / --shadow-backend`) resolve user input through
-// the same table, so an unknown name fails with the known-name list
-// everywhere.
+// name with make_estimator. The CLI (`size_service --backend /
+// --shadow-backend`) resolves user input through the same table, so an
+// unknown name fails with the known-name list.
 #pragma once
 
 #include <memory>

@@ -173,5 +173,18 @@ TEST(EpochDriver, AdaptiveSchedulerSkipsBelowTheDriftBound) {
   EXPECT_GE(estimated, 2u);                    // but not all
 }
 
+TEST(EpochDriver, OnlyTheEngineOracleDigests) {
+  auto cfg = small_config();
+  for (const auto& epoch : run_churn(cfg).epochs) {
+    EXPECT_EQ(epoch.run_digest, 0u);
+  }
+  cfg.run_engine = true;
+  for (const auto& epoch : run_churn(cfg).epochs) {
+    EXPECT_TRUE(epoch.engine_match);
+    EXPECT_NE(epoch.run_digest, 0u);
+    EXPECT_TRUE(epoch.forensics_path.empty());
+  }
+}
+
 }  // namespace
 }  // namespace byz::dynamics

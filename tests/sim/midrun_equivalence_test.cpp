@@ -13,11 +13,11 @@
 //       admitted — they finish the run kUndecided — while
 //       readmit-next-phase admits them at phase boundaries;
 //   (4) E26: at NONZERO mid-run churn rates the message-level engine and
-//       the array fast path produce bitwise-identical MidRunOutcomes for
-//       every rate/policy/schedule-strategy combination — including the
-//       adversarial frontier-leave and boundary-join-storm schedules —
-//       and the comparison itself is deterministic (repeatable bit for
-//       bit, the --jobs independence contract).
+//       the array fast path produce bitwise-identical MidRunOutcomes and
+//       digest trails for every rate/policy/schedule-strategy combination
+//       — including the adversarial frontier-leave and boundary-join-storm
+//       schedules — and the comparison itself is deterministic
+//       (repeatable bit for bit, the --jobs independence contract).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -229,6 +229,8 @@ TEST_P(MidRunTierEquivalenceTest, EngineMatchesFastpathBitwiseUnderChurn) {
   EXPECT_EQ(cmp.fastpath.stats.frontier_leaves,
             cmp.engine.stats.frontier_leaves);
   EXPECT_TRUE(cmp.identical);
+  // The digest trails match too, so a divergence the outcomes hide fails.
+  EXPECT_TRUE(cmp.verdict.passed) << cmp.verdict.forensics;
   // Real churn actually struck mid-run (the case would otherwise collapse
   // into E24's empty-schedule anchor).
   EXPECT_GT(cmp.fastpath.stats.events_applied, 0u);

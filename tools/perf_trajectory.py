@@ -7,14 +7,14 @@ Reads the `metrics.guard` object of each given byzbench manifest and
 writes a single JSON document holding every guard keyed by scenario id,
 stamped with the commit/run identity CI exposes (GITHUB_SHA, GITHUB_RUN_ID,
 GITHUB_REF_NAME — absent keys are simply omitted, so the script also runs
-locally). CI feeds it E28, E31 and E32 from its smoke run and E29 and E30
-from its serial wall-clock run, and uploads the file as a per-run
-artifact: the sequence of artifacts over the run history IS the perf
-trajectory — E28's composed-tier numbers, E29's audit overhead, E30's
-flood-kernel speedup and the E31/E32 backend ratios per landed commit — so
-a perf regression is read off the artifacts instead of rediscovered by
-hand. The script only records: each scenario checks its own guard and
-fails its byzbench run when the guard does not hold.
+locally). CI feeds it E28, E31 and E32 from its smoke run and E30 from
+its serial wall-clock run, and uploads the file as a per-run artifact:
+the sequence of artifacts over the run history IS the perf trajectory —
+E28's composed-tier numbers, E30's flood-kernel speedup and the E31/E32
+backend ratios per landed commit — so a perf regression is read off the
+artifacts instead of rediscovered by hand. The script only records: each
+scenario checks its own guard and fails its byzbench run when the guard
+does not hold.
 
 Exits nonzero when a manifest is missing or carries no guard metric, so a
 scenario silently dropping its guard breaks the CI step that calls this.
