@@ -40,13 +40,15 @@ inline GridAxis pow2_axis(std::uint32_t lo, std::uint32_t hi) {
 /// order-independent XOR of the scenario's per-run digests. It stays
 /// OUTSIDE the BENCH manifest, which holds the guard verdicts alone; CI
 /// diffs the sidecar across --jobs values instead (the XOR fold makes
-/// scheduler interleaving irrelevant).
+/// scheduler interleaving irrelevant). Throws when the file cannot be
+/// written, which fails the scenario as an unwritable manifest does.
 inline void write_digest_sidecar(RunContext& ctx, const std::string& exp,
                                  std::uint64_t digest_xor,
                                  std::uint64_t runs_digested,
                                  std::uint64_t trail_divergences) {
   if (ctx.digest_out().empty()) return;
-  std::ofstream out(ctx.digest_out() + "/DIGEST_" + exp + ".json");
+  const std::string path = ctx.digest_out() + "/DIGEST_" + exp + ".json";
+  std::ofstream out(path);
   out << "{\n"
       << "  \"schema\": \"byzobs/digest/v1\",\n"
       << "  \"experiment\": \"" << exp << "\",\n"
@@ -54,6 +56,8 @@ inline void write_digest_sidecar(RunContext& ctx, const std::string& exp,
       << "  \"digest_xor\": \"" << obs::hex_u64(digest_xor) << "\",\n"
       << "  \"trail_divergences\": " << trail_divergences << "\n"
       << "}\n";
+  out.close();
+  if (!out) throw std::runtime_error("cannot write " + path);
 }
 
 }  // namespace byz::bench

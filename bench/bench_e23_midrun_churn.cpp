@@ -8,7 +8,9 @@
 // (live neighbor resolution + phase-boundary admissions), reporting the
 // fresh in-band fraction, estimate ratios, and the mid-run event
 // bookkeeping. Rate 0 rides the same code path and doubles as a smoke
-// anchor for E24's bitwise-parity claim.
+// anchor for E24's bitwise-parity claim. Each cell also records its summed
+// message count and the rows the readmit Verifier refresh recomputed, so
+// golden_e23 pins the mid-run tier's traffic and refresh work.
 #include "bench_common.hpp"
 
 namespace {
@@ -58,6 +60,7 @@ void run_e23(RunContext& ctx) {
 
         util::OnlineStats fresh, ratio, undecided;
         std::uint64_t events = 0, applied = 0, admitted = 0;
+        std::uint64_t messages = 0, rows_recomputed = 0;
         for (const auto& run : runs) {
           for (const auto& ep : run.epochs) {
             fresh.add(ep.fresh.frac_in_band);
@@ -70,6 +73,8 @@ void run_e23(RunContext& ctx) {
             applied += ep.midrun_events_applied;
             events += ep.midrun_events_applied + ep.midrun_events_flushed;
             admitted += ep.midrun_admitted;
+            messages += ep.messages;
+            rows_recomputed += ep.verify_rows_recomputed;
             band_all.push_back(ep.fresh.frac_in_band);
           }
         }
@@ -93,6 +98,8 @@ void run_e23(RunContext& ctx) {
         j["events_applied_mid_run"] = applied;
         j["admitted"] = admitted;
         j["undecided_frac"] = undecided.mean();
+        j["messages"] = messages;
+        j["rows_recomputed"] = rows_recomputed;
         const bool silent =
             policy == proto::MembershipPolicy::kTreatAsSilent;
         ctx.metric("midrun_n" + std::to_string(n0) + "_" +
@@ -130,6 +137,8 @@ BYZBENCH_REGISTER(e23) {
                pow2_axis(10, 11)};
   spec.base_trials = 3;
   spec.metrics = {"midrun_n<k>_<policy>_r<r>.fresh_in_band",
+                  "midrun_n<k>_<policy>_r<r>.messages",
+                  "midrun_n<k>_<policy>_r<r>.rows_recomputed",
                   "accuracy.fresh_in_band"};
   spec.run = run_e23;
   return spec;

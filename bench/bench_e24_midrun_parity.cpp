@@ -58,13 +58,15 @@ void run_e24(RunContext& ctx) {
         proto::ProtocolConfig cfg;
         TrialAudit r;
         for (const auto policy : policies) {
+          dynamics::MidRunConfig mid_cfg;
+          mid_cfg.policy = policy;
           // Trail parity, not just outcome parity: the static run and the
           // empty-schedule mid-run must fold identical digest trails.
           obs::AuditConfig audit_cfg;
           audit_cfg.out_dir = ctx.digest_out();
           audit_cfg.scenario = "e24";
           audit_cfg.seed = seed;
-          audit_cfg.flags = "policy=" + std::string(proto::to_string(policy));
+          audit_cfg.flags = dynamics::midrun_repro_flags(strategy, mid_cfg, {});
           obs::OracleAudit audit(audit_cfg, "static", "midrun-empty");
           auto cold_strategy = adv::make_strategy(strategy);
           proto::RunControls static_rc;
@@ -73,8 +75,6 @@ void run_e24(RunContext& ctx) {
               proto::run_counting_with(snap.overlay, dense_byz, *cold_strategy,
                                        cfg, seed, static_rc);
 
-          dynamics::MidRunConfig mid_cfg;
-          mid_cfg.policy = policy;
           util::Xoshiro256 churn_rng(util::mix_seed(seed, 0xC002));
           auto live_strategy = adv::make_strategy(strategy);
           const auto got = dynamics::run_counting_midrun(

@@ -134,8 +134,8 @@ void run_e31(RunContext& ctx) {
         ctx.metric("frontier_" + std::string(backend.name) + "_" +
                        adv::to_string(strategy) + "_n" + std::to_string(n),
                    std::move(j));
-        // Perf-trajectory cell: the BRC/algo2 cost ratios under attack at
-        // the largest size — the price of verification-free resilience.
+        // Cost-ratio cell: the BRC/algo2 cost ratios under attack at the
+        // largest size — the price of verification-free resilience.
         if (strategy == adv::StrategyKind::kFakeColor) {
           if (std::string_view(backend.name) == "algo2") {
             algo2_msgs = cell.messages.mean();

@@ -38,7 +38,7 @@
 // sim::Engine and reports whether the two tiers agreed bitwise (the E26
 // contract), outcome and digest trail, exiting 1 after the table when they
 // did not; it works in every churn mode. Mid-run churn COMPOSES with
-// adaptive cadence (E28), which coasts through drift-quiet epochs.
+// adaptive cadence, which coasts through drift-quiet epochs.
 #include <algorithm>
 #include <cmath>
 #include <iostream>

@@ -63,8 +63,8 @@ struct BackendComparison {
     const proto::Estimator& ea, const proto::Estimator& eb);
 
 /// The own-bound + median-ratio judgment for a single backend run
-/// (compare_backends applies it to both sides; the run_churn shadow uses
-/// it directly on the shadow's RunResult).
+/// (compare_backends applies it to both sides, including for run_churn's
+/// shadow; E31 uses it directly on each backend's RunResult).
 [[nodiscard]] BackendOutcome judge_backend(const proto::Estimator& estimator,
                                            const graph::Overlay& overlay,
                                            const proto::RunResult& result);

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iostream>
 #include <sstream>
 #include <stdexcept>
 
-#include "analysis/report.hpp"
 #include "bench_core/registry.hpp"
 #include "util/stats.hpp"
 
@@ -57,12 +57,12 @@ std::uint32_t RunContext::max_exp(std::uint32_t fallback) const {
 }
 
 void RunContext::emit(const util::Table& table) {
-  if (!opts_.quiet) analysis::emit(table);
+  if (!opts_.quiet) std::cout << table.str() << std::flush;
   doc_["tables"].push_back(table_json(table));
 }
 
 void RunContext::line(const std::string& text) {
-  if (!opts_.quiet) analysis::emit_line(text);
+  if (!opts_.quiet) std::cout << text << '\n' << std::flush;
 }
 
 void RunContext::metric(const std::string& name, Json value) {

@@ -1,6 +1,6 @@
 // Per-scenario run context handed to every registered experiment: scaling,
-// the shared trial scheduler, table emission (stdout + capture + structured
-// JSON), and metric recording for BENCH_<exp>.json. Scenarios build their
+// the shared trial scheduler, table emission (stdout + structured JSON),
+// and metric recording for BENCH_<exp>.json. Scenarios build their
 // own overlays; one that several trials share is built once, on the
 // scheduler, before the map that reads it.
 #pragma once
@@ -32,9 +32,10 @@ struct RunOptions {
   /// off. Setting it flips the obs runtime switch for the whole run.
   std::string trace_out;
   /// Directory for DIGEST_<exp>.json sidecars (run-level digests) and the
-  /// byzobs/forensics/v1 reports of oracle divergences; empty = nothing
-  /// written. The oracle scenarios digest both of their tiers either way
-  /// (src/obs/digest.hpp), so this moves no BENCH manifest bit.
+  /// byzobs/forensics/v1 reports of oracle divergences, created like
+  /// json_out's; empty = nothing written. The oracle scenarios digest
+  /// both of their tiers either way (src/obs/digest.hpp), so this moves
+  /// no BENCH manifest bit.
   std::string digest_out;
 };
 
@@ -60,10 +61,10 @@ class RunContext {
   /// stay small without per-scenario plumbing.
   [[nodiscard]] std::uint32_t max_exp(std::uint32_t fallback) const;
 
-  /// Emits a finished table: stdout (+ BYZCOUNT_CAPTURE) and the JSON doc.
+  /// Emits a finished table: stdout and the JSON doc.
   void emit(const util::Table& table);
 
-  /// Free-form headline (stdout + capture only).
+  /// Free-form headline (stdout only).
   void line(const std::string& text);
 
   /// Records a scalar / structured metric into the JSON doc.

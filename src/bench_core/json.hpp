@@ -1,8 +1,8 @@
 // Minimal JSON value with writer + parser for the structured bench
 // emitters (BENCH_<exp>.json). Self-contained on purpose: the repo has a
 // no-new-dependencies policy and the bench schema is small. Objects keep
-// insertion order so emitted documents are stable across runs (the perf
-// trajectory diffs them).
+// insertion order so emitted documents are stable across runs (the golden
+// manifests are compared byte for byte).
 #pragma once
 
 #include <cstdint>

@@ -44,9 +44,9 @@ std::vector<ScenarioOutcome> run_scenarios(const Registry& registry,
   const bool observe = !opts.trace_out.empty();
   if (observe) obs::set_enabled(true);
 
-  if (!opts.json_out.empty()) {
+  for (const auto* dir : {&opts.json_out, &opts.digest_out}) {
     std::error_code ec;
-    std::filesystem::create_directories(opts.json_out, ec);
+    if (!dir->empty()) std::filesystem::create_directories(*dir, ec);
   }
 
   std::vector<ScenarioOutcome> outcomes;

@@ -1,6 +1,6 @@
 // Drives a byzbench run: resolves the filter against the registry, runs
 // each scenario on a shared scheduler, times it, and writes
-// BENCH_<exp>.json manifests for the perf-trajectory tracking.
+// BENCH_<exp>.json manifests (compared byte for byte with bench/golden/).
 #pragma once
 
 #include <string>

@@ -19,7 +19,6 @@
 #include "adversary/strategies.hpp"      // IWYU pragma: export
 #include "analysis/backend_compare.hpp"  // IWYU pragma: export
 #include "analysis/experiment.hpp"       // IWYU pragma: export
-#include "analysis/report.hpp"           // IWYU pragma: export
 #include "baselines/birthday.hpp"        // IWYU pragma: export
 #include "baselines/flood_diameter.hpp"  // IWYU pragma: export
 #include "baselines/spanning_tree.hpp"   // IWYU pragma: export

@@ -30,15 +30,17 @@ constexpr std::uint64_t kShadowStream = 0x5AAD;
 /// The engine oracle's audit settings for one epoch: the report's repro
 /// line and the directory it is written to.
 obs::AuditConfig oracle_audit_config(const ChurnRunConfig& cfg,
+                                     const MidRunConfig& mid_cfg,
+                                     const ChurnSchedule& schedule,
                                      std::uint32_t epoch) {
   obs::AuditConfig audit;
   audit.out_dir = cfg.audit_dir;
   audit.scenario = "run_churn/engine_oracle";
   audit.seed = cfg.seed;
-  audit.flags = "d=" + std::to_string(cfg.d) +
-                " strategy=" + std::string(adv::to_string(cfg.strategy)) +
-                (cfg.mid_run.enabled ? " mid-run" : "") +
-                " epoch=" + std::to_string(epoch);
+  audit.flags = "d=" + std::to_string(cfg.d) + " ";
+  audit.flags += midrun_repro_flags(cfg.strategy, mid_cfg, schedule);
+  if (cfg.mid_run.enabled) audit.flags += " mid-run";
+  audit.flags += " epoch=" + std::to_string(epoch);
   return audit;
 }
 
@@ -203,7 +205,7 @@ ChurnRunResult run_churn(const ChurnRunConfig& cfg) {
     std::optional<obs::OracleAudit> audit;
     std::optional<MidRunOutcome> engine_outcome;
     if (cfg.run_engine) {
-      audit.emplace(oracle_audit_config(cfg, e));
+      audit.emplace(oracle_audit_config(cfg, mid_cfg, schedule, e));
       MutableOverlay engine_overlay = overlay;
       std::vector<bool> engine_byz = byz;
       util::Xoshiro256 engine_rng = churn_rng;

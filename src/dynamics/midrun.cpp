@@ -567,6 +567,15 @@ MidRunOutcome run_counting_midrun_engine(MutableOverlay& overlay,
                          /*use_engine=*/true, composed, digester);
 }
 
+std::string midrun_repro_flags(adv::StrategyKind strategy,
+                               const MidRunConfig& config,
+                               const ChurnSchedule& schedule) {
+  return "strategy=" + std::string(adv::to_string(strategy)) +
+         " policy=" + proto::to_string(config.policy) +
+         " schedule=" + adv::to_string(config.schedule_strategy) +
+         " events=" + std::to_string(schedule.events.size());
+}
+
 MidRunTierComparison compare_midrun_tiers(const MutableOverlay& overlay,
                                           const std::vector<bool>& stable_byz,
                                           adv::StrategyKind strategy,
@@ -578,7 +587,10 @@ MidRunTierComparison compare_midrun_tiers(const MutableOverlay& overlay,
                                           const util::Xoshiro256& rng,
                                           const obs::AuditConfig& audit) {
   MidRunTierComparison cmp;
-  obs::OracleAudit oracle(audit);
+  obs::AuditConfig named = audit;
+  const std::string flags = midrun_repro_flags(strategy, config, schedule);
+  named.flags = audit.flags.empty() ? flags : audit.flags + " " + flags;
+  obs::OracleAudit oracle(named);
   {
     MutableOverlay fast_overlay = overlay;
     std::vector<bool> fast_byz = stable_byz;

@@ -57,12 +57,12 @@
 //        compare_midrun_tiers digests both tiers (obs::OracleAudit) and
 //        passes only when their digest trails also match entry for entry,
 //        so a failure names its first divergent round.
-//   E28  the COMPOSED tier: mid-run churn epoch after epoch, with the
-//        per-epoch engine oracle on. Each run starts from a fresh
-//        MutableOverlay::snapshot(); the feed's run-start Verifier rows are
-//        that snapshot's own ball counts (graph::Overlay::ball_row). Its
-//        setup reads the snapshot's G-degree table and its liars' balls,
-//        so only the engine oracle builds the snapshot's G.
+//
+// Epoch after epoch (run_churn, epoch_driver.hpp), each run starts from a
+// fresh MutableOverlay::snapshot(): the feed's run-start Verifier rows are
+// that snapshot's own ball counts (graph::Overlay::ball_row), and its
+// setup reads the snapshot's G-degree table and its liars' balls, so only
+// the per-epoch engine oracle (ChurnRunConfig::run_engine) builds G.
 //
 // Adversarial schedules (adversary/midrun_schedule.hpp) reuse this replay
 // machinery unchanged: derive_adversarial_schedule shapes WHEN the same
@@ -74,6 +74,7 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "adversary/churn.hpp"
@@ -374,14 +375,22 @@ struct MidRunTierComparison {
   obs::OracleVerdict verdict;
 };
 
+/// An oracle comparison's repro flags: the strategy, membership policy,
+/// schedule strategy and event count. Comparisons that share a seed
+/// differ in these, and the forensics report's file name hashes them.
+[[nodiscard]] std::string midrun_repro_flags(adv::StrategyKind strategy,
+                                             const MidRunConfig& config,
+                                             const ChurnSchedule& schedule);
+
 /// Runs BOTH tiers from the identical initial state — each on its own
 /// copy of (overlay, byz mask, churn rng), with a fresh strategy instance
 /// per tier, each with a digester and a flight recorder attached — and
 /// compares the outcomes bitwise and the digest trails entry for entry.
 /// The inputs are left untouched; this is the mid-run equivalence oracle
 /// E26 sweeps. `audit` names the report's repro line and directory (and
-/// carries the tests' trail perturbation); digesting is pure read-side,
-/// so the outcomes are those of undigested runs.
+/// carries the tests' trail perturbation); the report's flags also carry
+/// midrun_repro_flags. Digesting is pure read-side, so the outcomes are
+/// those of undigested runs.
 [[nodiscard]] MidRunTierComparison compare_midrun_tiers(
     const MutableOverlay& overlay, const std::vector<bool>& stable_byz,
     adv::StrategyKind strategy, const proto::ProtocolConfig& cfg,

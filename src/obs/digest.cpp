@@ -284,8 +284,15 @@ OracleVerdict OracleAudit::judge(bool outcomes_match,
   verdict.forensics =
       forensics_json(info, trail_a, trail_b, &recorder_a_, &recorder_b_);
   if (!config_.out_dir.empty()) {
-    const std::string path = config_.out_dir + "/forensics_" + file_tag +
-                             "_" + std::to_string(config_.seed) + ".json";
+    // Comparisons that share a seed differ in their flags, so 32 bits of a
+    // hash of the flags keep their reports apart.
+    std::uint64_t flags_hash = kDigestSeed;
+    for (const unsigned char c : config_.flags) {
+      flags_hash = mix2(flags_hash, c);
+    }
+    std::string path = config_.out_dir + "/forensics_" + file_tag + "_";
+    path += std::to_string(config_.seed) + "_";
+    path += hex_u64(flags_hash).substr(2, 8) + ".json";
     if (write_forensics_file(path, verdict.forensics)) {
       verdict.forensics_path = path;
     }

@@ -261,7 +261,8 @@ class OracleAudit {
 
   /// Compares the two trails. Unless the outcomes and the trails both
   /// match, renders the report and, when AuditConfig::out_dir is set,
-  /// writes it to <out_dir>/forensics_<file_tag>_<seed>.json.
+  /// writes it to <out_dir>/forensics_<file_tag>_<seed>_<h>.json, where
+  /// <h> is 8 hex digits of a hash of AuditConfig::flags.
   [[nodiscard]] OracleVerdict judge(bool outcomes_match,
                                     const std::string& file_tag) const;
 

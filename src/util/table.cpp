@@ -114,25 +114,6 @@ std::string Table::str() const {
   return out;
 }
 
-std::string Table::markdown() const {
-  std::string out;
-  out += "### " + title_ + "\n\n";
-  out += "|";
-  for (const auto& h : header_) out += " " + h + " |";
-  out += "\n|";
-  for (std::size_t c = 0; c < header_.size(); ++c) out += "---|";
-  out += "\n";
-  for (const auto& r : rows_) {
-    out += "|";
-    for (std::size_t c = 0; c < header_.size(); ++c) {
-      out += " " + (c < r.size() ? r[c] : std::string()) + " |";
-    }
-    out += "\n";
-  }
-  for (const auto& n : notes_) out += "\n> " + n + "\n";
-  return out;
-}
-
 std::string Table::csv() const {
   std::string out;
   auto emit_row = [&out](const std::vector<std::string>& cells) {

@@ -50,8 +50,6 @@ class Table {
 
   /// Renders the aligned table.
   [[nodiscard]] std::string str() const;
-  /// Renders as GitHub-flavoured markdown (for EXPERIMENTS.md capture).
-  [[nodiscard]] std::string markdown() const;
   /// Renders as CSV (header + rows, no title).
   [[nodiscard]] std::string csv() const;
 

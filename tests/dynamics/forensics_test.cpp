@@ -16,12 +16,16 @@
 //       byzobs/forensics/v1 report names exactly that round (and its
 //       phase/subphase), while the protocol outcomes stay identical — the
 //       report explains, it never disturbs;
-//   (5) with an out_dir the report lands on disk and parses.
+//   (5) with an out_dir the report lands on disk and parses, and
+//       comparisons that share a seed leave one report each, its repro
+//       line naming the policy that tells them apart.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "bench_core/json.hpp"
 #include "dynamics/midrun.hpp"
@@ -61,18 +65,23 @@ Instance make_instance(std::uint64_t seed) {
           util::Xoshiro256(util::mix_seed(seed, 0xC002))};
 }
 
-dynamics::MidRunConfig readmit() {
+dynamics::MidRunConfig with_policy(proto::MembershipPolicy policy) {
   dynamics::MidRunConfig mid_cfg;
-  mid_cfg.policy = proto::MembershipPolicy::kReadmitNextPhase;
+  mid_cfg.policy = policy;
   return mid_cfg;
 }
 
+dynamics::MidRunConfig readmit() {
+  return with_policy(proto::MembershipPolicy::kReadmitNextPhase);
+}
+
 dynamics::MidRunTierComparison audited_compare(
-    const obs::AuditConfig& audit = {}, std::uint64_t seed = 11) {
+    const obs::AuditConfig& audit = {}, std::uint64_t seed = 11,
+    dynamics::MidRunConfig mid_cfg = readmit()) {
   const Instance inst = make_instance(seed);
   return dynamics::compare_midrun_tiers(
       inst.overlay, inst.byz, adv::StrategyKind::kFakeColor,
-      proto::ProtocolConfig{}, seed ^ 0xC, inst.schedule, readmit(),
+      proto::ProtocolConfig{}, seed ^ 0xC, inst.schedule, mid_cfg,
       adv::ChurnAdversary::kNone, inst.churn_rng, audit);
 }
 
@@ -220,6 +229,48 @@ TEST(ForensicsAudit, ReportIsWrittenToOutDir) {
   ASSERT_TRUE(doc.has_value());
   EXPECT_EQ(doc->find("scenario")->as_string(), "forensics_write");
   EXPECT_EQ(doc->find("seed")->as_number(), 13.0);
+}
+
+TEST(ForensicsAudit, ComparisonsSharingASeedKeepOneReportEach) {
+  // E26 runs both policies of a cell under one seed: each failing
+  // comparison must leave its own report, named in its repro line.
+  const std::string dir = ::testing::TempDir() + "/forensics_shared_seed";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  obs::AuditConfig audit;
+  audit.scenario = "forensics_shared_seed";
+  audit.seed = 17;
+  audit.out_dir = dir;
+  audit.perturb_tier = 1;
+  audit.perturb_round = 2;
+  audit.perturb_mask = 0xBEEF;
+  const proto::MembershipPolicy policies[] = {
+      proto::MembershipPolicy::kTreatAsSilent,
+      proto::MembershipPolicy::kReadmitNextPhase};
+  for (const auto policy : policies) {
+    const auto cmp = audited_compare(audit, /*seed=*/17, with_policy(policy));
+    EXPECT_FALSE(cmp.verdict.passed);
+  }
+
+  std::vector<std::string> repros;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    std::ifstream in(entry.path());
+    std::stringstream buf;
+    buf << in.rdbuf();
+    const auto doc = bench_core::Json::parse(buf.str());
+    ASSERT_TRUE(doc.has_value()) << entry.path();
+    repros.push_back(doc->find("repro")->as_string());
+  }
+  ASSERT_EQ(repros.size(), 2u) << "a report overwrote another";
+  for (const auto policy : policies) {
+    const std::string flag = "policy=" + std::string(proto::to_string(policy));
+    std::size_t named = 0;
+    for (const auto& repro : repros) {
+      if (repro.find(flag) != std::string::npos) ++named;
+    }
+    EXPECT_EQ(named, 1u) << flag;
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

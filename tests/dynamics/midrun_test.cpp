@@ -106,6 +106,10 @@ TEST(LiveOverlayFeedTest, GrowsStableMaskAndEndsAtTraceMembership) {
 }
 
 TEST(MidRunChurnModeTest, ReplaysTraceAndReportsMidRunStats) {
+  // Mid-run churn epoch after epoch, each epoch a live run on a fresh
+  // snapshot of the evolving overlay, with the per-epoch engine oracle on
+  // under both policies (the only multi-epoch oracle run under
+  // treat-as-silent). Under readmit the live Verifier refresh must do work.
   for (const auto policy : {proto::MembershipPolicy::kTreatAsSilent,
                             proto::MembershipPolicy::kReadmitNextPhase}) {
     dynamics::ChurnRunConfig cfg;
@@ -118,25 +122,36 @@ TEST(MidRunChurnModeTest, ReplaysTraceAndReportsMidRunStats) {
     cfg.d = 6;
     cfg.delta = 0.7;
     cfg.seed = 3;
+    cfg.run_engine = true;
     cfg.mid_run.enabled = true;
     cfg.mid_run.policy = policy;
 
     const auto result = dynamics::run_churn(cfg);
     ASSERT_EQ(result.epochs.size(), cfg.trace.epochs);
-    std::uint64_t events = 0;
+    std::uint64_t events = 0, refreshes = 0, rows = 0;
     for (std::uint32_t e = 0; e < result.epochs.size(); ++e) {
       const auto& ep = result.epochs[e];
       EXPECT_EQ(ep.n_true, result.trace.epochs[e].n_after);
       EXPECT_TRUE(ep.estimated);
       EXPECT_GT(ep.messages, 0u);
+      EXPECT_TRUE(ep.engine_match)
+          << "engine diverged from fastpath at epoch " << e << " ("
+          << proto::to_string(policy) << ")";
       events += ep.midrun_events_applied + ep.midrun_events_flushed;
+      refreshes += ep.midrun_verifier_refreshes;
+      rows += ep.verify_rows_recomputed;
       if (policy == proto::MembershipPolicy::kTreatAsSilent) {
         EXPECT_EQ(ep.midrun_admitted, 0u);
-        EXPECT_EQ(ep.midrun_verifier_refreshes, 0u);
-        EXPECT_EQ(ep.verify_rows_recomputed, 0u);
       }
     }
     EXPECT_GT(events, 0u);
+    if (policy == proto::MembershipPolicy::kTreatAsSilent) {
+      EXPECT_EQ(refreshes, 0u);
+      EXPECT_EQ(rows, 0u);
+    } else {
+      EXPECT_GT(refreshes, 0u);
+      EXPECT_GT(rows, 0u) << "the readmit Verifier refresh recomputed no rows";
+    }
   }
 }
 
@@ -228,8 +243,8 @@ TEST(ComposedMidRunTest, LiveRunLeavesTheSnapshotsGUnbuilt) {
 
 TEST(ComposedMidRunTest, EngineOracleHoldsWithAdaptiveCadenceOn) {
   // Adaptive cadence + engine oracle must keep the two protocol tiers
-  // bitwise identical per epoch (the E26 contract extended to the
-  // composed tier).
+  // bitwise identical per epoch (the E26 contract with adaptive cadence
+  // on).
   dynamics::ChurnRunConfig cfg;
   cfg.trace.n0 = 256;
   cfg.trace.epochs = 3;

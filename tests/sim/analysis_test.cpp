@@ -1,14 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "analysis/experiment.hpp"
-#include "analysis/report.hpp"
 #include "protocols/estimate.hpp"
-#include "util/table.hpp"
 
 namespace byz::analysis {
 namespace {
@@ -105,35 +101,6 @@ TEST(SweepTrials, IndependentSeedsDiffer) {
     any_diff = sweep.results[t].run.estimate != sweep.results[0].run.estimate;
   }
   EXPECT_TRUE(any_diff);
-}
-
-TEST(Report, CaptureAppendsMarkdown) {
-  const std::string path = ::testing::TempDir() + "/byz_capture_test.md";
-  std::remove(path.c_str());
-  {
-    EnvGuard guard("BYZCOUNT_CAPTURE", path.c_str());
-    util::Table t("captured");
-    t.columns({"a"});
-    t.row().cell("1");
-    emit(t);
-    emit_line("headline");
-  }
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::stringstream ss;
-  ss << in.rdbuf();
-  const std::string captured = ss.str();
-  EXPECT_NE(captured.find("### captured"), std::string::npos);
-  EXPECT_NE(captured.find("headline"), std::string::npos);
-  std::remove(path.c_str());
-}
-
-TEST(Report, NoCaptureWithoutEnv) {
-  EnvGuard guard("BYZCOUNT_CAPTURE", nullptr);
-  util::Table t("uncaptured");
-  t.columns({"a"});
-  t.row().cell("1");
-  EXPECT_NO_THROW(emit(t));
 }
 
 }  // namespace

@@ -31,16 +31,6 @@ TEST(Table, CellBeforeRowThrows) {
   EXPECT_THROW(t.cell("1"), std::logic_error);
 }
 
-TEST(Table, MarkdownShape) {
-  Table t("md");
-  t.columns({"a", "b"});
-  t.row().cell(1).cell(2);
-  const std::string md = t.markdown();
-  EXPECT_NE(md.find("### md"), std::string::npos);
-  EXPECT_NE(md.find("| a | b |"), std::string::npos);
-  EXPECT_NE(md.find("| 1 | 2 |"), std::string::npos);
-}
-
 TEST(Table, CsvEscapesSpecials) {
   Table t("csv");
   t.columns({"a", "b"});
@@ -56,7 +46,6 @@ TEST(Table, NotesAppearInOutput) {
   t.row().cell("1");
   t.note("paper predicts 2");
   EXPECT_NE(t.str().find("paper predicts 2"), std::string::npos);
-  EXPECT_NE(t.markdown().find("paper predicts 2"), std::string::npos);
 }
 
 TEST(Table, ShortRowsPadded) {
